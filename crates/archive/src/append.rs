@@ -147,11 +147,9 @@ impl AppendableArchive {
         }
         let row_offset = self.grid.rows();
         let seq = self.journal.append(row_offset, &band)?;
-        let mut data = Vec::with_capacity(self.grid.len() + band.len());
-        data.extend_from_slice(self.grid.as_slice());
-        data.extend_from_slice(band.as_slice());
-        self.grid = Grid2::from_vec(row_offset + band.rows(), self.grid.cols(), data)
-            .expect("append geometry validated above");
+        self.grid
+            .push_rows(&band)
+            .expect("band width validated above");
         self.epoch += 1;
         Ok(AppendCommit {
             seq,
@@ -202,15 +200,9 @@ impl AppendableArchive {
             replayed
                 .append(record.row_offset, &record.band)
                 .expect("fresh journal cannot be crashed");
-            let mut data = Vec::with_capacity(arch.grid.len() + record.band.len());
-            data.extend_from_slice(arch.grid.as_slice());
-            data.extend_from_slice(record.band.as_slice());
-            arch.grid = Grid2::from_vec(
-                record.row_offset + record.band.rows(),
-                arch.grid.cols(),
-                data,
-            )
-            .expect("record geometry validated above");
+            arch.grid
+                .push_rows(&record.band)
+                .expect("record width validated above");
             arch.epoch += 1;
         }
         arch.journal = replayed;

@@ -18,9 +18,15 @@ use crate::fault::{AttemptOutcome, FaultProfile, FaultRuntime, ResilienceConfig}
 use crate::grid::Grid2;
 use crate::integrity::{corrupt_value, PageEnvelope};
 use crate::stats::AccessStats;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A paged, counted view over a grid.
+///
+/// The cells live in `Arc`-shared row segments, each a whole number of
+/// tile rows (only the last may end ragged): [`new`](Self::new) wraps its
+/// grid as one segment, [`extended`](Self::extended) adds a band as
+/// another, and `clone()` copies pointers, never cells. A page never
+/// spans two segments, so a segment is immutable once any store holds it.
 ///
 /// # Examples
 ///
@@ -55,7 +61,10 @@ use std::sync::Mutex;
 /// ```
 #[derive(Debug)]
 pub struct TileStore {
-    grid: Grid2<f64>,
+    /// Per tile row, the segment holding it and that segment's first row.
+    tile_rows: Vec<(Arc<Grid2<f64>>, usize)>,
+    rows: usize,
+    cols: usize,
     tile: usize,
     tiles_per_row: usize,
     stats: AccessStats,
@@ -69,7 +78,9 @@ impl Clone for TileStore {
     fn clone(&self) -> Self {
         let runtime = self.fault.lock().expect("fault state lock").clone();
         TileStore {
-            grid: self.grid.clone(),
+            tile_rows: self.tile_rows.clone(),
+            rows: self.rows,
+            cols: self.cols,
             tile: self.tile,
             tiles_per_row: self.tiles_per_row,
             stats: self.stats.clone(),
@@ -88,9 +99,13 @@ impl TileStore {
         if tile == 0 {
             return Err(ArchiveError::EmptyDimension);
         }
-        let tiles_per_row = grid.cols().div_ceil(tile);
+        let (rows, cols) = (grid.rows(), grid.cols());
+        let tiles_per_row = cols.div_ceil(tile);
+        let segment = Arc::new(grid);
         Ok(TileStore {
-            grid,
+            tile_rows: vec![(segment, 0); rows.div_ceil(tile)],
+            rows,
+            cols,
             tile,
             tiles_per_row,
             stats: AccessStats::new(),
@@ -99,6 +114,46 @@ impl TileStore {
                 ResilienceConfig::none(),
             )),
         })
+    }
+
+    /// This store grown by `band` below its last row: every existing
+    /// segment is shared with `self` (no cell is copied but the band's),
+    /// the stats handle is shared and the fault state snapshotted, as for
+    /// `clone()`.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchiveError::AppendMisaligned`] when the band's width differs
+    /// from the store's, or when the store's or the band's row count is
+    /// not a whole number of tile rows (the band would rewrite a page).
+    pub fn extended(&self, band: &Grid2<f64>) -> Result<Self, ArchiveError> {
+        if band.cols() != self.cols {
+            return Err(ArchiveError::AppendMisaligned(format!(
+                "band width {} != store width {}",
+                band.cols(),
+                self.cols
+            )));
+        }
+        if !self.rows.is_multiple_of(self.tile) || !band.rows().is_multiple_of(self.tile) {
+            return Err(ArchiveError::AppendMisaligned(format!(
+                "store rows {} and band rows {} must be multiples of tile {}",
+                self.rows,
+                band.rows(),
+                self.tile
+            )));
+        }
+        let mut next = self.clone();
+        let segment = (Arc::new(band.clone()), self.rows);
+        next.tile_rows
+            .extend(std::iter::repeat_n(segment, band.rows() / self.tile));
+        next.rows += band.rows();
+        Ok(next)
+    }
+
+    /// The cells of `row`, which the caller has checked is in bounds.
+    fn row(&self, row: usize) -> &[f64] {
+        let (segment, first) = &self.tile_rows[row / self.tile];
+        segment.row(row - first)
     }
 
     /// Shares an existing stats handle (builder style) so multiple stores
@@ -179,12 +234,12 @@ impl TileStore {
 
     /// Number of rows in the underlying grid.
     pub fn rows(&self) -> usize {
-        self.grid.rows()
+        self.rows
     }
 
     /// Number of columns in the underlying grid.
     pub fn cols(&self) -> usize {
-        self.grid.cols()
+        self.cols
     }
 
     /// Tile edge length in cells.
@@ -194,7 +249,7 @@ impl TileStore {
 
     /// Total number of pages.
     pub fn page_count(&self) -> usize {
-        self.grid.rows().div_ceil(self.tile) * self.tiles_per_row
+        self.tile_rows.len() * self.tiles_per_row
     }
 
     /// Page index containing cell `(row, col)`.
@@ -219,8 +274,8 @@ impl TileStore {
         }
         let r0 = (page / self.tiles_per_row) * self.tile;
         let c0 = (page % self.tiles_per_row) * self.tile;
-        let r1 = (r0 + self.tile).min(self.grid.rows());
-        let c1 = (c0 + self.tile).min(self.grid.cols());
+        let r1 = (r0 + self.tile).min(self.rows);
+        let c1 = (c0 + self.tile).min(self.cols);
         Ok((r0, c0, r1, c1))
     }
 
@@ -306,7 +361,15 @@ impl TileStore {
     /// budget, and [`ArchiveError::PageQuarantined`] once the page's
     /// circuit breaker has tripped.
     pub fn read(&self, row: usize, col: usize) -> Result<f64, ArchiveError> {
-        let v = *self.grid.get(row, col)?;
+        if row >= self.rows || col >= self.cols {
+            return Err(ArchiveError::OutOfBounds {
+                row,
+                col,
+                rows: self.rows,
+                cols: self.cols,
+            });
+        }
+        let v = self.row(row)[col];
         let page = self.page_of(row, col);
         let corrupted = self.access_page(page)?;
         self.stats.record_tuples(1);
@@ -346,9 +409,8 @@ impl TileStore {
         let corrupted = self.access_page(page)?;
         let mut out = Vec::with_capacity((r1 - r0) * (c1 - c0));
         for r in r0..r1 {
-            for c in c0..c1 {
-                out.push((CellCoord::new(r, c), *self.grid.at(r, c)));
-            }
+            let cells = &self.row(r)[c0..c1];
+            out.extend((c0..c1).zip(cells).map(|(c, &v)| (CellCoord::new(r, c), v)));
         }
         self.stats.record_pages(1);
         self.stats.record_tuples(out.len() as u64);
@@ -461,6 +523,51 @@ mod tests {
         assert_eq!(page.len(), 1);
         assert_eq!(page[0].0, CellCoord::new(4, 2));
         assert_eq!(page[0].1, 14.0);
+    }
+
+    #[test]
+    fn extended_store_shares_segments_and_reads_like_a_rebuild() {
+        let cell = |r: usize, c: usize| (r * 5 + c) as f64;
+        let base = TileStore::new(Grid2::from_fn(4, 5, cell), 2).unwrap();
+        let mid = base
+            .extended(&Grid2::from_fn(2, 5, |r, c| cell(4 + r, c)))
+            .unwrap();
+        let grown = mid
+            .extended(&Grid2::from_fn(6, 5, |r, c| cell(6 + r, c)))
+            .unwrap();
+        let rebuilt = TileStore::new(Grid2::from_fn(12, 5, cell), 2).unwrap();
+        assert_eq!((grown.rows(), grown.page_count()), (12, 18));
+        for page in 0..rebuilt.page_count() {
+            assert_eq!(grown.page_extent(page), rebuilt.page_extent(page));
+            assert_eq!(grown.read_page(page), rebuilt.read_page(page));
+        }
+        assert_eq!(grown.read(11, 4).unwrap(), cell(11, 4));
+        assert!(grown.read(12, 0).is_err());
+        // Older stores still end where they ended, on the same cells.
+        assert_eq!((base.rows(), mid.rows()), (4, 6));
+        assert!(mid.read(6, 0).is_err());
+        for (tile_row, (segment, first)) in mid.tile_rows.iter().enumerate() {
+            assert!(Arc::ptr_eq(segment, &grown.tile_rows[tile_row].0));
+            assert_eq!(*first, grown.tile_rows[tile_row].1);
+        }
+        // One counter set across the chain.
+        assert_eq!(base.stats().pages_read(), grown.stats().pages_read());
+    }
+
+    #[test]
+    fn extended_rejects_bands_that_would_rewrite_a_page() {
+        let ragged = TileStore::new(Grid2::filled(5, 4, 0.0), 2).unwrap();
+        assert!(matches!(
+            ragged.extended(&Grid2::filled(2, 4, 0.0)),
+            Err(ArchiveError::AppendMisaligned(_))
+        ));
+        let s = store_4x4();
+        for band in [Grid2::filled(3, 4, 0.0), Grid2::filled(2, 5, 0.0)] {
+            assert!(matches!(
+                s.extended(&band),
+                Err(ArchiveError::AppendMisaligned(_))
+            ));
+        }
     }
 
     #[test]

@@ -3299,7 +3299,9 @@ fn f5_workflow() {
 /// frame) and each recovery must be bit-identical to a freshly built
 /// archive of the committed prefix; live appends then run under
 /// concurrent queries with snapshot answers gated bit-identical at
-/// threads ∈ {1, 2, 4, 8} and shards ∈ {1, 4}. Writes `BENCH_append.json`.
+/// threads ∈ {1, 2, 4, 8} and shards ∈ {1, 4}, and one band is timed onto
+/// 1x / 4x / 16x the base rows (append cost must follow the band, not the
+/// archive). Writes `BENCH_append.json`.
 fn r10_append(seed: u64, small: bool) {
     use mbir_archive::fault::WriteFault;
     use mbir_archive::journal::FRAME_HEADER_LEN;
@@ -3604,6 +3606,39 @@ fn r10_append(seed: u64, small: bool) {
         append_ms / q_commits as f64
     );
 
+    // --- Append cost against archive height: the same band onto 1x / 4x /
+    // 16x the base rows. Consecutive epochs share every unchanged byte, so
+    // the cost follows the band, not the archive.
+    let (c_cols, c_tile, c_base, c_band) = if small {
+        (64usize, 8usize, 64usize, 16usize)
+    } else {
+        (256, 32, 256, 32)
+    };
+    let cost_rows: Vec<usize> = [1usize, 4, 16].iter().map(|m| c_base * m).collect();
+    let cost_ms: Vec<f64> = cost_rows
+        .iter()
+        .map(|&rows| {
+            let mut grown =
+                LiveArchive::new(grids_to(attrs, rows, c_cols), c_tile).expect("valid base");
+            let mut ms: Vec<f64> = (0..9)
+                .map(|_| {
+                    let bands = band_at(attrs, grown.rows(), c_band, c_cols);
+                    let t0 = Instant::now();
+                    grown.append(&bands).expect("live append");
+                    t0.elapsed().as_secs_f64() * 1e3
+                })
+                .collect();
+            ms.sort_by(f64::total_cmp);
+            ms[ms.len() / 2]
+        })
+        .collect();
+    println!("| base rows | median append+publish ms ({c_band}-row band, {c_cols} cols) |");
+    println!("|---|---|");
+    for (rows, ms) in cost_rows.iter().zip(&cost_ms) {
+        println!("| {rows} | {ms:.3} |");
+    }
+    println!();
+
     // --- Phase 3: epoch-keyed cache invalidation touches only the frontier.
     let snap = live.snapshot();
     let cache = CachedTileSource::new(snap.stores(), 1024).expect("cache");
@@ -3714,6 +3749,8 @@ fn r10_append(seed: u64, small: bool) {
          \"threads\": [1, 2, 4, 8], \"shards\": [1, 4], \"queries\": {queries}, \
          \"wrong_answers\": 0, \"stale_snapshot_frozen\": true, \
          \"mean_append_ms\": {:.3}}},\n  \
+         \"append_cost\": {{\"cols\": {c_cols}, \"band_rows\": {c_band}, \
+         \"base_rows\": {cost_rows:?}, \"median_append_ms\": [{}]}},\n  \
          \"cache\": {{\"pages_warmed\": {warmed}, \"frontier_page\": {frontier}, \
          \"invalidated\": {invalidated}, \"appended_pages_seen\": {}, \
          \"prefix_stays_cached\": true}},\n  \
@@ -3721,6 +3758,11 @@ fn r10_append(seed: u64, small: bool) {
          \"recovered_epochs\": {}, \"schedule_independent\": true}}\n}}\n",
         live.rows(),
         append_ms / q_commits as f64,
+        cost_ms
+            .iter()
+            .map(|ms| format!("{ms:.3}"))
+            .collect::<Vec<_>>()
+            .join(", "),
         stats.appended_pages_seen(),
         alerts.len(),
         w_report.applied,

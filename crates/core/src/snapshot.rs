@@ -18,18 +18,27 @@
 //!    attribute, all carrying the same row offset). A crash here (an armed
 //!    [`WriteFault`](mbir_archive::fault::WriteFault)) leaves at most a
 //!    torn suffix that recovery provably truncates.
-//! 2. **Build** — the working grids are extended, the per-attribute
-//!    pyramids are patched incrementally
-//!    ([`AggregatePyramid::extend_rows`], bit-identical to a full
-//!    rebuild), and fresh [`TileStore`]s are constructed. Nothing is
-//!    visible to readers yet.
+//! 2. **Build aside** — the next epoch is derived from the published one
+//!    by structural sharing: each pyramid is a pointer-copy `clone()` of
+//!    the published pyramid patched by
+//!    [`AggregatePyramid::extend_rows`] (bit-identical to a full
+//!    rebuild), each store is [`TileStore::extended`] by the band. Shared
+//!    between the two epochs: every pyramid chunk wholly before the dirty
+//!    frontier and every store segment. Written anew: the band's own
+//!    cells, and per pyramid level the one chunk the frontier falls in
+//!    (copy-on-write — the published chunk is never touched). So an
+//!    append costs O(band) time, a retained epoch O(band) memory plus
+//!    those boundary chunks, and nothing a reader holds ever changes.
+//!    Nothing is visible to readers yet.
 //! 3. **Swap** — one atomic pointer swap publishes the new
 //!    [`EpochSnapshot`]. A reader observes either the old epoch or the
 //!    new one, complete — never a half-built state.
 //!
 //! Because appends are tile-row aligned, every page of a committed prefix
-//! is immutable: snapshots of different epochs share page *contents* for
-//! their common prefix, which is what lets
+//! is immutable — a band never completes a ragged tile row, so no store
+//! segment is ever written after it is published, and epochs can share
+//! segments outright. Snapshots of different epochs therefore share page
+//! *contents* for their common prefix, which is what lets
 //! [`CachedTileSource::advance_epoch`](crate::source::CachedTileSource::advance_epoch)
 //! keep prefix pages cached across commits and invalidate only the append
 //! frontier.
@@ -174,11 +183,9 @@ pub struct LiveRecoveryReport {
 pub struct LiveArchive {
     tile: usize,
     cols: usize,
-    grids: Vec<Grid2<f64>>,
-    pyramids: Vec<AggregatePyramid>,
     journal: AppendJournal,
-    epoch: u64,
     stats: AccessStats,
+    /// The last published snapshot — the only working state there is.
     published: Arc<Mutex<Arc<EpochSnapshot>>>,
 }
 
@@ -208,24 +215,24 @@ impl LiveArchive {
                 "base rows {rows} not a multiple of tile {tile}"
             )));
         }
-        let pyramids: Vec<AggregatePyramid> = bases.iter().map(AggregatePyramid::build).collect();
-        let live = LiveArchive {
+        let stats = AccessStats::new();
+        let pyramids = bases.iter().map(AggregatePyramid::build).collect();
+        let stores = bases
+            .into_iter()
+            .map(|g| TileStore::new(g, tile).map(|s| s.with_stats(stats.clone())))
+            .collect::<Result<Vec<_>, _>>()?;
+        let base = EpochSnapshot {
+            epoch: SnapshotEpoch { epoch: 0, rows },
+            pyramids,
+            stores,
+        };
+        Ok(LiveArchive {
             tile,
             cols,
-            grids: bases,
-            pyramids,
             journal: AppendJournal::new(),
-            epoch: 0,
-            stats: AccessStats::new(),
-            published: Arc::new(Mutex::new(Arc::new(EpochSnapshot {
-                epoch: SnapshotEpoch { epoch: 0, rows: 0 },
-                pyramids: Vec::new(),
-                stores: Vec::new(),
-            }))),
-        };
-        let initial = live.build_snapshot()?;
-        *live.published.lock().expect("snapshot swap lock") = Arc::new(initial);
-        Ok(live)
+            stats,
+            published: Arc::new(Mutex::new(Arc::new(base))),
+        })
     }
 
     /// Arms a write fault on the shared journal (builder style) — the
@@ -250,12 +257,12 @@ impl LiveArchive {
 
     /// Number of attributes.
     pub fn attrs(&self) -> usize {
-        self.grids.len()
+        self.snapshot().stores.len()
     }
 
     /// Committed rows.
     pub fn rows(&self) -> usize {
-        self.grids[0].rows()
+        self.snapshot().rows()
     }
 
     /// Columns per attribute.
@@ -270,10 +277,7 @@ impl LiveArchive {
 
     /// Current commit epoch (0 = base, +1 per committed append).
     pub fn epoch(&self) -> SnapshotEpoch {
-        SnapshotEpoch {
-            epoch: self.epoch,
-            rows: self.rows(),
-        }
+        self.snapshot().epoch
     }
 
     /// Whether the journal writer has crashed (an armed write fault
@@ -303,26 +307,10 @@ impl LiveArchive {
         (row / self.tile) * tiles_per_row
     }
 
-    fn build_snapshot(&self) -> Result<EpochSnapshot, CoreError> {
-        let stores = self
-            .grids
-            .iter()
-            .map(|g| TileStore::new(g.clone(), self.tile).map(|s| s.with_stats(self.stats.clone())))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(EpochSnapshot {
-            epoch: SnapshotEpoch {
-                epoch: self.epoch,
-                rows: self.rows(),
-            },
-            pyramids: self.pyramids.clone(),
-            stores,
-        })
-    }
-
     /// Appends one band per attribute as a single commit: journals every
-    /// band (step 1), extends the working grids and pyramids and builds
-    /// fresh stores (step 2), then atomically publishes the new epoch
-    /// (step 3). Returns the new epoch.
+    /// band (step 1), derives the next epoch's pyramids and stores from
+    /// the published ones, sharing all they have in common (step 2), then
+    /// atomically publishes the new epoch (step 3). Returns the new epoch.
     ///
     /// # Errors
     ///
@@ -334,11 +322,12 @@ impl LiveArchive {
     /// snapshot and working state are unchanged, exactly like a dead
     /// process — recovery sees only what the journal persisted.
     pub fn append(&mut self, bands: &[Grid2<f64>]) -> Result<SnapshotEpoch, CoreError> {
-        if bands.len() != self.grids.len() {
+        let current = self.snapshot();
+        if bands.len() != current.stores.len() {
             return Err(CoreError::Query(format!(
                 "append carries {} bands, archive has {} attributes",
                 bands.len(),
-                self.grids.len()
+                current.stores.len()
             )));
         }
         let height = bands.first().map(|b| b.rows()).unwrap_or(0);
@@ -358,26 +347,30 @@ impl LiveArchive {
         }
         // Step 1: journal every attribute's band. A crash mid-group leaves
         // a torn group that recovery drops whole.
-        let row_offset = self.rows();
+        let row_offset = current.rows();
         for band in bands {
             self.journal.append(row_offset, band)?;
         }
-        // Step 2: build the next epoch's state off to the side.
-        for (grid, band) in self.grids.iter_mut().zip(bands) {
-            let mut data = Vec::with_capacity(grid.len() + band.len());
-            data.extend_from_slice(grid.as_slice());
-            data.extend_from_slice(band.as_slice());
-            *grid = Grid2::from_vec(row_offset + height, self.cols, data)
-                .expect("append geometry validated above");
-        }
-        for (pyramid, band) in self.pyramids.iter_mut().zip(bands) {
-            pyramid.extend_rows(band)?;
-        }
-        self.epoch += 1;
-        let snapshot = self.build_snapshot()?;
+        // Step 2: build the next epoch aside, from the published one.
+        let pyramids = current.pyramids.iter().zip(bands).map(|(pyramid, band)| {
+            let mut next = pyramid.clone();
+            next.extend_rows(band).map(|()| next)
+        });
+        let stores = current.stores.iter().zip(bands);
+        let epoch = SnapshotEpoch {
+            epoch: current.epoch.epoch + 1,
+            rows: row_offset + height,
+        };
+        let next = EpochSnapshot {
+            epoch,
+            pyramids: pyramids.collect::<Result<_, _>>()?,
+            stores: stores
+                .map(|(store, band)| store.extended(band))
+                .collect::<Result<_, _>>()?,
+        };
         // Step 3: one atomic swap publishes the complete epoch.
-        *self.published.lock().expect("snapshot swap lock") = Arc::new(snapshot);
-        Ok(self.epoch())
+        *self.published.lock().expect("snapshot swap lock") = Arc::new(next);
+        Ok(epoch)
     }
 
     /// Replays journal bytes onto the base grids, restoring exactly the
@@ -400,22 +393,19 @@ impl LiveArchive {
         let recovered = recover_journal(journal_bytes);
         let mut truncation = recovered.truncation;
         let mut dropped_partial_records = 0usize;
-        let mut applied_groups: Vec<&[mbir_archive::journal::AppendRecord]> = Vec::new();
-        for group in recovered.records.chunks(attrs) {
-            let expected_rows = live.rows()
-                + applied_groups
-                    .iter()
-                    .map(|g| g[0].band.rows())
-                    .sum::<usize>();
-            let height = group[0].band.rows();
+        let mut records = recovered.records.into_iter();
+        loop {
+            let group: Vec<_> = records.by_ref().take(attrs).collect();
+            let Some(height) = group.first().map(|r| r.band.rows()) else {
+                break;
+            };
             let whole = group.len() == attrs;
+            let rows = live.rows();
             let fits = whole
                 && height > 0
                 && height % tile == 0
                 && group.iter().all(|r| {
-                    r.row_offset == expected_rows
-                        && r.band.cols() == live.cols
-                        && r.band.rows() == height
+                    r.row_offset == rows && r.band.cols() == live.cols && r.band.rows() == height
                 });
             if !fits {
                 if whole {
@@ -427,22 +417,16 @@ impl LiveArchive {
                 }
                 break;
             }
-            applied_groups.push(group);
-        }
-        // Replay the surviving groups through the normal append path so
-        // the restored journal bytes (and everything else) are
-        // bit-identical to a never-crashed archive.
-        let groups: Vec<Vec<Grid2<f64>>> = applied_groups
-            .iter()
-            .map(|g| g.iter().map(|r| r.band.clone()).collect())
-            .collect();
-        for bands in &groups {
-            live.append(bands).expect("recovered group was validated");
+            // Replay the group through the normal append path so the
+            // restored journal bytes (and everything else) are
+            // bit-identical to a never-crashed archive.
+            let bands: Vec<Grid2<f64>> = group.into_iter().map(|r| r.band).collect();
+            live.append(&bands).expect("recovered group was validated");
         }
         let committed_bytes = live.journal.bytes().len();
         debug_assert!(journal_bytes.starts_with(live.journal.bytes()));
         let report = LiveRecoveryReport {
-            applied: live.epoch,
+            applied: live.epoch().epoch,
             committed_bytes,
             dropped_bytes: journal_bytes.len() - committed_bytes,
             dropped_partial_records,

@@ -9,6 +9,8 @@
 use mbir_archive::error::ArchiveError;
 use mbir_archive::extent::CellCoord;
 use mbir_archive::grid::Grid2;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Aggregates of the base-resolution values covered by one pyramid cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,11 +53,117 @@ impl CellStats {
     }
 }
 
+/// Level rows per storage chunk (a power of two, so a row resolves to its
+/// chunk by shift and mask). A chunk is the unit shared between a pyramid
+/// and the pyramids extended from it.
+const CHUNK_ROWS: usize = 1 << CHUNK_SHIFT;
+const CHUNK_SHIFT: u32 = 5;
+
+/// One pyramid level: row-major cells in `Arc`-shared chunks of
+/// [`CHUNK_ROWS`] rows (the last chunk holds what remains).
+#[derive(Debug, Clone)]
+struct Level {
+    rows: usize,
+    cols: usize,
+    chunks: Vec<Arc<[CellStats]>>,
+}
+
+impl Level {
+    fn empty(cols: usize) -> Self {
+        Level {
+            rows: 0,
+            cols,
+            chunks: Vec::new(),
+        }
+    }
+
+    /// The cell at `(row, col)`, `None` outside the level. A row past the
+    /// last falls outside the chunk table or past the end of the last
+    /// chunk, so only the column needs a check of its own.
+    #[inline]
+    fn get(&self, row: usize, col: usize) -> Option<&CellStats> {
+        if col >= self.cols {
+            return None;
+        }
+        self.chunks
+            .get(row >> CHUNK_SHIFT)?
+            .get((row & (CHUNK_ROWS - 1)) * self.cols + col)
+    }
+
+    fn row(&self, row: usize) -> &[CellStats] {
+        let start = (row & (CHUNK_ROWS - 1)) * self.cols;
+        &self.chunks[row >> CHUNK_SHIFT][start..start + self.cols]
+    }
+
+    /// Grows the level to `rows` rows, of which those from `dirty` on come
+    /// from `cells(range)` (the cells of a row range, row-major). Chunks
+    /// wholly before `dirty` stay as they are — shared with every clone —
+    /// and the chunk `dirty` falls in is written anew: its clean rows
+    /// copied, the rest generated. Chunks are collected from iterators of
+    /// known length, so each is allocated once and written in place.
+    fn regrow<I: Iterator<Item = CellStats>>(
+        &mut self,
+        dirty: usize,
+        rows: usize,
+        cells: impl Fn(Range<usize>) -> I,
+    ) {
+        let keep = dirty >> CHUNK_SHIFT;
+        let clean = (dirty - keep * CHUNK_ROWS) * self.cols;
+        let boundary = (clean > 0).then(|| Arc::clone(&self.chunks[keep]));
+        self.chunks.truncate(keep);
+        if let Some(old) = boundary {
+            let end = rows.min((keep + 1) * CHUNK_ROWS);
+            let kept = old[..clean].iter().copied();
+            self.chunks.push(kept.chain(cells(dirty..end)).collect());
+        }
+        for start in (self.chunks.len() * CHUNK_ROWS..rows).step_by(CHUNK_ROWS) {
+            let end = rows.min(start + CHUNK_ROWS);
+            self.chunks.push(cells(start..end).collect());
+        }
+        self.rows = rows;
+    }
+
+    /// The cells of `rows` of the level above this one, row-major: each
+    /// merges its (up to) 2x2 children in the fixed `(rr, cc)` order every
+    /// pyramid is built in.
+    fn parents(&self, rows: Range<usize>) -> impl Iterator<Item = CellStats> + '_ {
+        let cols = self.cols.div_ceil(2);
+        // The one or two child rows under parent row `r`.
+        let children = move |r: usize| {
+            let below = if r * 2 + 1 < self.rows {
+                self.row(r * 2 + 1)
+            } else {
+                &[]
+            };
+            (self.row(r * 2), below)
+        };
+        let (mut r, mut c) = (rows.start, 0);
+        let (mut top, mut below) = children(r);
+        (0..rows.len() * cols).map(move |_| {
+            if c == cols {
+                (r, c) = (r + 1, 0);
+                (top, below) = children(r);
+            }
+            let span = c * 2..(c * 2 + 2).min(self.cols);
+            c += 1;
+            let rest = below.get(span.clone()).unwrap_or_default();
+            top[span.start + 1..span.end]
+                .iter()
+                .chain(rest)
+                .fold(top[span.start], |acc, s| acc.merge(s))
+        })
+    }
+}
+
 /// A min/max/mean pyramid over a [`Grid2<f64>`].
 ///
 /// Level 0 is base resolution (stats of single cells); each higher level
 /// aggregates 2x2 children (ragged edges aggregate what exists). The
 /// top level is always a single cell.
+///
+/// Levels are stored as `Arc`-shared row chunks, so `clone()` copies
+/// pointers, not cells, and a clone [extended](Self::extend_rows) by a
+/// band shares every chunk the band did not reach with its original.
 ///
 /// # Examples
 ///
@@ -71,36 +179,17 @@ impl CellStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AggregatePyramid {
-    levels: Vec<Grid2<CellStats>>,
+    levels: Vec<Level>,
 }
 
 impl AggregatePyramid {
     /// Builds the full pyramid (down to 1x1) over `base`.
     pub fn build(base: &Grid2<f64>) -> Self {
-        let mut levels = vec![base.map(|&v| CellStats::of_value(v))];
-        loop {
-            let prev = levels.last().expect("non-empty by construction");
-            if prev.rows() == 1 && prev.cols() == 1 {
-                break;
-            }
-            let rows = prev.rows().div_ceil(2);
-            let cols = prev.cols().div_ceil(2);
-            let next = Grid2::from_fn(rows, cols, |r, c| {
-                let mut acc: Option<CellStats> = None;
-                for rr in r * 2..(r * 2 + 2).min(prev.rows()) {
-                    for cc in c * 2..(c * 2 + 2).min(prev.cols()) {
-                        let s = prev.at(rr, cc);
-                        acc = Some(match acc {
-                            Some(a) => a.merge(s),
-                            None => *s,
-                        });
-                    }
-                }
-                acc.expect("every parent covers at least one child")
-            });
-            levels.push(next);
-        }
-        AggregatePyramid { levels }
+        let mut pyramid = AggregatePyramid {
+            levels: vec![Level::empty(base.cols())],
+        };
+        pyramid.grow(base);
+        pyramid
     }
 
     /// Extends the pyramid for rows appended at the bottom of the base
@@ -111,19 +200,22 @@ impl AggregatePyramid {
     /// recurrence `dirty_l = dirty_{l-1} / 2` (a parent is dirty exactly
     /// when its child block `2r..2r+2` reaches a dirty row, including the
     /// previously clamped last parent that now covers a second child).
-    /// Rows before the dirty frontier are **copied** from the old level —
-    /// their covered children are unchanged and the merge is
-    /// deterministic — and rows at or past it are recomputed with
-    /// [`build`](Self::build)'s exact fixed `(rr, cc)` merge order, so the
-    /// result is bit-identical to a full rebuild over the extended grid
-    /// (property-tested). New levels appear as the pyramid grows taller.
+    /// Storage chunks wholly before the dirty frontier are **kept, not
+    /// copied** — a pyramid cloned before the call goes on sharing them —
+    /// so the call costs what the band costs, not what the archive does.
+    /// Only the one chunk per level that the frontier falls in is written
+    /// anew, its clean rows copied from the old chunk; rows at or past the
+    /// frontier are recomputed with [`build`](Self::build)'s exact fixed
+    /// `(rr, cc)` merge order, so the result is bit-identical to a full
+    /// rebuild over the extended grid (property-tested). New levels appear
+    /// as the pyramid grows taller.
     ///
     /// # Errors
     ///
     /// [`ArchiveError::Misaligned`] when the band's width differs from
     /// the base's; [`ArchiveError::EmptyDimension`] for an empty band.
     pub fn extend_rows(&mut self, band: &Grid2<f64>) -> Result<(), ArchiveError> {
-        let (base_rows, base_cols) = self.base_shape();
+        let (_, base_cols) = self.base_shape();
         if band.cols() != base_cols {
             return Err(ArchiveError::Misaligned(format!(
                 "band width {} != pyramid width {}",
@@ -134,52 +226,35 @@ impl AggregatePyramid {
         if band.rows() == 0 {
             return Err(ArchiveError::EmptyDimension);
         }
-        let mut dirty = base_rows;
-        let old0 = &self.levels[0];
-        let mut new_levels = vec![Grid2::from_fn(
-            base_rows + band.rows(),
-            base_cols,
-            |r, c| {
-                if r < dirty {
-                    *old0.at(r, c)
-                } else {
-                    CellStats::of_value(*band.at(r - dirty, c))
-                }
-            },
-        )];
-        let mut level = 1usize;
-        loop {
-            let prev = new_levels.last().expect("non-empty by construction");
-            if prev.rows() == 1 && prev.cols() == 1 {
+        self.grow(band);
+        Ok(())
+    }
+
+    /// Appends `band` (of the base's width) below the base rows and
+    /// re-aggregates every level from its dirty frontier up — the whole of
+    /// [`build`](Self::build) when the pyramid is empty.
+    fn grow(&mut self, band: &Grid2<f64>) {
+        let cols = band.cols();
+        let mut dirty = self.levels[0].rows;
+        let values = band.as_slice();
+        self.levels[0].regrow(dirty, dirty + band.rows(), |rows| {
+            values[(rows.start - dirty) * cols..(rows.end - dirty) * cols]
+                .iter()
+                .map(|&v| CellStats::of_value(v))
+        });
+        for level in 1.. {
+            let prev = &self.levels[level - 1];
+            if prev.rows == 1 && prev.cols == 1 {
                 break;
             }
+            if level == self.levels.len() {
+                self.levels.push(Level::empty(prev.cols.div_ceil(2)));
+            }
             dirty /= 2;
-            let rows = prev.rows().div_ceil(2);
-            let cols = prev.cols().div_ceil(2);
-            let old = self.levels.get(level);
-            let next = Grid2::from_fn(rows, cols, |r, c| {
-                if r < dirty {
-                    if let Some(old) = old {
-                        return *old.at(r, c);
-                    }
-                }
-                let mut acc: Option<CellStats> = None;
-                for rr in r * 2..(r * 2 + 2).min(prev.rows()) {
-                    for cc in c * 2..(c * 2 + 2).min(prev.cols()) {
-                        let s = prev.at(rr, cc);
-                        acc = Some(match acc {
-                            Some(a) => a.merge(s),
-                            None => *s,
-                        });
-                    }
-                }
-                acc.expect("every parent covers at least one child")
-            });
-            new_levels.push(next);
-            level += 1;
+            let (below, above) = self.levels.split_at_mut(level);
+            let prev = &below[level - 1];
+            above[0].regrow(dirty, prev.rows.div_ceil(2), |rows| prev.parents(rows));
         }
-        self.levels = new_levels;
-        Ok(())
     }
 
     /// Number of levels; level 0 is base resolution.
@@ -189,7 +264,7 @@ impl AggregatePyramid {
 
     /// Base grid shape `(rows, cols)`.
     pub fn base_shape(&self) -> (usize, usize) {
-        (self.levels[0].rows(), self.levels[0].cols())
+        (self.levels[0].rows, self.levels[0].cols)
     }
 
     /// Shape of a level.
@@ -199,7 +274,7 @@ impl AggregatePyramid {
     /// Panics if `level >= levels()`.
     pub fn level_shape(&self, level: usize) -> (usize, usize) {
         let g = &self.levels[level];
-        (g.rows(), g.cols())
+        (g.rows, g.cols)
     }
 
     /// Stats of the cell at `(level, row, col)`.
@@ -208,6 +283,7 @@ impl AggregatePyramid {
     ///
     /// Returns [`ArchiveError::OutOfBounds`] outside the level's shape (a
     /// `level` beyond the top is reported against the top level's bounds).
+    #[inline]
     pub fn cell(&self, level: usize, row: usize, col: usize) -> Result<CellStats, ArchiveError> {
         let g = self.levels.get(level).ok_or(ArchiveError::OutOfBounds {
             row: level,
@@ -215,12 +291,17 @@ impl AggregatePyramid {
             rows: self.levels.len(),
             cols: 1,
         })?;
-        Ok(*g.get(row, col)?)
+        g.get(row, col).copied().ok_or(ArchiveError::OutOfBounds {
+            row,
+            col,
+            rows: g.rows,
+            cols: g.cols,
+        })
     }
 
     /// Stats of the single top cell.
     pub fn root(&self) -> CellStats {
-        *self.levels[self.levels.len() - 1].at(0, 0)
+        self.levels[self.levels.len() - 1].chunks[0][0]
     }
 
     /// The children coordinates of `(level, row, col)` at `level - 1`.
@@ -243,8 +324,8 @@ impl AggregatePyramid {
             return;
         }
         let child = &self.levels[level - 1];
-        for rr in row * 2..(row * 2 + 2).min(child.rows()) {
-            for cc in col * 2..(col * 2 + 2).min(child.cols()) {
+        for rr in row * 2..(row * 2 + 2).min(child.rows) {
+            for cc in col * 2..(col * 2 + 2).min(child.cols) {
                 out.push(CellCoord::new(rr, cc));
             }
         }
@@ -420,11 +501,41 @@ mod tests {
         assert_eq!(pyr.base_shape(), (4, 4), "failed extend left it intact");
     }
 
+    #[test]
+    fn extended_clone_shares_every_chunk_before_the_frontier() {
+        let cell = |r: usize, c: usize| (r * 7 + c) as f64;
+        // A frontier inside a chunk, then one on a chunk boundary (where
+        // the extension shares *all* of the original's level-0 chunks).
+        for rows in [3 * CHUNK_ROWS + 5, 4 * CHUNK_ROWS] {
+            let old = AggregatePyramid::build(&Grid2::from_fn(rows, 9, cell));
+            let mut new = old.clone();
+            new.extend_rows(&Grid2::from_fn(CHUNK_ROWS, 9, |r, c| cell(rows + r, c)))
+                .unwrap();
+            for (level, (a, b)) in old.levels.iter().zip(&new.levels).enumerate() {
+                let clean = (rows >> level) >> CHUNK_SHIFT;
+                for (k, chunk) in a.chunks.iter().enumerate() {
+                    assert_eq!(
+                        Arc::ptr_eq(chunk, &b.chunks[k]),
+                        k < clean,
+                        "{rows} rows, level {level}, chunk {k}"
+                    );
+                }
+            }
+            assert_eq!(Arc::strong_count(&old.levels[0].chunks[0]), 2);
+            let shared_level0 = if rows % CHUNK_ROWS == 0 { 4 } else { 3 };
+            let level0 = old.levels[0].chunks.iter().zip(&new.levels[0].chunks);
+            assert_eq!(
+                level0.filter(|(a, b)| Arc::ptr_eq(a, b)).count(),
+                shared_level0
+            );
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_extend_rows_is_rebuild(
             base_rows in 1usize..24,
-            band_rows in 1usize..12,
+            bands in proptest::collection::vec(1usize..(CHUNK_ROWS + 12), 3..6),
             cols in 1usize..24,
             seed in 0u64..500,
         ) {
@@ -434,13 +545,24 @@ mod tests {
                     .wrapping_add((r * 53 + c) as u64);
                 (h % 1000) as f64 - 500.0
             };
-            let base = Grid2::from_fn(base_rows, cols, cell);
-            let band = Grid2::from_fn(band_rows, cols, |r, c| cell(base_rows + r, c));
-            let full =
-                AggregatePyramid::build(&Grid2::from_fn(base_rows + band_rows, cols, cell));
-            let mut incr = AggregatePyramid::build(&base);
-            incr.extend_rows(&band).unwrap();
-            prop_assert!(stats_eq(&incr, &full));
+            // A chain of extensions, a clone held across each: every step
+            // equals a rebuild of its prefix, and extending never changes
+            // the clone it started from.
+            let mut rows = base_rows;
+            let mut incr = AggregatePyramid::build(&Grid2::from_fn(rows, cols, cell));
+            let mut held = Vec::new();
+            for band_rows in bands {
+                held.push((rows, incr.clone()));
+                incr.extend_rows(&Grid2::from_fn(band_rows, cols, |r, c| cell(rows + r, c)))
+                    .unwrap();
+                rows += band_rows;
+                let full = AggregatePyramid::build(&Grid2::from_fn(rows, cols, cell));
+                prop_assert!(stats_eq(&incr, &full));
+            }
+            for (rows, clone) in held {
+                let full = AggregatePyramid::build(&Grid2::from_fn(rows, cols, cell));
+                prop_assert!(stats_eq(&clone, &full), "clone of {} rows changed", rows);
+            }
         }
     }
 

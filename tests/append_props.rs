@@ -14,6 +14,9 @@
 //! * A standing continuous query polled on any schedule across live
 //!   commits — including a crash and recovery mid-stream — raises exactly
 //!   the batch alerts over the final committed prefix.
+//! * Epochs share storage but never alias a write: after any run of
+//!   appends, every snapshot still held equals a fresh build of its own
+//!   prefix, bit for bit, at every pyramid level and every store cell.
 //! * Epoch-keyed cache invalidation drops only the append frontier:
 //!   committed-prefix pages keep serving hits across commits, and
 //!   re-materialized frontier pages are counted as append-side reads.
@@ -86,7 +89,7 @@ fn snapshots_bit_eq(a: &EpochSnapshot, b: &EpochSnapshot) -> bool {
         && a.pyramids()
             .iter()
             .zip(b.pyramids())
-            .all(|(x, y)| x.levels() == y.levels())
+            .all(|(x, y)| pyramids_bit_eq(x, y))
         && a.stores().iter().zip(b.stores()).all(|(x, y)| {
             x.rows() == y.rows()
                 && x.cols() == y.cols()
@@ -97,8 +100,75 @@ fn snapshots_bit_eq(a: &EpochSnapshot, b: &EpochSnapshot) -> bool {
         })
 }
 
+/// Bit-identity at every level — what consecutive epochs sharing pyramid
+/// chunks must not disturb.
+fn pyramids_bit_eq(a: &AggregatePyramid, b: &AggregatePyramid) -> bool {
+    a.levels() == b.levels()
+        && (0..a.levels()).all(|l| {
+            let (rows, cols) = a.level_shape(l);
+            b.level_shape(l) == (rows, cols)
+                && (0..rows).all(|r| {
+                    (0..cols).all(|c| {
+                        let (x, y) = (a.cell(l, r, c).unwrap(), b.cell(l, r, c).unwrap());
+                        x.count == y.count
+                            && [(x.min, y.min), (x.max, y.max), (x.mean, y.mean)]
+                                .iter()
+                                .all(|(p, q)| p.to_bits() == q.to_bits())
+                    })
+                })
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Frozen epochs: hold the snapshot of *every* epoch across a run of
+    /// appends whose widths are not powers of two and whose band heights
+    /// land the dirty frontier anywhere inside a pyramid chunk. After the
+    /// last append each held snapshot must still equal a fresh build of
+    /// its own prefix — pyramids at every level, stores cell for cell —
+    /// and the last one a full rebuild.
+    #[test]
+    fn prop_held_epochs_stay_frozen_while_later_epochs_share_their_storage(
+        seed in 0u64..1_000_000,
+        cols in 1usize..71,
+        tile in 1usize..9,
+        base_tiles in 1usize..7,
+        band_tiles in proptest::collection::vec(1usize..13, 6..9),
+    ) {
+        let attrs = 2usize;
+        let base_rows = tile * base_tiles;
+        let mut live =
+            LiveArchive::new(full_grids(seed, attrs, base_rows, cols), tile).unwrap();
+        let mut held = vec![live.snapshot()];
+        for tiles in band_tiles {
+            let offset = live.rows();
+            live.append(&band_at(seed, attrs, offset, tile * tiles, cols)).unwrap();
+            held.push(live.snapshot());
+        }
+        prop_assert_eq!(held.last().unwrap().rows(), live.rows());
+        for (epoch, snap) in held.iter().enumerate() {
+            prop_assert_eq!(snap.epoch().epoch, epoch as u64);
+            let prefix = full_grids(seed, attrs, snap.rows(), cols);
+            for (a, grid) in prefix.iter().enumerate() {
+                prop_assert!(
+                    pyramids_bit_eq(&snap.pyramids()[a], &AggregatePyramid::build(grid)),
+                    "epoch {} attr {}: pyramid differs from a build of its prefix", epoch, a
+                );
+                let store = &snap.stores()[a];
+                prop_assert_eq!((store.rows(), store.cols()), (grid.rows(), cols));
+                for page in 0..store.page_count() {
+                    for (cell, v) in store.read_page(page).unwrap() {
+                        prop_assert_eq!(
+                            v.to_bits(),
+                            grid.at(cell.row, cell.col).to_bits(),
+                            "epoch {} attr {} cell {:?}", epoch, a, cell
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// Crash the journal writer at an arbitrary byte offset of a random
     /// commit sequence (varying attribute counts, band heights, widths):
