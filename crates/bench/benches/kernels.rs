@@ -1,7 +1,8 @@
 //! R3 bench: flat columnar scoring kernels vs the legacy nested-Vec
 //! paths, across the dimensionalities and scales the paper's workloads
 //! use. Three hot paths are measured: the sequential scan, the Onion
-//! build sweep, and the Onion query walk.
+//! build sweep, and the Onion query walk — the last also on the input
+//! its radial core order cannot help.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mbir_archive::synth::gaussian_tuples;
@@ -58,6 +59,31 @@ fn bench_onion(c: &mut Criterion) {
     });
     group.bench_function("query_legacy_100k", |b| {
         b.iter(|| onion.top_k_max_legacy(black_box(&dir), 10).expect("valid"))
+    });
+    // The adversarial input for the radial core: every tuple on one
+    // box-normalised shell (an axis-stretched sphere), so no run radius is
+    // below the first, the stop never fires and the whole core is walked
+    // in permuted order. The flat scan of the same tuples is the cost to
+    // hold it against.
+    let shell: Vec<Vec<f64>> = gaussian_tuples(7, n, d)
+        .into_iter()
+        .map(|p| {
+            let r = p.iter().map(|v| v * v).sum::<f64>().sqrt();
+            vec![5.0 * p[0] / r, p[1] / r, 0.2 * p[2] / r]
+        })
+        .collect();
+    let shell_store = PointStore::from_rows(&shell).expect("well-formed");
+    let shell_onion = OnionIndex::build_with(shell, 24, 16, 7).expect("valid");
+    let walked = shell_onion.top_k_max(&dir, 10).expect("valid");
+    assert!(
+        walked.stats.tuples_examined as usize > n / 2,
+        "the shell input is meant to defeat the radial stop"
+    );
+    group.bench_function("query_shell_100k", |b| {
+        b.iter(|| shell_onion.top_k_max(black_box(&dir), 10).expect("valid"))
+    });
+    group.bench_function("scan_flat_shell_100k", |b| {
+        b.iter(|| scan_top_k_flat(black_box(&shell_store), black_box(&dir), 10))
     });
     group.finish();
 }

@@ -1,17 +1,16 @@
 //! R7 bench: the i8 quantized coarse pass vs the exact flat kernels, on
-//! both friendly and adversarial inputs. Three groups:
+//! both friendly and adversarial inputs. Two groups (the Onion query no
+//! longer has a quantized walk to measure; its one walk is in the
+//! `kernels` bench):
 //!
 //! * `r7_scan` — pruned scan vs exact flat scan across d x n variants.
-//! * `r7_onion` — coarse-pruned Onion query walk vs the flat-kernel and
-//!   legacy walks at the E1 scale.
-//! * `r7_adversarial` — the same pruned paths on a worst-case direction
+//! * `r7_adversarial` — the pruned scan on a worst-case direction
 //!   chosen so quantized upper bounds clear the floor almost everywhere
 //!   and nothing prunes: the honest ceiling on the coarse pass's
 //!   overhead, not a victory lap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mbir_bench::quant_workload;
-use mbir_index::onion::OnionIndex;
 use mbir_index::quant::QuantizedStore;
 use mbir_index::scan::{scan_top_k_flat, scan_top_k_quant};
 use mbir_index::store::PointStore;
@@ -37,24 +36,6 @@ fn bench_scan(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_onion(c: &mut Criterion) {
-    let mut group = c.benchmark_group("r7_onion");
-    group.sample_size(10);
-    let n = 100_000usize;
-    let (points, dir) = quant_workload(7, n, 3);
-    let onion = OnionIndex::build_quantized_with(points, 24, 16, 7, 1).expect("valid");
-    group.bench_function("query_quant_100k", |b| {
-        b.iter(|| onion.top_k_max_quant(black_box(&dir), 10).expect("valid"))
-    });
-    group.bench_function("query_kernel_100k", |b| {
-        b.iter(|| onion.top_k_max(black_box(&dir), 10).expect("valid"))
-    });
-    group.bench_function("query_legacy_100k", |b| {
-        b.iter(|| onion.top_k_max_legacy(black_box(&dir), 10).expect("valid"))
-    });
-    group.finish();
-}
-
 /// The adversarial direction: all mass on one axis. Every block's spread
 /// along that axis straddles the top scores, the quantized bounds stay
 /// above the floor, and the coarse pass degenerates to pure overhead —
@@ -77,15 +58,8 @@ fn bench_adversarial(c: &mut Criterion) {
     group.bench_function("scan_quant_100k", |b| {
         b.iter(|| scan_top_k_quant(black_box(&store), black_box(&quant), black_box(&dir), 10))
     });
-    let onion = OnionIndex::build_quantized_with(points, 24, 16, 7, 1).expect("valid");
-    group.bench_function("onion_kernel_100k", |b| {
-        b.iter(|| onion.top_k_max(black_box(&dir), 10).expect("valid"))
-    });
-    group.bench_function("onion_quant_100k", |b| {
-        b.iter(|| onion.top_k_max_quant(black_box(&dir), 10).expect("valid"))
-    });
     group.finish();
 }
 
-criterion_group!(benches, bench_scan, bench_onion, bench_adversarial);
+criterion_group!(benches, bench_scan, bench_adversarial);
 criterion_main!(benches);

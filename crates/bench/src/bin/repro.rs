@@ -2379,8 +2379,9 @@ fn r3_kernels(legacy_only: bool) {
 
 /// R7 — the i8 quantized coarse pass, end to end. Sweeps the pruned scan
 /// over d x n variants (bit-identity asserted per variant), measures the
-/// coarse-pruned Onion query against the legacy and flat-kernel paths at
-/// the E1 scale (gating on >= 2x over legacy), verifies the core engines'
+/// unhinted Onion query under its three names against the flat scan at
+/// the E1 scale (gating on <= 3 % of the tuples examined and >= 5x over
+/// `scan_top_k_flat`), verifies the core engines'
 /// [`CoarseGrid`] pass is bit-identical sequentially and at every thread
 /// count, and rewrites `BENCH_kernels.json` at `schema_version` 2: the R3
 /// hot paths plus a `configs` array with per-variant throughput and prune
@@ -2449,26 +2450,37 @@ fn r7_quant(seed: u64) {
         }
     }
 
-    // Onion query at the E1 scale: legacy nested-Vec, flat kernel, and
-    // the quantized coarse-pruned walk, all answering identically.
+    // Onion query at the E1 scale, no hint: the legacy score closure, the
+    // flat kernel and the entry point the quantized walk used to have are
+    // one walk now and must answer (and count) identically; what is gated
+    // is that the walk stops — against the flat scan of the same tuples.
     let onion_n = 100_000usize;
     let onion_d = 3usize;
     let (points, dir) = onion_workload(seed, onion_n);
+    let onion_store = PointStore::from_rows(&points).expect("well-formed workload");
     let legacy_index =
         OnionIndex::build_legacy_with(points.clone(), 24, 16, 7).expect("valid workload");
     let kernel_index = OnionIndex::build_with(points.clone(), 24, 16, 7).expect("valid workload");
     let quant_index =
         OnionIndex::build_quantized_with(points, 24, 16, 7, 1).expect("valid workload");
+    let flat_scan = scan_top_k_flat(&onion_store, &dir, k);
     let legacy_query = legacy_index.top_k_max_legacy(&dir, k).expect("valid query");
     let kernel_query = kernel_index.top_k_max(&dir, k).expect("valid query");
     let (quant_query, onion_report) = quant_index
         .top_k_max_quant_report(&dir, k)
         .expect("valid query");
-    assert_eq!(kernel_query.results, legacy_query.results);
     assert_eq!(
-        quant_query.results, legacy_query.results,
-        "quant onion query must be bit-identical to legacy"
+        kernel_query.results, flat_scan.results,
+        "onion query must be index- and bit-identical to the flat scan"
     );
+    assert_eq!(kernel_query, legacy_query, "exact == legacy");
+    assert_eq!(quant_query, kernel_query, "quant == exact");
+    assert_eq!(onion_report.rows_exact, kernel_query.stats.tuples_examined);
+    let onion_tuples = kernel_query.stats.tuples_examined;
+    let examined_share = onion_tuples as f64 / onion_n as f64;
+    let scan_flat_ns = time_ns(&mut || {
+        let _ = scan_top_k_flat(&onion_store, &dir, k);
+    });
     let onion_legacy_ns = time_ns(&mut || {
         let _ = legacy_index.top_k_max_legacy(&dir, k).expect("valid query");
     });
@@ -2478,19 +2490,25 @@ fn r7_quant(seed: u64) {
     let onion_quant_ns = time_ns(&mut || {
         let _ = quant_index.top_k_max_quant(&dir, k).expect("valid query");
     });
-    let onion_speedup = onion_legacy_ns as f64 / onion_quant_ns as f64;
+    let onion_speedup = scan_flat_ns as f64 / onion_kernel_ns as f64;
     println!(
-        "\nOnion query (d={onion_d}, n={onion_n}): legacy {:.3} ms, kernel {:.3} ms, \
-         quant {:.3} ms — {:.2}x over legacy, prune rate {:.3}",
-        onion_legacy_ns as f64 / 1e6,
-        onion_kernel_ns as f64 / 1e6,
-        onion_quant_ns as f64 / 1e6,
+        "\nOnion query (d={onion_d}, n={onion_n}, no hint): {onion_tuples} tuples examined \
+         ({:.2} %); flat scan {:.1} us, legacy {:.1} us, kernel {:.1} us, quant {:.1} us — \
+         {:.1}x over the flat scan",
+        examined_share * 100.0,
+        scan_flat_ns as f64 / 1e3,
+        onion_legacy_ns as f64 / 1e3,
+        onion_kernel_ns as f64 / 1e3,
+        onion_quant_ns as f64 / 1e3,
         onion_speedup,
-        onion_report.prune_rate()
     );
     assert!(
-        onion_speedup >= 2.0,
-        "quantized onion query must be >= 2x over legacy, got {onion_speedup:.2}x"
+        examined_share <= 0.03,
+        "unhinted onion query must examine <= 3 % of the tuples, got {onion_tuples}"
+    );
+    assert!(
+        onion_speedup >= 5.0,
+        "unhinted onion query must be >= 5x over scan_top_k_flat, got {onion_speedup:.2}x"
     );
 
     // Core engines: the CoarseGrid pass must change nothing but effort,
@@ -2544,11 +2562,12 @@ fn r7_quant(seed: u64) {
         "{{\n  \"experiment\": \"r7_quant\",\n  \"schema_version\": 2,\n  \
          \"world\": {{\"onion_n\": {onion_n}, \"onion_d\": {onion_d}, \"k\": {k}, \
          \"seed\": {seed}}},\n  \"bit_identical\": true,\n  \"hot_paths\": {{\n    \
-         \"onion_query\": {{\"legacy_ns\":{onion_legacy_ns},\"kernel_ns\":{onion_kernel_ns},\
-         \"quant_ns\":{onion_quant_ns},\"speedup_quant_vs_legacy\":{:.4},\
-         \"prune_rate\":{:.6}}}\n  }},\n  \"configs\": [\n    {}\n  ]\n}}\n",
+         \"onion_query\": {{\"scan_flat_ns\":{scan_flat_ns},\"legacy_ns\":{onion_legacy_ns},\
+         \"kernel_ns\":{onion_kernel_ns},\"quant_ns\":{onion_quant_ns},\
+         \"tuples_examined\":{onion_tuples},\"examined_share\":{:.6},\
+         \"speedup_vs_flat_scan\":{:.4}}}\n  }},\n  \"configs\": [\n    {}\n  ]\n}}\n",
+        examined_share,
         onion_speedup,
-        onion_report.prune_rate(),
         configs.join(",\n    "),
     );
     match std::fs::write("BENCH_kernels.json", &json) {

@@ -18,32 +18,65 @@
 //! axis + seeded-random directions. That layer is a subset of the true hull,
 //! which would be unsound on its own — so correctness is restored at query
 //! time (below). Peeling stops after `max_layers`; the remainder forms a
-//! core bucket.
+//! core bucket, stored in **radial order** (see "Data layout").
 //!
 //! ## Query soundness
 //!
-//! At build time each peel records the bounding box of *all points at that
-//! depth or deeper*. A query walks layers outward-in, keeps a top-K heap,
-//! and stops only when the K-th best score already reached is at least the
-//! box upper bound of everything not yet examined. The box bound holds for
-//! any layer contents whatsoever, so results are exactly the scan results
-//! (property-tested) regardless of hull exactness; layer quality only
-//! affects how early the walk stops.
+//! One private walk (`OnionIndex::walk`) serves every query entry point; a
+//! solo query is a batch of one. It visits layers outward-in, offers every
+//! member to the query's top-K heap, and lets a query leave only when a
+//! bound on *everything it has not examined* is **strictly** below the
+//! K-th best score it holds: the heap orders by
+//! [`rank_cmp`](crate::stats::rank_cmp) (score, then ascending index), so a
+//! skipped tuple that merely *ties* the floor could still displace a held
+//! one with a larger index; one strictly below never can. The heap keeps
+//! the K best of whatever it is offered, in any order, so answers are
+//! index- and bit-identical to
+//! [`scan_top_k_flat`](crate::scan::scan_top_k_flat) whatever the layers
+//! contain; layer quality only decides how early the walk stops. The
+//! bounds (DESIGN.md §10 has the full argument):
+//!
+//! * **Layer end, any d** — the enclosure recorded at build time for all
+//!   points at the next depth or deeper (box corner bound or enclosing
+//!   sphere bound, whichever is smaller), or the stored exact support for
+//!   a query parallel to a registered hint.
+//! * **Layer end, exact-hull prefix (d <= 2)** — a linear maximum over a
+//!   point set is attained on its hull, so the best score seen *in* layer
+//!   `l` bounds every deeper layer (the Onion paper's own rule).
+//! * **Run start, core bucket** — the core is sorted by descending
+//!   `r(x) = |S⁻¹(x − c)|` (`c` the core enclosure's centre, `S` its
+//!   per-axis half-ranges) with one radius per run of `CORE_RUN_ROWS`
+//!   entries. Run `j` and every later run have `r(x) <= R_j`, so
+//!   `q·x = q·c + (S q)·(S⁻¹(x − c)) <= q·c + |S q|·R_j` (Cauchy–Schwarz).
+//!   That holds for **any** `c` and positive `S` — they only decide how
+//!   tight the bound is — so nothing about the data or the direction is
+//!   assumed; a constant column (`S = 0`) drops out of both sides.
+//!
+//! The sphere and run bounds are padded outward (`ball_bound`) so they
+//! dominate the *computed* kernel score; a non-finite term makes the bound
+//! non-finite and the stop is skipped, and a tuple with a non-finite
+//! coordinate sorts to the front of the core. The degenerate input is a
+//! core on one normalised shell: all run radii are equal, the stop never
+//! fires, and the core is walked in permuted order (`benches/kernels.rs`
+//! keeps that cost on record).
 //!
 //! ## Data layout
 //!
-//! Tuples live in a flat row-major [`PointStore`]. The d >= 3 peel sweep is
-//! the build hot path, and it now makes **one** streaming pass over the
-//! store per layer, updating every bundle direction's running argmax per
-//! row ([`kernels::sweep_argmax_block`]) — instead of one pointer-chased
-//! pass per direction over `Vec<Vec<f64>>`. Per-direction winners are
-//! unchanged (same visit order, same strict-max rule), so layers are
-//! bit-identical to the legacy build, which remains available as
-//! [`OnionIndex::build_legacy`] for benchmarking and as the reference in
-//! bit-identity property tests.
+//! Tuples live in a flat row-major [`PointStore`]; layers are index lists
+//! into it, peeled layers ascending, the core bucket (last entry of
+//! `layers` whenever the cap was hit) in radial order with its run radii
+//! beside it (`RadialCore`). One `Peeler::peel` and one `finish_core`
+//! serve the build, the legacy build and [`OnionIndex::append_points`].
+//! The d >= 3 peel sweep makes **one** streaming pass over the store per
+//! layer ([`kernels::sweep_argmax_block`]) and, with the i8 side structure
+//! ([`crate::quant`]) attached, skips blocks no direction can improve on;
+//! winners are unchanged, so layers are bit-identical to the nested-`Vec`
+//! [`OnionIndex::build_legacy`], the reference in bit-identity tests. The
+//! quantised *query* walk is gone: with a few dozen scattered members per
+//! layer and a core left after two or three runs it had nothing to prune.
 
 use crate::kernels;
-use crate::quant::{QuantPruneReport, QuantizedStore, QUANT_SUB_ROWS};
+use crate::quant::{pad_up, QuantPruneReport, QuantizedStore};
 use crate::scan::TopKHeap;
 use crate::stats::{QueryStats, ScoredItem, TopKResult};
 use crate::store::PointStore;
@@ -116,6 +149,45 @@ mod rand_like {
     }
 }
 
+/// Entries per radius-bounded run of the core bucket: long enough that
+/// the per-run stop test is amortised over the offers, short enough that
+/// a walk overshoots its stopping radius by at most a few dozen tuples.
+const CORE_RUN_ROWS: usize = 64;
+
+/// Cauchy–Schwarz bound `centre_score + reach` on `q·x` over a ball,
+/// padded outward so it dominates the **computed** [`kernels::dot`] score
+/// of every enclosed point (the [`pad_up`] discipline of [`crate::quant`]).
+///
+/// `magnitude` is `Σ|q_j|·max|x_j|` over the enclosed set. What is covered:
+/// the kernel's `d`-term sum and the computed `centre_score`, at most
+/// `dε·magnitude` each; the computed radius and direction norm behind
+/// `reach`, at most `(d + 8)ε·reach` together; squares that underflow while
+/// forming those two, below `1e-150·magnitude`. `(4d + 16)ε` over
+/// `magnitude + reach` is a generous cover, and `pad_up` absorbs the final
+/// additions. A non-finite input gives a non-finite bound, which never
+/// stops a walk.
+#[inline]
+fn ball_bound(centre_score: f64, reach: f64, magnitude: f64, dims: usize) -> f64 {
+    let gamma = (4 * dims + 16) as f64 * f64::EPSILON;
+    pad_up(centre_score + reach + gamma * (magnitude + reach))
+}
+
+/// Whether a walk may stop: `bound` is finite and **strictly** below the
+/// heap floor (a tie could still change an index, see the module docs).
+#[inline]
+fn stops(bound: f64, floor: f64) -> bool {
+    bound.is_finite() && bound < floor
+}
+
+/// Squared Euclidean distance, summed left to right.
+fn dist2(point: &[f64], center: &[f64]) -> f64 {
+    point
+        .iter()
+        .zip(center)
+        .map(|(v, c)| (v - c) * (v - c))
+        .sum()
+}
+
 /// Sound enclosure of a point set: bounding box plus enclosing sphere
 /// (box center, max distance). For any direction the true maximum of
 /// `direction . x` is at most `min(box corner bound, sphere bound)` — the
@@ -126,6 +198,8 @@ struct BoundingBox {
     lo: Vec<f64>,
     hi: Vec<f64>,
     center: Vec<f64>,
+    /// NaN or `+∞` when a member has a non-finite coordinate (which
+    /// `min`/`max` would silently skip): the enclosure then bounds nothing.
     radius: f64,
 }
 
@@ -151,12 +225,11 @@ impl BoundingBox {
         let center: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| (l + h) / 2.0).collect();
         let mut radius: f64 = 0.0;
         for idx in members {
-            let d2: f64 = row(idx)
-                .iter()
-                .zip(&center)
-                .map(|(v, c)| (v - c) * (v - c))
-                .sum();
-            radius = radius.max(d2);
+            let d2 = dist2(row(idx), &center);
+            // A NaN distance must poison the radius, not vanish in `max`.
+            if d2 > radius || d2.is_nan() {
+                radius = d2;
+            }
         }
         Some(BoundingBox {
             lo,
@@ -169,12 +242,7 @@ impl BoundingBox {
     /// Grows the enclosure to cover one more point.
     fn extend(&mut self, point: &[f64]) {
         kernels::min_max_update(&mut self.lo, &mut self.hi, point);
-        let d2: f64 = point
-            .iter()
-            .zip(&self.center)
-            .map(|(v, c)| (v - c) * (v - c))
-            .sum();
-        self.radius = self.radius.max(d2.sqrt());
+        self.radius = self.radius.max(dist2(point, &self.center).sqrt());
     }
 
     /// Whether the enclosure's bounds already cover `point` — inside the
@@ -186,28 +254,197 @@ impl BoundingBox {
             .iter()
             .zip(self.lo.iter().zip(&self.hi))
             .all(|(v, (lo, hi))| *v >= *lo && *v <= *hi);
-        if !in_box {
-            return false;
-        }
-        let d2: f64 = point
-            .iter()
-            .zip(&self.center)
-            .map(|(v, c)| (v - c) * (v - c))
-            .sum();
-        d2.sqrt() <= self.radius
+        in_box && dist2(point, &self.center).sqrt() <= self.radius
     }
 
-    /// Sound upper bound on `direction . x` over the enclosed set.
-    fn upper_bound(&self, direction: &[f64]) -> f64 {
+    /// `Σ|a_j|·max|x_j|` over the box: the magnitude [`ball_bound`] pads
+    /// against.
+    fn magnitude(&self, direction: &[f64]) -> f64 {
+        direction
+            .iter()
+            .zip(self.lo.iter().zip(&self.hi))
+            .map(|(a, (lo, hi))| a.abs() * lo.abs().max(hi.abs()))
+            .sum()
+    }
+
+    /// Sound upper bound on the computed `direction . x` over the enclosed
+    /// set; `norm` is `|direction|`. The box half needs no padding: it sums
+    /// term-wise larger products in the kernel's own order, and rounding is
+    /// monotone. A NaN sphere half (non-finite data) is returned as is.
+    fn upper_bound(&self, direction: &[f64], norm: f64) -> f64 {
         let box_bound: f64 = direction
             .iter()
             .zip(self.lo.iter().zip(&self.hi))
             .map(|(a, (lo, hi))| if *a >= 0.0 { a * hi } else { a * lo })
             .sum();
-        let norm: f64 = direction.iter().map(|a| a * a).sum::<f64>().sqrt();
-        let centered: f64 = direction.iter().zip(&self.center).map(|(a, c)| a * c).sum();
-        let sphere_bound = centered + norm * self.radius;
-        box_bound.min(sphere_bound)
+        let sphere_bound = ball_bound(
+            kernels::dot(direction, &self.center),
+            norm * self.radius,
+            self.magnitude(direction),
+            direction.len(),
+        );
+        if box_bound < sphere_bound {
+            box_bound
+        } else {
+            sphere_bound
+        }
+    }
+}
+
+/// What makes the core bucket's radial order usable at query time. The
+/// order itself is the core's entry in `layers`; the centre is the core
+/// enclosure's.
+#[derive(Debug, Clone, PartialEq)]
+struct RadialCore {
+    /// `S`: per-axis half-ranges of the core enclosure.
+    half: Vec<f64>,
+    /// `run_radius[j]` = largest `|S⁻¹(x − c)|` over run `j` — and, the
+    /// order being descending, over every later run.
+    run_radius: Vec<f64>,
+}
+
+/// Puts the alive rows (`count` of them, enclosed by `enclosure`) in
+/// descending box-normalised distance from the enclosure's centre and
+/// records one radius per run. Ties go to the smaller index, so the order
+/// is a function of the stored coordinates alone.
+fn finish_core(
+    store: &PointStore,
+    alive: &[bool],
+    count: usize,
+    enclosure: &BoundingBox,
+) -> (Vec<usize>, RadialCore) {
+    let half: Vec<f64> = enclosure
+        .lo
+        .iter()
+        .zip(&enclosure.hi)
+        .map(|(lo, hi)| (hi - lo) / 2.0)
+        .collect();
+    // A constant column has x = c on that axis: it adds nothing to the
+    // radius (and `S q` nothing to the bound).
+    let inverse: Vec<f64> = half
+        .iter()
+        .map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 })
+        .collect();
+    // The sort moves 4-byte row numbers and looks their keys up in a
+    // temporary radius array, indexed by row (dead rows keep 0).
+    let mut radius = vec![0.0f64; store.len()];
+    let mut order: Vec<u32> = Vec::with_capacity(count);
+    for (idx, row) in store.rows().enumerate() {
+        if !alive[idx] {
+            continue;
+        }
+        let r2: f64 = row
+            .iter()
+            .zip(enclosure.center.iter().zip(&inverse))
+            .map(|(v, (c, inv))| {
+                let u = (v - c) * inv;
+                u * u
+            })
+            .sum();
+        // A radius that is not a number bounds nothing: such a tuple goes
+        // first, under a run radius that disables the stop.
+        let r = r2.sqrt();
+        radius[idx] = if r.is_finite() { r } else { f64::INFINITY };
+        order.push(u32::try_from(idx).expect("the core is addressed by u32 row numbers"));
+    }
+    order.sort_unstable_by(|&a, &b| {
+        radius[b as usize]
+            .total_cmp(&radius[a as usize])
+            .then(a.cmp(&b))
+    });
+    let run_radius = order
+        .chunks(CORE_RUN_ROWS)
+        .map(|run| radius[run[0] as usize])
+        .collect();
+    drop(radius);
+    let members = order.into_iter().map(|idx| idx as usize).collect();
+    (members, RadialCore { half, run_radius })
+}
+
+/// Everything a peel reads. `legacy_rows` selects the pre-`PointStore`
+/// reference path (nested rows, one sweep pass per direction) for the
+/// enclosures, hint supports and d >= 3 sweeps; results are bit-identical.
+struct Peeler<'a> {
+    store: &'a PointStore,
+    legacy_rows: Option<&'a [Vec<f64>]>,
+    hints: &'a [Vec<f64>],
+    bundle: DirectionBundle,
+    threads: usize,
+    quant: Option<&'a QuantizedStore>,
+}
+
+impl Peeler<'_> {
+    fn enclose(&self, alive: &[bool]) -> BoundingBox {
+        let members = (0..alive.len()).filter(|&i| alive[i]);
+        let dims = self.store.dims();
+        match self.legacy_rows {
+            Some(rows) => BoundingBox::of(|i| rows[i].as_slice(), members, dims),
+            None => BoundingBox::of(|i| self.store.row(i), members, dims),
+        }
+        .expect("enclose is only called with rows alive")
+    }
+
+    fn supports(&self, alive: &[bool]) -> Vec<f64> {
+        self.hints
+            .iter()
+            .map(|h| match self.legacy_rows {
+                Some(rows) => support_of_rows(alive, rows, h),
+                None => kernels::max_score_alive(self.store.flat(), self.store.dims(), alive, h),
+            })
+            .collect()
+    }
+
+    /// Peels the alive rows onto `layers` (exact hulls for d <= 2,
+    /// direction sweeps otherwise) with one enclosure and one hint-support
+    /// row each, until none is left or `layers` holds `max_layers`; the rest
+    /// becomes a radially ordered core bucket, whose run radii are returned.
+    fn peel(
+        &self,
+        mut alive: Vec<bool>,
+        max_layers: usize,
+        layers: &mut Vec<Vec<usize>>,
+        boxes: &mut Vec<BoundingBox>,
+        hint_support: &mut Vec<Vec<f64>>,
+    ) -> Option<RadialCore> {
+        let store = self.store;
+        let dims = store.dims();
+        let mut remaining = alive.iter().filter(|a| **a).count();
+        // x-then-y order, sorted once and reused by every 2-D hull.
+        let sorted_2d: Option<Vec<usize>> = (dims == 2).then(|| {
+            let mut order: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
+            order.sort_by(|&a, &b| {
+                store.row(a)[0]
+                    .total_cmp(&store.row(b)[0])
+                    .then(store.row(a)[1].total_cmp(&store.row(b)[1]))
+            });
+            order
+        });
+        while remaining > 0 && layers.len() < max_layers {
+            boxes.push(self.enclose(&alive));
+            hint_support.push(self.supports(&alive));
+            let layer = match (&sorted_2d, self.legacy_rows) {
+                _ if dims == 1 => extremes_1d(store, &alive),
+                (Some(order), _) => hull_2d(store, &alive, order),
+                (None, Some(rows)) => sweep_layer_threads(rows, &alive, &self.bundle, self.threads),
+                (None, None) => {
+                    sweep_layer_flat_threads(store, &alive, &self.bundle, self.threads, self.quant)
+                }
+            };
+            debug_assert!(!layer.is_empty(), "peel must remove at least one point");
+            for &idx in &layer {
+                alive[idx] = false;
+            }
+            remaining -= layer.len();
+            layers.push(layer);
+        }
+        (remaining > 0).then(|| {
+            let enclosure = self.enclose(&alive);
+            hint_support.push(self.supports(&alive));
+            let (members, core) = finish_core(store, &alive, remaining, &enclosure);
+            boxes.push(enclosure);
+            layers.push(members);
+            core
+        })
     }
 }
 
@@ -222,6 +459,57 @@ pub struct OnionAppendReport {
     pub kept_layers: usize,
     /// Layers re-peeled over the dirtied suffix plus the batch.
     pub repeeled_layers: usize,
+}
+
+/// One query's state inside [`OnionIndex::walk`].
+struct WalkQuery<'a> {
+    direction: &'a [f64],
+    /// `|direction|`.
+    norm: f64,
+    /// The registered hint this direction is positively parallel to.
+    hint: Option<usize>,
+    /// `direction · c`, `|S direction|` and `Σ|q_j|·max|x_j|` over the core
+    /// enclosure — the per-query half of the run bound.
+    core_centre_score: f64,
+    core_spread: f64,
+    core_magnitude: f64,
+    heap: TopKHeap,
+    stats: QueryStats,
+    /// Best score offered in the layer being visited.
+    layer_max: f64,
+    active: bool,
+}
+
+impl WalkQuery<'_> {
+    /// Bound on this query's score over every core tuple of box-normalised
+    /// radius at most `radius`.
+    fn core_bound(&self, radius: f64) -> f64 {
+        ball_bound(
+            self.core_centre_score,
+            self.core_spread * radius,
+            self.core_magnitude,
+            self.direction.len(),
+        )
+    }
+}
+
+/// Counts a layer visit for every active query.
+fn enter_layer(queries: &mut [WalkQuery<'_>]) {
+    for q in queries.iter_mut().filter(|q| q.active) {
+        q.stats.nodes_visited += 1;
+        q.layer_max = f64::NEG_INFINITY;
+    }
+}
+
+/// Deactivates every active query with a full heap that `stop` (given the
+/// query and its heap floor) says is done; returns whether any is left.
+fn retire(queries: &mut [WalkQuery<'_>], stop: impl Fn(&WalkQuery<'_>, f64) -> bool) -> bool {
+    let mut any_active = false;
+    for q in queries.iter_mut().filter(|q| q.active) {
+        q.active = !q.heap.floor().is_some_and(|floor| stop(q, floor));
+        any_active |= q.active;
+    }
+    any_active
 }
 
 /// The Onion index over a fixed set of d-dimensional tuples.
@@ -240,27 +528,30 @@ pub struct OnionAppendReport {
 pub struct OnionIndex {
     points: PointStore,
     dims: usize,
-    /// Layers outermost-first; the final entry is the unpeeled core.
+    /// Layers outermost-first; the final entry is the unpeeled core, in
+    /// radial order, exactly when `core` is set.
     layers: Vec<Vec<usize>>,
     /// `remaining_box[l]` bounds every point in layers `l..`.
     remaining_box: Vec<BoundingBox>,
+    /// Run radii of the core bucket; `None` when peeling emptied the set
+    /// before the layer cap.
+    core: Option<RadialCore>,
     /// Workload hint directions (normalized) registered at build time.
     hints: Vec<Vec<f64>>,
     /// `hint_support[l][h]` = exact max of `hints[h] . x` over layers `l..`
-    /// — a tight, sound stopping bound for queries parallel to a hint.
+    /// — a tight stopping bound for queries parallel to a hint.
     hint_support: Vec<Vec<f64>>,
     /// Number of leading layers that are *exact convex hulls* (all peeled
-    /// layers for d <= 2; zero for d >= 3, whose sweep layers are hull
-    /// subsets). Within this prefix the classical Onion theorem applies:
-    /// the j-th best tuple of any linear query lies in the first j layers.
+    /// layers for d <= 2 over finite data; zero for d >= 3, whose sweep
+    /// layers are hull subsets). Within this prefix the best score of a
+    /// layer bounds every deeper layer.
     exact_hull_layers: usize,
-    /// Optional i8 coarse-pass side structure over `points`: lets the
-    /// query walk and the build sweep reject whole blocks below the
-    /// current floor before touching f64 data. Prune-only — answers are
-    /// bit-identical with or without it. Dropped by [`OnionIndex::insert`]
-    /// (the store changes under it) and restored by
-    /// [`OnionIndex::rebuild`].
-    quant: Option<QuantizedStore>,
+    /// The limits and sweep seed the index was built with;
+    /// [`OnionIndex::append_points`] and [`OnionIndex::rebuild`] peel with
+    /// the same ones.
+    max_layers: usize,
+    extra_dirs: usize,
+    seed: u64,
 }
 
 impl OnionIndex {
@@ -295,9 +586,9 @@ impl OnionIndex {
     /// paper's model-specific indexing — the index is built for the model).
     /// For every hint `h` the exact support `max h·x` over each peel
     /// remainder is stored, so a query whose direction is positively
-    /// parallel to a hint gets a tight sound stopping bound instead of the
-    /// generic box/sphere bound. Hints are also added to the peel sweep so
-    /// their argmax points land in the outer layers.
+    /// parallel to a hint gets a tight stopping bound at every layer end
+    /// instead of waiting for the generic ones. Hints are also added to the
+    /// peel sweep so their argmax points land in the outer layers.
     ///
     /// # Errors
     ///
@@ -349,13 +640,13 @@ impl OnionIndex {
         )
     }
 
-    /// Builds with default limits **plus the i8 quantized side structure**
-    /// (see [`crate::quant`]): the d >= 3 peel sweep skips blocks whose
-    /// coarse bound cannot beat any direction's running argmax, and
-    /// queries go through [`OnionIndex::top_k_max_quant`]'s coarse-pruned
-    /// walk. Layers and query answers are bit-identical to
+    /// Builds with default limits, sweeping **through an i8 quantized side
+    /// structure** (see [`crate::quant`]): the d >= 3 peel sweep skips
+    /// blocks whose coarse bound cannot beat any direction's running
+    /// argmax. Layers and query answers are bit-identical to
     /// [`OnionIndex::build`] — the coarse pass only ever prunes work that
-    /// provably cannot matter.
+    /// provably cannot matter — and the side structure is dropped when the
+    /// build returns.
     ///
     /// # Errors
     ///
@@ -389,24 +680,20 @@ impl OnionIndex {
         )
     }
 
-    /// Attaches (or rebuilds) the quantized side structure on an existing
-    /// index, enabling the coarse-pruned query path.
-    pub fn with_quantized(mut self) -> Self {
-        self.quant = Some(QuantizedStore::build(&self.points));
+    /// Returns the index unchanged. Kept for callers written against the
+    /// quantised query walk, which read a side structure stored in the
+    /// index; the walk is gone (see the module docs) and the build sweep
+    /// of [`OnionIndex::build_quantized`] makes and drops its own.
+    pub fn with_quantized(self) -> Self {
         self
     }
 
-    /// Whether the quantized side structure is present.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
     /// Builds via the pre-`PointStore` reference path: nested
-    /// `Vec<Vec<f64>>` storage end to end, one sweep pass per direction.
-    /// Layers, bounds, and query answers are bit-identical to
-    /// [`OnionIndex::build`]; only the construction cost differs. Kept as
-    /// the honest "before" baseline for the kernels benchmark and as the
-    /// reference in bit-identity property tests.
+    /// `Vec<Vec<f64>>` rows for every enclosure, hint support and sweep,
+    /// one sweep pass per direction. Layers, bounds, and query answers are
+    /// bit-identical to [`OnionIndex::build`]; only the construction cost
+    /// differs. Kept as the honest "before" baseline for the kernels
+    /// benchmark and as the reference in bit-identity property tests.
     ///
     /// # Errors
     ///
@@ -440,19 +727,15 @@ impl OnionIndex {
         legacy: bool,
         quantize: bool,
     ) -> Result<Self, ModelError> {
-        let first = points.first().ok_or(ModelError::Empty)?;
-        let dims = first.len();
-        if dims == 0 {
-            return Err(ModelError::Empty);
-        }
-        for p in &points {
-            if p.len() != dims {
-                return Err(ModelError::ArityMismatch {
-                    expected: dims,
-                    actual: p.len(),
-                });
-            }
-        }
+        // Validates shape: `Empty` for no or zero-width rows,
+        // `ArityMismatch` for ragged ones.
+        let store = PointStore::from_rows(&points)?;
+        // Only the legacy reference path reads the nested rows again. The
+        // flat path frees them here, before the peel allocates anything
+        // proportional to n, so the build's peak is the input, not input
+        // plus index.
+        let legacy_rows = legacy.then_some(points);
+        let dims = store.dims();
         // Validate and normalize hints.
         let mut unit_hints: Vec<Vec<f64>> = Vec::with_capacity(hints.len());
         for h in hints {
@@ -471,112 +754,57 @@ impl OnionIndex {
             unit_hints.push(h.iter().map(|v| v / norm).collect());
         }
 
-        let n = points.len();
-        let store = PointStore::from_rows(&points)?;
-        let quant_store = if quantize && !legacy {
-            Some(QuantizedStore::build(&store))
-        } else {
-            None
-        };
-        let mut alive = vec![true; n];
-        let mut remaining = n;
-        let mut layers: Vec<Vec<usize>> = Vec::new();
-        let mut remaining_box: Vec<BoundingBox> = Vec::new();
-        let mut hint_support: Vec<Vec<f64>> = Vec::new();
-
-        // Pre-sort for 2-D monotone chain reuse.
-        let sorted_2d: Option<Vec<usize>> = if dims == 2 {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| {
-                store.row(a)[0]
-                    .total_cmp(&store.row(b)[0])
-                    .then(store.row(a)[1].total_cmp(&store.row(b)[1]))
-            });
-            Some(order)
-        } else {
-            None
-        };
-        let bundle = DirectionBundle::new(dims, extra_dirs, seed).with_extra(&unit_hints);
-
-        let enclose = |alive: &[bool]| -> BoundingBox {
-            let members = (0..n).filter(|i| alive[*i]);
-            if legacy {
-                BoundingBox::of(|i| points[i].as_slice(), members, dims)
-            } else {
-                BoundingBox::of(|i| store.row(i), members, dims)
-            }
-            .expect("remaining > 0")
-        };
-        let supports = |alive: &[bool]| -> Vec<f64> {
-            unit_hints
-                .iter()
-                .map(|h| {
-                    if legacy {
-                        support_of_rows(alive, &points, h)
-                    } else {
-                        kernels::max_score_alive(store.flat(), dims, alive, h)
-                    }
-                })
-                .collect()
-        };
-
-        while remaining > 0 && layers.len() < max_layers {
-            remaining_box.push(enclose(&alive));
-            hint_support.push(supports(&alive));
-            let layer = match (&sorted_2d, dims) {
-                (_, 1) => extremes_1d(&store, &alive),
-                (Some(order), 2) => hull_2d(&store, &alive, order),
-                _ => {
-                    if legacy {
-                        sweep_layer_threads(&points, &alive, &bundle, threads)
-                    } else {
-                        sweep_layer_flat_threads(
-                            &store,
-                            &alive,
-                            &bundle,
-                            threads,
-                            quant_store.as_ref(),
-                        )
-                    }
-                }
-            };
-            debug_assert!(!layer.is_empty(), "peel must remove at least one point");
-            for &idx in &layer {
-                alive[idx] = false;
-            }
-            remaining -= layer.len();
-            layers.push(layer);
+        // Serves the sweep only; nothing reads it after the peel.
+        let quant_store = (quantize && !legacy).then(|| QuantizedStore::build(&store));
+        let (mut layers, mut remaining_box, mut hint_support) =
+            (Vec::new(), Vec::new(), Vec::new());
+        let core = Peeler {
+            store: &store,
+            legacy_rows: legacy_rows.as_deref(),
+            hints: &unit_hints,
+            bundle: DirectionBundle::new(dims, extra_dirs, seed).with_extra(&unit_hints),
+            threads,
+            quant: quant_store.as_ref(),
         }
-        if remaining > 0 {
-            remaining_box.push(enclose(&alive));
-            hint_support.push(supports(&alive));
-            layers.push((0..n).filter(|i| alive[*i]).collect());
-        }
-        // For d <= 2 every peeled layer is an exact hull; the trailing
-        // core bucket (present when the cap was hit) is not.
-        let peeled = if remaining > 0 {
-            layers.len() - 1
+        .peel(
+            vec![true; store.len()],
+            max_layers,
+            &mut layers,
+            &mut remaining_box,
+            &mut hint_support,
+        );
+        // For d <= 2 every peeled layer is an exact hull; the trailing core
+        // bucket (present when the cap was hit) is not. Hulls of data with
+        // non-finite coordinates certify nothing.
+        let finite = remaining_box[0].radius.is_finite();
+        let exact_hull_layers = if dims <= 2 && finite {
+            layers.len() - usize::from(core.is_some())
         } else {
-            layers.len()
+            0
         };
-        let exact_hull_layers = if dims <= 2 { peeled } else { 0 };
         Ok(OnionIndex {
             points: store,
             dims,
             layers,
             remaining_box,
+            core,
             hints: unit_hints,
             hint_support,
             exact_hull_layers,
-            quant: quant_store,
+            max_layers,
+            extra_dirs,
+            seed,
         })
     }
 
     /// Inserts a tuple without rebuilding: the point joins the *outermost*
     /// layer, which preserves query exactness (an outer-layer point is
     /// always examined before any stopping decision) at the cost of one
-    /// extra examined tuple per insert. Registered hint supports are
-    /// updated. Call [`OnionIndex::rebuild`] once inserts accumulate.
+    /// extra examined tuple per insert. An index that is all core bucket
+    /// (`max_layers = 0`) gets a peeled layer in front of the core for its
+    /// inserts, since the core's radial order and run radii must stay as
+    /// built. Registered hint supports are updated. Call
+    /// [`OnionIndex::rebuild`] once inserts accumulate.
     ///
     /// # Errors
     ///
@@ -588,25 +816,23 @@ impl OnionIndex {
                 actual: point.len(),
             });
         }
-        // Update every remaining-set enclosure: the new point is "visible"
-        // from depth 0 only (it lives in layer 0), so only that level's
-        // bounds must cover it — but remaining_box[l] must bound layers
-        // l.., and the new point joins layer 0, so only level 0 grows.
-        if let Some(bbox) = self.remaining_box.first_mut() {
-            bbox.extend(&point);
+        if self.core.is_some() && self.layers.len() == 1 {
+            // Layer 0 is the core bucket: open an empty peeled layer in
+            // front of it, bounded like the core until the point below
+            // grows it.
+            self.layers.insert(0, Vec::new());
+            self.remaining_box.insert(0, self.remaining_box[0].clone());
+            self.hint_support.insert(0, self.hint_support[0].clone());
         }
-        for (h, hint) in self.hints.iter().enumerate() {
+        // remaining_box[l] bounds layers l.., and the new point joins
+        // layer 0, so only level 0 grows.
+        self.remaining_box[0].extend(&point);
+        for (support, hint) in self.hint_support[0].iter_mut().zip(&self.hints) {
             let s: f64 = hint.iter().zip(&point).map(|(a, v)| a * v).sum();
-            if let Some(level0) = self.hint_support.first_mut() {
-                level0[h] = level0[h].max(s);
-            }
+            *support = support.max(s);
         }
         let idx = self.points.push_row(&point)?;
         self.layers[0].push(idx);
-        // The store just changed under the quantized side structure; drop
-        // it rather than serve stale bounds (queries fall back to the
-        // exact walk until the next rebuild).
-        self.quant = None;
         Ok(idx)
     }
 
@@ -623,18 +849,16 @@ impl OnionIndex {
     /// every new point is inside those enclosures and lands in a deeper
     /// layer (kept hint supports are maxed with the new points' scores).
     /// Everything at or past the frontier, plus the batch, is re-peeled
-    /// with the build machinery (exact hulls for d <= 2, direction sweeps
-    /// otherwise).
+    /// with the build machinery and the index's own build parameters
+    /// (layer cap, sweep bundle), so the layer count never exceeds what
+    /// the index was built with.
     ///
     /// Query answers after an append match a scratch-built index's scan
     /// answers (property-tested); only the stopping layer can differ.
     /// Because enclosure containment does not imply *hull* containment,
     /// the kept prefix can no longer be certified as exact hulls of the
-    /// augmented set, so the classical-theorem fast path is conservatively
-    /// disabled (`exact_hull_layers = 0`) until the next full rebuild.
-    /// The quantized side structure is likewise dropped (the store grew
-    /// under it); [`OnionIndex::rebuild`] or
-    /// [`OnionIndex::with_quantized`] restores both.
+    /// augmented set, so the exact-hull stop is conservatively disabled
+    /// (`exact_hull_layers = 0`) until the next [`OnionIndex::rebuild`].
     ///
     /// # Errors
     ///
@@ -655,8 +879,10 @@ impl OnionIndex {
         }
         // Dirty frontier: deepest kept prefix whose enclosures cover every
         // new point. Clamped so the innermost layer always re-peels (a
-        // batch deeper than every enclosure joins the core re-peel).
-        let mut dirty = self.layers.len() - 1;
+        // batch deeper than every enclosure joins the core re-peel), and to
+        // the layer cap, which only the insert layer of an all-core index
+        // can exceed: that layer re-peels with the rest.
+        let mut dirty = (self.layers.len() - 1).min(self.max_layers);
         for p in batch {
             let mut depth = 0usize;
             while depth < dirty && self.remaining_box[depth].contains(p) {
@@ -678,107 +904,59 @@ impl OnionIndex {
         // Grow the store and collect the re-peel subset: dirtied layers
         // plus the batch.
         let mut alive = vec![false; self.points.len() + batch.len()];
-        let mut remaining = 0usize;
-        for layer in &self.layers[dirty..] {
-            for &idx in layer {
-                alive[idx] = true;
-                remaining += 1;
-            }
+        for &idx in self.layers[dirty..].iter().flatten() {
+            alive[idx] = true;
         }
         for p in batch {
-            let idx = self.points.push_row(p)?;
-            alive[idx] = true;
-            remaining += 1;
+            alive[self.points.push_row(p)?] = true;
         }
-        let repeeled_from = dirty;
         self.layers.truncate(dirty);
         self.remaining_box.truncate(dirty);
         self.hint_support.truncate(dirty);
 
-        // Re-peel the suffix with the same machinery as the build.
-        let n = alive.len();
-        let dims = self.dims;
-        let store = &self.points;
-        let sorted_2d: Option<Vec<usize>> = if dims == 2 {
-            let mut order: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
-            order.sort_by(|&a, &b| {
-                store.row(a)[0]
-                    .total_cmp(&store.row(b)[0])
-                    .then(store.row(a)[1].total_cmp(&store.row(b)[1]))
-            });
-            Some(order)
-        } else {
-            None
-        };
-        let bundle = DirectionBundle::new(dims, 32, 7).with_extra(&self.hints);
-        let mut layers = Vec::new();
-        let mut remaining_box = Vec::new();
-        let mut hint_support = Vec::new();
-        while remaining > 0 && repeeled_from + layers.len() < 64 {
-            remaining_box.push(
-                BoundingBox::of(|i| store.row(i), (0..n).filter(|&i| alive[i]), dims)
-                    .expect("remaining > 0"),
-            );
-            hint_support.push(
-                self.hints
-                    .iter()
-                    .map(|h| kernels::max_score_alive(store.flat(), dims, &alive, h))
-                    .collect(),
-            );
-            let layer = match (&sorted_2d, dims) {
-                (_, 1) => extremes_1d(store, &alive),
-                (Some(order), 2) => hull_2d(store, &alive, order),
-                _ => sweep_layer_flat_threads(store, &alive, &bundle, 1, None),
-            };
-            debug_assert!(!layer.is_empty(), "peel must remove at least one point");
-            for &idx in &layer {
-                alive[idx] = false;
-            }
-            remaining -= layer.len();
-            layers.push(layer);
+        self.core = Peeler {
+            store: &self.points,
+            legacy_rows: None,
+            hints: &self.hints,
+            bundle: DirectionBundle::new(self.dims, self.extra_dirs, self.seed)
+                .with_extra(&self.hints),
+            threads: 1,
+            quant: None,
         }
-        if remaining > 0 {
-            remaining_box.push(
-                BoundingBox::of(|i| store.row(i), (0..n).filter(|&i| alive[i]), dims)
-                    .expect("remaining > 0"),
-            );
-            hint_support.push(
-                self.hints
-                    .iter()
-                    .map(|h| kernels::max_score_alive(store.flat(), dims, &alive, h))
-                    .collect(),
-            );
-            layers.push((0..n).filter(|&i| alive[i]).collect());
-        }
-        let repeeled_layers = layers.len();
-        self.layers.extend(layers);
-        self.remaining_box.extend(remaining_box);
-        self.hint_support.extend(hint_support);
+        .peel(
+            alive,
+            self.max_layers,
+            &mut self.layers,
+            &mut self.remaining_box,
+            &mut self.hint_support,
+        );
         // Enclosure containment is not hull containment: the kept prefix
-        // can no longer be certified exact, so the classical-theorem stop
-        // is disabled until the next full rebuild.
+        // can no longer be certified exact, so the exact-hull stop is
+        // disabled until the next full rebuild.
         self.exact_hull_layers = 0;
-        self.quant = None;
         Ok(OnionAppendReport {
             appended: batch.len(),
-            kept_layers: repeeled_from,
-            repeeled_layers,
+            kept_layers: dirty,
+            repeeled_layers: self.layers.len() - dirty,
         })
     }
 
     /// Rebuilds the layer structure from scratch with the same hints and
-    /// default limits — amortizes accumulated [`OnionIndex::insert`]s.
+    /// the index's own build parameters — amortizes accumulated
+    /// [`OnionIndex::insert`]s.
     ///
     /// # Errors
     ///
     /// Propagates construction errors (cannot occur for points already
     /// validated by `insert`).
     pub fn rebuild(&mut self) -> Result<(), ModelError> {
-        let rebuilt =
-            OnionIndex::build_with_hints(self.points.to_rows(), &self.hints.clone(), 64, 32, 7)?;
-        // An index that was quantized before (or whose quantization was
-        // dropped by inserts) comes back quantized.
-        *self = rebuilt.with_quantized();
+        *self = OnionIndex::build_with_hints(
+            self.points.to_rows(),
+            &self.hints,
+            self.max_layers,
+            self.extra_dirs,
+            self.seed,
+        )?;
         Ok(())
     }
 
@@ -809,7 +987,7 @@ impl OnionIndex {
     /// Returns [`ModelError::ArityMismatch`] for a wrong-length direction
     /// and [`ModelError::InvalidValue`] for `k == 0`.
     pub fn top_k_max(&self, direction: &[f64], k: usize) -> Result<TopKResult, ModelError> {
-        self.top_k_impl(direction, k, kernels::dot)
+        self.solo(direction, k, kernels::dot)
     }
 
     /// [`OnionIndex::top_k_max`] scoring through the legacy per-point
@@ -821,86 +999,21 @@ impl OnionIndex {
     ///
     /// Same as [`OnionIndex::top_k_max`].
     pub fn top_k_max_legacy(&self, direction: &[f64], k: usize) -> Result<TopKResult, ModelError> {
-        self.top_k_impl(direction, k, |dir: &[f64], row: &[f64]| {
+        self.solo(direction, k, |dir: &[f64], row: &[f64]| {
             dir.iter().zip(row).map(|(a, v)| a * v).sum()
-        })
-    }
-
-    fn top_k_impl<F: Fn(&[f64], &[f64]) -> f64>(
-        &self,
-        direction: &[f64],
-        k: usize,
-        score: F,
-    ) -> Result<TopKResult, ModelError> {
-        if direction.len() != self.dims {
-            return Err(ModelError::ArityMismatch {
-                expected: self.dims,
-                actual: direction.len(),
-            });
-        }
-        if k == 0 {
-            return Err(ModelError::InvalidValue("k must be >= 1".into()));
-        }
-        // Is the query positively parallel to a registered hint? Then the
-        // stored exact support gives a tight, sound stopping bound.
-        let norm: f64 = direction.iter().map(|a| a * a).sum::<f64>().sqrt();
-        let hint = if norm > 0.0 {
-            self.hints.iter().position(|h| {
-                let dot: f64 = h.iter().zip(direction).map(|(a, b)| a * b).sum();
-                dot / norm > 1.0 - 1e-9
-            })
-        } else {
-            None
-        };
-
-        let mut heap = TopKHeap::new(k);
-        let mut stats = QueryStats::new();
-        for (l, layer) in self.layers.iter().enumerate() {
-            stats.nodes_visited += 1;
-            for &idx in layer {
-                stats.tuples_examined += 1;
-                heap.offer(ScoredItem {
-                    index: idx,
-                    score: score(direction, self.points.row(idx)),
-                });
-            }
-            // Classical Onion theorem (exact-hull prefix only): the j-th
-            // best of any linear query lies within the first j convex
-            // layers, so once k layers are processed and the heap is full,
-            // nothing deeper can enter the answer.
-            if heap.floor().is_some() && l + 1 >= k && l < self.exact_hull_layers {
-                break;
-            }
-            // Sound early stop: nothing deeper can beat the current floor.
-            if let (Some(floor), Some(next_box)) = (heap.floor(), self.remaining_box.get(l + 1)) {
-                let mut bound = next_box.upper_bound(direction);
-                if let Some(h) = hint {
-                    bound = bound.min(norm * self.hint_support[l + 1][h]);
-                }
-                if floor >= bound {
-                    break;
-                }
-            }
-        }
-        stats.comparisons = heap.comparisons();
-        Ok(TopKResult {
-            results: heap.into_sorted(),
-            stats,
         })
     }
 
     /// Batched layer walk: **one** outward-in traversal serves every
     /// direction in the batch. Each layer's rows are read from the store
     /// once; every still-active query scores them and offers to its own
-    /// heap. A query leaves the walk at exactly the layer its solo run
-    /// would have stopped at (its heap sees the same offers in the same
-    /// order, so its floor — and therefore both stopping decisions — are
-    /// the same bits), and the walk ends when no query remains active.
+    /// heap, and leaves the walk at exactly the layer end or core run its
+    /// solo run would have left at (its heap sees the same offers in the
+    /// same order, so every stopping decision is the same bits).
     ///
     /// `results[q]` (answers *and* stats) is bit-identical to the solo
-    /// [`OnionIndex::top_k_max`] run with `directions[q]`: the shared
-    /// traversal only amortizes row reads across the batch, it never
-    /// shows a query a row its solo walk would not have examined.
+    /// [`OnionIndex::top_k_max`] run with `directions[q]`, which is this
+    /// walk with a batch of one.
     ///
     /// # Errors
     ///
@@ -911,117 +1024,22 @@ impl OnionIndex {
         directions: &[Vec<f64>],
         k: usize,
     ) -> Result<Vec<TopKResult>, ModelError> {
-        for direction in directions {
-            if direction.len() != self.dims {
-                return Err(ModelError::ArityMismatch {
-                    expected: self.dims,
-                    actual: direction.len(),
-                });
-            }
-        }
-        if k == 0 {
-            return Err(ModelError::InvalidValue("k must be >= 1".into()));
-        }
-        let m = directions.len();
-        // Per-query hint detection, identical to the solo walk's.
-        let norms: Vec<f64> = directions
-            .iter()
-            .map(|d| d.iter().map(|a| a * a).sum::<f64>().sqrt())
-            .collect();
-        let hints: Vec<Option<usize>> = directions
-            .iter()
-            .zip(&norms)
-            .map(|(direction, &norm)| {
-                if norm > 0.0 {
-                    self.hints.iter().position(|h| {
-                        let dot: f64 = h.iter().zip(direction).map(|(a, b)| a * b).sum();
-                        dot / norm > 1.0 - 1e-9
-                    })
-                } else {
-                    None
-                }
-            })
-            .collect();
-
-        let mut heaps: Vec<TopKHeap> = (0..m).map(|_| TopKHeap::new(k)).collect();
-        let mut stats: Vec<QueryStats> = (0..m).map(|_| QueryStats::new()).collect();
-        let mut active = vec![true; m];
-        let mut n_active = m;
-        for (l, layer) in self.layers.iter().enumerate() {
-            if n_active == 0 {
-                break;
-            }
-            for q in 0..m {
-                if active[q] {
-                    stats[q].nodes_visited += 1;
-                }
-            }
-            for &idx in layer {
-                let row = self.points.row(idx);
-                for q in 0..m {
-                    if !active[q] {
-                        continue;
-                    }
-                    stats[q].tuples_examined += 1;
-                    heaps[q].offer(ScoredItem {
-                        index: idx,
-                        score: kernels::dot(&directions[q], row),
-                    });
-                }
-            }
-            for q in 0..m {
-                if !active[q] {
-                    continue;
-                }
-                let floor = heaps[q].floor();
-                let classical_stop = floor.is_some() && l + 1 >= k && l < self.exact_hull_layers;
-                let bound_stop = match (floor, self.remaining_box.get(l + 1)) {
-                    (Some(f), Some(next_box)) => {
-                        let mut bound = next_box.upper_bound(&directions[q]);
-                        if let Some(h) = hints[q] {
-                            bound = bound.min(norms[q] * self.hint_support[l + 1][h]);
-                        }
-                        f >= bound
-                    }
-                    _ => false,
-                };
-                if classical_stop || bound_stop {
-                    active[q] = false;
-                    n_active -= 1;
-                }
-            }
-        }
-        Ok(heaps
-            .into_iter()
-            .zip(stats)
-            .map(|(heap, mut st)| {
-                st.comparisons = heap.comparisons();
-                TopKResult {
-                    results: heap.into_sorted(),
-                    stats: st,
-                }
-            })
-            .collect())
+        self.walk(directions, k, kernels::dot)
     }
 
-    /// [`OnionIndex::top_k_max`] through the quantized coarse pass: the
-    /// layer walk groups each layer's members by quantized block and
-    /// rejects groups whose i8 upper bound is strictly below the current
-    /// K-th floor before reading any f64 row. Results are **bit-identical**
-    /// to [`OnionIndex::top_k_max`] — a pruned row's offer would have been
-    /// rejected by the heap anyway (strict `ub < floor`, and the bound
-    /// dominates the exact kernel score). Early-stop decisions are
-    /// unchanged. `tuples_examined` counts only exact-scored rows. Falls
-    /// back to the exact walk when no quantized structure is attached.
+    /// [`OnionIndex::top_k_max`] under the name the quantised query walk
+    /// used to have (see the module docs; results always were
+    /// bit-identical).
     ///
     /// # Errors
     ///
     /// Same as [`OnionIndex::top_k_max`].
     pub fn top_k_max_quant(&self, direction: &[f64], k: usize) -> Result<TopKResult, ModelError> {
-        self.top_k_max_quant_report(direction, k).map(|(r, _)| r)
+        self.top_k_max(direction, k)
     }
 
-    /// [`OnionIndex::top_k_max_quant`] with the coarse-pass work report.
+    /// [`OnionIndex::top_k_max_quant`] with a work report: every examined
+    /// row is exact-scored and none is pruned.
     ///
     /// # Errors
     ///
@@ -1031,180 +1049,12 @@ impl OnionIndex {
         direction: &[f64],
         k: usize,
     ) -> Result<(TopKResult, QuantPruneReport), ModelError> {
-        let Some(quant) = &self.quant else {
-            let result = self.top_k_impl(direction, k, kernels::dot)?;
-            let report = QuantPruneReport {
-                rows_exact: result.stats.tuples_examined,
-                ..QuantPruneReport::default()
-            };
-            return Ok((result, report));
+        let result = self.top_k_max(direction, k)?;
+        let report = QuantPruneReport {
+            rows_exact: result.stats.tuples_examined,
+            ..QuantPruneReport::default()
         };
-        if direction.len() != self.dims {
-            return Err(ModelError::ArityMismatch {
-                expected: self.dims,
-                actual: direction.len(),
-            });
-        }
-        if k == 0 {
-            return Err(ModelError::InvalidValue("k must be >= 1".into()));
-        }
-        let norm: f64 = direction.iter().map(|a| a * a).sum::<f64>().sqrt();
-        let hint = if norm > 0.0 {
-            self.hints.iter().position(|h| {
-                let dot: f64 = h.iter().zip(direction).map(|(a, b)| a * b).sum();
-                dot / norm > 1.0 - 1e-9
-            })
-        } else {
-            None
-        };
-
-        let qq = quant.prepare(direction);
-        let mut heap = TopKHeap::new(k);
-        let mut stats = QueryStats::new();
-        let mut report = QuantPruneReport::default();
-        let mut ubs: Vec<f64> = Vec::new();
-        // Cached heap floor, updated whenever an offer is kept (same
-        // discipline as the flat scan).
-        let mut floor: Option<f64> = None;
-        for (l, layer) in self.layers.iter().enumerate() {
-            stats.nodes_visited += 1;
-            let mut pos = 0usize;
-            while pos < layer.len() {
-                // Peeled layers are sorted ascending, so each quantized
-                // block's members form one contiguous run; taking maximal
-                // same-block runs also stays correct for the (1-D) layers
-                // that are not sorted — runs just get shorter.
-                let b = quant.block_of(layer[pos]);
-                let (start, _) = quant.block_range(b);
-                let mut end = pos + 1;
-                while end < layer.len() && quant.block_of(layer[end]) == b {
-                    end += 1;
-                }
-                let group = &layer[pos..end];
-                pos = end;
-                report.blocks_total += 1;
-                // Snapshot of the floor for this group's prune decisions;
-                // the floor only rises, so staleness is only looseness.
-                let f0 = floor;
-                let mut sub_filter = false;
-                if let Some(f) = f0 {
-                    if qq.block_upper_bound(b) < f {
-                        report.blocks_pruned += 1;
-                        report.rows_pruned += group.len() as u64;
-                        continue;
-                    }
-                    // The sub-corner pass costs one O(d) corner per 32
-                    // rows of the block; it pays once the group holds at
-                    // least that many members. Scattered members are
-                    // cheaper to just score exactly.
-                    if group.len() >= quant.subs(b) {
-                        qq.sub_upper_bounds(quant, b, &mut ubs);
-                        sub_filter = true;
-                    }
-                }
-                if sub_filter {
-                    // Dense-group fast path. The group is a strictly
-                    // increasing index list that is mostly a handful of
-                    // long consecutive runs separated by peeled holes
-                    // (the core bucket keeps ~97% of rows). Galloping to
-                    // each run's end and then stepping the run one
-                    // sub-block at a time lets a pruned sub reject
-                    // `QUANT_SUB_ROWS` rows with a single compare instead
-                    // of one lookup per member — this loop, not the exact
-                    // kernel, is what dominates the quantized walk.
-                    let mut gi = 0usize;
-                    while gi < group.len() {
-                        let base = group[gi];
-                        // `group` strictly increases, so "prefix is
-                        // consecutive" is a monotone predicate: gallop
-                        // then binary-search its boundary.
-                        let mut last_ok = gi;
-                        let mut step = 1usize;
-                        while last_ok + step < group.len()
-                            && group[last_ok + step] - base == last_ok + step - gi
-                        {
-                            last_ok += step;
-                            step *= 2;
-                        }
-                        let mut lo = last_ok;
-                        let mut hi = (last_ok + step).min(group.len() - 1);
-                        while lo < hi {
-                            let mid = (lo + hi).div_ceil(2);
-                            if group[mid] - base == mid - gi {
-                                lo = mid;
-                            } else {
-                                hi = mid - 1;
-                            }
-                        }
-                        let run_end = lo + 1;
-                        let run_stop = base + (run_end - gi);
-                        gi = run_end;
-                        let mut row = base;
-                        while row < run_stop {
-                            let s = (row - start) / QUANT_SUB_ROWS;
-                            let sub_stop = (start + (s + 1) * QUANT_SUB_ROWS).min(run_stop);
-                            // Prune against the *live* floor: it only
-                            // rises above the snapshot, and prune-only
-                            // soundness holds for any floor the heap has
-                            // actually reached.
-                            if let Some(f) = floor {
-                                if ubs[s] < f {
-                                    report.rows_pruned += (sub_stop - row) as u64;
-                                    report.subblocks_pruned += 1;
-                                    row = sub_stop;
-                                    continue;
-                                }
-                            }
-                            for idx in row..sub_stop {
-                                report.rows_exact += 1;
-                                stats.tuples_examined += 1;
-                                if heap.offer(ScoredItem {
-                                    index: idx,
-                                    score: kernels::dot(direction, self.points.row(idx)),
-                                }) {
-                                    floor = heap.floor();
-                                }
-                            }
-                            row = sub_stop;
-                        }
-                    }
-                } else {
-                    for &idx in group {
-                        report.rows_exact += 1;
-                        stats.tuples_examined += 1;
-                        if heap.offer(ScoredItem {
-                            index: idx,
-                            score: kernels::dot(direction, self.points.row(idx)),
-                        }) {
-                            floor = heap.floor();
-                        }
-                    }
-                }
-            }
-            // Identical early-stop decisions to the exact walk: pruning
-            // never changes the heap contents, so the floor and both
-            // stopping bounds are the same bits.
-            if heap.floor().is_some() && l + 1 >= k && l < self.exact_hull_layers {
-                break;
-            }
-            if let (Some(f), Some(next_box)) = (heap.floor(), self.remaining_box.get(l + 1)) {
-                let mut bound = next_box.upper_bound(direction);
-                if let Some(h) = hint {
-                    bound = bound.min(norm * self.hint_support[l + 1][h]);
-                }
-                if f >= bound {
-                    break;
-                }
-            }
-        }
-        stats.comparisons = heap.comparisons();
-        Ok((
-            TopKResult {
-                results: heap.into_sorted(),
-                stats,
-            },
-            report,
-        ))
+        Ok((result, report))
     }
 
     /// Top-K tuples minimizing `direction . x` (scores reported are the
@@ -1220,6 +1070,167 @@ impl OnionIndex {
             item.score = -item.score;
         }
         Ok(result)
+    }
+
+    /// A batch of one through [`OnionIndex::walk`].
+    fn solo<F: Fn(&[f64], &[f64]) -> f64>(
+        &self,
+        direction: &[f64],
+        k: usize,
+        score: F,
+    ) -> Result<TopKResult, ModelError> {
+        let mut results = self.walk(&[direction], k, score)?;
+        Ok(results.pop().expect("one result per direction"))
+    }
+
+    /// Per-query set-up of the walk: hint match and the direction's half
+    /// of the core run bound.
+    fn prepare<'a>(&self, direction: &'a [f64], k: usize) -> WalkQuery<'a> {
+        let norm: f64 = direction.iter().map(|a| a * a).sum::<f64>().sqrt();
+        // Is the query positively parallel to a registered hint? Then the
+        // stored exact support gives a tight stopping bound. (A zero
+        // direction divides to NaN and matches none.)
+        let hint = self
+            .hints
+            .iter()
+            .position(|h| kernels::dot(h, direction) / norm > 1.0 - 1e-9);
+        let (mut core_centre_score, mut core_spread, mut core_magnitude) = (0.0, 0.0, 0.0);
+        if let (Some(core), Some(enclosure)) = (&self.core, self.remaining_box.last()) {
+            core_centre_score = kernels::dot(direction, &enclosure.center);
+            core_spread = direction
+                .iter()
+                .zip(&core.half)
+                .map(|(a, s)| (a * s) * (a * s))
+                .sum::<f64>()
+                .sqrt();
+            core_magnitude = enclosure.magnitude(direction);
+        }
+        WalkQuery {
+            direction,
+            norm,
+            hint,
+            core_centre_score,
+            core_spread,
+            core_magnitude,
+            heap: TopKHeap::new(k),
+            stats: QueryStats::new(),
+            layer_max: f64::NEG_INFINITY,
+            active: true,
+        }
+    }
+
+    /// Scores `rows` for every active query and offers them to its heap, a
+    /// run-sized chunk at a time: the chunk's rows are fetched by one tight
+    /// scoring loop (the scattered loads overlap) and stay in L1 for the
+    /// next query of the batch. Each heap sees its offers in row order.
+    fn offer_rows<F: Fn(&[f64], &[f64]) -> f64>(
+        &self,
+        rows: &[usize],
+        queries: &mut [WalkQuery<'_>],
+        score: &F,
+    ) {
+        let mut scores = [0.0f64; CORE_RUN_ROWS];
+        for chunk in rows.chunks(CORE_RUN_ROWS) {
+            for q in queries.iter_mut().filter(|q| q.active) {
+                for (s, &idx) in scores.iter_mut().zip(chunk) {
+                    *s = score(q.direction, self.points.row(idx));
+                    q.layer_max = q.layer_max.max(*s);
+                }
+                // Cached floor, the flat scan's discipline: a score
+                // strictly below it cannot be kept; NaN and ties fall
+                // through to `offer`, the one place that decides them.
+                let mut floor = q.heap.floor();
+                for (&s, &idx) in scores.iter().zip(chunk) {
+                    if floor.is_some_and(|f| s < f) {
+                        continue;
+                    }
+                    if q.heap.offer(ScoredItem {
+                        index: idx,
+                        score: s,
+                    }) {
+                        floor = q.heap.floor();
+                    }
+                }
+                q.stats.tuples_examined += chunk.len() as u64;
+            }
+        }
+    }
+
+    /// The one layer walk (see "Query soundness" in the module docs):
+    /// peeled layers with the stop tests at each layer end, then the core
+    /// bucket run by run with the radial test before each run.
+    fn walk<D: AsRef<[f64]>, F: Fn(&[f64], &[f64]) -> f64>(
+        &self,
+        directions: &[D],
+        k: usize,
+        score: F,
+    ) -> Result<Vec<TopKResult>, ModelError> {
+        for direction in directions {
+            if direction.as_ref().len() != self.dims {
+                return Err(ModelError::ArityMismatch {
+                    expected: self.dims,
+                    actual: direction.as_ref().len(),
+                });
+            }
+        }
+        if k == 0 {
+            return Err(ModelError::InvalidValue("k must be >= 1".into()));
+        }
+        let mut queries: Vec<WalkQuery<'_>> = directions
+            .iter()
+            .map(|d| self.prepare(d.as_ref(), k))
+            .collect();
+        let peeled = &self.layers[..self.layers.len() - usize::from(self.core.is_some())];
+        let mut any_active = !queries.is_empty();
+        for (l, layer) in peeled.iter().enumerate() {
+            enter_layer(&mut queries);
+            self.offer_rows(layer, &mut queries, &score);
+            // Without a core bucket the last peeled layer has nothing
+            // beneath it.
+            let Some(next_box) = self.remaining_box.get(l + 1) else {
+                break;
+            };
+            any_active = retire(&mut queries, |q, floor| {
+                // Exact-hull prefix: this layer's best score bounds every
+                // deeper layer.
+                if l < self.exact_hull_layers && q.layer_max < floor {
+                    return true;
+                }
+                let mut bound = next_box.upper_bound(q.direction, q.norm);
+                if let Some(h) = q.hint {
+                    let hinted = q.norm * self.hint_support[l + 1][h];
+                    if hinted < bound {
+                        bound = hinted;
+                    }
+                }
+                stops(bound, floor)
+            });
+            if !any_active {
+                break;
+            }
+        }
+        if let (true, Some(core), Some(members)) = (any_active, &self.core, self.layers.last()) {
+            enter_layer(&mut queries);
+            for (run, &radius) in members.chunks(CORE_RUN_ROWS).zip(&core.run_radius) {
+                if !retire(&mut queries, |q, floor| stops(q.core_bound(radius), floor)) {
+                    break;
+                }
+                self.offer_rows(run, &mut queries, &score);
+            }
+        }
+        Ok(queries
+            .into_iter()
+            .map(|q| {
+                // One comparison per examined tuple: the floor precheck
+                // stands in for the rejected offers.
+                let mut stats = q.stats;
+                stats.comparisons = stats.tuples_examined;
+                TopKResult {
+                    results: q.heap.into_sorted(),
+                    stats,
+                }
+            })
+            .collect())
     }
 }
 
@@ -1315,38 +1326,28 @@ fn sweep_argmax(points: &[Vec<f64>], alive: &[bool], dir: &[f64]) -> Option<usiz
     best.map(|(i, _)| i)
 }
 
-/// Legacy direction-sweep extreme set for d >= 3 over nested points: one
-/// pass over `Vec<Vec<f64>>` per direction, fanned across `threads` OS
-/// threads. Each direction's argmax is independent and the union is
-/// sorted + deduplicated, so the result is identical for every thread
-/// count — and identical to [`sweep_layer_flat_threads`].
-fn sweep_layer_threads(
-    points: &[Vec<f64>],
-    alive: &[bool],
-    bundle: &DirectionBundle,
-    threads: usize,
-) -> Vec<usize> {
-    let dirs = bundle.directions();
+/// Deals `dirs` to up to `threads` scoped workers in contiguous chunks
+/// (`threads <= 1` runs on the calling thread), concatenates the winners
+/// `sweep` finds for each chunk, then sorts and deduplicates. Each
+/// direction's argmax is independent, so the layer is identical for every
+/// thread count.
+fn sweep_union<F>(dirs: &[Vec<f64>], threads: usize, sweep: F) -> Vec<usize>
+where
+    F: Fn(&[Vec<f64>]) -> Vec<usize> + Sync,
+{
     let workers = threads.max(1).min(dirs.len()).max(1);
     let mut layer: Vec<usize> = if workers <= 1 {
-        dirs.iter()
-            .filter_map(|dir| sweep_argmax(points, alive, dir))
-            .collect()
+        sweep(dirs)
     } else {
         let chunk = dirs.len().div_ceil(workers);
+        let sweep = &sweep;
         std::thread::scope(|scope| {
             // Collecting the handles is what makes this parallel: a lazy
             // chain would join each worker before spawning the next.
             #[allow(clippy::needless_collect)]
             let handles: Vec<_> = dirs
                 .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .filter_map(|dir| sweep_argmax(points, alive, dir))
-                            .collect::<Vec<usize>>()
-                    })
-                })
+                .map(|part| scope.spawn(move || sweep(part)))
                 .collect();
             handles
                 .into_iter()
@@ -1357,6 +1358,22 @@ fn sweep_layer_threads(
     layer.sort_unstable();
     layer.dedup();
     layer
+}
+
+/// Legacy direction-sweep extreme set for d >= 3 over nested points: one
+/// pass over `Vec<Vec<f64>>` per direction. Identical to
+/// [`sweep_layer_flat_threads`].
+fn sweep_layer_threads(
+    points: &[Vec<f64>],
+    alive: &[bool],
+    bundle: &DirectionBundle,
+    threads: usize,
+) -> Vec<usize> {
+    sweep_union(bundle.directions(), threads, |part| {
+        part.iter()
+            .filter_map(|dir| sweep_argmax(points, alive, dir))
+            .collect()
+    })
 }
 
 /// Direction-sweep extreme set for d >= 3 over the flat store: **one**
@@ -1380,10 +1397,8 @@ fn sweep_layer_flat_threads(
     threads: usize,
     quant: Option<&QuantizedStore>,
 ) -> Vec<usize> {
-    let dirs = bundle.directions();
-    let workers = threads.max(1).min(dirs.len()).max(1);
     let dims = store.dims();
-    let sweep_chunk = |part: &[Vec<f64>]| -> Vec<usize> {
+    sweep_union(bundle.directions(), threads, |part| {
         let mut best = vec![None; part.len()];
         match quant {
             None => kernels::sweep_argmax_block(store.flat(), dims, alive, part, &mut best),
@@ -1409,35 +1424,13 @@ fn sweep_layer_flat_threads(
             }
         }
         best.into_iter().flatten().map(|(i, _)| i).collect()
-    };
-    let mut layer: Vec<usize> = if workers <= 1 {
-        sweep_chunk(dirs)
-    } else {
-        let chunk = dirs.len().div_ceil(workers);
-        let sweep_chunk = &sweep_chunk;
-        std::thread::scope(|scope| {
-            // Collecting the handles is what makes this parallel: a lazy
-            // chain would join each worker before spawning the next.
-            #[allow(clippy::needless_collect)]
-            let handles: Vec<_> = dirs
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || sweep_chunk(part)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-    };
-    layer.sort_unstable();
-    layer.dedup();
-    layer
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan_top_k;
+    use crate::scan::{scan_top_k, scan_top_k_flat};
     use proptest::prelude::*;
 
     fn gaussian_points(seed: u64, n: usize, d: usize) -> Vec<Vec<f64>> {
@@ -1455,6 +1448,51 @@ mod tests {
                     .map(|_| (0..12).map(|_| next()).sum::<f64>())
                     .collect()
             })
+            .collect()
+    }
+
+    /// Gaussian points snapped to a half-unit grid: many exact duplicate
+    /// points, and exactly tied scores between distinct points whenever
+    /// the direction is on the grid too.
+    fn snapped_points(seed: u64, n: usize, d: usize) -> Vec<Vec<f64>> {
+        let mut points = gaussian_points(seed, n, d);
+        for v in points.iter_mut().flatten() {
+            *v = (*v * 2.0).round() / 2.0;
+        }
+        points
+    }
+
+    /// `count` directions from `seed`; every other one sits on the
+    /// half-unit grid of [`snapped_points`].
+    fn test_directions(seed: u64, count: usize, d: usize) -> Vec<Vec<f64>> {
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(99);
+            ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        };
+        (0..count)
+            .map(|q| {
+                (0..d)
+                    .map(|_| {
+                        let a = next() * 4.0;
+                        if q % 2 == 0 {
+                            a
+                        } else {
+                            (a * 2.0).round() / 2.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// What "equal to the scan" means: the same indexes carrying the same
+    /// score bits, in the same order (NaN scores included).
+    fn bits(result: &TopKResult) -> Vec<(usize, u64)> {
+        result
+            .results
+            .iter()
+            .map(|item| (item.index, item.score.to_bits()))
             .collect()
     }
 
@@ -1549,6 +1587,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn batched_queries_leave_the_core_at_their_own_runs() {
+        // Two peeled layers over a stretched cloud: every query reaches the
+        // core, and how deep it goes depends on its direction.
+        let points: Vec<Vec<f64>> = gaussian_points(57, 6_000, 3)
+            .into_iter()
+            .map(|p| vec![p[0] * 5.0, p[1], p[2] * 0.2])
+            .collect();
+        let onion = OnionIndex::build_with(points, 2, 8, 7).unwrap();
+        let peeled: usize = onion.layer_sizes()[..2].iter().sum();
+        let dirs = test_directions(5, 8, 3);
+        let batched = onion.top_k_max_multi(&dirs, 10).unwrap();
+        let mut core_rows = Vec::new();
+        for (q, dir) in dirs.iter().enumerate() {
+            assert_eq!(batched[q], onion.top_k_max(dir, 10).unwrap(), "q={q}");
+            core_rows.push(batched[q].stats.tuples_examined as usize - peeled);
+        }
+        assert!(
+            core_rows
+                .iter()
+                .all(|&rows| rows > 0 && rows < 6_000 - peeled),
+            "every query stops inside the core: {core_rows:?}"
+        );
+        core_rows.sort_unstable();
+        core_rows.dedup();
+        assert!(core_rows.len() >= 2, "all stop at one run: {core_rows:?}");
     }
 
     #[test]
@@ -1663,25 +1729,32 @@ mod tests {
     }
 
     #[test]
-    fn hull_theorem_stops_2d_queries_without_bounds() {
+    fn hull_rule_stops_2d_queries_without_bounds() {
         // Uniform square data with a diagonal query: the box-corner bound
         // (max_x + max_y) is never attained, so the generic bound is loose;
-        // the exact-hull theorem must stop the walk after ~k layers anyway.
+        // the exact-hull rule must stop the walk anyway.
         let mut state = 77u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         let points: Vec<Vec<f64>> = (0..20_000).map(|_| vec![next(), next()]).collect();
-        let onion = OnionIndex::build(points.clone()).unwrap();
+        let store = PointStore::from_rows(&points).unwrap();
+        let onion = OnionIndex::build(points).unwrap();
         let dir = vec![1.0, 1.0];
         for k in [1usize, 5, 10] {
             let fast = onion.top_k_max(&dir, k).unwrap();
-            let slow = scan_top_k(&points, k, |p| p[0] + p[1]);
-            assert!(fast.score_equivalent(&slow, 1e-9), "k={k}");
-            // The theorem caps the walk at k layers (+ examined members).
+            assert_eq!(
+                fast.results,
+                scan_top_k_flat(&store, &dir, k).results,
+                "k={k}"
+            );
+            // A layer's best score bounds everything beneath it, so the
+            // walk needs at most one layer beyond the k of the "j-th best
+            // lies in the first j layers" theorem: the one that shows
+            // nothing deeper even ties the floor.
             assert!(
-                fast.stats.nodes_visited <= k as u64,
+                fast.stats.nodes_visited <= k as u64 + 1,
                 "k={k}: visited {} layers",
                 fast.stats.nodes_visited
             );
@@ -1691,6 +1764,32 @@ mod tests {
                 fast.stats.tuples_examined
             );
         }
+    }
+
+    #[test]
+    fn k_layers_rule_would_return_the_wrong_duplicate() {
+        // Why the d <= 2 stop is `layer_max < floor` and not the classical
+        // "the j-th best lies in the first j layers": that theorem is about
+        // scores. A hull keeps one copy of a duplicated vertex (here the
+        // later row), the copy with the smaller row number peels a layer
+        // deeper, and the scan's tie-break wants exactly that one.
+        let mut points = gaussian_points(9, 400, 2);
+        points[7] = vec![9.0, 0.5];
+        points[300] = vec![9.0, 0.5];
+        let store = PointStore::from_rows(&points).unwrap();
+        let onion = OnionIndex::build(points).unwrap();
+        assert!(onion.exact_hull_layers > 2);
+        let (dir, k) = (vec![1.0, 0.0], 1usize);
+        let truth = scan_top_k_flat(&store, &dir, k);
+        assert_eq!(truth.indexes(), vec![7]);
+        assert!(
+            onion.layers[0].contains(&300) && onion.layers[1].contains(&7),
+            "row 7 lies outside the first k layers: stopping there returns row 300"
+        );
+        let fast = onion.top_k_max(&dir, k).unwrap();
+        assert_eq!(bits(&fast), bits(&truth));
+        // k + 1 layers: the one past the theorem's k that holds row 7.
+        assert_eq!(fast.stats.nodes_visited, 2);
     }
 
     #[test]
@@ -1798,20 +1897,15 @@ mod tests {
     }
 
     #[test]
-    fn append_points_validates_and_drops_quant() {
+    fn append_points_validates() {
         let mut onion = OnionIndex::build_quantized(gaussian_points(5, 300, 3)).unwrap();
-        assert!(onion.is_quantized());
+        let layers = onion.layers.clone();
         assert!(matches!(onion.append_points(&[]), Err(ModelError::Empty)));
         assert!(onion.append_points(&[vec![1.0]]).is_err());
         assert_eq!(onion.len(), 300, "failed appends leave the index intact");
-        assert!(
-            onion.is_quantized(),
-            "failed appends keep the quant structure"
-        );
+        assert_eq!(onion.layers, layers);
         onion.append_points(&[vec![0.1, 0.2, 0.3]]).unwrap();
-        assert!(!onion.is_quantized(), "the store changed under the quant");
-        onion.rebuild().unwrap();
-        assert!(onion.is_quantized());
+        assert_eq!(onion.len(), 301);
     }
 
     #[test]
@@ -1872,7 +1966,6 @@ mod tests {
             let quant = OnionIndex::build_quantized_with(points, 24, 16, 7, 1).unwrap();
             assert_eq!(quant.layers, plain.layers, "d={d}");
             assert_eq!(quant.remaining_box, plain.remaining_box, "d={d}");
-            assert!(quant.is_quantized() && !plain.is_quantized());
             for k in [1usize, 10, 40] {
                 let dir: Vec<f64> = (0..d).map(|j| 0.9 - 0.27 * j as f64).collect();
                 let exact = plain.top_k_max(&dir, k).unwrap();
@@ -1893,40 +1986,104 @@ mod tests {
     }
 
     #[test]
-    fn quantized_query_actually_prunes_core_bucket() {
-        // Few layers + big core bucket: the walk degenerates to scanning
-        // the core, which is exactly where the coarse pass must bite.
-        let points = gaussian_points(303, 20_000, 3);
-        let onion = OnionIndex::build_quantized_with(points, 8, 16, 7, 1).unwrap();
-        let dir = vec![0.443, 0.222, 0.153];
-        let (result, report) = onion.top_k_max_quant_report(&dir, 10).unwrap();
-        let exact = onion.top_k_max(&dir, 10).unwrap();
-        assert_eq!(result.results, exact.results);
-        assert!(
-            report.prune_rate() > 0.5,
-            "core bucket should mostly prune, got {}",
-            report.prune_rate()
-        );
-        assert!(result.stats.tuples_examined < exact.stats.tuples_examined);
+    fn unhinted_gaussian_query_leaves_the_core_early() {
+        // Few layers + big core bucket and no hint: the radial order is
+        // all that stops the walk, at 8 layers as at 64.
+        let points = gaussian_points(303, 40_000, 3);
+        let store = PointStore::from_rows(&points).unwrap();
+        for cap in [8usize, 64] {
+            let onion = OnionIndex::build_quantized_with(points.clone(), cap, 16, 7, 1).unwrap();
+            for dir in [vec![0.443, 0.222, 0.153], vec![-0.8, 0.1, 0.6]] {
+                let exact = onion.top_k_max(&dir, 10).unwrap();
+                assert_eq!(exact.results, scan_top_k_flat(&store, &dir, 10).results);
+                assert!(
+                    exact.stats.tuples_examined * 20 < 40_000,
+                    "cap={cap} dir={dir:?}: examined {} of 40000",
+                    exact.stats.tuples_examined
+                );
+                // The quantised entry points are the same walk.
+                let (coarse, report) = onion.top_k_max_quant_report(&dir, 10).unwrap();
+                assert_eq!(coarse, exact);
+                assert_eq!(report.rows_exact, exact.stats.tuples_examined);
+                assert_eq!(report.rows_pruned, 0);
+            }
+        }
     }
 
     #[test]
-    fn insert_drops_quant_and_rebuild_restores_it() {
-        let points = gaussian_points(41, 800, 3);
-        let mut onion = OnionIndex::build_quantized(points.clone()).unwrap();
-        assert!(onion.is_quantized());
-        onion.insert(vec![9.0, 9.0, 9.0]).unwrap();
-        assert!(!onion.is_quantized(), "stale quant must be dropped");
-        // Fallback path still answers exactly.
-        let dir = vec![1.0, 0.5, 0.25];
-        let exact = onion.top_k_max(&dir, 5).unwrap();
-        let coarse = onion.top_k_max_quant(&dir, 5).unwrap();
-        assert_eq!(coarse.results, exact.results);
+    fn append_and_rebuild_keep_the_build_parameters() {
+        // An index built with its own layer cap, bundle size and seed must
+        // re-peel with them, not with the defaults.
+        let mut all = gaussian_points(61, 3_000, 3);
+        let mut onion = OnionIndex::build_with(all.clone(), 24, 16, 5).unwrap();
+        assert_eq!(onion.layer_count(), 25, "cap hit: 24 layers + core");
+        // Outliers dirty the outermost layer, so everything re-peels.
+        let batch: Vec<Vec<f64>> = gaussian_points(62, 30, 3)
+            .into_iter()
+            .map(|p| p.iter().map(|v| v * 3.0).collect())
+            .collect();
+        let report = onion.append_points(&batch).unwrap();
+        assert_eq!(report.kept_layers, 0);
+        all.extend(batch);
+        assert!(
+            onion.layer_count() <= 25,
+            "append re-peeled into {} layers",
+            onion.layer_count()
+        );
+        // A full re-peel from depth 0 is the scratch build.
+        let scratch = OnionIndex::build_with(all.clone(), 24, 16, 5).unwrap();
+        assert_eq!(onion.layers, scratch.layers);
+        // A deep batch keeps a prefix; the cap still holds.
+        let deep: Vec<Vec<f64>> = gaussian_points(63, 30, 3)
+            .into_iter()
+            .map(|p| p.iter().map(|v| v * 0.05).collect())
+            .collect();
+        assert!(onion.append_points(&deep).unwrap().kept_layers > 0);
+        all.extend(deep);
+        assert!(onion.layer_count() <= 25);
         onion.rebuild().unwrap();
-        assert!(onion.is_quantized());
-        let exact = onion.top_k_max(&dir, 5).unwrap();
-        let coarse = onion.top_k_max_quant(&dir, 5).unwrap();
-        assert_eq!(coarse.results, exact.results);
+        let scratch = OnionIndex::build_with(all, 24, 16, 5).unwrap();
+        assert_eq!(onion.layers, scratch.layers);
+        assert_eq!(onion.remaining_box, scratch.remaining_box);
+        assert_eq!(onion.core, scratch.core);
+    }
+
+    #[test]
+    fn insert_into_an_all_core_index_leaves_the_radial_order_alone() {
+        // With `max_layers = 0` layer 0 *is* the core bucket: a new optimum
+        // pushed onto it would sit behind the run radii and be skipped.
+        let mut points = gaussian_points(41, 200, 3);
+        let mut onion = OnionIndex::build_with(points.clone(), 0, 8, 7).unwrap();
+        let (core_members, core) = (onion.layers[0].clone(), onion.core.clone());
+        // Enough inserts to take the core past a run boundary had they
+        // joined it.
+        for i in 0..70 {
+            let p = vec![50.0 + i as f64, 50.0, 50.0 - i as f64];
+            assert_eq!(onion.insert(p.clone()).unwrap(), points.len());
+            points.push(p);
+        }
+        assert_eq!(onion.layer_count(), 2, "one insert layer before the core");
+        assert_eq!(onion.layers[1], core_members);
+        assert_eq!(onion.core, core);
+        let store = PointStore::from_rows(&points).unwrap();
+        for dir in [
+            vec![1.0, 1.0, 1.0],
+            vec![-1.0, 0.2, 0.4],
+            vec![0.0, 0.0, -1.0],
+        ] {
+            for k in [1usize, 3, 80] {
+                assert_eq!(
+                    bits(&onion.top_k_max(&dir, k).unwrap()),
+                    bits(&scan_top_k_flat(&store, &dir, k)),
+                    "dir={dir:?} k={k}"
+                );
+            }
+        }
+        // An append re-peels the insert layer with the rest: the cap holds.
+        onion.append_points(&[vec![0.0, 0.0, 0.0]]).unwrap();
+        assert_eq!(onion.layer_count(), 1);
+        onion.rebuild().unwrap();
+        assert_eq!(onion.layer_count(), 1);
     }
 
     #[test]
@@ -1945,40 +2102,117 @@ mod tests {
             n in 10usize..300,
             d in 1usize..5,
             k in 1usize..12,
+            cap in prop::sample::select(vec![0usize, 1, 2, 3, 5, 64]),
             dir_seed in 0u64..100,
         ) {
-            let points = gaussian_points(seed, n, d);
-            let onion = OnionIndex::build(points.clone()).unwrap();
-            let mut s = dir_seed;
-            let mut next = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(99);
-                ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+            // Duplicate-heavy data: only a strict stop keeps the index
+            // tie-breaks of the scan. Small caps put most rows in the core.
+            let points = snapped_points(seed, n, d);
+            let mut store = PointStore::from_rows(&points).unwrap();
+            let mut onion = OnionIndex::build_with(points.clone(), cap, 8, 7).unwrap();
+            for dir in test_directions(dir_seed, 2, d) {
+                let fast = onion.top_k_max(&dir, k).unwrap();
+                prop_assert_eq!(bits(&fast), bits(&scan_top_k_flat(&store, &dir, k)));
+            }
+            // Inserts after the build — new optima, duplicates of stored
+            // rows and interior points — at every cap, 0 (all core) included.
+            for (i, p) in snapped_points(seed + 1_000, 1 + n / 8, d).into_iter().enumerate() {
+                let p: Vec<f64> = match i % 3 {
+                    0 => p.iter().map(|v| v * 4.0).collect(),
+                    1 => points[i % n].clone(),
+                    _ => p,
+                };
+                store.push_row(&p).unwrap();
+                onion.insert(p).unwrap();
+            }
+            for dir in test_directions(dir_seed + 1, 2, d) {
+                let fast = onion.top_k_max(&dir, k).unwrap();
+                prop_assert_eq!(bits(&fast), bits(&scan_top_k_flat(&store, &dir, k)));
+            }
+        }
+
+        #[test]
+        fn prop_run_bound_dominates_computed_scores(
+            seed in 0u64..1000,
+            n in 1usize..400,
+            d in 1usize..5,
+            cap in 0usize..4,
+            kind in 0usize..7,
+            dir_seed in 0u64..100,
+        ) {
+            let mut points = match kind {
+                // A one-point core, and a core shorter than one run.
+                0 => gaussian_points(seed, 1, d),
+                1 => gaussian_points(seed, 2 + n % (CORE_RUN_ROWS - 2), d),
+                2 => snapped_points(seed, n, d),
+                _ => gaussian_points(seed, n, d),
             };
-            let dir: Vec<f64> = (0..d).map(|_| next() * 4.0).collect();
-            let fast = onion.top_k_max(&dir, k).unwrap();
-            let slow = scan_top_k(&points, k, |p| dir.iter().zip(p).map(|(a, v)| a * v).sum());
-            prop_assert!(fast.score_equivalent(&slow, 1e-9));
+            let rows = points.len();
+            match kind {
+                // A constant column: half-range 0.
+                3 => points.iter_mut().for_each(|p| p[0] = 3.25),
+                // Coordinates at 1e12 beside coordinates at 1e-6.
+                4 => {
+                    for (i, v) in points.iter_mut().flatten().enumerate() {
+                        *v *= if (i + seed as usize).is_multiple_of(3) { 1e12 } else { 1e-6 };
+                    }
+                }
+                // A coordinate that is not a number.
+                5 => {
+                    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][seed as usize % 3];
+                    points[seed as usize % rows][dir_seed as usize % d] = bad;
+                }
+                _ => {}
+            }
+            let cap = if kind <= 1 { 0 } else { cap };
+            let store = PointStore::from_rows(&points).unwrap();
+            let onion = OnionIndex::build_with(points, cap, 8, 7).unwrap();
+            let mut dirs = test_directions(dir_seed, 3, d);
+            dirs.push(vec![0.0; d]);
+            for dir in &dirs {
+                if let Some(core) = &onion.core {
+                    let members = onion.layers.last().unwrap();
+                    prop_assert_eq!(core.run_radius.len(), members.len().div_ceil(CORE_RUN_ROWS));
+                    let query = onion.prepare(dir, 1);
+                    for (j, &radius) in core.run_radius.iter().enumerate() {
+                        let bound = query.core_bound(radius);
+                        if !bound.is_finite() {
+                            continue;
+                        }
+                        // Run j and every later run.
+                        for &idx in &members[j * CORE_RUN_ROWS..] {
+                            let score = kernels::dot(dir, store.row(idx));
+                            prop_assert!(
+                                score <= bound,
+                                "kind={} run {}: row {} scores {} over bound {}",
+                                kind, j, idx, score, bound
+                            );
+                        }
+                    }
+                }
+                // Whatever the bounds did, the answer is the scan's.
+                for k in [1usize, 7] {
+                    let fast = onion.top_k_max(dir, k).unwrap();
+                    prop_assert_eq!(bits(&fast), bits(&scan_top_k_flat(&store, dir, k)));
+                }
+            }
         }
 
         #[test]
         fn prop_batched_walk_bit_identical_to_solo(
             seed in 0u64..500,
-            n in 10usize..250,
+            n in 10usize..1500,
             d in 1usize..5,
             m in 1usize..6,
             k in 1usize..10,
+            cap in prop::sample::select(vec![0usize, 1, 2, 3, 5, 64]),
             dir_seed in 0u64..100,
         ) {
+            // Small caps leave a core of up to two dozen runs, which the
+            // queries of a batch leave at different runs.
             let points = gaussian_points(seed.wrapping_add(3_000), n, d);
-            let onion = OnionIndex::build(points).unwrap();
-            let mut s = dir_seed;
-            let mut next = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(17);
-                ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            };
-            let dirs: Vec<Vec<f64>> = (0..m)
-                .map(|_| (0..d).map(|_| next() * 4.0).collect())
-                .collect();
+            let onion = OnionIndex::build_with(points, cap, 8, 7).unwrap();
+            let dirs = test_directions(dir_seed, m, d);
             let batched = onion.top_k_max_multi(&dirs, k).unwrap();
             for (q, dir) in dirs.iter().enumerate() {
                 prop_assert_eq!(&batched[q], &onion.top_k_max(dir, k).unwrap());
@@ -1991,19 +2225,16 @@ mod tests {
             n in 10usize..200,
             d in 1usize..5,
             k in 1usize..10,
+            cap in prop::sample::select(vec![0usize, 1, 2, 3, 5, 64]),
             dir_seed in 0u64..100,
         ) {
             let points = gaussian_points(seed.wrapping_add(7_000), n, d);
-            let kernel = OnionIndex::build(points.clone()).unwrap();
-            let legacy = OnionIndex::build_legacy(points).unwrap();
+            let kernel = OnionIndex::build_with(points.clone(), cap, 32, 7).unwrap();
+            let legacy = OnionIndex::build_legacy_with(points, cap, 32, 7).unwrap();
             prop_assert_eq!(&kernel.layers, &legacy.layers);
             prop_assert_eq!(&kernel.remaining_box, &legacy.remaining_box);
-            let mut s = dir_seed;
-            let mut next = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(3);
-                ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            };
-            let dir: Vec<f64> = (0..d).map(|_| next() * 4.0).collect();
+            prop_assert_eq!(&kernel.core, &legacy.core);
+            let dir = test_directions(dir_seed, 1, d).remove(0);
             let a = kernel.top_k_max(&dir, k).unwrap();
             let b = legacy.top_k_max_legacy(&dir, k).unwrap();
             prop_assert_eq!(a, b);
@@ -2017,28 +2248,27 @@ mod tests {
             d in 1usize..5,
             k in 1usize..10,
             scale in 0usize..3,
+            cap in prop::sample::select(vec![0usize, 1, 2, 3, 5, 64]),
             dir_seed in 0u64..100,
         ) {
             // Batches at three scales: deep interior, in-distribution, and
-            // outliers — the dirty frontier lands at different depths.
-            let mut all = gaussian_points(seed.wrapping_add(11_000), n, d);
+            // outliers — the dirty frontier lands at different depths. The
+            // data is duplicate-heavy, as in `prop_onion_equals_scan`.
+            let mut all = snapped_points(seed.wrapping_add(11_000), n, d);
             let factor = [0.05, 1.0, 4.0][scale];
-            let batch: Vec<Vec<f64>> = gaussian_points(seed.wrapping_add(13_000), extra, d)
+            let batch: Vec<Vec<f64>> = snapped_points(seed.wrapping_add(13_000), extra, d)
                 .into_iter()
                 .map(|p| p.iter().map(|v| v * factor).collect())
                 .collect();
-            let mut onion = OnionIndex::build(all.clone()).unwrap();
+            let mut onion = OnionIndex::build_with(all.clone(), cap, 8, 7).unwrap();
             onion.append_points(&batch).unwrap();
+            prop_assert!(onion.layer_count() <= cap + 1);
             all.extend(batch);
-            let mut s = dir_seed;
-            let mut next = move || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(29);
-                ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            };
-            let dir: Vec<f64> = (0..d).map(|_| next() * 4.0).collect();
-            let fast = onion.top_k_max(&dir, k).unwrap();
-            let slow = scan_top_k(&all, k, |p| dir.iter().zip(p).map(|(a, v)| a * v).sum());
-            prop_assert!(fast.score_equivalent(&slow, 1e-9));
+            let store = PointStore::from_rows(&all).unwrap();
+            for dir in test_directions(dir_seed, 2, d) {
+                let fast = onion.top_k_max(&dir, k).unwrap();
+                prop_assert_eq!(bits(&fast), bits(&scan_top_k_flat(&store, &dir, k)));
+            }
         }
     }
 }

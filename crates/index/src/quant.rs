@@ -89,7 +89,7 @@ const OVERFLOW_GUARD: f64 = 1e300;
 /// Nudges a bound upward by a relative + tiny absolute pad, absorbing
 /// the rounding of the final few additions that assemble the bound.
 #[inline]
-fn pad_up(x: f64) -> f64 {
+pub(crate) fn pad_up(x: f64) -> f64 {
     x + x.abs() * (16.0 * EPS) + f64::MIN_POSITIVE
 }
 
