@@ -6,7 +6,7 @@
 //! crash-safe with the classic write-ahead discipline:
 //!
 //! 1. **Journal first.** An appended row band is framed and persisted to
-//!    the [`AppendJournal`](crate::journal::AppendJournal) *before* any
+//!    the [`AppendJournal`] *before* any
 //!    in-memory state changes. The frame's trailing commit checksum is
 //!    the durability point.
 //! 2. **Apply second.** Only after the frame is durable is the band

@@ -175,7 +175,7 @@ mod tests {
     fn seal_verify_roundtrip() {
         let env = PageEnvelope::seal(payload());
         assert!(env.verify());
-        assert_eq!(env.clone().into_payload(), payload());
+        assert_eq!(env.into_payload(), payload());
     }
 
     #[test]

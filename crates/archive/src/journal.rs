@@ -29,9 +29,9 @@
 //! PR-4 integrity machinery end to end: the band is expanded into
 //! absolute-coordinate `(CellCoord, f64)` tuples — the exact shape a
 //! [`PageEnvelope`](crate::integrity::PageEnvelope) seals — digested with
-//! [`payload_checksum`](crate::integrity::payload_checksum), and that
+//! [`payload_checksum`], and that
 //! digest is folded together with the header bytes through
-//! [`fnv1a64`](crate::integrity::fnv1a64). Covering *absolute*
+//! [`fnv1a64`]. Covering *absolute*
 //! coordinates means a frame whose values survived but whose placement
 //! header rotted (wrong `row_offset`) fails verification just like a
 //! flipped value bit.
@@ -40,7 +40,7 @@
 //!
 //! For any byte prefix of a journal produced by [`AppendJournal`] —
 //! including prefixes cut mid-frame by the write faults of
-//! [`WriteFault`](crate::fault::WriteFault) — [`recover`] returns exactly
+//! [`WriteFault`] — [`recover`] returns exactly
 //! the records whose full frames (checksum included) survived, in seq
 //! order, with dense seqs from 0. Everything after the first invalid
 //! frame is reported as dropped, never partially applied.

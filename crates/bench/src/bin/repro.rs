@@ -1173,7 +1173,7 @@ fn r6_shard(seed: u64, shards: usize, kill_shards: usize) {
             // sequential wave makes run-to-run reproducible.
             if threads == 1 {
                 chaos_completeness = r.completeness;
-                chaos_table = r.shards.clone();
+                chaos_table = r.shards;
             }
         });
     }
@@ -1905,25 +1905,26 @@ fn r9_reshard(seed: u64) {
         })
         .collect();
     let covered_json: Vec<String> = covered_table.iter().map(shard_report_json).collect();
-    let migrating_list: Vec<String> = migration_report
-        .migrating_dest_bands
-        .iter()
-        .map(usize::to_string)
-        .collect();
+    let id_list = |ids: &[usize]| -> String {
+        ids.iter()
+            .map(usize::to_string)
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     let json = format!(
         "{{\n  \"experiment\": \"r9_reshard\",\n  \"seed\": {seed},\n  \"world\": {{\"rows\": {rows}, \
          \"cols\": {cols}, \"tile\": {tile}, \"source_shards\": {}, \"dest_shards\": {}, \
          \"pages_per_shard\": {page_count}}},\n  \"migration\": {{\"from_epoch\": {}, \"to_epoch\": {}, \
          \"state\": \"{}\", \"split_band\": {winner_shard}, \"migrating_dest_bands\": [{}], \
          \"ticks_spent\": {},\n    \"per_band\": [\n      {}\n    ]}},\n  \"copy_chaos\": \
-         {{\"quarantined_bands\": {}, \"checksum_failures\": {checksum_failures}, \"retries\": \
+         {{\"quarantined_bands\": [{}], \"checksum_failures\": {checksum_failures}, \"retries\": \
          {copy_retries}, \"clean_recopy_complete\": true}},\n  \"dual_read\": {{\"healthy_bit_identical\": \
          true, \"covered_kill_bit_identical\": true, \"covered_completeness\": \
          {covered_completeness:.6}, \"both_sides_killed_sound\": true, \"quorum_error\": \
          {{\"responded\": {q_responded}, \"required\": {q_required}, \"epoch\": {}}},\n    \
          \"per_shard\": [\n      {}\n    ]}},\n  \"cut_over\": {{\"bit_identical_to_direct_build\": \
          true, \"post_kill_sound\": true, \"post_kill_completeness\": {:.6}}},\n  \"retire\": \
-         {{\"retired_bands\": {}, \"scrubbed_quarantined_pages\": {cleared}}},\n  \"abort\": \
+         {{\"retired_bands\": [{}], \"scrubbed_quarantined_pages\": {cleared}}},\n  \"abort\": \
          {{\"reason\": \"wall-deadline\", \"ticks_spent\": {}, \"rolled_back_to_epoch\": {}, \
          \"rollback_bit_identical\": true}},\n  \"fence\": {{\"typed_epoch_mismatch\": true}}\n}}\n",
         from_plan.shard_count(),
@@ -1931,14 +1932,14 @@ fn r9_reshard(seed: u64) {
         migration_report.from_epoch.get(),
         migration_report.to_epoch.get(),
         migration_report.state,
-        migrating_list.join(", "),
+        id_list(&migration_report.migrating_dest_bands),
         migration_report.ticks_spent,
         per_band.join(",\n      "),
-        format!("[{}]", quarantined_bands.iter().map(usize::to_string).collect::<Vec<_>>().join(", ")),
+        id_list(&quarantined_bands),
         coord.from_epoch().get(),
         covered_json.join(",\n      "),
         post.completeness,
-        format!("[{}]", retiring.iter().map(usize::to_string).collect::<Vec<_>>().join(", ")),
+        id_list(&retiring),
         abort_coord.ticks_spent(),
         abort_coord.from_epoch().get(),
     );
@@ -1953,11 +1954,11 @@ fn r9_reshard(seed: u64) {
 /// shards, answered by *one* shared per-shard descent
 /// ([`batched_scatter_gather_top_k`]) and compared against 32 independent
 /// [`scatter_gather_top_k`] runs. Gates: every query's batched answer is
-/// bit-identical to its solo run (always); at full scale the batch reads
-/// >= 3x fewer pages and delivers >= 2x aggregate throughput. Prints the
-/// solo-vs-batched table with the page-cache hit/miss/dedup counters and
-/// writes `BENCH_batch.json`. With `--small` the world shrinks for CI and
-/// the perf gates turn informational.
+/// bit-identical to its solo run (always); at full scale the batch reads at
+/// least 3x fewer pages and delivers at least 2x aggregate throughput.
+/// Prints the solo-vs-batched table with the page-cache hit/miss/dedup
+/// counters and writes `BENCH_batch.json`. With `--small` the world shrinks
+/// for CI and the perf gates turn informational.
 fn r8_batch(seed: u64, threads: usize, small: bool) {
     let (rows, cols, tile, shards) = if small {
         (256usize, 256usize, 16usize, 16usize)
@@ -2116,7 +2117,7 @@ fn r8_batch(seed: u64, threads: usize, small: bool) {
         cache_after.2 - cache_before.2,
     );
     let solo_total_ms: f64 = solo_ms.iter().sum();
-    let mut solo_sorted = solo_ms.clone();
+    let mut solo_sorted = solo_ms;
     solo_sorted.sort_by(f64::total_cmp);
     let pct = |p: f64| solo_sorted[((solo_sorted.len() - 1) as f64 * p).round() as usize];
     let (solo_p50, solo_p99) = (pct(0.5), pct(0.99));

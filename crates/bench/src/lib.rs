@@ -167,7 +167,7 @@ pub fn hps_paged_world(
 /// The R2 workload: a rough (low-coherence) multi-band world whose pyramid
 /// descent cannot prune aggressively, so the frontier is wide and the
 /// parallel engines have real work to split. Bands are also held in paged
-/// [`TileStore`]s sharing one [`AccessStats`] so batch runs can report
+/// [`TileStore`]s sharing one [`AccessStats`](mbir_archive::stats::AccessStats) so batch runs can report
 /// cache hit rates.
 pub fn parallel_world(
     seed: u64,

@@ -2,15 +2,16 @@
 //! queries at once.
 //!
 //! [`batched_top_k`] accepts a batch of linear models over one pyramid
-//! index and runs a *single* best-first traversal: one solo-sized frontier
-//! per query, with a [`Selector`] advancing whichever query holds the
-//! globally best upper bound (a keyed branchless argmax up to 64 queries,
-//! a heap above). While the governed memo tables are live this global
-//! order is also the cache-friendly order — queries interested in the
-//! same region pop it back to back; once the governor proves the batch
-//! has no cross-query reuse left, scheduling degrades to query-major
-//! serial drains with the solo engine's loop shape (DESIGN.md §15).
-//! Each query's logical descent — the sequence of regions it expands, the
+//! index and runs a *single* best-first traversal: the batch scheduler of
+//! the execution core (the private `descent` module, DESIGN.md §18) with this
+//! module's `Selector` — whichever query holds the globally best upper
+//! bound advances (a keyed branchless argmax up to 64 queries, a heap
+//! above) — and this module's `Memo` as the fetch layer. While the
+//! governed memo tables are live the global order is also the
+//! cache-friendly order — queries interested in the same region pop it
+//! back to back; once the governor proves the batch has no cross-query
+//! reuse left, each query runs to completion in the solo loop
+//! (DESIGN.md §15). Each query's logical descent — the sequence of regions it expands, the
 //! cells it evaluates, the floor it prunes with — is *exactly* the
 //! sequential [`resilient_top_k`](crate::resilient::resilient_top_k)
 //! descent for that query alone; what the batch shares is the physical
@@ -49,23 +50,20 @@
 //! logical read — batched and solo verdicts coincide.
 
 use crate::coarse::CoarseGrid;
-use crate::engine::{
-    read_base_vector_into, region_bound_into, validate_grid_inputs, EffortReport, Region,
+use crate::descent::{
+    finish, interleave, read_cell, seed_root, Budgeted, Cell, Clock, Env, ExecOpts, Fetch, Floor,
+    Lane, Local, Outcome, Pressure, Scorer,
 };
+use crate::engine::{validate_grid_inputs, Region};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
-use crate::resilient::{checkpoint_stop, region_candidate, BudgetStop, ExecutionBudget};
-use crate::resilient::{ResilientHit, ResilientTopK, ScoreBounds, WallDeadline};
+use crate::resilient::{ExecutionBudget, ResilientTopK, WallDeadline};
 use crate::source::CellSource;
-use mbir_archive::error::ArchiveError;
 use mbir_archive::extent::CellCoord;
-use mbir_index::scan::TopKHeap;
-use mbir_index::stats::ScoredItem;
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative hasher for the memo tables, whose keys are already
@@ -74,7 +72,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// path. Not DoS-resistant — keys come from the pyramid geometry, never
 /// from untrusted input.
 #[derive(Debug, Default)]
-pub(crate) struct FastU64Hasher(u64);
+struct FastU64Hasher(u64);
 
 impl Hasher for FastU64Hasher {
     fn finish(&self) -> u64 {
@@ -92,7 +90,7 @@ impl Hasher for FastU64Hasher {
 }
 
 /// `u64`-keyed memo map on the fast hasher.
-pub(crate) type MemoMap<V> = HashMap<u64, V, BuildHasherDefault<FastU64Hasher>>;
+type MemoMap<V> = HashMap<u64, V, BuildHasherDefault<FastU64Hasher>>;
 
 /// One `(query, region)` frontier entry of the shared batched descent.
 ///
@@ -132,44 +130,33 @@ impl Ord for BatchEntry {
     }
 }
 
-impl BatchEntry {
-    pub(crate) fn region(&self) -> Region {
-        Region {
-            ub: self.ub,
-            level: self.level as usize,
-            row: self.row as usize,
-            col: self.col as usize,
-        }
-    }
-}
-
 /// Memoized verdict of one base-cell read, shared across the batch.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum CellSlot {
+enum CellSlot {
     /// Attribute vector lives at this offset of the cell arena.
     Loaded(usize),
     /// The read failed on this page (lost-page semantics).
     Lost(usize),
 }
 
-pub(crate) fn region_key(level: usize, row: usize, col: usize) -> u64 {
+fn region_key(level: usize, row: usize, col: usize) -> u64 {
     debug_assert!(row < (1 << 26) && col < (1 << 26) && level < (1 << 12));
     ((level as u64) << 52) | ((row as u64) << 26) | col as u64
 }
 
-pub(crate) fn cell_key(row: u32, col: u32) -> u64 {
+fn cell_key(row: u32, col: u32) -> u64 {
     ((row as u64) << 32) | col as u64
 }
 
 /// Probe window of the cell-read memo's [`MemoGovernor`].
-pub(crate) const CELL_MEMO_WINDOW: u32 = 64;
+const CELL_MEMO_WINDOW: u32 = 64;
 
 /// Probe window of the bound memo's [`MemoGovernor`].
-pub(crate) const BOUND_MEMO_WINDOW: u32 = 64;
+const BOUND_MEMO_WINDOW: u32 = 64;
 
 /// Lifecycle of a governed memo layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MemoPhase {
+enum MemoPhase {
     /// Measuring sharing with presence-only probes before paying for
     /// full memoization (bound memo's opening window).
     Sampling,
@@ -194,7 +181,7 @@ pub(crate) enum MemoPhase {
 /// vectors) starts in [`MemoPhase::Sampling`] and pays only key-presence
 /// probes until its first window proves the sharing is real.
 #[derive(Debug)]
-pub(crate) struct MemoGovernor {
+struct MemoGovernor {
     window: u32,
     probes: u32,
     hits: u32,
@@ -241,6 +228,11 @@ impl MemoGovernor {
         self.phase != MemoPhase::Off
     }
 
+    /// Retire the layer outright (a batch of one has nothing to share).
+    pub(crate) fn retire(&mut self) {
+        self.phase = MemoPhase::Off;
+    }
+
     /// Record a probe outcome; at each window boundary, promote to full
     /// memoization when at least half of the window's probes hit, retire
     /// the layer otherwise.
@@ -263,7 +255,7 @@ impl MemoGovernor {
 /// with a mirror heap: the scan costs `O(Q)` per pop but touches only
 /// each frontier's root and needs zero re-arm bookkeeping, the heap
 /// costs `O(log Q)` plus one push per processed pop.
-pub(crate) const SELECTOR_SCAN_MAX: usize = 64;
+const SELECTOR_SCAN_MAX: usize = 64;
 
 /// Interleaving policy over the per-query frontiers: pick, at every
 /// step, the globally best `(ub, level, row, col, q)` tuple among the
@@ -337,38 +329,29 @@ impl Selector {
 
     /// (Re-)arm query `q` with its current frontier top, if any.
     #[inline]
-    pub(crate) fn arm(&mut self, q: usize, frontiers: &[BinaryHeap<Region>]) {
+    pub(crate) fn arm(&mut self, q: usize, top: Option<&Region>) {
         match self {
             Selector::Scan {
                 tops,
                 keys,
                 mask,
                 serial,
-            } => {
-                if *serial {
-                    // Query-major mode reads only the armed mask; skip the
-                    // top mirror and key map.
-                    if frontiers[q].is_empty() {
-                        *mask &= !(1 << q);
-                    } else {
-                        *mask |= 1 << q;
-                    }
-                    return;
+            } => match top {
+                // Query-major mode reads only the armed mask; skip the
+                // top mirror and key map.
+                Some(_) if *serial => *mask |= 1 << q,
+                Some(r) => {
+                    tops[q] = *r;
+                    keys[q] = ub_key(r.ub);
+                    *mask |= 1 << q;
                 }
-                match frontiers[q].peek() {
-                    Some(r) => {
-                        tops[q] = *r;
-                        keys[q] = ub_key(r.ub);
-                        *mask |= 1 << q;
-                    }
-                    None => {
-                        keys[q] = 0;
-                        *mask &= !(1 << q);
-                    }
+                None => {
+                    keys[q] = 0;
+                    *mask &= !(1 << q);
                 }
-            }
+            },
             Selector::Heap(h) => {
-                if let Some(r) = frontiers[q].peek() {
+                if let Some(r) = top {
                     h.push(BatchEntry {
                         ub: r.ub,
                         level: r.level as u32,
@@ -419,11 +402,11 @@ impl Selector {
         }
     }
 
-    /// Pop the next `(query, region)` — in global shared-heap order, or
-    /// query-major order once [`go_serial`](Selector::go_serial) latched —
-    /// disarming that query, or `None` when no query is armed.
+    /// The query whose frontier top pops next — in global shared-heap
+    /// order, or query-major order once [`go_serial`](Selector::go_serial)
+    /// latched — disarming that query, or `None` when no query is armed.
     #[inline]
-    pub(crate) fn next(&mut self, frontiers: &mut [BinaryHeap<Region>]) -> Option<(usize, Region)> {
+    pub(crate) fn next(&mut self) -> Option<usize> {
         match self {
             Selector::Scan {
                 tops,
@@ -431,66 +414,67 @@ impl Selector {
                 mask,
                 serial,
             } => {
-                if *serial {
-                    if *mask == 0 {
-                        return None;
-                    }
-                    let q = mask.trailing_zeros() as usize;
-                    *mask &= !(1 << q);
-                    keys[q] = 0;
-                    return Some((q, frontiers[q].pop().expect("armed top mirrored")));
-                }
-                // Branchless integer argmax; disarmed slots hold key 0 and
-                // an ascending scan with a strict test keeps the smallest
-                // q among equals, so a surviving tie means two armed tops
-                // share the exact ub bits — settle those with the full
-                // comparator.
-                let mut best = 0usize;
-                let mut best_key = keys[0];
-                let mut tie = false;
-                for (q, &k) in keys.iter().enumerate().skip(1) {
-                    let gt = k > best_key;
-                    tie = (tie && !gt) || k == best_key;
-                    best = if gt { q } else { best };
-                    best_key = if gt { k } else { best_key };
-                }
-                if best_key == 0 {
+                if *mask == 0 {
                     return None;
                 }
-                if tie {
-                    best = Self::scan_tie_break(tops, *mask);
+                let mut best = mask.trailing_zeros() as usize;
+                if !*serial {
+                    // Branchless integer argmax; disarmed slots hold key 0
+                    // and an ascending scan with a strict test keeps the
+                    // smallest q among equals, so a surviving tie means two
+                    // armed tops share the exact ub bits — settle those
+                    // with the full comparator.
+                    best = 0;
+                    let mut best_key = keys[0];
+                    let mut tie = false;
+                    for (q, &k) in keys.iter().enumerate().skip(1) {
+                        let gt = k > best_key;
+                        tie = (tie && !gt) || k == best_key;
+                        best = if gt { q } else { best };
+                        best_key = if gt { k } else { best_key };
+                    }
+                    if tie {
+                        best = Self::scan_tie_break(tops, *mask);
+                    }
                 }
                 *mask &= !(1 << best);
                 keys[best] = 0;
-                Some((best, frontiers[best].pop().expect("armed top mirrored")))
+                Some(best)
             }
-            Selector::Heap(h) => {
-                let t = h.pop()?;
-                let q = t.q as usize;
-                Some((
-                    q,
-                    frontiers[q].pop().expect("selector mirrors frontier tops"),
-                ))
-            }
+            Selector::Heap(h) => h.pop().map(|t| t.q as usize),
         }
     }
 }
 
-/// Reusable buffers for the batched engine: the shared frontier, the
-/// cell/bound memo tables and their flat arenas, and the per-call child,
-/// attribute, and range boxes. A warmed scratch allocates nothing in the
+/// Physical-work accounting of a batched descent: what the memo layer
+/// was asked for and what it actually fetched.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Tally {
+    pub(crate) cells_fetched: u64,
+    pub(crate) cell_requests: u64,
+    pub(crate) bound_evals: u64,
+    pub(crate) bound_requests: u64,
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, rhs: Tally) {
+        self.cells_fetched += rhs.cells_fetched;
+        self.cell_requests += rhs.cell_requests;
+        self.bound_evals += rhs.bound_evals;
+        self.bound_requests += rhs.bound_requests;
+    }
+}
+
+/// Reusable buffers for the batched engine: the per-query frontiers, the
+/// memo layer with its tables and flat arenas, and the per-call child and
+/// coarse-coefficient buffers. A warmed scratch allocates nothing in the
 /// steady state; [`regrowths`](BatchScratch::regrowths) counts growth
 /// events so tests can assert it.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     frontiers: Vec<BinaryHeap<Region>>,
-    pub(crate) children: Vec<CellCoord>,
-    pub(crate) x: Vec<f64>,
-    cell_memo: MemoMap<CellSlot>,
-    bound_memo: BoundMemo,
-    cell_arena: Vec<f64>,
-    /// Range-box buffer for the retired-memo direct bound path.
-    ranges: Vec<(f64, f64)>,
+    children: Vec<CellCoord>,
+    memo: Memo,
     coarse_bufs: Vec<(Vec<f64>, Vec<f64>)>,
     regrowths: u64,
 }
@@ -508,15 +492,14 @@ impl BatchScratch {
         self.regrowths
     }
 
-    fn caps(&self) -> [usize; 10] {
-        let [bm, bb, bs, bx] = self.bound_memo.caps();
+    fn caps(&self) -> [usize; 9] {
+        let [x, cm, ca, bm, bb, bs, bx] = self.memo.caps();
         [
             self.frontiers.iter().map(BinaryHeap::capacity).sum(),
             self.children.capacity(),
-            self.x.capacity(),
-            self.cell_memo.capacity(),
-            self.cell_arena.capacity(),
-            self.ranges.capacity(),
+            x,
+            cm,
+            ca,
             bm,
             bb,
             bs,
@@ -524,7 +507,7 @@ impl BatchScratch {
         ]
     }
 
-    fn note_regrowth(&mut self, before: &[usize; 10]) {
+    fn note_regrowth(&mut self, before: &[usize; 9]) {
         let after = self.caps();
         self.regrowths += after
             .iter()
@@ -556,30 +539,49 @@ pub struct BatchedTopK {
     pub bound_requests: u64,
 }
 
+impl BatchedTopK {
+    pub(crate) fn gathered(queries: Vec<ResilientTopK>, tally: Tally, pages_read: u64) -> Self {
+        BatchedTopK {
+            queries,
+            pages_read,
+            cells_fetched: tally.cells_fetched,
+            cell_requests: tally.cell_requests,
+            bound_evals: tally.bound_evals,
+            bound_requests: tally.bound_requests,
+        }
+    }
+}
+
 /// Memoized region range boxes with lazily computed per-query bounds.
 ///
 /// The per-attribute range box of a region is fetched from the pyramids
 /// exactly once per batch; each query's upper bound over that box is
 /// computed on first request — with the same `bound_over_box` term order
-/// as the solo engine, so slot `q` is bit-identical to the solo
-/// `region_bound_into` result for query `q` — and replayed from its slot
-/// on every later request. An unevaluated slot is a `NaN` sentinel (a
-/// genuinely-`NaN` bound is simply recomputed, never served stale).
+/// as the solo engine, so slot `q` is bit-identical to the solo bound for
+/// query `q` — and replayed from its slot on every later request. An
+/// unevaluated slot is a `NaN` sentinel (a genuinely-`NaN` bound is
+/// simply recomputed, never served stale).
 ///
 /// A [`MemoGovernor`] retires the table when the batch exhibits no
 /// cross-query region sharing; the direct path then assembles the range
 /// box in a reused scratch and bounds it immediately — the same fetch
 /// and `bound_over_box` term order, so the value is unchanged either way.
 #[derive(Debug)]
-pub(crate) struct BoundMemo {
+struct BoundMemo {
     map: MemoMap<usize>,
     /// Region range boxes, `arity` `(min, max)` pairs per ordinal.
     boxes: Vec<(f64, f64)>,
-    /// Per-query bound slots, `m` per ordinal, `NaN` until first request.
+    /// Per-query bound slots, `width` per ordinal, `NaN` until first
+    /// request.
     bounds: Vec<f64>,
-    /// Range-box buffer for the governed-off direct path.
+    /// Range-box buffer for the direct (sampling or retired) path.
     scratch: Vec<(f64, f64)>,
     gov: MemoGovernor,
+    /// Queries in the batch.
+    width: usize,
+    /// Physical range-box fetches: one per distinct region while
+    /// memoized, one per request while sampling or off.
+    evals: u64,
 }
 
 impl Default for BoundMemo {
@@ -590,136 +592,365 @@ impl Default for BoundMemo {
             bounds: Vec::new(),
             scratch: Vec::new(),
             gov: MemoGovernor::sampling(BOUND_MEMO_WINDOW),
+            width: 0,
+            evals: 0,
         }
     }
 }
 
 impl BoundMemo {
-    pub(crate) fn new() -> Self {
-        BoundMemo::default()
-    }
-
-    pub(crate) fn clear(&mut self) {
+    fn reset(&mut self, width: usize) {
         self.map.clear();
         self.boxes.clear();
         self.bounds.clear();
         self.gov.reset();
+        self.width = width;
+        self.evals = 0;
     }
 
-    pub(crate) fn caps(&self) -> [usize; 4] {
-        [
-            self.map.capacity(),
-            self.boxes.capacity(),
-            self.bounds.capacity(),
-            self.scratch.capacity(),
-        ]
-    }
-
-    /// Whether the governor has retired the table. Callers fast-path a
-    /// retired memo through the solo `region_bound_into` at the call
-    /// site, so the hot no-sharing loop inlines exactly the solo bound
-    /// code; [`bound`](BoundMemo::bound) keeps an equivalent off arm as
-    /// the non-inlined fallback.
-    #[inline]
-    pub(crate) fn is_off(&self) -> bool {
+    fn is_off(&self) -> bool {
         self.gov.phase() == MemoPhase::Off
     }
 
-    /// The upper bound of `models[q]` over the region's range box.
-    /// `bound_evals` counts physical range-box fetches (one per distinct
-    /// region while memoized; one per request while sampling or off).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn bound(
+    /// The solo engine's bound: fetch the box, bound it, keep nothing.
+    #[inline]
+    fn direct(
         &mut self,
-        models: &[LinearModel],
+        model: &LinearModel,
         pyramids: &[AggregatePyramid],
-        level: usize,
-        row: usize,
-        col: usize,
-        q: usize,
-        bound_evals: &mut u64,
+        at: (usize, usize, usize),
     ) -> Result<f64, CoreError> {
-        let m = models.len();
+        self.evals += 1;
+        Ok(model.bound(pyramids, at, &mut self.scratch)?.0)
+    }
+
+    /// The upper bound of query `q`'s `model` over region `at`.
+    fn bound(
+        &mut self,
+        model: &LinearModel,
+        q: usize,
+        pyramids: &[AggregatePyramid],
+        at: (usize, usize, usize),
+    ) -> Result<f64, CoreError> {
+        if self.is_off() {
+            return self.direct(model, pyramids, at);
+        }
+        let key = region_key(at.0, at.1, at.2);
+        if self.gov.phase() == MemoPhase::Sampling {
+            // Presence-only probe: count sharing without paying the
+            // box/slot store, and compute the bound directly.
+            let seen = self.map.insert(key, usize::MAX).is_some();
+            self.gov.record(seen);
+            return self.direct(model, pyramids, at);
+        }
         let arity = pyramids.len();
-        match self.gov.phase() {
-            MemoPhase::Off => {
-                self.scratch.clear();
+        let ord = match self.map.get(&key) {
+            Some(&ord) if ord != usize::MAX => {
+                self.gov.record(true);
+                ord
+            }
+            seen => {
+                // A new region, or one seen during sampling but never
+                // stored: give it a real ordinal now.
+                self.gov.record(seen.is_some());
+                let ord = self.boxes.len() / arity;
                 for p in pyramids {
-                    let s = p.cell(level, row, col)?;
-                    self.scratch.push((s.min, s.max));
+                    let s = p.cell(at.0, at.1, at.2)?;
+                    self.boxes.push((s.min, s.max));
                 }
-                *bound_evals += 1;
-                let (_, hi) = models[q].bound_over_box(&self.scratch)?;
-                Ok(hi)
+                self.bounds.resize(self.bounds.len() + self.width, f64::NAN);
+                self.evals += 1;
+                self.map.insert(key, ord);
+                ord
             }
-            MemoPhase::Sampling => {
-                // Presence-only probe: count sharing without paying the
-                // box/slot store, and compute the bound directly.
-                let key = region_key(level, row, col);
-                match self.map.entry(key) {
-                    Entry::Occupied(_) => self.gov.record(true),
-                    Entry::Vacant(v) => {
-                        v.insert(usize::MAX);
-                        self.gov.record(false);
-                    }
-                }
-                self.scratch.clear();
-                for p in pyramids {
-                    let s = p.cell(level, row, col)?;
-                    self.scratch.push((s.min, s.max));
-                }
-                *bound_evals += 1;
-                let (_, hi) = models[q].bound_over_box(&self.scratch)?;
-                Ok(hi)
-            }
-            MemoPhase::On => {
-                let key = region_key(level, row, col);
-                let ord = match self.map.entry(key) {
-                    Entry::Occupied(mut o) => {
-                        let stored = *o.get();
-                        if stored == usize::MAX {
-                            // Seen during sampling but never stored:
-                            // upgrade to a real ordinal now.
-                            self.gov.record(true);
-                            let ord = self.boxes.len() / arity;
-                            for p in pyramids {
-                                let s = p.cell(level, row, col)?;
-                                self.boxes.push((s.min, s.max));
-                            }
-                            self.bounds.resize(self.bounds.len() + m, f64::NAN);
-                            *bound_evals += 1;
-                            o.insert(ord);
-                            ord
-                        } else {
-                            self.gov.record(true);
-                            stored
-                        }
-                    }
-                    Entry::Vacant(v) => {
-                        self.gov.record(false);
-                        let ord = self.boxes.len() / arity;
-                        for p in pyramids {
-                            let s = p.cell(level, row, col)?;
-                            self.boxes.push((s.min, s.max));
-                        }
-                        self.bounds.resize(self.bounds.len() + m, f64::NAN);
-                        *bound_evals += 1;
-                        v.insert(ord);
-                        ord
-                    }
-                };
-                let slot = ord * m + q;
-                let cached = self.bounds[slot];
-                if !cached.is_nan() {
-                    return Ok(cached);
-                }
-                let (_, hi) =
-                    models[q].bound_over_box(&self.boxes[ord * arity..(ord + 1) * arity])?;
-                self.bounds[slot] = hi;
-                Ok(hi)
-            }
+        };
+        let slot = ord * self.width + q;
+        if self.bounds[slot].is_nan() {
+            let (_, hi) = model.bound_over_box(&self.boxes[ord * arity..(ord + 1) * arity])?;
+            self.bounds[slot] = hi;
+        }
+        Ok(self.bounds[slot])
+    }
+}
+
+/// The batch's [`Fetch`] layer: base cells and region range boxes are
+/// fetched once and replayed for every later lane, each behind a
+/// [`MemoGovernor`] that retires the table when the batch proves it does
+/// not share. A batch of one has nothing to share and starts retired.
+#[derive(Debug)]
+pub(crate) struct Memo {
+    x: Vec<f64>,
+    cells: MemoMap<CellSlot>,
+    cell_gov: MemoGovernor,
+    cell_arena: Vec<f64>,
+    bounds: BoundMemo,
+    /// `bound_evals` is kept by `bounds` and filled in by [`Memo::tally`].
+    tally: Tally,
+}
+
+impl Default for Memo {
+    fn default() -> Self {
+        Memo {
+            x: Vec::new(),
+            cells: MemoMap::default(),
+            cell_gov: MemoGovernor::new(CELL_MEMO_WINDOW),
+            cell_arena: Vec::new(),
+            bounds: BoundMemo::default(),
+            tally: Tally::default(),
         }
     }
+}
+
+impl Memo {
+    fn reset(&mut self, width: usize) {
+        self.cells.clear();
+        self.cell_gov.reset();
+        self.cell_arena.clear();
+        self.bounds.reset(width);
+        if width == 1 {
+            self.cell_gov.retire();
+            self.bounds.gov.retire();
+        }
+        self.tally = Tally::default();
+    }
+
+    fn caps(&self) -> [usize; 7] {
+        [
+            self.x.capacity(),
+            self.cells.capacity(),
+            self.cell_arena.capacity(),
+            self.bounds.map.capacity(),
+            self.bounds.boxes.capacity(),
+            self.bounds.bounds.capacity(),
+            self.bounds.scratch.capacity(),
+        ]
+    }
+
+    fn tally(&self) -> Tally {
+        Tally {
+            bound_evals: self.bounds.evals,
+            ..self.tally
+        }
+    }
+}
+
+impl Fetch<LinearModel> for Memo {
+    #[inline]
+    fn bound(
+        &mut self,
+        model: &LinearModel,
+        q: usize,
+        pyramids: &[AggregatePyramid],
+        at: (usize, usize, usize),
+    ) -> Result<(f64, u64), CoreError> {
+        self.tally.bound_requests += 1;
+        let ub = self.bounds.bound(model, q, pyramids, at)?;
+        Ok((ub, model.arity() as u64))
+    }
+
+    /// A cell is fetched iff it survives at least one lane's floor; the
+    /// materialized vector (or the lost-page verdict) is replayed for
+    /// every later lane while the cell memo is live.
+    #[inline]
+    fn cell<S: CellSource>(
+        &mut self,
+        source: &S,
+        at: (usize, usize),
+        park: bool,
+        arity: usize,
+    ) -> Result<Cell<'_>, CoreError> {
+        self.tally.cell_requests += 1;
+        let live = self.cell_gov.live();
+        let key = cell_key(at.0 as u32, at.1 as u32);
+        if live {
+            let hit = self.cells.get(&key).copied();
+            self.cell_gov.record(hit.is_some());
+            match hit {
+                Some(CellSlot::Loaded(off)) => {
+                    return Ok(Cell::Loaded(&self.cell_arena[off..off + arity]))
+                }
+                Some(CellSlot::Lost(page)) => return Ok(Cell::Lost(page)),
+                None => {}
+            }
+        }
+        let slot = match read_cell(source, at, park, &mut self.x, arity)? {
+            None => {
+                self.tally.cells_fetched += 1;
+                CellSlot::Loaded(self.cell_arena.len())
+            }
+            Some(page) => CellSlot::Lost(page),
+        };
+        if live {
+            if let CellSlot::Loaded(_) = slot {
+                self.cell_arena.extend_from_slice(&self.x);
+            }
+            self.cells.insert(key, slot);
+        }
+        Ok(match slot {
+            CellSlot::Loaded(_) => Cell::Loaded(&self.x),
+            CellSlot::Lost(page) => Cell::Lost(page),
+        })
+    }
+
+    #[inline]
+    fn retired(&self) -> bool {
+        self.bounds.is_off()
+    }
+}
+
+/// One batch of Q ≥ 1 queries over one set of resident pyramids and the
+/// page source behind them.
+pub(crate) struct Job<'a, S> {
+    pub(crate) models: &'a [LinearModel],
+    pub(crate) pyramids: &'a [AggregatePyramid],
+    pub(crate) source: &'a S,
+    pub(crate) k: usize,
+    /// Hit-index geometry, see [`Env`].
+    pub(crate) cols: usize,
+    pub(crate) row_offset: usize,
+}
+
+impl<'a, S> Job<'a, S> {
+    /// A job over the whole (unsharded) grid.
+    pub(crate) fn whole(
+        models: &'a [LinearModel],
+        pyramids: &'a [AggregatePyramid],
+        source: &'a S,
+        k: usize,
+    ) -> Self {
+        Job {
+            models,
+            pyramids,
+            source,
+            k,
+            cols: pyramids[0].base_shape().1,
+            row_offset: 0,
+        }
+    }
+}
+
+/// Batched queries must agree on the model arity.
+pub(crate) fn same_arity(models: &[LinearModel]) -> Result<(), CoreError> {
+    if models.iter().any(|m| m.arity() != models[0].arity()) {
+        return Err(CoreError::Query(
+            "batched queries must share the model arity".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The input validation of the unsharded batched entry points: the solo
+/// engines' (applied to the first model) plus arity agreement.
+pub(crate) fn validate_batch(
+    models: &[LinearModel],
+    pyramids: &[AggregatePyramid],
+    k: usize,
+) -> Result<(), CoreError> {
+    validate_grid_inputs(&models[0], pyramids, k)?;
+    same_arity(models)
+}
+
+/// Sets up one lane per query of `job` over `scratch` (frontiers empty,
+/// memo reset, coarse coefficients prepared when there is a coarse pass),
+/// hands them to `run`, and collects what each lane produced.
+pub(crate) fn with_lanes<S, P, B, R>(
+    job: &Job<'_, S>,
+    pressure: P,
+    floor: B,
+    scratch: &mut BatchScratch,
+    run: impl FnOnce(
+        &mut Env<'_, S, &mut Memo, P, B>,
+        &mut [Lane<'_, LinearModel>],
+    ) -> Result<R, CoreError>,
+) -> Result<(R, Vec<Outcome>, Tally), CoreError>
+where
+    S: CellSource,
+    P: Pressure,
+{
+    let m = job.models.len();
+    let caps = scratch.caps();
+    let BatchScratch {
+        frontiers,
+        children,
+        memo,
+        coarse_bufs,
+        ..
+    } = scratch;
+    if frontiers.len() < m {
+        frontiers.resize_with(m, BinaryHeap::new);
+    }
+    memo.reset(m);
+    coarse_bufs.resize_with(m, Default::default);
+    if let Some(cg) = pressure.coarse() {
+        for (model, (qc, qm)) in job.models.iter().zip(coarse_bufs.iter_mut()) {
+            cg.prepare_into(model, qc, qm)?;
+        }
+    }
+    let (rows, cols) = job.pyramids[0].base_shape();
+    let naive = (job.models[0].arity() * rows * cols) as u64;
+    let mut lanes: Vec<Lane<'_, LinearModel>> = job
+        .models
+        .iter()
+        .zip(frontiers.iter_mut().zip(coarse_bufs.iter()))
+        .enumerate()
+        .map(|(q, (model, (frontier, (qc, qm))))| {
+            Lane::new(q, model, frontier, (qc, qm), job.k, naive)
+        })
+        .collect();
+    let mut env = Env {
+        pyramids: job.pyramids,
+        source: job.source,
+        cols: job.cols,
+        row_offset: job.row_offset,
+        fetch: memo,
+        pressure,
+        floor,
+        children,
+    };
+    let ran = run(&mut env, &mut lanes)?;
+    let tally = env.fetch.tally();
+    let outs = lanes.into_iter().map(Lane::finish).collect();
+    scratch.note_regrowth(&caps);
+    Ok((ran, outs, tally))
+}
+
+/// The batched descent: every lane starts at its own root — charged its
+/// own root bound, exactly like the solo engine, even though the range
+/// box is fetched once — and the batch scheduler runs them to the end.
+pub(crate) fn descend<S, P, B>(
+    job: &Job<'_, S>,
+    pressure: P,
+    floor: B,
+    scratch: &mut BatchScratch,
+) -> Result<(Vec<Outcome>, Tally), CoreError>
+where
+    S: CellSource,
+    P: Pressure,
+    B: Floor,
+{
+    let ((), outs, tally) = with_lanes(job, pressure, floor, scratch, |env, lanes| {
+        for lane in lanes.iter_mut() {
+            seed_root(env, lane)?;
+        }
+        interleave(env, lanes)
+    })?;
+    Ok((outs, tally))
+}
+
+/// Resolves every lane's outcome against its own floor (the unsharded
+/// gather, query by query).
+pub(crate) fn gather<S>(
+    job: &Job<'_, S>,
+    outs: Vec<Outcome>,
+    tally: Tally,
+    pages_read: u64,
+) -> Result<BatchedTopK, CoreError> {
+    let queries = outs
+        .into_iter()
+        .zip(job.models)
+        .map(|(out, model)| finish(out, model, job.pyramids, job.k))
+        .collect::<Result<_, _>>()?;
+    Ok(BatchedTopK::gathered(queries, tally, pages_read))
 }
 
 /// Batched top-K: one shared descent answering every model in `models`
@@ -740,15 +971,15 @@ pub fn batched_top_k<S: CellSource>(
     source: &S,
     budget: &ExecutionBudget,
 ) -> Result<BatchedTopK, CoreError> {
-    with_pooled_scratch(|scratch| {
-        batched_top_k_inner(models, pyramids, k, source, budget, None, None, scratch)
-    })
+    let opts = ExecOpts::new(budget);
+    with_pooled_scratch(|scratch| batched_top_k_inner(models, pyramids, k, source, opts, scratch))
 }
 
 thread_local! {
-    /// Per-thread [`BatchScratch`] behind the convenience wrappers, so
-    /// repeated calls on one thread warm the same buffers instead of
-    /// reallocating the frontier, memo tables, and arenas every batch.
+    /// Per-thread [`BatchScratch`] behind the convenience wrappers, the
+    /// parallel workers and the shard attempts, so repeated batches on
+    /// one thread warm the same buffers instead of reallocating the
+    /// frontiers, memo tables, and arenas every time.
     /// [`batched_top_k_with_scratch`] bypasses the pool entirely.
     static POOLED_SCRATCH: std::cell::RefCell<BatchScratch> =
         std::cell::RefCell::new(BatchScratch::new());
@@ -756,7 +987,7 @@ thread_local! {
 
 /// Run `f` with this thread's pooled scratch, or a fresh one if the pool
 /// is unavailable (a source callback re-entering the engine).
-fn with_pooled_scratch<T>(f: impl FnOnce(&mut BatchScratch) -> T) -> T {
+pub(crate) fn with_pooled_scratch<T>(f: impl FnOnce(&mut BatchScratch) -> T) -> T {
     POOLED_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
         Err(_) => f(&mut BatchScratch::new()),
@@ -778,18 +1009,8 @@ pub fn batched_top_k_cancellable<S: CellSource>(
     budget: &ExecutionBudget,
     cancel: &CancelToken,
 ) -> Result<BatchedTopK, CoreError> {
-    with_pooled_scratch(|scratch| {
-        batched_top_k_inner(
-            models,
-            pyramids,
-            k,
-            source,
-            budget,
-            Some(cancel),
-            None,
-            scratch,
-        )
-    })
+    let opts = ExecOpts::new(budget).cancel(cancel);
+    with_pooled_scratch(|scratch| batched_top_k_inner(models, pyramids, k, source, opts, scratch))
 }
 
 /// [`batched_top_k`] consulting a quantized [`CoarseGrid`] before each
@@ -810,18 +1031,8 @@ pub fn batched_top_k_coarse<S: CellSource>(
     budget: &ExecutionBudget,
     coarse: &CoarseGrid,
 ) -> Result<BatchedTopK, CoreError> {
-    with_pooled_scratch(|scratch| {
-        batched_top_k_inner(
-            models,
-            pyramids,
-            k,
-            source,
-            budget,
-            None,
-            Some(coarse),
-            scratch,
-        )
-    })
+    let opts = ExecOpts::new(budget).coarse(coarse);
+    with_pooled_scratch(|scratch| batched_top_k_inner(models, pyramids, k, source, opts, scratch))
 }
 
 /// [`batched_top_k`] with every internal buffer reused from `scratch` —
@@ -839,605 +1050,48 @@ pub fn batched_top_k_with_scratch<S: CellSource>(
     budget: &ExecutionBudget,
     scratch: &mut BatchScratch,
 ) -> Result<BatchedTopK, CoreError> {
-    batched_top_k_inner(models, pyramids, k, source, budget, None, None, scratch)
+    batched_top_k_inner(models, pyramids, k, source, ExecOpts::new(budget), scratch)
 }
 
-/// How a [`serial_drain_query`] run ended.
-enum SerialEnd {
-    /// The query finished on its own: bound proof closed or frontier
-    /// exhausted. Its remaining frontier (if any) is provably excluded.
-    Finished,
-    /// A batch-wide budget stop fired mid-drain; the in-flight region is
-    /// returned so the caller can surrender it as leftover.
-    Stopped(Region, BudgetStop),
-}
-
-/// Run one query to completion with the solo engine's loop shape: all
-/// per-query state hoisted into locals, bounds computed directly (the
-/// bound memo is retired when this runs), cells still offered to the
-/// governed cell memo. This is the batch's cache-aware degraded mode —
-/// once the governor proves zero cross-query region reuse, query-major
-/// execution restores solo locality and sheds the selector round-trip,
-/// while each query's own pop order (and thus every per-query result)
-/// stays exactly the solo order.
-#[allow(clippy::too_many_arguments)]
-fn serial_drain_query<S: CellSource>(
-    q: usize,
-    first: Region,
-    models: &[LinearModel],
-    pyramids: &[AggregatePyramid],
-    source: &S,
-    budget: &ExecutionBudget,
-    cancel: Option<&CancelToken>,
-    deadline: &WallDeadline,
-    pages_at_entry: u64,
-    ticks_at_entry: u64,
-    coarse: Option<&CoarseGrid>,
-    coarse_bufs: &[(Vec<f64>, Vec<f64>)],
-    cols: usize,
-    frontiers: &mut [BinaryHeap<Region>],
-    heaps: &mut [TopKHeap],
-    floors: &mut [Option<f64>],
-    lost: &mut [Vec<(Region, usize)>],
-    efforts: &mut [EffortReport],
-    total_ma: &mut u64,
-    children: &mut Vec<CellCoord>,
-    x: &mut Vec<f64>,
-    ranges: &mut Vec<(f64, f64)>,
-    cell_memo: &mut MemoMap<CellSlot>,
-    cell_gov: &mut MemoGovernor,
-    cell_arena: &mut Vec<f64>,
-    cells_fetched: &mut u64,
-    cell_requests: &mut u64,
-    bound_evals: &mut u64,
-    bound_requests: &mut u64,
-) -> Result<SerialEnd, CoreError> {
-    let arity = pyramids.len();
-    let n = arity as u64;
-    let model = &models[q];
-    let frontier = &mut frontiers[q];
-    let heap = &mut heaps[q];
-    let effort = &mut efforts[q];
-    let lost_q = &mut lost[q];
-    let mut floor = floors[q];
-    let mut e = first;
-    let end = loop {
-        if floor.is_some_and(|f| f >= e.ub) {
-            break SerialEnd::Finished;
-        }
-        if let Some(stop) = checkpoint_stop(
-            cancel,
-            deadline,
-            budget,
-            *total_ma,
-            source.pages_read().saturating_sub(pages_at_entry),
-            source.ticks_elapsed().saturating_sub(ticks_at_entry),
-        ) {
-            break SerialEnd::Stopped(e, stop);
-        }
-        if e.level == 0 {
-            *cell_requests += 1;
-            if cell_gov.live() {
-                let ck = cell_key(e.row as u32, e.col as u32);
-                let slot = match cell_memo.get(&ck) {
-                    Some(s) => {
-                        cell_gov.record(true);
-                        *s
-                    }
-                    None => {
-                        cell_gov.record(false);
-                        let s = match read_base_vector_into(source, arity, e.row, e.col, x) {
-                            Ok(()) => {
-                                *cells_fetched += 1;
-                                let off = cell_arena.len();
-                                cell_arena.extend_from_slice(x);
-                                CellSlot::Loaded(off)
-                            }
-                            Err(CoreError::Archive(
-                                ArchiveError::PageIo { page }
-                                | ArchiveError::PageQuarantined { page }
-                                | ArchiveError::PageCorrupt { page },
-                            )) => {
-                                let page = source.page_of(e.row, e.col).unwrap_or(page);
-                                CellSlot::Lost(page)
-                            }
-                            Err(err) => return Err(err),
-                        };
-                        cell_memo.insert(ck, s);
-                        s
-                    }
-                };
-                match slot {
-                    CellSlot::Loaded(off) => {
-                        effort.multiply_adds += n;
-                        *total_ma += n;
-                        heap.offer(ScoredItem {
-                            index: e.row * cols + e.col,
-                            score: model.evaluate(&cell_arena[off..off + arity]),
-                        });
-                        floor = heap.floor();
-                    }
-                    CellSlot::Lost(page) => lost_q.push((e, page)),
-                }
-            } else {
-                match read_base_vector_into(source, arity, e.row, e.col, x) {
-                    Ok(()) => {
-                        *cells_fetched += 1;
-                        effort.multiply_adds += n;
-                        *total_ma += n;
-                        heap.offer(ScoredItem {
-                            index: e.row * cols + e.col,
-                            score: model.evaluate(x),
-                        });
-                        floor = heap.floor();
-                    }
-                    Err(CoreError::Archive(
-                        ArchiveError::PageIo { page }
-                        | ArchiveError::PageQuarantined { page }
-                        | ArchiveError::PageCorrupt { page },
-                    )) => {
-                        let page = source.page_of(e.row, e.col).unwrap_or(page);
-                        lost_q.push((e, page));
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-        } else {
-            let level = e.level;
-            pyramids[0].children_into(level, e.row, e.col, children);
-            for &child in children.iter() {
-                if let Some(cg) = coarse {
-                    if let Some(f) = floor {
-                        let (qc, qm) = &coarse_bufs[q];
-                        if cg.cell_upper_bound(qc, qm, level - 1, child.row, child.col) < f {
-                            continue;
-                        }
-                    }
-                }
-                *bound_requests += 1;
-                *bound_evals += 1;
-                *total_ma += n;
-                let ub = region_bound_into(
-                    model,
-                    pyramids,
-                    level - 1,
-                    child.row,
-                    child.col,
-                    ranges,
-                    effort,
-                )?;
-                frontier.push(Region {
-                    ub,
-                    level: level - 1,
-                    row: child.row,
-                    col: child.col,
-                });
-            }
-        }
-        match frontier.pop() {
-            Some(next) => e = next,
-            None => break SerialEnd::Finished,
-        }
-    };
-    floors[q] = floor;
-    Ok(end)
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The sequential batched configuration of the execution core: local
+/// per-query floors, one checkpoint per logical pop — the same cadence as
+/// Q solo runs — against the *batch-wide* budget (summed multiply-adds
+/// and the shared source clocks), lost pages parked.
 fn batched_top_k_inner<S: CellSource>(
     models: &[LinearModel],
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    budget: &ExecutionBudget,
-    cancel: Option<&CancelToken>,
-    coarse: Option<&CoarseGrid>,
+    opts: ExecOpts<'_>,
     scratch: &mut BatchScratch,
 ) -> Result<BatchedTopK, CoreError> {
-    let m = models.len();
-    if m == 0 {
-        return Ok(BatchedTopK {
-            queries: Vec::new(),
-            pages_read: 0,
-            cells_fetched: 0,
-            cell_requests: 0,
-            bound_evals: 0,
-            bound_requests: 0,
-        });
+    if models.is_empty() {
+        return Ok(BatchedTopK::gathered(Vec::new(), Tally::default(), 0));
     }
-    let ((rows, cols), levels) = validate_grid_inputs(&models[0], pyramids, k)?;
-    for model in &models[1..] {
-        if model.arity() != models[0].arity() {
-            return Err(CoreError::Query(
-                "batched queries must share the model arity".into(),
-            ));
-        }
-    }
-    let arity = models[0].arity();
-    let n = arity as u64;
-    let total_cells = (rows * cols) as u64;
+    validate_batch(models, pyramids, k)?;
+    let deadline = WallDeadline::starting_now(opts.budget);
     let pages_at_entry = source.pages_read();
-    let ticks_at_entry = source.ticks_elapsed();
-    let deadline = WallDeadline::starting_now(budget);
-
-    let caps = scratch.caps();
-    let BatchScratch {
-        frontiers,
-        children,
-        x,
-        cell_memo,
-        bound_memo,
-        cell_arena,
-        ranges,
-        coarse_bufs,
-        ..
-    } = scratch;
-    let mut selector = Selector::for_width(m);
-    if frontiers.len() < m {
-        frontiers.resize_with(m, BinaryHeap::new);
-    }
-    for f in frontiers.iter_mut() {
-        f.clear();
-    }
-    cell_memo.clear();
-    bound_memo.clear();
-    cell_arena.clear();
-    if let Some(cg) = coarse {
-        coarse_bufs.resize_with(m, Default::default);
-        for (q, model) in models.iter().enumerate() {
-            let (qc, qm) = &mut coarse_bufs[q];
-            cg.prepare_into(model, qc, qm)?;
-        }
-    }
-
-    let mut efforts: Vec<EffortReport> = (0..m)
-        .map(|_| EffortReport {
-            multiply_adds: 0,
-            naive_multiply_adds: n * total_cells,
-        })
-        .collect();
-    let mut total_ma = 0u64;
-    let mut heaps: Vec<TopKHeap> = (0..m).map(|_| TopKHeap::new(k)).collect();
-    let mut floors: Vec<Option<f64>> = vec![None; m];
-    let mut done: Vec<bool> = vec![false; m];
-    let mut done_count = 0usize;
-    let mut lost: Vec<Vec<(Region, usize)>> = (0..m).map(|_| Vec::new()).collect();
-    let mut leftovers: Vec<Vec<Region>> = (0..m).map(|_| Vec::new()).collect();
-    let mut stops: Vec<Option<BudgetStop>> = vec![None; m];
-    let mut cells_fetched = 0u64;
-    let mut cell_requests = 0u64;
-    let mut bound_evals = 0u64;
-    let mut bound_requests = 0u64;
-    let mut cell_gov = MemoGovernor::new(CELL_MEMO_WINDOW);
-
-    // Every query starts at the shared root; each is charged its own root
-    // bound, exactly like the solo engine, even though the range box is
-    // fetched once.
-    let top = levels - 1;
-    for q in 0..m {
-        let ub = bound_memo.bound(models, pyramids, top, 0, 0, q, &mut bound_evals)?;
-        efforts[q].multiply_adds += n;
-        total_ma += n;
-        bound_requests += 1;
-        frontiers[q].push(Region {
-            ub,
-            level: top,
-            row: 0,
-            col: 0,
-        });
-        selector.arm(q, frontiers);
-    }
-
-    // The selector holds exactly one entry per live query: the current top
-    // of that query's solo-sized frontier. Its max is the global max over
-    // all frontier entries (each top is its frontier's max), so pops
-    // interleave in exactly the shared descending order, and a closed
-    // query's frontier is abandoned in O(1) instead of draining through
-    // the heap entry by entry.
-    while let Some((q, e)) = selector.next(frontiers) {
-        if bound_memo.is_off() {
-            // No cross-query reuse left to amortize: latch query-major
-            // scheduling and drain this query to completion with the
-            // solo-shaped loop.
-            selector.go_serial();
-            match serial_drain_query(
-                q,
-                e,
-                models,
-                pyramids,
-                source,
-                budget,
-                cancel,
-                &deadline,
-                pages_at_entry,
-                ticks_at_entry,
-                coarse,
-                coarse_bufs,
-                cols,
-                frontiers,
-                &mut heaps,
-                &mut floors,
-                &mut lost,
-                &mut efforts,
-                &mut total_ma,
-                children,
-                x,
-                ranges,
-                cell_memo,
-                &mut cell_gov,
-                cell_arena,
-                &mut cells_fetched,
-                &mut cell_requests,
-                &mut bound_evals,
-                &mut bound_requests,
-            )? {
-                SerialEnd::Finished => {
-                    done[q] = true;
-                    done_count += 1;
-                    if done_count == m {
-                        break;
-                    }
-                    continue;
-                }
-                SerialEnd::Stopped(last, stop) => {
-                    leftovers[q].push(last);
-                    stops[q] = Some(stop);
-                    for (rq, f) in frontiers.iter_mut().enumerate() {
-                        if done[rq] || (rq != q && f.is_empty()) {
-                            continue;
-                        }
-                        stops[rq] = Some(stop);
-                        leftovers[rq].extend(f.drain());
-                    }
-                    break;
-                }
-            }
-        }
-        if floors[q].is_some_and(|f| f >= e.ub) {
-            // This query's bound proof is closed: every entry left in its
-            // frontier carries a smaller bound. Not re-arming the selector
-            // drops them wholesale — exactly the solo engine's break.
-            done[q] = true;
-            done_count += 1;
-            if done_count == m {
-                break;
-            }
-            continue;
-        }
-        // One cooperative checkpoint per logical pop — the same cadence as
-        // Q solo runs — against the *batch-wide* budget: summed
-        // multiply-adds and the shared source clocks.
-        let checked = checkpoint_stop(
-            cancel,
-            &deadline,
-            budget,
-            total_ma,
-            source.pages_read().saturating_sub(pages_at_entry),
-            source.ticks_elapsed().saturating_sub(ticks_at_entry),
-        );
-        if let Some(stop) = checked {
-            leftovers[q].push(e);
-            stops[q] = Some(stop);
-            for (rq, f) in frontiers.iter_mut().enumerate() {
-                if done[rq] || (rq != q && f.is_empty()) {
-                    // A closed query keeps its finished answer; a query
-                    // whose frontier ran dry before the stop completed on
-                    // its own — neither takes the stop, as in a solo run.
-                    continue;
-                }
-                stops[rq] = Some(stop);
-                leftovers[rq].extend(f.drain());
-            }
-            break;
-        }
-        if e.level == 0 {
-            cell_requests += 1;
-            if cell_gov.live() {
-                let ck = cell_key(e.row as u32, e.col as u32);
-                let slot = match cell_memo.get(&ck) {
-                    Some(s) => {
-                        cell_gov.record(true);
-                        *s
-                    }
-                    None => {
-                        cell_gov.record(false);
-                        let s = match read_base_vector_into(source, arity, e.row, e.col, x) {
-                            Ok(()) => {
-                                cells_fetched += 1;
-                                let off = cell_arena.len();
-                                cell_arena.extend_from_slice(x);
-                                CellSlot::Loaded(off)
-                            }
-                            Err(CoreError::Archive(
-                                ArchiveError::PageIo { page }
-                                | ArchiveError::PageQuarantined { page }
-                                | ArchiveError::PageCorrupt { page },
-                            )) => {
-                                let page = source.page_of(e.row, e.col).unwrap_or(page);
-                                CellSlot::Lost(page)
-                            }
-                            Err(err) => return Err(err),
-                        };
-                        cell_memo.insert(ck, s);
-                        s
-                    }
-                };
-                match slot {
-                    CellSlot::Loaded(off) => {
-                        efforts[q].multiply_adds += n;
-                        total_ma += n;
-                        heaps[q].offer(ScoredItem {
-                            index: e.row * cols + e.col,
-                            score: models[q].evaluate(&cell_arena[off..off + arity]),
-                        });
-                        floors[q] = heaps[q].floor();
-                    }
-                    CellSlot::Lost(page) => lost[q].push((e, page)),
-                }
-            } else {
-                // Governed off: the solo engine's read-and-score path,
-                // with no arena copy and no table insert.
-                match read_base_vector_into(source, arity, e.row, e.col, x) {
-                    Ok(()) => {
-                        cells_fetched += 1;
-                        efforts[q].multiply_adds += n;
-                        total_ma += n;
-                        heaps[q].offer(ScoredItem {
-                            index: e.row * cols + e.col,
-                            score: models[q].evaluate(x),
-                        });
-                        floors[q] = heaps[q].floor();
-                    }
-                    Err(CoreError::Archive(
-                        ArchiveError::PageIo { page }
-                        | ArchiveError::PageQuarantined { page }
-                        | ArchiveError::PageCorrupt { page },
-                    )) => {
-                        let page = source.page_of(e.row, e.col).unwrap_or(page);
-                        lost[q].push((e, page));
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-            selector.arm(q, frontiers);
-            continue;
-        }
-        let level = e.level;
-        pyramids[0].children_into(level, e.row, e.col, children);
-        for &child in children.iter() {
-            // Per-query coarse pass against this query's own floor — the
-            // solo prune-only contract, query by query.
-            if let Some(cg) = coarse {
-                if let Some(f) = floors[q] {
-                    let (qc, qm) = &coarse_bufs[q];
-                    if cg.cell_upper_bound(qc, qm, level - 1, child.row, child.col) < f {
-                        continue;
-                    }
-                }
-            }
-            bound_requests += 1;
-            let ub = if bound_memo.is_off() {
-                // Retired memo: the solo engine's bound path, inlined
-                // with the same reused range-box buffer.
-                bound_evals += 1;
-                region_bound_into(
-                    &models[q],
-                    pyramids,
-                    level - 1,
-                    child.row,
-                    child.col,
-                    ranges,
-                    &mut efforts[q],
-                )?
-            } else {
-                let ub = bound_memo.bound(
-                    models,
-                    pyramids,
-                    level - 1,
-                    child.row,
-                    child.col,
-                    q,
-                    &mut bound_evals,
-                )?;
-                efforts[q].multiply_adds += n;
-                ub
-            };
-            total_ma += n;
-            frontiers[q].push(Region {
-                ub,
-                level: level - 1,
-                row: child.row,
-                col: child.col,
-            });
-        }
-        selector.arm(q, frontiers);
-    }
-
+    let pressure = Budgeted::new(Clock::starting(opts, &deadline, source));
+    let job = Job::whole(models, pyramids, source, k);
+    let (outs, tally) = descend(&job, pressure, Local, scratch)?;
     let pages_read = source.pages_read().saturating_sub(pages_at_entry);
-    let parent_level = 1.min(levels - 1);
-    let mut queries = Vec::with_capacity(m);
-    for (q, heap) in heaps.into_iter().enumerate() {
-        // Only a full heap gives a sound exclusion floor.
-        let floor = heap.floor();
-        let excluded = |hi: f64| floor.is_some_and(|f| f >= hi);
-        let mut unresolved = 0u64;
-        let mut skipped: BTreeSet<usize> = BTreeSet::new();
-        let mut hits: Vec<ResilientHit> = heap
-            .into_sorted()
-            .into_iter()
-            .map(|item| ResilientHit {
-                cell: CellCoord::new(item.index / cols, item.index % cols),
-                level: 0,
-                score: item.score,
-                bounds: ScoreBounds::exact(item.score),
-                exact: true,
-            })
-            .collect();
-        for region in &leftovers[q] {
-            let (candidate, count) = region_candidate(
-                &models[q],
-                pyramids,
-                region.level,
-                region.row,
-                region.col,
-                &mut efforts[q],
-            )?;
-            if excluded(candidate.bounds.hi) {
-                continue; // Provably outside the top-K: resolved.
-            }
-            unresolved += count;
-            hits.push(candidate);
-        }
-        for (region, page) in &lost[q] {
-            if excluded(region.ub) {
-                continue; // Resolved by the deterministic bound.
-            }
-            skipped.insert(*page);
-            let (mut candidate, _) = region_candidate(
-                &models[q],
-                pyramids,
-                parent_level,
-                region.row >> parent_level,
-                region.col >> parent_level,
-                &mut efforts[q],
-            )?;
-            candidate.cell = CellCoord::new(region.row, region.col);
-            candidate.level = 0;
-            unresolved += 1;
-            hits.push(candidate);
-        }
-        hits.sort_by(|a, b| {
-            b.bounds
-                .hi
-                .total_cmp(&a.bounds.hi)
-                .then_with(|| b.score.total_cmp(&a.score))
-                .then_with(|| a.cell.cmp(&b.cell))
-        });
-        hits.truncate(k);
-        queries.push(ResilientTopK {
-            results: hits,
-            effort: efforts[q],
-            completeness: 1.0 - unresolved as f64 / total_cells as f64,
-            skipped_pages: skipped.into_iter().collect(),
-            budget_stop: stops[q],
-        });
-    }
-    scratch.note_regrowth(&caps);
-    Ok(BatchedTopK {
-        queries,
-        pages_read,
-        cells_fetched,
-        cell_requests,
-        bound_evals,
-        bound_requests,
-    })
+    gather(&job, outs, tally, pages_read)
+}
+
+/// Whether the bound memo of this thread's pooled scratch ended its last
+/// batch retired — the premise of tests that exercise the retired path.
+#[cfg(test)]
+pub(crate) fn pooled_memo_retired() -> bool {
+    with_pooled_scratch(|scratch| scratch.memo.retired())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::pyramid_top_k;
-    use crate::resilient::{resilient_top_k, resilient_top_k_cancellable, resilient_top_k_coarse};
+    use crate::resilient::{
+        resilient_top_k, resilient_top_k_cancellable, resilient_top_k_coarse, BudgetStop,
+    };
     use crate::source::{CachedTileSource, TileSource};
     use mbir_archive::fault::FaultProfile;
     use mbir_archive::grid::Grid2;

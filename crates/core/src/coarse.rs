@@ -43,7 +43,7 @@
 //! [`evaluate`](mbir_models::linear::LinearModel::evaluate) at a point
 //! inside the box — the quantized bound dominates all three, which is what
 //! makes prune-only sound in floating point, not just on paper. A level
-//! whose magnitude sums exceed [`OVERFLOW_GUARD`] is unusable for that
+//! whose magnitude sums exceed `OVERFLOW_GUARD` is unusable for that
 //! query (bound `+∞`, never pruned): below the guard no partial sum can
 //! overflow, ruling out NaN scores sneaking past a finite bound.
 //!

@@ -1,0 +1,1359 @@
+//! The one execution core of the grid engines (DESIGN.md, *One execution
+//! core*).
+//!
+//! Every grid engine in this crate — strict, resilient, parallel, batched,
+//! sharded — is the paper's §4.2 best-first descent: pop the region with
+//! the best upper bound, prove it irrelevant against a floor or refine it,
+//! evaluate exactly at base resolution. This module owns that loop once:
+//!
+//! * [`step`] — one pop: prune against the floor, cooperative checkpoint,
+//!   level-0 read-or-park, otherwise [`expand`] (coarse gate, child
+//!   bounds, push). Monomorphised over the axes on which the engines
+//!   differ: where the floor comes from ([`Floor`]), what stops a run and
+//!   what a lost page does ([`Pressure`]), how a model bounds and scores
+//!   ([`Scorer`]), and whether physical reads are shared across queries
+//!   ([`Fetch`]).
+//! * two schedulers over the step — [`drain`], the plain
+//!   `while let Some(r) = frontier.pop()` loop of one query, and
+//!   [`interleave`], which advances Q [`Lane`]s in global bound order
+//!   through a [`Selector`] while their memo tables share work and hands
+//!   each lane to [`drain`] once they stop doing so.
+//! * [`Merge`] — the gather half: exact hits, the deterministic K-th
+//!   floor, lost cells and unrefined regions resolved against it or
+//!   carried as degraded candidates, and the final rank order.
+
+use crate::batched::Selector;
+use crate::coarse::CoarseGrid;
+use crate::engine::{read_base_vector_into, EffortReport, Region};
+use crate::error::CoreError;
+use crate::lifecycle::CancelToken;
+use crate::parallel::SharedBound;
+use crate::resilient::{
+    BudgetStop, ExecutionBudget, ResilientHit, ResilientTopK, ScoreBounds, WallDeadline,
+};
+use crate::source::CellSource;
+use mbir_archive::error::ArchiveError;
+use mbir_archive::extent::CellCoord;
+use mbir_index::scan::TopKHeap;
+use mbir_index::stats::{sort_desc, ScoredItem};
+use mbir_models::linear::LinearModel;
+use mbir_progressive::pyramid::AggregatePyramid;
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+
+/// What a resilient run carries besides its query: built once by the
+/// public wrapper, copied into every attempt, worker and checkpoint.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ExecOpts<'a> {
+    pub(crate) budget: &'a ExecutionBudget,
+    pub(crate) cancel: Option<&'a CancelToken>,
+    pub(crate) coarse: Option<&'a CoarseGrid>,
+}
+
+impl<'a> ExecOpts<'a> {
+    /// `budget` alone: no cancellation token, no coarse pass.
+    pub(crate) fn new(budget: &'a ExecutionBudget) -> Self {
+        ExecOpts {
+            budget,
+            cancel: None,
+            coarse: None,
+        }
+    }
+
+    pub(crate) fn cancel(mut self, cancel: &'a CancelToken) -> Self {
+        self.cancel = Some(cancel);
+        self
+    }
+
+    pub(crate) fn coarse(mut self, coarse: &'a CoarseGrid) -> Self {
+        self.coarse = Some(coarse);
+        self
+    }
+}
+
+/// The clocks one run's checkpoints read: the shared wall-deadline latch
+/// and the source's page and tick counters relative to the run's start.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Clock<'a> {
+    opts: ExecOpts<'a>,
+    deadline: &'a WallDeadline,
+    pages_at_entry: u64,
+    ticks_at_entry: u64,
+}
+
+impl<'a> Clock<'a> {
+    /// Starts the page and tick windows at `source`'s current counters.
+    pub(crate) fn starting<S: CellSource>(
+        opts: ExecOpts<'a>,
+        deadline: &'a WallDeadline,
+        source: &S,
+    ) -> Self {
+        Clock {
+            opts,
+            deadline,
+            pages_at_entry: source.pages_read(),
+            ticks_at_entry: source.ticks_elapsed(),
+        }
+    }
+
+    /// One cooperative-checkpoint stop evaluation. The fixed precedence
+    /// Cancelled > WallClock > Budget dimensions guarantees a step that
+    /// trips several dimensions at once reports the same reason on every
+    /// run and at every thread count.
+    fn check<S: CellSource>(&self, source: &S, multiply_adds: u64) -> Option<BudgetStop> {
+        if self.opts.cancel.is_some_and(CancelToken::is_cancelled) {
+            return Some(BudgetStop::Cancelled);
+        }
+        if self.deadline.expired() {
+            return Some(BudgetStop::WallClock);
+        }
+        self.opts.budget.check(
+            multiply_adds,
+            source.pages_read().saturating_sub(self.pages_at_entry),
+            source.ticks_elapsed().saturating_sub(self.ticks_at_entry),
+        )
+    }
+}
+
+/// What can end a descent early and what a lost page does to it.
+pub(crate) trait Pressure {
+    /// Whether a base read lost to a page fault parks the cell (`true`)
+    /// or aborts the query with the source's error (`false`).
+    const PARK: bool;
+
+    /// The quantized coarse pass consulted before exact child bounds.
+    fn coarse(&self) -> Option<&CoarseGrid>;
+
+    /// Adds to the multiply-adds the budget sees (once per pop).
+    fn charge(&mut self, multiply_adds: u64);
+
+    /// The per-pop cooperative checkpoint.
+    fn stop<S: CellSource>(&mut self, source: &S) -> Option<BudgetStop>;
+}
+
+/// The zero-fault, infinite-budget configuration: nothing stops the run,
+/// a failed read aborts it, and there is no coarse pass.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Strict;
+
+impl Pressure for Strict {
+    const PARK: bool = false;
+
+    #[inline]
+    fn coarse(&self) -> Option<&CoarseGrid> {
+        None
+    }
+
+    #[inline]
+    fn charge(&mut self, _multiply_adds: u64) {}
+
+    #[inline]
+    fn stop<S: CellSource>(&mut self, _source: &S) -> Option<BudgetStop> {
+        None
+    }
+}
+
+/// Resilient execution on one thread: the budget sees this run's own
+/// multiply-adds (summed over every lane of a batch).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Budgeted<'a> {
+    clock: Clock<'a>,
+    spent: u64,
+}
+
+impl<'a> Budgeted<'a> {
+    pub(crate) fn new(clock: Clock<'a>) -> Self {
+        Budgeted { clock, spent: 0 }
+    }
+}
+
+impl Pressure for Budgeted<'_> {
+    const PARK: bool = true;
+
+    #[inline]
+    fn coarse(&self) -> Option<&CoarseGrid> {
+        self.clock.opts.coarse
+    }
+
+    #[inline]
+    fn charge(&mut self, multiply_adds: u64) {
+        self.spent += multiply_adds;
+    }
+
+    #[inline]
+    fn stop<S: CellSource>(&mut self, source: &S) -> Option<BudgetStop> {
+        self.clock.check(source, self.spent)
+    }
+}
+
+const STOP_NONE: u8 = 0;
+
+/// Stop reasons by severity: Cancelled > WallClock > Deadline > PageReads >
+/// MultiplyAdds (0 is "no stop").
+pub(crate) fn stop_code(stop: BudgetStop) -> u8 {
+    match stop {
+        BudgetStop::MultiplyAdds => 1,
+        BudgetStop::PageReads => 2,
+        BudgetStop::Deadline => 3,
+        BudgetStop::WallClock => 4,
+        BudgetStop::Cancelled => 5,
+    }
+}
+
+fn code_stop(code: u8) -> Option<BudgetStop> {
+    match code {
+        1 => Some(BudgetStop::MultiplyAdds),
+        2 => Some(BudgetStop::PageReads),
+        3 => Some(BudgetStop::Deadline),
+        4 => Some(BudgetStop::WallClock),
+        5 => Some(BudgetStop::Cancelled),
+        _ => None,
+    }
+}
+
+/// The shared half of [`Pooled`]: multiply-adds spent across all workers
+/// of one parallel run, and the first stop reason any of them latched.
+#[derive(Debug, Default)]
+pub(crate) struct PoolMeter {
+    spent: AtomicU64,
+    latch: AtomicU8,
+}
+
+impl PoolMeter {
+    /// The stop reason latched by the first worker to trip one.
+    pub(crate) fn latched(&self) -> Option<BudgetStop> {
+        code_stop(self.latch.load(Ordering::Relaxed))
+    }
+}
+
+/// Resilient execution across the workers of one pool run: the budget
+/// sees the multiply-adds of every worker, and the first stop any worker
+/// trips is latched so the rest surrender at their next pop.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pooled<'a> {
+    clock: Clock<'a>,
+    meter: &'a PoolMeter,
+}
+
+impl<'a> Pooled<'a> {
+    pub(crate) fn new(clock: Clock<'a>, meter: &'a PoolMeter) -> Self {
+        Pooled { clock, meter }
+    }
+}
+
+impl Pressure for Pooled<'_> {
+    const PARK: bool = true;
+
+    #[inline]
+    fn coarse(&self) -> Option<&CoarseGrid> {
+        self.clock.opts.coarse
+    }
+
+    #[inline]
+    fn charge(&mut self, multiply_adds: u64) {
+        self.meter.spent.fetch_add(multiply_adds, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn stop<S: CellSource>(&mut self, source: &S) -> Option<BudgetStop> {
+        if let Some(latched) = self.meter.latched() {
+            return Some(latched); // Another worker tripped the stop.
+        }
+        let stop = self
+            .clock
+            .check(source, self.meter.spent.load(Ordering::Relaxed))?;
+        let _ = self.meter.latch.compare_exchange(
+            STOP_NONE,
+            stop_code(stop),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        );
+        self.meter.latched()
+    }
+}
+
+/// Where a lane's pruning floor comes from.
+pub(crate) trait Floor {
+    /// The floor lane `q` prunes with at pop time (`None`: nothing can be
+    /// excluded yet).
+    fn at_pop(&self, q: usize, heap: &TopKHeap) -> Option<f64>;
+
+    /// Called after lane `q` evaluated a cell.
+    fn publish(&self, q: usize, heap: &TopKHeap);
+}
+
+/// The lane's own K-th best score.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Local;
+
+impl Floor for Local {
+    #[inline]
+    fn at_pop(&self, _q: usize, heap: &TopKHeap) -> Option<f64> {
+        heap.floor()
+    }
+
+    #[inline]
+    fn publish(&self, _q: usize, _heap: &TopKHeap) {}
+}
+
+/// `max(lane q's own floor, bound q)` with the lane's floors published
+/// back: one [`SharedBound`] per query, shared by every worker or shard
+/// descending for that query. Every published floor is the K-th best of a
+/// subset of the evaluated cells, so it never exceeds the true K-th score.
+impl Floor for &[SharedBound] {
+    #[inline]
+    fn at_pop(&self, q: usize, heap: &TopKHeap) -> Option<f64> {
+        let shared = self[q].get();
+        Some(heap.floor().map_or(shared, |f| shared.max(f)))
+    }
+
+    #[inline]
+    fn publish(&self, q: usize, heap: &TopKHeap) {
+        if let Some(f) = heap.floor() {
+            self[q].offer(f);
+        }
+    }
+}
+
+/// A model the descent can bound over a region and score at a cell.
+pub(crate) trait Scorer {
+    fn arity(&self) -> usize;
+
+    /// Sound upper bound over region `(level, row, col)`, and the
+    /// multiply-adds it cost. `ranges` is a reused range-box buffer.
+    fn bound(
+        &self,
+        pyramids: &[AggregatePyramid],
+        at: (usize, usize, usize),
+        ranges: &mut Vec<(f64, f64)>,
+    ) -> Result<(f64, u64), CoreError>;
+
+    /// Exact score at a base cell's attribute vector (`arity` multiply-adds).
+    fn score(&self, x: &[f64]) -> f64;
+}
+
+/// Assembles a region's per-attribute range box in a reused buffer.
+#[inline]
+fn region_box_into(
+    pyramids: &[AggregatePyramid],
+    (level, row, col): (usize, usize, usize),
+    ranges: &mut Vec<(f64, f64)>,
+) -> Result<(), CoreError> {
+    ranges.clear();
+    for p in pyramids {
+        let s = p.cell(level, row, col)?;
+        ranges.push((s.min, s.max));
+    }
+    Ok(())
+}
+
+/// The full-model interval bound: `arity` multiply-adds per region.
+impl Scorer for LinearModel {
+    #[inline]
+    fn arity(&self) -> usize {
+        LinearModel::arity(self)
+    }
+
+    #[inline]
+    fn bound(
+        &self,
+        pyramids: &[AggregatePyramid],
+        at: (usize, usize, usize),
+        ranges: &mut Vec<(f64, f64)>,
+    ) -> Result<(f64, u64), CoreError> {
+        region_box_into(pyramids, at, ranges)?;
+        let (_, hi) = self.bound_over_box(ranges)?;
+        Ok((hi, LinearModel::arity(self) as u64))
+    }
+
+    #[inline]
+    fn score(&self, x: &[f64]) -> f64 {
+        self.evaluate(x)
+    }
+}
+
+/// Verdict of one base-cell read.
+pub(crate) enum Cell<'a> {
+    /// The cell's attribute vector.
+    Loaded(&'a [f64]),
+    /// The read was lost on this page.
+    Lost(usize),
+}
+
+/// Reads one base cell's attribute vector into `x`. With `park`, a read
+/// lost to a page fault — [`ArchiveError::PageIo`], `PageQuarantined`, or
+/// `PageCorrupt` (detected silent corruption) — returns the failing page
+/// instead of the error; every other error, and every error without
+/// `park`, propagates.
+#[inline]
+pub(crate) fn read_cell<S: CellSource>(
+    source: &S,
+    (row, col): (usize, usize),
+    park: bool,
+    x: &mut Vec<f64>,
+    arity: usize,
+) -> Result<Option<usize>, CoreError> {
+    match read_base_vector_into(source, arity, row, col, x) {
+        Ok(()) => Ok(None),
+        Err(CoreError::Archive(
+            ArchiveError::PageIo { page }
+            | ArchiveError::PageQuarantined { page }
+            | ArchiveError::PageCorrupt { page },
+        )) if park => Ok(Some(source.page_of(row, col).unwrap_or(page))),
+        Err(e) => Err(e),
+    }
+}
+
+/// The physical work under a descent: region bounds and base-cell reads.
+/// [`Direct`] performs each request; the batch memo
+/// ([`crate::batched::Memo`]) deduplicates them across lanes.
+pub(crate) trait Fetch<M> {
+    /// Upper bound of lane `q`'s `model` over region `at`, with the
+    /// multiply-adds to charge the lane.
+    fn bound(
+        &mut self,
+        model: &M,
+        q: usize,
+        pyramids: &[AggregatePyramid],
+        at: (usize, usize, usize),
+    ) -> Result<(f64, u64), CoreError>;
+
+    /// The attribute vector of base cell `at`, or the page it was lost on
+    /// (see [`read_cell`] for `park`).
+    fn cell<S: CellSource>(
+        &mut self,
+        source: &S,
+        at: (usize, usize),
+        park: bool,
+        arity: usize,
+    ) -> Result<Cell<'_>, CoreError>;
+
+    /// Whether cross-lane sharing has stopped paying: [`interleave`] then
+    /// runs each lane to completion with [`drain`].
+    fn retired(&self) -> bool;
+}
+
+impl<M, T: Fetch<M>> Fetch<M> for &mut T {
+    #[inline]
+    fn bound(
+        &mut self,
+        model: &M,
+        q: usize,
+        pyramids: &[AggregatePyramid],
+        at: (usize, usize, usize),
+    ) -> Result<(f64, u64), CoreError> {
+        (**self).bound(model, q, pyramids, at)
+    }
+
+    #[inline]
+    fn cell<S: CellSource>(
+        &mut self,
+        source: &S,
+        at: (usize, usize),
+        park: bool,
+        arity: usize,
+    ) -> Result<Cell<'_>, CoreError> {
+        (**self).cell(source, at, park, arity)
+    }
+
+    #[inline]
+    fn retired(&self) -> bool {
+        (**self).retired()
+    }
+}
+
+/// One query's own reads through the caller's scratch buffers.
+pub(crate) struct Direct<'a> {
+    pub(crate) x: &'a mut Vec<f64>,
+    pub(crate) ranges: &'a mut Vec<(f64, f64)>,
+}
+
+impl<M: Scorer> Fetch<M> for Direct<'_> {
+    #[inline]
+    fn bound(
+        &mut self,
+        model: &M,
+        _q: usize,
+        pyramids: &[AggregatePyramid],
+        at: (usize, usize, usize),
+    ) -> Result<(f64, u64), CoreError> {
+        model.bound(pyramids, at, self.ranges)
+    }
+
+    #[inline]
+    fn cell<S: CellSource>(
+        &mut self,
+        source: &S,
+        at: (usize, usize),
+        park: bool,
+        arity: usize,
+    ) -> Result<Cell<'_>, CoreError> {
+        Ok(match read_cell(source, at, park, self.x, arity)? {
+            None => Cell::Loaded(self.x),
+            Some(page) => Cell::Lost(page),
+        })
+    }
+
+    #[inline]
+    fn retired(&self) -> bool {
+        true
+    }
+}
+
+/// What one lane's descent produced.
+#[derive(Debug, Default)]
+pub(crate) struct Outcome {
+    /// Exact items, best first, indexed `(row + row_offset) * cols + col`.
+    pub(crate) items: Vec<ScoredItem>,
+    /// Level-0 regions whose page read failed, with the failing page.
+    pub(crate) lost: Vec<(Region, usize)>,
+    /// Regions an early stop left unrefined.
+    pub(crate) leftover: Vec<Region>,
+    pub(crate) effort: EffortReport,
+    /// `Some` when a stop interrupted this lane (a lane that closed or
+    /// drained before a batch-wide stop keeps `None`).
+    pub(crate) stop: Option<BudgetStop>,
+}
+
+impl Outcome {
+    /// Folds another worker's outcome for the same lane into this one.
+    pub(crate) fn absorb(&mut self, other: Outcome) {
+        self.items.extend(other.items);
+        self.lost.extend(other.lost);
+        self.leftover.extend(other.leftover);
+        self.effort.multiply_adds += other.effort.multiply_adds;
+        self.stop = self.stop.or(other.stop);
+    }
+
+    /// Restores the global `(score desc, index asc)` order after
+    /// [`absorb`](Outcome::absorb) and keeps the best `k`.
+    pub(crate) fn merge_items(&mut self, k: usize) {
+        sort_desc(&mut self.items);
+        self.items.truncate(k);
+    }
+}
+
+/// One query's descent state: its model, frontier, top-K heap, and what
+/// it parked or surrendered.
+pub(crate) struct Lane<'a, M> {
+    q: usize,
+    model: &'a M,
+    pub(crate) frontier: &'a mut BinaryHeap<Region>,
+    /// Prepared coarse coefficients (see [`CoarseGrid::prepare_into`]);
+    /// empty without a coarse pass.
+    gate: (&'a [f64], &'a [f64]),
+    heap: TopKHeap,
+    out: Outcome,
+}
+
+impl<'a, M> Lane<'a, M> {
+    /// Lane `q` over an empty `frontier`; `naive` is the lane's
+    /// `naive_multiply_adds`.
+    pub(crate) fn new(
+        q: usize,
+        model: &'a M,
+        frontier: &'a mut BinaryHeap<Region>,
+        gate: (&'a [f64], &'a [f64]),
+        k: usize,
+        naive: u64,
+    ) -> Self {
+        frontier.clear();
+        Lane {
+            q,
+            model,
+            frontier,
+            gate,
+            heap: TopKHeap::new(k),
+            out: Outcome {
+                effort: EffortReport {
+                    multiply_adds: 0,
+                    naive_multiply_adds: naive,
+                },
+                ..Outcome::default()
+            },
+        }
+    }
+
+    /// Surrenders `region` and the rest of the frontier to `stop`.
+    fn surrender(&mut self, region: Option<Region>, stop: BudgetStop) {
+        self.out.stop = Some(stop);
+        self.out.leftover.extend(region);
+        self.out.leftover.extend(self.frontier.drain());
+    }
+
+    pub(crate) fn finish(self) -> Outcome {
+        Outcome {
+            items: self.heap.into_sorted(),
+            ..self.out
+        }
+    }
+}
+
+/// What all lanes of one descent share: the resident pyramids, the page
+/// source, the hit-index geometry, and the policies of the module docs.
+pub(crate) struct Env<'a, S, F, P, B> {
+    pub(crate) pyramids: &'a [AggregatePyramid],
+    pub(crate) source: &'a S,
+    /// Global column count and the global row of the pyramids' first
+    /// row: a hit's index is `(row + row_offset) * cols + col`.
+    pub(crate) cols: usize,
+    pub(crate) row_offset: usize,
+    pub(crate) fetch: F,
+    pub(crate) pressure: P,
+    pub(crate) floor: B,
+    pub(crate) children: &'a mut Vec<CellCoord>,
+}
+
+/// How one [`step`] ended.
+enum Step {
+    /// The region was evaluated, parked, or expanded.
+    Advanced,
+    /// The lane's bound proof closed: the popped region and everything
+    /// left in the frontier are provably outside the top-K.
+    Closed,
+    /// The checkpoint tripped before the region was processed.
+    Stopped(BudgetStop),
+}
+
+/// Pushes the lane's root region, charging its bound like any other.
+pub(crate) fn seed_root<S, M, F, P, B>(
+    env: &mut Env<'_, S, F, P, B>,
+    lane: &mut Lane<'_, M>,
+) -> Result<(), CoreError>
+where
+    F: Fetch<M>,
+    P: Pressure,
+{
+    let top = env.pyramids[0].levels() - 1;
+    let (ub, spent) = env
+        .fetch
+        .bound(lane.model, lane.q, env.pyramids, (top, 0, 0))?;
+    lane.out.effort.multiply_adds += spent;
+    env.pressure.charge(spent);
+    lane.frontier.push(Region {
+        ub,
+        level: top,
+        row: 0,
+        col: 0,
+    });
+    Ok(())
+}
+
+/// Bounds and pushes the children of `region`. `floor` is the lane's
+/// pop-time pruning floor: with a coarse pass, a child whose i8 cell
+/// bound falls *strictly* below it is skipped before the exact bound —
+/// no cell under it can reach the top-K even on a tie, and because the
+/// frontier order is total the survivors pop in the same sequence as the
+/// unpruned run, so results stay bit-identical. The i8 pass performs no
+/// f64 model arithmetic and charges no multiply-adds.
+#[inline(always)]
+fn expand<S, M, F, P, B>(
+    env: &mut Env<'_, S, F, P, B>,
+    lane: &mut Lane<'_, M>,
+    region: Region,
+    floor: Option<f64>,
+) -> Result<(), CoreError>
+where
+    F: Fetch<M>,
+    P: Pressure,
+{
+    let level = region.level - 1;
+    let gate = env
+        .pressure
+        .coarse()
+        .zip(floor.filter(|f| *f > f64::NEG_INFINITY));
+    env.pyramids[0].children_into(region.level, region.row, region.col, env.children);
+    let mut spent = 0u64;
+    for child in env.children.iter() {
+        if let Some((cg, f)) = gate {
+            if cg.cell_upper_bound(lane.gate.0, lane.gate.1, level, child.row, child.col) < f {
+                continue;
+            }
+        }
+        let at = (level, child.row, child.col);
+        let (ub, madds) = env.fetch.bound(lane.model, lane.q, env.pyramids, at)?;
+        spent += madds;
+        lane.frontier.push(Region {
+            ub,
+            level,
+            row: child.row,
+            col: child.col,
+        });
+    }
+    lane.out.effort.multiply_adds += spent;
+    env.pressure.charge(spent);
+    Ok(())
+}
+
+/// One pop of one lane — the loop body of every grid engine. Forced
+/// inline (with [`expand`]) so each scheduler compiles to the single loop
+/// the hand-written engines were: on `grid_hot` a plain `#[inline]` hint
+/// costs 2 % of throughput, this form measures equal to the old loop.
+#[inline(always)]
+fn step<S, M, F, P, B>(
+    env: &mut Env<'_, S, F, P, B>,
+    lane: &mut Lane<'_, M>,
+    region: Region,
+) -> Result<Step, CoreError>
+where
+    S: CellSource,
+    M: Scorer,
+    F: Fetch<M>,
+    P: Pressure,
+    B: Floor,
+{
+    let floor = env.floor.at_pop(lane.q, &lane.heap);
+    if floor.is_some_and(|f| f >= region.ub) {
+        return Ok(Step::Closed);
+    }
+    if let Some(stop) = env.pressure.stop(env.source) {
+        return Ok(Step::Stopped(stop));
+    }
+    if region.level > 0 {
+        expand(env, lane, region, floor)?;
+        return Ok(Step::Advanced);
+    }
+    let arity = lane.model.arity();
+    match env
+        .fetch
+        .cell(env.source, (region.row, region.col), P::PARK, arity)?
+    {
+        Cell::Loaded(x) => {
+            let spent = arity as u64;
+            lane.out.effort.multiply_adds += spent;
+            env.pressure.charge(spent);
+            lane.heap.offer(ScoredItem {
+                index: (region.row + env.row_offset) * env.cols + region.col,
+                score: lane.model.score(x),
+            });
+            env.floor.publish(lane.q, &lane.heap);
+        }
+        Cell::Lost(page) => lane.out.lost.push((region, page)),
+    }
+    Ok(Step::Advanced)
+}
+
+/// The solo scheduler: runs one lane until its bound proof closes, its
+/// frontier drains, or a stop (returned) makes it surrender what is left.
+#[inline]
+pub(crate) fn drain<S, M, F, P, B>(
+    env: &mut Env<'_, S, F, P, B>,
+    lane: &mut Lane<'_, M>,
+) -> Result<Option<BudgetStop>, CoreError>
+where
+    S: CellSource,
+    M: Scorer,
+    F: Fetch<M>,
+    P: Pressure,
+    B: Floor,
+{
+    while let Some(region) = lane.frontier.pop() {
+        match step(env, lane, region)? {
+            Step::Advanced => {}
+            Step::Closed => {
+                lane.frontier.clear();
+                break;
+            }
+            Step::Stopped(stop) => {
+                lane.surrender(Some(region), stop);
+                return Ok(Some(stop));
+            }
+        }
+    }
+    Ok(None)
+}
+
+/// The batch scheduler: advances whichever lane holds the globally best
+/// upper bound, so lanes interested in the same region pop it back to
+/// back while the fetch layer shares their reads; once it reports the
+/// sharing retired, each selected lane runs to completion with the solo
+/// loop instead. Restricted to any one lane the pop sequence is exactly
+/// that lane's solo sequence. A stop is batch-wide: every lane still
+/// holding frontier surrenders it, closed and drained lanes keep their
+/// finished answers.
+pub(crate) fn interleave<S, M, F, P, B>(
+    env: &mut Env<'_, S, F, P, B>,
+    lanes: &mut [Lane<'_, M>],
+) -> Result<(), CoreError>
+where
+    S: CellSource,
+    M: Scorer,
+    F: Fetch<M>,
+    P: Pressure,
+    B: Floor,
+{
+    let mut selector = Selector::for_width(lanes.len());
+    for (q, lane) in lanes.iter().enumerate() {
+        selector.arm(q, lane.frontier.peek());
+    }
+    while let Some(q) = selector.next() {
+        let lane = &mut lanes[q];
+        let stopped = if env.fetch.retired() {
+            selector.go_serial();
+            drain(env, lane)?
+        } else {
+            let region = lane.frontier.pop().expect("an armed lane has a top");
+            match step(env, lane, region)? {
+                Step::Advanced => {
+                    selector.arm(q, lane.frontier.peek());
+                    None
+                }
+                Step::Closed => {
+                    // Not re-arming drops the lane's remainder wholesale.
+                    lane.frontier.clear();
+                    None
+                }
+                Step::Stopped(stop) => {
+                    lane.surrender(Some(region), stop);
+                    Some(stop)
+                }
+            }
+        };
+        if let Some(stop) = stopped {
+            for open in lanes.iter_mut().filter(|l| !l.frontier.is_empty()) {
+                open.surrender(None, stop);
+            }
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// What [`warm_up`] holds when it ends.
+pub(crate) struct Held {
+    /// `(lane, region)` pairs, best first — `(ub desc, level, row, col,
+    /// lane)` — ready to be dealt round-robin.
+    pub(crate) regions: Vec<(usize, Region)>,
+    /// The stop that cut the warm-up short, if one did.
+    pub(crate) stop: Option<BudgetStop>,
+}
+
+/// The sequential warm-up of a parallel run: best-first expansion in the
+/// [`interleave`] order, with level-0 pops parked instead of evaluated,
+/// until the lanes hold `target` regions between them or bottom out. One
+/// checkpoint per pop; a trip is returned with the regions held so far.
+pub(crate) fn warm_up<S, M, F, P, B>(
+    env: &mut Env<'_, S, F, P, B>,
+    lanes: &mut [Lane<'_, M>],
+    target: usize,
+) -> Result<Held, CoreError>
+where
+    S: CellSource,
+    F: Fetch<M>,
+    P: Pressure,
+{
+    let mut selector = Selector::for_width(lanes.len());
+    for (q, lane) in lanes.iter().enumerate() {
+        selector.arm(q, lane.frontier.peek());
+    }
+    let mut held: Vec<(usize, Region)> = Vec::new();
+    let mut open: usize = lanes.iter().map(|l| l.frontier.len()).sum();
+    let mut stop = None;
+    while open + held.len() < target {
+        stop = env.pressure.stop(env.source);
+        if stop.is_some() {
+            break;
+        }
+        let Some(q) = selector.next() else { break };
+        let lane = &mut lanes[q];
+        let region = lane.frontier.pop().expect("an armed lane has a top");
+        open -= 1;
+        if region.level == 0 {
+            held.push((q, region));
+        } else {
+            let before = lane.frontier.len();
+            expand(env, lane, region, None)?;
+            open += lane.frontier.len() - before;
+        }
+        selector.arm(q, lane.frontier.peek());
+    }
+    for (q, lane) in lanes.iter_mut().enumerate() {
+        held.extend(lane.frontier.drain().map(|r| (q, r)));
+    }
+    held.sort_by(|(qa, a), (qb, b)| b.cmp(a).then(qa.cmp(qb)));
+    Ok(Held {
+        regions: held,
+        stop,
+    })
+}
+
+/// Degraded candidates cross pyramid boundaries: a band pyramid sums its
+/// aggregates in a different floating-point order than a global
+/// evaluation of the same cells, so a mathematically sound bound can
+/// round a few ulps inside the true supremum. A sharded merge widens
+/// every inexact candidate by a relative guard so "the true score lies
+/// inside the reported bounds" holds in floating point too. Exact hits
+/// are never widened, and exclusion still uses the raw bounds.
+fn widen(bounds: ScoreBounds) -> ScoreBounds {
+    let pad = bounds.hi.abs().max(bounds.lo.abs()).max(1.0) * f64::EPSILON * 16.0;
+    ScoreBounds {
+        lo: bounds.lo - pad,
+        hi: bounds.hi + pad,
+    }
+}
+
+/// The pyramids one descent ran over, as the gather sees them.
+#[derive(Clone, Copy)]
+pub(crate) struct Band<'a> {
+    pub(crate) pyramids: &'a [AggregatePyramid],
+    /// Global row of the pyramids' first row.
+    pub(crate) row_offset: usize,
+    /// Whether this is one band of several (candidates are then widened,
+    /// see [`widen`]).
+    pub(crate) sharded: bool,
+}
+
+/// The gather half of every resilient engine: exact hits, the
+/// deterministic exclusion floor, and the degraded candidates that
+/// survive it.
+pub(crate) struct Merge {
+    hits: Vec<ResilientHit>,
+    /// Only a full set of `k` exact items gives a sound exclusion floor.
+    floor: Option<f64>,
+    k: usize,
+    ranges: Vec<(f64, f64)>,
+    means: Vec<f64>,
+}
+
+impl Merge {
+    /// Starts from the merged exact `items`: best first, at most `k`,
+    /// indexed `row * cols + col` in global coordinates.
+    pub(crate) fn new(items: Vec<ScoredItem>, k: usize, cols: usize) -> Self {
+        let floor = if items.len() == k {
+            items.last().map(|i| i.score)
+        } else {
+            None
+        };
+        let hits = items
+            .into_iter()
+            .map(|item| ResilientHit {
+                cell: CellCoord::new(item.index / cols, item.index % cols),
+                level: 0,
+                score: item.score,
+                bounds: ScoreBounds::exact(item.score),
+                exact: true,
+            })
+            .collect();
+        Merge {
+            hits,
+            floor,
+            k,
+            ranges: Vec::new(),
+            means: Vec::new(),
+        }
+    }
+
+    fn excluded(&self, hi: f64) -> bool {
+        self.floor.is_some_and(|f| f >= hi)
+    }
+
+    /// A degraded candidate for a pyramid region: score = model at the
+    /// region means, bounds = sound box bounds, plus the region's
+    /// base-cell count. Charged `2n`: bound + estimate.
+    fn candidate(
+        &mut self,
+        model: &LinearModel,
+        pyramids: &[AggregatePyramid],
+        (level, row, col): (usize, usize, usize),
+        effort: &mut EffortReport,
+    ) -> Result<(ResilientHit, u64), CoreError> {
+        self.ranges.clear();
+        self.means.clear();
+        let mut count = 0u64;
+        for p in pyramids {
+            let s = p.cell(level, row, col)?;
+            self.ranges.push((s.min, s.max));
+            self.means.push(s.mean);
+            count = s.count;
+        }
+        let (lo, hi) = model.bound_over_box(&self.ranges)?;
+        effort.multiply_adds += 2 * model.arity() as u64;
+        let scale = 1usize << level;
+        // The mean estimate is mathematically inside the box bounds, but
+        // its summation order differs from bound_over_box's, so on
+        // degenerate (single-cell) boxes it can land an ulp outside —
+        // clamp to keep the documented `lo <= score <= hi` invariant exact.
+        let score = model.evaluate(&self.means).clamp(lo, hi);
+        let hit = ResilientHit {
+            cell: CellCoord::new(row * scale, col * scale),
+            level,
+            score,
+            bounds: ScoreBounds { lo, hi },
+            exact: false,
+        };
+        Ok((hit, count))
+    }
+
+    /// Resolves what one descent over `band` could not evaluate.
+    /// Unrefined `leftover` regions are bounded from their own aggregates
+    /// — the deepest fully-bounded frontier the stop allowed. `lost`
+    /// cells are first excluded by their deterministic frontier bound
+    /// (the level-0 index bound is exact, so this is the test the descent
+    /// applies to healthy cells, and it makes the surviving set
+    /// independent of evaluation order); survivors are bounded from the
+    /// parent aggregate, the deepest index level that does not depend on
+    /// the missing page. Returns the base cells left unresolved and the
+    /// pages that lost them, ascending.
+    pub(crate) fn degrade(
+        &mut self,
+        model: &LinearModel,
+        band: Band<'_>,
+        out: &Outcome,
+        effort: &mut EffortReport,
+    ) -> Result<(u64, Vec<usize>), CoreError> {
+        let mut unresolved = 0u64;
+        let mut skipped = Vec::new();
+        for region in &out.leftover {
+            let at = (region.level, region.row, region.col);
+            let (mut hit, count) = self.candidate(model, band.pyramids, at, effort)?;
+            if self.excluded(hit.bounds.hi) {
+                continue; // Provably outside the top-K: resolved.
+            }
+            hit.cell.row += band.row_offset;
+            unresolved += count;
+            self.push(hit, band.sharded);
+        }
+        let parent = 1.min(band.pyramids[0].levels() - 1);
+        for (region, page) in &out.lost {
+            if self.excluded(region.ub) {
+                continue; // Provably outside the top-K: nothing lost.
+            }
+            skipped.push(*page);
+            let at = (parent, region.row >> parent, region.col >> parent);
+            let (mut hit, _) = self.candidate(model, band.pyramids, at, effort)?;
+            hit.cell = CellCoord::new(region.row + band.row_offset, region.col);
+            hit.level = 0;
+            unresolved += 1;
+            self.push(hit, band.sharded);
+        }
+        skipped.sort_unstable();
+        skipped.dedup();
+        Ok((unresolved, skipped))
+    }
+
+    fn push(&mut self, mut hit: ResilientHit, sharded: bool) {
+        if sharded {
+            hit.bounds = widen(hit.bounds);
+        }
+        self.hits.push(hit);
+    }
+
+    /// Ranks by upper bound first: for exact hits `hi == score`, so
+    /// complete answers keep the plain score order, while under
+    /// degradation the truncation to `k` can never drop the only
+    /// candidate that might still be the true winner — every surviving
+    /// hit's `hi` is at least as large.
+    pub(crate) fn rank(mut self) -> Vec<ResilientHit> {
+        self.hits.sort_by(|a, b| {
+            b.bounds
+                .hi
+                .total_cmp(&a.bounds.hi)
+                .then_with(|| b.score.total_cmp(&a.score))
+                .then_with(|| a.cell.cmp(&b.cell))
+        });
+        self.hits.truncate(self.k);
+        self.hits
+    }
+}
+
+/// The unsharded gather: one lane's [`Outcome`] over the whole grid.
+pub(crate) fn finish(
+    mut out: Outcome,
+    model: &LinearModel,
+    pyramids: &[AggregatePyramid],
+    k: usize,
+) -> Result<ResilientTopK, CoreError> {
+    let (rows, cols) = pyramids[0].base_shape();
+    let mut effort = out.effort;
+    let mut merge = Merge::new(std::mem::take(&mut out.items), k, cols);
+    let band = Band {
+        pyramids,
+        row_offset: 0,
+        sharded: false,
+    };
+    let (unresolved, skipped_pages) = merge.degrade(model, band, &out, &mut effort)?;
+    Ok(ResilientTopK {
+        results: merge.rank(),
+        effort,
+        completeness: 1.0 - unresolved as f64 / (rows * cols) as f64,
+        skipped_pages,
+        budget_stop: out.stop,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batched::{
+        batched_top_k, batched_top_k_cancellable, batched_top_k_coarse, batched_top_k_with_scratch,
+        BatchScratch,
+    };
+    use crate::engine::{
+        pyramid_top_k, pyramid_top_k_with_scratch, pyramid_top_k_with_source, QueryScratch,
+    };
+    use crate::parallel::{
+        par_batched_top_k, par_batched_top_k_cancellable, par_batched_top_k_coarse,
+        par_pyramid_top_k, par_pyramid_top_k_with_source, par_resilient_top_k,
+        par_resilient_top_k_cancellable, par_resilient_top_k_coarse, WorkerPool,
+    };
+    use crate::resilient::{
+        resilient_top_k, resilient_top_k_cancellable, resilient_top_k_coarse,
+        resilient_top_k_coarse_with_scratch, resilient_top_k_with_scratch,
+    };
+    use crate::shard::{
+        batched_scatter_gather_top_k, batched_scatter_gather_top_k_cancellable,
+        scatter_gather_top_k, scatter_gather_top_k_cancellable, scatter_gather_top_k_dual,
+        ArchiveShard, ScatterPolicy, ShardedArchive,
+    };
+    use crate::source::TileSource;
+    use mbir_archive::grid::Grid2;
+    use mbir_archive::tile::TileStore;
+
+    /// What every family must agree on: `(row, col, score bits)` per hit,
+    /// and the work it took.
+    type Answer = (Vec<(usize, usize, u64)>, EffortReport);
+
+    fn strict(r: crate::engine::GridTopK) -> Answer {
+        let hits = r.results.iter();
+        let hits = hits.map(|h| (h.cell.row, h.cell.col, h.score.to_bits()));
+        (hits.collect(), r.effort)
+    }
+
+    fn hits_of(results: &[ResilientHit], effort: EffortReport) -> Answer {
+        assert!(results.iter().all(|h| h.exact), "healthy run degraded");
+        let hits = results.iter();
+        let hits = hits.map(|h| (h.cell.row, h.cell.col, h.score.to_bits()));
+        (hits.collect(), effort)
+    }
+
+    fn resilient(r: ResilientTopK) -> Answer {
+        assert_eq!((r.completeness, r.budget_stop), (1.0, None));
+        hits_of(&r.results, r.effort)
+    }
+
+    fn batch_of_one(mut r: crate::batched::BatchedTopK) -> Answer {
+        assert_eq!(r.queries.len(), 1);
+        resilient(r.queries.pop().unwrap())
+    }
+
+    fn sharded(r: crate::shard::ShardedTopK) -> Answer {
+        assert_eq!((r.completeness, r.budget_stop), (1.0, None));
+        hits_of(&r.results, r.effort)
+    }
+
+    /// "Solo is a batch of one, unsharded is one shard, healthy is zero
+    /// faults" as an executable: every public wrapper family over one
+    /// healthy world returns bit-identical hits, and — wherever the run is
+    /// single-threaded — the identical `EffortReport`.
+    #[test]
+    fn every_wrapper_family_is_one_engine() {
+        let (rows, cols, k) = (48usize, 40usize, 7usize);
+        let grids: Vec<Grid2<f64>> = (0..3)
+            .map(|i| {
+                Grid2::from_fn(rows, cols, |r, c| {
+                    ((r as f64 / 9.0 + i as f64).sin() + (c as f64 / 11.0).cos()) * 50.0 + 100.0
+                })
+            })
+            .collect();
+        let pyramids: Vec<AggregatePyramid> = grids.iter().map(AggregatePyramid::build).collect();
+        let stores: Vec<TileStore> = grids
+            .iter()
+            .map(|g| TileStore::new(g.clone(), 8).unwrap())
+            .collect();
+        let src = TileSource::new(&stores).unwrap();
+        let model = LinearModel::new(vec![1.0, 0.7, -0.4], 0.25).unwrap();
+        let models = std::slice::from_ref(&model);
+        let coarse = CoarseGrid::build(&pyramids).unwrap();
+        let budget = ExecutionBudget::unlimited();
+        let token = CancelToken::new();
+        let policy = ScatterPolicy::require_all();
+        let shard = || ArchiveShard::new(&pyramids, &src, 0);
+        let archive = ShardedArchive::new(vec![shard()]).unwrap();
+        let coarse_archive = ShardedArchive::new(vec![shard().with_coarse(&coarse)]).unwrap();
+        let no_dest: &[ArchiveShard<'_, TileSource<'_>>] = &[];
+        let p = &pyramids[..];
+
+        let want = resilient(resilient_top_k(&model, p, k, &src, &budget).unwrap());
+        assert_eq!(want.0.len(), k);
+
+        let mut qs = QueryScratch::new();
+        let mut bs = BatchScratch::new();
+        let sequential: Vec<(&str, Answer)> = vec![
+            ("pyramid", strict(pyramid_top_k(&model, p, k).unwrap())),
+            (
+                "pyramid/source",
+                strict(pyramid_top_k_with_source(&model, p, k, &src).unwrap()),
+            ),
+            (
+                "pyramid/scratch",
+                strict(pyramid_top_k_with_scratch(&model, p, k, &src, &mut qs).unwrap()),
+            ),
+            (
+                "resilient/cancellable",
+                resilient(
+                    resilient_top_k_cancellable(&model, p, k, &src, &budget, &token).unwrap(),
+                ),
+            ),
+            (
+                "resilient/coarse",
+                resilient(resilient_top_k_coarse(&model, p, k, &src, &budget, &coarse).unwrap()),
+            ),
+            (
+                "resilient/scratch",
+                resilient(
+                    resilient_top_k_with_scratch(&model, p, k, &src, &budget, &mut qs).unwrap(),
+                ),
+            ),
+            (
+                "resilient/coarse+scratch",
+                resilient(
+                    resilient_top_k_coarse_with_scratch(
+                        &model, p, k, &src, &budget, &coarse, &mut qs,
+                    )
+                    .unwrap(),
+                ),
+            ),
+            (
+                "batched",
+                batch_of_one(batched_top_k(models, p, k, &src, &budget).unwrap()),
+            ),
+            (
+                "batched/cancellable",
+                batch_of_one(
+                    batched_top_k_cancellable(models, p, k, &src, &budget, &token).unwrap(),
+                ),
+            ),
+            (
+                "batched/coarse",
+                batch_of_one(batched_top_k_coarse(models, p, k, &src, &budget, &coarse).unwrap()),
+            ),
+            (
+                "batched/scratch",
+                batch_of_one(
+                    batched_top_k_with_scratch(models, p, k, &src, &budget, &mut bs).unwrap(),
+                ),
+            ),
+        ];
+        for (name, got) in sequential {
+            assert_eq!(got, want, "{name}");
+        }
+
+        for threads in [1usize, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            let pooled: Vec<(&str, Answer)> = vec![
+                (
+                    "par_pyramid",
+                    strict(par_pyramid_top_k(&model, p, k, &pool).unwrap()),
+                ),
+                (
+                    "par_pyramid/source",
+                    strict(par_pyramid_top_k_with_source(&model, p, k, &src, &pool).unwrap()),
+                ),
+                (
+                    "par_resilient",
+                    resilient(par_resilient_top_k(&model, p, k, &src, &budget, &pool).unwrap()),
+                ),
+                (
+                    "par_resilient/cancellable",
+                    resilient(
+                        par_resilient_top_k_cancellable(&model, p, k, &src, &budget, &token, &pool)
+                            .unwrap(),
+                    ),
+                ),
+                (
+                    "par_resilient/coarse",
+                    resilient(
+                        par_resilient_top_k_coarse(&model, p, k, &src, &budget, &coarse, &pool)
+                            .unwrap(),
+                    ),
+                ),
+                (
+                    "par_batched",
+                    batch_of_one(par_batched_top_k(models, p, k, &src, &budget, &pool).unwrap()),
+                ),
+                (
+                    "par_batched/cancellable",
+                    batch_of_one(
+                        par_batched_top_k_cancellable(models, p, k, &src, &budget, &token, &pool)
+                            .unwrap(),
+                    ),
+                ),
+                (
+                    "par_batched/coarse",
+                    batch_of_one(
+                        par_batched_top_k_coarse(models, p, k, &src, &budget, &coarse, &pool)
+                            .unwrap(),
+                    ),
+                ),
+                (
+                    "scatter",
+                    sharded(
+                        scatter_gather_top_k(&model, &archive, k, &budget, &policy, &pool).unwrap(),
+                    ),
+                ),
+                (
+                    "scatter/cancellable",
+                    sharded(
+                        scatter_gather_top_k_cancellable(
+                            &model, &archive, k, &budget, &policy, &token, &pool,
+                        )
+                        .unwrap(),
+                    ),
+                ),
+                (
+                    "scatter/coarse shard",
+                    sharded(
+                        scatter_gather_top_k(&model, &coarse_archive, k, &budget, &policy, &pool)
+                            .unwrap(),
+                    ),
+                ),
+                (
+                    "scatter/dual, no groups",
+                    sharded(
+                        scatter_gather_top_k_dual(
+                            &model,
+                            &archive,
+                            no_dest,
+                            &[],
+                            k,
+                            &budget,
+                            &policy,
+                            &pool,
+                        )
+                        .unwrap(),
+                    ),
+                ),
+                (
+                    "batched scatter",
+                    sharded(
+                        batched_scatter_gather_top_k(models, &archive, k, &budget, &policy, &pool)
+                            .unwrap()
+                            .queries
+                            .pop()
+                            .unwrap(),
+                    ),
+                ),
+                (
+                    "batched scatter/cancellable",
+                    sharded(
+                        batched_scatter_gather_top_k_cancellable(
+                            models, &archive, k, &budget, &policy, &token, &pool,
+                        )
+                        .unwrap()
+                        .queries
+                        .pop()
+                        .unwrap(),
+                    ),
+                ),
+            ];
+            for (name, got) in pooled {
+                assert_eq!(got.0, want.0, "{name} at {threads} threads");
+                // One shard is one task and runs inline at any pool
+                // width; the partitioned engines split work above one.
+                if threads == 1 || name.contains("scatter") {
+                    assert_eq!(got.1, want.1, "{name} at {threads} threads");
+                }
+            }
+        }
+    }
+}

@@ -17,6 +17,7 @@
 //! Every engine returns exactly the scores a naive full scan returns
 //! (property-tested); only the work differs.
 
+use crate::descent::{drain, seed_root, Direct, Env, Lane, Local, Scorer, Strict};
 use crate::error::CoreError;
 use crate::query::{Objective, TopKQuery};
 use crate::source::{CellSource, PyramidSource};
@@ -110,9 +111,9 @@ impl fmt::Display for EffortReport {
 /// One scratch belongs to one engine call at a time — sequential callers
 /// keep a single instance, parallel engines keep one per worker. A fresh
 /// scratch warms up over the first query (buffers grow to the query's
-/// working-set size) and then stops allocating; [`regrowths`]
-/// (`QueryScratch::regrowths`) counts how many buffer growth events have
-/// happened, so tests can assert a warmed scratch stays allocation-free.
+/// working-set size) and then stops allocating;
+/// [`regrowths`](QueryScratch::regrowths) counts how many buffer growth
+/// events have happened, so tests can assert a warmed scratch stays allocation-free.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     pub(crate) children: Vec<CellCoord>,
@@ -314,37 +315,6 @@ pub fn staged_top_k_with_scratch(
     })
 }
 
-/// [`staged_top_k`] over grid cells, with attribute values pulled through a
-/// [`CellSource`] instead of a resident tuple list.
-///
-/// Cells are enumerated row-major, so a result's `index` is
-/// `row * cols + col`. The staged engine touches every tuple at stage 1
-/// anyway, so the source is drained upfront; failures are strict (any
-/// failed read aborts the query).
-///
-/// # Errors
-///
-/// Same as [`staged_top_k`], plus [`CoreError::Archive`] for failed base
-/// reads.
-pub fn staged_grid_top_k<S: CellSource>(
-    model: &ProgressiveLinearModel,
-    source: &S,
-    rows: usize,
-    cols: usize,
-    k: usize,
-) -> Result<TupleTopK, CoreError> {
-    if rows == 0 || cols == 0 {
-        return Err(CoreError::Query("empty grid".into()));
-    }
-    let mut tuples = Vec::with_capacity(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            tuples.push(read_base_vector(source, model.stages(), r, c)?);
-        }
-    }
-    staged_top_k(model, &tuples, k)
-}
-
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Region {
     pub(crate) ub: f64,
@@ -432,13 +402,20 @@ pub fn pyramid_top_k_with_scratch<S: CellSource>(
     source: &S,
     scratch: &mut QueryScratch,
 ) -> Result<GridTopK, CoreError> {
-    let (shape, levels) = validate_grid_inputs(model, pyramids, k)?;
-    let (rows, cols) = shape;
-    let n = model.arity() as u64;
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: n * (rows * cols) as u64,
-    };
+    validate_grid_inputs(model, pyramids, k)?;
+    strict_descent(model, pyramids, k, source, scratch)
+}
+
+/// The strict configuration of the execution core ([`crate::descent`]):
+/// local floor, no stop, and a failed read aborts with the source's error.
+fn strict_descent<S: CellSource, M: Scorer>(
+    model: &M,
+    pyramids: &[AggregatePyramid],
+    k: usize,
+    source: &S,
+    scratch: &mut QueryScratch,
+) -> Result<GridTopK, CoreError> {
+    let (rows, cols) = pyramids[0].base_shape();
     let caps = scratch.caps();
     let QueryScratch {
         children,
@@ -447,75 +424,38 @@ pub fn pyramid_top_k_with_scratch<S: CellSource>(
         frontier,
         ..
     } = scratch;
-    frontier.clear();
-    let mut heap = TopKHeap::new(k);
-    let top = levels - 1;
-    let root_bound = region_bound_into(model, pyramids, top, 0, 0, ranges, &mut effort)?;
-    frontier.push(Region {
-        ub: root_bound,
-        level: top,
-        row: 0,
-        col: 0,
-    });
-    let mut results = Vec::new();
-    while let Some(region) = frontier.pop() {
-        if let Some(floor) = heap.floor() {
-            if floor >= region.ub {
-                break;
-            }
-        }
-        if region.level == 0 {
-            // Exact evaluation at base resolution, through the source.
-            read_base_vector_into(source, model.arity(), region.row, region.col, x)?;
-            effort.multiply_adds += n;
-            heap.offer(ScoredItem {
-                index: region.row * cols + region.col,
-                score: model.evaluate(x),
-            });
-            continue;
-        }
-        pyramids[0].children_into(region.level, region.row, region.col, children);
-        for child in children.iter() {
-            let ub = region_bound_into(
-                model,
-                pyramids,
-                region.level - 1,
-                child.row,
-                child.col,
-                ranges,
-                &mut effort,
-            )?;
-            frontier.push(Region {
-                ub,
-                level: region.level - 1,
-                row: child.row,
-                col: child.col,
-            });
-        }
-    }
-    for item in heap.into_sorted() {
-        results.push(ScoredCell {
+    let mut env = Env {
+        pyramids,
+        source,
+        cols,
+        row_offset: 0,
+        fetch: Direct { x, ranges },
+        pressure: Strict,
+        floor: Local,
+        children,
+    };
+    let naive = (model.arity() * rows * cols) as u64;
+    let mut lane = Lane::new(0, model, frontier, (&[], &[]), k, naive);
+    seed_root(&mut env, &mut lane)?;
+    drain(&mut env, &mut lane)?;
+    let out = lane.finish();
+    scratch.note_regrowth(&caps);
+    let results = out
+        .items
+        .into_iter()
+        .map(|item| ScoredCell {
             cell: CellCoord::new(item.index / cols, item.index % cols),
             score: item.score,
-        });
-    }
-    scratch.note_regrowth(&caps);
-    Ok(GridTopK { results, effort })
+        })
+        .collect();
+    Ok(GridTopK {
+        results,
+        effort: out.effort,
+    })
 }
 
-/// Reads the full attribute vector of one base cell through a source.
-pub(crate) fn read_base_vector<S: CellSource>(
-    source: &S,
-    arity: usize,
-    row: usize,
-    col: usize,
-) -> Result<Vec<f64>, CoreError> {
-    let mut out = Vec::with_capacity(arity);
-    read_base_vector_into(source, arity, row, col, &mut out)?;
-    Ok(out)
-}
-
-/// [`read_base_vector`] into a reused buffer (cleared first).
+/// Reads the full attribute vector of one base cell through a source,
+/// into a reused buffer (cleared first).
 pub(crate) fn read_base_vector_into<S: CellSource>(
     source: &S,
     arity: usize,
@@ -582,92 +522,61 @@ pub fn combined_top_k_with_scratch<S: CellSource>(
     source: &S,
     scratch: &mut QueryScratch,
 ) -> Result<GridTopK, CoreError> {
-    let (shape, levels) = validate_grid_inputs(model.model(), pyramids, k)?;
-    let (rows, cols) = shape;
-    let n_terms = model.stages();
-    let n = n_terms as u64;
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: n * (rows * cols) as u64,
-    };
-    let stage_for_level = |level: usize| -> usize {
+    let (_, levels) = validate_grid_inputs(model.model(), pyramids, k)?;
+    strict_descent(&Truncated { model, levels }, pyramids, k, source, scratch)
+}
+
+/// The combined engine's [`Scorer`]: regions are bounded with the model
+/// truncated to the level's stage (one multiply-add per evaluated term),
+/// cells are scored with the full model.
+struct Truncated<'a> {
+    model: &'a ProgressiveLinearModel,
+    levels: usize,
+}
+
+impl Truncated<'_> {
+    /// Terms used at `level`: coarser level -> fewer terms, never below 1.
+    fn stage_for_level(&self, level: usize) -> usize {
+        let n_terms = self.model.stages();
         if level == 0 {
-            n_terms
-        } else {
-            // Coarser level -> fewer terms, never below 1.
-            let frac = (levels - level) as f64 / levels as f64;
-            ((n_terms as f64 * frac).ceil() as usize).clamp(1, n_terms)
+            return n_terms;
         }
-    };
-    let caps = scratch.caps();
-    let QueryScratch {
-        children,
-        x,
-        frontier,
-        ..
-    } = scratch;
-    frontier.clear();
-    let mut heap = TopKHeap::new(k);
-    let top = levels - 1;
-    let root_ub = staged_region_bound(
-        model,
-        pyramids,
-        top,
-        0,
-        0,
-        stage_for_level(top),
-        &mut effort,
-    )?;
-    frontier.push(Region {
-        ub: root_ub,
-        level: top,
-        row: 0,
-        col: 0,
-    });
-    let mut results = Vec::new();
-    while let Some(region) = frontier.pop() {
-        if let Some(floor) = heap.floor() {
-            if floor >= region.ub {
-                break;
-            }
-        }
-        if region.level == 0 {
-            read_base_vector_into(source, n_terms, region.row, region.col, x)?;
-            effort.multiply_adds += n;
-            heap.offer(ScoredItem {
-                index: region.row * cols + region.col,
-                score: model.evaluate_exact(x),
-            });
-            continue;
-        }
-        let child_stage = stage_for_level(region.level - 1);
-        pyramids[0].children_into(region.level, region.row, region.col, children);
-        for child in children.iter() {
-            let ub = staged_region_bound(
-                model,
-                pyramids,
-                region.level - 1,
-                child.row,
-                child.col,
-                child_stage,
-                &mut effort,
-            )?;
-            frontier.push(Region {
-                ub,
-                level: region.level - 1,
-                row: child.row,
-                col: child.col,
-            });
-        }
+        let frac = (self.levels - level) as f64 / self.levels as f64;
+        ((n_terms as f64 * frac).ceil() as usize).clamp(1, n_terms)
     }
-    for item in heap.into_sorted() {
-        results.push(ScoredCell {
-            cell: CellCoord::new(item.index / cols, item.index % cols),
-            score: item.score,
-        });
+}
+
+impl Scorer for Truncated<'_> {
+    fn arity(&self) -> usize {
+        self.model.stages()
     }
-    scratch.note_regrowth(&caps);
-    Ok(GridTopK { results, effort })
+
+    /// Truncated-model interval upper bound: the first `stage` ranked
+    /// terms use the region box; the rest contribute their *global*
+    /// residual envelope, a stage constant baked into the progressive
+    /// model (suffix_mid + residual == max suffix).
+    #[inline]
+    fn bound(
+        &self,
+        pyramids: &[AggregatePyramid],
+        (level, row, col): (usize, usize, usize),
+        _ranges: &mut Vec<(f64, f64)>,
+    ) -> Result<(f64, u64), CoreError> {
+        let stage = self.stage_for_level(level);
+        let coeffs = self.model.model().coefficients();
+        let mut hi = self.model.model().intercept();
+        for &term in &self.model.term_order()[..stage] {
+            let s = pyramids[term].cell(level, row, col)?;
+            let a = coeffs[term];
+            hi += if a >= 0.0 { a * s.max } else { a * s.min };
+        }
+        Ok((hi + suffix_upper(self.model, stage), stage as u64))
+    }
+
+    #[inline]
+    fn score(&self, x: &[f64]) -> f64 {
+        self.model.evaluate_exact(x)
+    }
 }
 
 /// Naive full scan over the pyramids' base level — the §4.2 `O(nN)`
@@ -767,53 +676,6 @@ pub(crate) fn validate_grid_inputs(
         }
     }
     Ok((shape, levels))
-}
-
-/// Full-model interval upper bound over a pyramid region, with the
-/// per-attribute range box assembled in a reused buffer (cleared first)
-/// instead of a fresh allocation per call.
-pub(crate) fn region_bound_into(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    level: usize,
-    row: usize,
-    col: usize,
-    ranges: &mut Vec<(f64, f64)>,
-    effort: &mut EffortReport,
-) -> Result<f64, CoreError> {
-    ranges.clear();
-    for p in pyramids {
-        let s = p.cell(level, row, col)?;
-        ranges.push((s.min, s.max));
-    }
-    effort.multiply_adds += model.arity() as u64;
-    let (_, hi) = model.bound_over_box(ranges)?;
-    Ok(hi)
-}
-
-/// Truncated-model interval upper bound: the first `stage` ranked terms use
-/// the region box; the rest contribute their *global* residual envelope.
-fn staged_region_bound(
-    model: &ProgressiveLinearModel,
-    pyramids: &[AggregatePyramid],
-    level: usize,
-    row: usize,
-    col: usize,
-    stage: usize,
-    effort: &mut EffortReport,
-) -> Result<f64, CoreError> {
-    let coeffs = model.model().coefficients();
-    let mut hi = model.model().intercept();
-    for &term in &model.term_order()[..stage] {
-        let s = pyramids[term].cell(level, row, col)?;
-        let a = coeffs[term];
-        hi += if a >= 0.0 { a * s.max } else { a * s.min };
-        effort.multiply_adds += 1;
-    }
-    // Global envelope of the unevaluated suffix, a stage constant baked
-    // into the progressive model: suffix_mid + residual == max suffix.
-    let suffix_hi = suffix_upper(model, stage);
-    Ok(hi + suffix_hi)
 }
 
 /// Max possible contribution of the terms after `stage` (over the global

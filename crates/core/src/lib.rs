@@ -11,6 +11,12 @@
 //!   cost is `O(nN / (p_m p_d))` (§4.2). Every engine is *exact*: pruning
 //!   uses sound interval bounds, and equivalence with a full scan is
 //!   property-tested.
+//!   The pop → bound → expand loop of this and every other grid engine
+//!   below — resilient, parallel, batched, sharded — is written once, in
+//!   the private `descent` module: one step monomorphised over floor,
+//!   stop policy, model bound and fetch layer, a solo and a batch
+//!   scheduler over it, one `degrade`, one scatter (DESIGN.md §18). The
+//!   public `*top_k*` names are thin wrappers that pick a configuration.
 //! * [`metrics`] — §4.1 model accuracy: miss / false-alarm costs `C(x,y)`,
 //!   the weighted total `C_T`, threshold sweeps, and precision/recall of
 //!   top-K retrieval against observed occurrences.
@@ -48,7 +54,7 @@
 //!   global upper bound while cross-query reuse lasts and degrading to
 //!   solo-shaped query-major drains when a governor proves it doesn't.
 //!   Every per-query answer is bit-identical to its solo
-//!   [`resilient`](crate::resilient) run; threaded through the parallel
+//!   [`resilient`] run; threaded through the parallel
 //!   workers and the sharded scatter-gather.
 //! * [`snapshot`] — crash-consistent live appends: a [`LiveArchive`]
 //!   grows by journaled, tile-row-aligned appends (one checksummed frame
@@ -87,6 +93,7 @@
 pub mod batched;
 pub mod coarse;
 pub mod continuous;
+mod descent;
 pub mod engine;
 pub mod error;
 pub mod lifecycle;
@@ -111,7 +118,7 @@ pub use coarse::CoarseGrid;
 pub use continuous::{ContinuousDetector, ContinuousQueryDriver};
 pub use engine::{
     combined_top_k, combined_top_k_with_source, grid_query, pyramid_top_k,
-    pyramid_top_k_with_source, staged_grid_top_k, staged_top_k, EffortReport,
+    pyramid_top_k_with_source, staged_top_k, EffortReport,
 };
 pub use error::CoreError;
 pub use lifecycle::{
@@ -146,10 +153,9 @@ pub use resilient::{
 };
 pub use shard::{
     batched_scatter_gather_top_k, batched_scatter_gather_top_k_cancellable, scatter_gather_top_k,
-    scatter_gather_top_k_cancellable, scatter_gather_top_k_dual,
-    scatter_gather_top_k_dual_cancellable, ArchiveShard, BatchedShardedTopK, CompletionPolicy,
-    DualReadGroup, EpochMismatch, InsufficientShards, ScatterPolicy, ShardError, ShardOutcome,
-    ShardReport, ShardTable, ShardedArchive, ShardedTopK,
+    scatter_gather_top_k_cancellable, scatter_gather_top_k_dual, ArchiveShard, BatchedShardedTopK,
+    CompletionPolicy, DualReadGroup, EpochMismatch, InsufficientShards, ScatterPolicy, ShardError,
+    ShardOutcome, ShardReport, ShardTable, ShardedArchive, ShardedTopK,
 };
 pub use snapshot::{EpochSnapshot, LiveArchive, LiveRecoveryReport, SnapshotEpoch, SnapshotHandle};
 pub use source::{CachedTileSource, CellSource, PyramidSource, QuarantineScrub, TileSource};

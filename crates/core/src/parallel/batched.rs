@@ -1,24 +1,24 @@
 //! Parallel batched multi-query execution: the shared-frontier descent of
 //! [`crate::batched`] partitioned over the worker pool.
 //!
-//! The shape mirrors the parallel resilient engine:
+//! This *is* the parallel resilient engine — `par_resilient_top_k` is the
+//! batch of one — in the three phases of [`super::engines`]:
 //!
-//! 1. **Shared warm-up.** One sequential expansion of the *batched*
-//!    frontier — `(query, region)` entries popped in the global bound
-//!    order, region range boxes fetched once and bounded for all Q
-//!    queries at a time — until it holds enough entries to deal every
-//!    worker several per query.
+//! 1. **Shared warm-up.** One sequential expansion of the batch's
+//!    frontiers in the global bound order, region range boxes fetched
+//!    once and bounded per requesting query, until they hold enough
+//!    regions to deal every worker several per query.
 //! 2. **Descend.** Each worker runs the batched best-first loop over its
-//!    dealt entries with a *vector* of per-query [`SharedBound`]s: a K-th
-//!    floor discovered for query `q` by one worker prunes `q`'s entries
-//!    in every other worker, while leaving the other queries' descents
-//!    untouched. Cell reads and bound vectors are memoized per worker;
-//!    cross-worker page reuse comes from routing every worker through one
-//!    shared (optionally caching) [`CellSource`].
-//! 3. **Merge.** Per-query results are merged exactly like the parallel
-//!    resilient engine merges one query: global score order, sound floor
-//!    only from a full heap, leftover and lost regions resolved per query
-//!    by that query's own floor.
+//!    dealt regions with one [`SharedBound`](super::SharedBound) per
+//!    query: a K-th floor discovered for query `q` by one worker prunes
+//!    `q`'s regions in every other worker, while leaving the other
+//!    queries' descents untouched. Cell reads and range boxes are
+//!    memoized per worker; cross-worker page reuse comes from routing
+//!    every worker through one shared (optionally caching)
+//!    [`CellSource`].
+//! 3. **Merge.** Per query: global score order, sound floor only from a
+//!    full heap, leftover and lost regions resolved by that query's own
+//!    floor.
 //!
 //! With a healthy source (or deterministic page faults) and a non-binding
 //! budget, every query's merged results are bit-identical to its solo
@@ -26,315 +26,23 @@
 //! §9, applied per query. Mid-run budget stops are schedule-dependent,
 //! exactly as they are for [`par_resilient_top_k`](super::engines).
 
-use crate::batched::CELL_MEMO_WINDOW;
-use crate::batched::{
-    cell_key, BatchEntry, BatchedTopK, BoundMemo, CellSlot, MemoGovernor, MemoMap, Selector,
-};
+use crate::batched::{gather, validate_batch, BatchedTopK, Job, Tally};
 use crate::coarse::CoarseGrid;
-use crate::engine::{
-    read_base_vector_into, region_bound_into, validate_grid_inputs, EffortReport, Region,
-};
+use crate::descent::{Clock, ExecOpts, PoolMeter, Pooled};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
-use crate::parallel::engines::{code_stop, stop_code, FRONTIER_FANOUT, STOP_NONE};
-use crate::parallel::pool::{SharedBound, WorkerPool};
-use crate::resilient::{checkpoint_stop, region_candidate, BudgetStop, ExecutionBudget};
-use crate::resilient::{ResilientHit, ResilientTopK, ScoreBounds, WallDeadline};
+use crate::parallel::engines::par_descend;
+use crate::parallel::pool::WorkerPool;
+use crate::resilient::{ExecutionBudget, WallDeadline};
 use crate::source::CellSource;
-use mbir_archive::error::ArchiveError;
-use mbir_archive::extent::CellCoord;
-use mbir_index::scan::TopKHeap;
-use mbir_index::stats::{sort_desc, ScoredItem};
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
-use std::collections::{BTreeSet, BinaryHeap};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering as AtomicOrdering};
-
-/// Shared read-only context of one parallel batched run.
-struct BatchedCtx<'a, S: CellSource> {
-    models: &'a [LinearModel],
-    pyramids: &'a [AggregatePyramid],
-    cols: usize,
-    k: usize,
-    source: &'a S,
-    budget: &'a ExecutionBudget,
-    deadline: &'a WallDeadline,
-    cancel: Option<&'a CancelToken>,
-    /// One pruning bound per query: workers publish each query's K-th
-    /// floor into its own slot, so pruning progress propagates per query.
-    bounds: &'a [SharedBound],
-    coarse: Option<&'a CoarseGrid>,
-    /// Batch-wide multiply-adds across all queries and workers.
-    multiply_adds: &'a AtomicU64,
-    stop: &'a AtomicU8,
-    pages_at_entry: u64,
-    ticks_at_entry: u64,
-}
-
-struct BatchedWorkerOut {
-    /// Per-query evaluated hits, in batch order.
-    items: Vec<Vec<ScoredItem>>,
-    /// Per-query level-0 regions whose page read failed.
-    lost: Vec<Vec<(Region, usize)>>,
-    /// Per-query regions a budget stop left unrefined.
-    leftover: Vec<Vec<Region>>,
-    efforts: Vec<EffortReport>,
-    cells_fetched: u64,
-    cell_requests: u64,
-    bound_evals: u64,
-    bound_requests: u64,
-    error: Option<CoreError>,
-}
-
-/// One worker's batched descent over its dealt `(query, region)` entries:
-/// each query pops among its own entries in exactly its solo order, prunes
-/// against `max(its shared bound, its local floor)`, and parks lost pages;
-/// the batch-wide budget is checked once per pop.
-fn batched_worker<S: CellSource>(
-    ctx: &BatchedCtx<'_, S>,
-    seed: Vec<BatchEntry>,
-) -> BatchedWorkerOut {
-    let m = ctx.models.len();
-    let arity = ctx.models[0].arity();
-    let n = arity as u64;
-    let mut frontiers: Vec<BinaryHeap<Region>> = (0..m).map(|_| BinaryHeap::new()).collect();
-    for e in seed {
-        frontiers[e.q as usize].push(e.region());
-    }
-    let mut selector = Selector::for_width(m);
-    for q in 0..m {
-        selector.arm(q, &frontiers);
-    }
-    let mut heaps: Vec<TopKHeap> = (0..m).map(|_| TopKHeap::new(ctx.k)).collect();
-    let mut local_done = vec![false; m];
-    let mut children: Vec<CellCoord> = Vec::new();
-    let mut ranges: Vec<(f64, f64)> = Vec::new();
-    let mut x: Vec<f64> = Vec::new();
-    let mut cell_memo: MemoMap<CellSlot> = MemoMap::default();
-    let mut cell_gov = MemoGovernor::new(CELL_MEMO_WINDOW);
-    let mut cell_arena: Vec<f64> = Vec::new();
-    let mut bound_memo = BoundMemo::new();
-    let mut out = BatchedWorkerOut {
-        items: (0..m).map(|_| Vec::new()).collect(),
-        lost: (0..m).map(|_| Vec::new()).collect(),
-        leftover: (0..m).map(|_| Vec::new()).collect(),
-        efforts: vec![EffortReport::default(); m],
-        cells_fetched: 0,
-        cell_requests: 0,
-        bound_evals: 0,
-        bound_requests: 0,
-        error: None,
-    };
-    let mut coarse_bufs: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-    if let Some(cg) = ctx.coarse {
-        coarse_bufs.resize_with(m, Default::default);
-        for (q, model) in ctx.models.iter().enumerate() {
-            let (qc, qm) = &mut coarse_bufs[q];
-            if let Err(e) = cg.prepare_into(model, qc, qm) {
-                out.error = Some(e);
-                return out;
-            }
-        }
-    }
-    'descent: while let Some((q, e)) = selector.next(&mut frontiers) {
-        if bound_memo.is_off() {
-            selector.go_serial();
-        }
-        let mut bound = ctx.bounds[q].get();
-        if let Some(floor) = heaps[q].floor() {
-            bound = bound.max(floor);
-        }
-        if bound >= e.ub {
-            // This query's remaining entries in this worker all carry
-            // smaller bounds: sound exclusion, query-local; its frontier
-            // is abandoned without further pops.
-            local_done[q] = true;
-            continue;
-        }
-        if ctx.stop.load(AtomicOrdering::Relaxed) != STOP_NONE {
-            out.leftover[q].push(e);
-            for (rq, f) in frontiers.iter_mut().enumerate() {
-                if !local_done[rq] {
-                    out.leftover[rq].extend(f.drain());
-                }
-            }
-            break;
-        }
-        let checked = checkpoint_stop(
-            ctx.cancel,
-            ctx.deadline,
-            ctx.budget,
-            ctx.multiply_adds.load(AtomicOrdering::Relaxed),
-            ctx.source.pages_read().saturating_sub(ctx.pages_at_entry),
-            ctx.source
-                .ticks_elapsed()
-                .saturating_sub(ctx.ticks_at_entry),
-        );
-        if let Some(stop) = checked {
-            let _ = ctx.stop.compare_exchange(
-                STOP_NONE,
-                stop_code(stop),
-                AtomicOrdering::Relaxed,
-                AtomicOrdering::Relaxed,
-            );
-            out.leftover[q].push(e);
-            for (rq, f) in frontiers.iter_mut().enumerate() {
-                if !local_done[rq] {
-                    out.leftover[rq].extend(f.drain());
-                }
-            }
-            break;
-        }
-        if e.level == 0 {
-            out.cell_requests += 1;
-            if cell_gov.live() {
-                let ck = cell_key(e.row as u32, e.col as u32);
-                let slot = match cell_memo.get(&ck) {
-                    Some(s) => {
-                        cell_gov.record(true);
-                        *s
-                    }
-                    None => {
-                        cell_gov.record(false);
-                        let s = match read_base_vector_into(ctx.source, arity, e.row, e.col, &mut x)
-                        {
-                            Ok(()) => {
-                                out.cells_fetched += 1;
-                                let off = cell_arena.len();
-                                cell_arena.extend_from_slice(&x);
-                                CellSlot::Loaded(off)
-                            }
-                            Err(CoreError::Archive(
-                                ArchiveError::PageIo { page }
-                                | ArchiveError::PageQuarantined { page }
-                                | ArchiveError::PageCorrupt { page },
-                            )) => {
-                                let page = ctx.source.page_of(e.row, e.col).unwrap_or(page);
-                                CellSlot::Lost(page)
-                            }
-                            Err(err) => {
-                                out.error = Some(err);
-                                break 'descent;
-                            }
-                        };
-                        cell_memo.insert(ck, s);
-                        s
-                    }
-                };
-                match slot {
-                    CellSlot::Loaded(off) => {
-                        out.efforts[q].multiply_adds += n;
-                        ctx.multiply_adds.fetch_add(n, AtomicOrdering::Relaxed);
-                        heaps[q].offer(ScoredItem {
-                            index: e.row * ctx.cols + e.col,
-                            score: ctx.models[q].evaluate(&cell_arena[off..off + arity]),
-                        });
-                        if let Some(floor) = heaps[q].floor() {
-                            ctx.bounds[q].offer(floor);
-                        }
-                    }
-                    CellSlot::Lost(page) => out.lost[q].push((e, page)),
-                }
-            } else {
-                // Governed off: the solo worker's read-and-score path,
-                // with no arena copy and no table insert.
-                match read_base_vector_into(ctx.source, arity, e.row, e.col, &mut x) {
-                    Ok(()) => {
-                        out.cells_fetched += 1;
-                        out.efforts[q].multiply_adds += n;
-                        ctx.multiply_adds.fetch_add(n, AtomicOrdering::Relaxed);
-                        heaps[q].offer(ScoredItem {
-                            index: e.row * ctx.cols + e.col,
-                            score: ctx.models[q].evaluate(&x),
-                        });
-                        if let Some(floor) = heaps[q].floor() {
-                            ctx.bounds[q].offer(floor);
-                        }
-                    }
-                    Err(CoreError::Archive(
-                        ArchiveError::PageIo { page }
-                        | ArchiveError::PageQuarantined { page }
-                        | ArchiveError::PageCorrupt { page },
-                    )) => {
-                        let page = ctx.source.page_of(e.row, e.col).unwrap_or(page);
-                        out.lost[q].push((e, page));
-                    }
-                    Err(err) => {
-                        out.error = Some(err);
-                        break 'descent;
-                    }
-                }
-            }
-            selector.arm(q, &frontiers);
-            continue;
-        }
-        let level = e.level;
-        ctx.pyramids[0].children_into(level, e.row, e.col, &mut children);
-        for &child in children.iter() {
-            // Coarse pass against the pop-time pruning bound — the same
-            // strict-`<` prune-only contract as the parallel resilient
-            // worker, applied with this query's own bound.
-            if let Some(cg) = ctx.coarse {
-                let (qc, qm) = &coarse_bufs[q];
-                if bound > f64::NEG_INFINITY
-                    && cg.cell_upper_bound(qc, qm, level - 1, child.row, child.col) < bound
-                {
-                    continue;
-                }
-            }
-            out.bound_requests += 1;
-            let bounded = if bound_memo.is_off() {
-                // Retired memo: the solo engine's bound path, inlined.
-                out.bound_evals += 1;
-                region_bound_into(
-                    &ctx.models[q],
-                    ctx.pyramids,
-                    level - 1,
-                    child.row,
-                    child.col,
-                    &mut ranges,
-                    &mut out.efforts[q],
-                )
-            } else {
-                bound_memo
-                    .bound(
-                        ctx.models,
-                        ctx.pyramids,
-                        level - 1,
-                        child.row,
-                        child.col,
-                        q,
-                        &mut out.bound_evals,
-                    )
-                    .inspect(|_| out.efforts[q].multiply_adds += n)
-            };
-            let ub = match bounded {
-                Ok(ub) => ub,
-                Err(err) => {
-                    out.error = Some(err);
-                    break 'descent;
-                }
-            };
-            ctx.multiply_adds.fetch_add(n, AtomicOrdering::Relaxed);
-            frontiers[q].push(Region {
-                ub,
-                level: level - 1,
-                row: child.row,
-                col: child.col,
-            });
-        }
-        selector.arm(q, &frontiers);
-    }
-    for (q, heap) in heaps.into_iter().enumerate() {
-        out.items[q] = heap.into_sorted();
-    }
-    out
-}
 
 /// Parallel [`batched_top_k`](crate::batched::batched_top_k): the shared
 /// multi-query descent partitioned over the pool's workers, with one
-/// [`SharedBound`] per query so each query's pruning floor propagates
-/// across workers independently, under one batch-wide budget.
+/// [`SharedBound`](super::SharedBound) per query so each query's pruning
+/// floor propagates across workers independently, under one batch-wide
+/// budget.
 ///
 /// With a healthy source (or deterministic page faults) and a non-binding
 /// budget, each query's results are bit-identical to its solo sequential
@@ -352,7 +60,7 @@ pub fn par_batched_top_k<S: CellSource + Sync>(
     budget: &ExecutionBudget,
     pool: &WorkerPool,
 ) -> Result<BatchedTopK, CoreError> {
-    par_batched_top_k_inner(models, pyramids, k, source, budget, None, None, pool)
+    par_batched_top_k_inner(models, pyramids, k, source, ExecOpts::new(budget), pool)
 }
 
 /// [`par_batched_top_k`] polling a [`CancelToken`] at every worker
@@ -371,16 +79,8 @@ pub fn par_batched_top_k_cancellable<S: CellSource + Sync>(
     cancel: &CancelToken,
     pool: &WorkerPool,
 ) -> Result<BatchedTopK, CoreError> {
-    par_batched_top_k_inner(
-        models,
-        pyramids,
-        k,
-        source,
-        budget,
-        Some(cancel),
-        None,
-        pool,
-    )
+    let opts = ExecOpts::new(budget).cancel(cancel);
+    par_batched_top_k_inner(models, pyramids, k, source, opts, pool)
 }
 
 /// [`par_batched_top_k`] with the quantized coarse pass: every worker
@@ -400,294 +100,42 @@ pub fn par_batched_top_k_coarse<S: CellSource + Sync>(
     coarse: &CoarseGrid,
     pool: &WorkerPool,
 ) -> Result<BatchedTopK, CoreError> {
-    par_batched_top_k_inner(
-        models,
-        pyramids,
-        k,
-        source,
-        budget,
-        None,
-        Some(coarse),
-        pool,
-    )
+    let opts = ExecOpts::new(budget).coarse(coarse);
+    par_batched_top_k_inner(models, pyramids, k, source, opts, pool)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn par_batched_top_k_inner<S: CellSource + Sync>(
+/// The resilient parallel run of a batch of Q ≥ 1 queries: one
+/// [`PoolMeter`] carries the batch-wide multiply-adds and the first stop
+/// any worker latches; each query's outcome is gathered against its own
+/// floor. A query that drained its frontier everywhere finished normally
+/// even when some *other* query tripped the stop.
+pub(crate) fn par_batched_top_k_inner<S: CellSource + Sync>(
     models: &[LinearModel],
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    budget: &ExecutionBudget,
-    cancel: Option<&CancelToken>,
-    coarse: Option<&CoarseGrid>,
+    opts: ExecOpts<'_>,
     pool: &WorkerPool,
 ) -> Result<BatchedTopK, CoreError> {
-    let m = models.len();
-    if m == 0 {
-        return Ok(BatchedTopK {
-            queries: Vec::new(),
-            pages_read: 0,
-            cells_fetched: 0,
-            cell_requests: 0,
-            bound_evals: 0,
-            bound_requests: 0,
-        });
+    if models.is_empty() {
+        return Ok(BatchedTopK::gathered(Vec::new(), Tally::default(), 0));
     }
-    let ((rows, cols), levels) = validate_grid_inputs(&models[0], pyramids, k)?;
-    for model in &models[1..] {
-        if model.arity() != models[0].arity() {
-            return Err(CoreError::Query(
-                "batched queries must share the model arity".into(),
-            ));
-        }
-    }
-    let n = models[0].arity() as u64;
-    let total_cells = (rows * cols) as u64;
+    validate_batch(models, pyramids, k)?;
+    let deadline = WallDeadline::starting_now(opts.budget);
     let pages_at_entry = source.pages_read();
-    let ticks_at_entry = source.ticks_elapsed();
-    let deadline = WallDeadline::starting_now(budget);
-
-    let mut efforts: Vec<EffortReport> = (0..m)
-        .map(|_| EffortReport {
-            multiply_adds: 0,
-            naive_multiply_adds: n * total_cells,
-        })
-        .collect();
-    let mut total_ma = 0u64;
-    let mut bound_evals = 0u64;
-    let mut bound_requests = 0u64;
-
-    // Shared warm-up over the batched frontier: level-0 entries are
-    // parked, range boxes are fetched once per region and bounded lazily
-    // per requesting query, and the target scales with the batch so every
-    // worker receives several entries per query.
-    let mut children: Vec<CellCoord> = Vec::new();
-    let mut bound_memo = BoundMemo::new();
-    let mut frontier: BinaryHeap<BatchEntry> = BinaryHeap::new();
-    let mut parked: Vec<BatchEntry> = Vec::new();
-    let top = levels - 1;
-    for (q, effort) in efforts.iter_mut().enumerate().take(m) {
-        let ub = bound_memo.bound(models, pyramids, top, 0, 0, q, &mut bound_evals)?;
-        effort.multiply_adds += n;
-        total_ma += n;
-        bound_requests += 1;
-        frontier.push(BatchEntry {
-            ub,
-            level: top as u32,
-            row: 0,
-            col: 0,
-            q: q as u32,
-        });
-    }
-    let target = pool.threads() * FRONTIER_FANOUT * m;
-    let mut warm_stop: Option<BudgetStop> = None;
-    while frontier.len() + parked.len() < target {
-        let checked = checkpoint_stop(
-            cancel,
-            &deadline,
-            budget,
-            total_ma,
-            source.pages_read().saturating_sub(pages_at_entry),
-            source.ticks_elapsed().saturating_sub(ticks_at_entry),
-        );
-        if let Some(s) = checked {
-            warm_stop = Some(s);
-            break;
-        }
-        let Some(e) = frontier.pop() else { break };
-        if e.level == 0 {
-            parked.push(e);
-            continue;
-        }
-        let q = e.q as usize;
-        let level = e.level as usize;
-        pyramids[0].children_into(level, e.row as usize, e.col as usize, &mut children);
-        for &child in children.iter() {
-            bound_requests += 1;
-            let ub = bound_memo.bound(
-                models,
-                pyramids,
-                level - 1,
-                child.row,
-                child.col,
-                q,
-                &mut bound_evals,
-            )?;
-            efforts[q].multiply_adds += n;
-            total_ma += n;
-            frontier.push(BatchEntry {
-                ub,
-                level: (level - 1) as u32,
-                row: child.row as u32,
-                col: child.col as u32,
-                q: e.q,
-            });
-        }
-    }
-    let mut entries = frontier.into_vec();
-    entries.append(&mut parked);
-    entries.sort_by(|a, b| b.cmp(a));
-
-    let bounds: Vec<SharedBound> = (0..m).map(|_| SharedBound::new()).collect();
-    let shared_ma = AtomicU64::new(total_ma);
-    let stop_flag = AtomicU8::new(warm_stop.map(stop_code).unwrap_or(STOP_NONE));
-
-    let mut all_items: Vec<Vec<ScoredItem>> = (0..m).map(|_| Vec::new()).collect();
-    let mut all_lost: Vec<Vec<(Region, usize)>> = (0..m).map(|_| Vec::new()).collect();
-    let mut all_leftover: Vec<Vec<Region>> = (0..m).map(|_| Vec::new()).collect();
-    let mut cells_fetched = 0u64;
-    let mut cell_requests = 0u64;
-
-    if warm_stop.is_some() {
-        for e in entries {
-            all_leftover[e.q as usize].push(e.region());
-        }
-    } else {
-        let ctx = BatchedCtx {
-            models,
-            pyramids,
-            cols,
-            k,
-            source,
-            budget,
-            deadline: &deadline,
-            cancel,
-            bounds: &bounds,
-            coarse,
-            multiply_adds: &shared_ma,
-            stop: &stop_flag,
-            pages_at_entry,
-            ticks_at_entry,
-        };
-        let ctx_ref = &ctx;
-        let workers = pool.threads().min(entries.len()).max(1);
-        let mut parts: Vec<Vec<BatchEntry>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, e) in entries.into_iter().enumerate() {
-            parts[i % workers].push(e);
-        }
-        let outs = pool.run(
-            parts
-                .into_iter()
-                .map(|seed| move |_wi: usize| batched_worker(ctx_ref, seed))
-                .collect(),
-        );
-        for out in outs {
-            if let Some(e) = out.error {
-                return Err(e);
-            }
-            cells_fetched += out.cells_fetched;
-            cell_requests += out.cell_requests;
-            bound_evals += out.bound_evals;
-            bound_requests += out.bound_requests;
-            for (q, eff) in out.efforts.into_iter().enumerate() {
-                efforts[q] += eff;
-            }
-            for (q, items) in out.items.into_iter().enumerate() {
-                all_items[q].extend(items);
-            }
-            for (q, lv) in out.lost.into_iter().enumerate() {
-                all_lost[q].extend(lv);
-            }
-            for (q, lv) in out.leftover.into_iter().enumerate() {
-                all_leftover[q].extend(lv);
-            }
-        }
-    }
-
-    let budget_stop = code_stop(stop_flag.load(AtomicOrdering::Relaxed));
+    let meter = PoolMeter::default();
+    let pressure = Pooled::new(Clock::starting(opts, &deadline, source), &meter);
+    let job = Job::whole(models, pyramids, source, k);
+    let (outs, tally) = par_descend(&job, pressure, pool)?;
     let pages_read = source.pages_read().saturating_sub(pages_at_entry);
-    let parent_level = 1.min(levels - 1);
-    let mut queries = Vec::with_capacity(m);
-    for (q, mut items) in all_items.into_iter().enumerate() {
-        sort_desc(&mut items);
-        items.truncate(k);
-        // Only a full merged heap yields a sound exclusion floor.
-        let floor = if items.len() == k {
-            items.last().map(|i| i.score)
-        } else {
-            None
-        };
-        let excluded = |hi: f64| floor.is_some_and(|f| f >= hi);
-        let mut unresolved = 0u64;
-        let mut skipped: BTreeSet<usize> = BTreeSet::new();
-        let mut hits: Vec<ResilientHit> = items
-            .into_iter()
-            .map(|item| ResilientHit {
-                cell: CellCoord::new(item.index / cols, item.index % cols),
-                level: 0,
-                score: item.score,
-                bounds: ScoreBounds::exact(item.score),
-                exact: true,
-            })
-            .collect();
-        let interrupted = !all_leftover[q].is_empty();
-        for region in &all_leftover[q] {
-            let (candidate, count) = region_candidate(
-                &models[q],
-                pyramids,
-                region.level,
-                region.row,
-                region.col,
-                &mut efforts[q],
-            )?;
-            if excluded(candidate.bounds.hi) {
-                continue; // Provably outside the top-K: resolved.
-            }
-            unresolved += count;
-            hits.push(candidate);
-        }
-        for (region, page) in &all_lost[q] {
-            if excluded(region.ub) {
-                continue;
-            }
-            skipped.insert(*page);
-            let (mut candidate, _) = region_candidate(
-                &models[q],
-                pyramids,
-                parent_level,
-                region.row >> parent_level,
-                region.col >> parent_level,
-                &mut efforts[q],
-            )?;
-            candidate.cell = CellCoord::new(region.row, region.col);
-            candidate.level = 0;
-            unresolved += 1;
-            hits.push(candidate);
-        }
-        hits.sort_by(|a, b| {
-            b.bounds
-                .hi
-                .total_cmp(&a.bounds.hi)
-                .then_with(|| b.score.total_cmp(&a.score))
-                .then_with(|| a.cell.cmp(&b.cell))
-        });
-        hits.truncate(k);
-        queries.push(ResilientTopK {
-            results: hits,
-            effort: efforts[q],
-            completeness: 1.0 - unresolved as f64 / total_cells as f64,
-            skipped_pages: skipped.into_iter().collect(),
-            // A query that drained its frontier everywhere finished
-            // normally even when some *other* query tripped the stop.
-            budget_stop: if interrupted { budget_stop } else { None },
-        });
-    }
-    Ok(BatchedTopK {
-        queries,
-        pages_read,
-        cells_fetched,
-        cell_requests,
-        bound_evals,
-        bound_requests,
-    })
+    gather(&job, outs, tally, pages_read)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batched::batched_top_k;
-    use crate::resilient::resilient_top_k;
+    use crate::resilient::{resilient_top_k, BudgetStop, ResilientTopK};
     use crate::source::{CachedTileSource, TileSource};
     use mbir_archive::fault::FaultProfile;
     use mbir_archive::grid::Grid2;

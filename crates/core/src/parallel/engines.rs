@@ -1,7 +1,8 @@
 //! Parallel counterparts of the strict and resilient grid engines, plus
 //! the partitioned staged-model scan.
 //!
-//! All three engines follow the same shape:
+//! All three engines follow the same shape (the two grid engines through
+//! one private `par_descend`, as batches of one):
 //!
 //! 1. **Partition.** A short sequential warm-up descent expands the
 //!    pyramid frontier until it holds enough independent subtrees (the
@@ -22,200 +23,96 @@
 //! K-th boundary) the merged result is bit-identical to the sequential
 //! engines at every thread count. DESIGN.md §9 spells the argument out.
 
+use crate::batched::{with_lanes, with_pooled_scratch, Job, Tally};
 use crate::coarse::CoarseGrid;
-use crate::engine::{
-    read_base_vector_into, region_bound_into, validate_grid_inputs, EffortReport, GridTopK,
-    QueryScratch, Region, ScoredCell, TupleTopK,
-};
+use crate::descent::{interleave, seed_root, warm_up, ExecOpts, Local, Outcome, Pressure, Strict};
+use crate::engine::{validate_grid_inputs, EffortReport, GridTopK, Region, ScoredCell, TupleTopK};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
+use crate::parallel::batched::par_batched_top_k_inner;
 use crate::parallel::pool::{SharedBound, WorkerPool};
-use crate::resilient::{checkpoint_stop, region_candidate, BudgetStop, ExecutionBudget};
-use crate::resilient::{ResilientHit, ResilientTopK, ScoreBounds, WallDeadline};
+use crate::resilient::{ExecutionBudget, ResilientTopK};
 use crate::source::{CellSource, PyramidSource};
-use mbir_archive::error::ArchiveError;
 use mbir_archive::extent::CellCoord;
 use mbir_index::scan::TopKHeap;
 use mbir_index::stats::{sort_desc, ScoredItem};
 use mbir_models::linear::{LinearModel, ProgressiveLinearModel};
 use mbir_progressive::pyramid::AggregatePyramid;
-use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering as AtomicOrdering};
 
 /// Warm-up expands the frontier until it holds `threads * FRONTIER_FANOUT`
 /// subtrees, so the deal gives every worker several independent regions.
 pub(crate) const FRONTIER_FANOUT: usize = 4;
 
-/// Deterministic total order used to deal frontier regions to workers:
-/// upper bound descending, then (level, row, col) ascending as an
-/// unambiguous tiebreak.
-fn region_order(a: &Region, b: &Region) -> Ordering {
-    b.ub.total_cmp(&a.ub)
-        .then_with(|| a.level.cmp(&b.level))
-        .then_with(|| a.row.cmp(&b.row))
-        .then_with(|| a.col.cmp(&b.col))
-}
-
-/// Sequential warm-up: best-first expansion (level-0 pops are parked, not
-/// evaluated) until the frontier holds `target` regions or bottoms out.
-/// The checkpoint closure is evaluated once per pop, mirroring the
-/// resilient engine's cooperative budget checks; returning `Some` stops
-/// the expansion. The returned regions are sorted by [`region_order`].
-fn expand_frontier(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    levels: usize,
-    target: usize,
-    effort: &mut EffortReport,
-    mut checkpoint: impl FnMut(&EffortReport) -> Option<BudgetStop>,
-) -> Result<(Vec<Region>, Option<BudgetStop>), CoreError> {
-    let top = levels - 1;
-    let mut scratch = QueryScratch::new();
-    let QueryScratch {
-        children, ranges, ..
-    } = &mut scratch;
-    let root = region_bound_into(model, pyramids, top, 0, 0, ranges, effort)?;
-    let mut frontier: BinaryHeap<Region> = BinaryHeap::new();
-    frontier.push(Region {
-        ub: root,
-        level: top,
-        row: 0,
-        col: 0,
-    });
-    let mut parked: Vec<Region> = Vec::new();
-    let mut stop = None;
-    while frontier.len() + parked.len() < target {
-        if let Some(s) = checkpoint(effort) {
-            stop = Some(s);
-            break;
-        }
-        let Some(region) = frontier.pop() else { break };
-        if region.level == 0 {
-            parked.push(region);
-            continue;
-        }
-        pyramids[0].children_into(region.level, region.row, region.col, children);
-        for child in children.iter() {
-            let ub = region_bound_into(
-                model,
-                pyramids,
-                region.level - 1,
-                child.row,
-                child.col,
-                ranges,
-                effort,
-            )?;
-            frontier.push(Region {
-                ub,
-                level: region.level - 1,
-                row: child.row,
-                col: child.col,
-            });
-        }
-    }
-    let mut regions = frontier.into_vec();
-    regions.append(&mut parked);
-    regions.sort_by(region_order);
-    Ok((regions, stop))
-}
-
-/// Deals sorted regions round-robin across `workers` buckets, so every
-/// worker starts with a comparable spread of upper bounds.
-fn deal(regions: Vec<Region>, workers: usize) -> Vec<Vec<Region>> {
-    let mut parts: Vec<Vec<Region>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, region) in regions.into_iter().enumerate() {
-        parts[i % workers].push(region);
-    }
-    parts
-}
-
-struct StrictWorkerOut {
-    items: Vec<ScoredItem>,
-    effort: EffortReport,
-    error: Option<CoreError>,
-}
-
-/// One worker's best-first descent over its dealt subtrees (strict
-/// failure semantics: the first archive error stops the worker).
-fn strict_worker<S: CellSource>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    cols: usize,
-    k: usize,
-    source: &S,
-    shared: &SharedBound,
-    seed: Vec<Region>,
-) -> StrictWorkerOut {
-    let n = model.arity() as u64;
-    let mut effort = EffortReport::default();
-    let mut heap = TopKHeap::new(k);
-    let mut frontier: BinaryHeap<Region> = seed.into();
-    let mut error = None;
-    // Per-worker scratch: the descent loop allocates nothing once warm.
-    let mut scratch = QueryScratch::new();
-    let QueryScratch {
-        children,
-        x,
-        ranges,
-        ..
-    } = &mut scratch;
-    'descent: while let Some(region) = frontier.pop() {
-        let mut bound = shared.get();
-        if let Some(floor) = heap.floor() {
-            bound = bound.max(floor);
-        }
-        if bound >= region.ub {
-            break; // Everything left in this partition is excluded.
-        }
-        if region.level == 0 {
-            match read_base_vector_into(source, model.arity(), region.row, region.col, x) {
-                Ok(()) => {
-                    effort.multiply_adds += n;
-                    heap.offer(ScoredItem {
-                        index: region.row * cols + region.col,
-                        score: model.evaluate(x),
-                    });
-                    if let Some(floor) = heap.floor() {
-                        shared.offer(floor);
-                    }
-                }
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
+/// The parallel configuration of the execution core: a sequential
+/// [`warm_up`] over the batch's lanes, the held regions dealt round-robin
+/// (best first, so every worker starts with a comparable spread of upper
+/// bounds), one [`interleave`] per worker pruning each lane against
+/// `max(its local floor, its query's shared bound)`, and the per-lane
+/// outcomes merged in worker order. The same `pressure` serves the
+/// warm-up and every worker; a stop tripped during warm-up surrenders the
+/// held regions without running any worker.
+pub(crate) fn par_descend<S, P>(
+    job: &Job<'_, S>,
+    pressure: P,
+    pool: &WorkerPool,
+) -> Result<(Vec<Outcome>, Tally), CoreError>
+where
+    S: CellSource + Sync,
+    P: Pressure + Copy + Send,
+{
+    let m = job.models.len();
+    let target = pool.threads() * FRONTIER_FANOUT * m;
+    let (held, mut outs, mut tally) = with_pooled_scratch(|scratch| {
+        with_lanes(job, pressure, Local, scratch, |env, lanes| {
+            for lane in lanes.iter_mut() {
+                seed_root(env, lane)?;
             }
-            continue;
+            warm_up(env, lanes, target)
+        })
+    })?;
+    if let Some(stop) = held.stop {
+        for (q, region) in held.regions {
+            outs[q].leftover.push(region);
+            outs[q].stop = Some(stop);
         }
-        pyramids[0].children_into(region.level, region.row, region.col, children);
-        for child in children.iter() {
-            match region_bound_into(
-                model,
-                pyramids,
-                region.level - 1,
-                child.row,
-                child.col,
-                ranges,
-                &mut effort,
-            ) {
-                Ok(ub) => frontier.push(Region {
-                    ub,
-                    level: region.level - 1,
-                    row: child.row,
-                    col: child.col,
-                }),
-                Err(e) => {
-                    error = Some(e);
-                    break 'descent;
+        return Ok((outs, tally));
+    }
+    let workers = pool.threads().min(held.regions.len()).max(1);
+    let mut seeds: Vec<Vec<(usize, Region)>> = vec![Vec::new(); workers];
+    for (i, entry) in held.regions.into_iter().enumerate() {
+        seeds[i % workers].push(entry);
+    }
+    let bounds: Vec<SharedBound> = (0..m).map(|_| SharedBound::new()).collect();
+    let bounds = &bounds[..];
+    let worker_outs = pool.run(
+        seeds
+            .into_iter()
+            .map(|seed| {
+                move |_w: usize| {
+                    with_pooled_scratch(|scratch| {
+                        with_lanes(job, pressure, bounds, scratch, |env, lanes| {
+                            for (q, region) in seed {
+                                lanes[q].frontier.push(region);
+                            }
+                            interleave(env, lanes)
+                        })
+                    })
                 }
-            }
+            })
+            .collect(),
+    );
+    // The reported error is the lowest-indexed worker's.
+    for worker in worker_outs {
+        let ((), lanes, worker_tally) = worker?;
+        tally += worker_tally;
+        for (out, lane) in outs.iter_mut().zip(lanes) {
+            out.absorb(lane);
         }
     }
-    StrictWorkerOut {
-        items: heap.into_sorted(),
-        effort,
-        error,
+    for out in &mut outs {
+        out.merge_items(job.k);
     }
+    Ok((outs, tally))
 }
 
 /// Parallel [`pyramid_top_k`](crate::engine::pyramid_top_k): the same
@@ -251,42 +148,22 @@ pub fn par_pyramid_top_k_with_source<S: CellSource + Sync>(
     source: &S,
     pool: &WorkerPool,
 ) -> Result<GridTopK, CoreError> {
-    let ((rows, cols), levels) = validate_grid_inputs(model, pyramids, k)?;
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: model.arity() as u64 * (rows * cols) as u64,
-    };
-    let target = pool.threads() * FRONTIER_FANOUT;
-    let (regions, _) = expand_frontier(model, pyramids, levels, target, &mut effort, |_| None)?;
-    let workers = pool.threads().min(regions.len()).max(1);
-    let shared = SharedBound::new();
-    let shared_ref = &shared;
-    let outs = pool.run(
-        deal(regions, workers)
-            .into_iter()
-            .map(|seed| {
-                move |_wi: usize| strict_worker(model, pyramids, cols, k, source, shared_ref, seed)
-            })
-            .collect(),
-    );
-    let mut items = Vec::new();
-    for out in outs {
-        if let Some(e) = out.error {
-            return Err(e);
-        }
-        effort += out.effort;
-        items.extend(out.items);
-    }
-    sort_desc(&mut items);
-    items.truncate(k);
-    let results = items
+    validate_grid_inputs(model, pyramids, k)?;
+    let job = Job::whole(std::slice::from_ref(model), pyramids, source, k);
+    let (mut outs, _) = par_descend(&job, Strict, pool)?;
+    let out = outs.pop().expect("one lane per model");
+    let results = out
+        .items
         .into_iter()
         .map(|item| ScoredCell {
-            cell: CellCoord::new(item.index / cols, item.index % cols),
+            cell: CellCoord::new(item.index / job.cols, item.index % job.cols),
             score: item.score,
         })
         .collect();
-    Ok(GridTopK { results, effort })
+    Ok(GridTopK {
+        results,
+        effort: out.effort,
+    })
 }
 
 /// One worker's staged-model scan over a contiguous tuple range.
@@ -417,216 +294,6 @@ pub fn par_staged_top_k(
     })
 }
 
-pub(crate) const STOP_NONE: u8 = 0;
-
-pub(crate) fn stop_code(stop: BudgetStop) -> u8 {
-    match stop {
-        BudgetStop::MultiplyAdds => 1,
-        BudgetStop::PageReads => 2,
-        BudgetStop::Deadline => 3,
-        BudgetStop::WallClock => 4,
-        BudgetStop::Cancelled => 5,
-    }
-}
-
-pub(crate) fn code_stop(code: u8) -> Option<BudgetStop> {
-    match code {
-        1 => Some(BudgetStop::MultiplyAdds),
-        2 => Some(BudgetStop::PageReads),
-        3 => Some(BudgetStop::Deadline),
-        4 => Some(BudgetStop::WallClock),
-        5 => Some(BudgetStop::Cancelled),
-        _ => None,
-    }
-}
-
-/// Shared read-only context of one parallel resilient run.
-struct ResilientCtx<'a, S: CellSource> {
-    model: &'a LinearModel,
-    pyramids: &'a [AggregatePyramid],
-    cols: usize,
-    k: usize,
-    source: &'a S,
-    budget: &'a ExecutionBudget,
-    /// Shared wall-clock deadline latch, observed by every worker at the
-    /// budget checkpoint (alongside the shared bound).
-    deadline: &'a WallDeadline,
-    /// Caller-held cancellation latch, polled first at every checkpoint
-    /// (stop precedence: Cancelled > WallClock > Budget).
-    cancel: Option<&'a CancelToken>,
-    bound: &'a SharedBound,
-    /// Optional quantized coarse pass: children strictly below the
-    /// worker's pruning bound are rejected before the exact child bound
-    /// (prune-only, see [`crate::coarse`]).
-    coarse: Option<&'a CoarseGrid>,
-    /// Budget dimension: multiply-adds spent across *all* workers.
-    multiply_adds: &'a AtomicU64,
-    /// First exhausted budget dimension (0 = still within budget).
-    stop: &'a AtomicU8,
-    pages_at_entry: u64,
-    ticks_at_entry: u64,
-}
-
-struct ResilientWorkerOut {
-    items: Vec<ScoredItem>,
-    /// Level-0 regions whose page read failed, with the failing page.
-    lost: Vec<(Region, usize)>,
-    /// Regions a budget stop left unrefined.
-    leftover: Vec<Region>,
-    effort: EffortReport,
-    error: Option<CoreError>,
-}
-
-/// One worker's resilient descent: lost pages park the cell instead of
-/// failing, and the shared budget is checked at every pop. Local effort is
-/// flushed into the shared counter per pop so the budget sees global work.
-fn resilient_worker<S: CellSource>(
-    ctx: &ResilientCtx<'_, S>,
-    seed: Vec<Region>,
-) -> ResilientWorkerOut {
-    let n = ctx.model.arity() as u64;
-    let mut heap = TopKHeap::new(ctx.k);
-    let mut frontier: BinaryHeap<Region> = seed.into();
-    // Per-worker scratch: the descent loop allocates nothing once warm.
-    let mut scratch = QueryScratch::new();
-    let QueryScratch {
-        children,
-        x,
-        ranges,
-        qcoeff,
-        qmeta,
-        ..
-    } = &mut scratch;
-    let mut out = ResilientWorkerOut {
-        items: Vec::new(),
-        lost: Vec::new(),
-        leftover: Vec::new(),
-        effort: EffortReport::default(),
-        error: None,
-    };
-    if let Some(cg) = ctx.coarse {
-        if let Err(e) = cg.prepare_into(ctx.model, qcoeff, qmeta) {
-            out.error = Some(e);
-            return out;
-        }
-    }
-    while let Some(region) = frontier.pop() {
-        let mut bound = ctx.bound.get();
-        if let Some(floor) = heap.floor() {
-            bound = bound.max(floor);
-        }
-        if bound >= region.ub {
-            break; // Sound exclusion of this partition's remainder.
-        }
-        if ctx.stop.load(AtomicOrdering::Relaxed) != STOP_NONE {
-            // Another worker exhausted the budget: surrender the frontier.
-            out.leftover.push(region);
-            out.leftover.extend(frontier.drain());
-            break;
-        }
-        // Fixed stop precedence Cancelled > WallClock > Budget: a step
-        // that trips several dimensions at once latches the same reason
-        // on every run and at every thread count.
-        let checked = checkpoint_stop(
-            ctx.cancel,
-            ctx.deadline,
-            ctx.budget,
-            ctx.multiply_adds.load(AtomicOrdering::Relaxed),
-            ctx.source.pages_read().saturating_sub(ctx.pages_at_entry),
-            ctx.source
-                .ticks_elapsed()
-                .saturating_sub(ctx.ticks_at_entry),
-        );
-        if let Some(stop) = checked {
-            let _ = ctx.stop.compare_exchange(
-                STOP_NONE,
-                stop_code(stop),
-                AtomicOrdering::Relaxed,
-                AtomicOrdering::Relaxed,
-            );
-            out.leftover.push(region);
-            out.leftover.extend(frontier.drain());
-            break;
-        }
-        if region.level == 0 {
-            match read_base_vector_into(ctx.source, ctx.model.arity(), region.row, region.col, x) {
-                Ok(()) => {
-                    out.effort.multiply_adds += n;
-                    ctx.multiply_adds.fetch_add(n, AtomicOrdering::Relaxed);
-                    heap.offer(ScoredItem {
-                        index: region.row * ctx.cols + region.col,
-                        score: ctx.model.evaluate(x),
-                    });
-                    if let Some(floor) = heap.floor() {
-                        ctx.bound.offer(floor);
-                    }
-                }
-                Err(CoreError::Archive(
-                    ArchiveError::PageIo { page }
-                    | ArchiveError::PageQuarantined { page }
-                    | ArchiveError::PageCorrupt { page },
-                )) => {
-                    let page = ctx.source.page_of(region.row, region.col).unwrap_or(page);
-                    out.lost.push((region, page));
-                }
-                Err(e) => {
-                    out.error = Some(e);
-                    break;
-                }
-            }
-            continue;
-        }
-        let mut local = EffortReport::default();
-        let mut failed = None;
-        ctx.pyramids[0].children_into(region.level, region.row, region.col, children);
-        for child in children.iter() {
-            // Coarse pass against the pop-time pruning bound (max of the
-            // shared bound and the local floor — both only ever rise, and
-            // both are K-th floors of evaluated subsets, so a strict
-            // `cub < bound` can never reject a true top-K cell, tie or
-            // not). Prune-only: survivors get the exact bound unchanged.
-            // No multiply-adds charged — pure i8 side-structure work.
-            if let Some(cg) = ctx.coarse {
-                if bound > f64::NEG_INFINITY
-                    && cg.cell_upper_bound(qcoeff, qmeta, region.level - 1, child.row, child.col)
-                        < bound
-                {
-                    continue;
-                }
-            }
-            match region_bound_into(
-                ctx.model,
-                ctx.pyramids,
-                region.level - 1,
-                child.row,
-                child.col,
-                ranges,
-                &mut local,
-            ) {
-                Ok(ub) => frontier.push(Region {
-                    ub,
-                    level: region.level - 1,
-                    row: child.row,
-                    col: child.col,
-                }),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        out.effort += local;
-        ctx.multiply_adds
-            .fetch_add(local.multiply_adds, AtomicOrdering::Relaxed);
-        if let Some(e) = failed {
-            out.error = Some(e);
-            break;
-        }
-    }
-    out.items = heap.into_sorted();
-    out
-}
-
 /// Parallel [`resilient_top_k`](crate::resilient::resilient_top_k):
 /// partitioned descent with per-worker lost/leftover tracking merged into
 /// one honest degradation report, under a *shared* budget (atomic
@@ -651,7 +318,7 @@ pub fn par_resilient_top_k<S: CellSource + Sync>(
     budget: &ExecutionBudget,
     pool: &WorkerPool,
 ) -> Result<ResilientTopK, CoreError> {
-    par_resilient_top_k_inner(model, pyramids, k, source, budget, None, None, pool)
+    par_resilient_top_k_inner(model, pyramids, k, source, ExecOpts::new(budget), pool)
 }
 
 /// [`par_resilient_top_k`] with the quantized coarse pass of
@@ -678,11 +345,12 @@ pub fn par_resilient_top_k_coarse<S: CellSource + Sync>(
     coarse: &CoarseGrid,
     pool: &WorkerPool,
 ) -> Result<ResilientTopK, CoreError> {
-    par_resilient_top_k_inner(model, pyramids, k, source, budget, None, Some(coarse), pool)
+    let opts = ExecOpts::new(budget).coarse(coarse);
+    par_resilient_top_k_inner(model, pyramids, k, source, opts, pool)
 }
 
 /// [`par_resilient_top_k`] polling a
-/// [`CancelToken`](crate::lifecycle::CancelToken) at every worker
+/// [`CancelToken`] at every worker
 /// checkpoint. Cancellation latches
 /// [`BudgetStop::Cancelled`](crate::resilient::BudgetStop) through the
 /// shared stop flag, so every worker surrenders its frontier at its next
@@ -704,181 +372,29 @@ pub fn par_resilient_top_k_cancellable<S: CellSource + Sync>(
     cancel: &CancelToken,
     pool: &WorkerPool,
 ) -> Result<ResilientTopK, CoreError> {
-    par_resilient_top_k_inner(model, pyramids, k, source, budget, Some(cancel), None, pool)
+    let opts = ExecOpts::new(budget).cancel(cancel);
+    par_resilient_top_k_inner(model, pyramids, k, source, opts, pool)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Solo is a batch of one: the parallel batched engine over `[model]`.
 fn par_resilient_top_k_inner<S: CellSource + Sync>(
     model: &LinearModel,
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    budget: &ExecutionBudget,
-    cancel: Option<&CancelToken>,
-    coarse: Option<&CoarseGrid>,
+    opts: ExecOpts<'_>,
     pool: &WorkerPool,
 ) -> Result<ResilientTopK, CoreError> {
-    let ((rows, cols), levels) = validate_grid_inputs(model, pyramids, k)?;
-    let total_cells = (rows * cols) as u64;
-    let n = model.arity() as u64;
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: n * total_cells,
-    };
-    let pages_at_entry = source.pages_read();
-    let ticks_at_entry = source.ticks_elapsed();
-    let deadline = WallDeadline::starting_now(budget);
-
-    let target = pool.threads() * FRONTIER_FANOUT;
-    let (regions, warm_stop) =
-        expand_frontier(model, pyramids, levels, target, &mut effort, |e| {
-            // Same fixed stop precedence as the worker checkpoints:
-            // Cancelled > WallClock > Budget.
-            checkpoint_stop(
-                cancel,
-                &deadline,
-                budget,
-                e.multiply_adds,
-                source.pages_read().saturating_sub(pages_at_entry),
-                source.ticks_elapsed().saturating_sub(ticks_at_entry),
-            )
-        })?;
-
-    let shared = SharedBound::new();
-    let shared_ma = AtomicU64::new(effort.multiply_adds);
-    let stop_flag = AtomicU8::new(warm_stop.map(stop_code).unwrap_or(STOP_NONE));
-
-    let mut all_items: Vec<ScoredItem> = Vec::new();
-    let mut all_lost: Vec<(Region, usize)> = Vec::new();
-    let mut all_leftover: Vec<Region> = Vec::new();
-
-    if warm_stop.is_some() {
-        all_leftover = regions;
-    } else {
-        let ctx = ResilientCtx {
-            model,
-            pyramids,
-            cols,
-            k,
-            source,
-            budget,
-            deadline: &deadline,
-            cancel,
-            bound: &shared,
-            coarse,
-            multiply_adds: &shared_ma,
-            stop: &stop_flag,
-            pages_at_entry,
-            ticks_at_entry,
-        };
-        let ctx_ref = &ctx;
-        let workers = pool.threads().min(regions.len()).max(1);
-        let outs = pool.run(
-            deal(regions, workers)
-                .into_iter()
-                .map(|seed| move |_wi: usize| resilient_worker(ctx_ref, seed))
-                .collect(),
-        );
-        for out in outs {
-            if let Some(e) = out.error {
-                return Err(e);
-            }
-            effort += out.effort;
-            all_items.extend(out.items);
-            all_lost.extend(out.lost);
-            all_leftover.extend(out.leftover);
-        }
-    }
-
-    let budget_stop = code_stop(stop_flag.load(AtomicOrdering::Relaxed));
-
-    sort_desc(&mut all_items);
-    all_items.truncate(k);
-    // Only a full merged heap yields a sound exclusion floor.
-    let floor = if all_items.len() == k {
-        all_items.last().map(|i| i.score)
-    } else {
-        None
-    };
-
-    let mut unresolved = 0u64;
-    let mut skipped: BTreeSet<usize> = BTreeSet::new();
-    let mut hits: Vec<ResilientHit> = all_items
-        .into_iter()
-        .map(|item| ResilientHit {
-            cell: CellCoord::new(item.index / cols, item.index % cols),
-            level: 0,
-            score: item.score,
-            bounds: ScoreBounds::exact(item.score),
-            exact: true,
-        })
-        .collect();
-
-    for region in all_leftover {
-        let (candidate, count) = region_candidate(
-            model,
-            pyramids,
-            region.level,
-            region.row,
-            region.col,
-            &mut effort,
-        )?;
-        if floor.is_some_and(|f| f >= candidate.bounds.hi) {
-            continue; // Provably outside the top-K: resolved.
-        }
-        unresolved += count;
-        hits.push(candidate);
-    }
-
-    // Lost cells: excluded by their deterministic frontier bound (the
-    // level-0 index bound), reported against the parent aggregate — the
-    // same contract as the sequential resilient engine.
-    let parent_level = 1.min(levels - 1);
-    for (region, page) in all_lost {
-        if floor.is_some_and(|f| f >= region.ub) {
-            continue;
-        }
-        skipped.insert(page);
-        let (mut candidate, _) = region_candidate(
-            model,
-            pyramids,
-            parent_level,
-            region.row >> parent_level,
-            region.col >> parent_level,
-            &mut effort,
-        )?;
-        candidate.cell = CellCoord::new(region.row, region.col);
-        candidate.level = 0;
-        unresolved += 1;
-        hits.push(candidate);
-    }
-
-    // Rank by upper bound first — mirrors the sequential engine: exact
-    // hits have hi == score, and under degradation the truncation to k
-    // can never drop the only candidate that might still be the winner.
-    hits.sort_by(|a, b| {
-        b.bounds
-            .hi
-            .total_cmp(&a.bounds.hi)
-            .then_with(|| b.score.total_cmp(&a.score))
-            .then_with(|| a.cell.cmp(&b.cell))
-    });
-    hits.truncate(k);
-
-    Ok(ResilientTopK {
-        results: hits,
-        effort,
-        completeness: 1.0 - unresolved as f64 / total_cells as f64,
-        skipped_pages: skipped.into_iter().collect(),
-        budget_stop,
-    })
+    let models = std::slice::from_ref(model);
+    let mut batch = par_batched_top_k_inner(models, pyramids, k, source, opts, pool)?;
+    Ok(batch.queries.pop().expect("one answer per model"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{naive_grid_top_k, pyramid_top_k, staged_top_k};
-    use crate::resilient::{resilient_top_k, resilient_top_k_cancellable};
+    use crate::resilient::{resilient_top_k, resilient_top_k_cancellable, BudgetStop};
     use crate::source::TileSource;
     use mbir_archive::fault::FaultProfile;
     use mbir_archive::grid::Grid2;

@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn skewed_wide_models_go_combined() {
         let pyramids = smooth_pyramids(8, 64);
-        let coeffs: Vec<f64> = (0..8).map(|i| 4.0 * 0.3f64.powi(i as i32)).collect();
+        let coeffs: Vec<f64> = (0..8).map(|i| 4.0 * 0.3f64.powi(i)).collect();
         let model = LinearModel::new(coeffs, 0.0).unwrap();
         let plan = plan_grid_query(&model, &pyramids, &PlannerConfig::default()).unwrap();
         assert_eq!(plan.choice, EngineChoice::Combined);
@@ -341,7 +341,7 @@ mod tests {
             (smooth_pyramids(2, 64), vec![1.0, 1.0]), // pyramid
             (
                 smooth_pyramids(8, 64),
-                (0..8).map(|i| 4.0 * 0.3f64.powi(i as i32)).collect(),
+                (0..8).map(|i| 4.0 * 0.3f64.powi(i)).collect(),
             ), // combined
         ] {
             let model = LinearModel::new(coeffs, 0.0).unwrap();
@@ -366,7 +366,7 @@ mod tests {
             (smooth_pyramids(2, 64), vec![1.0, 1.0]), // pyramid
             (
                 smooth_pyramids(8, 64),
-                (0..8).map(|i| 4.0 * 0.3f64.powi(i as i32)).collect(),
+                (0..8).map(|i| 4.0 * 0.3f64.powi(i)).collect(),
             ), // combined
         ] {
             let model = LinearModel::new(coeffs, 0.0).unwrap();

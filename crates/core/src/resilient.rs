@@ -4,13 +4,14 @@
 //! The strict engines ([`crate::engine`]) abort on the first failed page
 //! read and run until the bound proof closes. Real archive queries get
 //! neither luxury: pages go missing and interactive callers impose work
-//! ceilings. [`resilient_top_k`] is the pyramid descent re-run under both
-//! pressures:
+//! ceilings. [`resilient_top_k`] is the same descent — the one execution
+//! core of DESIGN.md §18 — run under both pressures:
 //!
 //! * **Lost pages degrade, they don't abort.** A base read failing with
-//!   [`ArchiveError::PageIo`], [`ArchiveError::PageQuarantined`], or
-//!   [`ArchiveError::PageCorrupt`] (detected silent corruption) parks
-//!   the cell instead. A lost cell whose frontier bound falls under the
+//!   [`PageIo`](mbir_archive::error::ArchiveError::PageIo),
+//!   [`PageQuarantined`](mbir_archive::error::ArchiveError::PageQuarantined),
+//!   or [`PageCorrupt`](mbir_archive::error::ArchiveError::PageCorrupt)
+//!   (detected silent corruption) parks the cell instead. A lost cell whose frontier bound falls under the
 //!   final K-th floor is *resolved* (provably outside the top-K, exactly
 //!   like a healthy pruned cell); the rest are carried as *degraded*
 //!   candidates bounded by their parent aggregate (the deepest index level
@@ -24,7 +25,7 @@
 //!   remaining frontier — the deepest fully-bounded pyramid frontier — is
 //!   converted to degraded candidates instead of being discarded.
 //! * **Cancellation is cooperative too.** [`resilient_top_k_cancellable`]
-//!   polls a [`CancelToken`](crate::lifecycle::CancelToken) at the same
+//!   polls a [`CancelToken`] at the same
 //!   page-granular checkpoint and stops with [`BudgetStop::Cancelled`]
 //!   under the same degradation contract. When several stop reasons trip
 //!   in the same step, precedence is fixed: Cancelled > WallClock >
@@ -38,20 +39,16 @@
 //! bit-identical to [`pyramid_top_k`](crate::engine::pyramid_top_k).
 
 use crate::coarse::CoarseGrid;
-use crate::engine::{
-    read_base_vector_into, region_bound_into, validate_grid_inputs, EffortReport, QueryScratch,
-    Region, ScoredCell,
+use crate::descent::{
+    drain, finish, seed_root, Budgeted, Clock, Direct, Env, ExecOpts, Lane, Local,
 };
+use crate::engine::{validate_grid_inputs, EffortReport, QueryScratch, ScoredCell};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
 use crate::source::CellSource;
-use mbir_archive::error::ArchiveError;
 use mbir_archive::extent::CellCoord;
-use mbir_index::scan::TopKHeap;
-use mbir_index::stats::ScoredItem;
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -150,7 +147,7 @@ pub enum BudgetStop {
     /// The wall-clock deadline passed.
     WallClock,
     /// The caller cancelled the query via its
-    /// [`CancelToken`](crate::lifecycle::CancelToken).
+    /// [`CancelToken`].
     Cancelled,
 }
 
@@ -335,16 +332,8 @@ pub fn resilient_top_k_cancellable<S: CellSource>(
     budget: &ExecutionBudget,
     cancel: &CancelToken,
 ) -> Result<ResilientTopK, CoreError> {
-    resilient_top_k_inner(
-        model,
-        pyramids,
-        k,
-        source,
-        budget,
-        Some(cancel),
-        None,
-        &mut QueryScratch::new(),
-    )
+    let opts = ExecOpts::new(budget).cancel(cancel);
+    resilient_top_k_inner(model, pyramids, k, source, opts, &mut QueryScratch::new())
 }
 
 /// [`resilient_top_k`] consulting a quantized [`CoarseGrid`] before each
@@ -378,16 +367,8 @@ pub fn resilient_top_k_coarse<S: CellSource>(
     budget: &ExecutionBudget,
     coarse: &CoarseGrid,
 ) -> Result<ResilientTopK, CoreError> {
-    resilient_top_k_inner(
-        model,
-        pyramids,
-        k,
-        source,
-        budget,
-        None,
-        Some(coarse),
-        &mut QueryScratch::new(),
-    )
+    let opts = ExecOpts::new(budget).coarse(coarse);
+    resilient_top_k_inner(model, pyramids, k, source, opts, &mut QueryScratch::new())
 }
 
 /// [`resilient_top_k_coarse`] with descent buffers (including the
@@ -405,16 +386,8 @@ pub fn resilient_top_k_coarse_with_scratch<S: CellSource>(
     coarse: &CoarseGrid,
     scratch: &mut QueryScratch,
 ) -> Result<ResilientTopK, CoreError> {
-    resilient_top_k_inner(
-        model,
-        pyramids,
-        k,
-        source,
-        budget,
-        None,
-        Some(coarse),
-        scratch,
-    )
+    let opts = ExecOpts::new(budget).coarse(coarse);
+    resilient_top_k_inner(model, pyramids, k, source, opts, scratch)
 }
 
 /// [`resilient_top_k`] with descent buffers reused from `scratch` (see
@@ -432,32 +405,22 @@ pub fn resilient_top_k_with_scratch<S: CellSource>(
     budget: &ExecutionBudget,
     scratch: &mut QueryScratch,
 ) -> Result<ResilientTopK, CoreError> {
-    resilient_top_k_inner(model, pyramids, k, source, budget, None, None, scratch)
+    resilient_top_k_inner(model, pyramids, k, source, ExecOpts::new(budget), scratch)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The sequential resilient configuration of the execution core
+/// ([`crate::descent`]): local floor, one checkpoint per pop against this
+/// run's own multiply-adds and the source's clocks, lost pages parked.
 fn resilient_top_k_inner<S: CellSource>(
     model: &LinearModel,
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    budget: &ExecutionBudget,
-    cancel: Option<&CancelToken>,
-    coarse: Option<&CoarseGrid>,
+    opts: ExecOpts<'_>,
     scratch: &mut QueryScratch,
 ) -> Result<ResilientTopK, CoreError> {
-    let (shape, levels) = validate_grid_inputs(model, pyramids, k)?;
-    let (rows, cols) = shape;
-    let total_cells = (rows * cols) as u64;
-    let n = model.arity() as u64;
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: n * total_cells,
-    };
-    let pages_at_entry = source.pages_read();
-    let ticks_at_entry = source.ticks_elapsed();
-    let deadline = WallDeadline::starting_now(budget);
-
+    let ((rows, cols), _) = validate_grid_inputs(model, pyramids, k)?;
+    let deadline = WallDeadline::starting_now(opts.budget);
     let caps = scratch.caps();
     let QueryScratch {
         children,
@@ -468,253 +431,26 @@ fn resilient_top_k_inner<S: CellSource>(
         qmeta,
         ..
     } = scratch;
-    frontier.clear();
-    if let Some(cg) = coarse {
+    if let Some(cg) = opts.coarse {
         cg.prepare_into(model, qcoeff, qmeta)?;
     }
-    let mut heap = TopKHeap::new(k);
-    let top = levels - 1;
-    let root_bound = region_bound_into(model, pyramids, top, 0, 0, ranges, &mut effort)?;
-    frontier.push(Region {
-        ub: root_bound,
-        level: top,
-        row: 0,
-        col: 0,
-    });
-
-    // Cells whose page read failed (with the failing page), and frontier
-    // regions a budget stop left unrefined.
-    let mut lost: Vec<(Region, usize)> = Vec::new();
-    let mut leftover: Vec<Region> = Vec::new();
-    let mut skipped: BTreeSet<usize> = BTreeSet::new();
-    let mut budget_stop: Option<BudgetStop> = None;
-
-    while let Some(region) = frontier.pop() {
-        if let Some(floor) = heap.floor() {
-            if floor >= region.ub {
-                // Bound proof closed: everything left is excluded.
-                break;
-            }
-        }
-        // Cooperative checkpoint: one stop evaluation per pop, in the
-        // fixed precedence order Cancelled > WallClock > Budget, so a
-        // step that trips several dimensions at once reports the same
-        // reason on every run and at every thread count.
-        let stop = checkpoint_stop(
-            cancel,
-            &deadline,
-            budget,
-            effort.multiply_adds,
-            source.pages_read().saturating_sub(pages_at_entry),
-            source.ticks_elapsed().saturating_sub(ticks_at_entry),
-        );
-        if let Some(stop) = stop {
-            budget_stop = Some(stop);
-            leftover.push(region);
-            leftover.extend(frontier.drain());
-            break;
-        }
-        if region.level == 0 {
-            match read_base_vector_into(source, model.arity(), region.row, region.col, x) {
-                Ok(()) => {
-                    effort.multiply_adds += n;
-                    heap.offer(ScoredItem {
-                        index: region.row * cols + region.col,
-                        score: model.evaluate(x),
-                    });
-                }
-                Err(CoreError::Archive(
-                    ArchiveError::PageIo { page }
-                    | ArchiveError::PageQuarantined { page }
-                    | ArchiveError::PageCorrupt { page },
-                )) => {
-                    let page = source.page_of(region.row, region.col).unwrap_or(page);
-                    lost.push((region, page));
-                }
-                Err(e) => return Err(e),
-            }
-            continue;
-        }
-        pyramids[0].children_into(region.level, region.row, region.col, children);
-        for child in children.iter() {
-            // Coarse pass: one O(n) i8 bound per child. Strictly below the
-            // floor ⇒ no cell under the child can reach the top-K even on
-            // a tie, so skipping the push is sound, and because the
-            // frontier order is total the survivors pop in the same
-            // sequence as the unpruned run — results stay bit-identical.
-            // The check performs no f64 model arithmetic, so it charges no
-            // multiply-adds: the report's drop measures exactly the exact
-            // bound evaluations the i8 pass replaced.
-            if let Some(cg) = coarse {
-                if let Some(f) = heap.floor() {
-                    if cg.cell_upper_bound(qcoeff, qmeta, region.level - 1, child.row, child.col)
-                        < f
-                    {
-                        continue;
-                    }
-                }
-            }
-            let ub = region_bound_into(
-                model,
-                pyramids,
-                region.level - 1,
-                child.row,
-                child.col,
-                ranges,
-                &mut effort,
-            )?;
-            frontier.push(Region {
-                ub,
-                level: region.level - 1,
-                row: child.row,
-                col: child.col,
-            });
-        }
-    }
-
-    // Only a full heap gives a sound exclusion floor.
-    let floor = heap.floor();
-    let excluded = |hi: f64| floor.is_some_and(|f| f >= hi);
-
-    let mut unresolved_cells = 0u64;
-    let mut hits: Vec<ResilientHit> = heap
-        .into_sorted()
-        .into_iter()
-        .map(|item| ResilientHit {
-            cell: CellCoord::new(item.index / cols, item.index % cols),
-            level: 0,
-            score: item.score,
-            bounds: ScoreBounds::exact(item.score),
-            exact: true,
-        })
-        .collect();
-
-    // Unrefined frontier regions: bound from their own aggregates (the
-    // deepest fully-bounded frontier the budget allowed).
-    for region in leftover {
-        let (candidate, count) = region_candidate(
-            model,
-            pyramids,
-            region.level,
-            region.row,
-            region.col,
-            &mut effort,
-        )?;
-        if excluded(candidate.bounds.hi) {
-            continue; // Provably outside the top-K: resolved.
-        }
-        unresolved_cells += count;
-        hits.push(candidate);
-    }
-
-    // Lost cells: first exclude by the deterministic frontier bound (the
-    // level-0 index bound is exact, so this is the same test the descent
-    // applies to healthy cells — and it makes the surviving set, and thus
-    // `skipped_pages` and completeness, independent of evaluation order).
-    // Survivors are bounded from the parent aggregate — the deepest index
-    // level that does not depend on the missing page.
-    let parent_level = 1.min(levels - 1);
-    for (region, page) in lost {
-        if excluded(region.ub) {
-            continue; // Provably outside the top-K: resolved, nothing lost.
-        }
-        skipped.insert(page);
-        let (mut candidate, _) = region_candidate(
-            model,
-            pyramids,
-            parent_level,
-            region.row >> parent_level,
-            region.col >> parent_level,
-            &mut effort,
-        )?;
-        candidate.cell = CellCoord::new(region.row, region.col);
-        candidate.level = 0;
-        unresolved_cells += 1;
-        hits.push(candidate);
-    }
-
-    // Rank by upper bound first: for exact hits hi == score, so complete
-    // answers keep the plain score order, while under degradation the
-    // truncation to k can never drop the only candidate that might still
-    // be the true winner — every surviving hit's hi is at least as large.
-    hits.sort_by(|a, b| {
-        b.bounds
-            .hi
-            .total_cmp(&a.bounds.hi)
-            .then_with(|| b.score.total_cmp(&a.score))
-            .then_with(|| a.cell.cmp(&b.cell))
-    });
-    hits.truncate(k);
-
+    let mut env = Env {
+        pyramids,
+        source,
+        cols,
+        row_offset: 0,
+        fetch: Direct { x, ranges },
+        pressure: Budgeted::new(Clock::starting(opts, &deadline, source)),
+        floor: Local,
+        children,
+    };
+    let naive = (model.arity() * rows * cols) as u64;
+    let mut lane = Lane::new(0, model, frontier, (qcoeff, qmeta), k, naive);
+    seed_root(&mut env, &mut lane)?;
+    drain(&mut env, &mut lane)?;
+    let result = finish(lane.finish(), model, pyramids, k)?;
     scratch.note_regrowth(&caps);
-    Ok(ResilientTopK {
-        results: hits,
-        effort,
-        completeness: 1.0 - unresolved_cells as f64 / total_cells as f64,
-        skipped_pages: skipped.into_iter().collect(),
-        budget_stop,
-    })
-}
-
-/// One cooperative-checkpoint stop evaluation, shared by every engine that
-/// degrades under pressure (sequential, parallel, and sharded). The fixed
-/// precedence Cancelled > WallClock > Budget dimensions guarantees a step
-/// that trips several dimensions at once reports the same reason on every
-/// run and at every thread count.
-pub(crate) fn checkpoint_stop(
-    cancel: Option<&CancelToken>,
-    deadline: &WallDeadline,
-    budget: &ExecutionBudget,
-    multiply_adds: u64,
-    page_reads: u64,
-    ticks: u64,
-) -> Option<BudgetStop> {
-    cancel
-        .is_some_and(CancelToken::is_cancelled)
-        .then_some(BudgetStop::Cancelled)
-        .or_else(|| deadline.expired().then_some(BudgetStop::WallClock))
-        .or_else(|| budget.check(multiply_adds, page_reads, ticks))
-}
-
-/// Builds a degraded candidate from a pyramid region: score = model at the
-/// region means, bounds = sound box bounds, plus the region's base-cell
-/// count.
-pub(crate) fn region_candidate(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    level: usize,
-    row: usize,
-    col: usize,
-    effort: &mut EffortReport,
-) -> Result<(ResilientHit, u64), CoreError> {
-    let n = model.arity() as u64;
-    let mut ranges = Vec::with_capacity(pyramids.len());
-    let mut means = Vec::with_capacity(pyramids.len());
-    let mut count = 0u64;
-    for p in pyramids {
-        let s = p.cell(level, row, col)?;
-        ranges.push((s.min, s.max));
-        means.push(s.mean);
-        count = s.count;
-    }
-    let (lo, hi) = model.bound_over_box(&ranges)?;
-    effort.multiply_adds += 2 * n; // bound + estimate
-    let scale = 1usize << level;
-    // The mean estimate is mathematically inside the box bounds, but its
-    // summation order differs from bound_over_box's, so on degenerate
-    // (single-cell) boxes it can land an ulp outside — clamp to keep the
-    // documented `lo <= score <= hi` invariant exact.
-    let score = model.evaluate(&means).clamp(lo, hi);
-    Ok((
-        ResilientHit {
-            cell: CellCoord::new(row * scale, col * scale),
-            level,
-            score,
-            bounds: ScoreBounds { lo, hi },
-            exact: false,
-        },
-        count,
-    ))
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -722,6 +458,7 @@ mod tests {
     use super::*;
     use crate::engine::pyramid_top_k;
     use crate::source::{PyramidSource, TileSource};
+    use mbir_archive::error::ArchiveError;
     use mbir_archive::fault::{FaultProfile, ResilienceConfig, RetryPolicy};
     use mbir_archive::grid::Grid2;
     use mbir_archive::stats::AccessStats;
@@ -864,7 +601,7 @@ mod tests {
         assert!(r.results.iter().all(|h| !h.exact));
         // No work beyond the root bound and its candidate estimate.
         assert!(r.effort.multiply_adds <= 3 * model.arity() as u64);
-        assert_eq!(r.effort.speedup_checked().is_some(), true);
+        assert!(r.effort.speedup_checked().is_some());
     }
 
     #[test]

@@ -43,30 +43,24 @@
 //!   bounds, and its unaccounted cells lower the merged
 //!   [`completeness`](ShardedTopK::completeness) — a degraded shard can
 //!   never silently flip the fused top-K.
+//!
+//! Every entry point here is one private scatter (DESIGN.md §18): a solo
+//! query is a batch of one, plain scatter-gather is the dual-read with no
+//! migration groups, and each shard attempt is the batched configuration
+//! of the execution core over the shard's own pyramids and source.
 
-use crate::batched::CELL_MEMO_WINDOW;
-use crate::batched::{cell_key, BoundMemo, CellSlot, MemoGovernor, MemoMap, Selector};
+use crate::batched::{descend, same_arity, with_pooled_scratch, Job, Tally};
 use crate::coarse::CoarseGrid;
-use crate::engine::{
-    read_base_vector_into, region_bound_into, validate_grid_inputs, EffortReport, QueryScratch,
-    Region,
-};
+use crate::descent::{stop_code, Band, Budgeted, Clock, ExecOpts, Merge, Outcome};
+use crate::engine::{validate_grid_inputs, EffortReport, Region};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
 use crate::parallel::{SharedBound, WorkerPool};
-use crate::resilient::{
-    checkpoint_stop, region_candidate, BudgetStop, ExecutionBudget, ResilientHit, ScoreBounds,
-    WallDeadline,
-};
+use crate::resilient::{BudgetStop, ExecutionBudget, ResilientHit, WallDeadline};
 use crate::source::CellSource;
-use mbir_archive::error::ArchiveError;
-use mbir_archive::extent::CellCoord;
 use mbir_archive::shard::TopologyEpoch;
-use mbir_index::scan::TopKHeap;
-use mbir_index::stats::{sort_desc, ScoredItem};
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
-use std::collections::{BTreeSet, BinaryHeap};
 use std::error::Error;
 use std::fmt;
 
@@ -608,219 +602,141 @@ impl ShardedTopK {
     }
 }
 
-/// Output of one shard descent attempt.
-struct ShardOut {
-    /// Exact items with *global* cell indices (`row * cols + col`).
-    items: Vec<ScoredItem>,
-    /// Shard-local level-0 regions whose page read failed, with the page.
-    lost: Vec<(Region, usize)>,
-    /// Shard-local regions an early stop left unrefined.
-    leftover: Vec<Region>,
-    effort: EffortReport,
-    budget_stop: Option<BudgetStop>,
-    /// Successful base reads — zero with losses means a dead shard.
-    resolved_reads: u64,
-}
-
-/// One attempt (primary or hedge) at a shard, with its I/O window.
-struct ShardAttempt {
-    out: Result<ShardOut, CoreError>,
+/// One attempt (primary, hedge, or destination copy) at a shard: the
+/// descent of every query of the batch over the shard's band, with the
+/// attempt's I/O window on the shard's own clock.
+struct Attempt {
+    out: Result<(Vec<Outcome>, Tally), CoreError>,
     pages: u64,
     ticks: u64,
 }
 
+impl Attempt {
+    fn lanes(&self) -> &[Outcome] {
+        self.out.as_ref().map_or(&[], |(lanes, _)| lanes)
+    }
+
+    /// A failed shard errored, or every page read it attempted failed:
+    /// it evaluated no base data for anyone. Reads are physical, so the
+    /// verdict is shared by every query of the batch.
+    fn failed(&self) -> bool {
+        match &self.out {
+            Err(_) => true,
+            Ok((lanes, tally)) => {
+                tally.cells_fetched == 0 && lanes.iter().any(|l| !l.lost.is_empty())
+            }
+        }
+    }
+
+    /// The budget is batch-wide within an attempt, so a soft-deadline
+    /// stop lands on every query still open in the shard: any query
+    /// stopped on `Deadline` is the straggler signal.
+    fn straggled(&self) -> bool {
+        self.lanes()
+            .iter()
+            .any(|l| l.stop == Some(BudgetStop::Deadline))
+    }
+
+    /// Whether this hedge attempt replaces `primary`: the first clean
+    /// finish wins, otherwise whichever left less unresolved.
+    fn beats(&self, primary: &Attempt) -> bool {
+        let unresolved = |a: &Attempt| -> usize {
+            a.lanes()
+                .iter()
+                .map(|l| l.lost.len() + l.leftover.len())
+                .sum()
+        };
+        match (&primary.out, &self.out) {
+            (_, Err(_)) => false,
+            (Err(_), Ok(_)) => true,
+            (Ok(_), Ok(_)) => {
+                self.lanes().iter().all(|l| l.stop.is_none())
+                    || unresolved(self) < unresolved(primary)
+            }
+        }
+    }
+}
+
 /// Read-only context shared by every shard attempt of one wave.
+#[derive(Clone, Copy)]
 struct ScatterCtx<'a> {
-    model: &'a LinearModel,
+    models: &'a [LinearModel],
     k: usize,
     /// Global column count (bands all share it).
     cols: usize,
-    /// Effective budget for this wave (soft deadline merged in for the
-    /// primary wave, the caller's own budget for the hedge wave).
-    budget: ExecutionBudget,
+    /// The wave's budget (soft deadline merged in for the primary wave,
+    /// the caller's own for every later one) and the cancel token; each
+    /// attempt adds its shard's coarse grid.
+    opts: ExecOpts<'a>,
     deadline: &'a WallDeadline,
-    cancel: Option<&'a CancelToken>,
-    bound: &'a SharedBound,
+    /// One cross-shard bound per query, in batch order.
+    bounds: &'a [SharedBound],
 }
 
-/// One shard's best-first descent: the resilient engine's loop over the
-/// shard's own band pyramids and source, pruning against
-/// `max(local floor, shared bound)` and publishing floors back.
-fn shard_descent<S: CellSource>(
-    ctx: &ScatterCtx<'_>,
-    shard: &ArchiveShard<'_, S>,
-) -> Result<ShardOut, CoreError> {
-    let model = ctx.model;
-    let n = model.arity() as u64;
-    let levels = shard.pyramids[0].levels();
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: n * shard.cells(),
+/// Runs one attempt at a shard — the batched configuration of the
+/// execution core over the shard's own band pyramids and source, each
+/// query pruning against `max(its local floor, its cross-shard bound)`
+/// and publishing its floors back, the budget measured on the attempt's
+/// own clocks.
+fn attempt<S: CellSource>(ctx: &ScatterCtx<'_>, shard: &ArchiveShard<'_, S>) -> Attempt {
+    let pages_at_entry = shard.source.pages_read();
+    let ticks_at_entry = shard.source.ticks_elapsed();
+    let job = Job {
+        models: ctx.models,
+        pyramids: shard.pyramids,
+        source: shard.source,
+        k: ctx.k,
+        cols: ctx.cols,
+        row_offset: shard.row_offset,
     };
-    let pages_at_entry = shard.source.pages_read();
-    let ticks_at_entry = shard.source.ticks_elapsed();
-
-    let mut scratch = QueryScratch::new();
-    let QueryScratch {
-        children,
-        x,
-        ranges,
-        frontier,
-        qcoeff,
-        qmeta,
-        ..
-    } = &mut scratch;
-    frontier.clear();
-    if let Some(cg) = shard.coarse {
-        cg.prepare_into(model, qcoeff, qmeta)?;
-    }
-    let mut heap = TopKHeap::new(ctx.k);
-    let top = levels - 1;
-    let root = region_bound_into(model, shard.pyramids, top, 0, 0, ranges, &mut effort)?;
-    frontier.push(Region {
-        ub: root,
-        level: top,
-        row: 0,
-        col: 0,
-    });
-
-    let mut lost: Vec<(Region, usize)> = Vec::new();
-    let mut leftover: Vec<Region> = Vec::new();
-    let mut budget_stop: Option<BudgetStop> = None;
-    let mut resolved_reads = 0u64;
-
-    while let Some(region) = frontier.pop() {
-        let mut floor = ctx.bound.get();
-        if let Some(f) = heap.floor() {
-            floor = floor.max(f);
-        }
-        if floor >= region.ub {
-            break; // Sound exclusion of this band's remainder.
-        }
-        let stop = checkpoint_stop(
-            ctx.cancel,
-            ctx.deadline,
-            &ctx.budget,
-            effort.multiply_adds,
-            shard.source.pages_read().saturating_sub(pages_at_entry),
-            shard.source.ticks_elapsed().saturating_sub(ticks_at_entry),
-        );
-        if let Some(stop) = stop {
-            budget_stop = Some(stop);
-            leftover.push(region);
-            leftover.extend(frontier.drain());
-            break;
-        }
-        if region.level == 0 {
-            match read_base_vector_into(shard.source, model.arity(), region.row, region.col, x) {
-                Ok(()) => {
-                    resolved_reads += 1;
-                    effort.multiply_adds += n;
-                    heap.offer(ScoredItem {
-                        index: (region.row + shard.row_offset) * ctx.cols + region.col,
-                        score: model.evaluate(x),
-                    });
-                    if let Some(f) = heap.floor() {
-                        ctx.bound.offer(f);
-                    }
-                }
-                Err(CoreError::Archive(
-                    ArchiveError::PageIo { page }
-                    | ArchiveError::PageQuarantined { page }
-                    | ArchiveError::PageCorrupt { page },
-                )) => {
-                    let page = shard.source.page_of(region.row, region.col).unwrap_or(page);
-                    lost.push((region, page));
-                }
-                Err(e) => return Err(e),
-            }
-            continue;
-        }
-        shard.pyramids[0].children_into(region.level, region.row, region.col, children);
-        for child in children.iter() {
-            // Coarse pass against the pop-time pruning bound (shared
-            // cross-shard bound merged with the local floor — both sound
-            // K-th floors of evaluated subsets, both only rising), so a
-            // strict `cub < floor` rejection can never touch a true top-K
-            // cell. Prune-only: survivors get the exact bound unchanged.
-            // No multiply-adds charged — pure i8 side-structure work.
-            if let Some(cg) = shard.coarse {
-                if floor > f64::NEG_INFINITY
-                    && cg.cell_upper_bound(qcoeff, qmeta, region.level - 1, child.row, child.col)
-                        < floor
-                {
-                    continue;
-                }
-            }
-            let ub = region_bound_into(
-                model,
-                shard.pyramids,
-                region.level - 1,
-                child.row,
-                child.col,
-                ranges,
-                &mut effort,
-            )?;
-            frontier.push(Region {
-                ub,
-                level: region.level - 1,
-                row: child.row,
-                col: child.col,
-            });
-        }
-    }
-
-    Ok(ShardOut {
-        items: heap.into_sorted(),
-        lost,
-        leftover,
-        effort,
-        budget_stop,
-        resolved_reads,
-    })
-}
-
-/// Runs one attempt at a shard and measures its I/O window on the
-/// shard's own clock.
-fn run_attempt<S: CellSource>(ctx: &ScatterCtx<'_>, shard: &ArchiveShard<'_, S>) -> ShardAttempt {
-    let pages_at_entry = shard.source.pages_read();
-    let ticks_at_entry = shard.source.ticks_elapsed();
-    let out = shard_descent(ctx, shard);
-    ShardAttempt {
+    let opts = ExecOpts {
+        coarse: shard.coarse,
+        ..ctx.opts
+    };
+    let pressure = Budgeted::new(Clock::starting(opts, ctx.deadline, shard.source));
+    let out = with_pooled_scratch(|scratch| descend(&job, pressure, ctx.bounds, scratch));
+    Attempt {
         out,
         pages: shard.source.pages_read().saturating_sub(pages_at_entry),
         ticks: shard.source.ticks_elapsed().saturating_sub(ticks_at_entry),
     }
 }
 
-/// Fans `which` shard indices out over the pool (round-robin, at most one
-/// worker per shard) and returns `(shard index, attempt)` pairs.
+/// Fans the `which` shard indices (ascending) out over the pool —
+/// round-robin, at most one worker per shard — and returns their
+/// attempts in `which` order.
 fn scatter_wave<S: CellSource + Sync>(
     ctx: &ScatterCtx<'_>,
     shards: &[ArchiveShard<'_, S>],
     which: &[usize],
     pool: &WorkerPool,
-) -> Vec<(usize, ShardAttempt)> {
-    let workers = pool.threads().min(which.len()).max(1);
+) -> Vec<Attempt> {
+    if which.is_empty() {
+        return Vec::new();
+    }
+    let workers = pool.threads().min(which.len());
     let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers];
     for (slot, &shard_index) in which.iter().enumerate() {
         assignments[slot % workers].push(shard_index);
     }
-    pool.run(
-        assignments
-            .into_iter()
-            .map(|own| {
-                move |_w: usize| {
-                    own.into_iter()
-                        .map(|i| (i, run_attempt(ctx, &shards[i])))
-                        .collect::<Vec<_>>()
-                }
-            })
-            .collect(),
-    )
-    .into_iter()
-    .flatten()
-    .collect()
+    let mut attempts: Vec<(usize, Attempt)> = pool
+        .run(
+            assignments
+                .into_iter()
+                .map(|own| {
+                    move |_w: usize| {
+                        own.into_iter()
+                            .map(|i| (i, attempt(ctx, &shards[i])))
+                            .collect::<Vec<_>>()
+                    }
+                })
+                .collect(),
+        )
+        .into_iter()
+        .flatten()
+        .collect();
+    attempts.sort_by_key(|(i, _)| *i);
+    attempts.into_iter().map(|(_, a)| a).collect()
 }
 
 /// Rejects a query whose pinned epoch differs from the one the archive
@@ -841,16 +757,16 @@ fn check_epoch_fence<S>(
     Ok(())
 }
 
-/// Severity order used to merge per-shard stop reasons into one:
+/// Merges two stop reasons into the more severe:
 /// Cancelled > WallClock > Deadline > PageReads > MultiplyAdds.
-fn stop_severity(stop: BudgetStop) -> u8 {
-    match stop {
-        BudgetStop::MultiplyAdds => 1,
-        BudgetStop::PageReads => 2,
-        BudgetStop::Deadline => 3,
-        BudgetStop::WallClock => 4,
-        BudgetStop::Cancelled => 5,
-    }
+fn worse(a: Option<BudgetStop>, b: Option<BudgetStop>) -> Option<BudgetStop> {
+    [a, b].into_iter().flatten().max_by_key(|s| stop_code(*s))
+}
+
+/// One answer out of a batch of one.
+fn solo(batch: BatchedShardedTopK) -> ShardedTopK {
+    let mut queries = batch.queries;
+    queries.pop().expect("one answer per model")
 }
 
 /// Scatter-gather top-K over a sharded archive. See the module docs for
@@ -876,7 +792,9 @@ pub fn scatter_gather_top_k<S: CellSource + Sync>(
     policy: &ScatterPolicy,
     pool: &WorkerPool,
 ) -> Result<ShardedTopK, ShardError> {
-    scatter_gather_inner(model, archive, k, budget, policy, None, pool)
+    let models = std::slice::from_ref(model);
+    let opts = ExecOpts::new(budget);
+    scatter::<S, S>(models, archive, (&[], &[]), k, opts, policy, pool).map(solo)
 }
 
 /// [`scatter_gather_top_k`] polling a [`CancelToken`] at every shard's
@@ -897,302 +815,9 @@ pub fn scatter_gather_top_k_cancellable<S: CellSource + Sync>(
     cancel: &CancelToken,
     pool: &WorkerPool,
 ) -> Result<ShardedTopK, ShardError> {
-    scatter_gather_inner(model, archive, k, budget, policy, Some(cancel), pool)
-}
-
-fn scatter_gather_inner<S: CellSource + Sync>(
-    model: &LinearModel,
-    archive: &ShardedArchive<'_, S>,
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: Option<&CancelToken>,
-    pool: &WorkerPool,
-) -> Result<ShardedTopK, ShardError> {
-    check_epoch_fence(policy, archive)?;
-    let shards = archive.shards();
-    for shard in shards {
-        validate_grid_inputs(model, shard.pyramids, k).map_err(ShardError::Core)?;
-    }
-    let n = model.arity() as u64;
-    let total_cells = archive.total_cells();
-    let cols = archive.shape().1;
-    let deadline = WallDeadline::starting_now(budget);
-    let bound = SharedBound::new();
-
-    // The soft deadline only engages when it is tighter than the caller's
-    // own tick deadline — otherwise a Deadline stop is the caller's
-    // ceiling, not a straggler signal.
-    let soft_engaged = policy
-        .shard_soft_deadline_ticks
-        .is_some_and(|soft| budget.deadline_ticks.is_none_or(|d| soft < d));
-    let primary_budget = if soft_engaged {
-        ExecutionBudget {
-            deadline_ticks: policy.shard_soft_deadline_ticks,
-            ..*budget
-        }
-    } else {
-        *budget
-    };
-
-    let primary_ctx = ScatterCtx {
-        model,
-        k,
-        cols,
-        budget: primary_budget,
-        deadline: &deadline,
-        cancel,
-        bound: &bound,
-    };
-    let all: Vec<usize> = (0..shards.len()).collect();
-    let mut attempts: Vec<Option<ShardAttempt>> = (0..shards.len()).map(|_| None).collect();
-    for (i, attempt) in scatter_wave(&primary_ctx, shards, &all, pool) {
-        attempts[i] = Some(attempt);
-    }
-
-    // Hedged re-dispatch of stragglers: one retry without the soft
-    // deadline. First clean finish wins; the losing attempt's output is
-    // discarded wholesale so it leaves no state in the merge.
-    let mut hedged = vec![false; shards.len()];
-    let mut hedge_won = vec![false; shards.len()];
-    if policy.hedge_stragglers && soft_engaged && !cancel.is_some_and(CancelToken::is_cancelled) {
-        let stragglers: Vec<usize> = attempts
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| {
-                a.as_ref().is_some_and(|a| match &a.out {
-                    Ok(o) => o.budget_stop == Some(BudgetStop::Deadline),
-                    Err(_) => false,
-                })
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if !stragglers.is_empty() {
-            let hedge_ctx = ScatterCtx {
-                budget: *budget,
-                ..primary_ctx
-            };
-            for (i, hedge) in scatter_wave(&hedge_ctx, shards, &stragglers, pool) {
-                hedged[i] = true;
-                let primary = attempts[i].as_ref().expect("primary attempt present");
-                let wins = match (&primary.out, &hedge.out) {
-                    (_, Err(_)) => false,
-                    (Err(_), Ok(_)) => true,
-                    (Ok(p), Ok(h)) => {
-                        h.budget_stop.is_none()
-                            || h.lost.len() + h.leftover.len() < p.lost.len() + p.leftover.len()
-                    }
-                };
-                if wins {
-                    hedge_won[i] = true;
-                    attempts[i] = Some(hedge);
-                }
-            }
-        }
-    }
-
-    // Quorum check before any merging: a failed shard is one that errored
-    // or whose every attempted page read failed (no evaluated data).
-    let failed: Vec<usize> = attempts
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| {
-            let attempt = a.as_ref().expect("attempt present");
-            match &attempt.out {
-                Err(_) => true,
-                Ok(o) => o.resolved_reads == 0 && !o.lost.is_empty(),
-            }
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let responded = shards.len() - failed.len();
-    let required = policy.completion.required(shards.len());
-    if responded < required {
-        return Err(InsufficientShards {
-            responded,
-            required,
-            total: shards.len(),
-            failed,
-            epoch: archive.epoch,
-        }
-        .into());
-    }
-
-    // Degraded candidates cross pyramid boundaries: a band pyramid sums
-    // its aggregates in a different floating-point order than a global
-    // evaluation of the same cells, so a mathematically sound bound can
-    // round a few ulps inside the true supremum. The merge widens every
-    // inexact candidate by a relative guard so "the true score lies
-    // inside the reported bounds" holds in floating point too. Exact hits
-    // are never widened, and exclusion still uses the raw bounds.
-    let widen = |bounds: ScoreBounds| -> ScoreBounds {
-        let pad = bounds.hi.abs().max(bounds.lo.abs()).max(1.0) * f64::EPSILON * 16.0;
-        ScoreBounds {
-            lo: bounds.lo - pad,
-            hi: bounds.hi + pad,
-        }
-    };
-
-    // Gather: merge exact items with the shared rank order, derive the
-    // deterministic global K-th floor, then resolve every shard's lost
-    // and leftover regions against it.
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: n * total_cells,
-    };
-    let mut items: Vec<ScoredItem> = Vec::new();
-    for attempt in attempts.iter().flatten() {
-        if let Ok(o) = &attempt.out {
-            effort.multiply_adds += o.effort.multiply_adds;
-            items.extend(o.items.iter().copied());
-        }
-    }
-    sort_desc(&mut items);
-    items.truncate(k);
-    // Only a full merged heap yields a sound exclusion floor.
-    let floor = if items.len() == k {
-        items.last().map(|i| i.score)
-    } else {
-        None
-    };
-    let excluded = |hi: f64| floor.is_some_and(|f| f >= hi);
-
-    let mut hits: Vec<ResilientHit> = items
-        .into_iter()
-        .map(|item| ResilientHit {
-            cell: CellCoord::new(item.index / cols, item.index % cols),
-            level: 0,
-            score: item.score,
-            bounds: ScoreBounds::exact(item.score),
-            exact: true,
-        })
-        .collect();
-
-    let mut unresolved = 0u64;
-    let mut skipped: Vec<(usize, usize)> = Vec::new();
-    let mut reports: Vec<ShardReport> = Vec::with_capacity(shards.len());
-    let mut merged_stop: Option<BudgetStop> = None;
-
-    for (i, shard) in shards.iter().enumerate() {
-        let attempt = attempts[i].as_ref().expect("attempt present");
-        let shard_cells = shard.cells();
-        let mut shard_unresolved = 0u64;
-        let mut shard_skipped: BTreeSet<usize> = BTreeSet::new();
-        let mut exact_hits = 0usize;
-        let mut shard_stop = None;
-        match &attempt.out {
-            Ok(o) => {
-                exact_hits = o.items.len();
-                shard_stop = o.budget_stop;
-                for region in &o.leftover {
-                    let (mut candidate, count) = region_candidate(
-                        model,
-                        shard.pyramids,
-                        region.level,
-                        region.row,
-                        region.col,
-                        &mut effort,
-                    )
-                    .map_err(ShardError::Core)?;
-                    candidate.cell =
-                        CellCoord::new(candidate.cell.row + shard.row_offset, candidate.cell.col);
-                    if excluded(candidate.bounds.hi) {
-                        continue; // Provably outside the top-K: resolved.
-                    }
-                    shard_unresolved += count;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-                let parent_level = 1.min(shard.pyramids[0].levels() - 1);
-                for (region, page) in &o.lost {
-                    if excluded(region.ub) {
-                        continue; // Resolved by the deterministic bound.
-                    }
-                    shard_skipped.insert(*page);
-                    let (mut candidate, _) = region_candidate(
-                        model,
-                        shard.pyramids,
-                        parent_level,
-                        region.row >> parent_level,
-                        region.col >> parent_level,
-                        &mut effort,
-                    )
-                    .map_err(ShardError::Core)?;
-                    candidate.cell = CellCoord::new(region.row + shard.row_offset, region.col);
-                    candidate.level = 0;
-                    shard_unresolved += 1;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-            }
-            Err(_) => {
-                // The whole band degrades to its resident root aggregate:
-                // the deepest bound that depends on no page data. If even
-                // the root bound falls under the merged floor, the band
-                // is provably irrelevant and nothing was lost.
-                let top = shard.pyramids[0].levels() - 1;
-                let (mut candidate, count) =
-                    region_candidate(model, shard.pyramids, top, 0, 0, &mut effort)
-                        .map_err(ShardError::Core)?;
-                candidate.cell = CellCoord::new(shard.row_offset, 0);
-                if !excluded(candidate.bounds.hi) {
-                    shard_unresolved += count;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-            }
-        }
-        if let Some(stop) = shard_stop {
-            if merged_stop.is_none_or(|m| stop_severity(stop) > stop_severity(m)) {
-                merged_stop = Some(stop);
-            }
-        }
-        let outcome = if failed.contains(&i) {
-            ShardOutcome::Failed
-        } else if soft_engaged && !hedge_won[i] && shard_stop == Some(BudgetStop::Deadline) {
-            ShardOutcome::TimedOut
-        } else if shard_unresolved > 0 || shard_stop.is_some() {
-            ShardOutcome::Degraded
-        } else {
-            ShardOutcome::Complete
-        };
-        unresolved += shard_unresolved;
-        skipped.extend(shard_skipped.iter().map(|&p| (i, p)));
-        reports.push(ShardReport {
-            shard: i,
-            outcome,
-            completeness: 1.0 - shard_unresolved as f64 / shard_cells as f64,
-            exact_hits,
-            skipped_pages: shard_skipped.into_iter().collect(),
-            budget_stop: shard_stop,
-            pages_read: attempt.pages,
-            ticks: attempt.ticks,
-            hedged: hedged[i],
-            hedge_won: hedge_won[i],
-            cells: shard_cells,
-        });
-    }
-
-    // Rank by upper bound first — the shared final comparator of the
-    // resilient engines: exact hits have hi == score, and truncation can
-    // never drop the only candidate that might still be the true winner.
-    hits.sort_by(|a, b| {
-        b.bounds
-            .hi
-            .total_cmp(&a.bounds.hi)
-            .then_with(|| b.score.total_cmp(&a.score))
-            .then_with(|| a.cell.cmp(&b.cell))
-    });
-    hits.truncate(k);
-
-    Ok(ShardedTopK {
-        results: hits,
-        effort,
-        completeness: 1.0 - unresolved as f64 / total_cells as f64,
-        skipped_pages: skipped,
-        budget_stop: merged_stop,
-        shards: reports,
-    })
+    let models = std::slice::from_ref(model);
+    let opts = ExecOpts::new(budget).cancel(cancel);
+    scatter::<S, S>(models, archive, (&[], &[]), k, opts, policy, pool).map(solo)
 }
 
 /// One migration group of a dual-read: the source shards whose rows are
@@ -1304,6 +929,8 @@ fn validate_dual_groups<S: CellSource, D: CellSource>(
 /// [`ShardError::Epoch`] when `policy` pins an epoch the archive does
 /// not serve; [`ShardError::Insufficient`] on a quorum miss after
 /// destination covers are credited.
+// The eight positional arguments are the public signature `tests/` and
+// `repro r9` call; everything behind it travels as one `ExecOpts`.
 #[allow(clippy::too_many_arguments)]
 pub fn scatter_gather_top_k_dual<S: CellSource + Sync, D: CellSource + Sync>(
     model: &LinearModel,
@@ -1315,198 +942,213 @@ pub fn scatter_gather_top_k_dual<S: CellSource + Sync, D: CellSource + Sync>(
     policy: &ScatterPolicy,
     pool: &WorkerPool,
 ) -> Result<ShardedTopK, ShardError> {
-    scatter_gather_dual_inner(model, archive, dest, groups, k, budget, policy, None, pool)
+    let models = std::slice::from_ref(model);
+    let opts = ExecOpts::new(budget);
+    scatter(models, archive, (dest, groups), k, opts, policy, pool).map(solo)
 }
 
-/// [`scatter_gather_top_k_dual`] polling a [`CancelToken`] at every
-/// attempt's page-granular checkpoints — source and destination alike —
-/// so a query cancelled mid-migration degrades with sound bounds on
-/// both sides.
-///
-/// # Errors
-///
-/// Same as [`scatter_gather_top_k_dual`].
-#[allow(clippy::too_many_arguments)]
-pub fn scatter_gather_top_k_dual_cancellable<S: CellSource + Sync, D: CellSource + Sync>(
-    model: &LinearModel,
-    archive: &ShardedArchive<'_, S>,
-    dest: &[ArchiveShard<'_, D>],
-    groups: &[DualReadGroup],
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: &CancelToken,
-    pool: &WorkerPool,
-) -> Result<ShardedTopK, ShardError> {
-    scatter_gather_dual_inner(
-        model,
-        archive,
-        dest,
-        groups,
-        k,
-        budget,
-        policy,
-        Some(cancel),
-        pool,
-    )
+/// What one shard — or, during a dual-read cover, one migration group's
+/// destination side — contributed to one query's merge.
+#[derive(Clone, Default)]
+struct Ledger {
+    unresolved: u64,
+    skipped: Vec<usize>,
+    exact_hits: usize,
+    pages: u64,
+    ticks: u64,
+    stop: Option<BudgetStop>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scatter_gather_dual_inner<S: CellSource + Sync, D: CellSource + Sync>(
-    model: &LinearModel,
+impl Ledger {
+    /// Folds query `q`'s share of one winning attempt at `shard` into
+    /// the merge. An errored attempt degrades the whole band to its
+    /// resident root aggregate — the deepest bound that depends on no
+    /// page data; if even that falls under the merged floor, the band is
+    /// provably irrelevant and nothing was lost. (A leftover region's own
+    /// `ub` is never consulted, only its aggregates.)
+    fn absorb<S>(
+        &mut self,
+        merge: &mut Merge,
+        (model, q): (&LinearModel, usize),
+        shard: &ArchiveShard<'_, S>,
+        attempt: &Attempt,
+        effort: &mut EffortReport,
+    ) -> Result<(), CoreError> {
+        let band = Band {
+            pyramids: shard.pyramids,
+            row_offset: shard.row_offset,
+            sharded: true,
+        };
+        let whole_band;
+        let lane = match attempt.lanes().get(q) {
+            Some(lane) => lane,
+            None => {
+                whole_band = Outcome {
+                    leftover: vec![Region {
+                        ub: f64::NAN,
+                        level: shard.pyramids[0].levels() - 1,
+                        row: 0,
+                        col: 0,
+                    }],
+                    ..Outcome::default()
+                };
+                &whole_band
+            }
+        };
+        let (unresolved, skipped) = merge.degrade(model, band, lane, effort)?;
+        self.unresolved += unresolved;
+        self.skipped.extend(skipped);
+        self.exact_hits += lane.items.len();
+        self.pages += attempt.pages;
+        self.ticks += attempt.ticks;
+        self.stop = worse(self.stop, lane.stop);
+        Ok(())
+    }
+}
+
+/// Everything the waves of one scatter produced, ready to be gathered
+/// query by query.
+struct Scattered<'a, S, D> {
+    archive: &'a ShardedArchive<'a, S>,
+    dest: &'a [ArchiveShard<'a, D>],
+    groups: &'a [DualReadGroup],
+    /// The winning attempt at each source shard.
+    attempts: Vec<Attempt>,
+    dest_attempts: Vec<Attempt>,
+    source_failed: Vec<bool>,
+    /// The migration group whose destination copies serve this shard's
+    /// rows instead of its own (suppressed) attempt.
+    cover: Vec<Option<usize>>,
+    hedged: Vec<bool>,
+    hedge_won: Vec<bool>,
+    soft_engaged: bool,
+}
+
+/// The one scatter: epoch fence and validation, the primary wave under
+/// the soft deadline, one hedged re-dispatch of its stragglers, the
+/// destination wave of an in-flight migration, the quorum check, and the
+/// per-query gather. Solo is a batch of one; plain scatter-gather is the
+/// dual-read with no destination shards and no groups (both extra waves
+/// are then empty and every shard serves its own rows).
+fn scatter<S: CellSource + Sync, D: CellSource + Sync>(
+    models: &[LinearModel],
     archive: &ShardedArchive<'_, S>,
-    dest: &[ArchiveShard<'_, D>],
-    groups: &[DualReadGroup],
+    (dest, groups): (&[ArchiveShard<'_, D>], &[DualReadGroup]),
     k: usize,
-    budget: &ExecutionBudget,
+    opts: ExecOpts<'_>,
     policy: &ScatterPolicy,
-    cancel: Option<&CancelToken>,
     pool: &WorkerPool,
-) -> Result<ShardedTopK, ShardError> {
+) -> Result<BatchedShardedTopK, ShardError> {
+    if models.is_empty() {
+        return Ok(BatchedShardedTopK::gathered(
+            Vec::new(),
+            Tally::default(),
+            0,
+        ));
+    }
     check_epoch_fence(policy, archive)?;
     let shards = archive.shards();
+    let cols = archive.shape().1;
     for shard in shards {
-        validate_grid_inputs(model, shard.pyramids, k).map_err(ShardError::Core)?;
+        validate_grid_inputs(&models[0], shard.pyramids, k)?;
     }
     for shard in dest {
-        validate_grid_inputs(model, shard.pyramids, k).map_err(ShardError::Core)?;
-        if shard.cols() != archive.shape().1 {
+        validate_grid_inputs(&models[0], shard.pyramids, k)?;
+        if shard.cols() != cols {
             return Err(ShardError::Core(CoreError::Query(format!(
-                "dest shard has {} columns, the archive has {}",
+                "dest shard has {} columns, the archive has {cols}",
                 shard.cols(),
-                archive.shape().1
             ))));
         }
     }
     validate_dual_groups(archive, dest, groups)?;
+    same_arity(models)?;
 
-    let n = model.arity() as u64;
-    let total_cells = archive.total_cells();
-    let cols = archive.shape().1;
-    let deadline = WallDeadline::starting_now(budget);
-    let bound = SharedBound::new();
-
+    let deadline = WallDeadline::starting_now(opts.budget);
+    let bounds: Vec<SharedBound> = models.iter().map(|_| SharedBound::new()).collect();
+    // The soft deadline only engages when it is tighter than the caller's
+    // own tick deadline — otherwise a Deadline stop is the caller's
+    // ceiling, not a straggler signal.
     let soft_engaged = policy
         .shard_soft_deadline_ticks
-        .is_some_and(|soft| budget.deadline_ticks.is_none_or(|d| soft < d));
-    let primary_budget = if soft_engaged {
-        ExecutionBudget {
-            deadline_ticks: policy.shard_soft_deadline_ticks,
-            ..*budget
-        }
-    } else {
-        *budget
+        .is_some_and(|soft| opts.budget.deadline_ticks.is_none_or(|d| soft < d));
+    let soft_budget = ExecutionBudget {
+        deadline_ticks: policy.shard_soft_deadline_ticks,
+        ..*opts.budget
     };
-
-    // Source wave + hedged straggler re-dispatch: exactly the plain
-    // scatter's discipline.
-    let primary_ctx = ScatterCtx {
-        model,
+    let ctx = ScatterCtx {
+        models,
         k,
         cols,
-        budget: primary_budget,
+        opts,
         deadline: &deadline,
-        cancel,
-        bound: &bound,
+        bounds: &bounds,
+    };
+    let primary = ScatterCtx {
+        opts: ExecOpts {
+            budget: if soft_engaged {
+                &soft_budget
+            } else {
+                opts.budget
+            },
+            ..opts
+        },
+        ..ctx
     };
     let all: Vec<usize> = (0..shards.len()).collect();
-    let mut attempts: Vec<Option<ShardAttempt>> = (0..shards.len()).map(|_| None).collect();
-    for (i, attempt) in scatter_wave(&primary_ctx, shards, &all, pool) {
-        attempts[i] = Some(attempt);
-    }
+    let mut attempts = scatter_wave(&primary, shards, &all, pool);
+
+    // Hedged re-dispatch of stragglers: one retry without the soft
+    // deadline. The losing attempt's output is discarded wholesale so it
+    // leaves no state in the merge.
     let mut hedged = vec![false; shards.len()];
     let mut hedge_won = vec![false; shards.len()];
-    if policy.hedge_stragglers && soft_engaged && !cancel.is_some_and(CancelToken::is_cancelled) {
-        let stragglers: Vec<usize> = attempts
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| {
-                a.as_ref().is_some_and(|a| match &a.out {
-                    Ok(o) => o.budget_stop == Some(BudgetStop::Deadline),
-                    Err(_) => false,
-                })
-            })
-            .map(|(i, _)| i)
+    let cancelled = opts.cancel.is_some_and(CancelToken::is_cancelled);
+    if policy.hedge_stragglers && soft_engaged && !cancelled {
+        let stragglers: Vec<usize> = (0..shards.len())
+            .filter(|&i| attempts[i].straggled())
             .collect();
-        if !stragglers.is_empty() {
-            let hedge_ctx = ScatterCtx {
-                budget: *budget,
-                ..primary_ctx
-            };
-            for (i, hedge) in scatter_wave(&hedge_ctx, shards, &stragglers, pool) {
-                hedged[i] = true;
-                let primary = attempts[i].as_ref().expect("primary attempt present");
-                let wins = match (&primary.out, &hedge.out) {
-                    (_, Err(_)) => false,
-                    (Err(_), Ok(_)) => true,
-                    (Ok(p), Ok(h)) => {
-                        h.budget_stop.is_none()
-                            || h.lost.len() + h.leftover.len() < p.lost.len() + p.leftover.len()
-                    }
-                };
-                if wins {
-                    hedge_won[i] = true;
-                    attempts[i] = Some(hedge);
-                }
+        let hedges = scatter_wave(&ctx, shards, &stragglers, pool);
+        for (&i, hedge) in stragglers.iter().zip(hedges) {
+            hedged[i] = true;
+            if hedge.beats(&attempts[i]) {
+                hedge_won[i] = true;
+                attempts[i] = hedge;
             }
         }
     }
 
     // Destination wave: after the source wave, against the caller's own
     // budget (no soft deadline — the copies are fresh and local), with
-    // the same shared bound. The mature cross-shard floors make most
+    // the same shared bounds. The mature cross-shard floors make most
     // healthy destination descents exclude their band near the root, so
     // the dual fan-out costs little extra when nothing is failing.
-    let dest_ctx = ScatterCtx {
-        model,
-        k,
-        cols,
-        budget: *budget,
-        deadline: &deadline,
-        cancel,
-        bound: &bound,
-    };
     let all_dest: Vec<usize> = (0..dest.len()).collect();
-    let mut dest_attempts: Vec<Option<ShardAttempt>> = (0..dest.len()).map(|_| None).collect();
-    for (i, attempt) in scatter_wave(&dest_ctx, dest, &all_dest, pool) {
-        dest_attempts[i] = Some(attempt);
-    }
+    let dest_attempts = scatter_wave(&ctx, dest, &all_dest, pool);
 
-    // Per-group substitution verdicts.
-    let attempt_failed = |a: &ShardAttempt| match &a.out {
-        Err(_) => true,
-        Ok(o) => o.resolved_reads == 0 && !o.lost.is_empty(),
-    };
-    let source_failed: Vec<bool> = attempts
-        .iter()
-        .map(|a| attempt_failed(a.as_ref().expect("attempt present")))
-        .collect();
-    let dest_failed: Vec<bool> = dest_attempts
-        .iter()
-        .map(|a| attempt_failed(a.as_ref().expect("attempt present")))
-        .collect();
-    let mut covered_group = vec![false; groups.len()];
-    let mut suppressed = vec![false; shards.len()];
-    let mut group_of_source: Vec<Option<usize>> = vec![None; shards.len()];
+    // A group's rows are served from the destination side only when a
+    // migrating source shard failed *and* every destination copy
+    // responded; the substitution is wholesale, so no cell merges twice.
+    let source_failed: Vec<bool> = attempts.iter().map(Attempt::failed).collect();
+    let mut cover: Vec<Option<usize>> = vec![None; shards.len()];
     for (g, group) in groups.iter().enumerate() {
-        for &s in &group.source_shards {
-            group_of_source[s] = Some(g);
-        }
-        let any_source_failed = group.source_shards.iter().any(|&s| source_failed[s]);
-        let all_dest_ok = group.dest_shards.iter().all(|&d| !dest_failed[d]);
-        if any_source_failed && all_dest_ok {
-            covered_group[g] = true;
+        if group.source_shards.iter().any(|&s| source_failed[s])
+            && group
+                .dest_shards
+                .iter()
+                .all(|&d| !dest_attempts[d].failed())
+        {
             for &s in &group.source_shards {
-                suppressed[s] = true;
+                cover[s] = Some(g);
             }
         }
     }
 
-    // Epoch-aware quorum: a migrating shard whose rows the destination
-    // copies fully served counts as responded; only uncovered failures
-    // count against the policy.
+    // Epoch-aware quorum, before any merging: a migrating shard whose
+    // rows the destination copies fully served counts as responded; only
+    // uncovered failures count against the policy.
     let failed: Vec<usize> = (0..shards.len())
-        .filter(|&i| source_failed[i] && !suppressed[i])
+        .filter(|&i| source_failed[i] && cover[i].is_none())
         .collect();
     let responded = shards.len() - failed.len();
     let required = policy.completion.required(shards.len());
@@ -1521,296 +1163,152 @@ fn scatter_gather_dual_inner<S: CellSource + Sync, D: CellSource + Sync>(
         .into());
     }
 
-    let widen = |bounds: ScoreBounds| -> ScoreBounds {
-        let pad = bounds.hi.abs().max(bounds.lo.abs()).max(1.0) * f64::EPSILON * 16.0;
-        ScoreBounds {
-            lo: bounds.lo - pad,
-            hi: bounds.hi + pad,
-        }
-    };
-
-    // Merge pool: every non-suppressed source contribution plus the
-    // destination contributions of covered groups. A group's rows come
-    // from exactly one side, so no cell can be merged twice.
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: n * total_cells,
-    };
-    let mut items: Vec<ScoredItem> = Vec::new();
-    for (i, attempt) in attempts.iter().enumerate() {
-        if suppressed[i] {
-            continue;
-        }
-        if let Ok(o) = &attempt.as_ref().expect("attempt present").out {
-            effort.multiply_adds += o.effort.multiply_adds;
-            items.extend(o.items.iter().copied());
+    let mut pages_read = 0u64;
+    let mut tally = Tally::default();
+    for attempt in &attempts {
+        pages_read += attempt.pages;
+        if let Ok((_, t)) = &attempt.out {
+            tally += *t;
         }
     }
-    for (g, group) in groups.iter().enumerate() {
-        if !covered_group[g] {
-            continue;
-        }
-        for &d in &group.dest_shards {
-            if let Ok(o) = &dest_attempts[d].as_ref().expect("attempt present").out {
-                effort.multiply_adds += o.effort.multiply_adds;
-                items.extend(o.items.iter().copied());
-            }
-        }
-    }
-    sort_desc(&mut items);
-    items.truncate(k);
-    let floor = if items.len() == k {
-        items.last().map(|i| i.score)
-    } else {
-        None
+    let scattered = Scattered {
+        archive,
+        dest,
+        groups,
+        attempts,
+        dest_attempts,
+        source_failed,
+        cover,
+        hedged,
+        hedge_won,
+        soft_engaged,
     };
-    let excluded = |hi: f64| floor.is_some_and(|f| f >= hi);
+    let queries = models
+        .iter()
+        .enumerate()
+        .map(|(q, model)| scattered.gather(q, model, k))
+        .collect::<Result<_, _>>()?;
+    Ok(BatchedShardedTopK::gathered(queries, tally, pages_read))
+}
 
-    let mut hits: Vec<ResilientHit> = items
-        .into_iter()
-        .map(|item| ResilientHit {
-            cell: CellCoord::new(item.index / cols, item.index % cols),
-            level: 0,
-            score: item.score,
-            bounds: ScoreBounds::exact(item.score),
-            exact: true,
-        })
-        .collect();
-
-    let mut unresolved = 0u64;
-    let mut skipped: Vec<(usize, usize)> = Vec::new();
-    let mut merged_stop: Option<BudgetStop> = None;
-    let bump_stop = |merged: &mut Option<BudgetStop>, stop: Option<BudgetStop>| {
-        if let Some(stop) = stop {
-            if merged.is_none_or(|m| stop_severity(stop) > stop_severity(m)) {
-                *merged = Some(stop);
-            }
+impl<S: CellSource, D: CellSource> Scattered<'_, S, D> {
+    /// Query `q`'s gather: merge the exact items of every attempt that
+    /// serves rows, derive the deterministic global K-th floor, then
+    /// resolve each contributor's lost and leftover regions against it.
+    fn gather(&self, q: usize, model: &LinearModel, k: usize) -> Result<ShardedTopK, CoreError> {
+        let shards = self.archive.shards();
+        let cols = self.archive.shape().1;
+        let covered = |g: usize| self.cover.contains(&Some(g));
+        let serving = (self.attempts.iter().zip(&self.cover))
+            .filter(|(_, cover)| cover.is_none())
+            .map(|(attempt, _)| attempt)
+            .chain(
+                (self.groups.iter().enumerate())
+                    .filter(|(g, _)| covered(*g))
+                    .flat_map(|(_, group)| group.dest_shards.iter())
+                    .map(|&d| &self.dest_attempts[d]),
+            );
+        let mut merged = Outcome::default();
+        for lane in serving.filter_map(|attempt| attempt.lanes().get(q)) {
+            merged.effort.multiply_adds += lane.effort.multiply_adds;
+            merged.items.extend(lane.items.iter().copied());
         }
-    };
-
-    // Destination-side accounting, one ledger per covered group; its
-    // losses and leftovers degrade through the same candidate machinery
-    // as any shard's. During cover, skipped page ids are
-    // destination-local (the source pages were never the ones read).
-    struct GroupLedger {
-        unresolved: u64,
-        skipped: BTreeSet<usize>,
-        exact_hits: usize,
-        pages: u64,
-        ticks: u64,
-        stop: Option<BudgetStop>,
-        cells: u64,
-    }
-    let mut ledgers: Vec<Option<GroupLedger>> = (0..groups.len()).map(|_| None).collect();
-    for (g, group) in groups.iter().enumerate() {
-        if !covered_group[g] {
-            continue;
-        }
-        let mut ledger = GroupLedger {
-            unresolved: 0,
-            skipped: BTreeSet::new(),
-            exact_hits: 0,
-            pages: 0,
-            ticks: 0,
-            stop: None,
-            cells: group.source_shards.iter().map(|&s| shards[s].cells()).sum(),
+        merged.merge_items(k);
+        let mut effort = EffortReport {
+            multiply_adds: merged.effort.multiply_adds,
+            naive_multiply_adds: model.arity() as u64 * self.archive.total_cells(),
         };
-        for &d in &group.dest_shards {
-            let attempt = dest_attempts[d].as_ref().expect("attempt present");
-            ledger.pages += attempt.pages;
-            ledger.ticks += attempt.ticks;
-            let shard = &dest[d];
-            let Ok(o) = &attempt.out else {
-                continue; // Covered groups have no errored dest attempts.
-            };
-            ledger.exact_hits += o.items.len();
-            bump_stop(&mut ledger.stop, o.budget_stop);
-            for region in &o.leftover {
-                let (mut candidate, count) = region_candidate(
-                    model,
-                    shard.pyramids,
-                    region.level,
-                    region.row,
-                    region.col,
-                    &mut effort,
-                )
-                .map_err(ShardError::Core)?;
-                candidate.cell =
-                    CellCoord::new(candidate.cell.row + shard.row_offset, candidate.cell.col);
-                if excluded(candidate.bounds.hi) {
-                    continue;
-                }
-                ledger.unresolved += count;
-                candidate.bounds = widen(candidate.bounds);
-                hits.push(candidate);
-            }
-            let parent_level = 1.min(shard.pyramids[0].levels() - 1);
-            for (region, page) in &o.lost {
-                if excluded(region.ub) {
-                    continue;
-                }
-                ledger.skipped.insert(*page);
-                let (mut candidate, _) = region_candidate(
-                    model,
-                    shard.pyramids,
-                    parent_level,
-                    region.row >> parent_level,
-                    region.col >> parent_level,
-                    &mut effort,
-                )
-                .map_err(ShardError::Core)?;
-                candidate.cell = CellCoord::new(region.row + shard.row_offset, region.col);
-                candidate.level = 0;
-                ledger.unresolved += 1;
-                candidate.bounds = widen(candidate.bounds);
-                hits.push(candidate);
-            }
-        }
-        unresolved += ledger.unresolved;
-        bump_stop(&mut merged_stop, ledger.stop);
-        ledgers[g] = Some(ledger);
-    }
+        let mut merge = Merge::new(merged.items, k, cols);
 
-    let mut reports: Vec<ShardReport> = Vec::with_capacity(shards.len());
-    for (i, shard) in shards.iter().enumerate() {
-        let attempt = attempts[i].as_ref().expect("attempt present");
-        let shard_cells = shard.cells();
-        if suppressed[i] {
-            // The group ledger lands on the group's first band; every
-            // member shares the group's completeness (cell-weighted, the
-            // per-shard fractions sum back to the group's).
-            let g = group_of_source[i].expect("suppressed shard has a group");
-            let group = &groups[g];
-            let ledger = ledgers[g].as_ref().expect("covered group has a ledger");
-            let first = group.source_shards.iter().min() == Some(&i);
-            if first {
-                skipped.extend(ledger.skipped.iter().map(|&p| (i, p)));
+        // Destination-side accounting, one ledger per covered group.
+        // During cover, skipped page ids are destination-local (the
+        // source pages were never the ones read).
+        let mut ledgers: Vec<Option<Ledger>> = Vec::with_capacity(self.groups.len());
+        for (g, group) in self.groups.iter().enumerate() {
+            if !covered(g) {
+                ledgers.push(None);
+                continue;
             }
+            let mut ledger = Ledger::default();
+            for &d in &group.dest_shards {
+                let copy = &self.dest_attempts[d];
+                ledger.absorb(&mut merge, (model, q), &self.dest[d], copy, &mut effort)?;
+            }
+            ledger.skipped.sort_unstable();
+            ledger.skipped.dedup();
+            ledgers.push(Some(ledger));
+        }
+        let mut unresolved: u64 = ledgers.iter().flatten().map(|l| l.unresolved).sum();
+        let mut budget_stop = ledgers.iter().flatten().fold(None, |s, l| worse(s, l.stop));
+
+        let mut skipped_pages: Vec<(usize, usize)> = Vec::new();
+        let mut reports: Vec<ShardReport> = Vec::with_capacity(shards.len());
+        for (i, shard) in shards.iter().enumerate() {
+            let (outcome, completeness, ledger) = if let Some(g) = self.cover[i] {
+                // The group ledger lands on the group's first band; every
+                // member shares the group's completeness (cell-weighted,
+                // the per-shard fractions sum back to the group's).
+                let members = &self.groups[g].source_shards;
+                let ledger = ledgers[g].as_ref().expect("covered group has a ledger");
+                let cells: u64 = members.iter().map(|&s| shards[s].cells()).sum();
+                let shown = if members.iter().min() == Some(&i) {
+                    ledger.clone()
+                } else {
+                    Ledger::default()
+                };
+                let completeness = 1.0 - ledger.unresolved as f64 / cells as f64;
+                (ShardOutcome::Covered, completeness, shown)
+            } else {
+                let mut ledger = Ledger::default();
+                ledger.absorb(
+                    &mut merge,
+                    (model, q),
+                    shard,
+                    &self.attempts[i],
+                    &mut effort,
+                )?;
+                unresolved += ledger.unresolved;
+                budget_stop = worse(budget_stop, ledger.stop);
+                let timed_out = self.soft_engaged
+                    && !self.hedge_won[i]
+                    && ledger.stop == Some(BudgetStop::Deadline);
+                let outcome = if self.source_failed[i] {
+                    ShardOutcome::Failed
+                } else if timed_out {
+                    ShardOutcome::TimedOut
+                } else if ledger.unresolved > 0 || ledger.stop.is_some() {
+                    ShardOutcome::Degraded
+                } else {
+                    ShardOutcome::Complete
+                };
+                let completeness = 1.0 - ledger.unresolved as f64 / shard.cells() as f64;
+                (outcome, completeness, ledger)
+            };
+            skipped_pages.extend(ledger.skipped.iter().map(|&p| (i, p)));
             reports.push(ShardReport {
                 shard: i,
-                outcome: ShardOutcome::Covered,
-                completeness: 1.0 - ledger.unresolved as f64 / ledger.cells as f64,
-                exact_hits: if first { ledger.exact_hits } else { 0 },
-                skipped_pages: if first {
-                    ledger.skipped.iter().copied().collect()
-                } else {
-                    Vec::new()
-                },
-                budget_stop: if first { ledger.stop } else { None },
-                pages_read: if first { ledger.pages } else { 0 },
-                ticks: if first { ledger.ticks } else { 0 },
-                hedged: hedged[i],
-                hedge_won: hedge_won[i],
-                cells: shard_cells,
+                outcome,
+                completeness,
+                exact_hits: ledger.exact_hits,
+                skipped_pages: ledger.skipped,
+                budget_stop: ledger.stop,
+                pages_read: ledger.pages,
+                ticks: ledger.ticks,
+                hedged: self.hedged[i],
+                hedge_won: self.hedge_won[i],
+                cells: shard.cells(),
             });
-            continue;
         }
-        let mut shard_unresolved = 0u64;
-        let mut shard_skipped: BTreeSet<usize> = BTreeSet::new();
-        let mut exact_hits = 0usize;
-        let mut shard_stop = None;
-        match &attempt.out {
-            Ok(o) => {
-                exact_hits = o.items.len();
-                shard_stop = o.budget_stop;
-                for region in &o.leftover {
-                    let (mut candidate, count) = region_candidate(
-                        model,
-                        shard.pyramids,
-                        region.level,
-                        region.row,
-                        region.col,
-                        &mut effort,
-                    )
-                    .map_err(ShardError::Core)?;
-                    candidate.cell =
-                        CellCoord::new(candidate.cell.row + shard.row_offset, candidate.cell.col);
-                    if excluded(candidate.bounds.hi) {
-                        continue;
-                    }
-                    shard_unresolved += count;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-                let parent_level = 1.min(shard.pyramids[0].levels() - 1);
-                for (region, page) in &o.lost {
-                    if excluded(region.ub) {
-                        continue;
-                    }
-                    shard_skipped.insert(*page);
-                    let (mut candidate, _) = region_candidate(
-                        model,
-                        shard.pyramids,
-                        parent_level,
-                        region.row >> parent_level,
-                        region.col >> parent_level,
-                        &mut effort,
-                    )
-                    .map_err(ShardError::Core)?;
-                    candidate.cell = CellCoord::new(region.row + shard.row_offset, region.col);
-                    candidate.level = 0;
-                    shard_unresolved += 1;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-            }
-            Err(_) => {
-                let top = shard.pyramids[0].levels() - 1;
-                let (mut candidate, count) =
-                    region_candidate(model, shard.pyramids, top, 0, 0, &mut effort)
-                        .map_err(ShardError::Core)?;
-                candidate.cell = CellCoord::new(shard.row_offset, 0);
-                if !excluded(candidate.bounds.hi) {
-                    shard_unresolved += count;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-            }
-        }
-        bump_stop(&mut merged_stop, shard_stop);
-        let outcome = if source_failed[i] {
-            ShardOutcome::Failed
-        } else if soft_engaged && !hedge_won[i] && shard_stop == Some(BudgetStop::Deadline) {
-            ShardOutcome::TimedOut
-        } else if shard_unresolved > 0 || shard_stop.is_some() {
-            ShardOutcome::Degraded
-        } else {
-            ShardOutcome::Complete
-        };
-        unresolved += shard_unresolved;
-        skipped.extend(shard_skipped.iter().map(|&p| (i, p)));
-        reports.push(ShardReport {
-            shard: i,
-            outcome,
-            completeness: 1.0 - shard_unresolved as f64 / shard_cells as f64,
-            exact_hits,
-            skipped_pages: shard_skipped.into_iter().collect(),
-            budget_stop: shard_stop,
-            pages_read: attempt.pages,
-            ticks: attempt.ticks,
-            hedged: hedged[i],
-            hedge_won: hedge_won[i],
-            cells: shard_cells,
-        });
+
+        Ok(ShardedTopK {
+            results: merge.rank(),
+            effort,
+            completeness: 1.0 - unresolved as f64 / self.archive.total_cells() as f64,
+            skipped_pages,
+            budget_stop,
+            shards: reports,
+        })
     }
-
-    hits.sort_by(|a, b| {
-        b.bounds
-            .hi
-            .total_cmp(&a.bounds.hi)
-            .then_with(|| b.score.total_cmp(&a.score))
-            .then_with(|| a.cell.cmp(&b.cell))
-    });
-    hits.truncate(k);
-
-    Ok(ShardedTopK {
-        results: hits,
-        effort,
-        completeness: 1.0 - unresolved as f64 / total_cells as f64,
-        skipped_pages: skipped,
-        budget_stop: merged_stop,
-        shards: reports,
-    })
 }
 
 /// Result of one batched scatter-gather run: per-query sharded answers
@@ -1837,350 +1335,17 @@ pub struct BatchedShardedTopK {
     pub bound_requests: u64,
 }
 
-/// Output of one *batched* shard descent attempt: the per-query fields of
-/// [`ShardOut`] plus the shard's physical sharing counters.
-struct BatchShardOut {
-    /// Per-query exact items with *global* cell indices.
-    items: Vec<Vec<ScoredItem>>,
-    /// Per-query shard-local lost regions, with the failed page.
-    lost: Vec<Vec<(Region, usize)>>,
-    /// Per-query shard-local regions an early stop left unrefined.
-    leftover: Vec<Vec<Region>>,
-    efforts: Vec<EffortReport>,
-    /// Per-query stop reasons: the batch-wide stop lands on every query
-    /// still open in this shard; queries already closed keep `None`.
-    stops: Vec<Option<BudgetStop>>,
-    /// Distinct successful base reads — zero with losses means a dead
-    /// shard (for the whole batch: reads are physical).
-    resolved_reads: u64,
-    cells_fetched: u64,
-    cell_requests: u64,
-    bound_evals: u64,
-    bound_requests: u64,
-}
-
-/// One attempt (primary or hedge) at a shard, with its I/O window.
-struct BatchShardAttempt {
-    out: Result<BatchShardOut, CoreError>,
-    pages: u64,
-    ticks: u64,
-}
-
-/// Read-only context shared by every batched shard attempt of one wave:
-/// [`ScatterCtx`] with the model and shared bound vectorized over the
-/// batch.
-struct BatchScatterCtx<'a> {
-    models: &'a [LinearModel],
-    k: usize,
-    cols: usize,
-    budget: ExecutionBudget,
-    deadline: &'a WallDeadline,
-    cancel: Option<&'a CancelToken>,
-    /// One cross-shard bound per query, in batch order.
-    bounds: &'a [SharedBound],
-}
-
-/// One shard's *batched* best-first descent: the shared-frontier loop of
-/// [`crate::batched`] run over the shard's own band pyramids and source.
-/// Each query prunes against `max(its shared cross-shard bound, its local
-/// K-th floor)` and publishes its floors back — restricted to any one
-/// query this is exactly [`shard_descent`] for that query alone, while
-/// page reads and pyramid range fetches are memoized across the batch.
-fn batched_shard_descent<S: CellSource>(
-    ctx: &BatchScatterCtx<'_>,
-    shard: &ArchiveShard<'_, S>,
-) -> Result<BatchShardOut, CoreError> {
-    let models = ctx.models;
-    let m = models.len();
-    let arity = models[0].arity();
-    let n = arity as u64;
-    let levels = shard.pyramids[0].levels();
-    let pages_at_entry = shard.source.pages_read();
-    let ticks_at_entry = shard.source.ticks_elapsed();
-
-    let mut efforts: Vec<EffortReport> = (0..m)
-        .map(|_| EffortReport {
-            multiply_adds: 0,
-            naive_multiply_adds: n * shard.cells(),
-        })
-        .collect();
-    let mut total_ma = 0u64;
-    let mut selector = Selector::for_width(m);
-    let mut frontiers: Vec<BinaryHeap<Region>> = (0..m).map(|_| BinaryHeap::new()).collect();
-    let mut children: Vec<CellCoord> = Vec::new();
-    let mut ranges: Vec<(f64, f64)> = Vec::new();
-    let mut x: Vec<f64> = Vec::new();
-    let mut cell_memo: MemoMap<CellSlot> = MemoMap::default();
-    let mut cell_gov = MemoGovernor::new(CELL_MEMO_WINDOW);
-    let mut bound_memo = BoundMemo::new();
-    let mut cell_arena: Vec<f64> = Vec::new();
-    let mut coarse_bufs: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-    if let Some(cg) = shard.coarse {
-        coarse_bufs.resize_with(m, Default::default);
-        for (q, model) in models.iter().enumerate() {
-            let (qc, qm) = &mut coarse_bufs[q];
-            cg.prepare_into(model, qc, qm)?;
+impl BatchedShardedTopK {
+    fn gathered(queries: Vec<ShardedTopK>, tally: Tally, pages_read: u64) -> Self {
+        BatchedShardedTopK {
+            queries,
+            pages_read,
+            cells_fetched: tally.cells_fetched,
+            cell_requests: tally.cell_requests,
+            bound_evals: tally.bound_evals,
+            bound_requests: tally.bound_requests,
         }
     }
-    let mut heaps: Vec<TopKHeap> = (0..m).map(|_| TopKHeap::new(ctx.k)).collect();
-    let mut done = vec![false; m];
-    let mut done_count = 0usize;
-    let mut lost: Vec<Vec<(Region, usize)>> = (0..m).map(|_| Vec::new()).collect();
-    let mut leftover: Vec<Vec<Region>> = (0..m).map(|_| Vec::new()).collect();
-    let mut stops: Vec<Option<BudgetStop>> = vec![None; m];
-    let mut resolved_reads = 0u64;
-    let mut cells_fetched = 0u64;
-    let mut cell_requests = 0u64;
-    let mut bound_evals = 0u64;
-    let mut bound_requests = 0u64;
-
-    let top = levels - 1;
-    for q in 0..m {
-        let ub = bound_memo.bound(models, shard.pyramids, top, 0, 0, q, &mut bound_evals)?;
-        efforts[q].multiply_adds += n;
-        total_ma += n;
-        bound_requests += 1;
-        frontiers[q].push(Region {
-            ub,
-            level: top,
-            row: 0,
-            col: 0,
-        });
-        selector.arm(q, &frontiers);
-    }
-
-    // Selector-over-frontiers interleave, as in [`crate::batched`]: one
-    // solo-sized frontier per query, one live top each in the selector.
-    while let Some((q, e)) = selector.next(&mut frontiers) {
-        if bound_memo.is_off() {
-            selector.go_serial();
-        }
-        let mut floor = ctx.bounds[q].get();
-        if let Some(f) = heaps[q].floor() {
-            floor = floor.max(f);
-        }
-        if floor >= e.ub {
-            // Sound exclusion of this query's band remainder — the solo
-            // descent's break; its frontier is abandoned wholesale.
-            done[q] = true;
-            done_count += 1;
-            if done_count == m {
-                break;
-            }
-            continue;
-        }
-        let checked = checkpoint_stop(
-            ctx.cancel,
-            ctx.deadline,
-            &ctx.budget,
-            total_ma,
-            shard.source.pages_read().saturating_sub(pages_at_entry),
-            shard.source.ticks_elapsed().saturating_sub(ticks_at_entry),
-        );
-        if let Some(stop) = checked {
-            leftover[q].push(e);
-            stops[q] = Some(stop);
-            for (rq, f) in frontiers.iter_mut().enumerate() {
-                if done[rq] || (rq != q && f.is_empty()) {
-                    continue;
-                }
-                stops[rq] = Some(stop);
-                leftover[rq].extend(f.drain());
-            }
-            break;
-        }
-        if e.level == 0 {
-            cell_requests += 1;
-            if cell_gov.live() {
-                let ck = cell_key(e.row as u32, e.col as u32);
-                let slot = match cell_memo.get(&ck) {
-                    Some(s) => {
-                        cell_gov.record(true);
-                        *s
-                    }
-                    None => {
-                        cell_gov.record(false);
-                        let s = match read_base_vector_into(
-                            shard.source,
-                            arity,
-                            e.row,
-                            e.col,
-                            &mut x,
-                        ) {
-                            Ok(()) => {
-                                resolved_reads += 1;
-                                cells_fetched += 1;
-                                let off = cell_arena.len();
-                                cell_arena.extend_from_slice(&x);
-                                CellSlot::Loaded(off)
-                            }
-                            Err(CoreError::Archive(
-                                ArchiveError::PageIo { page }
-                                | ArchiveError::PageQuarantined { page }
-                                | ArchiveError::PageCorrupt { page },
-                            )) => {
-                                let page = shard.source.page_of(e.row, e.col).unwrap_or(page);
-                                CellSlot::Lost(page)
-                            }
-                            Err(err) => return Err(err),
-                        };
-                        cell_memo.insert(ck, s);
-                        s
-                    }
-                };
-                match slot {
-                    CellSlot::Loaded(off) => {
-                        efforts[q].multiply_adds += n;
-                        total_ma += n;
-                        heaps[q].offer(ScoredItem {
-                            index: (e.row + shard.row_offset) * ctx.cols + e.col,
-                            score: models[q].evaluate(&cell_arena[off..off + arity]),
-                        });
-                        if let Some(f) = heaps[q].floor() {
-                            ctx.bounds[q].offer(f);
-                        }
-                    }
-                    CellSlot::Lost(page) => lost[q].push((e, page)),
-                }
-            } else {
-                // Governed off: the solo shard descent's read-and-score
-                // path, with no arena copy and no table insert.
-                match read_base_vector_into(shard.source, arity, e.row, e.col, &mut x) {
-                    Ok(()) => {
-                        resolved_reads += 1;
-                        cells_fetched += 1;
-                        efforts[q].multiply_adds += n;
-                        total_ma += n;
-                        heaps[q].offer(ScoredItem {
-                            index: (e.row + shard.row_offset) * ctx.cols + e.col,
-                            score: models[q].evaluate(&x),
-                        });
-                        if let Some(f) = heaps[q].floor() {
-                            ctx.bounds[q].offer(f);
-                        }
-                    }
-                    Err(CoreError::Archive(
-                        ArchiveError::PageIo { page }
-                        | ArchiveError::PageQuarantined { page }
-                        | ArchiveError::PageCorrupt { page },
-                    )) => {
-                        let page = shard.source.page_of(e.row, e.col).unwrap_or(page);
-                        lost[q].push((e, page));
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-            selector.arm(q, &frontiers);
-            continue;
-        }
-        let level = e.level;
-        shard.pyramids[0].children_into(level, e.row, e.col, &mut children);
-        for &child in children.iter() {
-            // Per-query coarse pass against this query's pop-time pruning
-            // bound — the same prune-only gate as [`shard_descent`].
-            if let Some(cg) = shard.coarse {
-                if floor > f64::NEG_INFINITY {
-                    let (qc, qm) = &coarse_bufs[q];
-                    if cg.cell_upper_bound(qc, qm, level - 1, child.row, child.col) < floor {
-                        continue;
-                    }
-                }
-            }
-            bound_requests += 1;
-            let ub = if bound_memo.is_off() {
-                // Retired memo: the solo engine's bound path, inlined.
-                bound_evals += 1;
-                region_bound_into(
-                    &models[q],
-                    shard.pyramids,
-                    level - 1,
-                    child.row,
-                    child.col,
-                    &mut ranges,
-                    &mut efforts[q],
-                )?
-            } else {
-                let ub = bound_memo.bound(
-                    models,
-                    shard.pyramids,
-                    level - 1,
-                    child.row,
-                    child.col,
-                    q,
-                    &mut bound_evals,
-                )?;
-                efforts[q].multiply_adds += n;
-                ub
-            };
-            total_ma += n;
-            frontiers[q].push(Region {
-                ub,
-                level: level - 1,
-                row: child.row,
-                col: child.col,
-            });
-        }
-        selector.arm(q, &frontiers);
-    }
-
-    Ok(BatchShardOut {
-        items: heaps.into_iter().map(TopKHeap::into_sorted).collect(),
-        lost,
-        leftover,
-        efforts,
-        stops,
-        resolved_reads,
-        cells_fetched,
-        cell_requests,
-        bound_evals,
-        bound_requests,
-    })
-}
-
-/// Runs one batched attempt at a shard and measures its I/O window on
-/// the shard's own clock.
-fn run_batched_attempt<S: CellSource>(
-    ctx: &BatchScatterCtx<'_>,
-    shard: &ArchiveShard<'_, S>,
-) -> BatchShardAttempt {
-    let pages_at_entry = shard.source.pages_read();
-    let ticks_at_entry = shard.source.ticks_elapsed();
-    let out = batched_shard_descent(ctx, shard);
-    BatchShardAttempt {
-        out,
-        pages: shard.source.pages_read().saturating_sub(pages_at_entry),
-        ticks: shard.source.ticks_elapsed().saturating_sub(ticks_at_entry),
-    }
-}
-
-/// Fans `which` shard indices out over the pool for one batched wave
-/// (round-robin, at most one worker per shard).
-fn batched_scatter_wave<S: CellSource + Sync>(
-    ctx: &BatchScatterCtx<'_>,
-    shards: &[ArchiveShard<'_, S>],
-    which: &[usize],
-    pool: &WorkerPool,
-) -> Vec<(usize, BatchShardAttempt)> {
-    let workers = pool.threads().min(which.len()).max(1);
-    let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    for (slot, &shard_index) in which.iter().enumerate() {
-        assignments[slot % workers].push(shard_index);
-    }
-    pool.run(
-        assignments
-            .into_iter()
-            .map(|own| {
-                move |_w: usize| {
-                    own.into_iter()
-                        .map(|i| (i, run_batched_attempt(ctx, &shards[i])))
-                        .collect::<Vec<_>>()
-                }
-            })
-            .collect(),
-    )
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Batched scatter-gather top-K: one scatter wave serves every model in
@@ -2207,7 +1372,15 @@ pub fn batched_scatter_gather_top_k<S: CellSource + Sync>(
     policy: &ScatterPolicy,
     pool: &WorkerPool,
 ) -> Result<BatchedShardedTopK, ShardError> {
-    batched_scatter_gather_inner(models, archive, k, budget, policy, None, pool)
+    scatter::<S, S>(
+        models,
+        archive,
+        (&[], &[]),
+        k,
+        ExecOpts::new(budget),
+        policy,
+        pool,
+    )
 }
 
 /// [`batched_scatter_gather_top_k`] polling a [`CancelToken`] at every
@@ -2227,339 +1400,8 @@ pub fn batched_scatter_gather_top_k_cancellable<S: CellSource + Sync>(
     cancel: &CancelToken,
     pool: &WorkerPool,
 ) -> Result<BatchedShardedTopK, ShardError> {
-    batched_scatter_gather_inner(models, archive, k, budget, policy, Some(cancel), pool)
-}
-
-fn batched_scatter_gather_inner<S: CellSource + Sync>(
-    models: &[LinearModel],
-    archive: &ShardedArchive<'_, S>,
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: Option<&CancelToken>,
-    pool: &WorkerPool,
-) -> Result<BatchedShardedTopK, ShardError> {
-    let m = models.len();
-    if m == 0 {
-        return Ok(BatchedShardedTopK {
-            queries: Vec::new(),
-            pages_read: 0,
-            cells_fetched: 0,
-            cell_requests: 0,
-            bound_evals: 0,
-            bound_requests: 0,
-        });
-    }
-    check_epoch_fence(policy, archive)?;
-    let shards = archive.shards();
-    for shard in shards {
-        validate_grid_inputs(&models[0], shard.pyramids, k).map_err(ShardError::Core)?;
-    }
-    for model in &models[1..] {
-        if model.arity() != models[0].arity() {
-            return Err(ShardError::Core(CoreError::Query(
-                "batched queries must share the model arity".into(),
-            )));
-        }
-    }
-    let n = models[0].arity() as u64;
-    let total_cells = archive.total_cells();
-    let cols = archive.shape().1;
-    let deadline = WallDeadline::starting_now(budget);
-    let bounds: Vec<SharedBound> = (0..m).map(|_| SharedBound::new()).collect();
-
-    let soft_engaged = policy
-        .shard_soft_deadline_ticks
-        .is_some_and(|soft| budget.deadline_ticks.is_none_or(|d| soft < d));
-    let primary_budget = if soft_engaged {
-        ExecutionBudget {
-            deadline_ticks: policy.shard_soft_deadline_ticks,
-            ..*budget
-        }
-    } else {
-        *budget
-    };
-
-    let primary_ctx = BatchScatterCtx {
-        models,
-        k,
-        cols,
-        budget: primary_budget,
-        deadline: &deadline,
-        cancel,
-        bounds: &bounds,
-    };
-    let all: Vec<usize> = (0..shards.len()).collect();
-    let mut attempts: Vec<Option<BatchShardAttempt>> = (0..shards.len()).map(|_| None).collect();
-    for (i, attempt) in batched_scatter_wave(&primary_ctx, shards, &all, pool) {
-        attempts[i] = Some(attempt);
-    }
-
-    // Hedged re-dispatch of stragglers, exactly as in the solo path: the
-    // batch-wide budget means a soft-deadline stop lands on every query
-    // still open in the shard, so "any query stopped on Deadline" is the
-    // straggler signal.
-    let mut hedged = vec![false; shards.len()];
-    let mut hedge_won = vec![false; shards.len()];
-    if policy.hedge_stragglers && soft_engaged && !cancel.is_some_and(CancelToken::is_cancelled) {
-        let stragglers: Vec<usize> = attempts
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| {
-                a.as_ref().is_some_and(|a| match &a.out {
-                    Ok(o) => o.stops.contains(&Some(BudgetStop::Deadline)),
-                    Err(_) => false,
-                })
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if !stragglers.is_empty() {
-            let hedge_ctx = BatchScatterCtx {
-                budget: *budget,
-                ..primary_ctx
-            };
-            for (i, hedge) in batched_scatter_wave(&hedge_ctx, shards, &stragglers, pool) {
-                hedged[i] = true;
-                let primary = attempts[i].as_ref().expect("primary attempt present");
-                let unresolved = |o: &BatchShardOut| -> usize {
-                    o.lost.iter().map(Vec::len).sum::<usize>()
-                        + o.leftover.iter().map(Vec::len).sum::<usize>()
-                };
-                let wins = match (&primary.out, &hedge.out) {
-                    (_, Err(_)) => false,
-                    (Err(_), Ok(_)) => true,
-                    (Ok(p), Ok(h)) => {
-                        h.stops.iter().all(Option::is_none) || unresolved(h) < unresolved(p)
-                    }
-                };
-                if wins {
-                    hedge_won[i] = true;
-                    attempts[i] = Some(hedge);
-                }
-            }
-        }
-    }
-
-    // Quorum: shard failure is physical — it errored or evaluated no base
-    // data for anyone — so the verdict is shared by every query.
-    let failed: Vec<usize> = attempts
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| {
-            let attempt = a.as_ref().expect("attempt present");
-            match &attempt.out {
-                Err(_) => true,
-                Ok(o) => o.resolved_reads == 0 && o.lost.iter().any(|l| !l.is_empty()),
-            }
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let responded = shards.len() - failed.len();
-    let required = policy.completion.required(shards.len());
-    if responded < required {
-        return Err(InsufficientShards {
-            responded,
-            required,
-            total: shards.len(),
-            failed,
-            epoch: archive.epoch,
-        }
-        .into());
-    }
-
-    // Same floating-point guard as the solo gather (see the comment
-    // there): widen inexact candidates, never exact hits, and exclude on
-    // the raw bounds.
-    let widen = |bounds: ScoreBounds| -> ScoreBounds {
-        let pad = bounds.hi.abs().max(bounds.lo.abs()).max(1.0) * f64::EPSILON * 16.0;
-        ScoreBounds {
-            lo: bounds.lo - pad,
-            hi: bounds.hi + pad,
-        }
-    };
-
-    let mut pages_read = 0u64;
-    let mut cells_fetched = 0u64;
-    let mut cell_requests = 0u64;
-    let mut bound_evals = 0u64;
-    let mut bound_requests = 0u64;
-    for attempt in attempts.iter().flatten() {
-        pages_read += attempt.pages;
-        if let Ok(o) = &attempt.out {
-            cells_fetched += o.cells_fetched;
-            cell_requests += o.cell_requests;
-            bound_evals += o.bound_evals;
-            bound_requests += o.bound_requests;
-        }
-    }
-
-    // Gather, per query: the exact merge of `scatter_gather_inner` run
-    // against that query's model, items, losses, and leftovers.
-    let mut queries = Vec::with_capacity(m);
-    for (q, model) in models.iter().enumerate() {
-        let mut effort = EffortReport {
-            multiply_adds: 0,
-            naive_multiply_adds: n * total_cells,
-        };
-        let mut items: Vec<ScoredItem> = Vec::new();
-        for attempt in attempts.iter().flatten() {
-            if let Ok(o) = &attempt.out {
-                effort.multiply_adds += o.efforts[q].multiply_adds;
-                items.extend(o.items[q].iter().copied());
-            }
-        }
-        sort_desc(&mut items);
-        items.truncate(k);
-        let floor = if items.len() == k {
-            items.last().map(|i| i.score)
-        } else {
-            None
-        };
-        let excluded = |hi: f64| floor.is_some_and(|f| f >= hi);
-
-        let mut hits: Vec<ResilientHit> = items
-            .into_iter()
-            .map(|item| ResilientHit {
-                cell: CellCoord::new(item.index / cols, item.index % cols),
-                level: 0,
-                score: item.score,
-                bounds: ScoreBounds::exact(item.score),
-                exact: true,
-            })
-            .collect();
-
-        let mut unresolved = 0u64;
-        let mut skipped: Vec<(usize, usize)> = Vec::new();
-        let mut reports: Vec<ShardReport> = Vec::with_capacity(shards.len());
-        let mut merged_stop: Option<BudgetStop> = None;
-
-        for (i, shard) in shards.iter().enumerate() {
-            let attempt = attempts[i].as_ref().expect("attempt present");
-            let shard_cells = shard.cells();
-            let mut shard_unresolved = 0u64;
-            let mut shard_skipped: BTreeSet<usize> = BTreeSet::new();
-            let mut exact_hits = 0usize;
-            let mut shard_stop = None;
-            match &attempt.out {
-                Ok(o) => {
-                    exact_hits = o.items[q].len();
-                    shard_stop = o.stops[q];
-                    for region in &o.leftover[q] {
-                        let (mut candidate, count) = region_candidate(
-                            model,
-                            shard.pyramids,
-                            region.level,
-                            region.row,
-                            region.col,
-                            &mut effort,
-                        )
-                        .map_err(ShardError::Core)?;
-                        candidate.cell = CellCoord::new(
-                            candidate.cell.row + shard.row_offset,
-                            candidate.cell.col,
-                        );
-                        if excluded(candidate.bounds.hi) {
-                            continue; // Provably outside the top-K: resolved.
-                        }
-                        shard_unresolved += count;
-                        candidate.bounds = widen(candidate.bounds);
-                        hits.push(candidate);
-                    }
-                    let parent_level = 1.min(shard.pyramids[0].levels() - 1);
-                    for (region, page) in &o.lost[q] {
-                        if excluded(region.ub) {
-                            continue; // Resolved by the deterministic bound.
-                        }
-                        shard_skipped.insert(*page);
-                        let (mut candidate, _) = region_candidate(
-                            model,
-                            shard.pyramids,
-                            parent_level,
-                            region.row >> parent_level,
-                            region.col >> parent_level,
-                            &mut effort,
-                        )
-                        .map_err(ShardError::Core)?;
-                        candidate.cell = CellCoord::new(region.row + shard.row_offset, region.col);
-                        candidate.level = 0;
-                        shard_unresolved += 1;
-                        candidate.bounds = widen(candidate.bounds);
-                        hits.push(candidate);
-                    }
-                }
-                Err(_) => {
-                    // The whole band degrades to its resident root
-                    // aggregate, per query, exactly as in the solo gather.
-                    let top = shard.pyramids[0].levels() - 1;
-                    let (mut candidate, count) =
-                        region_candidate(model, shard.pyramids, top, 0, 0, &mut effort)
-                            .map_err(ShardError::Core)?;
-                    candidate.cell = CellCoord::new(shard.row_offset, 0);
-                    if !excluded(candidate.bounds.hi) {
-                        shard_unresolved += count;
-                        candidate.bounds = widen(candidate.bounds);
-                        hits.push(candidate);
-                    }
-                }
-            }
-            if let Some(stop) = shard_stop {
-                if merged_stop.is_none_or(|ms| stop_severity(stop) > stop_severity(ms)) {
-                    merged_stop = Some(stop);
-                }
-            }
-            let outcome = if failed.contains(&i) {
-                ShardOutcome::Failed
-            } else if soft_engaged && !hedge_won[i] && shard_stop == Some(BudgetStop::Deadline) {
-                ShardOutcome::TimedOut
-            } else if shard_unresolved > 0 || shard_stop.is_some() {
-                ShardOutcome::Degraded
-            } else {
-                ShardOutcome::Complete
-            };
-            unresolved += shard_unresolved;
-            skipped.extend(shard_skipped.iter().map(|&p| (i, p)));
-            reports.push(ShardReport {
-                shard: i,
-                outcome,
-                completeness: 1.0 - shard_unresolved as f64 / shard_cells as f64,
-                exact_hits,
-                skipped_pages: shard_skipped.into_iter().collect(),
-                budget_stop: shard_stop,
-                pages_read: attempt.pages,
-                ticks: attempt.ticks,
-                hedged: hedged[i],
-                hedge_won: hedge_won[i],
-                cells: shard_cells,
-            });
-        }
-
-        hits.sort_by(|a, b| {
-            b.bounds
-                .hi
-                .total_cmp(&a.bounds.hi)
-                .then_with(|| b.score.total_cmp(&a.score))
-                .then_with(|| a.cell.cmp(&b.cell))
-        });
-        hits.truncate(k);
-
-        queries.push(ShardedTopK {
-            results: hits,
-            effort,
-            completeness: 1.0 - unresolved as f64 / total_cells as f64,
-            skipped_pages: skipped,
-            budget_stop: merged_stop,
-            shards: reports,
-        });
-    }
-
-    Ok(BatchedShardedTopK {
-        queries,
-        pages_read,
-        cells_fetched,
-        cell_requests,
-        bound_evals,
-        bound_requests,
-    })
+    let opts = ExecOpts::new(budget).cancel(cancel);
+    scatter::<S, S>(models, archive, (&[], &[]), k, opts, policy, pool)
 }
 
 #[cfg(test)]
@@ -3213,6 +2055,46 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn zero_overlap_batch_equals_solo_scatters_in_results_and_efforts() {
+        // Directions that climb to different corners of the world: past
+        // the shared pyramid apex the descents have nothing in common, the
+        // bound memo retires, and every query finishes in the solo loop.
+        // On a 1-thread pool the shards run in band order, so each query
+        // sees exactly the cross-shard floors its solo scatter would: the
+        // answers *and* the per-query efforts must match.
+        let (_, _, worlds) = sharded_world(3, 128, 128, 4, 4);
+        let models: Vec<LinearModel> = [
+            [1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, -1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.0, -1.0],
+        ]
+        .iter()
+        .map(|c| LinearModel::new(c.to_vec(), 0.0).unwrap())
+        .collect();
+        let budget = ExecutionBudget::unlimited();
+        let policy = ScatterPolicy::require_all();
+        let pool = WorkerPool::new(1);
+        with_archive(&worlds, |archive| {
+            let batch =
+                batched_scatter_gather_top_k(&models, archive, 5, &budget, &policy, &pool).unwrap();
+            assert!(
+                crate::batched::pooled_memo_retired(),
+                "test premise: the batch must stop sharing"
+            );
+            for (q, model) in models.iter().enumerate() {
+                let solo =
+                    scatter_gather_top_k(model, archive, 5, &budget, &policy, &pool).unwrap();
+                assert_eq!(batch.queries[q].results, solo.results, "q={q}");
+                assert_eq!(batch.queries[q].effort, solo.effort, "q={q}");
+                assert_eq!(batch.queries[q].completeness, 1.0);
+            }
+        });
     }
 
     #[test]

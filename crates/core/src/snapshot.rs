@@ -16,7 +16,7 @@
 //! 1. **Journal durable** — every attribute's band is framed and
 //!    checksummed into one shared [`AppendJournal`] (one record per
 //!    attribute, all carrying the same row offset). A crash here (an armed
-//!    [`WriteFault`](mbir_archive::fault::WriteFault)) leaves at most a
+//!    [`WriteFault`]) leaves at most a
 //!    torn suffix that recovery provably truncates.
 //! 2. **Build aside** — the next epoch is derived from the published one
 //!    by structural sharing: each pyramid is a pointer-copy `clone()` of
