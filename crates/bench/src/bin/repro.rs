@@ -76,15 +76,12 @@ use mbir_core::metrics::{
     sharded_degradation_summary, threshold_sweep,
 };
 use mbir_core::parallel::{
-    grid_query_with_source, par_pyramid_top_k, par_resilient_top_k, par_resilient_top_k_coarse,
-    par_staged_top_k, QueryBatch, WorkerPool,
+    grid_query_with_source, par_pyramid_top_k, par_resilient_top_k, par_staged_top_k, QueryBatch,
+    WorkerPool,
 };
 use mbir_core::query::{Objective, TopKQuery};
 use mbir_core::replica::{ReplicaConfig, ReplicatedSource};
-use mbir_core::resilient::{
-    resilient_top_k, resilient_top_k_cancellable, resilient_top_k_coarse, BudgetStop,
-    ExecutionBudget,
-};
+use mbir_core::resilient::{resilient_top_k, BudgetStop, ExecOptions, ExecutionBudget};
 use mbir_core::shard::{
     batched_scatter_gather_top_k, scatter_gather_top_k, ArchiveShard, ScatterPolicy, ShardError,
     ShardOutcome, ShardedArchive,
@@ -414,8 +411,14 @@ fn r5_overload(seed: u64, load: usize) {
                 // Client hung up before the engine started.
                 1 => {
                     token.cancel();
-                    resilient_top_k_cancellable(model.model(), &pyramids, kq, &src, &budget, &token)
-                        .expect("never aborts")
+                    resilient_top_k(
+                        model.model(),
+                        &pyramids,
+                        kq,
+                        &src,
+                        ExecOptions::new(&budget).cancel(&token),
+                    )
+                    .expect("never aborts")
                 }
                 // Client hangs up a page or two into the run.
                 2 => {
@@ -424,20 +427,23 @@ fn r5_overload(seed: u64, load: usize) {
                         token: token.clone(),
                         after: src.pages_read() + 1 + page_mix(i, 14) % 4,
                     };
-                    resilient_top_k_cancellable(
+                    resilient_top_k(
                         model.model(),
                         &pyramids,
                         kq,
                         &wrapped,
-                        &budget,
-                        &token,
+                        ExecOptions::new(&budget).cancel(&token),
                     )
                     .expect("never aborts")
                 }
-                _ => {
-                    resilient_top_k_cancellable(model.model(), &pyramids, kq, &src, &budget, &token)
-                        .expect("never aborts")
-                }
+                _ => resilient_top_k(
+                    model.model(),
+                    &pyramids,
+                    kq,
+                    &src,
+                    ExecOptions::new(&budget).cancel(&token),
+                )
+                .expect("never aborts"),
             };
             if r.budget_stop == Some(BudgetStop::Cancelled) {
                 ctl.cancel(id, clock());
@@ -1421,8 +1427,7 @@ fn r9_reshard(seed: u64) {
         let r = scatter_gather_top_k_dual(
             model.model(),
             &source_archive,
-            &dest_handles,
-            &groups,
+            (&dest_handles, &groups),
             k,
             &budget,
             &ScatterPolicy::require_all(),
@@ -1495,8 +1500,7 @@ fn r9_reshard(seed: u64) {
         let r = scatter_gather_top_k_dual(
             model.model(),
             &killed_archive,
-            &dest_handles,
-            &groups,
+            (&dest_handles, &groups),
             k,
             &budget,
             &ScatterPolicy::best_effort(),
@@ -1563,8 +1567,7 @@ fn r9_reshard(seed: u64) {
     let both = scatter_gather_top_k_dual(
         model.model(),
         &killed_archive,
-        &killed_dest_handles,
-        &groups,
+        (&killed_dest_handles, &groups),
         k,
         &budget,
         &ScatterPolicy::best_effort(),
@@ -1584,8 +1587,7 @@ fn r9_reshard(seed: u64) {
     let quorum = scatter_gather_top_k_dual(
         model.model(),
         &killed_archive,
-        &killed_dest_handles,
-        &groups,
+        (&killed_dest_handles, &groups),
         k,
         &budget,
         &ScatterPolicy::require_all(),
@@ -2519,14 +2521,27 @@ fn r7_quant(seed: u64) {
     let src = TileSource::new(&stores).expect("aligned stores");
     let budget = ExecutionBudget::unlimited();
     let plain = resilient_top_k(&model, &pyramids, k, &src, &budget).expect("healthy run");
-    let seq =
-        resilient_top_k_coarse(&model, &pyramids, k, &src, &budget, &coarse).expect("healthy run");
+    let seq = resilient_top_k(
+        &model,
+        &pyramids,
+        k,
+        &src,
+        ExecOptions::new(&budget).coarse(&coarse),
+    )
+    .expect("healthy run");
     assert_eq!(seq.results, plain.results, "sequential coarse pass");
     assert_eq!(seq.completeness, plain.completeness);
     for threads in [1usize, 2, 4, 8] {
         let pool = WorkerPool::new(threads);
-        let par = par_resilient_top_k_coarse(&model, &pyramids, k, &src, &budget, &coarse, &pool)
-            .expect("healthy run");
+        let par = par_resilient_top_k(
+            &model,
+            &pyramids,
+            k,
+            &src,
+            ExecOptions::new(&budget).coarse(&coarse),
+            &pool,
+        )
+        .expect("healthy run");
         assert_eq!(
             par.results, plain.results,
             "parallel coarse pass at {threads} threads"

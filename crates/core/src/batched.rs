@@ -49,15 +49,13 @@
 //! permanent, corrupt, quarantined, or transients healed within one
 //! logical read — batched and solo verdicts coincide.
 
-use crate::coarse::CoarseGrid;
 use crate::descent::{
-    finish, interleave, read_cell, seed_root, Budgeted, Cell, Clock, Env, ExecOpts, Fetch, Floor,
-    Lane, Local, Outcome, Pressure, Scorer,
+    finish, interleave, read_cell, seed_root, Budgeted, Cell, Clock, Env, Fetch, Floor, Lane,
+    Local, Outcome, Pressure, Scorer,
 };
 use crate::engine::{validate_grid_inputs, Region};
 use crate::error::CoreError;
-use crate::lifecycle::CancelToken;
-use crate::resilient::{ExecutionBudget, ResilientTopK, WallDeadline};
+use crate::resilient::{ExecOptions, ResilientTopK, WallDeadline};
 use crate::source::CellSource;
 use mbir_archive::extent::CellCoord;
 use mbir_models::linear::LinearModel;
@@ -471,7 +469,7 @@ impl std::ops::AddAssign for Tally {
 /// steady state; [`regrowths`](BatchScratch::regrowths) counts growth
 /// events so tests can assert it.
 #[derive(Debug, Default)]
-pub struct BatchScratch {
+pub(crate) struct BatchScratch {
     frontiers: Vec<BinaryHeap<Region>>,
     children: Vec<CellCoord>,
     memo: Memo,
@@ -481,14 +479,15 @@ pub struct BatchScratch {
 
 impl BatchScratch {
     /// An empty scratch; buffers size themselves on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BatchScratch::default()
     }
 
     /// Cumulative number of internal-buffer growth events since creation.
     /// Stable across two identical consecutive batches ⇔ the second batch
     /// allocated nothing.
-    pub fn regrowths(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn regrowths(&self) -> u64 {
         self.regrowths
     }
 
@@ -955,7 +954,11 @@ pub(crate) fn gather<S>(
 
 /// Batched top-K: one shared descent answering every model in `models`
 /// against the same pyramids and page source. See the module docs for the
-/// sharing/identity contract; `budget` is batch-wide.
+/// sharing/identity contract; `opts` (a bare `&ExecutionBudget` converts,
+/// see [`ExecOptions`]) applies batch-wide: one budget, one token stopping
+/// the whole batch, the coarse grid consulted per query against that
+/// query's own floor. Buffers come from a per-thread pool, so repeated
+/// batches on one thread stop allocating once warm.
 ///
 /// # Errors
 ///
@@ -964,23 +967,22 @@ pub(crate) fn gather<S>(
 /// first model), plus [`CoreError::Query`] when the models disagree on
 /// arity. Non-page archive errors abort the whole batch, exactly as they
 /// abort a solo run.
-pub fn batched_top_k<S: CellSource>(
+pub fn batched_top_k<'a, S: CellSource>(
     models: &[LinearModel],
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    budget: &ExecutionBudget,
+    opts: impl Into<ExecOptions<'a>>,
 ) -> Result<BatchedTopK, CoreError> {
-    let opts = ExecOpts::new(budget);
+    let opts = opts.into();
     with_pooled_scratch(|scratch| batched_top_k_inner(models, pyramids, k, source, opts, scratch))
 }
 
 thread_local! {
-    /// Per-thread [`BatchScratch`] behind the convenience wrappers, the
-    /// parallel workers and the shard attempts, so repeated batches on
-    /// one thread warm the same buffers instead of reallocating the
-    /// frontiers, memo tables, and arenas every time.
-    /// [`batched_top_k_with_scratch`] bypasses the pool entirely.
+    /// Per-thread [`BatchScratch`] behind [`batched_top_k`], the parallel
+    /// workers and the shard attempts, so repeated batches on one thread
+    /// warm the same buffers instead of reallocating the frontiers, memo
+    /// tables, and arenas every time.
     static POOLED_SCRATCH: std::cell::RefCell<BatchScratch> =
         std::cell::RefCell::new(BatchScratch::new());
 }
@@ -994,65 +996,6 @@ pub(crate) fn with_pooled_scratch<T>(f: impl FnOnce(&mut BatchScratch) -> T) -> 
     })
 }
 
-/// [`batched_top_k`] polling a [`CancelToken`] at every checkpoint.
-/// Cancellation stops the whole batch; every still-open query degrades
-/// with sound bounds, exactly like a solo cancellation.
-///
-/// # Errors
-///
-/// Same as [`batched_top_k`].
-pub fn batched_top_k_cancellable<S: CellSource>(
-    models: &[LinearModel],
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    cancel: &CancelToken,
-) -> Result<BatchedTopK, CoreError> {
-    let opts = ExecOpts::new(budget).cancel(cancel);
-    with_pooled_scratch(|scratch| batched_top_k_inner(models, pyramids, k, source, opts, scratch))
-}
-
-/// [`batched_top_k`] consulting a quantized [`CoarseGrid`] before each
-/// exact child bound, per query against that query's own floor — the same
-/// prune-only contract as
-/// [`resilient_top_k_coarse`](crate::resilient::resilient_top_k_coarse),
-/// so per-query results stay bit-identical.
-///
-/// # Errors
-///
-/// Same as [`batched_top_k`], plus [`CoreError::Query`] when the coarse
-/// grid's arity does not match the models.
-pub fn batched_top_k_coarse<S: CellSource>(
-    models: &[LinearModel],
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    coarse: &CoarseGrid,
-) -> Result<BatchedTopK, CoreError> {
-    let opts = ExecOpts::new(budget).coarse(coarse);
-    with_pooled_scratch(|scratch| batched_top_k_inner(models, pyramids, k, source, opts, scratch))
-}
-
-/// [`batched_top_k`] with every internal buffer reused from `scratch` —
-/// the allocation-free form for sessions issuing many batches. Results
-/// are bit-identical to [`batched_top_k`].
-///
-/// # Errors
-///
-/// Same as [`batched_top_k`].
-pub fn batched_top_k_with_scratch<S: CellSource>(
-    models: &[LinearModel],
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    scratch: &mut BatchScratch,
-) -> Result<BatchedTopK, CoreError> {
-    batched_top_k_inner(models, pyramids, k, source, ExecOpts::new(budget), scratch)
-}
-
 /// The sequential batched configuration of the execution core: local
 /// per-query floors, one checkpoint per logical pop — the same cadence as
 /// Q solo runs — against the *batch-wide* budget (summed multiply-adds
@@ -1062,7 +1005,7 @@ fn batched_top_k_inner<S: CellSource>(
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    opts: ExecOpts<'_>,
+    opts: ExecOptions<'_>,
     scratch: &mut BatchScratch,
 ) -> Result<BatchedTopK, CoreError> {
     if models.is_empty() {
@@ -1088,10 +1031,10 @@ pub(crate) fn pooled_memo_retired() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarse::CoarseGrid;
     use crate::engine::pyramid_top_k;
-    use crate::resilient::{
-        resilient_top_k, resilient_top_k_cancellable, resilient_top_k_coarse, BudgetStop,
-    };
+    use crate::lifecycle::CancelToken;
+    use crate::resilient::{resilient_top_k, BudgetStop, ExecutionBudget};
     use crate::source::{CachedTileSource, TileSource};
     use mbir_archive::fault::FaultProfile;
     use mbir_archive::grid::Grid2;
@@ -1270,11 +1213,24 @@ mod tests {
         let coarse = CoarseGrid::build(&pyramids).unwrap();
         let budget = ExecutionBudget::unlimited();
         let src = fresh_sources(&stores);
-        let batch = batched_top_k_coarse(&models, &pyramids, 7, &src, &budget, &coarse).unwrap();
+        let batch = batched_top_k(
+            &models,
+            &pyramids,
+            7,
+            &src,
+            ExecOptions::new(&budget).coarse(&coarse),
+        )
+        .unwrap();
         for (q, model) in models.iter().enumerate() {
             let solo_src = fresh_sources(&stores);
-            let solo =
-                resilient_top_k_coarse(model, &pyramids, 7, &solo_src, &budget, &coarse).unwrap();
+            let solo = resilient_top_k(
+                model,
+                &pyramids,
+                7,
+                &solo_src,
+                ExecOptions::new(&budget).coarse(&coarse),
+            )
+            .unwrap();
             assert_eq!(batch.queries[q], solo, "q={q}");
         }
     }
@@ -1303,12 +1259,24 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let src = fresh_sources(&stores);
-        let batch =
-            batched_top_k_cancellable(&models, &pyramids, 5, &src, &budget, &token).unwrap();
+        let batch = batched_top_k(
+            &models,
+            &pyramids,
+            5,
+            &src,
+            ExecOptions::new(&budget).cancel(&token),
+        )
+        .unwrap();
         for (q, model) in models.iter().enumerate() {
             let solo_src = fresh_sources(&stores);
-            let solo = resilient_top_k_cancellable(model, &pyramids, 5, &solo_src, &budget, &token)
-                .unwrap();
+            let solo = resilient_top_k(
+                model,
+                &pyramids,
+                5,
+                &solo_src,
+                ExecOptions::new(&budget).cancel(&token),
+            )
+            .unwrap();
             assert_eq!(solo.budget_stop, Some(BudgetStop::Cancelled));
             assert_eq!(batch.queries[q], solo, "q={q}");
         }
@@ -1356,14 +1324,27 @@ mod tests {
         let budget = ExecutionBudget::unlimited();
         let mut scratch = BatchScratch::new();
         let src = fresh_sources(&stores);
-        let first =
-            batched_top_k_with_scratch(&models, &pyramids, 6, &src, &budget, &mut scratch).unwrap();
+        let first = batched_top_k_inner(
+            &models,
+            &pyramids,
+            6,
+            &src,
+            ExecOptions::new(&budget),
+            &mut scratch,
+        )
+        .unwrap();
         let warm = scratch.regrowths();
         for _ in 0..3 {
             let src = fresh_sources(&stores);
-            let again =
-                batched_top_k_with_scratch(&models, &pyramids, 6, &src, &budget, &mut scratch)
-                    .unwrap();
+            let again = batched_top_k_inner(
+                &models,
+                &pyramids,
+                6,
+                &src,
+                ExecOptions::new(&budget),
+                &mut scratch,
+            )
+            .unwrap();
             assert_eq!(again.queries, first.queries);
             assert_eq!(
                 scratch.regrowths(),

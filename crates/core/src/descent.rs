@@ -29,7 +29,7 @@ use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
 use crate::parallel::SharedBound;
 use crate::resilient::{
-    BudgetStop, ExecutionBudget, ResilientHit, ResilientTopK, ScoreBounds, WallDeadline,
+    BudgetStop, ExecOptions, ResilientHit, ResilientTopK, ScoreBounds, WallDeadline,
 };
 use crate::source::CellSource;
 use mbir_archive::error::ArchiveError;
@@ -41,41 +41,11 @@ use mbir_progressive::pyramid::AggregatePyramid;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-/// What a resilient run carries besides its query: built once by the
-/// public wrapper, copied into every attempt, worker and checkpoint.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ExecOpts<'a> {
-    pub(crate) budget: &'a ExecutionBudget,
-    pub(crate) cancel: Option<&'a CancelToken>,
-    pub(crate) coarse: Option<&'a CoarseGrid>,
-}
-
-impl<'a> ExecOpts<'a> {
-    /// `budget` alone: no cancellation token, no coarse pass.
-    pub(crate) fn new(budget: &'a ExecutionBudget) -> Self {
-        ExecOpts {
-            budget,
-            cancel: None,
-            coarse: None,
-        }
-    }
-
-    pub(crate) fn cancel(mut self, cancel: &'a CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    pub(crate) fn coarse(mut self, coarse: &'a CoarseGrid) -> Self {
-        self.coarse = Some(coarse);
-        self
-    }
-}
-
 /// The clocks one run's checkpoints read: the shared wall-deadline latch
 /// and the source's page and tick counters relative to the run's start.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Clock<'a> {
-    opts: ExecOpts<'a>,
+    opts: ExecOptions<'a>,
     deadline: &'a WallDeadline,
     pages_at_entry: u64,
     ticks_at_entry: u64,
@@ -84,7 +54,7 @@ pub(crate) struct Clock<'a> {
 impl<'a> Clock<'a> {
     /// Starts the page and tick windows at `source`'s current counters.
     pub(crate) fn starting<S: CellSource>(
-        opts: ExecOpts<'a>,
+        opts: ExecOptions<'a>,
         deadline: &'a WallDeadline,
         source: &S,
     ) -> Self {
@@ -1084,67 +1054,82 @@ pub(crate) fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::{
-        batched_top_k, batched_top_k_cancellable, batched_top_k_coarse, batched_top_k_with_scratch,
-        BatchScratch,
-    };
-    use crate::engine::{
-        pyramid_top_k, pyramid_top_k_with_scratch, pyramid_top_k_with_source, QueryScratch,
-    };
-    use crate::parallel::{
-        par_batched_top_k, par_batched_top_k_cancellable, par_batched_top_k_coarse,
-        par_pyramid_top_k, par_pyramid_top_k_with_source, par_resilient_top_k,
-        par_resilient_top_k_cancellable, par_resilient_top_k_coarse, WorkerPool,
-    };
-    use crate::resilient::{
-        resilient_top_k, resilient_top_k_cancellable, resilient_top_k_coarse,
-        resilient_top_k_coarse_with_scratch, resilient_top_k_with_scratch,
-    };
+    use crate::batched::{batched_top_k, BatchedTopK};
+    use crate::engine::{pyramid_top_k, pyramid_top_k_with_scratch, GridTopK, QueryScratch};
+    use crate::parallel::{par_batched_top_k, par_pyramid_top_k, par_resilient_top_k, WorkerPool};
+    use crate::resilient::{resilient_top_k, ExecutionBudget};
     use crate::shard::{
-        batched_scatter_gather_top_k, batched_scatter_gather_top_k_cancellable,
-        scatter_gather_top_k, scatter_gather_top_k_cancellable, scatter_gather_top_k_dual,
-        ArchiveShard, ScatterPolicy, ShardedArchive,
+        batched_scatter_gather_top_k, scatter_gather_top_k, scatter_gather_top_k_dual,
+        ArchiveShard, ScatterPolicy, ShardedArchive, ShardedTopK,
     };
     use crate::source::TileSource;
     use mbir_archive::grid::Grid2;
     use mbir_archive::tile::TileStore;
 
+    /// What every entry point reports, whatever struct it reports it in.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Run {
+        hits: Vec<ResilientHit>,
+        effort: EffortReport,
+        completeness: f64,
+        stop: Option<BudgetStop>,
+    }
+
+    impl From<ResilientTopK> for Run {
+        fn from(r: ResilientTopK) -> Run {
+            Run {
+                hits: r.results,
+                effort: r.effort,
+                completeness: r.completeness,
+                stop: r.budget_stop,
+            }
+        }
+    }
+
+    impl From<BatchedTopK> for Run {
+        fn from(mut r: BatchedTopK) -> Run {
+            assert_eq!(r.queries.len(), 1);
+            r.queries.pop().unwrap().into()
+        }
+    }
+
+    impl From<ShardedTopK> for Run {
+        fn from(r: ShardedTopK) -> Run {
+            Run {
+                hits: r.results,
+                effort: r.effort,
+                completeness: r.completeness,
+                stop: r.budget_stop,
+            }
+        }
+    }
+
     /// What every family must agree on: `(row, col, score bits)` per hit,
     /// and the work it took.
     type Answer = (Vec<(usize, usize, u64)>, EffortReport);
 
-    fn strict(r: crate::engine::GridTopK) -> Answer {
+    fn strict(r: GridTopK) -> Answer {
         let hits = r.results.iter();
         let hits = hits.map(|h| (h.cell.row, h.cell.col, h.score.to_bits()));
         (hits.collect(), r.effort)
     }
 
-    fn hits_of(results: &[ResilientHit], effort: EffortReport) -> Answer {
-        assert!(results.iter().all(|h| h.exact), "healthy run degraded");
-        let hits = results.iter();
+    fn healthy(r: Run) -> Answer {
+        assert_eq!((r.completeness, r.stop), (1.0, None));
+        assert!(r.hits.iter().all(|h| h.exact), "healthy run degraded");
+        let hits = r.hits.iter();
         let hits = hits.map(|h| (h.cell.row, h.cell.col, h.score.to_bits()));
-        (hits.collect(), effort)
-    }
-
-    fn resilient(r: ResilientTopK) -> Answer {
-        assert_eq!((r.completeness, r.budget_stop), (1.0, None));
-        hits_of(&r.results, r.effort)
-    }
-
-    fn batch_of_one(mut r: crate::batched::BatchedTopK) -> Answer {
-        assert_eq!(r.queries.len(), 1);
-        resilient(r.queries.pop().unwrap())
-    }
-
-    fn sharded(r: crate::shard::ShardedTopK) -> Answer {
-        assert_eq!((r.completeness, r.budget_stop), (1.0, None));
-        hits_of(&r.results, r.effort)
+        (hits.collect(), r.effort)
     }
 
     /// "Solo is a batch of one, unsharded is one shard, healthy is zero
-    /// faults" as an executable: every public wrapper family over one
-    /// healthy world returns bit-identical hits, and — wherever the run is
-    /// single-threaded — the identical `EffortReport`.
+    /// faults, an option is a value" as an executable: every surviving
+    /// resilient entry point (`par_*` at 1 / 2 / 4 threads, batches of one,
+    /// one shard, dual-read with no groups) under every subset of {token,
+    /// coarse} returns bit-identical hits over one healthy world, and —
+    /// wherever the run is single-threaded — the identical `EffortReport`;
+    /// a token cancelled before the call gives every one of them the same
+    /// degraded answer.
     #[test]
     fn every_wrapper_family_is_one_engine() {
         let (rows, cols, k) = (48usize, 40usize, 7usize);
@@ -1165,195 +1150,151 @@ mod tests {
         let models = std::slice::from_ref(&model);
         let coarse = CoarseGrid::build(&pyramids).unwrap();
         let budget = ExecutionBudget::unlimited();
-        let token = CancelToken::new();
         let policy = ScatterPolicy::require_all();
         let shard = || ArchiveShard::new(&pyramids, &src, 0);
-        let archive = ShardedArchive::new(vec![shard()]).unwrap();
+        let plain_archive = ShardedArchive::new(vec![shard()]).unwrap();
         let coarse_archive = ShardedArchive::new(vec![shard().with_coarse(&coarse)]).unwrap();
-        let no_dest: &[ArchiveShard<'_, TileSource<'_>>] = &[];
+        let no_migration: (&[ArchiveShard<'_, TileSource<'_>>], &[_]) = (&[], &[]);
         let p = &pyramids[..];
 
-        let want = resilient(resilient_top_k(&model, p, k, &src, &budget).unwrap());
-        assert_eq!(want.0.len(), k);
-
-        let mut qs = QueryScratch::new();
-        let mut bs = BatchScratch::new();
-        let sequential: Vec<(&str, Answer)> = vec![
-            ("pyramid", strict(pyramid_top_k(&model, p, k).unwrap())),
-            (
-                "pyramid/source",
-                strict(pyramid_top_k_with_source(&model, p, k, &src).unwrap()),
-            ),
-            (
-                "pyramid/scratch",
-                strict(pyramid_top_k_with_scratch(&model, p, k, &src, &mut qs).unwrap()),
-            ),
-            (
-                "resilient/cancellable",
-                resilient(
-                    resilient_top_k_cancellable(&model, p, k, &src, &budget, &token).unwrap(),
-                ),
-            ),
-            (
-                "resilient/coarse",
-                resilient(resilient_top_k_coarse(&model, p, k, &src, &budget, &coarse).unwrap()),
-            ),
-            (
-                "resilient/scratch",
-                resilient(
-                    resilient_top_k_with_scratch(&model, p, k, &src, &budget, &mut qs).unwrap(),
-                ),
-            ),
-            (
-                "resilient/coarse+scratch",
-                resilient(
-                    resilient_top_k_coarse_with_scratch(
-                        &model, p, k, &src, &budget, &coarse, &mut qs,
-                    )
-                    .unwrap(),
-                ),
-            ),
-            (
-                "batched",
-                batch_of_one(batched_top_k(models, p, k, &src, &budget).unwrap()),
-            ),
-            (
-                "batched/cancellable",
-                batch_of_one(
-                    batched_top_k_cancellable(models, p, k, &src, &budget, &token).unwrap(),
-                ),
-            ),
-            (
-                "batched/coarse",
-                batch_of_one(batched_top_k_coarse(models, p, k, &src, &budget, &coarse).unwrap()),
-            ),
-            (
-                "batched/scratch",
-                batch_of_one(
-                    batched_top_k_with_scratch(models, p, k, &src, &budget, &mut bs).unwrap(),
-                ),
-            ),
-        ];
-        for (name, got) in sequential {
-            assert_eq!(got, want, "{name}");
-        }
-
-        for threads in [1usize, 2, 4] {
-            let pool = WorkerPool::new(threads);
-            let pooled: Vec<(&str, Answer)> = vec![
+        // The seven resilient entry points under one point of the option
+        // space. The sharded three take their coarse grid per shard.
+        let entry_points = |token: Option<&CancelToken>, with_coarse: bool, pool: &WorkerPool| {
+            let mut sharded = ExecOptions::from(&budget);
+            if let Some(token) = token {
+                sharded = sharded.cancel(token);
+            }
+            let opts = if with_coarse {
+                sharded.coarse(&coarse)
+            } else {
+                sharded
+            };
+            let archive = if with_coarse {
+                &coarse_archive
+            } else {
+                &plain_archive
+            };
+            let runs: Vec<(&str, Run)> = vec![
                 (
-                    "par_pyramid",
-                    strict(par_pyramid_top_k(&model, p, k, &pool).unwrap()),
+                    "resilient",
+                    resilient_top_k(&model, p, k, &src, opts).unwrap().into(),
                 ),
                 (
-                    "par_pyramid/source",
-                    strict(par_pyramid_top_k_with_source(&model, p, k, &src, &pool).unwrap()),
+                    "batched",
+                    batched_top_k(models, p, k, &src, opts).unwrap().into(),
                 ),
                 (
                     "par_resilient",
-                    resilient(par_resilient_top_k(&model, p, k, &src, &budget, &pool).unwrap()),
-                ),
-                (
-                    "par_resilient/cancellable",
-                    resilient(
-                        par_resilient_top_k_cancellable(&model, p, k, &src, &budget, &token, &pool)
-                            .unwrap(),
-                    ),
-                ),
-                (
-                    "par_resilient/coarse",
-                    resilient(
-                        par_resilient_top_k_coarse(&model, p, k, &src, &budget, &coarse, &pool)
-                            .unwrap(),
-                    ),
+                    par_resilient_top_k(&model, p, k, &src, opts, pool)
+                        .unwrap()
+                        .into(),
                 ),
                 (
                     "par_batched",
-                    batch_of_one(par_batched_top_k(models, p, k, &src, &budget, &pool).unwrap()),
-                ),
-                (
-                    "par_batched/cancellable",
-                    batch_of_one(
-                        par_batched_top_k_cancellable(models, p, k, &src, &budget, &token, &pool)
-                            .unwrap(),
-                    ),
-                ),
-                (
-                    "par_batched/coarse",
-                    batch_of_one(
-                        par_batched_top_k_coarse(models, p, k, &src, &budget, &coarse, &pool)
-                            .unwrap(),
-                    ),
+                    par_batched_top_k(models, p, k, &src, opts, pool)
+                        .unwrap()
+                        .into(),
                 ),
                 (
                     "scatter",
-                    sharded(
-                        scatter_gather_top_k(&model, &archive, k, &budget, &policy, &pool).unwrap(),
-                    ),
-                ),
-                (
-                    "scatter/cancellable",
-                    sharded(
-                        scatter_gather_top_k_cancellable(
-                            &model, &archive, k, &budget, &policy, &token, &pool,
-                        )
-                        .unwrap(),
-                    ),
-                ),
-                (
-                    "scatter/coarse shard",
-                    sharded(
-                        scatter_gather_top_k(&model, &coarse_archive, k, &budget, &policy, &pool)
-                            .unwrap(),
-                    ),
+                    scatter_gather_top_k(&model, archive, k, sharded, &policy, pool)
+                        .unwrap()
+                        .into(),
                 ),
                 (
                     "scatter/dual, no groups",
-                    sharded(
-                        scatter_gather_top_k_dual(
-                            &model,
-                            &archive,
-                            no_dest,
-                            &[],
-                            k,
-                            &budget,
-                            &policy,
-                            &pool,
-                        )
-                        .unwrap(),
-                    ),
+                    scatter_gather_top_k_dual(
+                        &model,
+                        archive,
+                        no_migration,
+                        k,
+                        sharded,
+                        &policy,
+                        pool,
+                    )
+                    .unwrap()
+                    .into(),
                 ),
                 (
                     "batched scatter",
-                    sharded(
-                        batched_scatter_gather_top_k(models, &archive, k, &budget, &policy, &pool)
-                            .unwrap()
-                            .queries
-                            .pop()
-                            .unwrap(),
-                    ),
-                ),
-                (
-                    "batched scatter/cancellable",
-                    sharded(
-                        batched_scatter_gather_top_k_cancellable(
-                            models, &archive, k, &budget, &policy, &token, &pool,
-                        )
+                    batched_scatter_gather_top_k(models, archive, k, sharded, &policy, pool)
                         .unwrap()
                         .queries
                         .pop()
-                        .unwrap(),
-                    ),
+                        .unwrap()
+                        .into(),
                 ),
             ];
-            for (name, got) in pooled {
-                assert_eq!(got.0, want.0, "{name} at {threads} threads");
-                // One shard is one task and runs inline at any pool
-                // width; the partitioned engines split work above one.
-                if threads == 1 || name.contains("scatter") {
-                    assert_eq!(got.1, want.1, "{name} at {threads} threads");
+            runs
+        };
+
+        // The bare `&budget` spelling is the reference.
+        let want = healthy(resilient_top_k(&model, p, k, &src, &budget).unwrap().into());
+        assert_eq!(want.0.len(), k);
+
+        let mut qs = QueryScratch::new();
+        assert_eq!(strict(pyramid_top_k(&model, p, k).unwrap()), want);
+        assert_eq!(
+            strict(pyramid_top_k_with_scratch(&model, p, k, &src, &mut qs).unwrap()),
+            want
+        );
+
+        let live = CancelToken::new();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let mut degraded: Option<Run> = None;
+        for threads in [1usize, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            let got = strict(par_pyramid_top_k(&model, p, k, &pool).unwrap());
+            assert_eq!(got.0, want.0, "par_pyramid at {threads} threads");
+            if threads == 1 {
+                assert_eq!(got.1, want.1, "par_pyramid at {threads} threads");
+            }
+
+            for (token, with_coarse) in [
+                (None, false),
+                (Some(&live), false),
+                (None, true),
+                (Some(&live), true),
+            ] {
+                for (name, run) in entry_points(token, with_coarse, &pool) {
+                    let at = format!(
+                        "{name} at {threads} threads, token {}, coarse {with_coarse}",
+                        token.is_some()
+                    );
+                    let got = healthy(run);
+                    assert_eq!(got.0, want.0, "{at}");
+                    // One shard is one task and runs inline at any pool
+                    // width; the partitioned engines split work above one.
+                    if threads == 1 || !name.starts_with("par_") {
+                        assert_eq!(got.1, want.1, "{at}");
+                    }
+                }
+            }
+
+            // A token cancelled before the call stops every entry point at
+            // its first checkpoint: the same root-level candidate, the same
+            // work, at every thread count and with or without coarse.
+            for with_coarse in [false, true] {
+                for (name, mut run) in entry_points(Some(&cancelled), with_coarse, &pool) {
+                    let at = format!("{name} at {threads} threads, coarse {with_coarse}");
+                    assert_eq!(run.stop, Some(BudgetStop::Cancelled), "{at}");
+                    let unsharded = degraded.get_or_insert_with(|| run.clone());
+                    if name.contains("scatter") {
+                        // A sharded merge widens inexact bounds by its ulp
+                        // guard (see `widen`); nothing else may differ.
+                        for (hit, want) in run.hits.iter_mut().zip(&unsharded.hits) {
+                            assert!(hit.bounds.lo <= want.bounds.lo, "{at}");
+                            assert!(hit.bounds.hi >= want.bounds.hi, "{at}");
+                            hit.bounds = want.bounds;
+                        }
+                    }
+                    assert_eq!(&run, unsharded, "{at}");
                 }
             }
         }
+        let degraded = degraded.expect("ran");
+        assert_eq!(degraded.completeness, 0.0);
+        assert!(degraded.hits.iter().all(|h| !h.exact));
     }
 }

@@ -363,38 +363,26 @@ pub fn pyramid_top_k(
     pyramids: &[AggregatePyramid],
     k: usize,
 ) -> Result<GridTopK, CoreError> {
-    pyramid_top_k_with_source(model, pyramids, k, &PyramidSource::new(pyramids))
+    let source = PyramidSource::new(pyramids);
+    pyramid_top_k_with_scratch(model, pyramids, k, &source, &mut QueryScratch::new())
 }
 
-/// [`pyramid_top_k`] with base-level reads routed through a [`CellSource`].
+/// [`pyramid_top_k`] with base-level reads routed through a [`CellSource`]
+/// and the frontier, child list, range box, and attribute vector reused
+/// from `scratch`.
 ///
 /// The pyramids act as the resident bounding index; exact base values come
 /// from `source` (e.g. a paged [`TileSource`](crate::source::TileSource)).
 /// Execution is strict: any failed base read aborts the query. For
 /// skip-and-degrade semantics use
-/// [`resilient_top_k`](crate::resilient::resilient_top_k).
+/// [`resilient_top_k`](crate::resilient::resilient_top_k). The steady-state
+/// descent loop performs no heap allocation once the scratch has warmed
+/// up; results do not depend on the scratch's history.
 ///
 /// # Errors
 ///
 /// Same as [`pyramid_top_k`], plus [`CoreError::Archive`] for failed base
 /// reads.
-pub fn pyramid_top_k_with_source<S: CellSource>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-) -> Result<GridTopK, CoreError> {
-    pyramid_top_k_with_scratch(model, pyramids, k, source, &mut QueryScratch::new())
-}
-
-/// [`pyramid_top_k_with_source`] with the frontier, child list, range box,
-/// and attribute vector reused from `scratch` — the steady-state descent
-/// loop performs no heap allocation once the scratch has warmed up.
-/// Results are bit-identical to [`pyramid_top_k_with_source`].
-///
-/// # Errors
-///
-/// Same as [`pyramid_top_k_with_source`].
 pub fn pyramid_top_k_with_scratch<S: CellSource>(
     model: &LinearModel,
     pyramids: &[AggregatePyramid],
@@ -487,43 +475,10 @@ pub fn combined_top_k(
     pyramids: &[AggregatePyramid],
     k: usize,
 ) -> Result<GridTopK, CoreError> {
-    combined_top_k_with_source(model, pyramids, k, &PyramidSource::new(pyramids))
-}
-
-/// [`combined_top_k`] with base-level reads routed through a [`CellSource`].
-///
-/// Strict execution: a failed base read aborts the query (see
-/// [`pyramid_top_k_with_source`] for the contract).
-///
-/// # Errors
-///
-/// Same as [`combined_top_k`], plus [`CoreError::Archive`] for failed base
-/// reads.
-pub fn combined_top_k_with_source<S: CellSource>(
-    model: &ProgressiveLinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-) -> Result<GridTopK, CoreError> {
-    combined_top_k_with_scratch(model, pyramids, k, source, &mut QueryScratch::new())
-}
-
-/// [`combined_top_k_with_source`] with frontier/child/attribute buffers
-/// reused from `scratch` (see [`pyramid_top_k_with_scratch`]). Results are
-/// bit-identical to [`combined_top_k_with_source`].
-///
-/// # Errors
-///
-/// Same as [`combined_top_k_with_source`].
-pub fn combined_top_k_with_scratch<S: CellSource>(
-    model: &ProgressiveLinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    scratch: &mut QueryScratch,
-) -> Result<GridTopK, CoreError> {
     let (_, levels) = validate_grid_inputs(model.model(), pyramids, k)?;
-    strict_descent(&Truncated { model, levels }, pyramids, k, source, scratch)
+    let source = PyramidSource::new(pyramids);
+    let scorer = Truncated { model, levels };
+    strict_descent(&scorer, pyramids, k, &source, &mut QueryScratch::new())
 }
 
 /// The combined engine's [`Scorer`]: regions are bounded with the model
@@ -938,6 +893,18 @@ mod tests {
         assert_eq!(maximized.results, direct.results);
     }
 
+    /// [`combined_top_k`] over a caller's source and scratch.
+    fn combined_on<S: CellSource>(
+        model: &ProgressiveLinearModel,
+        pyramids: &[AggregatePyramid],
+        k: usize,
+        source: &S,
+        scratch: &mut QueryScratch,
+    ) -> Result<GridTopK, CoreError> {
+        let (_, levels) = validate_grid_inputs(model.model(), pyramids, k)?;
+        strict_descent(&Truncated { model, levels }, pyramids, k, source, scratch)
+    }
+
     #[test]
     fn warmed_scratch_stops_allocating() {
         // Acceptance gate for the allocation-free steady state: the first
@@ -961,11 +928,9 @@ mod tests {
         );
 
         let prog = progressive_of(&model, &pyramids);
-        let first =
-            combined_top_k_with_scratch(&prog, &pyramids, 5, &source, &mut scratch).unwrap();
+        let first = combined_on(&prog, &pyramids, 5, &source, &mut scratch).unwrap();
         let warm = scratch.regrowths();
-        let second =
-            combined_top_k_with_scratch(&prog, &pyramids, 5, &source, &mut scratch).unwrap();
+        let second = combined_on(&prog, &pyramids, 5, &source, &mut scratch).unwrap();
         assert_eq!(first, second);
         assert_eq!(
             scratch.regrowths(),
@@ -1005,7 +970,7 @@ mod tests {
                 "pyramid k={k}"
             );
             assert_eq!(
-                combined_top_k_with_scratch(&prog, &pyramids, k, &source, &mut scratch).unwrap(),
+                combined_on(&prog, &pyramids, k, &source, &mut scratch).unwrap(),
                 combined_top_k(&prog, &pyramids, k).unwrap(),
                 "combined k={k}"
             );

@@ -15,8 +15,11 @@
 //!   below — resilient, parallel, batched, sharded — is written once, in
 //!   the private `descent` module: one step monomorphised over floor,
 //!   stop policy, model bound and fetch layer, a solo and a batch
-//!   scheduler over it, one `degrade`, one scatter (DESIGN.md §18). The
-//!   public `*top_k*` names are thin wrappers that pick a configuration.
+//!   scheduler over it, one `degrade`, one scatter (DESIGN.md §18). A
+//!   public `*top_k*` name exists only where callers differ by *type*
+//!   (what they hold, what report they get back); what varies by *value*
+//!   — budget, cancellation token, coarse grid — is one
+//!   [`ExecOptions`] every resilient entry point accepts.
 //! * [`metrics`] — §4.1 model accuracy: miss / false-alarm costs `C(x,y)`,
 //!   the weighted total `C_T`, threshold sweeps, and precision/recall of
 //!   top-K retrieval against observed occurrences.
@@ -110,16 +113,10 @@ pub mod source;
 pub mod temporal;
 pub mod workflow;
 
-pub use batched::{
-    batched_top_k, batched_top_k_cancellable, batched_top_k_coarse, batched_top_k_with_scratch,
-    BatchScratch, BatchedTopK,
-};
+pub use batched::{batched_top_k, BatchedTopK};
 pub use coarse::CoarseGrid;
 pub use continuous::{ContinuousDetector, ContinuousQueryDriver};
-pub use engine::{
-    combined_top_k, combined_top_k_with_source, grid_query, pyramid_top_k,
-    pyramid_top_k_with_source, staged_top_k, EffortReport,
-};
+pub use engine::{combined_top_k, grid_query, pyramid_top_k, staged_top_k, EffortReport};
 pub use error::CoreError;
 pub use lifecycle::{
     AdmissionController, AdmissionPolicy, CancelToken, ClassCounters, LifecycleState, Overloaded,
@@ -131,15 +128,10 @@ pub use metrics::{
     RocPoint, ScalingRow,
 };
 pub use parallel::{
-    grid_query_with_scratch, grid_query_with_source, par_batched_top_k,
-    par_batched_top_k_cancellable, par_batched_top_k_coarse, par_pyramid_top_k,
-    par_pyramid_top_k_with_source, par_resilient_top_k, par_resilient_top_k_cancellable,
-    par_resilient_top_k_coarse, par_staged_top_k, QueryBatch, ScratchPool, SharedBound, WorkerPool,
+    grid_query_with_scratch, grid_query_with_source, par_batched_top_k, par_pyramid_top_k,
+    par_resilient_top_k, par_staged_top_k, QueryBatch, ScratchPool, SharedBound, WorkerPool,
 };
-pub use plan::{
-    execute_planned, execute_planned_parallel, plan_grid_query, EngineChoice, PlannerConfig,
-    QueryPlan,
-};
+pub use plan::{execute_planned, plan_grid_query, EngineChoice, PlannerConfig, QueryPlan};
 pub use query::{Objective, TopKQuery};
 pub use replica::{BreakerState, ReplicaConfig, ReplicaHealth, ReplicatedSource};
 pub use reshard::{
@@ -147,15 +139,13 @@ pub use reshard::{
     ReshardPolicy, ReshardReport,
 };
 pub use resilient::{
-    resilient_top_k, resilient_top_k_cancellable, resilient_top_k_coarse,
-    resilient_top_k_coarse_with_scratch, BudgetStop, ExecutionBudget, ResilientHit, ResilientTopK,
-    ScoreBounds, WallDeadline,
+    resilient_top_k, BudgetStop, ExecOptions, ExecutionBudget, ResilientHit, ResilientTopK,
+    ScoreBounds,
 };
 pub use shard::{
-    batched_scatter_gather_top_k, batched_scatter_gather_top_k_cancellable, scatter_gather_top_k,
-    scatter_gather_top_k_cancellable, scatter_gather_top_k_dual, ArchiveShard, BatchedShardedTopK,
-    CompletionPolicy, DualReadGroup, EpochMismatch, InsufficientShards, ScatterPolicy, ShardError,
-    ShardOutcome, ShardReport, ShardTable, ShardedArchive, ShardedTopK,
+    batched_scatter_gather_top_k, scatter_gather_top_k, scatter_gather_top_k_dual, ArchiveShard,
+    BatchedShardedTopK, CompletionPolicy, DualReadGroup, EpochMismatch, InsufficientShards,
+    ScatterPolicy, ShardError, ShardOutcome, ShardReport, ShardTable, ShardedArchive, ShardedTopK,
 };
 pub use snapshot::{EpochSnapshot, LiveArchive, LiveRecoveryReport, SnapshotEpoch, SnapshotHandle};
 pub use source::{CachedTileSource, CellSource, PyramidSource, QuarantineScrub, TileSource};

@@ -7,9 +7,9 @@
 //! running. Three pieces compose:
 //!
 //! - [`CancelToken`] — a latching atomic flag threaded through the
-//!   sequential and parallel resilient engines exactly like
-//!   [`WallDeadline`](crate::resilient::WallDeadline). Engines poll it at
-//!   page granularity; cancellation surfaces as
+//!   sequential and parallel resilient engines exactly like the budget's
+//!   wall-deadline latch. Engines poll it at page granularity;
+//!   cancellation surfaces as
 //!   [`BudgetStop::Cancelled`](crate::resilient::BudgetStop) with the
 //!   same sound-bounds degradation contract as every other early stop.
 //! - [`AdmissionController`] — a bounded in-flight slot table with one
@@ -40,8 +40,8 @@ use std::sync::{Arc, Mutex};
 /// [`AdmissionController`] session). Cancellation latches — once
 /// [`cancel`](CancelToken::cancel) runs, every later
 /// [`is_cancelled`](CancelToken::is_cancelled) on any thread reports
-/// `true` — mirroring the [`WallDeadline`](crate::resilient::WallDeadline)
-/// latch so all parallel workers stop at their next checkpoint.
+/// `true` — mirroring the budget's wall-deadline latch, so all parallel
+/// workers stop at their next checkpoint.
 ///
 /// # Examples
 ///

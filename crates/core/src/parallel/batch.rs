@@ -248,7 +248,7 @@ fn predicted_page<S: CellSource>(
 ///
 /// # Errors
 ///
-/// Same as [`pyramid_top_k_with_source`](crate::engine::pyramid_top_k_with_source).
+/// Same as [`pyramid_top_k_with_scratch`].
 pub fn grid_query_with_source<S: CellSource>(
     model: &LinearModel,
     pyramids: &[AggregatePyramid],
@@ -264,7 +264,7 @@ pub fn grid_query_with_source<S: CellSource>(
 ///
 /// # Errors
 ///
-/// Same as [`pyramid_top_k_with_source`](crate::engine::pyramid_top_k_with_source).
+/// Same as [`pyramid_top_k_with_scratch`].
 pub fn grid_query_with_scratch<S: CellSource>(
     model: &LinearModel,
     pyramids: &[AggregatePyramid],

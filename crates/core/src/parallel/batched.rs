@@ -27,13 +27,11 @@
 //! exactly as they are for [`par_resilient_top_k`](super::engines).
 
 use crate::batched::{gather, validate_batch, BatchedTopK, Job, Tally};
-use crate::coarse::CoarseGrid;
-use crate::descent::{Clock, ExecOpts, PoolMeter, Pooled};
+use crate::descent::{Clock, PoolMeter, Pooled};
 use crate::error::CoreError;
-use crate::lifecycle::CancelToken;
 use crate::parallel::engines::par_descend;
 use crate::parallel::pool::WorkerPool;
-use crate::resilient::{ExecutionBudget, WallDeadline};
+use crate::resilient::{ExecOptions, WallDeadline};
 use crate::source::CellSource;
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
@@ -42,7 +40,8 @@ use mbir_progressive::pyramid::AggregatePyramid;
 /// multi-query descent partitioned over the pool's workers, with one
 /// [`SharedBound`](super::SharedBound) per query so each query's pruning
 /// floor propagates across workers independently, under one batch-wide
-/// budget.
+/// [`ExecOptions`] — budget, token and coarse grid are shared by every
+/// worker.
 ///
 /// With a healthy source (or deterministic page faults) and a non-binding
 /// budget, each query's results are bit-identical to its solo sequential
@@ -52,56 +51,15 @@ use mbir_progressive::pyramid::AggregatePyramid;
 /// # Errors
 ///
 /// Same as [`batched_top_k`](crate::batched::batched_top_k).
-pub fn par_batched_top_k<S: CellSource + Sync>(
+pub fn par_batched_top_k<'a, S: CellSource + Sync>(
     models: &[LinearModel],
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    budget: &ExecutionBudget,
+    opts: impl Into<ExecOptions<'a>>,
     pool: &WorkerPool,
 ) -> Result<BatchedTopK, CoreError> {
-    par_batched_top_k_inner(models, pyramids, k, source, ExecOpts::new(budget), pool)
-}
-
-/// [`par_batched_top_k`] polling a [`CancelToken`] at every worker
-/// checkpoint; cancellation stops the whole batch with every open query
-/// degrading soundly.
-///
-/// # Errors
-///
-/// Same as [`par_batched_top_k`].
-pub fn par_batched_top_k_cancellable<S: CellSource + Sync>(
-    models: &[LinearModel],
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    cancel: &CancelToken,
-    pool: &WorkerPool,
-) -> Result<BatchedTopK, CoreError> {
-    let opts = ExecOpts::new(budget).cancel(cancel);
-    par_batched_top_k_inner(models, pyramids, k, source, opts, pool)
-}
-
-/// [`par_batched_top_k`] with the quantized coarse pass: every worker
-/// consults the shared [`CoarseGrid`] per query against that query's own
-/// pruning bound before computing an exact child bound. Prune-only.
-///
-/// # Errors
-///
-/// Same as [`par_batched_top_k`], plus [`CoreError::Query`] when the
-/// coarse grid's arity does not match the models.
-pub fn par_batched_top_k_coarse<S: CellSource + Sync>(
-    models: &[LinearModel],
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    coarse: &CoarseGrid,
-    pool: &WorkerPool,
-) -> Result<BatchedTopK, CoreError> {
-    let opts = ExecOpts::new(budget).coarse(coarse);
-    par_batched_top_k_inner(models, pyramids, k, source, opts, pool)
+    par_batched_top_k_inner(models, pyramids, k, source, opts.into(), pool)
 }
 
 /// The resilient parallel run of a batch of Q ≥ 1 queries: one
@@ -114,7 +72,7 @@ pub(crate) fn par_batched_top_k_inner<S: CellSource + Sync>(
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    opts: ExecOpts<'_>,
+    opts: ExecOptions<'_>,
     pool: &WorkerPool,
 ) -> Result<BatchedTopK, CoreError> {
     if models.is_empty() {
@@ -135,7 +93,9 @@ pub(crate) fn par_batched_top_k_inner<S: CellSource + Sync>(
 mod tests {
     use super::*;
     use crate::batched::batched_top_k;
-    use crate::resilient::{resilient_top_k, BudgetStop, ResilientTopK};
+    use crate::coarse::CoarseGrid;
+    use crate::lifecycle::CancelToken;
+    use crate::resilient::{resilient_top_k, BudgetStop, ExecutionBudget, ResilientTopK};
     use crate::source::{CachedTileSource, TileSource};
     use mbir_archive::fault::FaultProfile;
     use mbir_archive::grid::Grid2;
@@ -251,9 +211,15 @@ mod tests {
             let src = TileSource::new(&stores).unwrap();
             let plain = par_batched_top_k(&models, &pyramids, 6, &src, &budget, &pool).unwrap();
             let src = TileSource::new(&stores).unwrap();
-            let pruned =
-                par_batched_top_k_coarse(&models, &pyramids, 6, &src, &budget, &coarse, &pool)
-                    .unwrap();
+            let pruned = par_batched_top_k(
+                &models,
+                &pyramids,
+                6,
+                &src,
+                ExecOptions::new(&budget).coarse(&coarse),
+                &pool,
+            )
+            .unwrap();
             for q in 0..models.len() {
                 assert_eq!(
                     pruned.queries[q].results, plain.queries[q].results,
@@ -271,9 +237,15 @@ mod tests {
         token.cancel();
         let pool = WorkerPool::new(4);
         let src = TileSource::new(&stores).unwrap();
-        let batch =
-            par_batched_top_k_cancellable(&models, &pyramids, 5, &src, &budget, &token, &pool)
-                .unwrap();
+        let batch = par_batched_top_k(
+            &models,
+            &pyramids,
+            5,
+            &src,
+            ExecOptions::new(&budget).cancel(&token),
+            &pool,
+        )
+        .unwrap();
         for r in &batch.queries {
             assert_eq!(r.budget_stop, Some(BudgetStop::Cancelled));
             assert!(r.completeness < 1.0);

@@ -24,14 +24,12 @@
 //! engines at every thread count. DESIGN.md §9 spells the argument out.
 
 use crate::batched::{with_lanes, with_pooled_scratch, Job, Tally};
-use crate::coarse::CoarseGrid;
-use crate::descent::{interleave, seed_root, warm_up, ExecOpts, Local, Outcome, Pressure, Strict};
+use crate::descent::{interleave, seed_root, warm_up, Local, Outcome, Pressure, Strict};
 use crate::engine::{validate_grid_inputs, EffortReport, GridTopK, Region, ScoredCell, TupleTopK};
 use crate::error::CoreError;
-use crate::lifecycle::CancelToken;
 use crate::parallel::batched::par_batched_top_k_inner;
 use crate::parallel::pool::{SharedBound, WorkerPool};
-use crate::resilient::{ExecutionBudget, ResilientTopK};
+use crate::resilient::{ExecOptions, ResilientTopK};
 use crate::source::{CellSource, PyramidSource};
 use mbir_archive::extent::CellCoord;
 use mbir_index::scan::TopKHeap;
@@ -130,26 +128,9 @@ pub fn par_pyramid_top_k(
     k: usize,
     pool: &WorkerPool,
 ) -> Result<GridTopK, CoreError> {
-    par_pyramid_top_k_with_source(model, pyramids, k, &PyramidSource::new(pyramids), pool)
-}
-
-/// [`par_pyramid_top_k`] with base reads routed through a shared
-/// [`CellSource`]. Strict failure semantics: any failed base read fails
-/// the query (workers already running may finish their subtree first; the
-/// reported error is the lowest-indexed worker's).
-///
-/// # Errors
-///
-/// Same as [`pyramid_top_k_with_source`](crate::engine::pyramid_top_k_with_source).
-pub fn par_pyramid_top_k_with_source<S: CellSource + Sync>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    pool: &WorkerPool,
-) -> Result<GridTopK, CoreError> {
     validate_grid_inputs(model, pyramids, k)?;
-    let job = Job::whole(std::slice::from_ref(model), pyramids, source, k);
+    let source = PyramidSource::new(pyramids);
+    let job = Job::whole(std::slice::from_ref(model), pyramids, &source, k);
     let (mut outs, _) = par_descend(&job, Strict, pool)?;
     let out = outs.pop().expect("one lane per model");
     let results = out
@@ -296,8 +277,12 @@ pub fn par_staged_top_k(
 
 /// Parallel [`resilient_top_k`](crate::resilient::resilient_top_k):
 /// partitioned descent with per-worker lost/leftover tracking merged into
-/// one honest degradation report, under a *shared* budget (atomic
-/// counters checked at the same cooperative checkpoints — once per pop).
+/// one honest degradation report, under a *shared* [`ExecOptions`] — the
+/// budget through atomic counters checked at the same cooperative
+/// checkpoints (once per pop), the token through a shared stop latch, the
+/// coarse grid against `max(shared bound, local floor)`. Solo is a batch
+/// of one: this is [`par_batched_top_k`](super::par_batched_top_k) over
+/// `[model]`.
 ///
 /// With a healthy source or deterministic page faults and an unlimited
 /// budget the output is bit-identical to the sequential resilient engine
@@ -310,91 +295,25 @@ pub fn par_staged_top_k(
 /// # Errors
 ///
 /// Same as [`resilient_top_k`](crate::resilient::resilient_top_k).
-pub fn par_resilient_top_k<S: CellSource + Sync>(
+pub fn par_resilient_top_k<'a, S: CellSource + Sync>(
     model: &LinearModel,
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    budget: &ExecutionBudget,
-    pool: &WorkerPool,
-) -> Result<ResilientTopK, CoreError> {
-    par_resilient_top_k_inner(model, pyramids, k, source, ExecOpts::new(budget), pool)
-}
-
-/// [`par_resilient_top_k`] with the quantized coarse pass of
-/// [`resilient_top_k_coarse`](crate::resilient::resilient_top_k_coarse):
-/// every worker consults the shared [`CoarseGrid`] before computing an
-/// exact child bound, pruning against `max(shared bound, local floor)`.
-/// Prune-only, so the healthy/deterministic-fault unlimited-budget output
-/// stays bit-identical to both [`par_resilient_top_k`] and the sequential
-/// engines at every thread count; a `max_multiply_adds` budget stop lands
-/// at a different (later) point of the same descent, as in the sequential
-/// coarse engine.
-///
-/// # Errors
-///
-/// Same as [`par_resilient_top_k`], plus
-/// [`CoreError::Query`](crate::error::CoreError) when the coarse grid's
-/// arity does not match the model.
-pub fn par_resilient_top_k_coarse<S: CellSource + Sync>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    coarse: &CoarseGrid,
-    pool: &WorkerPool,
-) -> Result<ResilientTopK, CoreError> {
-    let opts = ExecOpts::new(budget).coarse(coarse);
-    par_resilient_top_k_inner(model, pyramids, k, source, opts, pool)
-}
-
-/// [`par_resilient_top_k`] polling a
-/// [`CancelToken`] at every worker
-/// checkpoint. Cancellation latches
-/// [`BudgetStop::Cancelled`](crate::resilient::BudgetStop) through the
-/// shared stop flag, so every worker surrenders its frontier at its next
-/// pop and the merged report stays sound. A token cancelled *before* the
-/// call stops the run at the warm-up checkpoint, which makes the degraded
-/// answer bit-identical at every thread count (mid-run cancellation is
-/// schedule-dependent, like any mid-run budget stop). A token that is
-/// never cancelled changes nothing.
-///
-/// # Errors
-///
-/// Same as [`resilient_top_k`](crate::resilient::resilient_top_k).
-pub fn par_resilient_top_k_cancellable<S: CellSource + Sync>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    cancel: &CancelToken,
-    pool: &WorkerPool,
-) -> Result<ResilientTopK, CoreError> {
-    let opts = ExecOpts::new(budget).cancel(cancel);
-    par_resilient_top_k_inner(model, pyramids, k, source, opts, pool)
-}
-
-/// Solo is a batch of one: the parallel batched engine over `[model]`.
-fn par_resilient_top_k_inner<S: CellSource + Sync>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    opts: ExecOpts<'_>,
+    opts: impl Into<ExecOptions<'a>>,
     pool: &WorkerPool,
 ) -> Result<ResilientTopK, CoreError> {
     let models = std::slice::from_ref(model);
-    let mut batch = par_batched_top_k_inner(models, pyramids, k, source, opts, pool)?;
+    let mut batch = par_batched_top_k_inner(models, pyramids, k, source, opts.into(), pool)?;
     Ok(batch.queries.pop().expect("one answer per model"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarse::CoarseGrid;
     use crate::engine::{naive_grid_top_k, pyramid_top_k, staged_top_k};
-    use crate::resilient::{resilient_top_k, resilient_top_k_cancellable, BudgetStop};
+    use crate::resilient::{resilient_top_k, BudgetStop, ExecutionBudget};
     use crate::source::TileSource;
     use mbir_archive::fault::FaultProfile;
     use mbir_archive::grid::Grid2;
@@ -708,15 +627,27 @@ mod tests {
             .with_wall_deadline(Duration::ZERO);
         let token = CancelToken::new();
         token.cancel();
-        let reference =
-            resilient_top_k_cancellable(&model, &pyramids, 5, &src, &budget, &token).unwrap();
+        let reference = resilient_top_k(
+            &model,
+            &pyramids,
+            5,
+            &src,
+            ExecOptions::new(&budget).cancel(&token),
+        )
+        .unwrap();
         assert_eq!(reference.budget_stop, Some(BudgetStop::Cancelled));
         assert_eq!(reference.completeness, 0.0);
         for threads in [1usize, 2, 4, 8] {
             let pool = WorkerPool::new(threads);
-            let r =
-                par_resilient_top_k_cancellable(&model, &pyramids, 5, &src, &budget, &token, &pool)
-                    .unwrap();
+            let r = par_resilient_top_k(
+                &model,
+                &pyramids,
+                5,
+                &src,
+                ExecOptions::new(&budget).cancel(&token),
+                &pool,
+            )
+            .unwrap();
             assert_eq!(
                 r.budget_stop,
                 Some(BudgetStop::Cancelled),
@@ -742,9 +673,15 @@ mod tests {
         let plain = resilient_top_k(&model, &pyramids, 6, &src, &budget).unwrap();
         for threads in [1usize, 2, 4, 8] {
             let pool = WorkerPool::new(threads);
-            let r =
-                par_resilient_top_k_cancellable(&model, &pyramids, 6, &src, &budget, &token, &pool)
-                    .unwrap();
+            let r = par_resilient_top_k(
+                &model,
+                &pyramids,
+                6,
+                &src,
+                ExecOptions::new(&budget).cancel(&token),
+                &pool,
+            )
+            .unwrap();
             assert_eq!(r.results, plain.results, "threads={threads}");
             assert_eq!(r.budget_stop, None);
             assert_eq!(r.completeness, 1.0);
@@ -837,9 +774,15 @@ mod tests {
         let sequential = resilient_top_k(&model, &pyramids, 7, &src, &budget).unwrap();
         for threads in [1usize, 2, 4, 8] {
             let pool = WorkerPool::new(threads);
-            let pruned =
-                par_resilient_top_k_coarse(&model, &pyramids, 7, &src, &budget, &coarse, &pool)
-                    .unwrap();
+            let pruned = par_resilient_top_k(
+                &model,
+                &pyramids,
+                7,
+                &src,
+                ExecOptions::new(&budget).coarse(&coarse),
+                &pool,
+            )
+            .unwrap();
             assert_eq!(pruned.results, sequential.results, "threads={threads}");
             assert_eq!(pruned.completeness, 1.0);
             assert_eq!(pruned.budget_stop, None);
@@ -863,9 +806,15 @@ mod tests {
         assert!(plain.is_degraded(), "fault must actually degrade the run");
         for threads in [1usize, 2, 4, 8] {
             let pool = WorkerPool::new(threads);
-            let pruned =
-                par_resilient_top_k_coarse(&model, &pyramids, 3, &src, &budget, &coarse, &pool)
-                    .unwrap();
+            let pruned = par_resilient_top_k(
+                &model,
+                &pyramids,
+                3,
+                &src,
+                ExecOptions::new(&budget).coarse(&coarse),
+                &pool,
+            )
+            .unwrap();
             assert_eq!(pruned.results, plain.results, "threads={threads}");
             assert_eq!(pruned.skipped_pages, plain.skipped_pages);
             assert_eq!(pruned.completeness, plain.completeness);

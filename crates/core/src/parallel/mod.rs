@@ -27,9 +27,6 @@ pub mod engines;
 pub mod pool;
 
 pub use batch::{grid_query_with_scratch, grid_query_with_source, QueryBatch, ScratchPool};
-pub use batched::{par_batched_top_k, par_batched_top_k_cancellable, par_batched_top_k_coarse};
-pub use engines::{
-    par_pyramid_top_k, par_pyramid_top_k_with_source, par_resilient_top_k,
-    par_resilient_top_k_cancellable, par_resilient_top_k_coarse, par_staged_top_k,
-};
+pub use batched::par_batched_top_k;
+pub use engines::{par_pyramid_top_k, par_resilient_top_k, par_staged_top_k};
 pub use pool::{SharedBound, WorkerPool, THREADS_ENV};

@@ -11,9 +11,6 @@
 
 use crate::engine::{combined_top_k, naive_grid_top_k, pyramid_top_k, GridTopK};
 use crate::error::CoreError;
-use crate::parallel::{par_pyramid_top_k, WorkerPool};
-use crate::resilient::{resilient_top_k, ExecutionBudget, ResilientTopK};
-use crate::source::CellSource;
 use mbir_models::linear::{LinearModel, ProgressiveLinearModel};
 use mbir_progressive::pyramid::AggregatePyramid;
 use std::fmt;
@@ -211,69 +208,9 @@ pub fn execute_planned(
     Ok((plan, result))
 }
 
-/// Plans, then executes on the pool's workers, returning the plan
-/// alongside the result.
-///
-/// The naive scan stays sequential (it is memory-bandwidth bound and the
-/// planner only picks it for tiny or incoherent grids); `Pyramid` and
-/// `Combined` plans run the partitioned descent
-/// ([`par_pyramid_top_k`]) — the combined engine's truncated-model bounds
-/// are a sequential-frontier refinement that does not partition, and the
-/// full-model descent it falls back to returns the same exact answer.
-///
-/// # Errors
-///
-/// Propagates planning and engine errors.
-pub fn execute_planned_parallel(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    config: &PlannerConfig,
-    pool: &WorkerPool,
-) -> Result<(QueryPlan, GridTopK), CoreError> {
-    let plan = plan_grid_query(model, pyramids, config)?;
-    let result = match plan.choice {
-        EngineChoice::Naive => naive_grid_top_k(model, pyramids, k)?,
-        EngineChoice::Pyramid | EngineChoice::Combined => {
-            par_pyramid_top_k(model, pyramids, k, pool)?
-        }
-    };
-    Ok((plan, result))
-}
-
-/// Plans, then executes *resiliently* against a paged source under a
-/// budget, returning the plan alongside the best-effort result.
-///
-/// The plan is computed from the same resident statistics as
-/// [`execute_planned`] and reported for observability, but execution
-/// always goes through [`resilient_top_k`]: budgeted execution needs the
-/// bounded pyramid frontier to degrade gracefully, which neither the
-/// naive scan nor the truncated-model engine can provide. On a healthy
-/// source with an unlimited budget the result matches the strict engines
-/// exactly, so honoring the plan's engine choice would only change the
-/// effort accounting, never the answer.
-///
-/// # Errors
-///
-/// Propagates planning errors and non-fault engine errors; lost pages and
-/// exhausted budgets degrade instead of failing.
-pub fn execute_planned_resilient<S: CellSource>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    config: &PlannerConfig,
-    source: &S,
-    budget: &ExecutionBudget,
-) -> Result<(QueryPlan, ResilientTopK), CoreError> {
-    let plan = plan_grid_query(model, pyramids, config)?;
-    let result = resilient_top_k(model, pyramids, k, source, budget)?;
-    Ok((plan, result))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::PyramidSource;
     use mbir_archive::grid::Grid2;
 
     fn smooth_pyramids(arity: usize, side: usize) -> Vec<AggregatePyramid> {
@@ -355,67 +292,6 @@ mod tests {
                     plan.choice
                 );
             }
-        }
-    }
-
-    #[test]
-    fn execute_planned_parallel_is_bit_identical_to_sequential() {
-        let k = 5;
-        for (pyramids, coeffs) in [
-            (smooth_pyramids(2, 8), vec![1.0, 1.0]),  // naive
-            (smooth_pyramids(2, 64), vec![1.0, 1.0]), // pyramid
-            (
-                smooth_pyramids(8, 64),
-                (0..8).map(|i| 4.0 * 0.3f64.powi(i)).collect(),
-            ), // combined
-        ] {
-            let model = LinearModel::new(coeffs, 0.0).unwrap();
-            let (plan, sequential) =
-                execute_planned(&model, &pyramids, k, &PlannerConfig::default()).unwrap();
-            for threads in [1usize, 2, 4] {
-                let pool = WorkerPool::new(threads);
-                let (par_plan, parallel) = execute_planned_parallel(
-                    &model,
-                    &pyramids,
-                    k,
-                    &PlannerConfig::default(),
-                    &pool,
-                )
-                .unwrap();
-                assert_eq!(par_plan.choice, plan.choice);
-                assert_eq!(parallel.results.len(), sequential.results.len());
-                for (a, b) in parallel.results.iter().zip(&sequential.results) {
-                    assert_eq!(a.cell, b.cell, "{} @ {threads} threads", plan.choice);
-                    assert!(
-                        (a.score - b.score).abs() < 1e-9,
-                        "{} @ {threads} threads",
-                        plan.choice
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn execute_planned_resilient_matches_strict_when_healthy() {
-        let pyramids = smooth_pyramids(2, 64);
-        let model = LinearModel::new(vec![1.0, 1.0], 0.0).unwrap();
-        let src = PyramidSource::new(&pyramids);
-        let (plan, result) = execute_planned_resilient(
-            &model,
-            &pyramids,
-            5,
-            &PlannerConfig::default(),
-            &src,
-            &ExecutionBudget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(plan.choice, EngineChoice::Pyramid);
-        assert!(!result.is_degraded());
-        let reference = naive_grid_top_k(&model, &pyramids, 5).unwrap();
-        for (a, b) in result.results.iter().zip(&reference.results) {
-            assert_eq!(a.cell, b.cell);
-            assert!((a.score - b.score).abs() < 1e-9);
         }
     }
 

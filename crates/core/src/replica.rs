@@ -41,11 +41,12 @@
 //! then degrades with sound bounds like any other lost page.
 
 use crate::error::CoreError;
-use crate::source::CellSource;
+use crate::source::{
+    clear_quarantine_of, quarantined_pages_of, same_layout, CellSource, PageBlock, PageCache,
+};
 use mbir_archive::error::ArchiveError;
 use mbir_archive::tile::TileStore;
-use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Tuning for a [`ReplicatedSource`]: breaker thresholds, health decay,
 /// cache size, and whether payloads are checksum-verified.
@@ -173,40 +174,6 @@ impl ReplicaState {
     }
 }
 
-/// One cached page: every attribute's values over the page's cell extent.
-#[derive(Debug)]
-struct PageBlock {
-    r0: usize,
-    c0: usize,
-    width: usize,
-    /// `values[attr][(row - r0) * width + (col - c0)]`.
-    values: Vec<Vec<f64>>,
-}
-
-#[derive(Debug)]
-enum Slot {
-    /// Some reader is loading this page; wait instead of re-loading.
-    Loading,
-    /// Materialized page with its LRU recency stamp.
-    Ready {
-        block: std::sync::Arc<PageBlock>,
-        recency: u64,
-    },
-}
-
-#[derive(Debug, Default)]
-struct CacheState {
-    slots: HashMap<usize, Slot>,
-    clock: u64,
-    /// Bumped by [`ReplicatedSource::advance_epoch`]; loads that straddle
-    /// an advance are served but not cached (see
-    /// [`crate::source::CachedTileSource`], which shares the protocol).
-    epoch: u64,
-    /// Smallest `first_dirty_page` across epoch advances — the original
-    /// append high-water mark for `appended_pages_seen` accounting.
-    appended_from: Option<usize>,
-}
-
 /// N-way replicated [`CellSource`] with checksum verification, ordered
 /// failover, per-replica circuit breakers, and an LRU page cache.
 ///
@@ -234,8 +201,7 @@ pub struct ReplicatedSource<'a> {
     replicas: Vec<&'a [TileStore]>,
     config: ReplicaConfig,
     health: Mutex<Vec<ReplicaState>>,
-    cache: Mutex<CacheState>,
-    loaded: Condvar,
+    cache: PageCache,
 }
 
 impl<'a> ReplicatedSource<'a> {
@@ -266,15 +232,10 @@ impl<'a> ReplicatedSource<'a> {
                     first.len()
                 )));
             }
-            for store in replica.iter() {
-                if store.rows() != reference.rows()
-                    || store.cols() != reference.cols()
-                    || store.tile_size() != reference.tile_size()
-                {
-                    return Err(CoreError::Query(format!(
-                        "replica {i} disagrees on shape or tile size"
-                    )));
-                }
+            if !same_layout(reference, replica) {
+                return Err(CoreError::Query(format!(
+                    "replica {i} disagrees on shape or tile size"
+                )));
             }
         }
         let n = replicas.len();
@@ -282,8 +243,7 @@ impl<'a> ReplicatedSource<'a> {
             replicas,
             config,
             health: Mutex::new(vec![ReplicaState::new(); n]),
-            cache: Mutex::new(CacheState::default()),
-            loaded: Condvar::new(),
+            cache: PageCache::new(config.cache_pages),
         })
     }
 
@@ -347,11 +307,7 @@ impl<'a> ReplicatedSource<'a> {
     /// [`merge_shard_summaries`](crate::metrics::merge_shard_summaries)
     /// conserves across a sharded merge.
     pub fn quarantined_pages(&self) -> u64 {
-        self.replicas
-            .iter()
-            .flat_map(|r| r.iter())
-            .map(|s| s.quarantined_pages().count() as u64)
-            .sum()
+        quarantined_pages_of(self.replicas.iter().copied().flatten())
     }
 
     /// Clears the per-page quarantine of every store of every replica,
@@ -363,9 +319,7 @@ impl<'a> ReplicatedSource<'a> {
     /// reused. Circuit breakers are a *replica*-level ledger and keep
     /// their state — see [`reset_breakers`](Self::reset_breakers).
     pub fn clear_quarantine(&self) {
-        for store in self.replicas.iter().flat_map(|r| r.iter()) {
-            store.clear_quarantine();
-        }
+        clear_quarantine_of(self.replicas.iter().copied().flatten());
     }
 
     /// Publishes a snapshot-epoch advance to the replica cache: cached
@@ -375,27 +329,8 @@ impl<'a> ReplicatedSource<'a> {
     /// Returns the number of resident pages dropped; the count is also
     /// recorded on the preferred replica's stats.
     pub fn advance_epoch(&self, first_dirty_page: usize) -> usize {
-        let mut state = self.cache.lock().expect("replica cache lock");
-        state.epoch += 1;
-        state.appended_from = Some(match state.appended_from {
-            Some(prev) => prev.min(first_dirty_page),
-            None => first_dirty_page,
-        });
-        let stale: Vec<usize> = state
-            .slots
-            .iter()
-            .filter(|(&page, slot)| page >= first_dirty_page && matches!(slot, Slot::Ready { .. }))
-            .map(|(&page, _)| page)
-            .collect();
-        for &page in &stale {
-            state.slots.remove(&page);
-        }
-        if !stale.is_empty() {
-            self.replicas[0][0]
-                .stats()
-                .record_cache_invalidations(stale.len() as u64);
-        }
-        stale.len()
+        self.cache
+            .advance_epoch(first_dirty_page, self.replicas[0][0].stats())
     }
 
     /// Cached pages dropped by epoch advances so far, summed across
@@ -474,11 +409,7 @@ impl<'a> ReplicatedSource<'a> {
     /// Loads `page` (every attribute) from one replica, verifying each
     /// attribute's checksum when configured.
     fn load_from(&self, replica: usize, page: usize) -> Result<PageBlock, ArchiveError> {
-        let stores = self.replicas[replica];
-        let (r0, c0, _r1, c1) = stores[0].page_extent(page)?;
-        let width = c1 - c0;
-        let mut values = Vec::with_capacity(stores.len());
-        for store in stores {
+        PageBlock::assemble(self.replicas[replica], page, |store| {
             let env = store.read_page_envelope(page)?;
             if self.config.verify && !env.verify() {
                 // Detected silent corruption on this replica: count it on
@@ -486,13 +417,7 @@ impl<'a> ReplicatedSource<'a> {
                 store.stats().record_corruptions(1);
                 return Err(ArchiveError::PageCorrupt { page });
             }
-            values.push(env.into_payload().into_iter().map(|(_, v)| v).collect());
-        }
-        Ok(PageBlock {
-            r0,
-            c0,
-            width,
-            values,
+            Ok(env.into_payload())
         })
     }
 
@@ -584,106 +509,12 @@ impl<'a> ReplicatedSource<'a> {
                 // stands and the backup's failure feeds its breaker. A
                 // corrupt hedge payload lands here (`load_from` verifies
                 // before returning), so it can never win the race — and
-                // `fetch_page` caches only what this function returns, so
-                // a corrupt hedge is never cached either.
+                // the cache inserts only what this function returns, so a
+                // corrupt hedge is never cached either.
                 self.record_outcome(backup, false, self.now_ticks());
                 self.record_outcome(primary, true, self.now_ticks());
                 primary_block
             }
-        }
-    }
-
-    /// Returns the cached page, materializing it through failover on a
-    /// miss. Cache hits touch neither replica health nor replica stores.
-    fn fetch_page(&self, page: usize) -> Result<std::sync::Arc<PageBlock>, ArchiveError> {
-        let stats = self.replicas[0][0].stats();
-        let mut state = self.cache.lock().expect("replica cache lock");
-        loop {
-            match state.slots.get(&page) {
-                Some(Slot::Ready { .. }) => {
-                    state.clock += 1;
-                    let clock = state.clock;
-                    let Some(Slot::Ready { block, recency }) = state.slots.get_mut(&page) else {
-                        unreachable!("slot was just observed ready");
-                    };
-                    *recency = clock;
-                    let block = std::sync::Arc::clone(block);
-                    stats.record_cache_hits(1);
-                    return Ok(block);
-                }
-                Some(Slot::Loading) => {
-                    state = self.loaded.wait(state).expect("replica cache lock");
-                }
-                None => {
-                    state.slots.insert(page, Slot::Loading);
-                    stats.record_cache_misses(1);
-                    if state.appended_from.is_some_and(|from| page >= from) {
-                        stats.record_appended_pages_seen(1);
-                    }
-                    break;
-                }
-            }
-        }
-        let epoch_at_load = state.epoch;
-        drop(state);
-        // Failover runs without the cache lock: replica loads may retry
-        // and back off, and readers of other pages must not wait on that.
-        let loaded = self.load_page(page);
-        let mut state = self.cache.lock().expect("replica cache lock");
-        match loaded {
-            Ok(block) => {
-                let block = std::sync::Arc::new(block);
-                if state.epoch == epoch_at_load {
-                    state.clock += 1;
-                    let recency = state.clock;
-                    state.slots.insert(
-                        page,
-                        Slot::Ready {
-                            block: std::sync::Arc::clone(&block),
-                            recency,
-                        },
-                    );
-                    self.evict_excess(&mut state);
-                } else {
-                    // Epoch advanced mid-load: serve without caching.
-                    state.slots.remove(&page);
-                }
-                self.loaded.notify_all();
-                Ok(block)
-            }
-            Err(e) => {
-                // Total failures are not cached: a later read re-runs the
-                // failover (replicas heal, breakers cool down).
-                state.slots.remove(&page);
-                self.loaded.notify_all();
-                Err(e)
-            }
-        }
-    }
-
-    /// Drops least-recently-used ready pages down to capacity.
-    fn evict_excess(&self, state: &mut CacheState) {
-        let capacity = self.config.cache_pages.max(1);
-        loop {
-            let mut ready = 0usize;
-            let mut victim: Option<(u64, usize)> = None;
-            for (&page, slot) in &state.slots {
-                if let Slot::Ready { recency, .. } = slot {
-                    ready += 1;
-                    let older = match victim {
-                        None => true,
-                        Some((r, _)) => *recency < r,
-                    };
-                    if older {
-                        victim = Some((*recency, page));
-                    }
-                }
-            }
-            if ready <= capacity {
-                return;
-            }
-            let Some((_, page)) = victim else { return };
-            state.slots.remove(&page);
         }
     }
 }
@@ -700,18 +531,9 @@ impl crate::source::QuarantineScrub for ReplicatedSource<'_> {
 
 impl CellSource for ReplicatedSource<'_> {
     fn base_cell(&self, attr: usize, row: usize, col: usize) -> Result<f64, ArchiveError> {
-        let reference = &self.replicas[0][0];
-        if row >= reference.rows() || col >= reference.cols() {
-            return Err(ArchiveError::OutOfBounds {
-                row,
-                col,
-                rows: reference.rows(),
-                cols: reference.cols(),
-            });
-        }
-        let page = reference.page_of(row, col);
-        let block = self.fetch_page(page)?;
-        Ok(block.values[attr][(row - block.r0) * block.width + (col - block.c0)])
+        // Cache hits touch neither replica health nor replica stores.
+        let load = |page| self.load_page(page);
+        self.cache.cell(&self.replicas[0][0], attr, row, col, load)
     }
 
     fn page_of(&self, row: usize, col: usize) -> Option<usize> {

@@ -24,12 +24,17 @@
 //!   tick deadline; it is checked once per frontier pop. On exhaustion the
 //!   remaining frontier — the deepest fully-bounded pyramid frontier — is
 //!   converted to degraded candidates instead of being discarded.
-//! * **Cancellation is cooperative too.** [`resilient_top_k_cancellable`]
-//!   polls a [`CancelToken`] at the same
-//!   page-granular checkpoint and stops with [`BudgetStop::Cancelled`]
-//!   under the same degradation contract. When several stop reasons trip
-//!   in the same step, precedence is fixed: Cancelled > WallClock >
-//!   Budget dimensions — deterministic at every thread count.
+//! * **Cancellation is cooperative too.** A [`CancelToken`] carried in the
+//!   run's [`ExecOptions`] is polled at the same page-granular checkpoint
+//!   and stops the run with [`BudgetStop::Cancelled`] under the same
+//!   degradation contract. When several stop reasons trip in the same
+//!   step, precedence is fixed: Cancelled > WallClock > Budget dimensions
+//!   — deterministic at every thread count.
+//!
+//! What varies by *value* — the budget, the token, the coarse grid — is
+//! one [`ExecOptions`] every resilient entry point of the crate accepts;
+//! a function name is spent only where callers differ by *type* (DESIGN.md
+//! §18).
 //!
 //! The result is honest about what it knows: every hit carries sound
 //! [`ScoreBounds`], the [`completeness`](ResilientTopK::completeness)
@@ -39,9 +44,7 @@
 //! bit-identical to [`pyramid_top_k`](crate::engine::pyramid_top_k).
 
 use crate::coarse::CoarseGrid;
-use crate::descent::{
-    drain, finish, seed_root, Budgeted, Clock, Direct, Env, ExecOpts, Lane, Local,
-};
+use crate::descent::{drain, finish, seed_root, Budgeted, Clock, Direct, Env, Lane, Local};
 use crate::engine::{validate_grid_inputs, EffortReport, QueryScratch, ScoredCell};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
@@ -80,7 +83,7 @@ pub struct ExecutionBudget {
     /// Wall-clock deadline measured from query start. Unlike the virtual
     /// tick deadline this is real time — interactive callers' "answer in
     /// 50 ms, whatever you have" contract. Checked through a
-    /// [`WallDeadline`] latch at the same cooperative checkpoints, so
+    /// shared latch at the same cooperative checkpoints, so
     /// expiry degrades with the same sound-bounds semantics as any other
     /// budget stop.
     pub wall_deadline: Option<Duration>,
@@ -173,7 +176,7 @@ impl fmt::Display for BudgetStop {
 /// even if the clock were to misbehave. A `None` limit never expires and
 /// costs no clock reads.
 #[derive(Debug)]
-pub struct WallDeadline {
+pub(crate) struct WallDeadline {
     started: Instant,
     limit: Option<Duration>,
     tripped: AtomicBool,
@@ -181,7 +184,7 @@ pub struct WallDeadline {
 
 impl WallDeadline {
     /// Starts the clock now against `budget.wall_deadline`.
-    pub fn starting_now(budget: &ExecutionBudget) -> Self {
+    pub(crate) fn starting_now(budget: &ExecutionBudget) -> Self {
         WallDeadline {
             started: Instant::now(),
             limit: budget.wall_deadline,
@@ -190,7 +193,7 @@ impl WallDeadline {
     }
 
     /// Whether the deadline has passed (latching; see the type docs).
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         let Some(limit) = self.limit else {
             return false;
         };
@@ -290,122 +293,115 @@ impl ResilientTopK {
     }
 }
 
+/// What a resilient run carries besides its query: the budget, and
+/// optionally a cancellation token and a quantized coarse grid. Every
+/// resilient entry point of the crate takes `impl Into<ExecOptions>`, and
+/// `&ExecutionBudget` converts, so a bare budget is the common spelling:
+///
+/// ```
+/// use mbir_core::lifecycle::CancelToken;
+/// use mbir_core::resilient::{ExecOptions, ExecutionBudget};
+///
+/// let budget = ExecutionBudget::unlimited().with_max_page_reads(100);
+/// let token = CancelToken::new();
+/// let _bare: ExecOptions<'_> = (&budget).into();
+/// let _full = ExecOptions::new(&budget).cancel(&token);
+/// ```
+///
+/// The three values are independent and each keeps the contract below
+/// under every entry point (sequential, `par_*`, batched, sharded) and in
+/// any combination.
+///
+/// **Budget.** Checked once per frontier pop; see [`ExecutionBudget`].
+///
+/// **Cancel.** The token is polled at the same checkpoints. Cancellation
+/// is just another early stop: the run latches [`BudgetStop::Cancelled`]
+/// and degrades with sound bounds and completeness accounting, exactly
+/// like a budget or deadline stop. A token that is never cancelled changes
+/// nothing — results are bit-identical to the run without it. A token
+/// cancelled *before* the call stops the run at its first checkpoint (the
+/// warm-up checkpoint of a parallel run), so the degraded answer is
+/// deterministic and identical at every thread count; a mid-run
+/// cancellation is schedule-dependent, like any mid-run budget stop.
+///
+/// **Coarse.** Children whose i8 cell bound ([`crate::coarse`]) falls
+/// strictly below the lane's pruning floor are skipped before their exact
+/// bound is computed. The pass is prune-only, so results, completeness
+/// and skipped pages are bit-identical to the run without it under any
+/// fault pattern; a `max_multiply_adds` stop lands at a different (later)
+/// point of the same descent, because pruned children charge nothing. In
+/// the *sequential* engines the check is provably inert: the frontier pops
+/// in descending `ub` order and an evaluated cell's `ub` is its exact
+/// score, so once `k` evaluations exist the floor already dominates the
+/// popped bound and the run closes before expanding. The pass earns its
+/// keep where a floor arrives from *outside* the local pop order — `par_*`
+/// workers pruning against the shared bound, shard leaves pruning against
+/// an earlier shard's published floor. The grid must be built over the
+/// pyramids the descent runs on ([`CoreError::Query`] when its arity does
+/// not match the model), which is why the sharded entry points reject it
+/// here and take one per band through
+/// [`ArchiveShard::with_coarse`](crate::shard::ArchiveShard::with_coarse).
+#[derive(Debug, Clone, Copy)]
+pub struct ExecOptions<'a> {
+    pub(crate) budget: &'a ExecutionBudget,
+    pub(crate) cancel: Option<&'a CancelToken>,
+    pub(crate) coarse: Option<&'a CoarseGrid>,
+}
+
+impl<'a> ExecOptions<'a> {
+    /// `budget` alone: no cancellation token, no coarse pass.
+    pub fn new(budget: &'a ExecutionBudget) -> Self {
+        ExecOptions {
+            budget,
+            cancel: None,
+            coarse: None,
+        }
+    }
+
+    /// Polls `cancel` at every checkpoint (builder style).
+    pub fn cancel(mut self, cancel: &'a CancelToken) -> Self {
+        self.cancel = Some(cancel);
+        self
+    }
+
+    /// Consults `coarse` before each exact child bound (builder style).
+    pub fn coarse(mut self, coarse: &'a CoarseGrid) -> Self {
+        self.coarse = Some(coarse);
+        self
+    }
+}
+
+impl<'a> From<&'a ExecutionBudget> for ExecOptions<'a> {
+    fn from(budget: &'a ExecutionBudget) -> Self {
+        ExecOptions::new(budget)
+    }
+}
+
 /// Pyramid descent that degrades gracefully instead of aborting.
 ///
 /// Behaves exactly like
-/// [`pyramid_top_k_with_source`](crate::engine::pyramid_top_k_with_source)
+/// [`pyramid_top_k_with_scratch`](crate::engine::pyramid_top_k_with_scratch)
 /// until a base read fails or the budget runs out; see the module docs for
-/// the degradation contract. Never panics on lost pages, never silently
-/// drops what it could not certify.
+/// the degradation contract and [`ExecOptions`] for what `opts` may carry
+/// (a bare `&ExecutionBudget` converts). Never panics on lost pages, never
+/// silently drops what it could not certify.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Query`] for the same input validation as
-/// [`pyramid_top_k`](crate::engine::pyramid_top_k), and propagates archive
-/// errors that are *not* page losses (e.g. out-of-bounds reads, which are
-/// engine bugs rather than archive faults).
-pub fn resilient_top_k<S: CellSource>(
+/// [`pyramid_top_k`](crate::engine::pyramid_top_k) or a coarse grid whose
+/// arity does not match the model, and propagates archive errors that are
+/// *not* page losses (e.g. out-of-bounds reads, which are engine bugs
+/// rather than archive faults).
+pub fn resilient_top_k<'a, S: CellSource>(
     model: &LinearModel,
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    budget: &ExecutionBudget,
+    opts: impl Into<ExecOptions<'a>>,
 ) -> Result<ResilientTopK, CoreError> {
-    resilient_top_k_with_scratch(model, pyramids, k, source, budget, &mut QueryScratch::new())
-}
-
-/// [`resilient_top_k`] polling a [`CancelToken`] at every page-granular
-/// checkpoint. Cancellation is just another early stop: the run latches
-/// [`BudgetStop::Cancelled`] and degrades with sound bounds and
-/// completeness accounting, exactly like a budget or deadline stop. A
-/// token that is never cancelled changes nothing: results are
-/// bit-identical to [`resilient_top_k`].
-///
-/// # Errors
-///
-/// Same as [`resilient_top_k`].
-pub fn resilient_top_k_cancellable<S: CellSource>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    cancel: &CancelToken,
-) -> Result<ResilientTopK, CoreError> {
-    let opts = ExecOpts::new(budget).cancel(cancel);
-    resilient_top_k_inner(model, pyramids, k, source, opts, &mut QueryScratch::new())
-}
-
-/// [`resilient_top_k`] consulting a quantized [`CoarseGrid`] before each
-/// exact child bound: children whose i8 cell bound falls strictly below
-/// the current K-th floor are pruned without touching the per-attribute
-/// pyramids. The coarse pass is prune-only (see [`crate::coarse`]), so
-/// results, completeness, and skipped pages are bit-identical to
-/// [`resilient_top_k`] under any fault pattern.
-///
-/// A subtlety worth knowing: in *this* sequential engine the check is
-/// provably inert. The frontier pops in descending `ub` order, and an
-/// evaluated cell's `ub` is its exact score, so every evaluation that
-/// precedes a pop scored at least the popped `ub`; once `k` evaluations
-/// exist the floor therefore already dominates the popped bound and the
-/// engine breaks before expanding. This function exists as the oracle the
-/// parallel engines are tested against and for API parity — the pass
-/// earns its keep where a floor arrives from *outside* the local pop
-/// order: [`par_resilient_top_k_coarse`](crate::parallel) workers
-/// pruning against the shared bound, and sharded scatter-gather leaves
-/// pruning against an earlier shard's published floor.
-///
-/// # Errors
-///
-/// Same as [`resilient_top_k`], plus [`CoreError::Query`] when the coarse
-/// grid's arity does not match the model.
-pub fn resilient_top_k_coarse<S: CellSource>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    coarse: &CoarseGrid,
-) -> Result<ResilientTopK, CoreError> {
-    let opts = ExecOpts::new(budget).coarse(coarse);
-    resilient_top_k_inner(model, pyramids, k, source, opts, &mut QueryScratch::new())
-}
-
-/// [`resilient_top_k_coarse`] with descent buffers (including the
-/// prepared per-level coarse coefficients) reused from `scratch`.
-///
-/// # Errors
-///
-/// Same as [`resilient_top_k_coarse`].
-pub fn resilient_top_k_coarse_with_scratch<S: CellSource>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    coarse: &CoarseGrid,
-    scratch: &mut QueryScratch,
-) -> Result<ResilientTopK, CoreError> {
-    let opts = ExecOpts::new(budget).coarse(coarse);
-    resilient_top_k_inner(model, pyramids, k, source, opts, scratch)
-}
-
-/// [`resilient_top_k`] with descent buffers reused from `scratch` (see
-/// [`pyramid_top_k_with_scratch`](crate::engine::pyramid_top_k_with_scratch)).
-/// Results are bit-identical to [`resilient_top_k`].
-///
-/// # Errors
-///
-/// Same as [`resilient_top_k`].
-pub fn resilient_top_k_with_scratch<S: CellSource>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    budget: &ExecutionBudget,
-    scratch: &mut QueryScratch,
-) -> Result<ResilientTopK, CoreError> {
-    resilient_top_k_inner(model, pyramids, k, source, ExecOpts::new(budget), scratch)
+    let scratch = &mut QueryScratch::new();
+    resilient_top_k_inner(model, pyramids, k, source, opts.into(), scratch)
 }
 
 /// The sequential resilient configuration of the execution core
@@ -416,7 +412,7 @@ fn resilient_top_k_inner<S: CellSource>(
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
-    opts: ExecOpts<'_>,
+    opts: ExecOptions<'_>,
     scratch: &mut QueryScratch,
 ) -> Result<ResilientTopK, CoreError> {
     let ((rows, cols), _) = validate_grid_inputs(model, pyramids, k)?;
@@ -821,13 +817,12 @@ mod tests {
         let plain =
             resilient_top_k(&model, &pyramids, 5, &src, &ExecutionBudget::unlimited()).unwrap();
         let token = CancelToken::new();
-        let r = resilient_top_k_cancellable(
+        let r = resilient_top_k(
             &model,
             &pyramids,
             5,
             &src,
-            &ExecutionBudget::unlimited(),
-            &token,
+            ExecOptions::new(&ExecutionBudget::unlimited()).cancel(&token),
         )
         .unwrap();
         assert_eq!(r, plain, "live token is free");
@@ -844,13 +839,12 @@ mod tests {
             token: token.clone(),
             after: 3,
         };
-        let r = resilient_top_k_cancellable(
+        let r = resilient_top_k(
             &model,
             &pyramids,
             5,
             &src,
-            &ExecutionBudget::unlimited(),
-            &token,
+            ExecOptions::new(&ExecutionBudget::unlimited()).cancel(&token),
         )
         .unwrap();
         assert_eq!(r.budget_stop, Some(BudgetStop::Cancelled));
@@ -882,7 +876,14 @@ mod tests {
             .with_wall_deadline(Duration::ZERO);
         let token = CancelToken::new();
         token.cancel();
-        let r = resilient_top_k_cancellable(&model, &pyramids, 5, &src, &budget, &token).unwrap();
+        let r = resilient_top_k(
+            &model,
+            &pyramids,
+            5,
+            &src,
+            ExecOptions::new(&budget).cancel(&token),
+        )
+        .unwrap();
         assert_eq!(r.budget_stop, Some(BudgetStop::Cancelled));
         assert_eq!(r.completeness, 0.0, "nothing resolved before the stop");
         assert!(!r.results.is_empty(), "the frontier itself is reported");
@@ -909,8 +910,14 @@ mod tests {
         let budget = ExecutionBudget::unlimited();
         for k in [1usize, 5, 10] {
             let plain = resilient_top_k(&model, &pyramids, k, &src, &budget).unwrap();
-            let pruned =
-                resilient_top_k_coarse(&model, &pyramids, k, &src, &budget, &coarse).unwrap();
+            let pruned = resilient_top_k(
+                &model,
+                &pyramids,
+                k,
+                &src,
+                ExecOptions::new(&budget).coarse(&coarse),
+            )
+            .unwrap();
             assert_eq!(pruned.results, plain.results, "k={k}");
             assert_eq!(pruned.completeness, plain.completeness);
             assert_eq!(pruned.skipped_pages, plain.skipped_pages);
@@ -937,7 +944,14 @@ mod tests {
         let src = TileSource::new(&stores).unwrap();
         let budget = ExecutionBudget::unlimited();
         let plain = resilient_top_k(&model, &pyramids, 3, &src, &budget).unwrap();
-        let pruned = resilient_top_k_coarse(&model, &pyramids, 3, &src, &budget, &coarse).unwrap();
+        let pruned = resilient_top_k(
+            &model,
+            &pyramids,
+            3,
+            &src,
+            ExecOptions::new(&budget).coarse(&coarse),
+        )
+        .unwrap();
         assert!(plain.is_degraded(), "fault must actually degrade the run");
         assert_eq!(pruned.results, plain.results);
         assert_eq!(pruned.completeness, plain.completeness);
@@ -951,24 +965,22 @@ mod tests {
         let src = TileSource::new(&stores).unwrap();
         let budget = ExecutionBudget::unlimited();
         let mut scratch = QueryScratch::new();
-        resilient_top_k_coarse_with_scratch(
+        resilient_top_k_inner(
             &model,
             &pyramids,
             4,
             &src,
-            &budget,
-            &coarse,
+            ExecOptions::new(&budget).coarse(&coarse),
             &mut scratch,
         )
         .unwrap();
         let warmed = scratch.regrowths();
-        resilient_top_k_coarse_with_scratch(
+        resilient_top_k_inner(
             &model,
             &pyramids,
             4,
             &src,
-            &budget,
-            &coarse,
+            ExecOptions::new(&budget).coarse(&coarse),
             &mut scratch,
         )
         .unwrap();
@@ -981,13 +993,12 @@ mod tests {
         let narrow = CoarseGrid::build(&pyramids[..1]).unwrap();
         let src = TileSource::new(&stores).unwrap();
         assert!(matches!(
-            resilient_top_k_coarse(
+            resilient_top_k(
                 &model,
                 &pyramids,
                 3,
                 &src,
-                &ExecutionBudget::unlimited(),
-                &narrow
+                ExecOptions::new(&ExecutionBudget::unlimited()).coarse(&narrow)
             ),
             Err(CoreError::Query(_))
         ));

@@ -51,12 +51,12 @@
 
 use crate::batched::{descend, same_arity, with_pooled_scratch, Job, Tally};
 use crate::coarse::CoarseGrid;
-use crate::descent::{stop_code, Band, Budgeted, Clock, ExecOpts, Merge, Outcome};
+use crate::descent::{stop_code, Band, Budgeted, Clock, Merge, Outcome};
 use crate::engine::{validate_grid_inputs, EffortReport, Region};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
 use crate::parallel::{SharedBound, WorkerPool};
-use crate::resilient::{BudgetStop, ExecutionBudget, ResilientHit, WallDeadline};
+use crate::resilient::{BudgetStop, ExecOptions, ExecutionBudget, ResilientHit, WallDeadline};
 use crate::source::CellSource;
 use mbir_archive::shard::TopologyEpoch;
 use mbir_models::linear::LinearModel;
@@ -667,7 +667,7 @@ struct ScatterCtx<'a> {
     /// The wave's budget (soft deadline merged in for the primary wave,
     /// the caller's own for every later one) and the cancel token; each
     /// attempt adds its shard's coarse grid.
-    opts: ExecOpts<'a>,
+    opts: ExecOptions<'a>,
     deadline: &'a WallDeadline,
     /// One cross-shard bound per query, in batch order.
     bounds: &'a [SharedBound],
@@ -689,7 +689,7 @@ fn attempt<S: CellSource>(ctx: &ScatterCtx<'_>, shard: &ArchiveShard<'_, S>) -> 
         cols: ctx.cols,
         row_offset: shard.row_offset,
     };
-    let opts = ExecOpts {
+    let opts = ExecOptions {
         coarse: shard.coarse,
         ..ctx.opts
     };
@@ -775,49 +775,30 @@ fn solo(batch: BatchedShardedTopK) -> ShardedTopK {
 /// [`resilient_top_k`](crate::resilient::resilient_top_k) over the
 /// unsharded grid, at every shard count and thread count.
 ///
-/// The `budget` is enforced *per shard attempt*, each dimension measured
-/// against the attempt's own source clocks (wall-clock expiry is shared:
-/// one latch stops every shard at its next checkpoint).
+/// `opts` is an [`ExecOptions`] (a bare `&ExecutionBudget` converts). The
+/// budget is enforced *per shard attempt*, each dimension measured against
+/// the attempt's own source clocks (wall-clock expiry is shared: one latch
+/// stops every shard at its next checkpoint); a cancelled token stops
+/// every shard at its next checkpoint and the merged answer degrades with
+/// sound bounds. A coarse grid is per band: attach it with
+/// [`ArchiveShard::with_coarse`], not through `opts`.
 ///
 /// # Errors
 ///
 /// [`ShardError::Core`] for invalid inputs (any shard failing the same
-/// validation as the unsharded engines); [`ShardError::Insufficient`]
-/// when fewer shards respond than `policy.completion` requires.
-pub fn scatter_gather_top_k<S: CellSource + Sync>(
+/// validation as the unsharded engines, or `opts` carrying a coarse grid);
+/// [`ShardError::Insufficient`] when fewer shards respond than
+/// `policy.completion` requires.
+pub fn scatter_gather_top_k<'a, S: CellSource + Sync>(
     model: &LinearModel,
     archive: &ShardedArchive<'_, S>,
     k: usize,
-    budget: &ExecutionBudget,
+    opts: impl Into<ExecOptions<'a>>,
     policy: &ScatterPolicy,
     pool: &WorkerPool,
 ) -> Result<ShardedTopK, ShardError> {
     let models = std::slice::from_ref(model);
-    let opts = ExecOpts::new(budget);
-    scatter::<S, S>(models, archive, (&[], &[]), k, opts, policy, pool).map(solo)
-}
-
-/// [`scatter_gather_top_k`] polling a [`CancelToken`] at every shard's
-/// page-granular checkpoints. Cancellation stops every shard at its next
-/// checkpoint and the merged answer degrades with sound bounds, exactly
-/// like the unsharded cancellable engines. A token that is never
-/// cancelled changes nothing.
-///
-/// # Errors
-///
-/// Same as [`scatter_gather_top_k`].
-pub fn scatter_gather_top_k_cancellable<S: CellSource + Sync>(
-    model: &LinearModel,
-    archive: &ShardedArchive<'_, S>,
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: &CancelToken,
-    pool: &WorkerPool,
-) -> Result<ShardedTopK, ShardError> {
-    let models = std::slice::from_ref(model);
-    let opts = ExecOpts::new(budget).cancel(cancel);
-    scatter::<S, S>(models, archive, (&[], &[]), k, opts, policy, pool).map(solo)
+    scatter::<S, S>(models, archive, (&[], &[]), k, opts.into(), policy, pool).map(solo)
 }
 
 /// One migration group of a dual-read: the source shards whose rows are
@@ -923,28 +904,26 @@ fn validate_dual_groups<S: CellSource, D: CellSource>(
 /// failures appear in [`InsufficientShards::failed`], stamped with the
 /// source epoch.
 ///
+/// `migration` is the destination band copies with their groups, `opts`
+/// as in [`scatter_gather_top_k`].
+///
 /// # Errors
 ///
 /// [`ShardError::Core`] for invalid inputs or malformed groups;
 /// [`ShardError::Epoch`] when `policy` pins an epoch the archive does
 /// not serve; [`ShardError::Insufficient`] on a quorum miss after
 /// destination covers are credited.
-// The eight positional arguments are the public signature `tests/` and
-// `repro r9` call; everything behind it travels as one `ExecOpts`.
-#[allow(clippy::too_many_arguments)]
-pub fn scatter_gather_top_k_dual<S: CellSource + Sync, D: CellSource + Sync>(
+pub fn scatter_gather_top_k_dual<'a, S: CellSource + Sync, D: CellSource + Sync>(
     model: &LinearModel,
     archive: &ShardedArchive<'_, S>,
-    dest: &[ArchiveShard<'_, D>],
-    groups: &[DualReadGroup],
+    migration: (&[ArchiveShard<'_, D>], &[DualReadGroup]),
     k: usize,
-    budget: &ExecutionBudget,
+    opts: impl Into<ExecOptions<'a>>,
     policy: &ScatterPolicy,
     pool: &WorkerPool,
 ) -> Result<ShardedTopK, ShardError> {
     let models = std::slice::from_ref(model);
-    let opts = ExecOpts::new(budget);
-    scatter(models, archive, (dest, groups), k, opts, policy, pool).map(solo)
+    scatter(models, archive, migration, k, opts.into(), policy, pool).map(solo)
 }
 
 /// What one shard — or, during a dual-read cover, one migration group's
@@ -1035,7 +1014,7 @@ fn scatter<S: CellSource + Sync, D: CellSource + Sync>(
     archive: &ShardedArchive<'_, S>,
     (dest, groups): (&[ArchiveShard<'_, D>], &[DualReadGroup]),
     k: usize,
-    opts: ExecOpts<'_>,
+    opts: ExecOptions<'_>,
     policy: &ScatterPolicy,
     pool: &WorkerPool,
 ) -> Result<BatchedShardedTopK, ShardError> {
@@ -1047,6 +1026,14 @@ fn scatter<S: CellSource + Sync, D: CellSource + Sync>(
         ));
     }
     check_epoch_fence(policy, archive)?;
+    if opts.coarse.is_some() {
+        // Band pyramids need band grids; one grid cannot serve them all.
+        return Err(ShardError::Core(CoreError::Query(
+            "a coarse grid is per band: attach it with ArchiveShard::with_coarse, \
+             not ExecOptions::coarse"
+                .into(),
+        )));
+    }
     let shards = archive.shards();
     let cols = archive.shape().1;
     for shard in shards {
@@ -1085,7 +1072,7 @@ fn scatter<S: CellSource + Sync, D: CellSource + Sync>(
         bounds: &bounds,
     };
     let primary = ScatterCtx {
-        opts: ExecOpts {
+        opts: ExecOptions {
             budget: if soft_engaged {
                 &soft_budget
             } else {
@@ -1354,9 +1341,10 @@ impl BatchedShardedTopK {
 /// once per query. Per query, the pruning, quorum, hedging, and gather
 /// semantics are exactly those of [`scatter_gather_top_k`]; on a healthy
 /// archive each query's merged answer is result-identical to its solo
-/// scatter-gather run. The `budget` is enforced per shard attempt and is
-/// *batch-wide* within the attempt (summed multiply-adds, shared source
-/// clocks), like [`crate::batched::batched_top_k`].
+/// scatter-gather run. `opts` as in [`scatter_gather_top_k`]; the budget
+/// is enforced per shard attempt and is *batch-wide* within the attempt
+/// (summed multiply-adds, shared source clocks), like
+/// [`crate::batched::batched_top_k`].
 ///
 /// # Errors
 ///
@@ -1364,44 +1352,15 @@ impl BatchedShardedTopK {
 /// disagree on arity); [`ShardError::Insufficient`] when fewer shards
 /// respond than `policy.completion` requires — shard failure is physical,
 /// so the quorum verdict is shared by every query in the batch.
-pub fn batched_scatter_gather_top_k<S: CellSource + Sync>(
+pub fn batched_scatter_gather_top_k<'a, S: CellSource + Sync>(
     models: &[LinearModel],
     archive: &ShardedArchive<'_, S>,
     k: usize,
-    budget: &ExecutionBudget,
+    opts: impl Into<ExecOptions<'a>>,
     policy: &ScatterPolicy,
     pool: &WorkerPool,
 ) -> Result<BatchedShardedTopK, ShardError> {
-    scatter::<S, S>(
-        models,
-        archive,
-        (&[], &[]),
-        k,
-        ExecOpts::new(budget),
-        policy,
-        pool,
-    )
-}
-
-/// [`batched_scatter_gather_top_k`] polling a [`CancelToken`] at every
-/// shard's page-granular checkpoints. Cancellation stops every shard at
-/// its next checkpoint and every still-open query degrades with sound
-/// bounds.
-///
-/// # Errors
-///
-/// Same as [`batched_scatter_gather_top_k`].
-pub fn batched_scatter_gather_top_k_cancellable<S: CellSource + Sync>(
-    models: &[LinearModel],
-    archive: &ShardedArchive<'_, S>,
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: &CancelToken,
-    pool: &WorkerPool,
-) -> Result<BatchedShardedTopK, ShardError> {
-    let opts = ExecOpts::new(budget).cancel(cancel);
-    scatter::<S, S>(models, archive, (&[], &[]), k, opts, policy, pool)
+    scatter::<S, S>(models, archive, (&[], &[]), k, opts.into(), policy, pool)
 }
 
 #[cfg(test)]
@@ -1580,6 +1539,32 @@ mod tests {
             assert_eq!(pruned.skipped_pages, plain.skipped_pages);
             assert!(!pruned.is_degraded());
         }
+    }
+
+    #[test]
+    fn coarse_grid_in_the_options_is_rejected_not_dropped() {
+        let (model, global_pyramids, worlds) = sharded_world(2, 32, 32, 4, 2);
+        let global = CoarseGrid::build(&global_pyramids).unwrap();
+        let budget = ExecutionBudget::unlimited();
+        let opts = ExecOptions::new(&budget).coarse(&global);
+        let policy = ScatterPolicy::require_all();
+        let pool = WorkerPool::new(2);
+        with_archive(&worlds, |archive| {
+            let none: (&[ArchiveShard<'_, TileSource<'_>>], &[DualReadGroup]) = (&[], &[]);
+            let models = std::slice::from_ref(&model);
+            let errors = [
+                scatter_gather_top_k(&model, archive, 3, opts, &policy, &pool).unwrap_err(),
+                scatter_gather_top_k_dual(&model, archive, none, 3, opts, &policy, &pool)
+                    .unwrap_err(),
+                batched_scatter_gather_top_k(models, archive, 3, opts, &policy, &pool).unwrap_err(),
+            ];
+            for e in errors {
+                let ShardError::Core(CoreError::Query(msg)) = e else {
+                    panic!("expected a query error, got {e:?}");
+                };
+                assert!(msg.contains("ArchiveShard::with_coarse"), "{msg}");
+            }
+        });
     }
 
     fn pseudo_grid(seed: u64, rows: usize, cols: usize) -> Grid2<f64> {
@@ -1882,13 +1867,12 @@ mod tests {
             let mut outputs = Vec::new();
             for threads in [1usize, 2, 4, 8] {
                 let pool = WorkerPool::new(threads);
-                let r = scatter_gather_top_k_cancellable(
+                let r = scatter_gather_top_k(
                     &model,
                     archive,
                     3,
-                    &ExecutionBudget::unlimited(),
+                    ExecOptions::new(&ExecutionBudget::unlimited()).cancel(&token),
                     &ScatterPolicy::best_effort(),
-                    &token,
                     &pool,
                 )
                 .unwrap();
@@ -2282,13 +2266,12 @@ mod tests {
         with_archive(&worlds, |archive| {
             let token = CancelToken::new();
             token.cancel();
-            let batch = batched_scatter_gather_top_k_cancellable(
+            let batch = batched_scatter_gather_top_k(
                 &models,
                 archive,
                 3,
-                &ExecutionBudget::unlimited(),
+                ExecOptions::new(&ExecutionBudget::unlimited()).cancel(&token),
                 &ScatterPolicy::best_effort(),
-                &token,
                 &WorkerPool::new(2),
             )
             .unwrap();

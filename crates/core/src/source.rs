@@ -23,6 +23,8 @@
 
 use crate::error::CoreError;
 use mbir_archive::error::ArchiveError;
+use mbir_archive::extent::CellCoord;
+use mbir_archive::stats::AccessStats;
 use mbir_archive::tile::TileStore;
 use mbir_progressive::pyramid::AggregatePyramid;
 use std::collections::HashMap;
@@ -87,7 +89,7 @@ impl CellSource for PyramidSource<'_> {
 /// All stores must share the base shape and tile size, so a page index
 /// means the same region in every attribute. Budget accounting
 /// (`pages_read`, `ticks_elapsed`) is taken from the **first** store's
-/// stats handle; share one [`AccessStats`](mbir_archive::stats::AccessStats)
+/// stats handle; share one [`AccessStats`]
 /// across the stores (via [`TileStore::with_stats`]) when aggregate
 /// accounting across attributes is wanted.
 #[derive(Debug)]
@@ -106,15 +108,10 @@ impl<'a> TileSource<'a> {
         let first = stores
             .first()
             .ok_or_else(|| CoreError::Query("no tile stores supplied".into()))?;
-        for s in &stores[1..] {
-            if s.rows() != first.rows()
-                || s.cols() != first.cols()
-                || s.tile_size() != first.tile_size()
-            {
-                return Err(CoreError::Query(
-                    "tile stores must share shape and tile size".into(),
-                ));
-            }
+        if !same_layout(first, stores) {
+            return Err(CoreError::Query(
+                "tile stores must share shape and tile size".into(),
+            ));
         }
         Ok(TileSource { stores })
     }
@@ -144,33 +141,48 @@ pub trait QuarantineScrub {
     fn quarantined_pages(&self) -> u64;
 }
 
+/// Whether every store has `reference`'s shape and tile size, so a page
+/// index means the same region in each of them.
+pub(crate) fn same_layout(reference: &TileStore, stores: &[TileStore]) -> bool {
+    stores.iter().all(|s| {
+        s.rows() == reference.rows()
+            && s.cols() == reference.cols()
+            && s.tile_size() == reference.tile_size()
+    })
+}
+
+/// [`QuarantineScrub::clear_quarantine`] over a source's stores.
+pub(crate) fn clear_quarantine_of<'s>(stores: impl IntoIterator<Item = &'s TileStore>) {
+    for store in stores {
+        store.clear_quarantine();
+    }
+}
+
+/// [`QuarantineScrub::quarantined_pages`] over a source's stores.
+pub(crate) fn quarantined_pages_of<'s>(stores: impl IntoIterator<Item = &'s TileStore>) -> u64 {
+    stores
+        .into_iter()
+        .map(|s| s.quarantined_pages().count() as u64)
+        .sum()
+}
+
 impl QuarantineScrub for TileSource<'_> {
     fn clear_quarantine(&self) {
-        for store in self.stores {
-            store.clear_quarantine();
-        }
+        clear_quarantine_of(self.stores);
     }
 
     fn quarantined_pages(&self) -> u64 {
-        self.stores
-            .iter()
-            .map(|s| s.quarantined_pages().count() as u64)
-            .sum()
+        quarantined_pages_of(self.stores)
     }
 }
 
 impl QuarantineScrub for CachedTileSource<'_> {
     fn clear_quarantine(&self) {
-        for store in self.stores {
-            store.clear_quarantine();
-        }
+        clear_quarantine_of(self.stores);
     }
 
     fn quarantined_pages(&self) -> u64 {
-        self.stores
-            .iter()
-            .map(|s| s.quarantined_pages().count() as u64)
-            .sum()
+        quarantined_pages_of(self.stores)
     }
 }
 
@@ -194,12 +206,38 @@ impl CellSource for TileSource<'_> {
 
 /// One cached page: every attribute's values over the page's cell extent.
 #[derive(Debug)]
-struct PageBlock {
+pub(crate) struct PageBlock {
     r0: usize,
     c0: usize,
     width: usize,
     /// `values[attr][(row - r0) * width + (col - c0)]`.
     values: Vec<Vec<f64>>,
+}
+
+impl PageBlock {
+    /// Materializes `page` of every attribute store, `read` fetching one
+    /// store's payload (and deciding what a bad one costs).
+    pub(crate) fn assemble(
+        stores: &[TileStore],
+        page: usize,
+        read: impl Fn(&TileStore) -> Result<Vec<(CellCoord, f64)>, ArchiveError>,
+    ) -> Result<Self, ArchiveError> {
+        let (r0, c0, _r1, c1) = stores[0].page_extent(page)?;
+        let mut values = Vec::with_capacity(stores.len());
+        for store in stores {
+            values.push(read(store)?.into_iter().map(|(_, v)| v).collect());
+        }
+        Ok(PageBlock {
+            r0,
+            c0,
+            width: c1 - c0,
+            values,
+        })
+    }
+
+    fn cell(&self, attr: usize, row: usize, col: usize) -> f64 {
+        self.values[attr][(row - self.r0) * self.width + (col - self.c0)]
+    }
 }
 
 #[derive(Debug)]
@@ -214,15 +252,186 @@ enum Slot {
 struct CacheState {
     slots: HashMap<usize, Slot>,
     clock: u64,
-    /// Bumped by [`CachedTileSource::advance_epoch`]. Loads that straddle
-    /// an advance are served to their caller but never inserted, so a
-    /// block materialized against a pre-advance view cannot shadow the
+    /// Bumped by [`PageCache::advance_epoch`]. Loads that straddle an
+    /// advance are served to their caller but never inserted, so a block
+    /// materialized against a pre-advance view cannot shadow the
     /// post-advance contents of a dirtied page.
     epoch: u64,
     /// Smallest `first_dirty_page` across all epoch advances — the
     /// original high-water mark. Materializations at or past it are
     /// append-side reads and counted as `appended_pages_seen`.
     appended_from: Option<usize>,
+}
+
+/// The shared LRU page cache behind [`CachedTileSource`] and
+/// [`ReplicatedSource`](crate::replica::ReplicatedSource): safe for
+/// concurrent readers, in-flight loads dedup'd through a condvar, epoch
+/// advances dropping the dirtied tail. What a miss *does* is the caller's
+/// loader — retry in place for one store set, fail over and hedge across
+/// replicas — and the counters land on the caller's
+/// [`AccessStats`].
+#[derive(Debug)]
+pub(crate) struct PageCache {
+    capacity: usize,
+    state: Mutex<CacheState>,
+    loaded: Condvar,
+}
+
+impl PageCache {
+    /// An empty cache of `capacity` pages (clamped to at least 1).
+    pub(crate) fn new(capacity: usize) -> Self {
+        PageCache {
+            capacity: capacity.max(1),
+            state: Mutex::new(CacheState::default()),
+            loaded: Condvar::new(),
+        }
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Number of epoch advances this cache has observed.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.state.lock().expect("cache lock").epoch
+    }
+
+    /// Drops every resident page at or past `first_dirty_page` and demotes
+    /// any load currently in flight to serve-without-caching (its block is
+    /// being materialized against the pre-advance view). Returns the
+    /// number of resident pages dropped, also recorded on `stats` as
+    /// `cache_invalidations`.
+    pub(crate) fn advance_epoch(&self, first_dirty_page: usize, stats: &AccessStats) -> usize {
+        let mut state = self.state.lock().expect("cache lock");
+        state.epoch += 1;
+        state.appended_from = Some(match state.appended_from {
+            Some(prev) => prev.min(first_dirty_page),
+            None => first_dirty_page,
+        });
+        let before = state.slots.len();
+        // Loading markers stay: their readers hold no block yet.
+        state
+            .slots
+            .retain(|&page, slot| page < first_dirty_page || matches!(slot, Slot::Loading));
+        let dropped = before - state.slots.len();
+        if dropped > 0 {
+            stats.record_cache_invalidations(dropped as u64);
+        }
+        dropped
+    }
+
+    /// Returns the cached page, materializing it through `load` on a miss.
+    /// Blocks while another thread is materializing the same page. `load`
+    /// runs *without* the cache lock — page reads may retry, back off, or
+    /// fail over, and other pages' readers must not wait on that — and a
+    /// failed load is never cached, so a later read attempts the page
+    /// again (transient faults heal, breakers cool down).
+    fn fetch(
+        &self,
+        page: usize,
+        stats: &AccessStats,
+        load: impl FnOnce() -> Result<PageBlock, ArchiveError>,
+    ) -> Result<Arc<PageBlock>, ArchiveError> {
+        let mut guard = self.state.lock().expect("cache lock");
+        // Whether this lookup observed another reader materializing the
+        // page and parked on the condvar — counted once per lookup, not
+        // once per spurious wakeup.
+        let mut deduped = false;
+        loop {
+            let state = &mut *guard;
+            match state.slots.get_mut(&page) {
+                Some(Slot::Ready { block, recency }) => {
+                    state.clock += 1;
+                    *recency = state.clock;
+                    stats.record_cache_hits(1);
+                    if deduped {
+                        stats.record_cache_dedup_waits(1);
+                    }
+                    return Ok(Arc::clone(block));
+                }
+                Some(Slot::Loading) => {
+                    deduped = true;
+                    guard = self.loaded.wait(guard).expect("cache lock");
+                }
+                None => {
+                    state.slots.insert(page, Slot::Loading);
+                    stats.record_cache_misses(1);
+                    if state.appended_from.is_some_and(|from| page >= from) {
+                        stats.record_appended_pages_seen(1);
+                    }
+                    break;
+                }
+            }
+        }
+        let epoch_at_load = guard.epoch;
+        drop(guard);
+        let loaded = load().map(Arc::new);
+        let mut state = self.state.lock().expect("cache lock");
+        match &loaded {
+            Ok(block) if state.epoch == epoch_at_load => {
+                state.clock += 1;
+                let recency = state.clock;
+                let block = Arc::clone(block);
+                state.slots.insert(page, Slot::Ready { block, recency });
+                self.evict_excess(&mut state);
+            }
+            // A failure, or an epoch advance landed while this page was in
+            // flight (the block reflects the pre-advance view: serve it to
+            // the caller that started the read but do not cache it). Clear
+            // the Loading marker so later readers re-materialize.
+            _ => {
+                state.slots.remove(&page);
+            }
+        }
+        self.loaded.notify_all();
+        loaded
+    }
+
+    /// Drops least-recently-used ready pages until at most `capacity`
+    /// remain. Loading slots are never evicted (their readers hold no
+    /// block yet).
+    fn evict_excess(&self, state: &mut CacheState) {
+        loop {
+            let mut ready = 0usize;
+            let mut victim: Option<(u64, usize)> = None;
+            for (&page, slot) in &state.slots {
+                if let Slot::Ready { recency, .. } = slot {
+                    ready += 1;
+                    if victim.is_none_or(|(r, _)| *recency < r) {
+                        victim = Some((*recency, page));
+                    }
+                }
+            }
+            if ready <= self.capacity {
+                return;
+            }
+            let Some((_, page)) = victim else { return };
+            state.slots.remove(&page);
+        }
+    }
+
+    /// Base cell `(row, col)` of attribute `attr` through the cache, with
+    /// the bounds and page geometry of `reference` (any one store).
+    pub(crate) fn cell(
+        &self,
+        reference: &TileStore,
+        attr: usize,
+        row: usize,
+        col: usize,
+        load: impl FnOnce(usize) -> Result<PageBlock, ArchiveError>,
+    ) -> Result<f64, ArchiveError> {
+        if row >= reference.rows() || col >= reference.cols() {
+            return Err(ArchiveError::OutOfBounds {
+                row,
+                col,
+                rows: reference.rows(),
+                cols: reference.cols(),
+            });
+        }
+        let page = reference.page_of(row, col);
+        let block = self.fetch(page, reference.stats(), || load(page))?;
+        Ok(block.cell(attr, row, col))
+    }
 }
 
 /// A [`TileSource`] behind a small shared LRU page cache.
@@ -232,7 +441,7 @@ struct CacheState {
 /// and *dedups in-flight reads*: while one thread materializes a page,
 /// others asking for it block on a condvar instead of re-reading it from
 /// the stores. Hits and misses are counted on the first store's
-/// [`AccessStats`](mbir_archive::stats::AccessStats) (see
+/// [`AccessStats`] (see
 /// [`cache_hit_rate`](mbir_archive::stats::AccessStats::cache_hit_rate));
 /// budget accounting (`pages_read`, `ticks_elapsed`) keeps reflecting the
 /// backing stores, so cache hits are free I/O — exactly the effect the
@@ -249,9 +458,7 @@ struct CacheState {
 #[derive(Debug)]
 pub struct CachedTileSource<'a> {
     stores: &'a [TileStore],
-    capacity: usize,
-    state: Mutex<CacheState>,
-    loaded: Condvar,
+    cache: PageCache,
 }
 
 impl<'a> CachedTileSource<'a> {
@@ -267,9 +474,7 @@ impl<'a> CachedTileSource<'a> {
         TileSource::new(stores)?;
         Ok(CachedTileSource {
             stores,
-            capacity: capacity.max(1),
-            state: Mutex::new(CacheState::default()),
-            loaded: Condvar::new(),
+            cache: PageCache::new(capacity),
         })
     }
 
@@ -280,12 +485,12 @@ impl<'a> CachedTileSource<'a> {
 
     /// Maximum number of resident pages.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.cache.capacity()
     }
 
     /// Number of epoch advances this cache has observed.
     pub fn epoch(&self) -> u64 {
-        self.state.lock().expect("cache lock").epoch
+        self.cache.epoch()
     }
 
     /// Publishes a snapshot-epoch advance to the cache: every cached page
@@ -300,169 +505,18 @@ impl<'a> CachedTileSource<'a> {
     /// boundary are immutable and stay cached; only the append frontier
     /// (and, after crash recovery, any truncated tail) is invalidated.
     pub fn advance_epoch(&self, first_dirty_page: usize) -> usize {
-        let mut state = self.state.lock().expect("cache lock");
-        state.epoch += 1;
-        state.appended_from = Some(match state.appended_from {
-            Some(prev) => prev.min(first_dirty_page),
-            None => first_dirty_page,
-        });
-        let stale: Vec<usize> = state
-            .slots
-            .iter()
-            .filter(|(&page, slot)| page >= first_dirty_page && matches!(slot, Slot::Ready { .. }))
-            .map(|(&page, _)| page)
-            .collect();
-        for &page in &stale {
-            state.slots.remove(&page);
-        }
-        if !stale.is_empty() {
-            self.stores[0]
-                .stats()
-                .record_cache_invalidations(stale.len() as u64);
-        }
-        stale.len()
-    }
-
-    /// Returns the cached page, materializing it (all attributes) on a
-    /// miss. Blocks while another thread is materializing the same page.
-    fn fetch_page(&self, page: usize) -> Result<Arc<PageBlock>, ArchiveError> {
-        let stats = self.stores[0].stats();
-        let mut state = self.state.lock().expect("cache lock");
-        // Whether this lookup observed another reader materializing the
-        // page and parked on the condvar — counted once per lookup, not
-        // once per spurious wakeup.
-        let mut deduped = false;
-        loop {
-            match state.slots.get(&page) {
-                Some(Slot::Ready { .. }) => {
-                    state.clock += 1;
-                    let clock = state.clock;
-                    let Some(Slot::Ready { block, recency }) = state.slots.get_mut(&page) else {
-                        unreachable!("slot was just observed ready");
-                    };
-                    *recency = clock;
-                    let block = Arc::clone(block);
-                    stats.record_cache_hits(1);
-                    if deduped {
-                        stats.record_cache_dedup_waits(1);
-                    }
-                    return Ok(block);
-                }
-                Some(Slot::Loading) => {
-                    deduped = true;
-                    state = self.loaded.wait(state).expect("cache lock");
-                }
-                None => {
-                    state.slots.insert(page, Slot::Loading);
-                    stats.record_cache_misses(1);
-                    if state.appended_from.is_some_and(|from| page >= from) {
-                        stats.record_appended_pages_seen(1);
-                    }
-                    break;
-                }
-            }
-        }
-        let epoch_at_load = state.epoch;
-        drop(state);
-        // Read from the stores *without* holding the cache lock: page
-        // reads may retry, back off, or block on the stores' own fault
-        // state, and other pages' readers must not wait on that.
-        let loaded = self.load_page(page);
-        let mut state = self.state.lock().expect("cache lock");
-        match loaded {
-            Ok(block) => {
-                let block = Arc::new(block);
-                if state.epoch == epoch_at_load {
-                    state.clock += 1;
-                    let recency = state.clock;
-                    state.slots.insert(
-                        page,
-                        Slot::Ready {
-                            block: Arc::clone(&block),
-                            recency,
-                        },
-                    );
-                    self.evict_excess(&mut state);
-                } else {
-                    // An epoch advance landed while this page was in
-                    // flight: the block reflects the pre-advance view, so
-                    // serve it to the caller that started the read but do
-                    // not cache it. Later readers re-materialize.
-                    state.slots.remove(&page);
-                }
-                self.loaded.notify_all();
-                Ok(block)
-            }
-            Err(e) => {
-                // Failures are not cached: clear the Loading marker so a
-                // later read retries the page (transient faults heal).
-                state.slots.remove(&page);
-                self.loaded.notify_all();
-                Err(e)
-            }
-        }
-    }
-
-    fn load_page(&self, page: usize) -> Result<PageBlock, ArchiveError> {
-        let (r0, c0, _r1, c1) = self.stores[0].page_extent(page)?;
-        let width = c1 - c0;
-        let mut values = Vec::with_capacity(self.stores.len());
-        for store in self.stores {
-            // Verified read: corrupt payloads error out (and are therefore
-            // never cached) instead of poisoning the LRU.
-            let tuples = store.read_page_verified(page)?;
-            values.push(tuples.into_iter().map(|(_, v)| v).collect());
-        }
-        Ok(PageBlock {
-            r0,
-            c0,
-            width,
-            values,
-        })
-    }
-
-    /// Drops least-recently-used ready pages until at most `capacity`
-    /// remain. Loading slots are never evicted (their readers hold no
-    /// block yet).
-    fn evict_excess(&self, state: &mut CacheState) {
-        loop {
-            let mut ready = 0usize;
-            let mut victim: Option<(u64, usize)> = None;
-            for (&page, slot) in &state.slots {
-                if let Slot::Ready { recency, .. } = slot {
-                    ready += 1;
-                    let older = match victim {
-                        None => true,
-                        Some((r, _)) => *recency < r,
-                    };
-                    if older {
-                        victim = Some((*recency, page));
-                    }
-                }
-            }
-            if ready <= self.capacity {
-                return;
-            }
-            let Some((_, page)) = victim else { return };
-            state.slots.remove(&page);
-        }
+        self.cache
+            .advance_epoch(first_dirty_page, self.stores[0].stats())
     }
 }
 
 impl CellSource for CachedTileSource<'_> {
     fn base_cell(&self, attr: usize, row: usize, col: usize) -> Result<f64, ArchiveError> {
-        let store = &self.stores[0];
-        if row >= store.rows() || col >= store.cols() {
-            return Err(ArchiveError::OutOfBounds {
-                row,
-                col,
-                rows: store.rows(),
-                cols: store.cols(),
-            });
-        }
-        let page = store.page_of(row, col);
-        let block = self.fetch_page(page)?;
-        Ok(block.values[attr][(row - block.r0) * block.width + (col - block.c0)])
+        // Verified reads: a corrupt payload errors out (and is therefore
+        // never cached) instead of poisoning the LRU.
+        self.cache.cell(&self.stores[0], attr, row, col, |page| {
+            PageBlock::assemble(self.stores, page, |store| store.read_page_verified(page))
+        })
     }
 
     fn page_of(&self, row: usize, col: usize) -> Option<usize> {
@@ -482,7 +536,6 @@ impl CellSource for CachedTileSource<'_> {
 mod tests {
     use super::*;
     use mbir_archive::grid::Grid2;
-    use mbir_archive::stats::AccessStats;
 
     fn grid(seed: u64) -> Grid2<f64> {
         Grid2::from_fn(8, 8, |r, c| (seed as f64) + (r * 8 + c) as f64)
@@ -707,12 +760,13 @@ mod tests {
         let src = CachedTileSource::new(&stores, 4).unwrap();
         // Mark page 0 as in flight, exactly as fetch_page does before it
         // releases the lock to read the stores.
-        src.state.lock().unwrap().slots.insert(0, Slot::Loading);
+        let cache = &src.cache.state;
+        cache.lock().unwrap().slots.insert(0, Slot::Loading);
         // The advance must not drop the Loading marker (its readers hold
         // no block yet) and must not count it as an invalidation...
         assert_eq!(src.advance_epoch(0), 0);
         assert_eq!(stats.cache_invalidations(), 0);
-        let st = src.state.lock().unwrap();
+        let st = cache.lock().unwrap();
         assert!(matches!(st.slots.get(&0), Some(Slot::Loading)));
         // ...but the epoch bump demotes the straddling load: fetch_page
         // compares its pre-load epoch on completion and skips the insert.

@@ -18,9 +18,7 @@ use mbir::core::engine::pyramid_top_k;
 use mbir::core::lifecycle::CancelToken;
 use mbir::core::parallel::{par_resilient_top_k, WorkerPool};
 use mbir::core::replica::{ReplicaConfig, ReplicatedSource};
-use mbir::core::resilient::{
-    resilient_top_k, resilient_top_k_cancellable, BudgetStop, ExecutionBudget,
-};
+use mbir::core::resilient::{resilient_top_k, BudgetStop, ExecOptions, ExecutionBudget};
 use mbir::core::source::{CachedTileSource, CellSource};
 use mbir::models::linear::LinearModel;
 use mbir::progressive::pyramid::AggregatePyramid;
@@ -283,8 +281,9 @@ proptest! {
         let inner = CachedTileSource::new(&stores, 8).unwrap();
         let token = CancelToken::new();
         let src = CancelAfterPages { inner: &inner, token: token.clone(), after: cancel_after };
-        let r = resilient_top_k_cancellable(
-            &model, &pyramids, k, &src, &ExecutionBudget::unlimited(), &token,
+        let budget = ExecutionBudget::unlimited();
+        let r = resilient_top_k(
+            &model, &pyramids, k, &src, ExecOptions::new(&budget).cancel(&token),
         )
         .unwrap();
 

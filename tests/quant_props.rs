@@ -18,8 +18,8 @@
 //!   and never break bit-identity; at worst they disable pruning.
 
 use mbir::core::coarse::CoarseGrid;
-use mbir::core::parallel::{par_resilient_top_k_coarse, WorkerPool};
-use mbir::core::resilient::{resilient_top_k, resilient_top_k_coarse, ExecutionBudget};
+use mbir::core::parallel::{par_resilient_top_k, WorkerPool};
+use mbir::core::resilient::{resilient_top_k, ExecOptions, ExecutionBudget};
 use mbir::core::source::TileSource;
 use mbir::index::onion::OnionIndex;
 use mbir::index::quant::QuantizedStore;
@@ -193,15 +193,28 @@ fn core_coarse_engines_match_plain_at_every_thread_count() {
     let budget = ExecutionBudget::unlimited();
     for k in [1usize, 7, 12] {
         let plain = resilient_top_k(&model, &pyramids, k, &src, &budget).unwrap();
-        let seq = resilient_top_k_coarse(&model, &pyramids, k, &src, &budget, &coarse).unwrap();
+        let seq = resilient_top_k(
+            &model,
+            &pyramids,
+            k,
+            &src,
+            ExecOptions::new(&budget).coarse(&coarse),
+        )
+        .unwrap();
         assert_eq!(seq.results, plain.results, "sequential, k={k}");
         assert_eq!(seq.completeness, plain.completeness);
         assert_eq!(seq.skipped_pages, plain.skipped_pages);
         for threads in [1usize, 2, 4, 8] {
             let pool = WorkerPool::new(threads);
-            let par =
-                par_resilient_top_k_coarse(&model, &pyramids, k, &src, &budget, &coarse, &pool)
-                    .unwrap();
+            let par = par_resilient_top_k(
+                &model,
+                &pyramids,
+                k,
+                &src,
+                ExecOptions::new(&budget).coarse(&coarse),
+                &pool,
+            )
+            .unwrap();
             assert_eq!(par.results, plain.results, "threads={threads}, k={k}");
             assert_eq!(par.completeness, plain.completeness);
             assert_eq!(par.skipped_pages, plain.skipped_pages);
@@ -233,14 +246,28 @@ fn core_coarse_engines_match_plain_under_faults() {
     let budget = ExecutionBudget::unlimited();
     let plain = resilient_top_k(&model, &pyramids, 5, &src, &budget).unwrap();
     assert!(plain.is_degraded(), "fault must actually degrade the run");
-    let seq = resilient_top_k_coarse(&model, &pyramids, 5, &src, &budget, &coarse).unwrap();
+    let seq = resilient_top_k(
+        &model,
+        &pyramids,
+        5,
+        &src,
+        ExecOptions::new(&budget).coarse(&coarse),
+    )
+    .unwrap();
     assert_eq!(seq.results, plain.results);
     assert_eq!(seq.completeness, plain.completeness);
     assert_eq!(seq.skipped_pages, plain.skipped_pages);
     for threads in [1usize, 2, 4, 8] {
         let pool = WorkerPool::new(threads);
-        let par = par_resilient_top_k_coarse(&model, &pyramids, 5, &src, &budget, &coarse, &pool)
-            .unwrap();
+        let par = par_resilient_top_k(
+            &model,
+            &pyramids,
+            5,
+            &src,
+            ExecOptions::new(&budget).coarse(&coarse),
+            &pool,
+        )
+        .unwrap();
         assert_eq!(par.results, plain.results, "threads={threads}");
         assert_eq!(par.completeness, plain.completeness);
         assert_eq!(par.skipped_pages, plain.skipped_pages);

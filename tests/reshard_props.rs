@@ -350,7 +350,7 @@ proptest! {
             .map(|(b, src)| ArchiveShard::new(b.pyramids(), src, b.row_offset()))
             .collect();
         let dual = scatter_gather_top_k_dual(
-            &model, &archive, &dest_handles, &groups, k, &budget,
+            &model, &archive, (&dest_handles, &groups), k, &budget,
             &ScatterPolicy::require_all(), &pool,
         ).unwrap();
         prop_assert_eq!(&dual.results, &reference.results, "healthy dual-read must be invisible");
@@ -383,7 +383,7 @@ proptest! {
             .collect();
         let killed_archive = ShardedArchive::new(killed_handles).unwrap();
         let covered = scatter_gather_top_k_dual(
-            &model, &killed_archive, &dest_handles, &groups, k, &budget,
+            &model, &killed_archive, (&dest_handles, &groups), k, &budget,
             &ScatterPolicy::best_effort(), &pool,
         ).unwrap();
         prop_assert_eq!(
@@ -414,7 +414,7 @@ proptest! {
             .map(|(b, src)| ArchiveShard::new(b.pyramids(), src, b.row_offset()))
             .collect();
         let both = scatter_gather_top_k_dual(
-            &model, &killed_archive, &dead_dest_handles, &groups, k, &budget,
+            &model, &killed_archive, (&dead_dest_handles, &groups), k, &budget,
             &ScatterPolicy::best_effort(), &pool,
         ).unwrap();
         for hit in &both.results {
