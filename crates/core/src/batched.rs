@@ -53,19 +53,19 @@ use crate::descent::{
     finish, interleave, read_cell, seed_root, Budgeted, Cell, Clock, Env, Fetch, Floor, Lane,
     Local, Outcome, Pressure, Scorer,
 };
-use crate::engine::{validate_grid_inputs, Region};
+use crate::engine::{pack_coords, validate_grid_inputs, Region};
 use crate::error::CoreError;
 use crate::resilient::{ExecOptions, ResilientTopK, WallDeadline};
 use crate::source::CellSource;
 use mbir_archive::extent::CellCoord;
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative hasher for the memo tables, whose keys are already
-/// well-packed `u64`s ([`region_key`] / [`cell_key`]): one Fibonacci
+/// well-packed `u64`s ([`pack_coords`] / [`cell_key`]): one Fibonacci
 /// multiply plus an xor-shift replaces SipHash on the descent's hottest
 /// path. Not DoS-resistant — keys come from the pyramid geometry, never
 /// from untrusted input.
@@ -93,39 +93,14 @@ type MemoMap<V> = HashMap<u64, V, BuildHasherDefault<FastU64Hasher>>;
 /// One `(query, region)` frontier entry of the shared batched descent.
 ///
 /// The order is the per-query [`Region`] order — upper bound first, then
-/// smaller (level, row, col) pops first — with the query index as the
-/// final cross-query tiebreak, so restricted to any one query the pop
-/// sequence is exactly the solo frontier's, and the interleaving of
-/// queries is deterministic.
-#[derive(Debug, Clone, Copy)]
+/// smaller (level, row, col) pops first — with the query index (smaller
+/// first) as the final cross-query tiebreak, so restricted to any one
+/// query the pop sequence is exactly the solo frontier's, and the
+/// interleaving of queries is deterministic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct BatchEntry {
-    pub(crate) ub: f64,
-    pub(crate) level: u32,
-    pub(crate) row: u32,
-    pub(crate) col: u32,
-    pub(crate) q: u32,
-}
-
-impl PartialEq for BatchEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-impl Eq for BatchEntry {}
-impl PartialOrd for BatchEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for BatchEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.ub
-            .total_cmp(&other.ub)
-            .then_with(|| other.level.cmp(&self.level))
-            .then_with(|| other.row.cmp(&self.row))
-            .then_with(|| other.col.cmp(&self.col))
-            .then_with(|| other.q.cmp(&self.q))
-    }
+    region: Region,
+    q: Reverse<usize>,
 }
 
 /// Memoized verdict of one base-cell read, shared across the batch.
@@ -135,11 +110,6 @@ enum CellSlot {
     Loaded(usize),
     /// The read failed on this page (lost-page semantics).
     Lost(usize),
-}
-
-fn region_key(level: usize, row: usize, col: usize) -> u64 {
-    debug_assert!(row < (1 << 26) && col < (1 << 26) && level < (1 << 12));
-    ((level as u64) << 52) | ((row as u64) << 26) | col as u64
 }
 
 fn cell_key(row: u32, col: u32) -> u64 {
@@ -271,11 +241,13 @@ const SELECTOR_SCAN_MAX: usize = 64;
 #[derive(Debug)]
 pub(crate) enum Selector {
     /// Contiguous mirror of each armed query's frontier top plus a
-    /// validity bitmask (batch width ≤ 64). `keys[q]` is the top's upper
-    /// bound mapped through the IEEE total-order bijection (clamped away
-    /// from the 0 = disarmed sentinel), so `next` is a branch-predictable
-    /// integer argmax over one dense array; the full `(ub, level, row,
-    /// col, q)` comparator runs only on the rare exact key tie.
+    /// validity bitmask (batch width ≤ 64). `keys[q]` is the top's
+    /// [`Region::ub_key`] (clamped away from the 0 = disarmed sentinel,
+    /// which only merges the two bottommost bit patterns — negative
+    /// quiet-NaN payloads — that the tie path re-orders exactly), so
+    /// `next` is a branch-predictable integer argmax over one dense
+    /// array; the full `(ub, level, row, col, q)` order runs only on the
+    /// rare exact key tie.
     Scan {
         tops: Vec<Region>,
         keys: Vec<u64>,
@@ -293,29 +265,11 @@ pub(crate) enum Selector {
     Heap(BinaryHeap<BatchEntry>),
 }
 
-/// The IEEE-754 total-order bijection `f64` → `u64`: `ub_key(a) >
-/// ub_key(b)` ⇔ `a.total_cmp(&b).is_gt()`. Clamped to ≥ 1 so 0 can mean
-/// "disarmed"; the clamp only merges the two bottommost bit patterns
-/// (negative quiet-NaN payloads), which the tie path re-orders exactly.
-#[inline]
-fn ub_key(x: f64) -> u64 {
-    let b = x.to_bits();
-    (b ^ ((((b as i64) >> 63) as u64) | 0x8000_0000_0000_0000)).max(1)
-}
-
 impl Selector {
     pub(crate) fn for_width(m: usize) -> Self {
         if m <= SELECTOR_SCAN_MAX {
             Selector::Scan {
-                tops: vec![
-                    Region {
-                        ub: 0.0,
-                        level: 0,
-                        row: 0,
-                        col: 0,
-                    };
-                    m
-                ],
+                tops: vec![Region::new(0.0, (0, 0, 0)); m],
                 keys: vec![0; m],
                 mask: 0,
                 serial: false,
@@ -340,7 +294,7 @@ impl Selector {
                 Some(_) if *serial => *mask |= 1 << q,
                 Some(r) => {
                     tops[q] = *r;
-                    keys[q] = ub_key(r.ub);
+                    keys[q] = r.ub_key().max(1);
                     *mask |= 1 << q;
                 }
                 None => {
@@ -351,11 +305,8 @@ impl Selector {
             Selector::Heap(h) => {
                 if let Some(r) = top {
                     h.push(BatchEntry {
-                        ub: r.ub,
-                        level: r.level as u32,
-                        row: r.row as u32,
-                        col: r.col as u32,
-                        q: q as u32,
+                        region: *r,
+                        q: Reverse(q),
                     });
                 }
             }
@@ -374,14 +325,7 @@ impl Selector {
         while rest != 0 {
             let q = rest.trailing_zeros() as usize;
             rest &= rest - 1;
-            let (r, b) = (&tops[q], &tops[best]);
-            if r.ub
-                .total_cmp(&b.ub)
-                .then_with(|| b.level.cmp(&r.level))
-                .then_with(|| b.row.cmp(&r.row))
-                .then_with(|| b.col.cmp(&r.col))
-                .is_gt()
-            {
+            if tops[q] > tops[best] {
                 best = q;
             }
         }
@@ -439,7 +383,7 @@ impl Selector {
                 keys[best] = 0;
                 Some(best)
             }
-            Selector::Heap(h) => h.pop().map(|t| t.q as usize),
+            Selector::Heap(h) => h.pop().map(|t| t.q.0),
         }
     }
 }
@@ -634,7 +578,7 @@ impl BoundMemo {
         if self.is_off() {
             return self.direct(model, pyramids, at);
         }
-        let key = region_key(at.0, at.1, at.2);
+        let key = pack_coords(at);
         if self.gov.phase() == MemoPhase::Sampling {
             // Presence-only probe: count sharing without paying the
             // box/slot store, and compute the bound directly.

@@ -600,12 +600,7 @@ where
         .bound(lane.model, lane.q, env.pyramids, (top, 0, 0))?;
     lane.out.effort.multiply_adds += spent;
     env.pressure.charge(spent);
-    lane.frontier.push(Region {
-        ub,
-        level: top,
-        row: 0,
-        col: 0,
-    });
+    lane.frontier.push(Region::new(ub, (top, 0, 0)));
     Ok(())
 }
 
@@ -627,12 +622,13 @@ where
     F: Fetch<M>,
     P: Pressure,
 {
-    let level = region.level - 1;
+    let (parent, row, col) = region.at();
+    let level = parent - 1;
     let gate = env
         .pressure
         .coarse()
         .zip(floor.filter(|f| *f > f64::NEG_INFINITY));
-    env.pyramids[0].children_into(region.level, region.row, region.col, env.children);
+    env.pyramids[0].children_into(parent, row, col, env.children);
     let mut spent = 0u64;
     for child in env.children.iter() {
         if let Some((cg, f)) = gate {
@@ -643,12 +639,7 @@ where
         let at = (level, child.row, child.col);
         let (ub, madds) = env.fetch.bound(lane.model, lane.q, env.pyramids, at)?;
         spent += madds;
-        lane.frontier.push(Region {
-            ub,
-            level,
-            row: child.row,
-            col: child.col,
-        });
+        lane.frontier.push(Region::new(ub, at));
     }
     lane.out.effort.multiply_adds += spent;
     env.pressure.charge(spent);
@@ -673,27 +664,25 @@ where
     B: Floor,
 {
     let floor = env.floor.at_pop(lane.q, &lane.heap);
-    if floor.is_some_and(|f| f >= region.ub) {
+    if floor.is_some_and(|f| f >= region.ub()) {
         return Ok(Step::Closed);
     }
     if let Some(stop) = env.pressure.stop(env.source) {
         return Ok(Step::Stopped(stop));
     }
-    if region.level > 0 {
+    let (level, row, col) = region.at();
+    if level > 0 {
         expand(env, lane, region, floor)?;
         return Ok(Step::Advanced);
     }
     let arity = lane.model.arity();
-    match env
-        .fetch
-        .cell(env.source, (region.row, region.col), P::PARK, arity)?
-    {
+    match env.fetch.cell(env.source, (row, col), P::PARK, arity)? {
         Cell::Loaded(x) => {
             let spent = arity as u64;
             lane.out.effort.multiply_adds += spent;
             env.pressure.charge(spent);
             lane.heap.offer(ScoredItem {
-                index: (region.row + env.row_offset) * env.cols + region.col,
+                index: (row + env.row_offset) * env.cols + col,
                 score: lane.model.score(x),
             });
             env.floor.publish(lane.q, &lane.heap);
@@ -828,7 +817,7 @@ where
         let lane = &mut lanes[q];
         let region = lane.frontier.pop().expect("an armed lane has a top");
         open -= 1;
-        if region.level == 0 {
+        if region.level() == 0 {
             held.push((q, region));
         } else {
             let before = lane.frontier.len();
@@ -974,8 +963,7 @@ impl Merge {
         let mut unresolved = 0u64;
         let mut skipped = Vec::new();
         for region in &out.leftover {
-            let at = (region.level, region.row, region.col);
-            let (mut hit, count) = self.candidate(model, band.pyramids, at, effort)?;
+            let (mut hit, count) = self.candidate(model, band.pyramids, region.at(), effort)?;
             if self.excluded(hit.bounds.hi) {
                 continue; // Provably outside the top-K: resolved.
             }
@@ -985,13 +973,14 @@ impl Merge {
         }
         let parent = 1.min(band.pyramids[0].levels() - 1);
         for (region, page) in &out.lost {
-            if self.excluded(region.ub) {
+            if self.excluded(region.ub()) {
                 continue; // Provably outside the top-K: nothing lost.
             }
             skipped.push(*page);
-            let at = (parent, region.row >> parent, region.col >> parent);
+            let (_, row, col) = region.at();
+            let at = (parent, row >> parent, col >> parent);
             let (mut hit, _) = self.candidate(model, band.pyramids, at, effort)?;
-            hit.cell = CellCoord::new(region.row + band.row_offset, region.col);
+            hit.cell = CellCoord::new(row + band.row_offset, col);
             hit.level = 0;
             unresolved += 1;
             self.push(hit, band.sharded);

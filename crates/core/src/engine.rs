@@ -26,7 +26,6 @@ use mbir_index::scan::TopKHeap;
 use mbir_index::stats::ScoredItem;
 use mbir_models::linear::{LinearModel, ProgressiveLinearModel};
 use mbir_progressive::pyramid::AggregatePyramid;
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -315,39 +314,94 @@ pub fn staged_top_k_with_scratch(
     })
 }
 
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Region {
-    pub(crate) ub: f64,
-    pub(crate) level: usize,
-    pub(crate) row: usize,
-    pub(crate) col: usize,
+/// Bits of a frontier coordinate word given to the column, to the row,
+/// and (the rest of the 64) to the level: the one `(level, row, col)`
+/// packing, shared by [`Region`] and the batched engine's bound memo.
+const COORD_BITS: u32 = 28;
+const LEVEL_BITS: u32 = 64 - 2 * COORD_BITS;
+
+/// `(level, row, col)` in one word, level-major. Injective for the grids
+/// [`check_grid_fits_key`] admits.
+#[inline]
+pub(crate) fn pack_coords((level, row, col): (usize, usize, usize)) -> u64 {
+    debug_assert!(check_grid_fits_key(row + 1, col + 1, level + 1).is_ok());
+    ((level as u64) << (2 * COORD_BITS)) | ((row as u64) << COORD_BITS) | col as u64
 }
 
-impl PartialEq for Region {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
+/// Rejects a grid whose coordinates [`pack_coords`] cannot hold: a base
+/// side beyond 2^28 cells or more than 2^8 levels (a grid that wide is
+/// 2 GB a row of one attribute: a guard, not a working limit).
+///
+/// Reached through [`validate_grid_inputs`] by every grid entry point
+/// before its first region exists: `pyramid_top_k`,
+/// `pyramid_top_k_with_scratch` (and `grid_query*` through them),
+/// `combined_top_k`, `naive_grid_top_k`, `resilient_top_k`,
+/// `batched_top_k`, the three `par_*` grid engines, and the
+/// `scatter_gather_*` engines once per shard.
+fn check_grid_fits_key(rows: usize, cols: usize, levels: usize) -> Result<(), CoreError> {
+    if rows.max(cols) > 1 << COORD_BITS || levels > 1 << LEVEL_BITS {
+        return Err(CoreError::Query(format!(
+            "a {rows}x{cols} grid of {levels} levels exceeds the frontier key \
+             (base side <= 2^{COORD_BITS}, levels <= 2^{LEVEL_BITS})"
+        )));
     }
+    Ok(())
 }
-impl Eq for Region {}
-impl PartialOrd for Region {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+/// The IEEE-754 total-order bijection `f64` → `u64`: `ub_key(a) >
+/// ub_key(b)` ⇔ `a.total_cmp(&b).is_gt()`, for every bit pattern.
+#[inline]
+fn ub_key(x: f64) -> u64 {
+    let b = x.to_bits();
+    b ^ ((((b as i64) >> 63) as u64) | 0x8000_0000_0000_0000)
+}
+
+/// One frontier entry: a pyramid region and the upper bound of the model
+/// over it, as one 16-byte ordered key (DESIGN.md §18).
+///
+/// The high half is the total-order image of the bound ([`ub_key`]), the
+/// low half the bitwise complement of [`pack_coords`], so the derived
+/// integer order *is* "upper bound by `total_cmp`, then the smaller level,
+/// row, col first" — a *total* order. With ub-only ordering, equal-bound
+/// regions would pop in insertion-history order, so a coarse pass that
+/// prunes some pushes (see [`crate::coarse`]) could reorder the survivors'
+/// evaluation; the deterministic tie-break is what keeps pruned and
+/// unpruned runs bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Region(u128);
+
+impl Region {
+    #[inline]
+    pub(crate) fn new(ub: f64, at: (usize, usize, usize)) -> Self {
+        Region((u128::from(ub_key(ub)) << 64) | u128::from(!pack_coords(at)))
     }
-}
-impl Ord for Region {
-    /// A *total* order: upper bound first, then coordinates as a
-    /// tie-break (smaller coordinates pop first from the max-heap). With
-    /// ub-only ordering, equal-bound regions would pop in
-    /// insertion-history order, so a coarse pass that prunes some pushes
-    /// (see [`crate::coarse`]) could reorder the survivors' evaluation;
-    /// the deterministic tie-break is what keeps pruned and unpruned runs
-    /// bit-identical.
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.ub
-            .total_cmp(&other.ub)
-            .then_with(|| other.level.cmp(&self.level))
-            .then_with(|| other.row.cmp(&self.row))
-            .then_with(|| other.col.cmp(&self.col))
+
+    /// The upper bound, bit for bit as given (NaNs included).
+    #[inline]
+    pub(crate) fn ub(&self) -> f64 {
+        let key = self.ub_key();
+        let m = (((!key as i64) >> 63) as u64) | 0x8000_0000_0000_0000;
+        f64::from_bits(key ^ m)
+    }
+
+    /// [`ub_key`] of the bound: orders as `ub().total_cmp(..)` does.
+    #[inline]
+    pub(crate) fn ub_key(&self) -> u64 {
+        (self.0 >> 64) as u64
+    }
+
+    /// `(level, row, col)`.
+    #[inline]
+    pub(crate) fn at(&self) -> (usize, usize, usize) {
+        let coords = !self.0 as u64;
+        let side = (1 << COORD_BITS) - 1;
+        let (row, col) = ((coords >> COORD_BITS) & side, coords & side);
+        (self.level(), row as usize, col as usize)
+    }
+
+    #[inline]
+    pub(crate) fn level(&self) -> usize {
+        (!self.0 as u64 >> (2 * COORD_BITS)) as usize
     }
 }
 
@@ -630,6 +684,7 @@ pub(crate) fn validate_grid_inputs(
             return Err(CoreError::Query("pyramids must share a shape".into()));
         }
     }
+    check_grid_fits_key(shape.0, shape.1, levels)?;
     Ok((shape, levels))
 }
 
@@ -657,6 +712,96 @@ mod tests {
     use super::*;
     use mbir_archive::grid::Grid2;
     use proptest::prelude::*;
+    use std::cmp::Ordering;
+
+    type Entry = (f64, (usize, usize, usize));
+
+    /// The frontier order as it was written by hand before the packed key:
+    /// the reference the derived order must equal.
+    fn reference_cmp(a: &Entry, b: &Entry) -> Ordering {
+        (a.0.total_cmp(&b.0))
+            .then_with(|| b.1 .0.cmp(&a.1 .0))
+            .then_with(|| b.1 .1.cmp(&a.1 .1))
+            .then_with(|| b.1 .2.cmp(&a.1 .2))
+    }
+
+    /// An upper bound of `class`: any bit pattern, the signed zeros and
+    /// infinities, NaNs of both signs with payloads, subnormals, or one of
+    /// a few finite values (so that bounds tie and the coordinates decide).
+    fn ub_of(class: usize, bits: u64) -> f64 {
+        const MANTISSA: u64 = (1 << 52) - 1;
+        const SIGN: u64 = 1 << 63;
+        match class {
+            0 => f64::from_bits(bits),
+            1 => [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY][(bits % 4) as usize],
+            2 => f64::from_bits((bits & SIGN) | (0x7ff << 52) | (bits & MANTISSA).max(1)),
+            3 => f64::from_bits(bits & (SIGN | MANTISSA)),
+            _ => (bits % 5) as f64 - 2.0,
+        }
+    }
+
+    const SIDE: usize = 1 << COORD_BITS;
+    const LEVELS: usize = 1 << LEVEL_BITS;
+
+    fn coords() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(
+            proptest::sample::select(vec![0, 1, 2, 1000, SIDE / 2, SIDE - 2, SIDE - 1]),
+            4,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn prop_packed_order_is_the_handwritten_order(
+            classes in proptest::collection::vec(0usize..5, 2),
+            bits in proptest::collection::vec(0u64..u64::MAX, 2),
+            levels in proptest::collection::vec(
+                proptest::sample::select(vec![0, 1, 2, LEVELS - 1]), 2),
+            cells in coords(),
+        ) {
+            let a = (ub_of(classes[0], bits[0]), (levels[0], cells[0], cells[1]));
+            let b = (ub_of(classes[1], bits[1]), (levels[1], cells[2], cells[3]));
+            // Also against `a` with `b`'s bound, so coordinate ties are hit.
+            let c = (a.0, b.1);
+            for (x, y) in [(a, b), (a, c), (c, b), (a, a)] {
+                let packed = Region::new(x.0, x.1).cmp(&Region::new(y.0, y.1));
+                prop_assert_eq!(packed, reference_cmp(&x, &y), "{:?} vs {:?}", x, y);
+            }
+            let r = Region::new(a.0, a.1);
+            prop_assert_eq!(r.ub().to_bits(), a.0.to_bits());
+            prop_assert_eq!(r.at(), a.1);
+            prop_assert_eq!(r.level(), a.1.0);
+            // The scan selector's integer key orders as the bound does.
+            let rb = Region::new(b.0, b.1);
+            prop_assert_eq!(r.ub_key().cmp(&rb.ub_key()), a.0.total_cmp(&b.0));
+        }
+    }
+
+    #[test]
+    fn region_is_sixteen_bytes_and_keeps_every_bound_bit() {
+        assert_eq!(std::mem::size_of::<Region>(), 16);
+        // The bottommost patterns of the total order, which a key clamped
+        // away from 0 would merge, and the NaN root a sharded merge plants.
+        for bits in [u64::MAX, u64::MAX - 1, f64::NAN.to_bits(), 0, 1 << 63] {
+            let r = Region::new(f64::from_bits(bits), (LEVELS - 1, SIDE - 1, SIDE - 1));
+            assert_eq!(r.ub().to_bits(), bits);
+            assert_eq!(r.at(), (LEVELS - 1, SIDE - 1, SIDE - 1));
+        }
+    }
+
+    #[test]
+    fn grids_beyond_the_key_are_a_typed_error() {
+        assert!(check_grid_fits_key(SIDE, SIDE, LEVELS).is_ok());
+        for (rows, cols, levels) in [
+            (SIDE + 1, 1, 1),
+            (1, SIDE + 1, 1),
+            (1, 1, LEVELS + 1),
+            (usize::MAX, usize::MAX, usize::MAX),
+        ] {
+            let err = check_grid_fits_key(rows, cols, levels).unwrap_err();
+            assert!(matches!(err, CoreError::Query(_)), "{rows}x{cols}x{levels}");
+        }
+    }
 
     #[test]
     fn effort_report_distinguishes_zero_work_from_break_even() {

@@ -963,12 +963,10 @@ impl Ledger {
             Some(lane) => lane,
             None => {
                 whole_band = Outcome {
-                    leftover: vec![Region {
-                        ub: f64::NAN,
-                        level: shard.pyramids[0].levels() - 1,
-                        row: 0,
-                        col: 0,
-                    }],
+                    leftover: vec![Region::new(
+                        f64::NAN,
+                        (shard.pyramids[0].levels() - 1, 0, 0),
+                    )],
                     ..Outcome::default()
                 };
                 &whole_band
