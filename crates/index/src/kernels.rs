@@ -1,10 +1,12 @@
-//! Batched, allocation-free scoring kernels over flat row-major points.
+//! Allocation-free scoring kernels over flat row-major points.
 //!
 //! ## The summation-order contract
 //!
 //! Every index and engine in this workspace originally scored a tuple as
 //! `dir.iter().zip(point).map(|(a, v)| a * v).sum::<f64>()` — i.e. an
-//! accumulator starting at `0.0` with the products added **left to
+//! accumulator starting at `-0.0` (the additive identity, which is where
+//! this toolchain's `f64` `Sum` starts; a `+0.0` start differs exactly
+//! when every product is `-0.0`) with the products added **left to
 //! right**. Floating-point addition is not associative, so any kernel
 //! that reorders that sum (pairwise reduction, multiple accumulators,
 //! FMA contraction) would produce different bits and, through tie-breaks
@@ -12,8 +14,12 @@
 //! therefore keeps the per-point summation order exactly as above and
 //! gains its speed elsewhere: points are contiguous rows
 //! ([`crate::store::PointStore`]), the dimension is dispatched once per
-//! *block* instead of once per element, and the compiler is free to
+//! *run of rows* instead of once per element, and the compiler is free to
 //! vectorize **across rows** (each row's sum is an independent chain).
+//! There is one such loop per dimension; it writes into a caller's slice,
+//! so the flat scan scores 64-row runs into a stack array that stays in
+//! L1 beside its rows (DESIGN §10) and [`score_block_into`] fills a `Vec`
+//! through the same loop.
 //! Results are bit-identical to the legacy per-point paths; the
 //! property tests in this crate and in `tests/parallel_props.rs` lock
 //! that down.
@@ -46,7 +52,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 fn dot_fixed<const D: usize>(a: &[f64], b: &[f64]) -> f64 {
     let a: &[f64; D] = a.try_into().expect("dispatched on len");
     let b: &[f64; D] = b.try_into().expect("dispatched on len");
-    let mut acc = 0.0;
+    let mut acc = -0.0;
     for j in 0..D {
         acc += a[j] * b[j];
     }
@@ -55,16 +61,17 @@ fn dot_fixed<const D: usize>(a: &[f64], b: &[f64]) -> f64 {
 
 #[inline(always)]
 fn dot_dyn(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = 0.0;
+    let mut acc = -0.0;
     for j in 0..a.len() {
         acc += a[j] * b[j];
     }
     acc
 }
 
-/// Scores every row of a flat row-major block against `dir`, appending
-/// one score per row to `out` (cleared first). `block.len()` must be a
-/// multiple of `dims` and `dir.len() == dims`.
+/// Scores every row of a flat row-major block against `dir` into `out`,
+/// one score per row (`out` is resized to the row count; in steady state
+/// that is a no-op). `block.len()` must be a multiple of `dims` and
+/// `dir.len() == dims`.
 ///
 /// Per-row scores are bit-identical to [`dot`]; the win is layout — one
 /// linear pass over the block with the dimension dispatched once.
@@ -75,102 +82,48 @@ fn dot_dyn(a: &[f64], b: &[f64]) -> f64 {
 pub fn score_block_into(block: &[f64], dims: usize, dir: &[f64], out: &mut Vec<f64>) {
     assert_eq!(dir.len(), dims, "direction length mismatch");
     assert_eq!(block.len() % dims, 0, "ragged block");
-    out.clear();
+    out.resize(block.len() / dims, 0.0);
+    score_rows(block, dims, dir, out);
+}
+
+/// The one per-dimension scoring loop: `out[i]` becomes row `i`'s score,
+/// so a caller can score a run into a stack array.
+///
+/// # Panics
+///
+/// Panics unless `dir.len() == dims` and `block.len() == out.len() * dims`.
+pub(crate) fn score_rows(block: &[f64], dims: usize, dir: &[f64], out: &mut [f64]) {
+    assert_eq!(dir.len(), dims, "direction length mismatch");
+    assert_eq!(block.len(), out.len() * dims, "one score per row");
     match dims {
-        1 => fill_scores::<1>(block, dir, out),
-        2 => fill_scores::<2>(block, dir, out),
-        3 => fill_scores::<3>(block, dir, out),
-        4 => fill_scores::<4>(block, dir, out),
-        6 => fill_scores::<6>(block, dir, out),
-        8 => fill_scores::<8>(block, dir, out),
-        16 => fill_scores::<16>(block, dir, out),
-        _ => out.extend(block.chunks_exact(dims).map(|row| dot_dyn(dir, row))),
+        1 => score_rows_fixed::<1>(block, dir, out),
+        2 => score_rows_fixed::<2>(block, dir, out),
+        3 => score_rows_fixed::<3>(block, dir, out),
+        4 => score_rows_fixed::<4>(block, dir, out),
+        6 => score_rows_fixed::<6>(block, dir, out),
+        8 => score_rows_fixed::<8>(block, dir, out),
+        16 => score_rows_fixed::<16>(block, dir, out),
+        _ => {
+            for (i, row) in block.chunks_exact(dims).enumerate() {
+                out[i] = dot_dyn(dir, row);
+            }
+        }
     }
 }
 
 #[inline(always)]
-fn fill_scores<const D: usize>(block: &[f64], dir: &[f64], out: &mut Vec<f64>) {
+fn score_rows_fixed<const D: usize>(block: &[f64], dir: &[f64], out: &mut [f64]) {
     let dir: &[f64; D] = dir.try_into().expect("dispatched on dims");
-    out.extend(block.chunks_exact(D).map(|row| {
+    // Rows come from `ChunksExact::next`, not zipped with `out`: the zip's
+    // random-access path loads a row element by element, ~25 % slower at
+    // d = 3. The caller's length assert removes the `out[i]` check.
+    for (i, row) in block.chunks_exact(D).enumerate() {
         let row: &[f64; D] = row.try_into().expect("chunks_exact");
-        let mut acc = 0.0;
+        let mut acc = -0.0;
         for j in 0..D {
             acc += dir[j] * row[j];
         }
-        acc
-    }));
-}
-
-/// Scores every row of a flat row-major block against `m` directions at
-/// once, appending `m` scores per row to `out` (cleared first) in
-/// row-major order: `out[i * m + k]` is direction `k`'s score of row
-/// `i`. This is the batched-query kernel — one streaming pass over the
-/// block serves the whole batch, a small row-major GEMM.
-///
-/// Each direction's score keeps the canonical left-to-right summation
-/// order, so column `k` of the output is bit-identical to a solo
-/// [`score_block_into`] run with `dirs[k]` — batching queries can never
-/// change any single query's answer.
-///
-/// # Panics
-///
-/// Panics on a ragged block or wrong-length direction.
-pub fn score_block_multi_into(block: &[f64], dims: usize, dirs: &[Vec<f64>], out: &mut Vec<f64>) {
-    let m = dirs.len();
-    let mut transposed = vec![0.0f64; m * dims];
-    for (k, dir) in dirs.iter().enumerate() {
-        assert_eq!(dir.len(), dims, "direction length mismatch");
-        for (j, &v) in dir.iter().enumerate() {
-            transposed[j * m + k] = v;
-        }
-    }
-    score_block_multi_transposed_into(block, dims, &transposed, m, out);
-}
-
-/// [`score_block_multi_into`] with the direction bundle already
-/// transposed (`transposed[j * m + k]` = component `j` of direction
-/// `k`), so a caller scoring many blocks against one batch pays the
-/// transpose once and keeps the hot loop allocation-free.
-///
-/// The per-row loop is the [`sweep_argmax_block_at`] scoring pattern:
-/// stride-1 passes over the transpose compute all `m` scores at once,
-/// each as an independent left-to-right chain (the `j == 0` pass writes
-/// `0.0 + t * x` directly, preserving the legacy accumulator start for
-/// -0.0), and independent chains side by side are what the
-/// autovectorizer packs into SIMD lanes.
-///
-/// # Panics
-///
-/// Panics on a ragged block or a bundle whose length is not `m * dims`.
-pub fn score_block_multi_transposed_into(
-    block: &[f64],
-    dims: usize,
-    transposed: &[f64],
-    m: usize,
-    out: &mut Vec<f64>,
-) {
-    assert_eq!(transposed.len(), m * dims, "transposed bundle mismatch");
-    assert_eq!(block.len() % dims, 0, "ragged block");
-    let rows = block.len() / dims;
-    out.clear();
-    out.resize(rows * m, 0.0);
-    if m == 0 {
-        return;
-    }
-    for (i, row) in block.chunks_exact(dims).enumerate() {
-        let scores = &mut out[i * m..(i + 1) * m];
-        for (j, &xj) in row.iter().enumerate() {
-            let t = &transposed[j * m..(j + 1) * m];
-            if j == 0 {
-                for (s, &tk) in scores.iter_mut().zip(t) {
-                    *s = 0.0 + tk * xj;
-                }
-            } else {
-                for (s, &tk) in scores.iter_mut().zip(t) {
-                    *s += tk * xj;
-                }
-            }
-        }
+        out[i] = acc;
     }
 }
 
@@ -271,16 +224,15 @@ pub fn sweep_argmax_block_at(
             continue;
         }
         // All m scores for this row in stride-1 passes over the transpose:
-        // scores[k] = 0.0 + t[0][k]*row[0] + t[1][k]*row[1] + ... — the
+        // scores[k] = -0.0 + t[0][k]*row[0] + t[1][k]*row[1] + ... — the
         // canonical summation order of every direction at once. The first
-        // component's pass writes `0.0 + t*x` directly (the explicit
-        // `0.0 +` keeps the legacy accumulator start, which matters for
-        // -0.0), so no separate zero-fill pass is needed.
+        // component's pass writes `t*x` directly (`-0.0 + t*x` is `t*x`
+        // bit for bit), so no separate zero-fill pass is needed.
         for (j, &xj) in row.iter().enumerate() {
             let t = &transposed[j * m..(j + 1) * m];
             if j == 0 {
                 for (s, &tk) in scores.iter_mut().zip(t) {
-                    *s = 0.0 + tk * xj;
+                    *s = tk * xj;
                 }
             } else {
                 for (s, &tk) in scores.iter_mut().zip(t) {
@@ -364,11 +316,22 @@ mod tests {
 
     #[test]
     fn dot_preserves_signed_zero() {
-        // Left-to-right summation starting at +0.0: a sum of -0.0 products
-        // must come out exactly as the legacy fold does.
-        let a = vec![-0.0, 0.0, -0.0];
+        // A sum of signed-zero products must come out exactly as the
+        // legacy fold does — including all `-0.0` products, where a
+        // `+0.0` accumulator start would give `+0.0`.
         let b = vec![1.0, 5.0, 2.0];
-        assert_eq!(dot(&a, &b).to_bits(), legacy_dot(&a, &b).to_bits());
+        for a in [[-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]] {
+            assert_eq!(dot(&a, &b).to_bits(), legacy_dot(&a, &b).to_bits());
+            let mut scores = Vec::new();
+            score_block_into(&b, 3, &a, &mut scores);
+            assert_eq!(scores[0].to_bits(), legacy_dot(&a, &b).to_bits());
+        }
+        let mut best = vec![None];
+        sweep_argmax_block(&b, 3, &[true], &[vec![-0.0; 3]], &mut best);
+        assert_eq!(
+            best[0].map(|(_, s): (usize, f64)| s.to_bits()),
+            Some((-0.0f64).to_bits())
+        );
     }
 
     #[test]
@@ -386,65 +349,6 @@ mod tests {
                     legacy_dot(&dir, row).to_bits(),
                     "d={d} i={i}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn multi_score_columns_match_solo_runs() {
-        for d in [1usize, 2, 3, 5, 8, 17] {
-            for m in [1usize, 2, 3, 8] {
-                let n = 11;
-                let block: Vec<f64> = (0..n * d).map(|j| (j as f64 * 0.7).sin() * 30.0).collect();
-                let dirs: Vec<Vec<f64>> = (0..m)
-                    .map(|k| {
-                        (0..d)
-                            .map(|j| ((k * 31 + j * 7) as f64).cos() * 3.0 - 0.5)
-                            .collect()
-                    })
-                    .collect();
-                let mut multi = Vec::new();
-                score_block_multi_into(&block, d, &dirs, &mut multi);
-                assert_eq!(multi.len(), n * m);
-                let mut solo = Vec::new();
-                for (k, dir) in dirs.iter().enumerate() {
-                    score_block_into(&block, d, dir, &mut solo);
-                    for i in 0..n {
-                        assert_eq!(
-                            multi[i * m + k].to_bits(),
-                            solo[i].to_bits(),
-                            "d={d} m={m} row={i} query={k}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multi_score_handles_empty_batch_and_empty_block() {
-        let mut out = vec![1.0, 2.0];
-        score_block_multi_into(&[1.0, 2.0, 3.0, 4.0], 2, &[], &mut out);
-        assert!(out.is_empty());
-        score_block_multi_into(&[], 2, &[vec![1.0, -1.0]], &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn multi_score_preserves_signed_zero_columns() {
-        // A query of -0.0 coefficients: the 0.0 + t*x accumulator start
-        // must give the same signed-zero bits as the solo kernel's
-        // `acc = 0.0; acc += ...` chain (the workspace contract all
-        // engines compare against).
-        let block = [-0.0f64, 0.0, 1.0, 2.0];
-        let dirs = vec![vec![-0.0, -0.0], vec![1.0, 1.0]];
-        let mut multi = Vec::new();
-        score_block_multi_into(&block, 2, &dirs, &mut multi);
-        let mut solo = Vec::new();
-        for (k, dir) in dirs.iter().enumerate() {
-            score_block_into(&block, 2, dir, &mut solo);
-            for (i, s) in solo.iter().enumerate() {
-                assert_eq!(multi[i * 2 + k].to_bits(), s.to_bits(), "row {i} query {k}");
             }
         }
     }
@@ -519,34 +423,6 @@ mod tests {
             let a: Vec<f64> = (0..d).map(|_| next()).collect();
             let b: Vec<f64> = (0..d).map(|_| next()).collect();
             prop_assert_eq!(dot(&a, &b).to_bits(), legacy_dot(&a, &b).to_bits());
-        }
-
-        #[test]
-        fn prop_multi_score_bit_identical_to_solo(
-            d in 1usize..7,
-            n in 0usize..30,
-            m in 0usize..9,
-            seed in 0u64..10_000,
-        ) {
-            let mut state = seed ^ 0x5eed;
-            let mut next = move || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            };
-            let block: Vec<f64> = (0..n * d).map(|_| next() * 50.0).collect();
-            let dirs: Vec<Vec<f64>> = (0..m)
-                .map(|_| (0..d).map(|_| next() * 6.0).collect())
-                .collect();
-            let mut multi = Vec::new();
-            score_block_multi_into(&block, d, &dirs, &mut multi);
-            prop_assert_eq!(multi.len(), n * m);
-            let mut solo = Vec::new();
-            for (k, dir) in dirs.iter().enumerate() {
-                score_block_into(&block, d, dir, &mut solo);
-                for i in 0..n {
-                    prop_assert_eq!(multi[i * m + k].to_bits(), solo[i].to_bits());
-                }
-            }
         }
 
         #[test]

@@ -77,8 +77,8 @@
 
 use crate::kernels;
 use crate::quant::{pad_up, QuantPruneReport, QuantizedStore};
-use crate::scan::TopKHeap;
-use crate::stats::{QueryStats, ScoredItem, TopKResult};
+use crate::scan::{self, TopKHeap};
+use crate::stats::{QueryStats, TopKResult};
 use crate::store::PointStore;
 use mbir_models::error::ModelError;
 use rand_like::DirectionBundle;
@@ -1131,26 +1131,14 @@ impl OnionIndex {
     ) {
         let mut scores = [0.0f64; CORE_RUN_ROWS];
         for chunk in rows.chunks(CORE_RUN_ROWS) {
+            let scores = &mut scores[..chunk.len()];
             for q in queries.iter_mut().filter(|q| q.active) {
                 for (s, &idx) in scores.iter_mut().zip(chunk) {
                     *s = score(q.direction, self.points.row(idx));
                     q.layer_max = q.layer_max.max(*s);
                 }
-                // Cached floor, the flat scan's discipline: a score
-                // strictly below it cannot be kept; NaN and ties fall
-                // through to `offer`, the one place that decides them.
-                let mut floor = q.heap.floor();
-                for (&s, &idx) in scores.iter().zip(chunk) {
-                    if floor.is_some_and(|f| s < f) {
-                        continue;
-                    }
-                    if q.heap.offer(ScoredItem {
-                        index: idx,
-                        score: s,
-                    }) {
-                        floor = q.heap.floor();
-                    }
-                }
+                // The flat scan's cached-floor admission.
+                scan::offer_run(&mut q.heap, scores, chunk.iter().copied());
                 q.stats.tuples_examined += chunk.len() as u64;
             }
         }

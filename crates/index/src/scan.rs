@@ -2,7 +2,7 @@
 //! top-K heap. Every index speedup in the paper is quoted against this.
 
 use crate::kernels;
-use crate::quant::{QuantPruneReport, QuantizedStore};
+use crate::quant::{QuantPruneReport, QuantizedStore, QUANT_SUB_ROWS};
 use crate::stats::{rank_cmp, sort_desc, QueryStats, ScoredItem, TopKResult};
 use crate::store::PointStore;
 use std::cmp::Ordering;
@@ -135,17 +135,53 @@ pub fn scan_top_k<T, F: FnMut(&T) -> f64>(data: &[T], k: usize, mut score: F) ->
     }
 }
 
-/// Rows per scoring block in [`scan_top_k_flat`]: big enough to amortize
-/// the per-block dimension dispatch, small enough that the score buffer
-/// stays resident in L1/L2.
-const SCAN_BLOCK_ROWS: usize = 4096;
+/// Rows per run of [`scan_top_k_flat`]: a run's 512 bytes of scores and
+/// its rows stay in L1 between the scoring pass and the reach test (the
+/// DESIGN §10 sweep: 64 and 128 tie, 256 and up lose).
+const RUN_ROWS: usize = 64;
+
+/// Offers one scored run to `heap`, `scores[i]` as the item with the
+/// `i`-th of `indexes`, under the cached-floor discipline every exact
+/// scorer shares. A score strictly below the floor can never be kept
+/// (`rank_cmp` ranks it worse than the worst item held), so one
+/// branch-free pass first asks whether any score of the run reaches the
+/// floor, and only then does the per-row loop run — a predictable float
+/// compare per row instead of a heap probe. `!(s < floor)` is true for
+/// NaN and for a (±0.0-)tied score, which fall through to
+/// [`TopKHeap::offer`], the one place that decides ties, so the kept set
+/// is what offering every row would keep. The test *is* each row's one
+/// comparison: callers charge one comparison per scored row.
+pub(crate) fn offer_run(
+    heap: &mut TopKHeap,
+    scores: &[f64],
+    indexes: impl IntoIterator<Item = usize>,
+) {
+    let mut floor = heap.floor();
+    if let Some(f) = floor {
+        // `!(s < f)`, not `s >= f`: a NaN score must reach `offer`.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let reaches = scores.iter().fold(false, |reach, &s| reach | !(s < f));
+        if !reaches {
+            return;
+        }
+    }
+    for (&score, index) in scores.iter().zip(indexes) {
+        if floor.is_some_and(|f| score < f) {
+            continue;
+        }
+        if heap.offer(ScoredItem { index, score }) {
+            floor = heap.floor();
+        }
+    }
+}
 
 /// Scans a flat [`PointStore`], returning the top-K maximizers of
 /// `direction . x` — bit-identical to
 /// `scan_top_k(rows, k, |p| direction.iter().zip(p).map(|(a, v)| a * v).sum())`
-/// on the same data, but scoring contiguous row blocks through
-/// [`kernels::score_block_into`] instead of chasing a pointer per tuple.
-/// One block-sized score buffer is the only allocation per call.
+/// on the same data, but scoring contiguous 64-row runs into a stack
+/// array instead of chasing a pointer per tuple, and touching the heap
+/// only for runs with a score that reaches its floor. Nothing is
+/// allocated but the heap.
 ///
 /// # Panics
 ///
@@ -158,33 +194,11 @@ pub fn scan_top_k_flat(store: &PointStore, direction: &[f64], k: usize) -> TopKR
     );
     let dims = store.dims();
     let mut heap = TopKHeap::new(k);
-    let mut scores: Vec<f64> = Vec::with_capacity(SCAN_BLOCK_ROWS.min(store.len()));
-    let mut base = 0usize;
-    // Cached copy of the heap floor: a score strictly below it can never
-    // be kept (`rank_cmp` ranks it worse than the worst item held), so
-    // the hot loop is one predictable float compare per tuple instead of
-    // a heap probe. `score < floor` is false for NaN and for a tied
-    // (±0.0-tied) score, which fall through to `offer` — the one place
-    // that decides ties — so the kept set is untouched. Legacy charges
-    // one comparison per tuple; the precheck *is* that comparison, so
-    // the accounting stays one-per-tuple either way.
-    let mut floor: Option<f64> = None;
-    for block in store.flat().chunks(SCAN_BLOCK_ROWS * dims) {
-        kernels::score_block_into(block, dims, direction, &mut scores);
-        for (offset, &score) in scores.iter().enumerate() {
-            if let Some(f) = floor {
-                if score < f {
-                    continue;
-                }
-            }
-            if heap.offer(ScoredItem {
-                index: base + offset,
-                score,
-            }) {
-                floor = heap.floor();
-            }
-        }
-        base += scores.len();
+    let mut scores = [0.0f64; RUN_ROWS];
+    for (r, run) in store.flat().chunks(RUN_ROWS * dims).enumerate() {
+        let scores = &mut scores[..run.len() / dims];
+        kernels::score_rows(run, dims, direction, scores);
+        offer_run(&mut heap, scores, r * RUN_ROWS..);
     }
     TopKResult {
         results: heap.into_sorted(),
@@ -201,17 +215,16 @@ pub fn scan_top_k_flat(store: &PointStore, direction: &[f64], k: usize) -> TopKR
 /// 512-row block is rejected by one O(d) bound check when its quantized
 /// upper bound is **strictly** below the floor — no f64 row data is
 /// touched. Surviving blocks cascade to per-sub-block corner bounds
-/// (one O(d) check per [`crate::quant::QUANT_SUB_ROWS`] rows); only
-/// sub-blocks whose corner clears the floor are scored by the exact
-/// f64 kernel.
+/// (one O(d) check per [`QUANT_SUB_ROWS`] rows); only sub-blocks whose
+/// corner clears the floor are scored by the exact f64 kernel.
 ///
 /// Pruning requires strict `ub < floor`, and the bound soundly dominates
 /// the exact kernel score (see [`crate::quant`]), so every pruned row
 /// would have been rejected by the heap anyway — `results` are
 /// bit-identical to [`scan_top_k_flat`]. Work accounting differs by
-/// design: `tuples_examined` counts only exact-scored rows, and the
-/// returned [`QuantPruneReport`] breaks down what the coarse pass
-/// rejected.
+/// design: `tuples_examined` and `comparisons` count only exact-scored
+/// rows, and the returned [`QuantPruneReport`] breaks down what the
+/// coarse pass rejected.
 ///
 /// # Panics
 ///
@@ -238,14 +251,13 @@ pub fn scan_top_k_quant(
         ..QuantPruneReport::default()
     };
     let mut sub_ubs: Vec<f64> = Vec::new();
-    let mut scores: Vec<f64> = Vec::new();
-    let mut floor: Option<f64> = None;
+    let mut scores = [0.0f64; QUANT_SUB_ROWS];
     let flat = store.flat();
     for b in 0..quant.blocks() {
         let (_, m) = quant.block_range(b);
         // Snapshot of the floor for this block's prune decisions; the
         // floor only rises, so a stale snapshot is merely less tight.
-        let f0 = floor;
+        let f0 = heap.floor();
         if let Some(f) = f0 {
             if qq.block_upper_bound(b) < f {
                 report.blocks_pruned += 1;
@@ -266,235 +278,29 @@ pub fn scan_top_k_quant(
                     continue;
                 }
             }
-            // Exact scoring of the surviving sub-block, with the same
-            // cached-floor precheck the flat scan uses.
-            let sub = &flat[sub_start * dims..(sub_start + sub_m) * dims];
-            kernels::score_block_into(sub, dims, direction, &mut scores);
+            // Exact scoring of the surviving sub-block.
+            let scores = &mut scores[..sub_m];
+            kernels::score_rows(
+                &flat[sub_start * dims..(sub_start + sub_m) * dims],
+                dims,
+                direction,
+                scores,
+            );
             report.rows_exact += sub_m as u64;
-            for (i, &score) in scores.iter().enumerate() {
-                if let Some(cur) = floor {
-                    if score < cur {
-                        continue;
-                    }
-                }
-                if heap.offer(ScoredItem {
-                    index: sub_start + i,
-                    score,
-                }) {
-                    floor = heap.floor();
-                }
-            }
+            offer_run(&mut heap, scores, sub_start..);
         }
     }
-    let comparisons = heap.comparisons();
     (
         TopKResult {
             results: heap.into_sorted(),
             stats: QueryStats {
                 tuples_examined: report.rows_exact,
                 nodes_visited: 0,
-                comparisons,
+                comparisons: report.rows_exact,
             },
         },
         report,
     )
-}
-
-/// Batched flat scan: one streaming pass over the store serves every
-/// direction in the batch. Each query gets its own [`TopKHeap`] and
-/// cached floor; rows are scored for all queries at once through
-/// [`kernels::score_block_multi_transposed_into`], so the store's bytes
-/// are read from memory once per batch instead of once per query.
-///
-/// `results[q]` is bit-identical to `scan_top_k_flat(store,
-/// &directions[q], k)`: the multi kernel's column `q` matches the solo
-/// kernel bit for bit, rows are offered in the same order, and each
-/// query's floor precheck consults only that query's own heap.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or any direction length does not match the store.
-pub fn scan_top_k_flat_multi(
-    store: &PointStore,
-    directions: &[Vec<f64>],
-    k: usize,
-) -> Vec<TopKResult> {
-    let dims = store.dims();
-    let m = directions.len();
-    let mut transposed = vec![0.0f64; m * dims];
-    for (q, dir) in directions.iter().enumerate() {
-        assert_eq!(dir.len(), dims, "direction length must match store dims");
-        for (j, &v) in dir.iter().enumerate() {
-            transposed[j * m + q] = v;
-        }
-    }
-    let mut heaps: Vec<TopKHeap> = (0..m).map(|_| TopKHeap::new(k)).collect();
-    let mut floors: Vec<Option<f64>> = vec![None; m];
-    let mut scores: Vec<f64> = Vec::new();
-    let mut base = 0usize;
-    for block in store.flat().chunks(SCAN_BLOCK_ROWS * dims) {
-        kernels::score_block_multi_transposed_into(block, dims, &transposed, m, &mut scores);
-        let rows = block.len() / dims;
-        for offset in 0..rows {
-            let row_scores = &scores[offset * m..(offset + 1) * m];
-            for (q, &score) in row_scores.iter().enumerate() {
-                if let Some(f) = floors[q] {
-                    if score < f {
-                        continue;
-                    }
-                }
-                if heaps[q].offer(ScoredItem {
-                    index: base + offset,
-                    score,
-                }) {
-                    floors[q] = heaps[q].floor();
-                }
-            }
-        }
-        base += rows;
-    }
-    heaps
-        .into_iter()
-        .map(|heap| TopKResult {
-            results: heap.into_sorted(),
-            stats: QueryStats {
-                tuples_examined: store.len() as u64,
-                nodes_visited: 0,
-                comparisons: store.len() as u64,
-            },
-        })
-        .collect()
-}
-
-/// Batched quantized coarse-pass scan: one i8 decode pass serves the
-/// whole batch. A 512-row block is skipped — its f64 rows never touched
-/// — only when **every** query's quantized upper bound falls strictly
-/// below that query's floor, i.e. the block survives iff it survives
-/// *any* query's floor. Surviving sub-blocks are exact-scored once
-/// through the multi kernel and offered to every query under its own
-/// cached-floor precheck.
-///
-/// `results[q]` is bit-identical to the solo
-/// [`scan_top_k_quant`] (and hence [`scan_top_k_flat`]) run: a block
-/// that query `q` alone would have pruned contains only scores strictly
-/// below `q`'s floor (the quantized bound soundly dominates the exact
-/// kernel score), so the extra rows `q` sees on behalf of other queries
-/// are all rejected by its precheck — the shared traversal can only
-/// *add* row visits, never change what a query keeps.
-///
-/// The returned [`QuantPruneReport`] is batch-wide: `rows_exact` counts
-/// rows decoded once for the whole batch, which is the amortization this
-/// path exists to deliver.
-///
-/// # Panics
-///
-/// Panics if `k == 0`, any direction length does not match, or `quant`
-/// was not built over a store of the same shape.
-pub fn scan_top_k_quant_multi(
-    store: &PointStore,
-    quant: &QuantizedStore,
-    directions: &[Vec<f64>],
-    k: usize,
-) -> (Vec<TopKResult>, QuantPruneReport) {
-    assert_eq!(quant.dims(), store.dims(), "quantized store dims mismatch");
-    assert_eq!(quant.rows(), store.len(), "quantized store rows mismatch");
-    let dims = store.dims();
-    let m = directions.len();
-    let mut transposed = vec![0.0f64; m * dims];
-    for (q, dir) in directions.iter().enumerate() {
-        assert_eq!(dir.len(), dims, "direction length must match store dims");
-        for (j, &v) in dir.iter().enumerate() {
-            transposed[j * m + q] = v;
-        }
-    }
-    let qqs: Vec<_> = directions.iter().map(|dir| quant.prepare(dir)).collect();
-    let mut heaps: Vec<TopKHeap> = (0..m).map(|_| TopKHeap::new(k)).collect();
-    let mut floors: Vec<Option<f64>> = vec![None; m];
-    let mut report = QuantPruneReport {
-        blocks_total: quant.blocks() as u64,
-        ..QuantPruneReport::default()
-    };
-    let mut sub_ubs: Vec<Vec<f64>> = vec![Vec::new(); m];
-    let mut scores: Vec<f64> = Vec::new();
-    let flat = store.flat();
-    for b in 0..quant.blocks() {
-        let (_, rows_in_block) = quant.block_range(b);
-        // Snapshot of every floor for this block's prune decisions; floors
-        // only rise, so stale snapshots are merely less tight.
-        let f0 = floors.clone();
-        // The block is fetched iff it survives ANY query's floor.
-        let block_dead = m > 0
-            && (0..m).all(|q| match f0[q] {
-                Some(f) => qqs[q].block_upper_bound(b) < f,
-                None => false,
-            });
-        if block_dead {
-            report.blocks_pruned += 1;
-            report.rows_pruned += rows_in_block as u64;
-            continue;
-        }
-        let any_floor = f0.iter().any(|f| f.is_some());
-        if any_floor {
-            for q in 0..m {
-                if f0[q].is_some() {
-                    qqs[q].sub_upper_bounds(quant, b, &mut sub_ubs[q]);
-                }
-            }
-        }
-        // `s` indexes the *inner* per-sub-block dimension of `sub_ubs`
-        // (the outer is per-query), so the iterator rewrite clippy wants
-        // would obscure the shape.
-        #[allow(clippy::needless_range_loop)]
-        for s in 0..quant.subs(b) {
-            let (sub_start, sub_m) = quant.sub_range(b, s);
-            let sub_dead = m > 0
-                && (0..m).all(|q| match f0[q] {
-                    Some(f) => sub_ubs[q][s] < f,
-                    None => false,
-                });
-            if sub_dead {
-                report.subblocks_pruned += 1;
-                report.rows_pruned += sub_m as u64;
-                continue;
-            }
-            // Exact scoring of the surviving sub-block, once for the
-            // whole batch, with each query's own cached-floor precheck.
-            let sub = &flat[sub_start * dims..(sub_start + sub_m) * dims];
-            kernels::score_block_multi_transposed_into(sub, dims, &transposed, m, &mut scores);
-            report.rows_exact += sub_m as u64;
-            for i in 0..sub_m {
-                let row_scores = &scores[i * m..(i + 1) * m];
-                for (q, &score) in row_scores.iter().enumerate() {
-                    if let Some(cur) = floors[q] {
-                        if score < cur {
-                            continue;
-                        }
-                    }
-                    if heaps[q].offer(ScoredItem {
-                        index: sub_start + i,
-                        score,
-                    }) {
-                        floors[q] = heaps[q].floor();
-                    }
-                }
-            }
-        }
-    }
-    let results = heaps
-        .into_iter()
-        .map(|heap| {
-            let comparisons = heap.comparisons();
-            TopKResult {
-                results: heap.into_sorted(),
-                stats: QueryStats {
-                    tuples_examined: report.rows_exact,
-                    nodes_visited: 0,
-                    comparisons,
-                },
-            }
-        })
-        .collect();
-    (results, report)
 }
 
 #[cfg(test)]
@@ -620,6 +426,89 @@ mod tests {
         }
     }
 
+    /// A result's answers as bits (so NaN compares equal to itself) beside
+    /// its work counters.
+    fn bits(r: &TopKResult) -> (Vec<(usize, u64)>, QueryStats) {
+        let answers = r.results.iter().map(|s| (s.index, s.score.to_bits()));
+        (answers.collect(), r.stats)
+    }
+
+    /// The K best of `scores` by sorting them all.
+    fn sorted_top_k(scores: &[f64], k: usize) -> Vec<ScoredItem> {
+        let mut all: Vec<ScoredItem> = scores
+            .iter()
+            .enumerate()
+            .map(|(index, &score)| ScoredItem { index, score })
+            .collect();
+        sort_desc(&mut all);
+        all.truncate(k);
+        all
+    }
+
+    #[test]
+    fn kth_score_tied_across_run_boundaries() {
+        // One 9.0, then 5.0 on both sides of every 64-row boundary and on
+        // the last row; K = 3 puts the K-th score on the tie, so every
+        // later tied row passes the reach test and must still be refused
+        // (scan order) or must evict (reversed order, where the smaller
+        // index arrives in the later run).
+        for n in [63usize, 64, 65, 128, 129] {
+            let mut scores = vec![1.0; n];
+            scores[0] = 9.0;
+            for i in [62, 63, 64, 127, 128, n - 1] {
+                if i < n {
+                    scores[i] = 5.0;
+                }
+            }
+            let expect = sorted_top_k(&scores, 3);
+            let rows: Vec<Vec<f64>> = scores.iter().map(|&s| vec![s]).collect();
+            let store = PointStore::from_rows(&rows).unwrap();
+            let flat = scan_top_k_flat(&store, &[1.0], 3);
+            assert_eq!(flat.results, expect, "n={n} scan order");
+
+            let mut heap = TopKHeap::new(3);
+            let reversed: Vec<usize> = (0..n).rev().collect();
+            for run in reversed.chunks(RUN_ROWS) {
+                let run_scores: Vec<f64> = run.iter().map(|&i| scores[i]).collect();
+                offer_run(&mut heap, &run_scores, run.iter().copied());
+            }
+            assert_eq!(heap.into_sorted(), expect, "n={n} reversed order");
+        }
+    }
+
+    #[test]
+    fn offer_run_admits_a_tie_with_a_smaller_index() {
+        let mut heap = TopKHeap::new(2);
+        heap.offer(ScoredItem {
+            index: 10,
+            score: 5.0,
+        });
+        heap.offer(ScoredItem {
+            index: 20,
+            score: 3.0,
+        });
+        let mut scores = [1.0; RUN_ROWS];
+        scores[40] = 3.0;
+        let indexes = (0..RUN_ROWS).map(|i| if i == 40 { 7 } else { 100 + i });
+        offer_run(&mut heap, &scores, indexes);
+        // Only the tie reached `offer`; every other row stopped at the
+        // floor.
+        assert_eq!(heap.comparisons(), 3);
+        assert_eq!(
+            heap.into_sorted(),
+            vec![
+                ScoredItem {
+                    index: 10,
+                    score: 5.0
+                },
+                ScoredItem {
+                    index: 7,
+                    score: 3.0
+                },
+            ]
+        );
+    }
+
     #[test]
     fn quant_scan_matches_flat_scan_and_prunes() {
         let mut state = 42u64;
@@ -642,6 +531,9 @@ mod tests {
                 store.len() as u64,
                 "every row is accounted for"
             );
+            // One comparison per exact-scored row, the flat scan's rule.
+            assert_eq!(q.stats.tuples_examined, report.rows_exact, "k={k}");
+            assert_eq!(q.stats.comparisons, report.rows_exact, "k={k}");
         }
         // Small K over uniform data: almost everything sits far below the
         // floor, so the coarse pass must actually reject work.
@@ -653,131 +545,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn multi_flat_scan_matches_solo_runs() {
-        let rows: Vec<Vec<f64>> = (0..700)
-            .map(|i| vec![(i as f64 * 0.37).sin(), (i as f64 * 0.91).cos(), i as f64])
-            .collect();
-        let store = PointStore::from_rows(&rows).unwrap();
-        let dirs: Vec<Vec<f64>> = vec![
-            vec![2.0, -1.5, 0.01],
-            vec![-1.0, 0.25, 0.5],
-            vec![0.0, 0.0, -1.0],
-        ];
-        for k in [1usize, 7, 50] {
-            let batched = scan_top_k_flat_multi(&store, &dirs, k);
-            assert_eq!(batched.len(), dirs.len());
-            for (q, dir) in dirs.iter().enumerate() {
-                let solo = scan_top_k_flat(&store, dir, k);
-                assert_eq!(batched[q], solo, "k={k} q={q}");
-            }
-        }
-        assert!(scan_top_k_flat_multi(&store, &[], 3).is_empty());
-    }
-
-    #[test]
-    fn multi_quant_scan_matches_solo_and_amortizes_decodes() {
-        let mut state = 77u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let rows: Vec<Vec<f64>> = (0..6000)
-            .map(|_| (0..3).map(|_| next() * 20.0).collect())
-            .collect();
-        let store = PointStore::from_rows(&rows).unwrap();
-        let quant = QuantizedStore::build(&store);
-        // Perturbations of one hot direction: overlapping survivors, the
-        // regime batching is built for.
-        let dirs: Vec<Vec<f64>> = (0..8)
-            .map(|q| {
-                vec![
-                    0.443 + q as f64 * 0.001,
-                    0.222 - q as f64 * 0.001,
-                    0.153 + q as f64 * 0.0005,
-                ]
-            })
-            .collect();
-        for k in [1usize, 10] {
-            let (batched, breport) = scan_top_k_quant_multi(&store, &quant, &dirs, k);
-            let mut solo_exact = 0u64;
-            for (q, dir) in dirs.iter().enumerate() {
-                let (solo, sreport) = scan_top_k_quant(&store, &quant, dir, k);
-                assert_eq!(batched[q].results, solo.results, "k={k} q={q}");
-                solo_exact += sreport.rows_exact;
-            }
-            assert_eq!(
-                breport.rows_pruned + breport.rows_exact,
-                store.len() as u64,
-                "every row is accounted for"
-            );
-            // One decode serves the batch: batched exact rows can't exceed
-            // the sum of solo decodes (and for overlapping queries should
-            // be far below it).
-            assert!(
-                breport.rows_exact <= solo_exact,
-                "batched decodes {} exceed solo sum {}",
-                breport.rows_exact,
-                solo_exact
-            );
-        }
-    }
-
     proptest! {
-        #[test]
-        fn prop_multi_flat_scan_bit_identical_to_solo(
-            n in 1usize..400,
-            d in 1usize..5,
-            m in 1usize..6,
-            k in 1usize..8,
-            seed in 0u64..3_000,
-        ) {
-            let mut state = seed ^ 0xbac4;
-            let mut next = move || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(3);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            };
-            let rows: Vec<Vec<f64>> = (0..n)
-                .map(|_| (0..d).map(|_| next() * 20.0).collect())
-                .collect();
-            let dirs: Vec<Vec<f64>> = (0..m)
-                .map(|_| (0..d).map(|_| next() * 4.0).collect())
-                .collect();
-            let store = PointStore::from_rows(&rows).unwrap();
-            let batched = scan_top_k_flat_multi(&store, &dirs, k);
-            for (q, dir) in dirs.iter().enumerate() {
-                prop_assert_eq!(&batched[q], &scan_top_k_flat(&store, dir, k));
-            }
-        }
-
-        #[test]
-        fn prop_multi_quant_scan_bit_identical_to_solo(
-            n in 1usize..1000,
-            d in 1usize..5,
-            m in 1usize..5,
-            k in 1usize..8,
-            seed in 0u64..2_000,
-        ) {
-            let mut state = seed ^ 0x9bad;
-            let mut next = move || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(5);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            };
-            let rows: Vec<Vec<f64>> = (0..n)
-                .map(|_| (0..d).map(|_| next() * 20.0).collect())
-                .collect();
-            let dirs: Vec<Vec<f64>> = (0..m)
-                .map(|_| (0..d).map(|_| next() * 4.0).collect())
-                .collect();
-            let store = PointStore::from_rows(&rows).unwrap();
-            let quant = QuantizedStore::build(&store);
-            let (batched, _) = scan_top_k_quant_multi(&store, &quant, &dirs, k);
-            for (q, dir) in dirs.iter().enumerate() {
-                let (solo, _) = scan_top_k_quant(&store, &quant, dir, k);
-                prop_assert_eq!(&batched[q].results, &solo.results);
-            }
-        }
-
         #[test]
         fn prop_quant_scan_bit_identical_to_flat(
             n in 1usize..1200,
@@ -807,14 +575,7 @@ mod tests {
             k in 1usize..20,
         ) {
             let r = scan_top_k(&data, k, |x| *x);
-            let mut all: Vec<ScoredItem> = data
-                .iter()
-                .enumerate()
-                .map(|(index, score)| ScoredItem { index, score: *score })
-                .collect();
-            sort_desc(&mut all);
-            all.truncate(k);
-            prop_assert_eq!(r.results, all);
+            prop_assert_eq!(r.results, sorted_top_k(&data, k));
         }
 
         #[test]
@@ -826,21 +587,15 @@ mod tests {
         ) {
             let data: Vec<f64> = data.into_iter().map(f64::from).collect();
             let r = scan_top_k(&data, k, |x| *x);
-            let mut all: Vec<ScoredItem> = data
-                .iter()
-                .enumerate()
-                .map(|(index, score)| ScoredItem { index, score: *score })
-                .collect();
-            sort_desc(&mut all);
-            all.truncate(k);
-            prop_assert_eq!(r.results, all);
+            prop_assert_eq!(r.results, sorted_top_k(&data, k));
         }
 
         #[test]
         fn prop_flat_scan_bit_identical_to_legacy(
-            n in 1usize..300,
+            n in 1usize..301,
             d in 1usize..6,
-            k in 1usize..12,
+            k_pick in 0usize..10_000,
+            mode in 0usize..3,
             seed in 0u64..5_000,
         ) {
             let mut state = seed ^ 0x5ca9;
@@ -848,15 +603,53 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
                 ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
             };
+            // Mode 0 draws continuous values; mode 1 a small pool of
+            // duplicates and signed zeros (ties everywhere); mode 2 adds
+            // ±inf and NaN of both signs with payloads, one coordinate a
+            // row at most: where two NaNs meet in one sum, which payload
+            // survives is the compiler's choice (Rust leaves it
+            // unspecified), so no two code paths can promise its bits.
+            const POOL: [f64; 11] = [
+                1.5,
+                1.5,
+                -2.0,
+                0.0,
+                -0.0,
+                3.25,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::from_bits(0x7ff8_0000_0000_0001),
+                f64::from_bits(0xfff8_0000_0000_0abc),
+            ];
+            let finite = [0, 7, 7][mode];
+            let mut value = |special: bool| {
+                let u = next();
+                let pool = &POOL[..if special { POOL.len() } else { finite }];
+                if pool.is_empty() {
+                    u * 20.0
+                } else {
+                    pool[((u + 0.5) * pool.len() as f64) as usize % pool.len()]
+                }
+            };
             let rows: Vec<Vec<f64>> = (0..n)
-                .map(|_| (0..d).map(|_| next() * 20.0).collect())
+                .map(|i| (0..d).map(|j| value(mode == 2 && j == i % d)).collect())
                 .collect();
-            let dir: Vec<f64> = (0..d).map(|_| next() * 4.0).collect();
+            // Directions with signed zeros among continuous components.
+            let dir: Vec<f64> = (0..d)
+                .map(|j| match (seed as usize + j) % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => next() * 4.0,
+                })
+                .collect();
+            // K up to n + 5: a heap that never fills offers every row.
+            let k = 1 + k_pick % (n + 5);
             let store = PointStore::from_rows(&rows).unwrap();
             let flat = scan_top_k_flat(&store, &dir, k);
             let legacy =
                 scan_top_k(&rows, k, |p| dir.iter().zip(p).map(|(a, v)| a * v).sum());
-            prop_assert_eq!(flat, legacy);
+            prop_assert_eq!(bits(&flat), bits(&legacy));
         }
     }
 }
