@@ -50,8 +50,8 @@
 //! logical read — batched and solo verdicts coincide.
 
 use crate::descent::{
-    finish, interleave, read_cell, seed_root, Budgeted, Cell, Clock, Env, Fetch, Floor, Lane,
-    Local, Outcome, Pressure, Scorer,
+    children_of, finish, interleave, read_cell, seed_root, Budgeted, Cell, Clock, Env, Fetch,
+    Floor, Lane, Local, Outcome, Pressure, Scorer,
 };
 use crate::engine::{pack_coords, validate_grid_inputs, Region};
 use crate::error::CoreError;
@@ -435,8 +435,8 @@ impl BatchScratch {
         self.regrowths
     }
 
-    fn caps(&self) -> [usize; 9] {
-        let [x, cm, ca, bm, bb, bs, bx] = self.memo.caps();
+    fn caps(&self) -> [usize; 8] {
+        let [x, cm, ca, bm, bb, bs] = self.memo.caps();
         [
             self.frontiers.iter().map(BinaryHeap::capacity).sum(),
             self.children.capacity(),
@@ -446,11 +446,10 @@ impl BatchScratch {
             bm,
             bb,
             bs,
-            bx,
         ]
     }
 
-    fn note_regrowth(&mut self, before: &[usize; 9]) {
+    fn note_regrowth(&mut self, before: &[usize; 8]) {
         let after = self.caps();
         self.regrowths += after
             .iter()
@@ -506,9 +505,9 @@ impl BatchedTopK {
 /// simply recomputed, never served stale).
 ///
 /// A [`MemoGovernor`] retires the table when the batch exhibits no
-/// cross-query region sharing; the direct path then assembles the range
-/// box in a reused scratch and bounds it immediately — the same fetch
-/// and `bound_over_box` term order, so the value is unchanged either way.
+/// cross-query region sharing; the direct path then bounds the region
+/// straight from the pyramids — the same `bound_over_box` term order, so
+/// the value is unchanged either way.
 #[derive(Debug)]
 struct BoundMemo {
     map: MemoMap<usize>,
@@ -517,8 +516,6 @@ struct BoundMemo {
     /// Per-query bound slots, `width` per ordinal, `NaN` until first
     /// request.
     bounds: Vec<f64>,
-    /// Range-box buffer for the direct (sampling or retired) path.
-    scratch: Vec<(f64, f64)>,
     gov: MemoGovernor,
     /// Queries in the batch.
     width: usize,
@@ -533,7 +530,6 @@ impl Default for BoundMemo {
             map: MemoMap::default(),
             boxes: Vec::new(),
             bounds: Vec::new(),
-            scratch: Vec::new(),
             gov: MemoGovernor::sampling(BOUND_MEMO_WINDOW),
             width: 0,
             evals: 0,
@@ -555,7 +551,7 @@ impl BoundMemo {
         self.gov.phase() == MemoPhase::Off
     }
 
-    /// The solo engine's bound: fetch the box, bound it, keep nothing.
+    /// The solo engine's bound, kept nowhere.
     #[inline]
     fn direct(
         &mut self,
@@ -564,7 +560,7 @@ impl BoundMemo {
         at: (usize, usize, usize),
     ) -> Result<f64, CoreError> {
         self.evals += 1;
-        Ok(model.bound(pyramids, at, &mut self.scratch)?.0)
+        Ok(model.bound(pyramids, at)?.0)
     }
 
     /// The upper bound of query `q`'s `model` over region `at`.
@@ -657,7 +653,7 @@ impl Memo {
         self.tally = Tally::default();
     }
 
-    fn caps(&self) -> [usize; 7] {
+    fn caps(&self) -> [usize; 6] {
         [
             self.x.capacity(),
             self.cells.capacity(),
@@ -665,7 +661,6 @@ impl Memo {
             self.bounds.map.capacity(),
             self.bounds.boxes.capacity(),
             self.bounds.bounds.capacity(),
-            self.bounds.scratch.capacity(),
         ]
     }
 
@@ -689,6 +684,32 @@ impl Fetch<LinearModel> for Memo {
         self.tally.bound_requests += 1;
         let ub = self.bounds.bound(model, q, pyramids, at)?;
         Ok((ub, model.arity() as u64))
+    }
+
+    /// One block bound while the bound memo is retired, tallied as one
+    /// request and one eval per child; child by child through the memo
+    /// while it is live.
+    #[inline]
+    fn bound_children(
+        &mut self,
+        model: &LinearModel,
+        q: usize,
+        pyramids: &[AggregatePyramid],
+        parent: (usize, usize, usize),
+        ub: &mut [f64; 4],
+    ) -> Result<(usize, u64), CoreError> {
+        if self.bounds.is_off() {
+            let (n, madds) = model.bound_children(pyramids, parent, ub)?;
+            self.tally.bound_requests += n as u64;
+            self.bounds.evals += n as u64;
+            return Ok((n, madds));
+        }
+        let mut n = 0;
+        for at in children_of(pyramids, parent) {
+            ub[n] = self.bound(model, q, pyramids, at)?.0;
+            n += 1;
+        }
+        Ok((n, model.arity() as u64))
     }
 
     /// A cell is fetched iff it survives at least one lane's floor; the

@@ -7,9 +7,10 @@
 //! evaluate exactly at base resolution. This module owns that loop once:
 //!
 //! * [`step`] — one pop: prune against the floor, cooperative checkpoint,
-//!   level-0 read-or-park, otherwise [`expand`] (coarse gate, child
-//!   bounds, push). Monomorphised over the axes on which the engines
-//!   differ: where the floor comes from ([`Floor`]), what stops a run and
+//!   level-0 read-or-park, otherwise [`expand`] (one block bound of the
+//!   children, push; the coarse gate bounds them one by one).
+//!   Monomorphised over the axes on which the engines differ: where the
+//!   floor comes from ([`Floor`]), what stops a run and
 //!   what a lost page does ([`Pressure`]), how a model bounds and scores
 //!   ([`Scorer`]), and whether physical reads are shared across queries
 //!   ([`Fetch`]).
@@ -36,6 +37,7 @@ use mbir_archive::error::ArchiveError;
 use mbir_archive::extent::CellCoord;
 use mbir_index::scan::TopKHeap;
 use mbir_index::stats::{sort_desc, ScoredItem};
+use mbir_models::error::ModelError;
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
 use std::collections::BinaryHeap;
@@ -286,38 +288,125 @@ impl Floor for &[SharedBound] {
 }
 
 /// A model the descent can bound over a region and score at a cell.
+///
+/// Both bounds are upper bounds only, and [`bound_children`] must give
+/// each child exactly the bits [`bound`] gives it: the same terms added
+/// in the same order.
+///
+/// [`bound`]: Scorer::bound
+/// [`bound_children`]: Scorer::bound_children
 pub(crate) trait Scorer {
     fn arity(&self) -> usize;
 
     /// Sound upper bound over region `(level, row, col)`, and the
-    /// multiply-adds it cost. `ranges` is a reused range-box buffer.
+    /// multiply-adds it cost.
     fn bound(
         &self,
         pyramids: &[AggregatePyramid],
         at: (usize, usize, usize),
-        ranges: &mut Vec<(f64, f64)>,
     ) -> Result<(f64, u64), CoreError>;
+
+    /// [`bound`](Scorer::bound) of every child of region `parent` (of
+    /// level 1 or more) in one call, written to `ub` in
+    /// [`AggregatePyramid::child_ranges`] order: the child count, and the
+    /// multiply-adds *each* child cost.
+    fn bound_children(
+        &self,
+        pyramids: &[AggregatePyramid],
+        parent: (usize, usize, usize),
+        ub: &mut [f64; 4],
+    ) -> Result<(usize, u64), CoreError>;
 
     /// Exact score at a base cell's attribute vector (`arity` multiply-adds).
     fn score(&self, x: &[f64]) -> f64;
 }
 
-/// Assembles a region's per-attribute range box in a reused buffer.
+/// The children of region `parent` (level >= 1) in `(rr, cc)` order — the
+/// order [`AggregatePyramid::child_ranges`] writes them in.
 #[inline]
-fn region_box_into(
+pub(crate) fn children_of(
+    pyramids: &[AggregatePyramid],
+    (parent, row, col): (usize, usize, usize),
+) -> impl Iterator<Item = (usize, usize, usize)> {
+    let level = parent - 1;
+    let (rows, cols) = pyramids[0].level_shape(level);
+    let cc = col * 2..(col * 2 + 2).min(cols);
+    (row * 2..(row * 2 + 2).min(rows)).flat_map(move |rr| cc.clone().map(move |c| (level, rr, c)))
+}
+
+/// Coefficient `a`'s largest contribution over `[min, max]`:
+/// [`LinearModel::bound_over_box`]'s `hi` term.
+#[inline]
+fn upper_term(a: f64, (min, max): (f64, f64)) -> f64 {
+    if a >= 0.0 {
+        a * max
+    } else {
+        a * min
+    }
+}
+
+/// `intercept` plus the [`upper_term`] of every `(attribute, coefficient)`
+/// in `terms`, in that order, over region `at`.
+#[inline]
+pub(crate) fn region_upper(
     pyramids: &[AggregatePyramid],
     (level, row, col): (usize, usize, usize),
-    ranges: &mut Vec<(f64, f64)>,
-) -> Result<(), CoreError> {
-    ranges.clear();
-    for p in pyramids {
-        let s = p.cell(level, row, col)?;
-        ranges.push((s.min, s.max));
+    intercept: f64,
+    terms: impl Iterator<Item = (usize, f64)>,
+) -> Result<f64, CoreError> {
+    let mut hi = intercept;
+    for (attr, a) in terms {
+        let s = pyramids[attr].cell(level, row, col)?;
+        hi += upper_term(a, (s.min, s.max));
+    }
+    Ok(hi)
+}
+
+/// [`region_upper`] of every child of region `parent` at once, written to
+/// `ub` in `(rr, cc)` order: one [`AggregatePyramid::child_ranges`] per
+/// term, the same additions in the same order per child. Returns the
+/// child count.
+#[inline]
+pub(crate) fn children_upper(
+    pyramids: &[AggregatePyramid],
+    (parent, row, col): (usize, usize, usize),
+    intercept: f64,
+    terms: impl Iterator<Item = (usize, f64)>,
+    ub: &mut [f64; 4],
+) -> Result<usize, CoreError> {
+    *ub = [intercept; 4];
+    let mut ranges = [(0.0, 0.0); 4];
+    let mut n = None;
+    for (attr, a) in terms {
+        let got = pyramids[attr].child_ranges(parent, row, col, &mut ranges);
+        if *n.get_or_insert(got) != got {
+            return Err(CoreError::Query("pyramids must share a shape".into()));
+        }
+        // All four slots, so the loop has a fixed length: a slot past
+        // `got` adds stale ranges to a bound nobody reads.
+        for (u, &range) in ub.iter_mut().zip(&ranges) {
+            *u += upper_term(a, range);
+        }
+    }
+    Ok(n.unwrap_or(0))
+}
+
+/// `pyramids` must hold one pyramid per model term (`bound_over_box`'s
+/// check).
+#[inline]
+fn check_arity(model: &LinearModel, pyramids: &[AggregatePyramid]) -> Result<(), CoreError> {
+    if pyramids.len() != model.arity() {
+        return Err(CoreError::Model(ModelError::ArityMismatch {
+            expected: model.arity(),
+            actual: pyramids.len(),
+        }));
     }
     Ok(())
 }
 
-/// The full-model interval bound: `arity` multiply-adds per region.
+/// The full-model interval bound: `arity` multiply-adds per region,
+/// summed from the intercept in attribute order exactly as
+/// [`LinearModel::bound_over_box`] sums its `hi`.
 impl Scorer for LinearModel {
     #[inline]
     fn arity(&self) -> usize {
@@ -329,11 +418,24 @@ impl Scorer for LinearModel {
         &self,
         pyramids: &[AggregatePyramid],
         at: (usize, usize, usize),
-        ranges: &mut Vec<(f64, f64)>,
     ) -> Result<(f64, u64), CoreError> {
-        region_box_into(pyramids, at, ranges)?;
-        let (_, hi) = self.bound_over_box(ranges)?;
+        check_arity(self, pyramids)?;
+        let terms = self.coefficients().iter().copied().enumerate();
+        let hi = region_upper(pyramids, at, self.intercept(), terms)?;
         Ok((hi, LinearModel::arity(self) as u64))
+    }
+
+    #[inline]
+    fn bound_children(
+        &self,
+        pyramids: &[AggregatePyramid],
+        parent: (usize, usize, usize),
+        ub: &mut [f64; 4],
+    ) -> Result<(usize, u64), CoreError> {
+        check_arity(self, pyramids)?;
+        let terms = self.coefficients().iter().copied().enumerate();
+        let n = children_upper(pyramids, parent, self.intercept(), terms, ub)?;
+        Ok((n, LinearModel::arity(self) as u64))
     }
 
     #[inline]
@@ -388,6 +490,17 @@ pub(crate) trait Fetch<M> {
         at: (usize, usize, usize),
     ) -> Result<(f64, u64), CoreError>;
 
+    /// Upper bounds of lane `q`'s `model` over every child of region
+    /// `parent`, as [`Scorer::bound_children`] returns them.
+    fn bound_children(
+        &mut self,
+        model: &M,
+        q: usize,
+        pyramids: &[AggregatePyramid],
+        parent: (usize, usize, usize),
+        ub: &mut [f64; 4],
+    ) -> Result<(usize, u64), CoreError>;
+
     /// The attribute vector of base cell `at`, or the page it was lost on
     /// (see [`read_cell`] for `park`).
     fn cell<S: CellSource>(
@@ -416,6 +529,18 @@ impl<M, T: Fetch<M>> Fetch<M> for &mut T {
     }
 
     #[inline]
+    fn bound_children(
+        &mut self,
+        model: &M,
+        q: usize,
+        pyramids: &[AggregatePyramid],
+        parent: (usize, usize, usize),
+        ub: &mut [f64; 4],
+    ) -> Result<(usize, u64), CoreError> {
+        (**self).bound_children(model, q, pyramids, parent, ub)
+    }
+
+    #[inline]
     fn cell<S: CellSource>(
         &mut self,
         source: &S,
@@ -432,10 +557,9 @@ impl<M, T: Fetch<M>> Fetch<M> for &mut T {
     }
 }
 
-/// One query's own reads through the caller's scratch buffers.
+/// One query's own reads through the caller's attribute buffer.
 pub(crate) struct Direct<'a> {
     pub(crate) x: &'a mut Vec<f64>,
-    pub(crate) ranges: &'a mut Vec<(f64, f64)>,
 }
 
 impl<M: Scorer> Fetch<M> for Direct<'_> {
@@ -447,7 +571,19 @@ impl<M: Scorer> Fetch<M> for Direct<'_> {
         pyramids: &[AggregatePyramid],
         at: (usize, usize, usize),
     ) -> Result<(f64, u64), CoreError> {
-        model.bound(pyramids, at, self.ranges)
+        model.bound(pyramids, at)
+    }
+
+    #[inline]
+    fn bound_children(
+        &mut self,
+        model: &M,
+        _q: usize,
+        pyramids: &[AggregatePyramid],
+        parent: (usize, usize, usize),
+        ub: &mut [f64; 4],
+    ) -> Result<(usize, u64), CoreError> {
+        model.bound_children(pyramids, parent, ub)
     }
 
     #[inline]
@@ -604,13 +740,16 @@ where
     Ok(())
 }
 
-/// Bounds and pushes the children of `region`. `floor` is the lane's
-/// pop-time pruning floor: with a coarse pass, a child whose i8 cell
-/// bound falls *strictly* below it is skipped before the exact bound —
-/// no cell under it can reach the top-K even on a tie, and because the
-/// frontier order is total the survivors pop in the same sequence as the
-/// unpruned run, so results stay bit-identical. The i8 pass performs no
-/// f64 model arithmetic and charges no multiply-adds.
+/// Bounds and pushes the children of `region`: one block bound over all
+/// of them, then the pushes in `(rr, cc)` order, charged `n ×` the
+/// per-child multiply-adds. `floor` is the lane's pop-time pruning
+/// floor: with a coarse pass and a finite floor the children are bounded
+/// one by one instead, and a child whose i8 cell bound falls *strictly*
+/// below the floor is skipped before its exact bound — no cell under it
+/// can reach the top-K even on a tie, and because the frontier order is
+/// total the survivors pop in the same sequence as the unpruned run, so
+/// results stay bit-identical. The i8 pass performs no f64 model
+/// arithmetic and charges no multiply-adds.
 #[inline(always)]
 fn expand<S, M, F, P, B>(
     env: &mut Env<'_, S, F, P, B>,
@@ -622,24 +761,33 @@ where
     F: Fetch<M>,
     P: Pressure,
 {
-    let (parent, row, col) = region.at();
-    let level = parent - 1;
     let gate = env
         .pressure
         .coarse()
         .zip(floor.filter(|f| *f > f64::NEG_INFINITY));
-    env.pyramids[0].children_into(parent, row, col, env.children);
     let mut spent = 0u64;
-    for child in env.children.iter() {
-        if let Some((cg, f)) = gate {
+    if let Some((cg, f)) = gate {
+        let (parent, row, col) = region.at();
+        let level = parent - 1;
+        env.pyramids[0].children_into(parent, row, col, env.children);
+        for child in env.children.iter() {
             if cg.cell_upper_bound(lane.gate.0, lane.gate.1, level, child.row, child.col) < f {
                 continue;
             }
+            let at = (level, child.row, child.col);
+            let (ub, madds) = env.fetch.bound(lane.model, lane.q, env.pyramids, at)?;
+            spent += madds;
+            lane.frontier.push(Region::new(ub, at));
         }
-        let at = (level, child.row, child.col);
-        let (ub, madds) = env.fetch.bound(lane.model, lane.q, env.pyramids, at)?;
-        spent += madds;
-        lane.frontier.push(Region::new(ub, at));
+    } else {
+        let mut ub = [0.0; 4];
+        let (n, madds) =
+            env.fetch
+                .bound_children(lane.model, lane.q, env.pyramids, region.at(), &mut ub)?;
+        for (at, &ub) in children_of(env.pyramids, region.at()).zip(&ub[..n]) {
+            lane.frontier.push(Region::new(ub, at));
+        }
+        spent = n as u64 * madds;
     }
     lane.out.effort.multiply_adds += spent;
     env.pressure.charge(spent);

@@ -17,7 +17,9 @@
 //! Every engine returns exactly the scores a naive full scan returns
 //! (property-tested); only the work differs.
 
-use crate::descent::{drain, seed_root, Direct, Env, Lane, Local, Scorer, Strict};
+use crate::descent::{
+    children_upper, drain, region_upper, seed_root, Direct, Env, Lane, Local, Scorer, Strict,
+};
 use crate::error::CoreError;
 use crate::query::{Objective, TopKQuery};
 use crate::source::{CellSource, PyramidSource};
@@ -103,9 +105,9 @@ impl fmt::Display for EffortReport {
 
 /// Reusable buffers for the descent/staged engines, so steady-state
 /// query loops perform no per-query heap allocation: child coordinates,
-/// the base attribute vector, region range boxes, the best-first
-/// frontier, and the staged engine's candidate sets all live here and
-/// are cleared (capacity kept) between queries.
+/// the base attribute vector, the best-first frontier, and the staged
+/// engine's candidate sets all live here and are cleared (capacity kept)
+/// between queries.
 ///
 /// One scratch belongs to one engine call at a time — sequential callers
 /// keep a single instance, parallel engines keep one per worker. A fresh
@@ -117,7 +119,6 @@ impl fmt::Display for EffortReport {
 pub struct QueryScratch {
     pub(crate) children: Vec<CellCoord>,
     pub(crate) x: Vec<f64>,
-    pub(crate) ranges: Vec<(f64, f64)>,
     pub(crate) frontier: BinaryHeap<Region>,
     pub(crate) alive: Vec<usize>,
     pub(crate) partial: Vec<f64>,
@@ -142,14 +143,13 @@ impl QueryScratch {
 }
 
 /// Capacity snapshot used to detect buffer regrowth across one engine run.
-pub(crate) struct ScratchCaps([usize; 9]);
+pub(crate) struct ScratchCaps([usize; 8]);
 
 impl QueryScratch {
     pub(crate) fn caps(&self) -> ScratchCaps {
         ScratchCaps([
             self.children.capacity(),
             self.x.capacity(),
-            self.ranges.capacity(),
             self.frontier.capacity(),
             self.alive.capacity(),
             self.partial.capacity(),
@@ -422,8 +422,8 @@ pub fn pyramid_top_k(
 }
 
 /// [`pyramid_top_k`] with base-level reads routed through a [`CellSource`]
-/// and the frontier, child list, range box, and attribute vector reused
-/// from `scratch`.
+/// and the frontier, child list, and attribute vector reused from
+/// `scratch`.
 ///
 /// The pyramids act as the resident bounding index; exact base values come
 /// from `source` (e.g. a paged [`TileSource`](crate::source::TileSource)).
@@ -462,7 +462,6 @@ fn strict_descent<S: CellSource, M: Scorer>(
     let QueryScratch {
         children,
         x,
-        ranges,
         frontier,
         ..
     } = scratch;
@@ -471,7 +470,7 @@ fn strict_descent<S: CellSource, M: Scorer>(
         source,
         cols,
         row_offset: 0,
-        fetch: Direct { x, ranges },
+        fetch: Direct { x },
         pressure: Strict,
         floor: Local,
         children,
@@ -553,6 +552,18 @@ impl Truncated<'_> {
         let frac = (self.levels - level) as f64 / self.levels as f64;
         ((n_terms as f64 * frac).ceil() as usize).clamp(1, n_terms)
     }
+
+    fn intercept(&self) -> f64 {
+        self.model.model().intercept()
+    }
+
+    /// The first `stage` contribution-ranked `(attribute, coefficient)`
+    /// terms.
+    fn terms(&self, stage: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let coeffs = self.model.model().coefficients();
+        let order = &self.model.term_order()[..stage];
+        order.iter().map(move |&term| (term, coeffs[term]))
+    }
 }
 
 impl Scorer for Truncated<'_> {
@@ -568,18 +579,29 @@ impl Scorer for Truncated<'_> {
     fn bound(
         &self,
         pyramids: &[AggregatePyramid],
-        (level, row, col): (usize, usize, usize),
-        _ranges: &mut Vec<(f64, f64)>,
+        at: (usize, usize, usize),
     ) -> Result<(f64, u64), CoreError> {
-        let stage = self.stage_for_level(level);
-        let coeffs = self.model.model().coefficients();
-        let mut hi = self.model.model().intercept();
-        for &term in &self.model.term_order()[..stage] {
-            let s = pyramids[term].cell(level, row, col)?;
-            let a = coeffs[term];
-            hi += if a >= 0.0 { a * s.max } else { a * s.min };
-        }
+        let stage = self.stage_for_level(at.0);
+        let hi = region_upper(pyramids, at, self.intercept(), self.terms(stage))?;
         Ok((hi + suffix_upper(self.model, stage), stage as u64))
+    }
+
+    /// The four children share a level, hence a stage: its terms per
+    /// child, then the one stage constant.
+    #[inline]
+    fn bound_children(
+        &self,
+        pyramids: &[AggregatePyramid],
+        parent: (usize, usize, usize),
+        ub: &mut [f64; 4],
+    ) -> Result<(usize, u64), CoreError> {
+        let stage = self.stage_for_level(parent.0 - 1);
+        let n = children_upper(pyramids, parent, self.intercept(), self.terms(stage), ub)?;
+        let suffix = suffix_upper(self.model, stage);
+        for u in &mut ub[..n] {
+            *u += suffix;
+        }
+        Ok((n, stage as u64))
     }
 
     #[inline]
@@ -1127,6 +1149,100 @@ mod tests {
         let (model, pyramids) = build_inputs(7, 3, 3, 2);
         let r = pyramid_top_k(&model, &pyramids, 100).unwrap();
         assert_eq!(r.results.len(), 9);
+    }
+
+    /// The descent's one premise, for any [`Scorer`]: over every region of
+    /// level >= 1, the block bound of its children is the per-region bound
+    /// of each child, bit for bit and at the same multiply-adds, and no
+    /// base cell under a child scores above that child's bound.
+    fn check_bound_law<M: Scorer>(scorer: &M, pyramids: &[AggregatePyramid]) {
+        let mut kids = Vec::new();
+        let mut ub = [f64::NAN; 4];
+        let mut x = Vec::new();
+        for level in 1..pyramids[0].levels() {
+            let (rows, cols) = pyramids[0].level_shape(level);
+            for (row, col) in (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))) {
+                pyramids[0].children_into(level, row, col, &mut kids);
+                let (n, madds) = scorer
+                    .bound_children(pyramids, (level, row, col), &mut ub)
+                    .unwrap();
+                assert_eq!(n, kids.len(), "children of ({level}, {row}, {col})");
+                for (kid, &got) in kids.iter().zip(&ub) {
+                    let at = (level - 1, kid.row, kid.col);
+                    let (want, want_madds) = scorer.bound(pyramids, at).unwrap();
+                    assert_eq!(got.to_bits(), want.to_bits(), "{at:?}: {got} vs {want}");
+                    assert_eq!(madds, want_madds, "{at:?}");
+                    for cell in pyramids[0].base_cells(at.0, at.1, at.2) {
+                        x.clear();
+                        let base = pyramids.iter().map(|p| p.cell(0, cell.row, cell.col));
+                        x.extend(base.map(|s| s.unwrap().mean));
+                        let score = scorer.score(&x);
+                        assert!(got >= score, "{at:?} bounds {got} < {score} at {cell:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A grid of multiples of 1/8 in [-64, 64], with some `-0.0`: every
+    /// product with the drawn coefficients and every sum of them is exact,
+    /// so the law is checked on the bound's logic, not on rounding.
+    fn dyadic_grid(seed: u64, rows: usize, cols: usize) -> Grid2<f64> {
+        Grid2::from_fn(rows, cols, |r, c| {
+            let h = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add((r * 8191 + c * 127) as u64)
+                .wrapping_mul(2862933555777941757)
+                >> 33;
+            if h.is_multiple_of(13) {
+                -0.0
+            } else {
+                (h % 1025) as f64 / 8.0 - 64.0
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_block_bound_is_the_per_region_bound_and_sound(
+            seed in 0u64..10_000,
+            shape in 0usize..4,
+            rows in 1usize..41,
+            cols in 1usize..41,
+            coeffs in proptest::collection::vec(
+                proptest::sample::select(vec![0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0, -0.125]),
+                1..5,
+            ),
+            intercept in proptest::sample::select(vec![0.0, -0.0, 4.5, -7.25]),
+        ) {
+            // One row, one column, or any shape: ragged edges give a parent
+            // 1, 2 or 4 children.
+            let (rows, cols) = match shape {
+                0 => (1, cols),
+                1 => (rows, 1),
+                _ => (rows, cols),
+            };
+            let pyramids: Vec<AggregatePyramid> = (0..coeffs.len())
+                .map(|i| AggregatePyramid::build(&dyadic_grid(seed + i as u64, rows, cols)))
+                .collect();
+            let model = LinearModel::new(coeffs, intercept).unwrap();
+            check_bound_law(&model, &pyramids);
+            // The full-model bound is `bound_over_box`'s `hi`, bit for bit.
+            for level in 0..pyramids[0].levels() {
+                let (lr, lc) = pyramids[0].level_shape(level);
+                for (r, c) in (0..lr).flat_map(|r| (0..lc).map(move |c| (r, c))) {
+                    let cells = pyramids.iter().map(|p| p.cell(level, r, c).unwrap());
+                    let ranges: Vec<(f64, f64)> = cells.map(|s| (s.min, s.max)).collect();
+                    let (_, want) = model.bound_over_box(&ranges).unwrap();
+                    let (got, _) = model.bound(&pyramids, (level, r, c)).unwrap();
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "({}, {}, {})", level, r, c);
+                }
+            }
+            let prog = progressive_of(&model, &pyramids);
+            let levels = pyramids[0].levels();
+            check_bound_law(&Truncated { model: &prog, levels }, &pyramids);
+        }
     }
 
     proptest! {

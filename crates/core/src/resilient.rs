@@ -421,7 +421,6 @@ fn resilient_top_k_inner<S: CellSource>(
     let QueryScratch {
         children,
         x,
-        ranges,
         frontier,
         qcoeff,
         qmeta,
@@ -435,7 +434,7 @@ fn resilient_top_k_inner<S: CellSource>(
         source,
         cols,
         row_offset: 0,
-        fetch: Direct { x, ranges },
+        fetch: Direct { x },
         pressure: Budgeted::new(Clock::starting(opts, &deadline, source)),
         floor: Local,
         children,

@@ -77,6 +77,9 @@ struct Agg {
 /// the number of base cells the cell covers.
 trait Stored: Copy {
     fn stats(self, count: u64) -> CellStats;
+
+    /// `(min, max)` of the covered values.
+    fn range(self) -> (f64, f64);
 }
 
 impl Stored for f64 {
@@ -84,6 +87,11 @@ impl Stored for f64 {
     #[inline]
     fn stats(self, _count: u64) -> CellStats {
         CellStats::of_value(self)
+    }
+
+    #[inline]
+    fn range(self) -> (f64, f64) {
+        (self, self)
     }
 }
 
@@ -96,6 +104,11 @@ impl Stored for Agg {
             mean: self.mean,
             count,
         }
+    }
+
+    #[inline]
+    fn range(self) -> (f64, f64) {
+        (self.min, self.max)
     }
 }
 
@@ -142,6 +155,32 @@ impl<T: Stored> Level<T> {
     fn row(&self, row: usize) -> &[T] {
         let start = (row & (CHUNK_ROWS - 1)) * self.cols;
         &self.chunks[row >> CHUNK_SHIFT][start..start + self.cols]
+    }
+
+    /// The `(min, max)` of the up-to-2x2 block whose top-left cell is
+    /// `(row, col)`, in `(rr, cc)` order, as two row slices; 0 when that
+    /// cell lies outside the level.
+    #[inline]
+    fn block_ranges(&self, row: usize, col: usize, out: &mut [(f64, f64); 4]) -> usize {
+        if row >= self.rows || col >= self.cols {
+            return 0;
+        }
+        let wide = col + 1 < self.cols;
+        let mut n = 1 + usize::from(wide);
+        let top = self.row(row);
+        out[0] = top[col].range();
+        if wide {
+            out[1] = top[col + 1].range();
+        }
+        if row + 1 < self.rows {
+            let below = self.row(row + 1);
+            out[n] = below[col].range();
+            if wide {
+                out[3] = below[col + 1].range();
+            }
+            n *= 2;
+        }
+        n
     }
 
     /// Grows the level to `rows` rows, of which those from `dirty` on come
@@ -433,6 +472,41 @@ impl AggregatePyramid {
         }
     }
 
+    /// Writes the `(min, max)` of the children of `(level, row, col)` into
+    /// `out`, in the `(rr, cc)` order of
+    /// [`children_into`](Self::children_into), and returns how many there
+    /// are (1, 2 or 4; 0 at level 0 and outside the pyramid). The read
+    /// form of a descent that bounds a region's children in one call: one
+    /// row slice per child row, no [`CellStats`].
+    ///
+    /// ```
+    /// use mbir_archive::grid::Grid2;
+    /// use mbir_progressive::pyramid::AggregatePyramid;
+    ///
+    /// let pyr = AggregatePyramid::build(&Grid2::from_fn(3, 3, |r, c| (r * 3 + c) as f64));
+    /// let mut out = [(0.0, 0.0); 4];
+    /// assert_eq!(pyr.child_ranges(1, 1, 0, &mut out), 2);
+    /// assert_eq!(out[..2], [(6.0, 6.0), (7.0, 7.0)]);
+    /// assert_eq!(pyr.child_ranges(0, 0, 0, &mut out), 0);
+    /// ```
+    #[inline]
+    pub fn child_ranges(
+        &self,
+        level: usize,
+        row: usize,
+        col: usize,
+        out: &mut [(f64, f64); 4],
+    ) -> usize {
+        if level == 0 || level >= self.levels() {
+            return 0;
+        }
+        let (row, col) = (row.saturating_mul(2), col.saturating_mul(2));
+        match level - 1 {
+            0 => self.base.block_ranges(row, col, out),
+            up => self.upper[up - 1].block_ranges(row, col, out),
+        }
+    }
+
     /// The base-resolution cells covered by `(level, row, col)`.
     pub fn base_cells(&self, level: usize, row: usize, col: usize) -> Vec<CellCoord> {
         let mut out = Vec::new();
@@ -442,9 +516,13 @@ impl AggregatePyramid {
 
     /// Writes the base cells covered by `(level, row, col)` into `out`
     /// (cleared first) — the allocation-free form of
-    /// [`AggregatePyramid::base_cells`].
+    /// [`AggregatePyramid::base_cells`]. `out` is left empty for a level the
+    /// pyramid does not have.
     pub fn base_cells_into(&self, level: usize, row: usize, col: usize, out: &mut Vec<CellCoord>) {
         out.clear();
+        if level >= self.levels() {
+            return;
+        }
         let scale = 1usize << level;
         let (rows, cols) = self.base_shape();
         for rr in row * scale..((row + 1) * scale).min(rows) {
@@ -585,6 +663,50 @@ mod tests {
         pyr.children_into(99, 0, 0, &mut buf);
         assert!(buf.is_empty());
         assert_eq!(pyr.children(99, 0, 0), Vec::<CellCoord>::new());
+    }
+
+    #[test]
+    fn child_ranges_are_the_children_cells_in_order() {
+        let pyr = AggregatePyramid::build(&Grid2::from_fn(5, 7, |r, c| {
+            ((r * 7 + c) * 37 % 23) as f64 - 9.5
+        }));
+        let mut kids = Vec::new();
+        let mut out = [(f64::NAN, f64::NAN); 4];
+        for level in 0..pyr.levels() {
+            let (lr, lc) = pyr.level_shape(level);
+            // One row and one column past the level: no children there.
+            for r in 0..=lr {
+                for c in 0..=lc {
+                    pyr.children_into(level, r, c, &mut kids);
+                    let n = pyr.child_ranges(level, r, c, &mut out);
+                    assert_eq!(n, kids.len(), "level {level} ({r},{c})");
+                    for (got, kid) in out.iter().zip(&kids) {
+                        let s = pyr.cell(level - 1, kid.row, kid.col).unwrap();
+                        let want = (s.min.to_bits(), s.max.to_bits());
+                        assert_eq!((got.0.to_bits(), got.1.to_bits()), want, "{level} {kid:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(pyr.child_ranges(1, usize::MAX, 0, &mut out), 0);
+    }
+
+    #[test]
+    fn levels_the_pyramid_does_not_have_cover_nothing() {
+        let pyr = AggregatePyramid::build(&Grid2::filled(6, 9, 1.0));
+        let mut buf = vec![CellCoord::new(7, 7)];
+        let mut out = [(0.0, 0.0); 4];
+        for level in [pyr.levels(), pyr.levels() + 3, 99] {
+            pyr.base_cells_into(level, 0, 0, &mut buf);
+            assert!(buf.is_empty(), "base cells at level {level}");
+            assert!(pyr.base_cells(level, 0, 0).is_empty());
+            assert!(pyr.children(level, 0, 0).is_empty());
+            assert_eq!(pyr.child_ranges(level, 0, 0, &mut out), 0);
+            assert!(pyr.cell(level, 0, 0).is_err());
+        }
+        // The top level is the last one that covers anything.
+        let top = pyr.levels() - 1;
+        assert_eq!(pyr.base_cells(top, 0, 0).len(), 6 * 9);
     }
 
     fn stats_eq(a: &AggregatePyramid, b: &AggregatePyramid) -> bool {
