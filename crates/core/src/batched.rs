@@ -22,12 +22,14 @@
 //!   attribute vector (or the lost-page verdict) is memoized and replayed
 //!   for every later query. A cell is fetched iff it survives at least
 //!   one query's K-th floor — the per-query floor vector is what decides.
-//! * **Region range boxes are fetched once.** The per-attribute range box
-//!   of a region is read from the pyramids once; each query's upper bound
-//!   over that box is computed lazily on first request (same left-to-right
-//!   term order as the solo bound) and replayed from its slot afterwards.
-//!   Lazy slots keep zero-overlap batches at solo cost — a query never
-//!   pays for another query's bound.
+//! * **Children blocks are fetched once.** When a region expands, the
+//!   range boxes of its children — one row of `(min, max)` pairs per
+//!   attribute — are read from the pyramids once and stored under the
+//!   region's key; every query that expands the same region folds its
+//!   own model over the stored block, with the same terms in the same
+//!   order as the solo block bound. No query's bound is kept: a query
+//!   bounds a region once, when the region's parent expands, so what
+//!   repeats across queries is the expansion, not the bound.
 //!
 //! The shared-frontier invariant (DESIGN.md §15): the shared descent may
 //! only *add* physical cell visits relative to any single query, never
@@ -50,8 +52,8 @@
 //! logical read — batched and solo verdicts coincide.
 
 use crate::descent::{
-    children_of, finish, interleave, read_cell, seed_root, Budgeted, Cell, Clock, Env, Fetch,
-    Floor, Lane, Local, Outcome, Pressure, Scorer,
+    check_arity, finish, interleave, read_cell, seed_root, upper_term, Budgeted, Cell, Clock, Env,
+    Fetch, Floor, Lane, Local, Outcome, Pressure, Scorer,
 };
 use crate::engine::{pack_coords, validate_grid_inputs, Region};
 use crate::error::CoreError;
@@ -145,8 +147,8 @@ enum MemoPhase {
 /// zero-overlap batch degrades to Q independent descents instead of Q
 /// descents each dragging a cold hash table. Windows reset at each
 /// boundary, so the always-shared pyramid apex cannot mask a disjoint
-/// bulk. A layer whose store cost is heavy (the bound memo's box + slot
-/// vectors) starts in [`MemoPhase::Sampling`] and pays only key-presence
+/// bulk. A layer whose store cost is heavy (the bound memo's children
+/// blocks) starts in [`MemoPhase::Sampling`] and pays only key-presence
 /// probes until its first window proves the sharing is real.
 #[derive(Debug)]
 struct MemoGovernor {
@@ -474,8 +476,9 @@ pub struct BatchedTopK {
     /// Logical per-query cell reads served (≥ `cells_fetched`; the ratio
     /// is the read amortization factor).
     pub cell_requests: u64,
-    /// Physical region range-box fetches (one per distinct region while
-    /// the bound memo is on; one per request while it samples or is off).
+    /// Physical region range-box fetches (one per child of a distinct
+    /// expanded region while the bound memo is on; one per request while
+    /// it samples or is off).
     pub bound_evals: u64,
     /// Logical per-query bound requests served (≥ `bound_evals`).
     pub bound_requests: u64,
@@ -494,33 +497,52 @@ impl BatchedTopK {
     }
 }
 
-/// Memoized region range boxes with lazily computed per-query bounds.
+/// Value of a key that holds no block: a parent expanded while the memo
+/// sampled, or a region bounded on its own (see [`REGION_TAG`]).
+const UNSTORED: usize = usize::MAX;
+
+/// Marks the key of a region bounded on its own — a root, or a child the
+/// coarse gate let through — so it never collides with the same region's
+/// key as an expanded parent. Bit 63 is the top bit of [`pack_coords`]'s
+/// level field, which no pyramid sets: a base side of at most 2^28 cells
+/// makes at most 29 levels.
+const REGION_TAG: u64 = 1 << 63;
+
+/// Memoized children blocks: the range boxes of every child of an
+/// expanded parent, read from the pyramids once per batch and folded for
+/// every lane that expands the same parent.
 ///
-/// The per-attribute range box of a region is fetched from the pyramids
-/// exactly once per batch; each query's upper bound over that box is
-/// computed on first request — with the same `bound_over_box` term order
-/// as the solo engine, so slot `q` is bit-identical to the solo bound for
-/// query `q` — and replayed from its slot on every later request. An
-/// unevaluated slot is a `NaN` sentinel (a genuinely-`NaN` bound is
-/// simply recomputed, never served stale).
+/// A lane bounds a region once, when the region's parent expands, so a
+/// per-lane bound slot would be written once and never read again (0
+/// replays in 93M `shard_batch` box lookups). What repeats across lanes
+/// is the expansion: the key is the parent's, and the value is its
+/// children's block, `arity` rows of `(min, max)` read with one
+/// [`AggregatePyramid::child_ranges`] per pyramid. A lane's fold over the
+/// block adds the same terms in the same order as the direct block bound
+/// ([`children_upper`](crate::descent::children_upper)), so every bound
+/// keeps its bits.
 ///
-/// A [`MemoGovernor`] retires the table when the batch exhibits no
-/// cross-query region sharing; the direct path then bounds the region
-/// straight from the pyramids — the same `bound_over_box` term order, so
-/// the value is unchanged either way.
+/// A [`MemoGovernor`] retires the table when the batch shows no
+/// cross-query sharing. It sees one probe per bound request: a block
+/// found is `n` hits and a block missing `n` misses, and a region bounded
+/// on its own is one probe under its tagged key. A region's children are
+/// bounded together, when it expands, so "block seen" is "every child
+/// seen" and the governor decides exactly as over a per-region table
+/// (with a coarse pass, a child first bounded on its own counts as new
+/// again in its parent's block).
 #[derive(Debug)]
 struct BoundMemo {
+    /// Parent key → block ordinal, or [`UNSTORED`].
     map: MemoMap<usize>,
-    /// Region range boxes, `arity` `(min, max)` pairs per ordinal.
-    boxes: Vec<(f64, f64)>,
-    /// Per-query bound slots, `width` per ordinal, `NaN` until first
-    /// request.
-    bounds: Vec<f64>,
+    /// `arity` rows per ordinal, attribute by attribute: the children's
+    /// `(min, max)` in `child_ranges` order.
+    boxes: Vec<[(f64, f64); 4]>,
+    /// Child count per ordinal.
+    counts: Vec<u8>,
     gov: MemoGovernor,
-    /// Queries in the batch.
-    width: usize,
-    /// Physical range-box fetches: one per distinct region while
-    /// memoized, one per request while sampling or off.
+    /// Physical range fetches, per child: one per child of a block read
+    /// (stored, or bounded directly while sampling or off), none per
+    /// child of a block replayed.
     evals: u64,
 }
 
@@ -529,21 +551,19 @@ impl Default for BoundMemo {
         BoundMemo {
             map: MemoMap::default(),
             boxes: Vec::new(),
-            bounds: Vec::new(),
+            counts: Vec::new(),
             gov: MemoGovernor::sampling(BOUND_MEMO_WINDOW),
-            width: 0,
             evals: 0,
         }
     }
 }
 
 impl BoundMemo {
-    fn reset(&mut self, width: usize) {
+    fn reset(&mut self) {
         self.map.clear();
         self.boxes.clear();
-        self.bounds.clear();
+        self.counts.clear();
         self.gov.reset();
-        self.width = width;
         self.evals = 0;
     }
 
@@ -551,68 +571,102 @@ impl BoundMemo {
         self.gov.phase() == MemoPhase::Off
     }
 
-    /// The solo engine's bound, kept nowhere.
-    #[inline]
-    fn direct(
-        &mut self,
-        model: &LinearModel,
-        pyramids: &[AggregatePyramid],
-        at: (usize, usize, usize),
-    ) -> Result<f64, CoreError> {
-        self.evals += 1;
-        Ok(model.bound(pyramids, at)?.0)
-    }
-
-    /// The upper bound of query `q`'s `model` over region `at`.
+    /// The solo bound of a region bounded on its own, probed under its
+    /// tagged key so the governor counts the request like any other.
     fn bound(
         &mut self,
         model: &LinearModel,
-        q: usize,
         pyramids: &[AggregatePyramid],
         at: (usize, usize, usize),
-    ) -> Result<f64, CoreError> {
-        if self.is_off() {
-            return self.direct(model, pyramids, at);
+    ) -> Result<(f64, u64), CoreError> {
+        if !self.is_off() {
+            let seen = self.map.insert(pack_coords(at) | REGION_TAG, UNSTORED);
+            self.gov.record(seen.is_some());
         }
-        let key = pack_coords(at);
-        if self.gov.phase() == MemoPhase::Sampling {
-            // Presence-only probe: count sharing without paying the
-            // box/slot store, and compute the bound directly.
-            let seen = self.map.insert(key, usize::MAX).is_some();
-            self.gov.record(seen);
-            return self.direct(model, pyramids, at);
-        }
-        let arity = pyramids.len();
-        let ord = match self.map.get(&key) {
-            Some(&ord) if ord != usize::MAX => {
-                self.gov.record(true);
-                ord
-            }
-            seen => {
-                // A new region, or one seen during sampling but never
-                // stored: give it a real ordinal now.
-                self.gov.record(seen.is_some());
-                let ord = self.boxes.len() / arity;
-                for p in pyramids {
-                    let s = p.cell(at.0, at.1, at.2)?;
-                    self.boxes.push((s.min, s.max));
-                }
-                self.bounds.resize(self.bounds.len() + self.width, f64::NAN);
-                self.evals += 1;
+        self.evals += 1;
+        model.bound(pyramids, at)
+    }
+
+    /// `model`'s bounds over every child of `parent` while the memo is
+    /// live, and the child count: one probe, then a fold over the
+    /// parent's block — replayed, or read and stored while the memo is on
+    /// — or the direct block bound while it samples.
+    #[inline(never)]
+    fn live_children(
+        &mut self,
+        model: &LinearModel,
+        pyramids: &[AggregatePyramid],
+        parent: (usize, usize, usize),
+        ub: &mut [f64; 4],
+    ) -> Result<usize, CoreError> {
+        check_arity(model, pyramids)?;
+        let key = pack_coords(parent);
+        let found = self.map.get(&key).copied();
+        let replayed = found.filter(|&ord| ord != UNSTORED);
+        let n = match replayed {
+            Some(ord) => self.fold(model, ord, ub),
+            None if self.gov.phase() == MemoPhase::On => {
+                let ord = self.store(pyramids, parent)?;
                 self.map.insert(key, ord);
-                ord
+                self.fold(model, ord, ub)
+            }
+            None => {
+                // Sampling: a presence-only probe, the bound computed
+                // directly.
+                self.map.insert(key, UNSTORED);
+                model.bound_children(pyramids, parent, ub)?.0
             }
         };
-        let slot = ord * self.width + q;
-        if self.bounds[slot].is_nan() {
-            let (_, hi) = model.bound_over_box(&self.boxes[ord * arity..(ord + 1) * arity])?;
-            self.bounds[slot] = hi;
+        // Child by child, because a window boundary can fall inside the
+        // block: the children past it are counted under the new phase.
+        for _ in 0..n {
+            let phase = self.gov.phase();
+            if phase != MemoPhase::Off {
+                self.gov.record(found.is_some());
+            }
+            self.evals += u64::from(phase != MemoPhase::On || replayed.is_none());
         }
-        Ok(self.bounds[slot])
+        Ok(n)
+    }
+
+    /// Reads the children block of `parent` into a new ordinal.
+    fn store(
+        &mut self,
+        pyramids: &[AggregatePyramid],
+        (level, row, col): (usize, usize, usize),
+    ) -> Result<usize, CoreError> {
+        let ord = self.counts.len();
+        let mut n = None;
+        for p in pyramids {
+            let mut ranges = [(0.0, 0.0); 4];
+            let got = p.child_ranges(level, row, col, &mut ranges);
+            if *n.get_or_insert(got) != got {
+                return Err(CoreError::Query("pyramids must share a shape".into()));
+            }
+            self.boxes.push(ranges);
+        }
+        self.counts.push(n.unwrap_or(0) as u8);
+        Ok(ord)
+    }
+
+    /// `model`'s bounds over block `ord` — the intercept, then every
+    /// attribute's [`upper_term`] in attribute order, all four slots (a
+    /// slot past the child count is never read) — and the child count.
+    #[inline]
+    fn fold(&self, model: &LinearModel, ord: usize, ub: &mut [f64; 4]) -> usize {
+        let arity = model.arity();
+        *ub = [model.intercept(); 4];
+        let block = &self.boxes[ord * arity..(ord + 1) * arity];
+        for (&a, ranges) in model.coefficients().iter().zip(block) {
+            for (u, &range) in ub.iter_mut().zip(ranges) {
+                *u += upper_term(a, range);
+            }
+        }
+        usize::from(self.counts[ord])
     }
 }
 
-/// The batch's [`Fetch`] layer: base cells and region range boxes are
+/// The batch's [`Fetch`] layer: base cells and children blocks are
 /// fetched once and replayed for every later lane, each behind a
 /// [`MemoGovernor`] that retires the table when the batch proves it does
 /// not share. A batch of one has nothing to share and starts retired.
@@ -645,7 +699,7 @@ impl Memo {
         self.cells.clear();
         self.cell_gov.reset();
         self.cell_arena.clear();
-        self.bounds.reset(width);
+        self.bounds.reset();
         if width == 1 {
             self.cell_gov.retire();
             self.bounds.gov.retire();
@@ -660,7 +714,7 @@ impl Memo {
             self.cell_arena.capacity(),
             self.bounds.map.capacity(),
             self.bounds.boxes.capacity(),
-            self.bounds.bounds.capacity(),
+            self.bounds.counts.capacity(),
         ]
     }
 
@@ -677,38 +731,37 @@ impl Fetch<LinearModel> for Memo {
     fn bound(
         &mut self,
         model: &LinearModel,
-        q: usize,
+        _q: usize,
         pyramids: &[AggregatePyramid],
         at: (usize, usize, usize),
     ) -> Result<(f64, u64), CoreError> {
         self.tally.bound_requests += 1;
-        let ub = self.bounds.bound(model, q, pyramids, at)?;
-        Ok((ub, model.arity() as u64))
+        self.bounds.bound(model, pyramids, at)
     }
 
-    /// One block bound while the bound memo is retired, tallied as one
-    /// request and one eval per child; child by child through the memo
-    /// while it is live.
-    #[inline]
+    /// One block bound while the bound memo is retired; one probe of the
+    /// block memo while it is live. Tallied as one request per child.
+    /// Forced inline, with the live path kept out of line, so a retired
+    /// batch's drain loop calls the block bound the way the solo loop
+    /// does: plain `#[inline]` left a call per expansion there, which the
+    /// `batch` bench's zero-overlap case shows (DESIGN.md §15).
+    #[inline(always)]
     fn bound_children(
         &mut self,
         model: &LinearModel,
-        q: usize,
+        _q: usize,
         pyramids: &[AggregatePyramid],
         parent: (usize, usize, usize),
         ub: &mut [f64; 4],
     ) -> Result<(usize, u64), CoreError> {
-        if self.bounds.is_off() {
-            let (n, madds) = model.bound_children(pyramids, parent, ub)?;
-            self.tally.bound_requests += n as u64;
+        let n = if self.bounds.is_off() {
+            let (n, _) = model.bound_children(pyramids, parent, ub)?;
             self.bounds.evals += n as u64;
-            return Ok((n, madds));
-        }
-        let mut n = 0;
-        for at in children_of(pyramids, parent) {
-            ub[n] = self.bound(model, q, pyramids, at)?.0;
-            n += 1;
-        }
+            n
+        } else {
+            self.bounds.live_children(model, pyramids, parent, ub)?
+        };
+        self.tally.bound_requests += n as u64;
         Ok((n, model.arity() as u64))
     }
 
@@ -1097,13 +1150,13 @@ mod tests {
         assert!(batch.bound_requests >= batch.bound_evals);
 
         // A tightly-overlapping batch keeps the bound memo on past the
-        // sampling window: physical box fetches stay strictly below the
-        // logical request count.
+        // sampling window with margin, so most range fetches are shared:
+        // fewer than half the logical requests reach the pyramids.
         let near: Vec<LinearModel> = (0..6)
             .map(|qi| {
                 let t = qi as f64;
                 let coeffs: Vec<f64> = (0..pyramids.len())
-                    .map(|a| 1.0 + 0.01 * t - 0.3 * a as f64)
+                    .map(|a| 1.0 + 0.001 * t - 0.3 * a as f64)
                     .collect();
                 LinearModel::new(coeffs, 0.02 * t).unwrap()
             })
@@ -1111,7 +1164,7 @@ mod tests {
         let src = fresh_sources(&stores);
         let near_batch = batched_top_k(&near, &pyramids, 7, &src, &budget).unwrap();
         assert!(
-            near_batch.bound_requests > near_batch.bound_evals,
+            near_batch.bound_evals < near_batch.bound_requests / 2,
             "overlapping batch should amortize range-box fetches: {} requests vs {} evals",
             near_batch.bound_requests,
             near_batch.bound_evals
@@ -1331,5 +1384,131 @@ mod tests {
         let mixed = vec![models[0].clone(), odd];
         assert!(batched_top_k(&mixed, &pyramids, 3, &src, &budget).is_err());
         assert!(batched_top_k(&models, &pyramids, 0, &src, &budget).is_err());
+    }
+
+    /// Holds the bound memo in `phase`: a window no probe count reaches,
+    /// so the governor cannot move it while the law is checked.
+    fn pin(memo: &mut Memo, phase: MemoPhase) {
+        memo.bounds.gov = MemoGovernor {
+            window: u32::MAX,
+            probes: 0,
+            hits: 0,
+            phase,
+            opening: phase,
+        };
+    }
+
+    /// The bound law with the memo as its customer: for each lane in
+    /// `lanes` and every parent, `memo`'s block bound is the direct one
+    /// ([`Scorer::bound_children`]) — the count, the multiply-adds and
+    /// every child's bits. Returns the range fetches the pass added.
+    fn check_memo_bound_law(
+        memo: &mut Memo,
+        models: &[LinearModel],
+        lanes: std::ops::Range<usize>,
+        pyramids: &[AggregatePyramid],
+        parents: &[(usize, usize, usize)],
+    ) -> u64 {
+        let evals = memo.tally().bound_evals;
+        let (mut got, mut want) = ([f64::NAN; 4], [f64::NAN; 4]);
+        for q in lanes {
+            for &parent in parents {
+                let (n, madds) = models[q]
+                    .bound_children(pyramids, parent, &mut want)
+                    .unwrap();
+                let g = memo
+                    .bound_children(&models[q], q, pyramids, parent, &mut got)
+                    .unwrap();
+                assert_eq!(g, (n, madds), "lane {q} at {parent:?}");
+                for (g, w) in got[..n].iter().zip(&want[..n]) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "lane {q} at {parent:?}");
+                }
+            }
+        }
+        memo.tally().bound_evals - evals
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        /// Sampling, on (miss, miss over a sampled mark, hit) and retired:
+        /// in each phase, every lane gets the direct block bound's bits
+        /// for every parent, and only a replayed block skips the fetch.
+        #[test]
+        fn prop_memo_block_bound_is_the_direct_block_bound(
+            seed in 0u64..10_000,
+            shape in 0usize..4,
+            rows in 1usize..41,
+            cols in 1usize..41,
+            width in 2usize..9,
+            arity in 1usize..5,
+            table in proptest::collection::vec(
+                proptest::sample::select(vec![0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0, -0.125]),
+                32,
+            ),
+            intercepts in proptest::collection::vec(
+                proptest::sample::select(vec![0.0, -0.0, 4.5, -7.25]),
+                8,
+            ),
+        ) {
+            let (rows, cols) = match shape {
+                0 => (1, cols),
+                1 => (rows, 1),
+                _ => (rows, cols),
+            };
+            let pyramids: Vec<AggregatePyramid> = (0..arity)
+                .map(|i| {
+                    let grid = crate::engine::tests::dyadic_grid(seed + i as u64, rows, cols);
+                    AggregatePyramid::build(&grid)
+                })
+                .collect();
+            let models: Vec<LinearModel> = (0..width)
+                .map(|q| {
+                    let coeffs = table[q * arity..(q + 1) * arity].to_vec();
+                    LinearModel::new(coeffs, intercepts[q]).unwrap()
+                })
+                .collect();
+            let parents: Vec<(usize, usize, usize)> = (1..pyramids[0].levels())
+                .rev()
+                .flat_map(|level| {
+                    let (lr, lc) = pyramids[0].level_shape(level);
+                    (0..lr).flat_map(move |r| (0..lc).map(move |c| (level, r, c)))
+                })
+                .collect();
+            let children: u64 = parents
+                .iter()
+                .map(|&(l, r, c)| pyramids[0].child_ranges(l, r, c, &mut [(0.0, 0.0); 4]) as u64)
+                .sum();
+            let all = 0..width;
+            let mut memo = Memo::default();
+
+            // Sampling, then on: the first lane stores every block over
+            // its sampled mark, every lane after it replays the block.
+            memo.reset(width);
+            pin(&mut memo, MemoPhase::Sampling);
+            let fetched = check_memo_bound_law(&mut memo, &models, all.clone(), &pyramids, &parents);
+            proptest::prop_assert_eq!(fetched, width as u64 * children);
+            pin(&mut memo, MemoPhase::On);
+            let fetched = check_memo_bound_law(&mut memo, &models, 0..1, &pyramids, &parents);
+            proptest::prop_assert_eq!(fetched, children);
+            let fetched = check_memo_bound_law(&mut memo, &models, all.clone(), &pyramids, &parents);
+            proptest::prop_assert_eq!(fetched, 0);
+
+            // On from a cold table, for every lane: it misses every block,
+            // then every lane replays the blocks it stored.
+            for q in all.clone() {
+                memo.reset(width);
+                pin(&mut memo, MemoPhase::On);
+                let fetched = check_memo_bound_law(&mut memo, &models, q..q + 1, &pyramids, &parents);
+                proptest::prop_assert_eq!(fetched, children);
+                let fetched = check_memo_bound_law(&mut memo, &models, all.clone(), &pyramids, &parents);
+                proptest::prop_assert_eq!(fetched, 0);
+            }
+
+            // Retired: the direct block bound, fetched every time.
+            memo.reset(width);
+            memo.bounds.gov.retire();
+            let fetched = check_memo_bound_law(&mut memo, &models, all, &pyramids, &parents);
+            proptest::prop_assert_eq!(fetched, width as u64 * children);
+        }
     }
 }

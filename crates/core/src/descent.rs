@@ -337,7 +337,7 @@ pub(crate) fn children_of(
 /// Coefficient `a`'s largest contribution over `[min, max]`:
 /// [`LinearModel::bound_over_box`]'s `hi` term.
 #[inline]
-fn upper_term(a: f64, (min, max): (f64, f64)) -> f64 {
+pub(crate) fn upper_term(a: f64, (min, max): (f64, f64)) -> f64 {
     if a >= 0.0 {
         a * max
     } else {
@@ -394,7 +394,10 @@ pub(crate) fn children_upper(
 /// `pyramids` must hold one pyramid per model term (`bound_over_box`'s
 /// check).
 #[inline]
-fn check_arity(model: &LinearModel, pyramids: &[AggregatePyramid]) -> Result<(), CoreError> {
+pub(crate) fn check_arity(
+    model: &LinearModel,
+    pyramids: &[AggregatePyramid],
+) -> Result<(), CoreError> {
     if pyramids.len() != model.arity() {
         return Err(CoreError::Model(ModelError::ArityMismatch {
             expected: model.arity(),
@@ -528,7 +531,9 @@ impl<M, T: Fetch<M>> Fetch<M> for &mut T {
         (**self).bound(model, q, pyramids, at)
     }
 
-    #[inline]
+    /// Forced inline: the batch's memo is reached through here (see
+    /// `batched::Memo`'s `bound_children`).
+    #[inline(always)]
     fn bound_children(
         &mut self,
         model: &M,

@@ -730,7 +730,7 @@ fn suffix_upper(model: &ProgressiveLinearModel, stage: usize) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mbir_archive::grid::Grid2;
     use proptest::prelude::*;
@@ -1187,7 +1187,7 @@ mod tests {
     /// A grid of multiples of 1/8 in [-64, 64], with some `-0.0`: every
     /// product with the drawn coefficients and every sum of them is exact,
     /// so the law is checked on the bound's logic, not on rounding.
-    fn dyadic_grid(seed: u64, rows: usize, cols: usize) -> Grid2<f64> {
+    pub(crate) fn dyadic_grid(seed: u64, rows: usize, cols: usize) -> Grid2<f64> {
         Grid2::from_fn(rows, cols, |r, c| {
             let h = seed
                 .wrapping_mul(6364136223846793005)

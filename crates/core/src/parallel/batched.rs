@@ -5,14 +5,14 @@
 //! batch of one — in the three phases of [`super::engines`]:
 //!
 //! 1. **Shared warm-up.** One sequential expansion of the batch's
-//!    frontiers in the global bound order, region range boxes fetched
-//!    once and bounded per requesting query, until they hold enough
+//!    frontiers in the global bound order, children blocks fetched once
+//!    and folded per requesting query, until they hold enough
 //!    regions to deal every worker several per query.
 //! 2. **Descend.** Each worker runs the batched best-first loop over its
 //!    dealt regions with one [`SharedBound`](super::SharedBound) per
 //!    query: a K-th floor discovered for query `q` by one worker prunes
 //!    `q`'s regions in every other worker, while leaving the other
-//!    queries' descents untouched. Cell reads and range boxes are
+//!    queries' descents untouched. Cell reads and children blocks are
 //!    memoized per worker; cross-worker page reuse comes from routing
 //!    every worker through one shared (optionally caching)
 //!    [`CellSource`].

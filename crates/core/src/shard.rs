@@ -1313,8 +1313,8 @@ pub struct BatchedShardedTopK {
     /// Logical per-query cell reads served (≥ `cells_fetched`; the ratio
     /// is the batch's read amortization factor).
     pub cell_requests: u64,
-    /// Distinct region bound-vector computations across winning attempts
-    /// (one pyramid range fetch each).
+    /// Physical region range fetches across winning attempts (see
+    /// [`BatchedTopK::bound_evals`](crate::batched::BatchedTopK::bound_evals)).
     pub bound_evals: u64,
     /// Logical per-query bound requests served (≥ `bound_evals`).
     pub bound_requests: u64,

@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# Exact work-counter gate on the grid engine: runs the `grid_hot` and
+# Exact work-counter gate on the grid engines: runs the `grid_hot` and
 # `append_mix` end-to-end workloads briefly at seed 7 and fails unless
 # each reports `correct: true`, no failed operation, and a
-# `madds_per_query` bit-equal to the value committed below.
+# `madds_per_query` bit-equal to the value committed below. Then runs
+# `repro r8 --seed 7 --small --threads 1` in a temporary directory (so
+# the committed BENCH_batch.json stays as it is) and fails unless the
+# batch's physical-work counters equal the ones below: they are the
+# batch memo governor's decisions, which no answer shows. One thread,
+# because at two the shards' shared floors race and the counters wander.
 #
 #   scripts/check_counters.sh
 #
@@ -26,3 +31,21 @@ check() {
 
 check grid_hot 13329.0625
 check append_mix 5885.9140625
+
+check_batch() {
+  local want=$1 repro dir got
+  cargo build --release --offline --quiet -p mbir-bench 1>&2
+  repro="$(realpath "${CARGO_TARGET_DIR:-target}")/release/repro"
+  dir=$(mktemp -d)
+  (cd "$dir" && "$repro" r8 --seed 7 --small --threads 1 >/dev/null)
+  got=$(jq -c '.batched | [.cells_fetched, .cell_requests, .bound_evals, .bound_requests, .pages_read]' \
+    "$dir/BENCH_batch.json")
+  rm -rf "$dir"
+  if [ "$got" != "$want" ]; then
+    echo "error: repro r8 at seed 7 wants batched [cells_fetched, cell_requests, bound_evals, bound_requests, pages_read] $want; got: $got" >&2
+    return 1
+  fi
+  echo "r8 batched: $want"
+}
+
+check_batch '[31,643,7288,17116,10]'
