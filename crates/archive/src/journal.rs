@@ -92,8 +92,8 @@ pub enum TruncationReason {
     BadChecksum,
     /// A complete frame verified but carried the wrong sequence number.
     BadSequence,
-    /// A complete frame verified but declared an impossible geometry
-    /// (zero rows or columns).
+    /// A complete frame declared an impossible geometry: zero rows or
+    /// columns, or rows past the end of the `usize` row index space.
     BadGeometry,
 }
 
@@ -312,6 +312,15 @@ pub fn recover(bytes: &[u8]) -> RecoveredJournal {
         if rows == 0 || cols == 0 {
             break TruncationReason::BadGeometry;
         }
+        // `AppendRecord::tuples` places local row `r` at `row_offset + r`,
+        // so the band's last row must fit the row index space. `rows` fits
+        // `usize`: the frame's values are in `rest`.
+        let Some(row_offset) = usize::try_from(row_offset)
+            .ok()
+            .filter(|o| o.checked_add(rows as usize).is_some())
+        else {
+            break TruncationReason::BadGeometry;
+        };
         let values: Vec<f64> = (0..n as usize)
             .map(|i| f64::from_bits(read_u64(rest, FRAME_HEADER_LEN + i * 8)))
             .collect();
@@ -319,7 +328,7 @@ pub fn recover(bytes: &[u8]) -> RecoveredJournal {
             .expect("length matches geometry by construction");
         let record = AppendRecord {
             seq,
-            row_offset: row_offset as usize,
+            row_offset,
             band,
         };
         let stored = read_u64(rest, frame_len - 8);
@@ -344,6 +353,8 @@ pub fn recover(bytes: &[u8]) -> RecoveredJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::append::AppendableArchive;
+    use proptest::prelude::*;
 
     fn band(rows: usize, cols: usize, seed: f64) -> Grid2<f64> {
         Grid2::from_fn(rows, cols, |r, c| seed + (r * cols + c) as f64 * 0.5)
@@ -499,6 +510,97 @@ mod tests {
         let rec = recover(&bytes);
         assert!(rec.records.is_empty());
         assert_eq!(rec.truncation, TruncationReason::TornFrame);
+    }
+
+    #[test]
+    fn rows_past_the_row_index_space_are_bad_geometry() {
+        // Two rows at the last row index: row 1 would sit at
+        // `u64::MAX + 1`. Rejected before the checksum is computed, so the
+        // stored checksum does not matter.
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        for v in [0, u64::MAX, 2, 1, 1.5f64.to_bits(), 2.5f64.to_bits(), 0] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        let rec = recover(&bytes);
+        assert!(rec.records.is_empty());
+        assert_eq!(rec.truncation, TruncationReason::BadGeometry);
+        assert_eq!((rec.committed_bytes, rec.dropped_bytes), (0, bytes.len()));
+    }
+
+    /// Header values that stress the length and row arithmetic.
+    const EXTREMES: [u64; 5] = [0, 1, 2, u32::MAX as u64, u64::MAX];
+
+    /// A real journal of one to three tile-aligned appends over a 4x4 base
+    /// (tile 2), with bytes flipped at `flips` and, for a `cut` below
+    /// 2^15, truncated.
+    fn damaged_journal(heights: &[usize], flips: &[usize], cut: usize) -> Vec<u8> {
+        let mut arch = AppendableArchive::new(Grid2::filled(4, 4, 0.0), 2).unwrap();
+        for (i, &h) in heights.iter().enumerate() {
+            arch.append_rows(band(2 * h, 4, i as f64)).unwrap();
+        }
+        let mut bytes = arch.journal_bytes().to_vec();
+        for &at in flips {
+            let len = bytes.len();
+            bytes[at % len] ^= (at >> 12) as u8 | 1;
+        }
+        if cut < 1 << 15 {
+            bytes.truncate(cut % (bytes.len() + 1));
+        }
+        bytes
+    }
+
+    /// Magic, seq 0 and the picked geometry, then `tail`, padded to a
+    /// complete frame when the geometry is small enough to have one.
+    fn extreme_header(picks: &[usize], tail: &[u8]) -> Vec<u8> {
+        let [row_offset, rows, cols] = [0, 1, 2].map(|i| EXTREMES[picks[i]]);
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        for v in [0, row_offset, rows, cols] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.extend_from_slice(tail);
+        let n = rows.saturating_mul(cols);
+        if n <= 64 {
+            bytes.resize(bytes.len().max(FRAME_HEADER_LEN + 8 * n as usize + 8), 0);
+        }
+        bytes
+    }
+
+    /// What `recover` promises for any byte slice, and that the archive
+    /// replay over the same bytes answers instead of panicking.
+    fn check_recovery(bytes: &[u8]) {
+        let rec = recover(bytes);
+        assert_eq!(rec.committed_bytes + rec.dropped_bytes, bytes.len());
+        for (i, r) in rec.records.iter().enumerate() {
+            assert_eq!(r.seq, i as u64);
+        }
+        let again = recover(&bytes[..rec.committed_bytes]);
+        assert_eq!(again.truncation, TruncationReason::CleanEnd);
+        // Frames compare bit for bit, NaN payloads included.
+        let frames = |r: &RecoveredJournal| r.records.iter().map(encode_frame).collect::<Vec<_>>();
+        assert_eq!(frames(&again), frames(&rec));
+        if let Ok((_, report)) = AppendableArchive::recover(Grid2::filled(4, 4, 0.0), 2, bytes) {
+            assert_eq!(report.committed_bytes + report.dropped_bytes, bytes.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every case feeds the decoder all three kinds of input: garbage,
+        /// a damaged real journal, and a header of extreme geometry.
+        #[test]
+        fn recover_never_panics_and_keeps_its_contract(
+            raw in proptest::collection::vec(0u16..256, 0..512),
+            heights in proptest::collection::vec(1usize..3, 1..4),
+            flips in proptest::collection::vec(0usize..1 << 20, 0..6),
+            cut in 0usize..1 << 16,
+            picks in proptest::collection::vec(0usize..5, 3),
+        ) {
+            let raw: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+            check_recovery(&raw);
+            check_recovery(&damaged_journal(&heights, &flips, cut));
+            check_recovery(&extreme_header(&picks, &raw));
+        }
     }
 
     #[test]

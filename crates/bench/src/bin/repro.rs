@@ -25,9 +25,8 @@
 //! and straggler hedging, writing `BENCH_shard.json`. The R7 quantization
 //! harness sweeps the i8 coarse-pass scan over d ∈ {2, 3, 8} x n ∈ {10k,
 //! 100k, 1M}, measures the pruned Onion query against the legacy and flat
-//! kernel paths at the E1 scale (gating on >= 2x over legacy), checks the
-//! core engines' CoarseGrid pass for bit-identity at threads ∈ {1, 2, 4,
-//! 8}, and rewrites `BENCH_kernels.json` at `schema_version` 2 with a
+//! kernel paths at the E1 scale (gating on >= 2x over legacy), and
+//! rewrites `BENCH_kernels.json` at `schema_version` 2 with a
 //! per-variant `configs` array of throughput and prune rates. The R8
 //! batched-execution harness scatter-gathers a Q=32 batch over a
 //! 10.5M-cell, 16-shard archive through one shared per-shard descent,
@@ -65,7 +64,6 @@ use mbir_bench::{
     quant_workload, replicated_world, sharded_world, sharded_world_for_plan, sproc_workload,
     texture_world, wide_model_world,
 };
-use mbir_core::coarse::CoarseGrid;
 use mbir_core::engine::{combined_top_k, naive_grid_top_k, pyramid_top_k, staged_top_k};
 use mbir_core::lifecycle::{
     AdmissionController, AdmissionPolicy, CancelToken, ClassCounters, LifecycleState, Priority,
@@ -2384,11 +2382,9 @@ fn r3_kernels(legacy_only: bool) {
 /// over d x n variants (bit-identity asserted per variant), measures the
 /// unhinted Onion query under its three names against the flat scan at
 /// the E1 scale (gating on <= 3 % of the tuples examined and >= 5x over
-/// `scan_top_k_flat`), verifies the core engines'
-/// [`CoarseGrid`] pass is bit-identical sequentially and at every thread
-/// count, and rewrites `BENCH_kernels.json` at `schema_version` 2: the R3
-/// hot paths plus a `configs` array with per-variant throughput and prune
-/// rates.
+/// `scan_top_k_flat`), and rewrites `BENCH_kernels.json` at
+/// `schema_version` 2: the R3 hot paths plus a `configs` array with
+/// per-variant throughput and prune rates.
 fn r7_quant(seed: u64) {
     println!("\n## R7 — Quantized coarse-pass pruning sweep\n");
     let k = 10usize;
@@ -2512,45 +2508,6 @@ fn r7_quant(seed: u64) {
     assert!(
         onion_speedup >= 5.0,
         "unhinted onion query must be >= 5x over scan_top_k_flat, got {onion_speedup:.2}x"
-    );
-
-    // Core engines: the CoarseGrid pass must change nothing but effort,
-    // sequentially and at every thread count.
-    let (pyramids, model, stores, _) = parallel_world(seed, 256, 4, 16);
-    let coarse = CoarseGrid::build(&pyramids).expect("pyramids agree");
-    let src = TileSource::new(&stores).expect("aligned stores");
-    let budget = ExecutionBudget::unlimited();
-    let plain = resilient_top_k(&model, &pyramids, k, &src, &budget).expect("healthy run");
-    let seq = resilient_top_k(
-        &model,
-        &pyramids,
-        k,
-        &src,
-        ExecOptions::new(&budget).coarse(&coarse),
-    )
-    .expect("healthy run");
-    assert_eq!(seq.results, plain.results, "sequential coarse pass");
-    assert_eq!(seq.completeness, plain.completeness);
-    for threads in [1usize, 2, 4, 8] {
-        let pool = WorkerPool::new(threads);
-        let par = par_resilient_top_k(
-            &model,
-            &pyramids,
-            k,
-            &src,
-            ExecOptions::new(&budget).coarse(&coarse),
-            &pool,
-        )
-        .expect("healthy run");
-        assert_eq!(
-            par.results, plain.results,
-            "parallel coarse pass at {threads} threads"
-        );
-        assert_eq!(par.completeness, plain.completeness);
-    }
-    println!(
-        "\nCore CoarseGrid pass: bit-identical to the plain resilient engine \
-         sequentially and at threads (1, 2, 4, 8) on the rough 256x256 world."
     );
 
     // Machine-readable output, schema_version 2: R3-shaped hot paths plus

@@ -59,7 +59,6 @@ use crate::engine::{pack_coords, validate_grid_inputs, Region};
 use crate::error::CoreError;
 use crate::resilient::{ExecOptions, ResilientTopK, WallDeadline};
 use crate::source::CellSource;
-use mbir_archive::extent::CellCoord;
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
 use std::cmp::Reverse;
@@ -410,16 +409,13 @@ impl std::ops::AddAssign for Tally {
 }
 
 /// Reusable buffers for the batched engine: the per-query frontiers, the
-/// memo layer with its tables and flat arenas, and the per-call child and
-/// coarse-coefficient buffers. A warmed scratch allocates nothing in the
-/// steady state; [`regrowths`](BatchScratch::regrowths) counts growth
-/// events so tests can assert it.
+/// memo layer with its tables and flat arenas. A warmed scratch allocates
+/// nothing in the steady state; [`regrowths`](BatchScratch::regrowths)
+/// counts growth events so tests can assert it.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     frontiers: Vec<BinaryHeap<Region>>,
-    children: Vec<CellCoord>,
     memo: Memo,
-    coarse_bufs: Vec<(Vec<f64>, Vec<f64>)>,
     regrowths: u64,
 }
 
@@ -437,11 +433,10 @@ impl BatchScratch {
         self.regrowths
     }
 
-    fn caps(&self) -> [usize; 8] {
+    fn caps(&self) -> [usize; 7] {
         let [x, cm, ca, bm, bb, bs] = self.memo.caps();
         [
             self.frontiers.iter().map(BinaryHeap::capacity).sum(),
-            self.children.capacity(),
             x,
             cm,
             ca,
@@ -451,7 +446,7 @@ impl BatchScratch {
         ]
     }
 
-    fn note_regrowth(&mut self, before: &[usize; 8]) {
+    fn note_regrowth(&mut self, before: &[usize; 7]) {
         let after = self.caps();
         self.regrowths += after
             .iter()
@@ -501,11 +496,10 @@ impl BatchedTopK {
 /// sampled, or a region bounded on its own (see [`REGION_TAG`]).
 const UNSTORED: usize = usize::MAX;
 
-/// Marks the key of a region bounded on its own — a root, or a child the
-/// coarse gate let through — so it never collides with the same region's
-/// key as an expanded parent. Bit 63 is the top bit of [`pack_coords`]'s
-/// level field, which no pyramid sets: a base side of at most 2^28 cells
-/// makes at most 29 levels.
+/// Marks the key of a region bounded on its own — a lane's root — so it
+/// never collides with the same region's key as an expanded parent. Bit 63
+/// is the top bit of [`pack_coords`]'s level field, which no pyramid sets:
+/// a base side of at most 2^28 cells makes at most 29 levels.
 const REGION_TAG: u64 = 1 << 63;
 
 /// Memoized children blocks: the range boxes of every child of an
@@ -527,9 +521,7 @@ const REGION_TAG: u64 = 1 << 63;
 /// found is `n` hits and a block missing `n` misses, and a region bounded
 /// on its own is one probe under its tagged key. A region's children are
 /// bounded together, when it expands, so "block seen" is "every child
-/// seen" and the governor decides exactly as over a per-region table
-/// (with a coarse pass, a child first bounded on its own counts as new
-/// again in its parent's block).
+/// seen" and the governor decides exactly as over a per-region table.
 #[derive(Debug)]
 struct BoundMemo {
     /// Parent key → block ordinal, or [`UNSTORED`].
@@ -571,8 +563,9 @@ impl BoundMemo {
         self.gov.phase() == MemoPhase::Off
     }
 
-    /// The solo bound of a region bounded on its own, probed under its
-    /// tagged key so the governor counts the request like any other.
+    /// The solo bound of a region bounded on its own (a lane's root),
+    /// probed under its tagged key so the governor counts the request like
+    /// any other.
     fn bound(
         &mut self,
         model: &LinearModel,
@@ -868,8 +861,7 @@ pub(crate) fn validate_batch(
 }
 
 /// Sets up one lane per query of `job` over `scratch` (frontiers empty,
-/// memo reset, coarse coefficients prepared when there is a coarse pass),
-/// hands them to `run`, and collects what each lane produced.
+/// memo reset), hands them to `run`, and collects what each lane produced.
 pub(crate) fn with_lanes<S, P, B, R>(
     job: &Job<'_, S>,
     pressure: P,
@@ -887,32 +879,20 @@ where
     let m = job.models.len();
     let caps = scratch.caps();
     let BatchScratch {
-        frontiers,
-        children,
-        memo,
-        coarse_bufs,
-        ..
+        frontiers, memo, ..
     } = scratch;
     if frontiers.len() < m {
         frontiers.resize_with(m, BinaryHeap::new);
     }
     memo.reset(m);
-    coarse_bufs.resize_with(m, Default::default);
-    if let Some(cg) = pressure.coarse() {
-        for (model, (qc, qm)) in job.models.iter().zip(coarse_bufs.iter_mut()) {
-            cg.prepare_into(model, qc, qm)?;
-        }
-    }
     let (rows, cols) = job.pyramids[0].base_shape();
     let naive = (job.models[0].arity() * rows * cols) as u64;
     let mut lanes: Vec<Lane<'_, LinearModel>> = job
         .models
         .iter()
-        .zip(frontiers.iter_mut().zip(coarse_bufs.iter()))
+        .zip(frontiers.iter_mut())
         .enumerate()
-        .map(|(q, (model, (frontier, (qc, qm))))| {
-            Lane::new(q, model, frontier, (qc, qm), job.k, naive)
-        })
+        .map(|(q, (model, frontier))| Lane::new(q, model, frontier, job.k, naive))
         .collect();
     let mut env = Env {
         pyramids: job.pyramids,
@@ -922,7 +902,6 @@ where
         fetch: memo,
         pressure,
         floor,
-        children,
     };
     let ran = run(&mut env, &mut lanes)?;
     let tally = env.fetch.tally();
@@ -974,8 +953,7 @@ pub(crate) fn gather<S>(
 /// against the same pyramids and page source. See the module docs for the
 /// sharing/identity contract; `opts` (a bare `&ExecutionBudget` converts,
 /// see [`ExecOptions`]) applies batch-wide: one budget, one token stopping
-/// the whole batch, the coarse grid consulted per query against that
-/// query's own floor. Buffers come from a per-thread pool, so repeated
+/// the whole batch. Buffers come from a per-thread pool, so repeated
 /// batches on one thread stop allocating once warm.
 ///
 /// # Errors
@@ -1049,7 +1027,6 @@ pub(crate) fn pooled_memo_retired() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarse::CoarseGrid;
     use crate::engine::pyramid_top_k;
     use crate::lifecycle::CancelToken;
     use crate::resilient::{resilient_top_k, BudgetStop, ExecutionBudget};
@@ -1221,34 +1198,6 @@ mod tests {
         for (q, model) in models.iter().enumerate() {
             let solo_src = CachedTileSource::new(&stores, 16).unwrap();
             let solo = resilient_top_k(model, &pyramids, 4, &solo_src, &budget).unwrap();
-            assert_eq!(batch.queries[q], solo, "q={q}");
-        }
-    }
-
-    #[test]
-    fn coarse_batch_is_bit_identical_to_coarse_solo_runs() {
-        let (models, pyramids, stores, _) = world(3, 64, 64, 8);
-        let coarse = CoarseGrid::build(&pyramids).unwrap();
-        let budget = ExecutionBudget::unlimited();
-        let src = fresh_sources(&stores);
-        let batch = batched_top_k(
-            &models,
-            &pyramids,
-            7,
-            &src,
-            ExecOptions::new(&budget).coarse(&coarse),
-        )
-        .unwrap();
-        for (q, model) in models.iter().enumerate() {
-            let solo_src = fresh_sources(&stores);
-            let solo = resilient_top_k(
-                model,
-                &pyramids,
-                7,
-                &solo_src,
-                ExecOptions::new(&budget).coarse(&coarse),
-            )
-            .unwrap();
             assert_eq!(batch.queries[q], solo, "q={q}");
         }
     }

@@ -8,7 +8,7 @@
 //!
 //! * [`step`] — one pop: prune against the floor, cooperative checkpoint,
 //!   level-0 read-or-park, otherwise [`expand`] (one block bound of the
-//!   children, push; the coarse gate bounds them one by one).
+//!   children, push).
 //!   Monomorphised over the axes on which the engines differ: where the
 //!   floor comes from ([`Floor`]), what stops a run and
 //!   what a lost page does ([`Pressure`]), how a model bounds and scores
@@ -24,7 +24,6 @@
 //!   carried as degraded candidates, and the final rank order.
 
 use crate::batched::Selector;
-use crate::coarse::CoarseGrid;
 use crate::engine::{read_base_vector_into, EffortReport, Region};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
@@ -93,9 +92,6 @@ pub(crate) trait Pressure {
     /// or aborts the query with the source's error (`false`).
     const PARK: bool;
 
-    /// The quantized coarse pass consulted before exact child bounds.
-    fn coarse(&self) -> Option<&CoarseGrid>;
-
     /// Adds to the multiply-adds the budget sees (once per pop).
     fn charge(&mut self, multiply_adds: u64);
 
@@ -104,17 +100,12 @@ pub(crate) trait Pressure {
 }
 
 /// The zero-fault, infinite-budget configuration: nothing stops the run,
-/// a failed read aborts it, and there is no coarse pass.
+/// and a failed read aborts it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Strict;
 
 impl Pressure for Strict {
     const PARK: bool = false;
-
-    #[inline]
-    fn coarse(&self) -> Option<&CoarseGrid> {
-        None
-    }
 
     #[inline]
     fn charge(&mut self, _multiply_adds: u64) {}
@@ -141,11 +132,6 @@ impl<'a> Budgeted<'a> {
 
 impl Pressure for Budgeted<'_> {
     const PARK: bool = true;
-
-    #[inline]
-    fn coarse(&self) -> Option<&CoarseGrid> {
-        self.clock.opts.coarse
-    }
 
     #[inline]
     fn charge(&mut self, multiply_adds: u64) {
@@ -215,11 +201,6 @@ impl<'a> Pooled<'a> {
 
 impl Pressure for Pooled<'_> {
     const PARK: bool = true;
-
-    #[inline]
-    fn coarse(&self) -> Option<&CoarseGrid> {
-        self.clock.opts.coarse
-    }
 
     #[inline]
     fn charge(&mut self, multiply_adds: u64) {
@@ -650,9 +631,6 @@ pub(crate) struct Lane<'a, M> {
     q: usize,
     model: &'a M,
     pub(crate) frontier: &'a mut BinaryHeap<Region>,
-    /// Prepared coarse coefficients (see [`CoarseGrid::prepare_into`]);
-    /// empty without a coarse pass.
-    gate: (&'a [f64], &'a [f64]),
     heap: TopKHeap,
     out: Outcome,
 }
@@ -664,7 +642,6 @@ impl<'a, M> Lane<'a, M> {
         q: usize,
         model: &'a M,
         frontier: &'a mut BinaryHeap<Region>,
-        gate: (&'a [f64], &'a [f64]),
         k: usize,
         naive: u64,
     ) -> Self {
@@ -673,7 +650,6 @@ impl<'a, M> Lane<'a, M> {
             q,
             model,
             frontier,
-            gate,
             heap: TopKHeap::new(k),
             out: Outcome {
                 effort: EffortReport {
@@ -712,7 +688,6 @@ pub(crate) struct Env<'a, S, F, P, B> {
     pub(crate) fetch: F,
     pub(crate) pressure: P,
     pub(crate) floor: B,
-    pub(crate) children: &'a mut Vec<CellCoord>,
 }
 
 /// How one [`step`] ended.
@@ -747,53 +722,25 @@ where
 
 /// Bounds and pushes the children of `region`: one block bound over all
 /// of them, then the pushes in `(rr, cc)` order, charged `n ×` the
-/// per-child multiply-adds. `floor` is the lane's pop-time pruning
-/// floor: with a coarse pass and a finite floor the children are bounded
-/// one by one instead, and a child whose i8 cell bound falls *strictly*
-/// below the floor is skipped before its exact bound — no cell under it
-/// can reach the top-K even on a tie, and because the frontier order is
-/// total the survivors pop in the same sequence as the unpruned run, so
-/// results stay bit-identical. The i8 pass performs no f64 model
-/// arithmetic and charges no multiply-adds.
+/// per-child multiply-adds.
 #[inline(always)]
 fn expand<S, M, F, P, B>(
     env: &mut Env<'_, S, F, P, B>,
     lane: &mut Lane<'_, M>,
     region: Region,
-    floor: Option<f64>,
 ) -> Result<(), CoreError>
 where
     F: Fetch<M>,
     P: Pressure,
 {
-    let gate = env
-        .pressure
-        .coarse()
-        .zip(floor.filter(|f| *f > f64::NEG_INFINITY));
-    let mut spent = 0u64;
-    if let Some((cg, f)) = gate {
-        let (parent, row, col) = region.at();
-        let level = parent - 1;
-        env.pyramids[0].children_into(parent, row, col, env.children);
-        for child in env.children.iter() {
-            if cg.cell_upper_bound(lane.gate.0, lane.gate.1, level, child.row, child.col) < f {
-                continue;
-            }
-            let at = (level, child.row, child.col);
-            let (ub, madds) = env.fetch.bound(lane.model, lane.q, env.pyramids, at)?;
-            spent += madds;
-            lane.frontier.push(Region::new(ub, at));
-        }
-    } else {
-        let mut ub = [0.0; 4];
-        let (n, madds) =
-            env.fetch
-                .bound_children(lane.model, lane.q, env.pyramids, region.at(), &mut ub)?;
-        for (at, &ub) in children_of(env.pyramids, region.at()).zip(&ub[..n]) {
-            lane.frontier.push(Region::new(ub, at));
-        }
-        spent = n as u64 * madds;
+    let mut ub = [0.0; 4];
+    let (n, madds) =
+        env.fetch
+            .bound_children(lane.model, lane.q, env.pyramids, region.at(), &mut ub)?;
+    for (at, &ub) in children_of(env.pyramids, region.at()).zip(&ub[..n]) {
+        lane.frontier.push(Region::new(ub, at));
     }
+    let spent = n as u64 * madds;
     lane.out.effort.multiply_adds += spent;
     env.pressure.charge(spent);
     Ok(())
@@ -825,7 +772,7 @@ where
     }
     let (level, row, col) = region.at();
     if level > 0 {
-        expand(env, lane, region, floor)?;
+        expand(env, lane, region)?;
         return Ok(Step::Advanced);
     }
     let arity = lane.model.arity();
@@ -974,7 +921,7 @@ where
             held.push((q, region));
         } else {
             let before = lane.frontier.len();
-            expand(env, lane, region, None)?;
+            expand(env, lane, region)?;
             open += lane.frontier.len() - before;
         }
         selector.arm(q, lane.frontier.peek());
@@ -1267,8 +1214,8 @@ mod tests {
     /// "Solo is a batch of one, unsharded is one shard, healthy is zero
     /// faults, an option is a value" as an executable: every surviving
     /// resilient entry point (`par_*` at 1 / 2 / 4 threads, batches of one,
-    /// one shard, dual-read with no groups) under every subset of {token,
-    /// coarse} returns bit-identical hits over one healthy world, and —
+    /// one shard, dual-read with no groups), with and without a live token,
+    /// returns bit-identical hits over one healthy world, and —
     /// wherever the run is single-threaded — the identical `EffortReport`;
     /// a token cancelled before the call gives every one of them the same
     /// degraded answer.
@@ -1290,32 +1237,19 @@ mod tests {
         let src = TileSource::new(&stores).unwrap();
         let model = LinearModel::new(vec![1.0, 0.7, -0.4], 0.25).unwrap();
         let models = std::slice::from_ref(&model);
-        let coarse = CoarseGrid::build(&pyramids).unwrap();
         let budget = ExecutionBudget::unlimited();
         let policy = ScatterPolicy::require_all();
-        let shard = || ArchiveShard::new(&pyramids, &src, 0);
-        let plain_archive = ShardedArchive::new(vec![shard()]).unwrap();
-        let coarse_archive = ShardedArchive::new(vec![shard().with_coarse(&coarse)]).unwrap();
+        let archive = ShardedArchive::new(vec![ArchiveShard::new(&pyramids, &src, 0)]).unwrap();
         let no_migration: (&[ArchiveShard<'_, TileSource<'_>>], &[_]) = (&[], &[]);
         let p = &pyramids[..];
 
         // The seven resilient entry points under one point of the option
-        // space. The sharded three take their coarse grid per shard.
-        let entry_points = |token: Option<&CancelToken>, with_coarse: bool, pool: &WorkerPool| {
-            let mut sharded = ExecOptions::from(&budget);
+        // space.
+        let entry_points = |token: Option<&CancelToken>, pool: &WorkerPool| {
+            let mut opts = ExecOptions::from(&budget);
             if let Some(token) = token {
-                sharded = sharded.cancel(token);
+                opts = opts.cancel(token);
             }
-            let opts = if with_coarse {
-                sharded.coarse(&coarse)
-            } else {
-                sharded
-            };
-            let archive = if with_coarse {
-                &coarse_archive
-            } else {
-                &plain_archive
-            };
             let runs: Vec<(&str, Run)> = vec![
                 (
                     "resilient",
@@ -1339,7 +1273,7 @@ mod tests {
                 ),
                 (
                     "scatter",
-                    scatter_gather_top_k(&model, archive, k, sharded, &policy, pool)
+                    scatter_gather_top_k(&model, &archive, k, opts, &policy, pool)
                         .unwrap()
                         .into(),
                 ),
@@ -1347,10 +1281,10 @@ mod tests {
                     "scatter/dual, no groups",
                     scatter_gather_top_k_dual(
                         &model,
-                        archive,
+                        &archive,
                         no_migration,
                         k,
-                        sharded,
+                        opts,
                         &policy,
                         pool,
                     )
@@ -1359,7 +1293,7 @@ mod tests {
                 ),
                 (
                     "batched scatter",
-                    batched_scatter_gather_top_k(models, archive, k, sharded, &policy, pool)
+                    batched_scatter_gather_top_k(models, &archive, k, opts, &policy, pool)
                         .unwrap()
                         .queries
                         .pop()
@@ -1393,17 +1327,9 @@ mod tests {
                 assert_eq!(got.1, want.1, "par_pyramid at {threads} threads");
             }
 
-            for (token, with_coarse) in [
-                (None, false),
-                (Some(&live), false),
-                (None, true),
-                (Some(&live), true),
-            ] {
-                for (name, run) in entry_points(token, with_coarse, &pool) {
-                    let at = format!(
-                        "{name} at {threads} threads, token {}, coarse {with_coarse}",
-                        token.is_some()
-                    );
+            for token in [None, Some(&live)] {
+                for (name, run) in entry_points(token, &pool) {
+                    let at = format!("{name} at {threads} threads, token {}", token.is_some());
                     let got = healthy(run);
                     assert_eq!(got.0, want.0, "{at}");
                     // One shard is one task and runs inline at any pool
@@ -1416,23 +1342,21 @@ mod tests {
 
             // A token cancelled before the call stops every entry point at
             // its first checkpoint: the same root-level candidate, the same
-            // work, at every thread count and with or without coarse.
-            for with_coarse in [false, true] {
-                for (name, mut run) in entry_points(Some(&cancelled), with_coarse, &pool) {
-                    let at = format!("{name} at {threads} threads, coarse {with_coarse}");
-                    assert_eq!(run.stop, Some(BudgetStop::Cancelled), "{at}");
-                    let unsharded = degraded.get_or_insert_with(|| run.clone());
-                    if name.contains("scatter") {
-                        // A sharded merge widens inexact bounds by its ulp
-                        // guard (see `widen`); nothing else may differ.
-                        for (hit, want) in run.hits.iter_mut().zip(&unsharded.hits) {
-                            assert!(hit.bounds.lo <= want.bounds.lo, "{at}");
-                            assert!(hit.bounds.hi >= want.bounds.hi, "{at}");
-                            hit.bounds = want.bounds;
-                        }
+            // work, at every thread count.
+            for (name, mut run) in entry_points(Some(&cancelled), &pool) {
+                let at = format!("{name} at {threads} threads");
+                assert_eq!(run.stop, Some(BudgetStop::Cancelled), "{at}");
+                let unsharded = degraded.get_or_insert_with(|| run.clone());
+                if name.contains("scatter") {
+                    // A sharded merge widens inexact bounds by its ulp
+                    // guard (see `widen`); nothing else may differ.
+                    for (hit, want) in run.hits.iter_mut().zip(&unsharded.hits) {
+                        assert!(hit.bounds.lo <= want.bounds.lo, "{at}");
+                        assert!(hit.bounds.hi >= want.bounds.hi, "{at}");
+                        hit.bounds = want.bounds;
                     }
-                    assert_eq!(&run, unsharded, "{at}");
                 }
+                assert_eq!(&run, unsharded, "{at}");
             }
         }
         let degraded = degraded.expect("ran");

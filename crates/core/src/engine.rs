@@ -104,10 +104,9 @@ impl fmt::Display for EffortReport {
 }
 
 /// Reusable buffers for the descent/staged engines, so steady-state
-/// query loops perform no per-query heap allocation: child coordinates,
-/// the base attribute vector, the best-first frontier, and the staged
-/// engine's candidate sets all live here and are cleared (capacity kept)
-/// between queries.
+/// query loops perform no per-query heap allocation: the base attribute
+/// vector, the best-first frontier, and the staged engine's candidate sets
+/// all live here and are cleared (capacity kept) between queries.
 ///
 /// One scratch belongs to one engine call at a time — sequential callers
 /// keep a single instance, parallel engines keep one per worker. A fresh
@@ -117,14 +116,11 @@ impl fmt::Display for EffortReport {
 /// events have happened, so tests can assert a warmed scratch stays allocation-free.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    pub(crate) children: Vec<CellCoord>,
     pub(crate) x: Vec<f64>,
     pub(crate) frontier: BinaryHeap<Region>,
     pub(crate) alive: Vec<usize>,
     pub(crate) partial: Vec<f64>,
     pub(crate) lows: Vec<f64>,
-    pub(crate) qcoeff: Vec<f64>,
-    pub(crate) qmeta: Vec<f64>,
     regrowths: u64,
 }
 
@@ -143,19 +139,16 @@ impl QueryScratch {
 }
 
 /// Capacity snapshot used to detect buffer regrowth across one engine run.
-pub(crate) struct ScratchCaps([usize; 8]);
+pub(crate) struct ScratchCaps([usize; 5]);
 
 impl QueryScratch {
     pub(crate) fn caps(&self) -> ScratchCaps {
         ScratchCaps([
-            self.children.capacity(),
             self.x.capacity(),
             self.frontier.capacity(),
             self.alive.capacity(),
             self.partial.capacity(),
             self.lows.capacity(),
-            self.qcoeff.capacity(),
-            self.qmeta.capacity(),
         ])
     }
 
@@ -363,10 +356,9 @@ fn ub_key(x: f64) -> u64 {
 /// low half the bitwise complement of [`pack_coords`], so the derived
 /// integer order *is* "upper bound by `total_cmp`, then the smaller level,
 /// row, col first" — a *total* order. With ub-only ordering, equal-bound
-/// regions would pop in insertion-history order, so a coarse pass that
-/// prunes some pushes (see [`crate::coarse`]) could reorder the survivors'
-/// evaluation; the deterministic tie-break is what keeps pruned and
-/// unpruned runs bit-identical.
+/// regions would pop in insertion-history order; the deterministic
+/// tie-break makes the pop sequence depend on which regions were pushed,
+/// not on the order they were pushed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Region(u128);
 
@@ -422,8 +414,7 @@ pub fn pyramid_top_k(
 }
 
 /// [`pyramid_top_k`] with base-level reads routed through a [`CellSource`]
-/// and the frontier, child list, and attribute vector reused from
-/// `scratch`.
+/// and the frontier and attribute vector reused from `scratch`.
 ///
 /// The pyramids act as the resident bounding index; exact base values come
 /// from `source` (e.g. a paged [`TileSource`](crate::source::TileSource)).
@@ -459,12 +450,7 @@ fn strict_descent<S: CellSource, M: Scorer>(
 ) -> Result<GridTopK, CoreError> {
     let (rows, cols) = pyramids[0].base_shape();
     let caps = scratch.caps();
-    let QueryScratch {
-        children,
-        x,
-        frontier,
-        ..
-    } = scratch;
+    let QueryScratch { x, frontier, .. } = scratch;
     let mut env = Env {
         pyramids,
         source,
@@ -473,10 +459,9 @@ fn strict_descent<S: CellSource, M: Scorer>(
         fetch: Direct { x },
         pressure: Strict,
         floor: Local,
-        children,
     };
     let naive = (model.arity() * rows * cols) as u64;
-    let mut lane = Lane::new(0, model, frontier, (&[], &[]), k, naive);
+    let mut lane = Lane::new(0, model, frontier, k, naive);
     seed_root(&mut env, &mut lane)?;
     drain(&mut env, &mut lane)?;
     let out = lane.finish();

@@ -18,7 +18,7 @@
 //!   scheduler over it, one `degrade`, one scatter (DESIGN.md §18). A
 //!   public `*top_k*` name exists only where callers differ by *type*
 //!   (what they hold, what report they get back); what varies by *value*
-//!   — budget, cancellation token, coarse grid — is one
+//!   — budget, cancellation token — is one
 //!   [`ExecOptions`] every resilient entry point accepts.
 //! * [`metrics`] — §4.1 model accuracy: miss / false-alarm costs `C(x,y)`,
 //!   the weighted total `C_T`, threshold sweeps, and precision/recall of
@@ -29,11 +29,6 @@
 //!   paged archive, and the budgeted, fault-tolerant engine that degrades
 //!   gracefully (partial results with sound bounds and an explicit
 //!   completeness fraction) instead of aborting on lost pages.
-//! * [`coarse`] — i8 quantized coarse-pass cell bounds over the pyramid
-//!   levels, mirroring [`mbir_index::quant`] one layer up: the resilient
-//!   engines reject child regions strictly below the top-K floor before
-//!   the exact interval bound runs. Prune-only, so answers stay
-//!   bit-identical.
 //! * [`parallel`] — the hardware-parallel layer: a scoped worker pool,
 //!   partitioned counterparts of the strict and resilient engines sharing
 //!   their pruning bound through a lock-free [`SharedBound`], and batched
@@ -94,7 +89,6 @@
 //! ```
 
 pub mod batched;
-pub mod coarse;
 pub mod continuous;
 mod descent;
 pub mod engine;
@@ -114,7 +108,6 @@ pub mod temporal;
 pub mod workflow;
 
 pub use batched::{batched_top_k, BatchedTopK};
-pub use coarse::CoarseGrid;
 pub use continuous::{ContinuousDetector, ContinuousQueryDriver};
 pub use engine::{combined_top_k, grid_query, pyramid_top_k, staged_top_k, EffortReport};
 pub use error::CoreError;

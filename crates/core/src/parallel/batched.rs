@@ -40,8 +40,7 @@ use mbir_progressive::pyramid::AggregatePyramid;
 /// multi-query descent partitioned over the pool's workers, with one
 /// [`SharedBound`](super::SharedBound) per query so each query's pruning
 /// floor propagates across workers independently, under one batch-wide
-/// [`ExecOptions`] — budget, token and coarse grid are shared by every
-/// worker.
+/// [`ExecOptions`] — budget and token are shared by every worker.
 ///
 /// With a healthy source (or deterministic page faults) and a non-binding
 /// budget, each query's results are bit-identical to its solo sequential
@@ -93,7 +92,6 @@ pub(crate) fn par_batched_top_k_inner<S: CellSource + Sync>(
 mod tests {
     use super::*;
     use crate::batched::batched_top_k;
-    use crate::coarse::CoarseGrid;
     use crate::lifecycle::CancelToken;
     use crate::resilient::{resilient_top_k, BudgetStop, ExecutionBudget, ResilientTopK};
     use crate::source::{CachedTileSource, TileSource};
@@ -195,34 +193,6 @@ mod tests {
                 );
                 assert_eq!(
                     parallel.queries[q].skipped_pages, sequential.queries[q].skipped_pages,
-                    "threads={threads} q={q}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_batched_coarse_is_prune_only() {
-        let (models, pyramids, stores) = batch_world(3, 64, 64, 8);
-        let coarse = CoarseGrid::build(&pyramids).unwrap();
-        let budget = ExecutionBudget::unlimited();
-        for threads in [1usize, 4] {
-            let pool = WorkerPool::new(threads);
-            let src = TileSource::new(&stores).unwrap();
-            let plain = par_batched_top_k(&models, &pyramids, 6, &src, &budget, &pool).unwrap();
-            let src = TileSource::new(&stores).unwrap();
-            let pruned = par_batched_top_k(
-                &models,
-                &pyramids,
-                6,
-                &src,
-                ExecOptions::new(&budget).coarse(&coarse),
-                &pool,
-            )
-            .unwrap();
-            for q in 0..models.len() {
-                assert_eq!(
-                    pruned.queries[q].results, plain.queries[q].results,
                     "threads={threads} q={q}"
                 );
             }

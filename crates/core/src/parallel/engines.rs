@@ -279,10 +279,9 @@ pub fn par_staged_top_k(
 /// partitioned descent with per-worker lost/leftover tracking merged into
 /// one honest degradation report, under a *shared* [`ExecOptions`] — the
 /// budget through atomic counters checked at the same cooperative
-/// checkpoints (once per pop), the token through a shared stop latch, the
-/// coarse grid against `max(shared bound, local floor)`. Solo is a batch
-/// of one: this is [`par_batched_top_k`](super::par_batched_top_k) over
-/// `[model]`.
+/// checkpoints (once per pop), the token through a shared stop latch.
+/// Solo is a batch of one: this is
+/// [`par_batched_top_k`](super::par_batched_top_k) over `[model]`.
 ///
 /// With a healthy source or deterministic page faults and an unlimited
 /// budget the output is bit-identical to the sequential resilient engine
@@ -311,7 +310,6 @@ pub fn par_resilient_top_k<'a, S: CellSource + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarse::CoarseGrid;
     use crate::engine::{naive_grid_top_k, pyramid_top_k, staged_top_k};
     use crate::resilient::{resilient_top_k, BudgetStop, ExecutionBudget};
     use crate::source::TileSource;
@@ -763,61 +761,5 @@ mod tests {
         assert_eq!(r.completeness, 0.0, "nothing was resolved");
         assert!(!r.results.is_empty(), "the frontier itself is reported");
         assert!(r.results.iter().all(|h| !h.exact));
-    }
-
-    #[test]
-    fn par_resilient_coarse_is_bit_identical_at_every_thread_count() {
-        let (model, pyramids, stores) = smooth_world(3, 64, 64, 8);
-        let coarse = CoarseGrid::build(&pyramids).unwrap();
-        let src = TileSource::new(&stores).unwrap();
-        let budget = ExecutionBudget::unlimited();
-        let sequential = resilient_top_k(&model, &pyramids, 7, &src, &budget).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let pruned = par_resilient_top_k(
-                &model,
-                &pyramids,
-                7,
-                &src,
-                ExecOptions::new(&budget).coarse(&coarse),
-                &pool,
-            )
-            .unwrap();
-            assert_eq!(pruned.results, sequential.results, "threads={threads}");
-            assert_eq!(pruned.completeness, 1.0);
-            assert_eq!(pruned.budget_stop, None);
-            assert!(pruned.skipped_pages.is_empty());
-        }
-    }
-
-    #[test]
-    fn par_resilient_coarse_matches_plain_under_faults() {
-        let (model, pyramids, stores) = smooth_world(2, 32, 32, 8);
-        let coarse = CoarseGrid::build(&pyramids).unwrap();
-        let winner = pyramid_top_k(&model, &pyramids, 1).unwrap().results[0].cell;
-        let page = stores[0].page_of(winner.row, winner.col);
-        let stores: Vec<TileStore> = stores
-            .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(page)))
-            .collect();
-        let src = TileSource::new(&stores).unwrap();
-        let budget = ExecutionBudget::unlimited();
-        let plain = resilient_top_k(&model, &pyramids, 3, &src, &budget).unwrap();
-        assert!(plain.is_degraded(), "fault must actually degrade the run");
-        for threads in [1usize, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let pruned = par_resilient_top_k(
-                &model,
-                &pyramids,
-                3,
-                &src,
-                ExecOptions::new(&budget).coarse(&coarse),
-                &pool,
-            )
-            .unwrap();
-            assert_eq!(pruned.results, plain.results, "threads={threads}");
-            assert_eq!(pruned.skipped_pages, plain.skipped_pages);
-            assert_eq!(pruned.completeness, plain.completeness);
-        }
     }
 }

@@ -31,7 +31,7 @@
 //!   step, precedence is fixed: Cancelled > WallClock > Budget dimensions
 //!   — deterministic at every thread count.
 //!
-//! What varies by *value* — the budget, the token, the coarse grid — is
+//! What varies by *value* — the budget and the token — is
 //! one [`ExecOptions`] every resilient entry point of the crate accepts;
 //! a function name is spent only where callers differ by *type* (DESIGN.md
 //! §18).
@@ -43,15 +43,15 @@
 //! was lost. With a healthy source and an unlimited budget the output is
 //! bit-identical to [`pyramid_top_k`](crate::engine::pyramid_top_k).
 
-use crate::coarse::CoarseGrid;
 use crate::descent::{drain, finish, seed_root, Budgeted, Clock, Direct, Env, Lane, Local};
-use crate::engine::{validate_grid_inputs, EffortReport, QueryScratch, ScoredCell};
+use crate::engine::{validate_grid_inputs, EffortReport, ScoredCell};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
 use crate::source::CellSource;
 use mbir_archive::extent::CellCoord;
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -294,7 +294,7 @@ impl ResilientTopK {
 }
 
 /// What a resilient run carries besides its query: the budget, and
-/// optionally a cancellation token and a quantized coarse grid. Every
+/// optionally a cancellation token. Every
 /// resilient entry point of the crate takes `impl Into<ExecOptions>`, and
 /// `&ExecutionBudget` converts, so a bare budget is the common spelling:
 ///
@@ -308,7 +308,7 @@ impl ResilientTopK {
 /// let _full = ExecOptions::new(&budget).cancel(&token);
 /// ```
 ///
-/// The three values are independent and each keeps the contract below
+/// The two values are independent and each keeps the contract below
 /// under every entry point (sequential, `par_*`, batched, sharded) and in
 /// any combination.
 ///
@@ -323,50 +323,24 @@ impl ResilientTopK {
 /// warm-up checkpoint of a parallel run), so the degraded answer is
 /// deterministic and identical at every thread count; a mid-run
 /// cancellation is schedule-dependent, like any mid-run budget stop.
-///
-/// **Coarse.** Children whose i8 cell bound ([`crate::coarse`]) falls
-/// strictly below the lane's pruning floor are skipped before their exact
-/// bound is computed. The pass is prune-only, so results, completeness
-/// and skipped pages are bit-identical to the run without it under any
-/// fault pattern; a `max_multiply_adds` stop lands at a different (later)
-/// point of the same descent, because pruned children charge nothing. In
-/// the *sequential* engines the check is provably inert: the frontier pops
-/// in descending `ub` order and an evaluated cell's `ub` is its exact
-/// score, so once `k` evaluations exist the floor already dominates the
-/// popped bound and the run closes before expanding. The pass earns its
-/// keep where a floor arrives from *outside* the local pop order — `par_*`
-/// workers pruning against the shared bound, shard leaves pruning against
-/// an earlier shard's published floor. The grid must be built over the
-/// pyramids the descent runs on ([`CoreError::Query`] when its arity does
-/// not match the model), which is why the sharded entry points reject it
-/// here and take one per band through
-/// [`ArchiveShard::with_coarse`](crate::shard::ArchiveShard::with_coarse).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions<'a> {
     pub(crate) budget: &'a ExecutionBudget,
     pub(crate) cancel: Option<&'a CancelToken>,
-    pub(crate) coarse: Option<&'a CoarseGrid>,
 }
 
 impl<'a> ExecOptions<'a> {
-    /// `budget` alone: no cancellation token, no coarse pass.
+    /// `budget` alone: no cancellation token.
     pub fn new(budget: &'a ExecutionBudget) -> Self {
         ExecOptions {
             budget,
             cancel: None,
-            coarse: None,
         }
     }
 
     /// Polls `cancel` at every checkpoint (builder style).
     pub fn cancel(mut self, cancel: &'a CancelToken) -> Self {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Consults `coarse` before each exact child bound (builder style).
-    pub fn coarse(mut self, coarse: &'a CoarseGrid) -> Self {
-        self.coarse = Some(coarse);
         self
     }
 }
@@ -386,13 +360,17 @@ impl<'a> From<&'a ExecutionBudget> for ExecOptions<'a> {
 /// (a bare `&ExecutionBudget` converts). Never panics on lost pages, never
 /// silently drops what it could not certify.
 ///
+/// This is the sequential resilient configuration of the execution core
+/// (the private `descent` module, DESIGN.md §18): local floor, one
+/// checkpoint per pop against this run's own multiply-adds and the
+/// source's clocks, lost pages parked.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::Query`] for the same input validation as
-/// [`pyramid_top_k`](crate::engine::pyramid_top_k) or a coarse grid whose
-/// arity does not match the model, and propagates archive errors that are
-/// *not* page losses (e.g. out-of-bounds reads, which are engine bugs
-/// rather than archive faults).
+/// [`pyramid_top_k`](crate::engine::pyramid_top_k), and propagates archive
+/// errors that are *not* page losses (e.g. out-of-bounds reads, which are
+/// engine bugs rather than archive faults).
 pub fn resilient_top_k<'a, S: CellSource>(
     model: &LinearModel,
     pyramids: &[AggregatePyramid],
@@ -400,52 +378,25 @@ pub fn resilient_top_k<'a, S: CellSource>(
     source: &S,
     opts: impl Into<ExecOptions<'a>>,
 ) -> Result<ResilientTopK, CoreError> {
-    let scratch = &mut QueryScratch::new();
-    resilient_top_k_inner(model, pyramids, k, source, opts.into(), scratch)
-}
-
-/// The sequential resilient configuration of the execution core
-/// ([`crate::descent`]): local floor, one checkpoint per pop against this
-/// run's own multiply-adds and the source's clocks, lost pages parked.
-fn resilient_top_k_inner<S: CellSource>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    opts: ExecOptions<'_>,
-    scratch: &mut QueryScratch,
-) -> Result<ResilientTopK, CoreError> {
+    let opts = opts.into();
     let ((rows, cols), _) = validate_grid_inputs(model, pyramids, k)?;
     let deadline = WallDeadline::starting_now(opts.budget);
-    let caps = scratch.caps();
-    let QueryScratch {
-        children,
-        x,
-        frontier,
-        qcoeff,
-        qmeta,
-        ..
-    } = scratch;
-    if let Some(cg) = opts.coarse {
-        cg.prepare_into(model, qcoeff, qmeta)?;
-    }
+    let mut x = Vec::new();
+    let mut frontier = BinaryHeap::new();
     let mut env = Env {
         pyramids,
         source,
         cols,
         row_offset: 0,
-        fetch: Direct { x },
+        fetch: Direct { x: &mut x },
         pressure: Budgeted::new(Clock::starting(opts, &deadline, source)),
         floor: Local,
-        children,
     };
     let naive = (model.arity() * rows * cols) as u64;
-    let mut lane = Lane::new(0, model, frontier, (qcoeff, qmeta), k, naive);
+    let mut lane = Lane::new(0, model, &mut frontier, k, naive);
     seed_root(&mut env, &mut lane)?;
     drain(&mut env, &mut lane)?;
-    let result = finish(lane.finish(), model, pyramids, k)?;
-    scratch.note_regrowth(&caps);
-    Ok(result)
+    finish(lane.finish(), model, pyramids, k)
 }
 
 #[cfg(test)]
@@ -890,116 +841,5 @@ mod tests {
         // the next rung of the precedence order.
         let r2 = resilient_top_k(&model, &pyramids, 5, &src, &budget).unwrap();
         assert_eq!(r2.budget_stop, Some(BudgetStop::WallClock));
-    }
-
-    #[test]
-    fn coarse_pass_is_bit_identical_and_free_in_the_sequential_engine() {
-        // In the sequential engine the coarse check is provably inert:
-        // every cell evaluated before region R popped had `ub = score >=
-        // R.ub` (max-heap order), so once k evaluations exist the floor
-        // already dominates R.ub and the engine breaks instead of
-        // expanding. The pass can therefore never fire here — with any
-        // data, any k, any fault pattern — and the run must be *exactly*
-        // as cheap as the plain one, not merely no dearer. Real pruning
-        // needs a floor that arrives from outside the local pop order;
-        // see the parallel and shard tests.
-        let (model, pyramids, stores, _) = world(3, 64, 64, 8);
-        let coarse = CoarseGrid::build(&pyramids).unwrap();
-        let src = TileSource::new(&stores).unwrap();
-        let budget = ExecutionBudget::unlimited();
-        for k in [1usize, 5, 10] {
-            let plain = resilient_top_k(&model, &pyramids, k, &src, &budget).unwrap();
-            let pruned = resilient_top_k(
-                &model,
-                &pyramids,
-                k,
-                &src,
-                ExecOptions::new(&budget).coarse(&coarse),
-            )
-            .unwrap();
-            assert_eq!(pruned.results, plain.results, "k={k}");
-            assert_eq!(pruned.completeness, plain.completeness);
-            assert_eq!(pruned.skipped_pages, plain.skipped_pages);
-            assert_eq!(pruned.budget_stop, plain.budget_stop);
-            assert_eq!(
-                pruned.effort.multiply_adds, plain.effort.multiply_adds,
-                "k={k}: the sequential coarse pass must be a provable no-op"
-            );
-        }
-    }
-
-    #[test]
-    fn coarse_pass_is_bit_identical_under_faults() {
-        let (model, pyramids, stores, _) = world(2, 32, 32, 8);
-        let coarse = CoarseGrid::build(&pyramids).unwrap();
-        // Kill the strict winner's page so the degraded path is exercised.
-        let strict = pyramid_top_k(&model, &pyramids, 3).unwrap();
-        let winner = strict.results[0].cell;
-        let page = stores[0].page_of(winner.row, winner.col);
-        let stores: Vec<TileStore> = stores
-            .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(page)))
-            .collect();
-        let src = TileSource::new(&stores).unwrap();
-        let budget = ExecutionBudget::unlimited();
-        let plain = resilient_top_k(&model, &pyramids, 3, &src, &budget).unwrap();
-        let pruned = resilient_top_k(
-            &model,
-            &pyramids,
-            3,
-            &src,
-            ExecOptions::new(&budget).coarse(&coarse),
-        )
-        .unwrap();
-        assert!(plain.is_degraded(), "fault must actually degrade the run");
-        assert_eq!(pruned.results, plain.results);
-        assert_eq!(pruned.completeness, plain.completeness);
-        assert_eq!(pruned.skipped_pages, plain.skipped_pages);
-    }
-
-    #[test]
-    fn coarse_scratch_reuse_stops_allocating() {
-        let (model, pyramids, stores, _) = world(2, 32, 32, 8);
-        let coarse = CoarseGrid::build(&pyramids).unwrap();
-        let src = TileSource::new(&stores).unwrap();
-        let budget = ExecutionBudget::unlimited();
-        let mut scratch = QueryScratch::new();
-        resilient_top_k_inner(
-            &model,
-            &pyramids,
-            4,
-            &src,
-            ExecOptions::new(&budget).coarse(&coarse),
-            &mut scratch,
-        )
-        .unwrap();
-        let warmed = scratch.regrowths();
-        resilient_top_k_inner(
-            &model,
-            &pyramids,
-            4,
-            &src,
-            ExecOptions::new(&budget).coarse(&coarse),
-            &mut scratch,
-        )
-        .unwrap();
-        assert_eq!(scratch.regrowths(), warmed, "second query allocated");
-    }
-
-    #[test]
-    fn coarse_arity_mismatch_is_a_query_error() {
-        let (model, pyramids, stores, _) = world(2, 16, 16, 8);
-        let narrow = CoarseGrid::build(&pyramids[..1]).unwrap();
-        let src = TileSource::new(&stores).unwrap();
-        assert!(matches!(
-            resilient_top_k(
-                &model,
-                &pyramids,
-                3,
-                &src,
-                ExecOptions::new(&ExecutionBudget::unlimited()).coarse(&narrow)
-            ),
-            Err(CoreError::Query(_))
-        ));
     }
 }

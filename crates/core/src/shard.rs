@@ -50,7 +50,6 @@
 //! of the execution core over the shard's own pyramids and source.
 
 use crate::batched::{descend, same_arity, with_pooled_scratch, Job, Tally};
-use crate::coarse::CoarseGrid;
 use crate::descent::{stop_code, Band, Budgeted, Clock, Merge, Outcome};
 use crate::engine::{validate_grid_inputs, EffortReport, Region};
 use crate::error::CoreError;
@@ -72,7 +71,6 @@ pub struct ArchiveShard<'a, S> {
     pyramids: &'a [AggregatePyramid],
     source: &'a S,
     row_offset: usize,
-    coarse: Option<&'a CoarseGrid>,
 }
 
 impl<'a, S: CellSource> ArchiveShard<'a, S> {
@@ -83,18 +81,7 @@ impl<'a, S: CellSource> ArchiveShard<'a, S> {
             pyramids,
             source,
             row_offset,
-            coarse: None,
         }
-    }
-
-    /// Attaches a quantized [`CoarseGrid`] built over this shard's own
-    /// band pyramids (builder style). The shard's descent then rejects
-    /// child regions strictly below its pruning bound from the i8 side
-    /// structure before computing any exact bound — prune-only (see
-    /// [`crate::coarse`]), so merged answers are unchanged bit-for-bit.
-    pub fn with_coarse(mut self, coarse: &'a CoarseGrid) -> Self {
-        self.coarse = Some(coarse);
-        self
     }
 
     /// The shard's resident attribute pyramids (one per model attribute).
@@ -665,8 +652,7 @@ struct ScatterCtx<'a> {
     /// Global column count (bands all share it).
     cols: usize,
     /// The wave's budget (soft deadline merged in for the primary wave,
-    /// the caller's own for every later one) and the cancel token; each
-    /// attempt adds its shard's coarse grid.
+    /// the caller's own for every later one) and the cancel token.
     opts: ExecOptions<'a>,
     deadline: &'a WallDeadline,
     /// One cross-shard bound per query, in batch order.
@@ -689,11 +675,7 @@ fn attempt<S: CellSource>(ctx: &ScatterCtx<'_>, shard: &ArchiveShard<'_, S>) -> 
         cols: ctx.cols,
         row_offset: shard.row_offset,
     };
-    let opts = ExecOptions {
-        coarse: shard.coarse,
-        ..ctx.opts
-    };
-    let pressure = Budgeted::new(Clock::starting(opts, ctx.deadline, shard.source));
+    let pressure = Budgeted::new(Clock::starting(ctx.opts, ctx.deadline, shard.source));
     let out = with_pooled_scratch(|scratch| descend(&job, pressure, ctx.bounds, scratch));
     Attempt {
         out,
@@ -780,13 +762,12 @@ fn solo(batch: BatchedShardedTopK) -> ShardedTopK {
 /// the attempt's own source clocks (wall-clock expiry is shared: one latch
 /// stops every shard at its next checkpoint); a cancelled token stops
 /// every shard at its next checkpoint and the merged answer degrades with
-/// sound bounds. A coarse grid is per band: attach it with
-/// [`ArchiveShard::with_coarse`], not through `opts`.
+/// sound bounds.
 ///
 /// # Errors
 ///
 /// [`ShardError::Core`] for invalid inputs (any shard failing the same
-/// validation as the unsharded engines, or `opts` carrying a coarse grid);
+/// validation as the unsharded engines);
 /// [`ShardError::Insufficient`] when fewer shards respond than
 /// `policy.completion` requires.
 pub fn scatter_gather_top_k<'a, S: CellSource + Sync>(
@@ -1024,14 +1005,6 @@ fn scatter<S: CellSource + Sync, D: CellSource + Sync>(
         ));
     }
     check_epoch_fence(policy, archive)?;
-    if opts.coarse.is_some() {
-        // Band pyramids need band grids; one grid cannot serve them all.
-        return Err(ShardError::Core(CoreError::Query(
-            "a coarse grid is per band: attach it with ArchiveShard::with_coarse, \
-             not ExecOptions::coarse"
-                .into(),
-        )));
-    }
     let shards = archive.shards();
     let cols = archive.shape().1;
     for shard in shards {
@@ -1490,167 +1463,6 @@ mod tests {
                 }
             });
         }
-    }
-
-    #[test]
-    fn coarse_shards_are_bit_identical_to_plain_shards() {
-        let (model, _, worlds) = sharded_world(3, 64, 64, 4, 4);
-        // One coarse grid per band, built over that band's own pyramids.
-        let grids: Vec<CoarseGrid> = worlds
-            .iter()
-            .map(|w| CoarseGrid::build(&w.pyramids).unwrap())
-            .collect();
-        let plain = with_archive(&worlds, |archive| {
-            scatter_gather_top_k(
-                &model,
-                archive,
-                9,
-                &ExecutionBudget::unlimited(),
-                &ScatterPolicy::require_all(),
-                &WorkerPool::new(1),
-            )
-            .unwrap()
-        });
-        let sources: Vec<TileSource<'_>> = worlds
-            .iter()
-            .map(|w| TileSource::new(&w.stores).unwrap())
-            .collect();
-        let shards: Vec<ArchiveShard<'_, TileSource<'_>>> = worlds
-            .iter()
-            .zip(&sources)
-            .zip(&grids)
-            .map(|((w, src), cg)| ArchiveShard::new(&w.pyramids, src, w.row_offset).with_coarse(cg))
-            .collect();
-        let archive = ShardedArchive::new(shards).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let pruned = scatter_gather_top_k(
-                &model,
-                &archive,
-                9,
-                &ExecutionBudget::unlimited(),
-                &ScatterPolicy::require_all(),
-                &WorkerPool::new(threads),
-            )
-            .unwrap();
-            assert_eq!(pruned.results, plain.results, "threads={threads}");
-            assert_eq!(pruned.completeness, plain.completeness);
-            assert_eq!(pruned.skipped_pages, plain.skipped_pages);
-            assert!(!pruned.is_degraded());
-        }
-    }
-
-    #[test]
-    fn coarse_grid_in_the_options_is_rejected_not_dropped() {
-        let (model, global_pyramids, worlds) = sharded_world(2, 32, 32, 4, 2);
-        let global = CoarseGrid::build(&global_pyramids).unwrap();
-        let budget = ExecutionBudget::unlimited();
-        let opts = ExecOptions::new(&budget).coarse(&global);
-        let policy = ScatterPolicy::require_all();
-        let pool = WorkerPool::new(2);
-        with_archive(&worlds, |archive| {
-            let none: (&[ArchiveShard<'_, TileSource<'_>>], &[DualReadGroup]) = (&[], &[]);
-            let models = std::slice::from_ref(&model);
-            let errors = [
-                scatter_gather_top_k(&model, archive, 3, opts, &policy, &pool).unwrap_err(),
-                scatter_gather_top_k_dual(&model, archive, none, 3, opts, &policy, &pool)
-                    .unwrap_err(),
-                batched_scatter_gather_top_k(models, archive, 3, opts, &policy, &pool).unwrap_err(),
-            ];
-            for e in errors {
-                let ShardError::Core(CoreError::Query(msg)) = e else {
-                    panic!("expected a query error, got {e:?}");
-                };
-                assert!(msg.contains("ArchiveShard::with_coarse"), "{msg}");
-            }
-        });
-    }
-
-    fn pseudo_grid(seed: u64, rows: usize, cols: usize) -> Grid2<f64> {
-        Grid2::from_fn(rows, cols, |r, c| {
-            let h = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add((r * 8191 + c * 127) as u64)
-                .wrapping_mul(2862933555777941757);
-            (h >> 11) as f64 / (1u64 << 53) as f64 * 100.0
-        })
-    }
-
-    #[test]
-    fn coarse_shards_save_bound_work_deterministically() {
-        // Rough (pseudo-random) bands keep upper-level interval bounds
-        // loose: each attribute's band max sits near 100 but no single
-        // cell attains all three, so a lagging shard's region bounds stay
-        // above the floor published by an earlier shard for several
-        // levels while almost every leaf-adjacent child falls below it.
-        // Those children are exactly what the i8 coarse pass rejects
-        // before the exact bound runs. At one pool thread the shards run
-        // in submission order, so the saving is deterministic.
-        let band_rows = 16usize;
-        let worlds: Vec<ShardWorld> = (0..4usize)
-            .map(|s| {
-                let bands: Vec<Grid2<f64>> = (0..3)
-                    .map(|j| pseudo_grid((s * 3 + j + 1) as u64, band_rows, 64))
-                    .collect();
-                let stats = AccessStats::new();
-                ShardWorld {
-                    pyramids: bands.iter().map(AggregatePyramid::build).collect(),
-                    stores: bands
-                        .iter()
-                        .map(|b| {
-                            TileStore::new(b.clone(), 8)
-                                .unwrap()
-                                .with_stats(stats.clone())
-                        })
-                        .collect(),
-                    stats,
-                    row_offset: s * band_rows,
-                }
-            })
-            .collect();
-        let model = LinearModel::new(vec![1.0, 0.7, 0.4], 0.0).unwrap();
-        let grids: Vec<CoarseGrid> = worlds
-            .iter()
-            .map(|w| CoarseGrid::build(&w.pyramids).unwrap())
-            .collect();
-        let plain = with_archive(&worlds, |archive| {
-            scatter_gather_top_k(
-                &model,
-                archive,
-                9,
-                &ExecutionBudget::unlimited(),
-                &ScatterPolicy::require_all(),
-                &WorkerPool::new(1),
-            )
-            .unwrap()
-        });
-        let sources: Vec<TileSource<'_>> = worlds
-            .iter()
-            .map(|w| TileSource::new(&w.stores).unwrap())
-            .collect();
-        let shards: Vec<ArchiveShard<'_, TileSource<'_>>> = worlds
-            .iter()
-            .zip(&sources)
-            .zip(&grids)
-            .map(|((w, src), cg)| ArchiveShard::new(&w.pyramids, src, w.row_offset).with_coarse(cg))
-            .collect();
-        let archive = ShardedArchive::new(shards).unwrap();
-        let pruned = scatter_gather_top_k(
-            &model,
-            &archive,
-            9,
-            &ExecutionBudget::unlimited(),
-            &ScatterPolicy::require_all(),
-            &WorkerPool::new(1),
-        )
-        .unwrap();
-        assert_eq!(pruned.results, plain.results);
-        assert_eq!(pruned.completeness, plain.completeness);
-        assert!(
-            pruned.effort.multiply_adds * 10 <= plain.effort.multiply_adds * 9,
-            "coarse shards saved too little: {} vs {}",
-            pruned.effort.multiply_adds,
-            plain.effort.multiply_adds
-        );
     }
 
     #[test]

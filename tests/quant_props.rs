@@ -8,28 +8,16 @@
 //!   soundness story: a bound that dominates can only ever prune work
 //!   that provably cannot matter.
 //! * **Bit-identity** — prune-then-exact equals exact-only, as full
-//!   result structs: the pruned scan vs the flat scan, the coarse-pruned
-//!   Onion walk vs the legacy walk, and the core engines' `CoarseGrid`
-//!   pass vs the plain resilient engine — sequentially and at threads
-//!   1, 2, 4, and 8, healthy and under deterministic page faults, at
-//!   unlimited budgets.
+//!   result structs: the pruned scan vs the flat scan, and the
+//!   coarse-pruned Onion walk vs the legacy walk.
 //! * **Degenerate blocks are safe** — constant dimensions (zero range),
 //!   single-row stores, and overflow-guard magnitudes must never panic
 //!   and never break bit-identity; at worst they disable pruning.
 
-use mbir::core::coarse::CoarseGrid;
-use mbir::core::parallel::{par_resilient_top_k, WorkerPool};
-use mbir::core::resilient::{resilient_top_k, ExecOptions, ExecutionBudget};
-use mbir::core::source::TileSource;
 use mbir::index::onion::OnionIndex;
 use mbir::index::quant::QuantizedStore;
 use mbir::index::scan::{scan_top_k_flat, scan_top_k_quant};
 use mbir::index::store::PointStore;
-use mbir::models::linear::LinearModel;
-use mbir::progressive::pyramid::AggregatePyramid;
-use mbir_archive::fault::FaultProfile;
-use mbir_archive::grid::Grid2;
-use mbir_archive::tile::TileStore;
 use proptest::prelude::*;
 
 fn exact_score(dir: &[f64], row: &[f64]) -> f64 {
@@ -156,120 +144,5 @@ fn quant_onion_walk_matches_legacy() {
             let pruned = quant_index.top_k_max_quant(&dir, k).expect("valid query");
             assert_eq!(pruned.results, legacy.results, "dir={dir:?}, k={k}");
         }
-    }
-}
-
-/// A rough world: loose interval bounds, busy descent — the regime where
-/// the engines' coarse pass does real pruning in the parallel paths.
-fn rough_world() -> (LinearModel, Vec<AggregatePyramid>, Vec<TileStore>) {
-    let grids: Vec<Grid2<f64>> = (0..3)
-        .map(|j| {
-            Grid2::from_fn(64, 64, |r, c| {
-                let h = (j as u64 + 1)
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add((r * 8191 + c * 127) as u64)
-                    .wrapping_mul(2862933555777941757);
-                (h >> 11) as f64 / (1u64 << 53) as f64 * 100.0
-            })
-        })
-        .collect();
-    let pyramids = grids.iter().map(AggregatePyramid::build).collect();
-    let stores = grids
-        .iter()
-        .map(|g| TileStore::new(g.clone(), 8).unwrap())
-        .collect();
-    (
-        LinearModel::new(vec![1.0, 0.7, 0.4], 0.0).unwrap(),
-        pyramids,
-        stores,
-    )
-}
-
-#[test]
-fn core_coarse_engines_match_plain_at_every_thread_count() {
-    let (model, pyramids, stores) = rough_world();
-    let coarse = CoarseGrid::build(&pyramids).unwrap();
-    let src = TileSource::new(&stores).unwrap();
-    let budget = ExecutionBudget::unlimited();
-    for k in [1usize, 7, 12] {
-        let plain = resilient_top_k(&model, &pyramids, k, &src, &budget).unwrap();
-        let seq = resilient_top_k(
-            &model,
-            &pyramids,
-            k,
-            &src,
-            ExecOptions::new(&budget).coarse(&coarse),
-        )
-        .unwrap();
-        assert_eq!(seq.results, plain.results, "sequential, k={k}");
-        assert_eq!(seq.completeness, plain.completeness);
-        assert_eq!(seq.skipped_pages, plain.skipped_pages);
-        for threads in [1usize, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let par = par_resilient_top_k(
-                &model,
-                &pyramids,
-                k,
-                &src,
-                ExecOptions::new(&budget).coarse(&coarse),
-                &pool,
-            )
-            .unwrap();
-            assert_eq!(par.results, plain.results, "threads={threads}, k={k}");
-            assert_eq!(par.completeness, plain.completeness);
-            assert_eq!(par.skipped_pages, plain.skipped_pages);
-        }
-    }
-}
-
-#[test]
-fn core_coarse_engines_match_plain_under_faults() {
-    let (model, pyramids, stores) = rough_world();
-    let coarse = CoarseGrid::build(&pyramids).unwrap();
-    // Kill the healthy winner's page so the degraded merge is exercised.
-    let healthy_src = TileSource::new(&stores).unwrap();
-    let healthy = resilient_top_k(
-        &model,
-        &pyramids,
-        5,
-        &healthy_src,
-        &ExecutionBudget::unlimited(),
-    )
-    .unwrap();
-    let winner = healthy.results[0].cell;
-    let page = stores[0].page_of(winner.row, winner.col);
-    let stores: Vec<TileStore> = stores
-        .into_iter()
-        .map(|s| s.with_faults(FaultProfile::new(0).permanent(page)))
-        .collect();
-    let src = TileSource::new(&stores).unwrap();
-    let budget = ExecutionBudget::unlimited();
-    let plain = resilient_top_k(&model, &pyramids, 5, &src, &budget).unwrap();
-    assert!(plain.is_degraded(), "fault must actually degrade the run");
-    let seq = resilient_top_k(
-        &model,
-        &pyramids,
-        5,
-        &src,
-        ExecOptions::new(&budget).coarse(&coarse),
-    )
-    .unwrap();
-    assert_eq!(seq.results, plain.results);
-    assert_eq!(seq.completeness, plain.completeness);
-    assert_eq!(seq.skipped_pages, plain.skipped_pages);
-    for threads in [1usize, 2, 4, 8] {
-        let pool = WorkerPool::new(threads);
-        let par = par_resilient_top_k(
-            &model,
-            &pyramids,
-            5,
-            &src,
-            ExecOptions::new(&budget).coarse(&coarse),
-            &pool,
-        )
-        .unwrap();
-        assert_eq!(par.results, plain.results, "threads={threads}");
-        assert_eq!(par.completeness, plain.completeness);
-        assert_eq!(par.skipped_pages, plain.skipped_pages);
     }
 }
