@@ -1,14 +1,13 @@
-//! Criterion benches for the parallel execution layer: per-engine wall
-//! time across thread counts plus the cached batch path. The repro binary
+//! Criterion benches for the parallel execution layer: the partitioned
+//! pyramid engine's wall time across thread counts (the batched engine
+//! has its own `batch` bench). The repro binary
 //! (`repro r2`) produces the EXPERIMENTS.md / BENCH_parallel.json numbers;
 //! these benches exist for statistically careful local comparisons.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mbir_bench::parallel_world;
 use mbir_core::engine::pyramid_top_k;
-use mbir_core::parallel::{par_pyramid_top_k, QueryBatch, WorkerPool};
-use mbir_core::query::TopKQuery;
-use mbir_core::source::CachedTileSource;
+use mbir_core::parallel::{par_pyramid_top_k, WorkerPool};
 
 fn bench_par_pyramid(c: &mut Criterion) {
     let (pyramids, model, _, _) = parallel_world(29, 128, 4, 16);
@@ -26,24 +25,5 @@ fn bench_par_pyramid(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_query_batch(c: &mut Criterion) {
-    let (pyramids, model, stores, _) = parallel_world(29, 128, 4, 16);
-    let mut group = c.benchmark_group("query_batch");
-    for threads in [1usize, 2, 4] {
-        let pool = WorkerPool::new(threads);
-        group.bench_with_input(BenchmarkId::new("threads", threads), &pool, |b, pool| {
-            b.iter(|| {
-                let cached = CachedTileSource::new(&stores, 64).expect("aligned");
-                let mut batch = QueryBatch::new(&model, &pyramids);
-                for q in 0..4 {
-                    batch.admit(TopKQuery::max(5 + q).expect("valid k"));
-                }
-                batch.run(&cached, pool)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_par_pyramid, bench_query_batch);
+criterion_group!(benches, bench_par_pyramid);
 criterion_main!(benches);

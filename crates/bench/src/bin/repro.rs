@@ -73,11 +73,7 @@ use mbir_core::metrics::{
     degradation_summary, merge_shard_summaries, precision_recall_at_k, scaling_table,
     sharded_degradation_summary, threshold_sweep,
 };
-use mbir_core::parallel::{
-    grid_query_with_source, par_pyramid_top_k, par_resilient_top_k, par_staged_top_k, QueryBatch,
-    WorkerPool,
-};
-use mbir_core::query::{Objective, TopKQuery};
+use mbir_core::parallel::{par_pyramid_top_k, par_resilient_top_k, par_staged_top_k, WorkerPool};
 use mbir_core::replica::{ReplicaConfig, ReplicatedSource};
 use mbir_core::resilient::{resilient_top_k, BudgetStop, ExecOptions, ExecutionBudget};
 use mbir_core::shard::{
@@ -2550,17 +2546,18 @@ fn r7_quant(seed: u64) {
 }
 
 /// R2 — parallel execution scaling: wall time, speedup, and efficiency of
-/// each worker-pool engine across thread counts, plus batch cache hit
-/// rates. Every parallel result is asserted bit-identical to its
-/// sequential counterpart before timings are reported. Also writes the
-/// numbers to `BENCH_parallel.json` for machines.
+/// the partitioned pyramid and staged engines across thread counts (the
+/// batched engine is `repro r8`'s). Every parallel result is asserted
+/// bit-identical to its sequential counterpart before timings are
+/// reported. Also writes the numbers to `BENCH_parallel.json` for
+/// machines.
 fn r2_parallel(max_threads: usize) {
     println!("\n## R2 — Parallel execution scaling\n");
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let side = 512usize;
     let arity = 4usize;
     let k = 10usize;
-    let (pyramids, model, stores, stats) = parallel_world(29, side, arity, 16);
+    let (pyramids, model, _, _) = parallel_world(29, side, arity, 16);
     let thread_counts: Vec<usize> = [1usize, 2, 4, 8]
         .into_iter()
         .filter(|&t| t == 1 || t <= max_threads.max(1))
@@ -2597,8 +2594,7 @@ fn r2_parallel(max_threads: usize) {
             (root.min, root.max)
         })
         .collect();
-    let progressive =
-        ProgressiveLinearModel::new(model.clone(), &ranges).expect("ranges match arity");
+    let progressive = ProgressiveLinearModel::new(model, &ranges).expect("ranges match arity");
     let tuples: Vec<Vec<f64>> = (0..side * side)
         .map(|i| {
             pyramids
@@ -2622,52 +2618,9 @@ fn r2_parallel(max_threads: usize) {
         staged_points.push((t, ns));
     }
 
-    // Engine 3: batched queries over one cached archive.
-    let n_queries = 8usize;
-    let batch_of = || {
-        let mut batch = QueryBatch::new(&model, &pyramids);
-        for q in 0..n_queries {
-            let query = if q % 2 == 0 {
-                TopKQuery::max(k + q).expect("valid k")
-            } else {
-                TopKQuery::new(k + q, Objective::Minimize).expect("valid k")
-            };
-            batch.admit(query);
-        }
-        batch
-    };
-    let plain_src = TileSource::new(&stores).expect("aligned stores");
-    let sequential_batch: Vec<_> = batch_of()
-        .queries()
-        .iter()
-        .map(|q| grid_query_with_source(&model, &pyramids, *q, &plain_src).expect("valid query"))
-        .collect();
-    let mut batch_points: Vec<(usize, u64)> = Vec::new();
-    let mut cache_hit_rate = 0.0f64;
-    for &t in &thread_counts {
-        let pool = WorkerPool::new(t);
-        let cached = CachedTileSource::new(&stores, 64).expect("aligned stores");
-        stats.reset();
-        let results = batch_of().run(&cached, &pool);
-        for (r, s) in results.iter().zip(&sequential_batch) {
-            assert_eq!(
-                r.as_ref().expect("healthy archive").results,
-                s.results,
-                "batch must be bit-identical"
-            );
-        }
-        cache_hit_rate = stats.cache_hit_rate().unwrap_or(0.0);
-        let ns = time_ns(&mut || {
-            let cached = CachedTileSource::new(&stores, 64).expect("aligned stores");
-            let _ = batch_of().run(&cached, &pool);
-        });
-        batch_points.push((t, ns));
-    }
-
     let engines = [
         ("par_pyramid_top_k", &pyramid_points),
         ("par_staged_top_k", &staged_points),
-        ("query_batch", &batch_points),
     ];
     for (name, points) in engines {
         println!("### {name}\n");
@@ -2684,7 +2637,7 @@ fn r2_parallel(max_threads: usize) {
         }
         println!();
     }
-    println!("host CPUs: {host_cpus}; batch cache hit rate: {cache_hit_rate:.3}");
+    println!("host CPUs: {host_cpus}");
     println!("All parallel results asserted bit-identical to sequential before timing.");
 
     // Machine-readable output (hand-rolled JSON; std only).
@@ -2704,11 +2657,9 @@ fn r2_parallel(max_threads: usize) {
         "{{\n  \"experiment\": \"r2_parallel\",\n  \"host_cpus\": {host_cpus},\n  \
          \"max_threads\": {max_threads},\n  \"world\": {{\"side\": {side}, \"arity\": {arity}, \
          \"k\": {k}}},\n  \"bit_identical\": true,\n  \"engines\": {{\n    \
-         \"par_pyramid_top_k\": {},\n    \"par_staged_top_k\": {},\n    \"query_batch\": {}\n  \
-         }},\n  \"query_batch_queries\": {n_queries},\n  \"cache_hit_rate\": {cache_hit_rate:.4}\n}}\n",
+         \"par_pyramid_top_k\": {},\n    \"par_staged_top_k\": {}\n  }}\n}}\n",
         scaling_json(&pyramid_points),
         scaling_json(&staged_points),
-        scaling_json(&batch_points),
     );
     match std::fs::write("BENCH_parallel.json", &json) {
         Ok(()) => println!("\nwrote BENCH_parallel.json"),

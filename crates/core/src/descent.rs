@@ -1144,7 +1144,7 @@ pub(crate) fn finish(
 mod tests {
     use super::*;
     use crate::batched::{batched_top_k, BatchedTopK};
-    use crate::engine::{pyramid_top_k, pyramid_top_k_with_scratch, GridTopK, QueryScratch};
+    use crate::engine::{pyramid_top_k, GridTopK};
     use crate::parallel::{par_batched_top_k, par_pyramid_top_k, par_resilient_top_k, WorkerPool};
     use crate::resilient::{resilient_top_k, ExecutionBudget};
     use crate::shard::{
@@ -1308,12 +1308,7 @@ mod tests {
         let want = healthy(resilient_top_k(&model, p, k, &src, &budget).unwrap().into());
         assert_eq!(want.0.len(), k);
 
-        let mut qs = QueryScratch::new();
         assert_eq!(strict(pyramid_top_k(&model, p, k).unwrap()), want);
-        assert_eq!(
-            strict(pyramid_top_k_with_scratch(&model, p, k, &src, &mut qs).unwrap()),
-            want
-        );
 
         let live = CancelToken::new();
         let cancelled = CancelToken::new();

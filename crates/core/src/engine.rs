@@ -103,66 +103,6 @@ impl fmt::Display for EffortReport {
     }
 }
 
-/// Reusable buffers for the descent/staged engines, so steady-state
-/// query loops perform no per-query heap allocation: the base attribute
-/// vector, the best-first frontier, and the staged engine's candidate sets
-/// all live here and are cleared (capacity kept) between queries.
-///
-/// One scratch belongs to one engine call at a time — sequential callers
-/// keep a single instance, parallel engines keep one per worker. A fresh
-/// scratch warms up over the first query (buffers grow to the query's
-/// working-set size) and then stops allocating;
-/// [`regrowths`](QueryScratch::regrowths) counts how many buffer growth
-/// events have happened, so tests can assert a warmed scratch stays allocation-free.
-#[derive(Debug, Default)]
-pub struct QueryScratch {
-    pub(crate) x: Vec<f64>,
-    pub(crate) frontier: BinaryHeap<Region>,
-    pub(crate) alive: Vec<usize>,
-    pub(crate) partial: Vec<f64>,
-    pub(crate) lows: Vec<f64>,
-    regrowths: u64,
-}
-
-impl QueryScratch {
-    /// An empty scratch; buffers size themselves on first use.
-    pub fn new() -> Self {
-        QueryScratch::default()
-    }
-
-    /// Cumulative number of internal-buffer growth events since creation.
-    /// Stable across two identical consecutive queries ⇔ the second query
-    /// allocated nothing.
-    pub fn regrowths(&self) -> u64 {
-        self.regrowths
-    }
-}
-
-/// Capacity snapshot used to detect buffer regrowth across one engine run.
-pub(crate) struct ScratchCaps([usize; 5]);
-
-impl QueryScratch {
-    pub(crate) fn caps(&self) -> ScratchCaps {
-        ScratchCaps([
-            self.x.capacity(),
-            self.frontier.capacity(),
-            self.alive.capacity(),
-            self.partial.capacity(),
-            self.lows.capacity(),
-        ])
-    }
-
-    pub(crate) fn note_regrowth(&mut self, before: &ScratchCaps) {
-        let after = self.caps();
-        self.regrowths += after
-            .0
-            .iter()
-            .zip(before.0.iter())
-            .map(|(a, b)| u64::from(a > b))
-            .sum::<u64>();
-    }
-}
-
 /// A scored grid cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredCell {
@@ -199,63 +139,24 @@ pub struct TupleTopK {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Query`] for `k == 0` or an empty tuple list, and
-/// [`CoreError::Model`] for arity mismatches.
+/// Returns [`CoreError::Query`] for `k == 0`, an empty tuple list or a NaN
+/// value, and [`CoreError::Model`] for arity mismatches.
 pub fn staged_top_k(
     model: &ProgressiveLinearModel,
     tuples: &[Vec<f64>],
     k: usize,
 ) -> Result<TupleTopK, CoreError> {
-    staged_top_k_with_scratch(model, tuples, k, &mut QueryScratch::new())
-}
-
-/// [`staged_top_k`] with candidate/partial-sum/lower-bound buffers reused
-/// from `scratch` — the allocation-free form for callers issuing many
-/// queries. Results are bit-identical to [`staged_top_k`].
-///
-/// # Errors
-///
-/// Same as [`staged_top_k`].
-pub fn staged_top_k_with_scratch(
-    model: &ProgressiveLinearModel,
-    tuples: &[Vec<f64>],
-    k: usize,
-    scratch: &mut QueryScratch,
-) -> Result<TupleTopK, CoreError> {
-    if k == 0 {
-        return Err(CoreError::Query("k must be >= 1".into()));
-    }
-    if tuples.is_empty() {
-        return Err(CoreError::Query("no tuples to search".into()));
-    }
+    validate_tuples(model, tuples, k)?;
     let n_terms = model.stages();
-    for t in tuples {
-        if t.len() != n_terms {
-            return Err(CoreError::Model(
-                mbir_models::error::ModelError::ArityMismatch {
-                    expected: n_terms,
-                    actual: t.len(),
-                },
-            ));
-        }
-    }
     let order = model.term_order();
     let coeffs = model.model().coefficients();
     let ranges = model.ranges();
 
-    let caps = scratch.caps();
-    let QueryScratch {
-        alive,
-        partial,
-        lows,
-        ..
-    } = scratch;
-
     // Incremental partial sums: one multiply-add per stage per candidate.
-    alive.clear();
-    alive.extend(0..tuples.len());
-    partial.clear();
-    partial.resize(tuples.len(), model.model().intercept());
+    let mut alive: Vec<usize> = (0..tuples.len()).collect();
+    let mut partial = vec![model.model().intercept(); tuples.len()];
+    // Reused across stages so each pruning pass allocates nothing.
+    let mut lows: Vec<f64> = Vec::new();
     let mut effort = EffortReport {
         multiply_adds: 0,
         naive_multiply_adds: (n_terms * tuples.len()) as u64,
@@ -263,7 +164,7 @@ pub fn staged_top_k_with_scratch(
     for stage in 1..=n_terms {
         let term = order[stage - 1];
         let (rlo, rhi) = ranges[term];
-        for &idx in alive.iter() {
+        for &idx in &alive {
             partial[idx] += coeffs[term] * tuples[idx][term].clamp(rlo, rhi);
             effort.multiply_adds += 1;
         }
@@ -294,17 +195,49 @@ pub fn staged_top_k_with_scratch(
         }
     }
     let mut heap = TopKHeap::new(k);
-    for &idx in alive.iter() {
+    for &idx in &alive {
         heap.offer(ScoredItem {
             index: idx,
             score: partial[idx],
         });
     }
-    scratch.note_regrowth(&caps);
     Ok(TupleTopK {
         results: heap.into_sorted(),
         effort,
     })
+}
+
+/// The tuple engines' shared input check: `k >= 1`, at least one tuple,
+/// every tuple of the model's arity, and no NaN value. A NaN would sort
+/// first in the exact ranking, but the staged bound cannot see it in a
+/// term it has not read yet, so the input is rejected rather than
+/// answered wrong.
+pub(crate) fn validate_tuples(
+    model: &ProgressiveLinearModel,
+    tuples: &[Vec<f64>],
+    k: usize,
+) -> Result<(), CoreError> {
+    if k == 0 {
+        return Err(CoreError::Query("k must be >= 1".into()));
+    }
+    if tuples.is_empty() {
+        return Err(CoreError::Query("no tuples to search".into()));
+    }
+    let n_terms = model.stages();
+    for (i, t) in tuples.iter().enumerate() {
+        if t.len() != n_terms {
+            return Err(CoreError::Model(
+                mbir_models::error::ModelError::ArityMismatch {
+                    expected: n_terms,
+                    actual: t.len(),
+                },
+            ));
+        }
+        if t.iter().any(|v| v.is_nan()) {
+            return Err(CoreError::Query(format!("tuple {i} holds a NaN value")));
+        }
+    }
+    Ok(())
 }
 
 /// Bits of a frontier coordinate word given to the column, to the row,
@@ -326,9 +259,8 @@ pub(crate) fn pack_coords((level, row, col): (usize, usize, usize)) -> u64 {
 /// 2 GB a row of one attribute: a guard, not a working limit).
 ///
 /// Reached through [`validate_grid_inputs`] by every grid entry point
-/// before its first region exists: `pyramid_top_k`,
-/// `pyramid_top_k_with_scratch` (and `grid_query*` through them),
-/// `combined_top_k`, `naive_grid_top_k`, `resilient_top_k`,
+/// before its first region exists: `pyramid_top_k` (and `grid_query`
+/// through it), `combined_top_k`, `naive_grid_top_k`, `resilient_top_k`,
 /// `batched_top_k`, the three `par_*` grid engines, and the
 /// `scatter_gather_*` engines once per shard.
 fn check_grid_fits_key(rows: usize, cols: usize, levels: usize) -> Result<(), CoreError> {
@@ -409,63 +341,36 @@ pub fn pyramid_top_k(
     pyramids: &[AggregatePyramid],
     k: usize,
 ) -> Result<GridTopK, CoreError> {
-    let source = PyramidSource::new(pyramids);
-    pyramid_top_k_with_scratch(model, pyramids, k, &source, &mut QueryScratch::new())
-}
-
-/// [`pyramid_top_k`] with base-level reads routed through a [`CellSource`]
-/// and the frontier and attribute vector reused from `scratch`.
-///
-/// The pyramids act as the resident bounding index; exact base values come
-/// from `source` (e.g. a paged [`TileSource`](crate::source::TileSource)).
-/// Execution is strict: any failed base read aborts the query. For
-/// skip-and-degrade semantics use
-/// [`resilient_top_k`](crate::resilient::resilient_top_k). The steady-state
-/// descent loop performs no heap allocation once the scratch has warmed
-/// up; results do not depend on the scratch's history.
-///
-/// # Errors
-///
-/// Same as [`pyramid_top_k`], plus [`CoreError::Archive`] for failed base
-/// reads.
-pub fn pyramid_top_k_with_scratch<S: CellSource>(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    scratch: &mut QueryScratch,
-) -> Result<GridTopK, CoreError> {
     validate_grid_inputs(model, pyramids, k)?;
-    strict_descent(model, pyramids, k, source, scratch)
+    strict_descent(model, pyramids, k)
 }
 
 /// The strict configuration of the execution core ([`crate::descent`]):
-/// local floor, no stop, and a failed read aborts with the source's error.
-fn strict_descent<S: CellSource, M: Scorer>(
+/// base cells read from the pyramids' level 0, local floor, no stop, and
+/// a failed read aborts with the source's error.
+fn strict_descent<M: Scorer>(
     model: &M,
     pyramids: &[AggregatePyramid],
     k: usize,
-    source: &S,
-    scratch: &mut QueryScratch,
 ) -> Result<GridTopK, CoreError> {
     let (rows, cols) = pyramids[0].base_shape();
-    let caps = scratch.caps();
-    let QueryScratch { x, frontier, .. } = scratch;
+    let source = PyramidSource::new(pyramids);
+    let mut x = Vec::new();
+    let mut frontier = BinaryHeap::new();
     let mut env = Env {
         pyramids,
-        source,
+        source: &source,
         cols,
         row_offset: 0,
-        fetch: Direct { x },
+        fetch: Direct { x: &mut x },
         pressure: Strict,
         floor: Local,
     };
     let naive = (model.arity() * rows * cols) as u64;
-    let mut lane = Lane::new(0, model, frontier, k, naive);
+    let mut lane = Lane::new(0, model, &mut frontier, k, naive);
     seed_root(&mut env, &mut lane)?;
     drain(&mut env, &mut lane)?;
     let out = lane.finish();
-    scratch.note_regrowth(&caps);
     let results = out
         .items
         .into_iter()
@@ -514,9 +419,7 @@ pub fn combined_top_k(
     k: usize,
 ) -> Result<GridTopK, CoreError> {
     let (_, levels) = validate_grid_inputs(model.model(), pyramids, k)?;
-    let source = PyramidSource::new(pyramids);
-    let scorer = Truncated { model, levels };
-    strict_descent(&scorer, pyramids, k, &source, &mut QueryScratch::new())
+    strict_descent(&Truncated { model, levels }, pyramids, k)
 }
 
 /// The combined engine's [`Scorer`]: regions are bounded with the model
@@ -1012,6 +915,20 @@ pub(crate) mod tests {
         assert!(staged_top_k(&prog, &[vec![1.0]], 1).is_err());
         let other = AggregatePyramid::build(&pseudo_grid(9, 4, 4));
         assert!(pyramid_top_k(&model, &[pyramids[0].clone(), other], 1).is_err());
+        let (prog, tuples) = nan_tuple_input();
+        let got = staged_top_k(&prog, &tuples, 1);
+        assert!(matches!(got, Err(CoreError::Query(_))), "{got:?}");
+    }
+
+    /// Twenty 3-d tuples, the fourth holding a NaN in its most
+    /// contributing term: a staged K-th floor selected by `total_cmp`
+    /// would be that NaN and prune every candidate.
+    pub(crate) fn nan_tuple_input() -> (ProgressiveLinearModel, Vec<Vec<f64>>) {
+        let model = LinearModel::new(vec![1.0, 0.5, 0.25], 0.0).unwrap();
+        let prog = ProgressiveLinearModel::new(model, &[(0.0, 10.0); 3]).unwrap();
+        let mut tuples: Vec<Vec<f64>> = (0..20).map(|i| vec![(i % 10) as f64, 1.0, 2.0]).collect();
+        tuples[3][0] = f64::NAN;
+        (prog, tuples)
     }
 
     #[test]
@@ -1043,90 +960,6 @@ pub(crate) mod tests {
         let maximized = grid_query(&model, &pyramids, max_query).unwrap();
         let direct = pyramid_top_k(&model, &pyramids, 5).unwrap();
         assert_eq!(maximized.results, direct.results);
-    }
-
-    /// [`combined_top_k`] over a caller's source and scratch.
-    fn combined_on<S: CellSource>(
-        model: &ProgressiveLinearModel,
-        pyramids: &[AggregatePyramid],
-        k: usize,
-        source: &S,
-        scratch: &mut QueryScratch,
-    ) -> Result<GridTopK, CoreError> {
-        let (_, levels) = validate_grid_inputs(model.model(), pyramids, k)?;
-        strict_descent(&Truncated { model, levels }, pyramids, k, source, scratch)
-    }
-
-    #[test]
-    fn warmed_scratch_stops_allocating() {
-        // Acceptance gate for the allocation-free steady state: the first
-        // query may grow the scratch buffers, but a second identical query
-        // through the same scratch must add zero regrowth events — i.e.
-        // the descent loop performs no heap allocation once warm.
-        use crate::source::PyramidSource;
-        let (model, pyramids) = build_inputs(21, 48, 48, 3);
-        let source = PyramidSource::new(&pyramids);
-        let mut scratch = QueryScratch::new();
-        let first =
-            pyramid_top_k_with_scratch(&model, &pyramids, 5, &source, &mut scratch).unwrap();
-        let warm = scratch.regrowths();
-        let second =
-            pyramid_top_k_with_scratch(&model, &pyramids, 5, &source, &mut scratch).unwrap();
-        assert_eq!(first, second, "scratch reuse must not change results");
-        assert_eq!(
-            scratch.regrowths(),
-            warm,
-            "steady-state pyramid descent must not grow any buffer"
-        );
-
-        let prog = progressive_of(&model, &pyramids);
-        let first = combined_on(&prog, &pyramids, 5, &source, &mut scratch).unwrap();
-        let warm = scratch.regrowths();
-        let second = combined_on(&prog, &pyramids, 5, &source, &mut scratch).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(
-            scratch.regrowths(),
-            warm,
-            "steady-state combined descent must not grow any buffer"
-        );
-
-        let tuples: Vec<Vec<f64>> = (0..48 * 48)
-            .map(|i| {
-                (0..3)
-                    .map(|a| pyramids[a].cell(0, i / 48, i % 48).unwrap().mean)
-                    .collect()
-            })
-            .collect();
-        let first = staged_top_k_with_scratch(&prog, &tuples, 5, &mut scratch).unwrap();
-        let warm = scratch.regrowths();
-        let second = staged_top_k_with_scratch(&prog, &tuples, 5, &mut scratch).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(
-            scratch.regrowths(),
-            warm,
-            "steady-state staged scan must not grow any buffer"
-        );
-    }
-
-    #[test]
-    fn scratch_engines_match_allocating_engines_bitwise() {
-        use crate::source::PyramidSource;
-        let (model, pyramids) = build_inputs(33, 20, 28, 4);
-        let source = PyramidSource::new(&pyramids);
-        let prog = progressive_of(&model, &pyramids);
-        let mut scratch = QueryScratch::new();
-        for k in [1usize, 4, 9] {
-            assert_eq!(
-                pyramid_top_k_with_scratch(&model, &pyramids, k, &source, &mut scratch).unwrap(),
-                pyramid_top_k(&model, &pyramids, k).unwrap(),
-                "pyramid k={k}"
-            );
-            assert_eq!(
-                combined_on(&prog, &pyramids, k, &source, &mut scratch).unwrap(),
-                combined_top_k(&prog, &pyramids, k).unwrap(),
-                "combined k={k}"
-            );
-        }
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //!   completeness fraction) instead of aborting on lost pages.
 //! * [`parallel`] — the hardware-parallel layer: a scoped worker pool,
 //!   partitioned counterparts of the strict and resilient engines sharing
-//!   their pruning bound through a lock-free [`SharedBound`], and batched
-//!   multi-query execution over one shared (optionally page-cached)
-//!   archive. Bit-identical to the sequential engines at every thread
-//!   count.
+//!   their pruning bound through a lock-free [`SharedBound`], and the
+//!   [`batched`] engine partitioned over the pool. Bit-identical to the
+//!   sequential engines at every thread count.
 //! * [`lifecycle`] — the overload layer: cooperative [`CancelToken`]s
 //!   polled by the resilient engines at page granularity, and an
 //!   [`AdmissionController`] with per-priority queues and best-effort
@@ -121,8 +120,8 @@ pub use metrics::{
     RocPoint, ScalingRow,
 };
 pub use parallel::{
-    grid_query_with_scratch, grid_query_with_source, par_batched_top_k, par_pyramid_top_k,
-    par_resilient_top_k, par_staged_top_k, QueryBatch, ScratchPool, SharedBound, WorkerPool,
+    par_batched_top_k, par_pyramid_top_k, par_resilient_top_k, par_staged_top_k, SharedBound,
+    WorkerPool,
 };
 pub use plan::{execute_planned, plan_grid_query, EngineChoice, PlannerConfig, QueryPlan};
 pub use query::{Objective, TopKQuery};

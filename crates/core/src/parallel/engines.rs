@@ -25,7 +25,9 @@
 
 use crate::batched::{with_lanes, with_pooled_scratch, Job, Tally};
 use crate::descent::{interleave, seed_root, warm_up, Local, Outcome, Pressure, Strict};
-use crate::engine::{validate_grid_inputs, EffortReport, GridTopK, Region, ScoredCell, TupleTopK};
+use crate::engine::{
+    validate_grid_inputs, validate_tuples, EffortReport, GridTopK, Region, ScoredCell, TupleTopK,
+};
 use crate::error::CoreError;
 use crate::parallel::batched::par_batched_top_k_inner;
 use crate::parallel::pool::{SharedBound, WorkerPool};
@@ -226,23 +228,8 @@ pub fn par_staged_top_k(
     k: usize,
     pool: &WorkerPool,
 ) -> Result<TupleTopK, CoreError> {
-    if k == 0 {
-        return Err(CoreError::Query("k must be >= 1".into()));
-    }
-    if tuples.is_empty() {
-        return Err(CoreError::Query("no tuples to search".into()));
-    }
+    validate_tuples(model, tuples, k)?;
     let n_terms = model.stages();
-    for t in tuples {
-        if t.len() != n_terms {
-            return Err(CoreError::Model(
-                mbir_models::error::ModelError::ArityMismatch {
-                    expected: n_terms,
-                    actual: t.len(),
-                },
-            ));
-        }
-    }
     let workers = pool.threads().min(tuples.len());
     let chunk = tuples.len().div_ceil(workers);
     let shared = SharedBound::new();
@@ -459,6 +446,9 @@ mod tests {
         assert!(par_staged_top_k(&prog, &[], 1, &pool).is_err());
         assert!(par_staged_top_k(&prog, &[vec![1.0]], 1, &pool).is_err());
         assert!(par_staged_top_k(&prog, &[vec![1.0, 2.0]], 0, &pool).is_err());
+        let (prog, tuples) = crate::engine::tests::nan_tuple_input();
+        let got = par_staged_top_k(&prog, &tuples, 1, &pool);
+        assert!(matches!(got, Err(CoreError::Query(_))), "{got:?}");
     }
 
     fn smooth_world(

@@ -1,5 +1,5 @@
-//! Hardware-parallel execution: worker-pool engines, batched queries, and
-//! shared bound propagation.
+//! Hardware-parallel execution: worker-pool engines, the batched engine
+//! over the pool, and shared bound propagation.
 //!
 //! Everything the sequential engines prove, these engines prove with the
 //! work spread over threads:
@@ -11,9 +11,6 @@
 //!   [`par_resilient_top_k`] ([`engines`]) — partitioned counterparts of
 //!   the strict and resilient engines, bit-identical to them at every
 //!   thread count (budget stops excepted; see the engine docs).
-//! * [`QueryBatch`] ([`batch`]) — N concurrent queries against one shared
-//!   archive, dealt across the pool with cache-aware scheduling and a
-//!   per-worker scratch pool.
 //! * [`par_batched_top_k`] ([`batched`]) — the shared-frontier batched
 //!   engine of [`crate::batched`] partitioned over the pool, with one
 //!   [`SharedBound`] per query.
@@ -21,12 +18,10 @@
 //! The design and its determinism argument live in DESIGN.md §9; the
 //! batched shared-frontier invariant is §15.
 
-pub mod batch;
 pub mod batched;
 pub mod engines;
 pub mod pool;
 
-pub use batch::{grid_query_with_scratch, grid_query_with_source, QueryBatch, ScratchPool};
 pub use batched::par_batched_top_k;
 pub use engines::{par_pyramid_top_k, par_resilient_top_k, par_staged_top_k};
 pub use pool::{SharedBound, WorkerPool, THREADS_ENV};

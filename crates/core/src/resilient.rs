@@ -353,9 +353,9 @@ impl<'a> From<&'a ExecutionBudget> for ExecOptions<'a> {
 
 /// Pyramid descent that degrades gracefully instead of aborting.
 ///
-/// Behaves exactly like
-/// [`pyramid_top_k_with_scratch`](crate::engine::pyramid_top_k_with_scratch)
-/// until a base read fails or the budget runs out; see the module docs for
+/// Behaves exactly like [`pyramid_top_k`](crate::engine::pyramid_top_k)
+/// with base reads routed through `source`, until a base read fails or the
+/// budget runs out; see the module docs for
 /// the degradation contract and [`ExecOptions`] for what `opts` may carry
 /// (a bare `&ExecutionBudget` converts). Never panics on lost pages, never
 /// silently drops what it could not certify.

@@ -17,9 +17,9 @@
 //! * [`TileSource`] — reads through per-attribute [`TileStore`]s, with
 //!   page accounting, fault injection, retries, and quarantine.
 //! * [`CachedTileSource`] — a [`TileSource`] behind a small shared LRU
-//!   page cache, safe for concurrent readers: batched queries
-//!   ([`crate::parallel::QueryBatch`]) and parallel engines dedup their
-//!   page reads through it.
+//!   page cache, safe for concurrent readers: the batched and parallel
+//!   engines ([`crate::batched`], [`crate::parallel`]) and the sharded
+//!   scatter-gather dedup their page reads through it.
 
 use crate::error::CoreError;
 use mbir_archive::error::ArchiveError;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Exact work-counter gate on the grid engines: runs the `grid_hot` and
-# `append_mix` end-to-end workloads briefly at seed 7 and fails unless
-# each reports `correct: true`, no failed operation, and a
-# `madds_per_query` bit-equal to the value committed below. Then runs
+# Exact work-counter gate on the grid engines and the tuple index: runs
+# the `grid_hot`, `append_mix` and `tuple_topk` end-to-end workloads
+# briefly at seed 7 and fails unless each reports `correct: true`, no
+# failed operation, and a `madds_per_query` bit-equal to the value
+# committed below. Then runs
 # `repro r8 --seed 7 --small --threads 1` in a temporary directory (so
 # the committed BENCH_batch.json stays as it is) and fails unless the
 # batch's physical-work counters equal the ones below: they are the
@@ -31,6 +32,7 @@ check() {
 
 check grid_hot 13329.0625
 check append_mix 5885.9140625
+check tuple_topk 155134.1484375
 
 check_batch() {
   local want=$1 repro dir got

@@ -1,24 +1,19 @@
 //! Property tests for the parallel execution layer.
 //!
 //! The central contract: every parallel engine is **bit-identical** to its
-//! sequential counterpart at every thread count — on healthy archives, on
-//! faulty ones (through the resilient engine), and for whole query
-//! batches. Budget-exhausted runs are schedule-dependent in *where* they
+//! sequential counterpart at every thread count — on healthy archives and
+//! on faulty ones (through the resilient engine); the batched engine's
+//! counterpart lives in `batch_props.rs`. Budget-exhausted runs are schedule-dependent in *where* they
 //! stop, so those assert the soundness invariants instead: at most K
 //! entries, sound bounds, an honest budget stop, and the true winner
 //! confirmed or covered.
 
-use mbir::core::engine::{
-    pyramid_top_k, pyramid_top_k_with_scratch, staged_top_k, staged_top_k_with_scratch,
-    QueryScratch,
-};
+use mbir::core::engine::{pyramid_top_k, staged_top_k};
 use mbir::core::parallel::{
-    grid_query_with_source, par_pyramid_top_k, par_resilient_top_k, par_staged_top_k, QueryBatch,
-    WorkerPool, THREADS_ENV,
+    par_pyramid_top_k, par_resilient_top_k, par_staged_top_k, WorkerPool, THREADS_ENV,
 };
-use mbir::core::query::{Objective, TopKQuery};
 use mbir::core::resilient::{resilient_top_k, BudgetStop, ExecutionBudget};
-use mbir::core::source::{CachedTileSource, PyramidSource, TileSource};
+use mbir::core::source::TileSource;
 use mbir::index::onion::OnionIndex;
 use mbir::index::scan::{scan_top_k, scan_top_k_flat};
 use mbir::index::store::PointStore;
@@ -138,41 +133,6 @@ proptest! {
     }
 
     #[test]
-    fn query_batch_bit_identical_across_thread_counts(
-        seed in 0u64..300,
-        side in 16usize..40,
-        n_queries in 1usize..6,
-        cache_pages in 1usize..32,
-    ) {
-        let (model, pyramids, stores) = world(seed, side, 2, 8);
-        let plain = TileSource::new(&stores).unwrap();
-        let mut batch = QueryBatch::new(&model, &pyramids);
-        for q in 0..n_queries {
-            let query = if q % 2 == 0 {
-                TopKQuery::max(1 + q * 3).unwrap()
-            } else {
-                TopKQuery::new(2 + q, Objective::Minimize).unwrap()
-            };
-            batch.admit(query);
-        }
-        let sequential: Vec<_> = batch
-            .queries()
-            .iter()
-            .map(|q| grid_query_with_source(&model, &pyramids, *q, &plain).unwrap())
-            .collect();
-        for threads in THREAD_COUNTS {
-            let pool = WorkerPool::new(threads);
-            let cached = CachedTileSource::new(&stores, cache_pages).unwrap();
-            let results = batch.run(&cached, &pool);
-            prop_assert_eq!(results.len(), sequential.len());
-            for (got, want) in results.iter().zip(&sequential) {
-                let got = got.as_ref().unwrap();
-                prop_assert_eq!(&got.results, &want.results, "threads={}", threads);
-            }
-        }
-    }
-
-    #[test]
     fn par_resilient_bit_identical_under_faults(
         seed in 0u64..300,
         side in 24usize..48,
@@ -258,44 +218,6 @@ proptest! {
                 "threads={}", threads);
             prop_assert_eq!(&kq, &legacy.top_k_max(&dir, k).unwrap(),
                 "threads={}", threads);
-        }
-    }
-
-    #[test]
-    fn scratch_engines_bit_identical_to_allocating_engines(
-        seed in 0u64..300,
-        side in 8usize..32,
-        arity in 1usize..4,
-        k in 1usize..10,
-    ) {
-        // The allocation-free scratch variants must reproduce the
-        // allocating engines exactly, including when one scratch is
-        // reused across consecutive differently-shaped queries.
-        let (model, pyramids, _) = world(seed, side, arity, 8);
-        let source = PyramidSource::new(&pyramids);
-        let mut scratch = QueryScratch::new();
-        let want = pyramid_top_k(&model, &pyramids, k).unwrap();
-        for _ in 0..2 {
-            let got =
-                pyramid_top_k_with_scratch(&model, &pyramids, k, &source, &mut scratch).unwrap();
-            prop_assert_eq!(&got, &want);
-        }
-        let ranges: Vec<(f64, f64)> = pyramids
-            .iter()
-            .map(|p| { let r = p.root(); (r.min, r.max) })
-            .collect();
-        let prog = ProgressiveLinearModel::new(model, &ranges).unwrap();
-        let tuples: Vec<Vec<f64>> = (0..side * side)
-            .map(|i| {
-                (0..arity)
-                    .map(|a| pyramids[a].cell(0, i / side, i % side).unwrap().mean)
-                    .collect()
-            })
-            .collect();
-        let want = staged_top_k(&prog, &tuples, k).unwrap();
-        for _ in 0..2 {
-            let got = staged_top_k_with_scratch(&prog, &tuples, k, &mut scratch).unwrap();
-            prop_assert_eq!(&got, &want);
         }
     }
 
