@@ -115,9 +115,9 @@ pub use lifecycle::{
     Priority, SessionId,
 };
 pub use metrics::{
-    degradation_summary, merge_shard_summaries, precision_recall_at_k, roc_curve, scaling_table,
+    degradation_summary, merge_shard_summaries, precision_recall_at_k, roc_curve,
     sharded_degradation_summary, total_cost, CostParams, CostReport, DegradationSummary, PrReport,
-    RocPoint, ScalingRow,
+    RocPoint,
 };
 pub use parallel::{
     par_batched_top_k, par_pyramid_top_k, par_resilient_top_k, par_staged_top_k, SharedBound,

@@ -214,8 +214,8 @@ pub struct RocPoint {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Query`] for misaligned grids or when either class
-/// (occurrence / no-occurrence) is empty.
+/// Returns [`CoreError::Query`] for misaligned grids, a NaN risk value, or
+/// when either class (occurrence / no-occurrence) is empty.
 pub fn roc_curve(
     risk: &Grid2<f64>,
     occurrences: &Grid2<u32>,
@@ -224,6 +224,12 @@ pub fn roc_curve(
         return Err(CoreError::Query(
             "risk and occurrence grids misaligned".into(),
         ));
+    }
+    if let Some((cc, _)) = risk.iter().find(|(_, v)| v.is_nan()) {
+        return Err(CoreError::Query(format!(
+            "risk cell ({}, {}) holds a NaN value",
+            cc.row, cc.col
+        )));
     }
     let mut scored: Vec<(f64, bool)> = risk
         .iter()
@@ -274,50 +280,9 @@ pub fn roc_curve(
     Ok((points, auc))
 }
 
-/// One row of a thread-scaling table: wall time at a thread count plus
-/// the derived speedup and efficiency against the table's 1-thread (or
-/// first-row) baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalingRow {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Measured wall time in nanoseconds.
-    pub wall_ns: u64,
-    /// `baseline wall / this wall` (1.0 for the baseline row).
-    pub speedup: f64,
-    /// `speedup / threads` — 1.0 is perfect linear scaling.
-    pub efficiency: f64,
-}
-
-/// Derives a scaling table from `(threads, wall_ns)` measurements; the
-/// first point is the baseline. Rows with a zero wall time (clock
-/// granularity) report speedup 1.0 rather than infinity. Returns an empty
-/// table for no points.
-pub fn scaling_table(points: &[(usize, u64)]) -> Vec<ScalingRow> {
-    let Some(&(_, base_ns)) = points.first() else {
-        return Vec::new();
-    };
-    points
-        .iter()
-        .map(|&(threads, wall_ns)| {
-            let speedup = if wall_ns == 0 {
-                1.0
-            } else {
-                base_ns as f64 / wall_ns as f64
-            };
-            ScalingRow {
-                threads,
-                wall_ns,
-                speedup,
-                efficiency: speedup / threads.max(1) as f64,
-            }
-        })
-        .collect()
-}
-
 /// Compact description of how far a resilient answer drifted from exact —
 /// the chaos harness's per-run scorecard.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DegradationSummary {
     /// Fraction of base cells provably accounted for (1.0 = exact).
     pub completeness: f64,
@@ -694,6 +659,11 @@ mod tests {
         assert!(roc_curve(&risk, &all_negative).is_err());
         let misaligned = Grid2::filled(1, 2, 0u32);
         assert!(roc_curve(&risk, &misaligned).is_err());
+        // A NaN cell never equals itself, so the tie sweep cannot step
+        // past it: it must be rejected, not looped on.
+        let nan_risk = Grid2::from_fn(2, 2, |r, c| [[f64::NAN, 1.0], [2.0, 3.0]][r][c]);
+        let diagonal = Grid2::from_fn(2, 2, |r, c| u32::from(r == c));
+        assert!(roc_curve(&nan_risk, &diagonal).is_err());
     }
 
     #[test]
@@ -870,19 +840,5 @@ mod tests {
         assert_eq!(empty.completeness, 1.0);
         assert_eq!(empty.pages_read, 0);
         assert!(!empty.budget_stopped);
-    }
-
-    #[test]
-    fn scaling_table_derives_speedup_and_efficiency() {
-        let rows = scaling_table(&[(1, 800), (2, 400), (4, 250), (8, 0)]);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].speedup, 1.0);
-        assert_eq!(rows[0].efficiency, 1.0);
-        assert_eq!(rows[1].speedup, 2.0);
-        assert_eq!(rows[1].efficiency, 1.0);
-        assert!((rows[2].speedup - 3.2).abs() < 1e-12);
-        assert!((rows[2].efficiency - 0.8).abs() < 1e-12);
-        assert_eq!(rows[3].speedup, 1.0, "zero wall time stays finite");
-        assert!(scaling_table(&[]).is_empty());
     }
 }

@@ -7,8 +7,8 @@ Two modes:
   times from a ``cargo bench`` log (used to refresh EXPERIMENTS.md's
   wall-clock appendix).
 * ``extract_bench.py --summaries [dir]`` — discovers every
-  ``BENCH_*.json`` the repro harnesses write (batch, chaos, kernels,
-  overload, parallel, shard, ...) by glob instead of a hard-coded file
+  ``BENCH_*.json`` the repro harnesses write (append, batch, chaos,
+  kernels, overload, reshard, shard) by glob instead of a hard-coded file
   list, and
   prints one Markdown table per artifact with its scalar headline
   metrics. Nested objects are flattened with dotted keys; lists of
@@ -31,7 +31,8 @@ from pathlib import Path
 def criterion_table(log_path):
     log = open(log_path).read()
     # Criterion prints "<id> time: [lo med hi]" with the id sometimes on
-    # the preceding "Benchmarking <id>: Analyzing" line.
+    # the preceding "Benchmarking <id>: Analyzing" line; the vendored shim
+    # prints "<id> median <t> mean <t> min <t>" on one line.
     results = []
     current = None
     for line in log.splitlines():
@@ -39,7 +40,9 @@ def criterion_table(log_path):
         if m:
             current = m.group(1)
             continue
-        m = re.match(r"([\w/ _.-]+)?\s*time:\s+\[\S+ \S+ (\S+ \S+) \S+ \S+\]", line)
+        m = re.match(r"(\S+)\s+median\s+(\S+ \S+)\s+mean", line) or re.match(
+            r"([\w/ _.-]+)?\s*time:\s+\[\S+ \S+ (\S+ \S+) \S+ \S+\]", line
+        )
         if m:
             ident = (m.group(1) or "").strip() or current
             results.append((ident, m.group(2)))
