@@ -6,7 +6,9 @@
 //! bit-identical to its solo run (always); at full scale the batch reads at
 //! least 3x fewer pages and delivers at least 2x aggregate throughput.
 //! Prints the solo-vs-batched table with the page-cache hit/miss/dedup
-//! counters and writes `BENCH_batch.json`. With `--small` the world shrinks
+//! counters and writes `BENCH_batch.json`, whose batched counters —
+//! `madds_per_query` among them — `scripts/check_counters.sh` pins at
+//! `--threads 1`. With `--small` the world shrinks
 //! for CI and the perf gates turn informational.
 
 use crate::harness::{archive, write_artifact, Args};
@@ -189,6 +191,7 @@ pub fn run(args: &Args) {
     let mut batch_pages = 0u64;
     let mut batch_ms = 0.0f64;
     let mut batch_counters = (0u64, 0u64, 0u64, 0u64); // fetched, requests, evals, breqs
+    let mut batch_madds = 0u64;
     let cache_before = cache_totals();
     with_batch_archive(&mut |archive| {
         let t0 = Instant::now();
@@ -202,6 +205,7 @@ pub fn run(args: &Args) {
             batch.bound_evals,
             batch.bound_requests,
         );
+        batch_madds = batch.queries.iter().map(|r| r.effort.multiply_adds).sum();
         for (q, solo) in solo_results.iter().enumerate() {
             assert_eq!(
                 &batch.queries[q].results, solo,
@@ -249,8 +253,10 @@ pub fn run(args: &Args) {
         batch_ms / q_count as f64,
         batch_ms / q_count as f64,
     );
+    let madds_per_query = batch_madds as f64 / q_count as f64;
+    println!("\nbatched scatter work: {madds_per_query:.4} multiply-adds per query");
     println!(
-        "\nbatched sharing: {} cell requests over {} fetches ({:.1}x), {} bound requests over {} evals ({:.1}x)",
+        "batched sharing: {} cell requests over {} fetches ({:.1}x), {} bound requests over {} evals ({:.1}x)",
         batch_counters.1,
         batch_counters.0,
         batch_counters.1 as f64 / batch_counters.0.max(1) as f64,
@@ -291,7 +297,7 @@ pub fn run(args: &Args) {
              {solo_p50:.3}, \"p99_ms\": {solo_p99:.3}, \"cache_hits\": {}, \"cache_misses\": {}, \
              \"cache_dedup_waits\": {}}},\n  \"batched\": {{\"pages_read\": {batch_pages}, \
              \"cells_fetched\": {}, \"cell_requests\": {}, \"bound_evals\": {}, \
-             \"bound_requests\": {}, \"wall_ms\": {batch_ms:.3}, \"mcells_per_s\": {:.3}, \
+             \"bound_requests\": {}, \"madds_per_query\": {madds_per_query}, \"wall_ms\": {batch_ms:.3}, \"mcells_per_s\": {:.3}, \
              \"per_query_ms\": {:.3}, \"cache_hits\": {}, \"cache_misses\": {}, \
              \"cache_dedup_waits\": {}}},\n  \"gates\": {{\"bit_identical\": true, \
              \"page_ratio\": {page_ratio:.3}, \"throughput_ratio\": {throughput_ratio:.3}, \

@@ -10,8 +10,10 @@
 //! caught by checksums, quarantined, then recopied from a clean replica),
 //! the migrating source shard killed during DualRead (covered wholesale
 //! by its destination copies), both sides killed (degraded but sound),
-//! and a post-cut-over kill — yields zero wrong answers: the true winner
-//! always stays inside some reported bound; (c) a wall-deadline abort
+//! and a post-cut-over kill of the winner's band — yields zero wrong
+//! answers: the true winner always stays inside some reported bound,
+//! while a dead band the cross-band floor excludes is never read and
+//! leaves the answer unchanged; (c) a wall-deadline abort
 //! rolls back to the source epoch with results bit-identical to never
 //! having started. Epoch fencing is typed end to end: a query pinned to
 //! the destination epoch against the source archive fails with
@@ -364,36 +366,73 @@ pub fn run(args: &Args) {
     );
 
     // Post-cut-over chaos: kill one of the new bands — plain r6-style
-    // degradation, no dual-read needed any more.
-    let post_kill_shard = coord.migrating_dest_bands()[0];
-    let post_stores: Vec<Vec<TileStore>> = bands
-        .iter()
-        .enumerate()
-        .map(|(b, &(_, stores))| {
-            let kill = (b == post_kill_shard).then(|| dead(seed, stores[0].page_count()));
-            faulted(stores, kill.as_ref())
-        })
-        .collect();
-    let post_sources = tile_sources(post_stores.iter().map(Vec::as_slice));
-    let post_archive = archive(cutover_layout(), &post_sources).with_epoch(coord.active_epoch());
-    let post = scatter_gather_top_k(
-        model.model(),
-        &post_archive,
-        k,
-        &budget,
-        &ScatterPolicy::best_effort(),
-        &pool,
-    )
-    .expect("post-cut-over best effort");
+    // degradation, no dual-read needed any more. The cross-band floor can
+    // prove a band irrelevant before it reads a page, so the band killed
+    // is the one holding the true winner: the query must read it, and
+    // `Failed` and `covers` mean what they say. The converse: a dead band
+    // the floor excludes is never read and changes nothing.
+    let post_run = |kill: usize| {
+        let post_stores: Vec<Vec<TileStore>> = bands
+            .iter()
+            .enumerate()
+            .map(|(b, &(_, stores))| {
+                let dead_band = (b == kill).then(|| dead(seed, stores[0].page_count()));
+                faulted(stores, dead_band.as_ref())
+            })
+            .collect();
+        let post_sources = tile_sources(post_stores.iter().map(Vec::as_slice));
+        let post_layout = (bands.iter().zip(dest_plan.bands()))
+            .map(|(&(pyramids, _), band)| (pyramids, band.row_offset));
+        let post_archive = archive(post_layout, &post_sources).with_epoch(coord.active_epoch());
+        scatter_gather_top_k(
+            model.model(),
+            &post_archive,
+            k,
+            &budget,
+            &ScatterPolicy::best_effort(),
+            &pool,
+        )
+        .expect("post-cut-over best effort")
+    };
+    let post_kill_shard = dest_plan
+        .shard_of_row(direct.results[0].cell.row)
+        .expect("winner inside the grid");
+    let post = post_run(post_kill_shard);
     assert!(
         covers(&post.results, truth),
         "true winner must stay inside some reported bound after a post-cut-over kill"
     );
     assert_eq!(post.shards[post_kill_shard].outcome, ShardOutcome::Failed);
     println!(
-        "post-cut-over kill of new band {post_kill_shard}: degraded-but-sound \
-         (completeness {:.3}), winner still covered.\n",
+        "post-cut-over kill of new band {post_kill_shard} (the winner's): degraded-but-sound \
+         (completeness {:.3}), winner still covered.",
         post.completeness,
+    );
+    let healthy = scatter_gather_top_k(
+        model.model(),
+        &cutover_archive,
+        k,
+        &budget,
+        &ScatterPolicy::best_effort(),
+        &pool,
+    )
+    .expect("healthy post-cut-over scatter");
+    let excluded = healthy
+        .shards
+        .iter()
+        .find(|s| s.pages_read == 0)
+        .map(|s| s.shard)
+        .expect("the floor excludes some band of the new topology before any read");
+    let unread = post_run(excluded);
+    assert_eq!(unread.shards[excluded].outcome, ShardOutcome::Complete);
+    assert_eq!(unread.completeness, 1.0);
+    assert_eq!(
+        unread.results, healthy.results,
+        "a dead band the floor excludes must not change the answer"
+    );
+    println!(
+        "post-cut-over kill of new band {excluded}, which the floor excludes: never read, \
+         complete, answer unchanged.\n"
     );
 
     // --- Retire: scrub the retired source owners' page quarantine (it is
@@ -528,8 +567,9 @@ pub fn run(args: &Args) {
              {covered_completeness:.6}, \"both_sides_killed_sound\": true, \"quorum_error\": \
              {{\"responded\": {q_responded}, \"required\": {q_required}, \"epoch\": {}}},\n    \
              \"per_shard\": [\n      {}\n    ]}},\n  \"cut_over\": \
-             {{\"bit_identical_to_direct_build\": true, \"post_kill_sound\": true, \
-             \"post_kill_completeness\": {:.6}}},\n  \"retire\": {{\"retired_bands\": [{}], \
+             {{\"bit_identical_to_direct_build\": true, \"post_kill_band\": \
+             {post_kill_shard}, \"post_kill_sound\": true, \"post_kill_completeness\": {:.6}, \
+             \"excluded_kill_band\": {excluded}, \"excluded_kill_unchanged\": true}},\n  \"retire\": {{\"retired_bands\": [{}], \
              \"scrubbed_quarantined_pages\": {cleared}}},\n  \"abort\": {{\"reason\": \
              \"wall-deadline\", \"ticks_spent\": {}, \"rolled_back_to_epoch\": {}, \
              \"rollback_bit_identical\": true}},\n  \"fence\": {{\"typed_epoch_mismatch\": true}}",

@@ -58,6 +58,7 @@ use crate::descent::{
 use crate::engine::{pack_coords, validate_grid_inputs, Region};
 use crate::error::CoreError;
 use crate::resilient::{ExecOptions, ResilientTopK, WallDeadline};
+use crate::shard::ArchiveShard;
 use crate::source::CellSource;
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
@@ -408,14 +409,17 @@ impl std::ops::AddAssign for Tally {
     }
 }
 
-/// Reusable buffers for the batched engine: the per-query frontiers, the
-/// memo layer with its tables and flat arenas. A warmed scratch allocates
-/// nothing in the steady state; [`regrowths`](BatchScratch::regrowths)
-/// counts growth events so tests can assert it.
+/// Reusable buffers for the batched engine: the per-lane frontiers and one
+/// memo layer per band, with its tables and flat arenas. A warmed scratch
+/// allocates nothing in the steady state;
+/// [`regrowths`](BatchScratch::regrowths) counts growth events so tests
+/// can assert it.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     frontiers: Vec<BinaryHeap<Region>>,
-    memo: Memo,
+    memos: Vec<Memo>,
+    /// Bands of the last descent: its memos are `memos[..bands]`.
+    bands: usize,
     regrowths: u64,
 }
 
@@ -434,16 +438,14 @@ impl BatchScratch {
     }
 
     fn caps(&self) -> [usize; 7] {
-        let [x, cm, ca, bm, bb, bs] = self.memo.caps();
-        [
-            self.frontiers.iter().map(BinaryHeap::capacity).sum(),
-            x,
-            cm,
-            ca,
-            bm,
-            bb,
-            bs,
-        ]
+        let mut caps = [0; 7];
+        caps[0] = self.frontiers.iter().map(BinaryHeap::capacity).sum();
+        for memo in &self.memos {
+            for (sum, cap) in caps[1..].iter_mut().zip(memo.caps()) {
+                *sum += cap;
+            }
+        }
+        caps
     }
 
     fn note_regrowth(&mut self, before: &[usize; 7]) {
@@ -808,20 +810,19 @@ impl Fetch<LinearModel> for Memo {
     }
 }
 
-/// One batch of Q ≥ 1 queries over one set of resident pyramids and the
-/// page source behind them.
+/// One batch of Q ≥ 1 queries over one or more bands: each band's
+/// resident pyramids, the page source behind them, and its global row
+/// offset.
 pub(crate) struct Job<'a, S> {
     pub(crate) models: &'a [LinearModel],
-    pub(crate) pyramids: &'a [AggregatePyramid],
-    pub(crate) source: &'a S,
+    pub(crate) bands: Vec<ArchiveShard<'a, S>>,
     pub(crate) k: usize,
-    /// Hit-index geometry, see [`Env`].
+    /// Global column count: a hit's index is `global row * cols + col`.
     pub(crate) cols: usize,
-    pub(crate) row_offset: usize,
 }
 
-impl<'a, S> Job<'a, S> {
-    /// A job over the whole (unsharded) grid.
+impl<'a, S: CellSource> Job<'a, S> {
+    /// A job over the whole (unsharded) grid: one band at row 0.
     pub(crate) fn whole(
         models: &'a [LinearModel],
         pyramids: &'a [AggregatePyramid],
@@ -830,11 +831,9 @@ impl<'a, S> Job<'a, S> {
     ) -> Self {
         Job {
             models,
-            pyramids,
-            source,
+            bands: vec![ArchiveShard::new(pyramids, source, 0)],
             k,
             cols: pyramids[0].base_shape().1,
-            row_offset: 0,
         }
     }
 }
@@ -860,82 +859,109 @@ pub(crate) fn validate_batch(
     same_arity(models)
 }
 
-/// Sets up one lane per query of `job` over `scratch` (frontiers empty,
-/// memo reset), hands them to `run`, and collects what each lane produced.
-pub(crate) fn with_lanes<S, P, B, R>(
-    job: &Job<'_, S>,
-    pressure: P,
-    floor: B,
+/// What one band of a batched descent produced: one outcome per query,
+/// in batch order, and the band memo's physical-work accounting.
+pub(crate) type BandRun = (Vec<Outcome>, Tally);
+
+/// Sets up one [`Env`] per band of `job` — `pressure` builds each band's —
+/// and one lane per (query, band), query-major as [`interleave`] takes
+/// them, over `scratch` (frontiers empty, memos reset); hands them to
+/// `run`, and collects what each band's lanes produced.
+pub(crate) fn with_lanes<'a, S, P, R>(
+    job: &Job<'a, S>,
+    pressure: impl Fn(&ArchiveShard<'a, S>) -> P,
     scratch: &mut BatchScratch,
-    run: impl FnOnce(
-        &mut Env<'_, S, &mut Memo, P, B>,
-        &mut [Lane<'_, LinearModel>],
-    ) -> Result<R, CoreError>,
-) -> Result<(R, Vec<Outcome>, Tally), CoreError>
+    run: impl FnOnce(&mut [Env<'_, S, &mut Memo, P>], &mut [Lane<'_, LinearModel>]) -> R,
+) -> (R, Vec<BandRun>)
 where
     S: CellSource,
     P: Pressure,
 {
-    let m = job.models.len();
+    let (m, bands) = (job.models.len(), job.bands.len());
     let caps = scratch.caps();
     let BatchScratch {
-        frontiers, memo, ..
+        frontiers, memos, ..
     } = scratch;
-    if frontiers.len() < m {
-        frontiers.resize_with(m, BinaryHeap::new);
+    if frontiers.len() < m * bands {
+        frontiers.resize_with(m * bands, BinaryHeap::new);
     }
-    memo.reset(m);
-    let (rows, cols) = job.pyramids[0].base_shape();
-    let naive = (job.models[0].arity() * rows * cols) as u64;
-    let mut lanes: Vec<Lane<'_, LinearModel>> = job
-        .models
-        .iter()
-        .zip(frontiers.iter_mut())
+    if memos.len() < bands {
+        memos.resize_with(bands, Memo::default);
+    }
+    let mut lanes: Vec<Lane<'_, LinearModel>> = frontiers
+        .iter_mut()
+        .take(m * bands)
         .enumerate()
-        .map(|(q, (model, frontier))| Lane::new(q, model, frontier, job.k, naive))
+        .map(|(i, frontier)| {
+            let (q, band) = (i / bands, &job.bands[i % bands]);
+            let naive = job.models[q].arity() as u64 * band.cells();
+            Lane::new(q, &job.models[q], frontier, job.k, naive)
+        })
         .collect();
-    let mut env = Env {
-        pyramids: job.pyramids,
-        source: job.source,
-        cols: job.cols,
-        row_offset: job.row_offset,
-        fetch: memo,
-        pressure,
-        floor,
-    };
-    let ran = run(&mut env, &mut lanes)?;
-    let tally = env.fetch.tally();
-    let outs = lanes.into_iter().map(Lane::finish).collect();
+    let mut envs: Vec<Env<'_, S, &mut Memo, P>> = (job.bands.iter())
+        .zip(memos.iter_mut())
+        .map(|(band, memo)| {
+            memo.reset(m);
+            Env {
+                pyramids: band.pyramids(),
+                source: band.source(),
+                cols: job.cols,
+                row_offset: band.row_offset(),
+                fetch: memo,
+                pressure: pressure(band),
+            }
+        })
+        .collect();
+    let ran = run(&mut envs, &mut lanes);
+    let mut runs: Vec<BandRun> = envs
+        .iter()
+        .map(|env| (Vec::with_capacity(m), env.fetch.tally()))
+        .collect();
+    for (i, lane) in lanes.into_iter().enumerate() {
+        runs[i % bands].0.push(lane.finish());
+    }
+    scratch.bands = bands;
     scratch.note_regrowth(&caps);
-    Ok((ran, outs, tally))
+    (ran, runs)
 }
 
-/// The batched descent: every lane starts at its own root — charged its
-/// own root bound, exactly like the solo engine, even though the range
-/// box is fetched once — and the batch scheduler runs them to the end.
-pub(crate) fn descend<S, P, B>(
-    job: &Job<'_, S>,
-    pressure: P,
-    floor: B,
+/// The batched descent: every lane starts at its band's root — charged
+/// its own root bound, exactly like the solo engine, even though the range
+/// box is fetched once — and the batch scheduler runs them to the end
+/// against `floor`. One verdict per band: an error fails that band alone.
+pub(crate) fn descend<'a, S, P, B>(
+    job: &Job<'a, S>,
+    pressure: impl Fn(&ArchiveShard<'a, S>) -> P,
+    floor: &mut B,
     scratch: &mut BatchScratch,
-) -> Result<(Vec<Outcome>, Tally), CoreError>
+) -> Vec<Result<BandRun, CoreError>>
 where
     S: CellSource,
     P: Pressure,
     B: Floor,
 {
-    let ((), outs, tally) = with_lanes(job, pressure, floor, scratch, |env, lanes| {
-        for lane in lanes.iter_mut() {
-            seed_root(env, lane)?;
+    let (verdicts, runs) = with_lanes(job, pressure, scratch, |envs, lanes| {
+        let bands = envs.len();
+        let mut verdicts: Vec<Result<(), CoreError>> = vec![Ok(()); bands];
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let b = i % bands;
+            if verdicts[b].is_ok() {
+                verdicts[b] = seed_root(&mut envs[b], lane);
+            }
         }
-        interleave(env, lanes)
-    })?;
-    Ok((outs, tally))
+        interleave(envs, floor, lanes, &mut verdicts);
+        verdicts
+    });
+    verdicts
+        .into_iter()
+        .zip(runs)
+        .map(|(verdict, run)| verdict.map(|()| run))
+        .collect()
 }
 
 /// Resolves every lane's outcome against its own floor (the unsharded
 /// gather, query by query).
-pub(crate) fn gather<S>(
+pub(crate) fn gather<S: CellSource>(
     job: &Job<'_, S>,
     outs: Vec<Outcome>,
     tally: Tally,
@@ -944,7 +970,7 @@ pub(crate) fn gather<S>(
     let queries = outs
         .into_iter()
         .zip(job.models)
-        .map(|(out, model)| finish(out, model, job.pyramids, job.k))
+        .map(|(out, model)| finish(out, model, job.bands[0].pyramids(), job.k))
         .collect::<Result<_, _>>()?;
     Ok(BatchedTopK::gathered(queries, tally, pages_read))
 }
@@ -976,7 +1002,7 @@ pub fn batched_top_k<'a, S: CellSource>(
 
 thread_local! {
     /// Per-thread [`BatchScratch`] behind [`batched_top_k`], the parallel
-    /// workers and the shard attempts, so repeated batches on one thread
+    /// workers and the sharded workers, so repeated batches on one thread
     /// warm the same buffers instead of reallocating the frontiers, memo
     /// tables, and arenas every time.
     static POOLED_SCRATCH: std::cell::RefCell<BatchScratch> =
@@ -1012,16 +1038,17 @@ fn batched_top_k_inner<S: CellSource>(
     let pages_at_entry = source.pages_read();
     let pressure = Budgeted::new(Clock::starting(opts, &deadline, source));
     let job = Job::whole(models, pyramids, source, k);
-    let (outs, tally) = descend(&job, pressure, Local, scratch)?;
+    let mut runs = descend(&job, |_| pressure, &mut Local, scratch);
+    let (outs, tally) = runs.pop().expect("one band")?;
     let pages_read = source.pages_read().saturating_sub(pages_at_entry);
     gather(&job, outs, tally, pages_read)
 }
 
-/// Whether the bound memo of this thread's pooled scratch ended its last
-/// batch retired — the premise of tests that exercise the retired path.
+/// Whether every band's bound memo of the last descent `scratch` ran
+/// ended retired — the premise of tests that exercise the retired path.
 #[cfg(test)]
-pub(crate) fn pooled_memo_retired() -> bool {
-    with_pooled_scratch(|scratch| scratch.memo.retired())
+pub(crate) fn memos_retired(scratch: &BatchScratch) -> bool {
+    scratch.memos[..scratch.bands].iter().all(Memo::retired)
 }
 
 #[cfg(test)]

@@ -15,10 +15,14 @@
 //!   ([`Scorer`]), and whether physical reads are shared across queries
 //!   ([`Fetch`]).
 //! * two schedulers over the step — [`drain`], the plain
-//!   `while let Some(r) = frontier.pop()` loop of one query, and
-//!   [`interleave`], which advances Q [`Lane`]s in global bound order
-//!   through a [`Selector`] while their memo tables share work and hands
-//!   each lane to [`drain`] once they stop doing so.
+//!   `while let Some(r) = frontier.pop()` loop of one lane, and
+//!   [`interleave`], which advances one [`Lane`] per (query, band) over
+//!   one or more bands ([`Env`]s) in global bound order through a
+//!   [`Selector`] while their memo tables share work, and turns
+//!   query-major once they stop doing so: each query then walks its own
+//!   lanes across the bands in bound order ([`drain`] over one band).
+//!   The [`Floor`] spans every band: [`Scored`] is one pool worker's
+//!   floor per query over every cell it scored.
 //! * [`Merge`] — the gather half: exact hits, the deterministic K-th
 //!   floor, lost cells and unrefined regions resolved against it or
 //!   carried as degraded candidates, and the final rank order.
@@ -227,12 +231,12 @@ impl Pressure for Pooled<'_> {
 
 /// Where a lane's pruning floor comes from.
 pub(crate) trait Floor {
-    /// The floor lane `q` prunes with at pop time (`None`: nothing can be
-    /// excluded yet).
+    /// The floor a lane of query `q` prunes with at pop time, given the
+    /// lane's own top-K `heap` (`None`: nothing can be excluded yet).
     fn at_pop(&self, q: usize, heap: &TopKHeap) -> Option<f64>;
 
-    /// Called after lane `q` evaluated a cell.
-    fn publish(&self, q: usize, heap: &TopKHeap);
+    /// Called after a lane of query `q` scored `item`.
+    fn publish(&mut self, q: usize, item: ScoredItem);
 }
 
 /// The lane's own K-th best score.
@@ -246,24 +250,50 @@ impl Floor for Local {
     }
 
     #[inline]
-    fn publish(&self, _q: usize, _heap: &TopKHeap) {}
+    fn publish(&mut self, _q: usize, _item: ScoredItem) {}
 }
 
-/// `max(lane q's own floor, bound q)` with the lane's floors published
-/// back: one [`SharedBound`] per query, shared by every worker or shard
-/// descending for that query. Every published floor is the K-th best of a
-/// subset of the evaluated cells, so it never exceeds the true K-th score.
-impl Floor for &[SharedBound] {
+/// One pool worker's floors, one per query: the K-th best of every cell
+/// the worker has scored for that query — over all of its lanes, whatever
+/// band each descends — raised to the query's [`SharedBound`], which is
+/// offered every new K-th in turn.
+///
+/// Sound because within one wave a worker never scores a cell twice: its
+/// bands are disjoint, and each lane of a band descends its own regions.
+/// So a heap's K-th is the K-th best of a subset of the query's distinct
+/// cells and never exceeds the true K-th score; the shared bound is the
+/// max of such values. A wave that re-scores rows an earlier wave scored
+/// (a hedge, a dual-read destination copy) starts fresh heaps and keeps
+/// only the shared bound.
+pub(crate) struct Scored<'a> {
+    heaps: Vec<TopKHeap>,
+    bounds: &'a [SharedBound],
+}
+
+impl<'a> Scored<'a> {
+    /// Empty heaps of `k` for every query of `bounds`.
+    pub(crate) fn new(k: usize, bounds: &'a [SharedBound]) -> Self {
+        Scored {
+            heaps: bounds.iter().map(|_| TopKHeap::new(k)).collect(),
+            bounds,
+        }
+    }
+}
+
+impl Floor for Scored<'_> {
     #[inline]
-    fn at_pop(&self, q: usize, heap: &TopKHeap) -> Option<f64> {
-        let shared = self[q].get();
-        Some(heap.floor().map_or(shared, |f| shared.max(f)))
+    fn at_pop(&self, q: usize, _heap: &TopKHeap) -> Option<f64> {
+        let shared = self.bounds[q].get();
+        Some(self.heaps[q].floor().map_or(shared, |f| shared.max(f)))
     }
 
     #[inline]
-    fn publish(&self, q: usize, heap: &TopKHeap) {
-        if let Some(f) = heap.floor() {
-            self[q].offer(f);
+    fn publish(&mut self, q: usize, item: ScoredItem) {
+        let heap = &mut self.heaps[q];
+        if heap.offer(item) {
+            if let Some(f) = heap.floor() {
+                self.bounds[q].offer(f);
+            }
         }
     }
 }
@@ -676,9 +706,11 @@ impl<'a, M> Lane<'a, M> {
     }
 }
 
-/// What all lanes of one descent share: the resident pyramids, the page
-/// source, the hit-index geometry, and the policies of the module docs.
-pub(crate) struct Env<'a, S, F, P, B> {
+/// What every lane over one band shares: the band's resident pyramids,
+/// its page source, the hit-index geometry, and the fetch and pressure
+/// policies of the module docs. A descent over several bands has one
+/// `Env` per band; the [`Floor`] spans them all and is passed apart.
+pub(crate) struct Env<'a, S, F, P> {
     pub(crate) pyramids: &'a [AggregatePyramid],
     pub(crate) source: &'a S,
     /// Global column count and the global row of the pyramids' first
@@ -687,7 +719,6 @@ pub(crate) struct Env<'a, S, F, P, B> {
     pub(crate) row_offset: usize,
     pub(crate) fetch: F,
     pub(crate) pressure: P,
-    pub(crate) floor: B,
 }
 
 /// How one [`step`] ended.
@@ -702,8 +733,8 @@ enum Step {
 }
 
 /// Pushes the lane's root region, charging its bound like any other.
-pub(crate) fn seed_root<S, M, F, P, B>(
-    env: &mut Env<'_, S, F, P, B>,
+pub(crate) fn seed_root<S, M, F, P>(
+    env: &mut Env<'_, S, F, P>,
     lane: &mut Lane<'_, M>,
 ) -> Result<(), CoreError>
 where
@@ -724,8 +755,8 @@ where
 /// of them, then the pushes in `(rr, cc)` order, charged `n ×` the
 /// per-child multiply-adds.
 #[inline(always)]
-fn expand<S, M, F, P, B>(
-    env: &mut Env<'_, S, F, P, B>,
+fn expand<S, M, F, P>(
+    env: &mut Env<'_, S, F, P>,
     lane: &mut Lane<'_, M>,
     region: Region,
 ) -> Result<(), CoreError>
@@ -752,7 +783,8 @@ where
 /// costs 2 % of throughput, this form measures equal to the old loop.
 #[inline(always)]
 fn step<S, M, F, P, B>(
-    env: &mut Env<'_, S, F, P, B>,
+    env: &mut Env<'_, S, F, P>,
+    floor: &mut B,
     lane: &mut Lane<'_, M>,
     region: Region,
 ) -> Result<Step, CoreError>
@@ -763,8 +795,10 @@ where
     P: Pressure,
     B: Floor,
 {
-    let floor = env.floor.at_pop(lane.q, &lane.heap);
-    if floor.is_some_and(|f| f >= region.ub()) {
+    if floor
+        .at_pop(lane.q, &lane.heap)
+        .is_some_and(|f| f >= region.ub())
+    {
         return Ok(Step::Closed);
     }
     if let Some(stop) = env.pressure.stop(env.source) {
@@ -781,11 +815,12 @@ where
             let spent = arity as u64;
             lane.out.effort.multiply_adds += spent;
             env.pressure.charge(spent);
-            lane.heap.offer(ScoredItem {
+            let item = ScoredItem {
                 index: (row + env.row_offset) * env.cols + col,
                 score: lane.model.score(x),
-            });
-            env.floor.publish(lane.q, &lane.heap);
+            };
+            lane.heap.offer(item);
+            floor.publish(lane.q, item);
         }
         Cell::Lost(page) => lane.out.lost.push((region, page)),
     }
@@ -796,7 +831,8 @@ where
 /// frontier drains, or a stop (returned) makes it surrender what is left.
 #[inline]
 pub(crate) fn drain<S, M, F, P, B>(
-    env: &mut Env<'_, S, F, P, B>,
+    env: &mut Env<'_, S, F, P>,
+    floor: &mut B,
     lane: &mut Lane<'_, M>,
 ) -> Result<Option<BudgetStop>, CoreError>
 where
@@ -807,7 +843,7 @@ where
     B: Floor,
 {
     while let Some(region) = lane.frontier.pop() {
-        match step(env, lane, region)? {
+        match step(env, floor, lane, region)? {
             Step::Advanced => {}
             Step::Closed => {
                 lane.frontier.clear();
@@ -822,18 +858,36 @@ where
     Ok(None)
 }
 
-/// The batch scheduler: advances whichever lane holds the globally best
-/// upper bound, so lanes interested in the same region pop it back to
-/// back while the fetch layer shares their reads; once it reports the
-/// sharing retired, each selected lane runs to completion with the solo
-/// loop instead. Restricted to any one lane the pop sequence is exactly
-/// that lane's solo sequence. A stop is batch-wide: every lane still
-/// holding frontier surrenders it, closed and drained lanes keep their
-/// finished answers.
-pub(crate) fn interleave<S, M, F, P, B>(
-    env: &mut Env<'_, S, F, P, B>,
+/// Ends band `b`'s descent: every lane of it still holding frontier
+/// surrenders that to `stop`, or drops it when the band errored (`None`).
+fn halt<M>(
     lanes: &mut [Lane<'_, M>],
-) -> Result<(), CoreError>
+    bands: usize,
+    b: usize,
+    stop: Option<BudgetStop>,
+    selector: &mut Selector,
+) {
+    for (i, lane) in lanes.iter_mut().enumerate().skip(b).step_by(bands) {
+        match stop {
+            Some(stop) if !lane.frontier.is_empty() => lane.surrender(None, stop),
+            _ => lane.frontier.clear(),
+        }
+        selector.arm(i, None);
+    }
+}
+
+/// Pops and steps lane `i` of [`interleave`] once; returns whether the
+/// lane is still open (the caller re-arms it). A stop or an error halts
+/// the lane's whole band.
+#[inline(always)]
+fn advance<S, M, F, P, B>(
+    envs: &mut [Env<'_, S, F, P>],
+    floor: &mut B,
+    lanes: &mut [Lane<'_, M>],
+    i: usize,
+    verdicts: &mut [Result<(), CoreError>],
+    selector: &mut Selector,
+) -> bool
 where
     S: CellSource,
     M: Scorer,
@@ -841,41 +895,102 @@ where
     P: Pressure,
     B: Floor,
 {
-    let mut selector = Selector::for_width(lanes.len());
-    for (q, lane) in lanes.iter().enumerate() {
-        selector.arm(q, lane.frontier.peek());
-    }
-    while let Some(q) = selector.next() {
-        let lane = &mut lanes[q];
-        let stopped = if env.fetch.retired() {
-            selector.go_serial();
-            drain(env, lane)?
-        } else {
-            let region = lane.frontier.pop().expect("an armed lane has a top");
-            match step(env, lane, region)? {
-                Step::Advanced => {
-                    selector.arm(q, lane.frontier.peek());
-                    None
-                }
-                Step::Closed => {
-                    // Not re-arming drops the lane's remainder wholesale.
-                    lane.frontier.clear();
-                    None
-                }
-                Step::Stopped(stop) => {
-                    lane.surrender(Some(region), stop);
-                    Some(stop)
-                }
-            }
-        };
-        if let Some(stop) = stopped {
-            for open in lanes.iter_mut().filter(|l| !l.frontier.is_empty()) {
-                open.surrender(None, stop);
-            }
-            break;
+    let bands = envs.len();
+    let b = i % bands;
+    let lane = &mut lanes[i];
+    // A halted lane's heap-selector entry can outlive its frontier.
+    let Some(region) = lane.frontier.pop() else {
+        return false;
+    };
+    match step(&mut envs[b], floor, lane, region) {
+        Ok(Step::Advanced) => true,
+        Ok(Step::Closed) => {
+            // Not re-arming drops the lane's remainder wholesale.
+            lane.frontier.clear();
+            false
+        }
+        Ok(Step::Stopped(stop)) => {
+            lane.surrender(Some(region), stop);
+            halt(lanes, bands, b, Some(stop), selector);
+            false
+        }
+        Err(e) => {
+            verdicts[b] = Err(e);
+            halt(lanes, bands, b, None, selector);
+            false
         }
     }
-    Ok(())
+}
+
+/// The batch scheduler, over the lanes of one band or of several.
+/// `lanes` holds one lane per (query, band), query-major: lane `i` is
+/// query `i / bands`'s descent of band `i % bands`, with `envs[b]` band
+/// `b`'s. Whichever lane holds the best upper bound over every band
+/// advances, so lanes interested in the same region pop it back to back
+/// while their band's fetch layer shares the reads, and each query
+/// descends its bands as one forest, best first, against the one floor
+/// it has across them. Once a band reports its sharing retired, the
+/// schedule turns query-major: each selected query walks its own lanes
+/// across the bands in bound order until they close (one band: the solo
+/// loop), which keeps that query's pages hot. Restricted to any one query
+/// the pop sequence is that query's best-first sequence over the forest.
+///
+/// A stop is band-wide: every lane of the band still holding frontier
+/// surrenders it, closed and drained lanes keep their finished answers,
+/// and the other bands carry on. An error lands in the band's `verdicts`
+/// slot and drops the band's lanes; a band whose verdict is an error on
+/// entry is not descended at all.
+pub(crate) fn interleave<S, M, F, P, B>(
+    envs: &mut [Env<'_, S, F, P>],
+    floor: &mut B,
+    lanes: &mut [Lane<'_, M>],
+    verdicts: &mut [Result<(), CoreError>],
+) where
+    S: CellSource,
+    M: Scorer,
+    F: Fetch<M>,
+    P: Pressure,
+    B: Floor,
+{
+    let bands = envs.len();
+    let mut selector = Selector::for_width(lanes.len());
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        if verdicts[i % bands].is_err() {
+            lane.frontier.clear();
+        }
+        selector.arm(i, lane.frontier.peek());
+    }
+    let mut walk = Selector::for_width(bands);
+    while let Some(i) = selector.next() {
+        if !envs.iter().any(|env| env.fetch.retired()) {
+            if advance(envs, floor, lanes, i, verdicts, &mut selector) {
+                selector.arm(i, lanes[i].frontier.peek());
+            }
+            continue;
+        }
+        selector.go_serial();
+        if bands == 1 {
+            match drain(&mut envs[0], floor, &mut lanes[i]) {
+                Ok(None) => {}
+                Ok(Some(stop)) => halt(lanes, 1, 0, Some(stop), &mut selector),
+                Err(e) => {
+                    verdicts[0] = Err(e);
+                    halt(lanes, 1, 0, None, &mut selector);
+                }
+            }
+            continue;
+        }
+        let first = i - i % bands;
+        for (b, lane) in lanes[first..first + bands].iter().enumerate() {
+            walk.arm(b, lane.frontier.peek());
+            selector.arm(first + b, None);
+        }
+        while let Some(b) = walk.next() {
+            if advance(envs, floor, lanes, first + b, verdicts, &mut selector) {
+                walk.arm(b, lanes[first + b].frontier.peek());
+            }
+        }
+    }
 }
 
 /// What [`warm_up`] holds when it ends.
@@ -887,12 +1002,13 @@ pub(crate) struct Held {
     pub(crate) stop: Option<BudgetStop>,
 }
 
-/// The sequential warm-up of a parallel run: best-first expansion in the
-/// [`interleave`] order, with level-0 pops parked instead of evaluated,
-/// until the lanes hold `target` regions between them or bottom out. One
-/// checkpoint per pop; a trip is returned with the regions held so far.
-pub(crate) fn warm_up<S, M, F, P, B>(
-    env: &mut Env<'_, S, F, P, B>,
+/// The sequential warm-up of a parallel run over one band: best-first
+/// expansion in the [`interleave`] order, with level-0 pops parked
+/// instead of evaluated, until the lanes hold `target` regions between
+/// them or bottom out. One checkpoint per pop; a trip is returned with
+/// the regions held so far.
+pub(crate) fn warm_up<S, M, F, P>(
+    env: &mut Env<'_, S, F, P>,
     lanes: &mut [Lane<'_, M>],
     target: usize,
 ) -> Result<Held, CoreError>

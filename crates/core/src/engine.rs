@@ -364,12 +364,11 @@ fn strict_descent<M: Scorer>(
         row_offset: 0,
         fetch: Direct { x: &mut x },
         pressure: Strict,
-        floor: Local,
     };
     let naive = (model.arity() * rows * cols) as u64;
     let mut lane = Lane::new(0, model, &mut frontier, k, naive);
     seed_root(&mut env, &mut lane)?;
-    drain(&mut env, &mut lane)?;
+    drain(&mut env, &mut Local, &mut lane)?;
     let out = lane.finish();
     let results = out
         .items

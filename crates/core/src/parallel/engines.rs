@@ -9,7 +9,8 @@
 //!    staged engine just splits the tuple range), then deals the work
 //!    across workers in a deterministic order.
 //! 2. **Descend.** Each worker runs the ordinary best-first loop over its
-//!    own subtrees, pruning against `max(local K-th floor, shared bound)`.
+//!    own subtrees, pruning against `max(worker K-th floor, shared
+//!    bound)`, the worker's floor taken over every cell it scored.
 //!    Floors discovered by one worker are published through a
 //!    [`SharedBound`], so pruning progress propagates across workers
 //!    without locks.
@@ -24,7 +25,7 @@
 //! engines at every thread count. DESIGN.md §9 spells the argument out.
 
 use crate::batched::{with_lanes, with_pooled_scratch, Job, Tally};
-use crate::descent::{interleave, seed_root, warm_up, Local, Outcome, Pressure, Strict};
+use crate::descent::{interleave, seed_root, warm_up, Outcome, Pressure, Scored, Strict};
 use crate::engine::{
     validate_grid_inputs, validate_tuples, EffortReport, GridTopK, Region, ScoredCell, TupleTopK,
 };
@@ -46,11 +47,11 @@ pub(crate) const FRONTIER_FANOUT: usize = 4;
 /// The parallel configuration of the execution core: a sequential
 /// [`warm_up`] over the batch's lanes, the held regions dealt round-robin
 /// (best first, so every worker starts with a comparable spread of upper
-/// bounds), one [`interleave`] per worker pruning each lane against
-/// `max(its local floor, its query's shared bound)`, and the per-lane
-/// outcomes merged in worker order. The same `pressure` serves the
-/// warm-up and every worker; a stop tripped during warm-up surrenders the
-/// held regions without running any worker.
+/// bounds), one [`interleave`] per worker pruning each query against the
+/// worker's [`Scored`] floor, and the per-lane outcomes merged in worker
+/// order. The same `pressure` serves the warm-up and every worker; a stop
+/// tripped during warm-up surrenders the held regions without running
+/// any worker.
 pub(crate) fn par_descend<S, P>(
     job: &Job<'_, S>,
     pressure: P,
@@ -62,14 +63,22 @@ where
 {
     let m = job.models.len();
     let target = pool.threads() * FRONTIER_FANOUT * m;
-    let (held, mut outs, mut tally) = with_pooled_scratch(|scratch| {
-        with_lanes(job, pressure, Local, scratch, |env, lanes| {
-            for lane in lanes.iter_mut() {
-                seed_root(env, lane)?;
-            }
-            warm_up(env, lanes, target)
-        })
-    })?;
+    let (held, mut runs) = with_pooled_scratch(|scratch| {
+        with_lanes(
+            job,
+            |_| pressure,
+            scratch,
+            |envs, lanes| {
+                let env = &mut envs[0];
+                for lane in lanes.iter_mut() {
+                    seed_root(env, lane)?;
+                }
+                warm_up(env, lanes, target)
+            },
+        )
+    });
+    let held = held?;
+    let (mut outs, mut tally) = runs.pop().expect("one band");
     if let Some(stop) = held.stop {
         for (q, region) in held.regions {
             outs[q].leftover.push(region);
@@ -89,13 +98,23 @@ where
             .into_iter()
             .map(|seed| {
                 move |_w: usize| {
+                    let mut floor = Scored::new(job.k, bounds);
                     with_pooled_scratch(|scratch| {
-                        with_lanes(job, pressure, bounds, scratch, |env, lanes| {
-                            for (q, region) in seed {
-                                lanes[q].frontier.push(region);
-                            }
-                            interleave(env, lanes)
-                        })
+                        let (verdict, mut runs) = with_lanes(
+                            job,
+                            |_| pressure,
+                            scratch,
+                            |envs, lanes| {
+                                for (q, region) in seed {
+                                    lanes[q].frontier.push(region);
+                                }
+                                let mut verdicts = [Ok(())];
+                                interleave(envs, &mut floor, lanes, &mut verdicts);
+                                let [verdict] = verdicts;
+                                verdict
+                            },
+                        );
+                        verdict.map(|()| runs.pop().expect("one band"))
                     })
                 }
             })
@@ -103,7 +122,7 @@ where
     );
     // The reported error is the lowest-indexed worker's.
     for worker in worker_outs {
-        let ((), lanes, worker_tally) = worker?;
+        let (lanes, worker_tally) = worker?;
         tally += worker_tally;
         for (out, lane) in outs.iter_mut().zip(lanes) {
             out.absorb(lane);

@@ -82,10 +82,15 @@ impl WorkerPool {
 ///
 /// Stores an `f64` as its IEEE-754 bits in an `AtomicU64` and raises it
 /// with a compare-and-swap loop that compares in the *float* domain, so
-/// the published value only ever increases. Workers publish their local
-/// K-th-best lower bounds here; every worker prunes against
-/// `max(local floor, shared.get())`, so pruning progress made by one
-/// worker immediately tightens all the others.
+/// the published value only ever increases. Each worker offers here the
+/// K-th best of every cell it has scored for the query — over all of its
+/// lanes, and in a sharded scatter over all of the bands it holds — and
+/// prunes against `max(that floor, shared.get())`, so pruning progress
+/// made by one worker immediately tightens all the others. Such a floor
+/// never exceeds the true K-th score as long as no worker counts a cell
+/// twice, which is why a wave that re-scores rows (a hedge, a dual-read
+/// destination copy) starts fresh worker floors and keeps only this
+/// bound.
 ///
 /// Relaxed ordering is sufficient: the bound is a pruning hint, and a
 /// stale read only means a worker prunes slightly later than it could

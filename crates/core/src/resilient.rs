@@ -390,12 +390,11 @@ pub fn resilient_top_k<'a, S: CellSource>(
         row_offset: 0,
         fetch: Direct { x: &mut x },
         pressure: Budgeted::new(Clock::starting(opts, &deadline, source)),
-        floor: Local,
     };
     let naive = (model.arity() * rows * cols) as u64;
     let mut lane = Lane::new(0, model, &mut frontier, k, naive);
     seed_root(&mut env, &mut lane)?;
-    drain(&mut env, &mut lane)?;
+    drain(&mut env, &mut Local, &mut lane)?;
     finish(lane.finish(), model, pyramids, k)
 }
 

@@ -10,16 +10,21 @@
 //! [`WorkerPool`], and gathers a merged answer that stays *provably
 //! sound* no matter which shards degrade, straggle, or die:
 //!
-//! * **Cross-shard bound propagation.** Every shard descent prunes
-//!   against `max(local K-th floor, shared bound)` and publishes its
-//!   floors through one [`SharedBound`], exactly like the parallel
-//!   engine's workers — a hot shard's floor makes a lagging shard skip
-//!   whole subtrees. Because a published floor is the K-th best of a
-//!   *subset* of the evaluated cells, it never exceeds the true global
-//!   K-th score, so no true top-K cell is ever pruned and the healthy
-//!   merged answer is bit-identical to the unsharded resilient engine
-//!   at every shard count and thread count (absent exact score ties at
-//!   the K-th boundary; DESIGN.md §13).
+//! * **Cross-shard bound propagation.** Each pool worker descends all of
+//!   its shards as one descent, stepping whichever (shard, query) lane
+//!   holds the best upper bound over every band, and each query prunes
+//!   against one floor per worker: the K-th best of every cell that
+//!   worker scored for it in any band, raised to the query's
+//!   [`SharedBound`] across workers and offered back to it. A winner
+//!   scored in one band prunes the other bands at once, so at one thread
+//!   a query walks the forest of band pyramids in the unsharded
+//!   best-first order and does about the unsharded work. The cells a
+//!   worker scores in one wave are distinct (its bands are disjoint), so
+//!   a floor is the K-th best of a *subset* of the archive's cells and
+//!   never exceeds the true global K-th score: no true top-K cell is ever
+//!   pruned and the healthy merged answer is bit-identical to the
+//!   unsharded resilient engine at every shard count and thread count
+//!   (absent exact score ties at the K-th boundary; DESIGN.md §13).
 //! * **Per-shard fault domains.** A shard's lost pages, quarantine, and
 //!   corruption degrade only that shard's contribution. The gather step
 //!   resolves each shard's lost cells and unrefined frontier against the
@@ -46,11 +51,17 @@
 //!
 //! Every entry point here is one private scatter (DESIGN.md §18): a solo
 //! query is a batch of one, plain scatter-gather is the dual-read with no
-//! migration groups, and each shard attempt is the batched configuration
-//! of the execution core over the shard's own pyramids and source.
+//! migration groups, and each worker's shards are the batched
+//! configuration of the execution core over one band per shard. What the
+//! gather reads stays per shard: each shard's attempt has its own pages,
+//! ticks, stop, and lost and leftover regions, and a stop on one shard's
+//! clocks halts that shard's lanes only. Every wave (primary, hedge,
+//! destination) starts fresh worker floors, because a hedge or a
+//! destination copy re-scores rows an earlier wave scored; only the
+//! shared bounds cross waves.
 
-use crate::batched::{descend, same_arity, with_pooled_scratch, Job, Tally};
-use crate::descent::{stop_code, Band, Budgeted, Clock, Merge, Outcome};
+use crate::batched::{descend, same_arity, with_pooled_scratch, BandRun, Job, Tally};
+use crate::descent::{stop_code, Band, Budgeted, Clock, Merge, Outcome, Scored};
 use crate::engine::{validate_grid_inputs, EffortReport, Region};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
@@ -590,10 +601,11 @@ impl ShardedTopK {
 }
 
 /// One attempt (primary, hedge, or destination copy) at a shard: the
-/// descent of every query of the batch over the shard's band, with the
-/// attempt's I/O window on the shard's own clock.
+/// lanes of every query of the batch over the shard's band — one band of
+/// its worker's descent — with the attempt's I/O window on the shard's
+/// own clock.
 struct Attempt {
-    out: Result<(Vec<Outcome>, Tally), CoreError>,
+    out: Result<BandRun, CoreError>,
     pages: u64,
     ticks: u64,
 }
@@ -659,34 +671,43 @@ struct ScatterCtx<'a> {
     bounds: &'a [SharedBound],
 }
 
-/// Runs one attempt at a shard — the batched configuration of the
-/// execution core over the shard's own band pyramids and source, each
-/// query pruning against `max(its local floor, its cross-shard bound)`
-/// and publishing its floors back, the budget measured on the attempt's
-/// own clocks.
-fn attempt<S: CellSource>(ctx: &ScatterCtx<'_>, shard: &ArchiveShard<'_, S>) -> Attempt {
-    let pages_at_entry = shard.source.pages_read();
-    let ticks_at_entry = shard.source.ticks_elapsed();
+/// One pool worker's attempts at `own` shards (ascending): the batched
+/// configuration of the execution core over all of their bands as one
+/// descent — one [`Env`](crate::descent::Env) per shard, with the shard's
+/// pyramids, source and memo, and a budget measured on the shard's own
+/// clocks — every query pruning against the worker's [`Scored`] floor
+/// over every cell it scored for that query in any of these bands.
+fn worker_attempts<S: CellSource>(
+    ctx: &ScatterCtx<'_>,
+    shards: &[ArchiveShard<'_, S>],
+    own: &[usize],
+) -> Vec<Attempt> {
     let job = Job {
         models: ctx.models,
-        pyramids: shard.pyramids,
-        source: shard.source,
+        bands: own.iter().map(|&i| ArchiveShard { ..shards[i] }).collect(),
         k: ctx.k,
         cols: ctx.cols,
-        row_offset: shard.row_offset,
     };
-    let pressure = Budgeted::new(Clock::starting(ctx.opts, ctx.deadline, shard.source));
-    let out = with_pooled_scratch(|scratch| descend(&job, pressure, ctx.bounds, scratch));
-    Attempt {
-        out,
-        pages: shard.source.pages_read().saturating_sub(pages_at_entry),
-        ticks: shard.source.ticks_elapsed().saturating_sub(ticks_at_entry),
-    }
+    let clocks =
+        |band: &ArchiveShard<'_, S>| (band.source.pages_read(), band.source.ticks_elapsed());
+    let at_entry: Vec<(u64, u64)> = job.bands.iter().map(clocks).collect();
+    let mut floor = Scored::new(ctx.k, ctx.bounds);
+    let pressure = |band: &ArchiveShard<'_, S>| {
+        Budgeted::new(Clock::starting(ctx.opts, ctx.deadline, band.source))
+    };
+    let runs = with_pooled_scratch(|scratch| descend(&job, pressure, &mut floor, scratch));
+    (runs.into_iter().zip(&job.bands).zip(at_entry))
+        .map(|((out, band), (pages, ticks))| Attempt {
+            out,
+            pages: band.source.pages_read().saturating_sub(pages),
+            ticks: band.source.ticks_elapsed().saturating_sub(ticks),
+        })
+        .collect()
 }
 
 /// Fans the `which` shard indices (ascending) out over the pool —
-/// round-robin, at most one worker per shard — and returns their
-/// attempts in `which` order.
+/// round-robin, one descent per worker over all of its shards — and
+/// returns their attempts in `which` order.
 fn scatter_wave<S: CellSource + Sync>(
     ctx: &ScatterCtx<'_>,
     shards: &[ArchiveShard<'_, S>],
@@ -707,9 +728,8 @@ fn scatter_wave<S: CellSource + Sync>(
                 .into_iter()
                 .map(|own| {
                     move |_w: usize| {
-                        own.into_iter()
-                            .map(|i| (i, attempt(ctx, &shards[i])))
-                            .collect::<Vec<_>>()
+                        let attempts = worker_attempts(ctx, shards, &own);
+                        own.into_iter().zip(attempts).collect::<Vec<_>>()
                     }
                 })
                 .collect(),
@@ -1358,6 +1378,37 @@ mod tests {
         row_offset: usize,
     }
 
+    /// The `band_rows` rows of the `arity` smooth grids from global row
+    /// `offset` on, as one shard's own state.
+    fn band_world(
+        arity: usize,
+        (rows, cols): (usize, usize),
+        tile: usize,
+        offset: usize,
+        band_rows: usize,
+    ) -> ShardWorld {
+        let bands: Vec<Grid2<f64>> = (0..arity)
+            .map(|i| {
+                let g = smooth_grid(i, rows, cols);
+                Grid2::from_fn(band_rows, cols, |r, c| *g.at(offset + r, c))
+            })
+            .collect();
+        let stats = AccessStats::new();
+        ShardWorld {
+            pyramids: bands.iter().map(AggregatePyramid::build).collect(),
+            stores: bands
+                .iter()
+                .map(|b| {
+                    TileStore::new(b.clone(), tile)
+                        .unwrap()
+                        .with_stats(stats.clone())
+                })
+                .collect(),
+            stats,
+            row_offset: offset,
+        }
+    }
+
     /// A global smooth world plus its row-band sharding. `rows` must be
     /// divisible by `shards` with tile-aligned bands.
     fn sharded_world(
@@ -1370,30 +1421,11 @@ mod tests {
         assert_eq!(rows % shards, 0);
         let band_rows = rows / shards;
         assert_eq!(band_rows % tile, 0, "bands must be tile-aligned");
-        let grids: Vec<Grid2<f64>> = (0..arity).map(|i| smooth_grid(i, rows, cols)).collect();
-        let global_pyramids = grids.iter().map(AggregatePyramid::build).collect();
+        let global_pyramids = (0..arity)
+            .map(|i| AggregatePyramid::build(&smooth_grid(i, rows, cols)))
+            .collect();
         let worlds = (0..shards)
-            .map(|s| {
-                let offset = s * band_rows;
-                let bands: Vec<Grid2<f64>> = grids
-                    .iter()
-                    .map(|g| Grid2::from_fn(band_rows, cols, |r, c| *g.at(offset + r, c)))
-                    .collect();
-                let stats = AccessStats::new();
-                ShardWorld {
-                    pyramids: bands.iter().map(AggregatePyramid::build).collect(),
-                    stores: bands
-                        .iter()
-                        .map(|b| {
-                            TileStore::new(b.clone(), tile)
-                                .unwrap()
-                                .with_stats(stats.clone())
-                        })
-                        .collect(),
-                    stats,
-                    row_offset: offset,
-                }
-            })
+            .map(|s| band_world(arity, (rows, cols), tile, s * band_rows, band_rows))
             .collect();
         let coeffs: Vec<f64> = (0..arity).map(|i| 1.0 - 0.3 * i as f64).collect();
         (
@@ -1854,11 +1886,12 @@ mod tests {
     #[test]
     fn zero_overlap_batch_equals_solo_scatters_in_results_and_efforts() {
         // Directions that climb to different corners of the world: past
-        // the shared pyramid apex the descents have nothing in common, the
-        // bound memo retires, and every query finishes in the solo loop.
-        // On a 1-thread pool the shards run in band order, so each query
-        // sees exactly the cross-shard floors its solo scatter would: the
-        // answers *and* the per-query efforts must match.
+        // the shared pyramid apex the descents have nothing in common, every
+        // band's bound memo retires, and each query finishes its walk over
+        // the bands on its own. On a 1-thread pool one worker descends all
+        // four bands, and a query's floor is its own scored cells (and its
+        // own shared bound), so each query prunes exactly as its solo
+        // scatter does: the answers *and* the per-query efforts must match.
         let (_, _, worlds) = sharded_world(3, 128, 128, 4, 4);
         let models: Vec<LinearModel> = [
             [1.0, 0.0, 0.0],
@@ -1877,9 +1910,11 @@ mod tests {
         with_archive(&worlds, |archive| {
             let batch =
                 batched_scatter_gather_top_k(&models, archive, 5, &budget, &policy, &pool).unwrap();
+            // The one-thread pool runs its single worker inline, so this
+            // thread's pooled scratch holds the band memos the batch used.
             assert!(
-                crate::batched::pooled_memo_retired(),
-                "test premise: the batch must stop sharing"
+                with_pooled_scratch(|scratch| crate::batched::memos_retired(scratch)),
+                "test premise: every band's memo must stop sharing"
             );
             for (q, model) in models.iter().enumerate() {
                 let solo =
@@ -2091,6 +2126,144 @@ mod tests {
                 assert!(q.is_degraded());
             }
         });
+    }
+
+    /// The resilient answer over the whole smooth grid: the reference
+    /// every healthy scatter must reproduce.
+    fn unsharded(
+        model: &LinearModel,
+        global: &[AggregatePyramid],
+        (rows, cols): (usize, usize),
+        k: usize,
+    ) -> crate::resilient::ResilientTopK {
+        let stores: Vec<TileStore> = (0..global.len())
+            .map(|i| TileStore::new(smooth_grid(i, rows, cols), 4).unwrap())
+            .collect();
+        let src = TileSource::new(&stores).unwrap();
+        resilient_top_k(model, global, k, &src, &ExecutionBudget::unlimited()).unwrap()
+    }
+
+    #[test]
+    fn sharded_work_tracks_unsharded() {
+        // One worker descends every band as one forest, best first, against
+        // one floor per query over every cell it scored: the work of the
+        // unsharded descent, not the sum of four independent ones.
+        let (rows, cols, k) = (128usize, 128usize, 9usize);
+        let (_, global, worlds) = sharded_world(3, rows, cols, 4, 4);
+        let models = batch_models(3, 6);
+        let budget = ExecutionBudget::unlimited();
+        with_archive(&worlds, |archive| {
+            let pool = WorkerPool::new(1);
+            let policy = ScatterPolicy::require_all();
+            let batch =
+                batched_scatter_gather_top_k(&models, archive, k, &budget, &policy, &pool).unwrap();
+            for (q, model) in models.iter().enumerate() {
+                let want = unsharded(model, &global, (rows, cols), k);
+                let got = &batch.queries[q];
+                assert_eq!(got.results, want.results, "q={q}");
+                let (sharded, whole) = (got.effort.multiply_adds, want.effort.multiply_adds);
+                assert!(
+                    sharded as f64 <= 1.05 * whole as f64,
+                    "q={q}: sharded scatter did {sharded} multiply-adds, unsharded {whole}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn slow_shard_times_out_alone_beside_its_worker_mate() {
+        // One pool thread descends both bands as one: a stop on the slow
+        // band's own clock halts that band only, and its hedge — a fresh
+        // floor over the re-scored rows — recovers the healthy answer.
+        let (rows, cols, k) = (64usize, 64usize, 5usize);
+        let (model, global, mut worlds) = sharded_world(2, rows, cols, 4, 2);
+        let healthy = unsharded(&model, &global, (rows, cols), k);
+        let slow = healthy.results[0].cell.row / (rows / 2);
+        let mate = 1 - slow;
+        let profile = (0..worlds[slow].stores[0].page_count())
+            .fold(FaultProfile::new(0), |p, page| p.latency(page, 10_000));
+        worlds[slow].stores = worlds[slow]
+            .stores
+            .iter()
+            .map(|s| s.clone().with_faults(profile.clone()))
+            .collect();
+        with_archive(&worlds, |archive| {
+            let pool = WorkerPool::new(1);
+            let budget = ExecutionBudget::unlimited();
+            let soft = ScatterPolicy::require_all().with_soft_deadline_ticks(5_000);
+            let r = scatter_gather_top_k(&model, archive, k, &budget, &soft, &pool).unwrap();
+            assert_eq!(r.shards[slow].outcome, ShardOutcome::TimedOut);
+            assert_eq!(r.shards[mate].outcome, ShardOutcome::Complete);
+            assert_eq!(r.shards[mate].budget_stop, None);
+
+            let hedging = soft.with_hedged_stragglers();
+            let r = scatter_gather_top_k(&model, archive, k, &budget, &hedging, &pool).unwrap();
+            assert!(r.shards[slow].hedged && r.shards[slow].hedge_won);
+            assert!(!r.shards[mate].hedged);
+            assert_eq!(r.shards[mate].outcome, ShardOutcome::Complete);
+            assert_eq!(r.results, healthy.results);
+            assert_eq!(r.completeness, 1.0);
+        });
+    }
+
+    #[test]
+    fn dual_read_destination_wave_raises_no_floor() {
+        // The winner's band migrates into two half-height copies. A
+        // destination wave re-scores rows the source wave already scored,
+        // so it must start fresh worker floors: healthy, the source side
+        // serves; with the source band dead, the copies serve — and both
+        // answers are the unsharded one at every thread count.
+        let (rows, cols, k) = (64usize, 64usize, 7usize);
+        let (model, global, worlds) = sharded_world(3, rows, cols, 4, 4);
+        let want = unsharded(&model, &global, (rows, cols), k);
+        let band_rows = rows / 4;
+        let migrating = want.results[0].cell.row / band_rows;
+        let copies: Vec<ShardWorld> = (0..2)
+            .map(|h| {
+                let offset = migrating * band_rows + h * band_rows / 2;
+                band_world(3, (rows, cols), 4, offset, band_rows / 2)
+            })
+            .collect();
+        let copy_sources: Vec<TileSource<'_>> = copies
+            .iter()
+            .map(|w| TileSource::new(&w.stores).unwrap())
+            .collect();
+        let dest: Vec<ArchiveShard<'_, TileSource<'_>>> = copies
+            .iter()
+            .zip(&copy_sources)
+            .map(|(w, src)| ArchiveShard::new(&w.pyramids, src, w.row_offset))
+            .collect();
+        let groups = [DualReadGroup {
+            source_shards: vec![migrating],
+            dest_shards: vec![0, 1],
+        }];
+        let (_, _, mut dead) = sharded_world(3, rows, cols, 4, 4);
+        kill_shard(&mut dead[migrating]);
+        let budget = ExecutionBudget::unlimited();
+        for threads in [1usize, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            for (world, served_by) in [
+                (&worlds, ShardOutcome::Complete),
+                (&dead, ShardOutcome::Covered),
+            ] {
+                with_archive(world, |archive| {
+                    let r = scatter_gather_top_k_dual(
+                        &model,
+                        archive,
+                        (&dest, &groups),
+                        k,
+                        &budget,
+                        &ScatterPolicy::best_effort(),
+                        &pool,
+                    )
+                    .unwrap();
+                    let at = format!("threads={threads}, {served_by}");
+                    assert_eq!(r.results, want.results, "{at}");
+                    assert_eq!(r.completeness, 1.0, "{at}");
+                    assert_eq!(r.shards[migrating].outcome, served_by, "{at}");
+                });
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 # committed below. Then runs
 # `repro r8 --seed 7 --small --threads 1` in a temporary directory (so
 # the committed BENCH_batch.json stays as it is) and fails unless the
-# batch's physical-work counters equal the ones below: they are the
-# batch memo governor's decisions, which no answer shows. One thread,
-# because at two the shards' shared floors race and the counters wander.
+# batch's physical-work counters and its per-query multiply-adds equal
+# the ones below: the first are the batch memo governor's decisions, which
+# no answer shows, the last is the work the sharded descent's cross-band
+# floors save. One thread, because at two the workers' shared floors race
+# and the counters wander.
 #
 #   scripts/check_counters.sh
 #
@@ -40,14 +42,14 @@ check_batch() {
   repro="$(realpath "${CARGO_TARGET_DIR:-target}")/release/repro"
   dir=$(mktemp -d)
   (cd "$dir" && "$repro" r8 --seed 7 --small --threads 1 >/dev/null)
-  got=$(jq -c '.batched | [.cells_fetched, .cell_requests, .bound_evals, .bound_requests, .pages_read]' \
+  got=$(jq -c '.batched | [.cells_fetched, .cell_requests, .bound_evals, .bound_requests, .pages_read, .madds_per_query]' \
     "$dir/BENCH_batch.json")
   rm -rf "$dir"
   if [ "$got" != "$want" ]; then
-    echo "error: repro r8 at seed 7 wants batched [cells_fetched, cell_requests, bound_evals, bound_requests, pages_read] $want; got: $got" >&2
+    echo "error: repro r8 at seed 7 wants batched [cells_fetched, cell_requests, bound_evals, bound_requests, pages_read, madds_per_query] $want; got: $got" >&2
     return 1
   fi
   echo "r8 batched: $want"
 }
 
-check_batch '[31,643,7288,17116,10]'
+check_batch '[20,320,6528,14314,8,914.625]'
