@@ -346,6 +346,15 @@ impl Selector {
         }
     }
 
+    /// Whether no query is armed.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        match self {
+            Selector::Scan { mask, .. } => *mask == 0,
+            Selector::Heap(h) => h.is_empty(),
+        }
+    }
+
     /// The query whose frontier top pops next — in global shared-heap
     /// order, or query-major order once [`go_serial`](Selector::go_serial)
     /// latched — disarming that query, or `None` when no query is armed.

@@ -259,7 +259,9 @@ impl Floor for Local {
 /// offered every new K-th in turn.
 ///
 /// Sound because within one wave a worker never scores a cell twice: its
-/// bands are disjoint, and each lane of a band descends its own regions.
+/// bands are disjoint (`ShardedArchive::new` and the dual-read group check
+/// reject overlapping bands), and each lane of a band descends its own
+/// regions.
 /// So a heap's K-th is the K-th best of a subset of the query's distinct
 /// cells and never exceeds the true K-th score; the shared bound is the
 /// max of such values. A wave that re-scores rows an earlier wave scored
@@ -931,9 +933,9 @@ where
 /// descends its bands as one forest, best first, against the one floor
 /// it has across them. Once a band reports its sharing retired, the
 /// schedule turns query-major: each selected query walks its own lanes
-/// across the bands in bound order until they close (one band: the solo
-/// loop), which keeps that query's pages hot. Restricted to any one query
-/// the pop sequence is that query's best-first sequence over the forest.
+/// across the bands in bound order until they close, which keeps that
+/// query's pages hot. Restricted to any one query the pop sequence is
+/// that query's best-first sequence over the forest.
 ///
 /// A stop is band-wide: every lane of the band still holding frontier
 /// surrenders it, closed and drained lanes keep their finished answers,
@@ -969,25 +971,29 @@ pub(crate) fn interleave<S, M, F, P, B>(
             continue;
         }
         selector.go_serial();
-        if bands == 1 {
-            match drain(&mut envs[0], floor, &mut lanes[i]) {
-                Ok(None) => {}
-                Ok(Some(stop)) => halt(lanes, 1, 0, Some(stop), &mut selector),
-                Err(e) => {
-                    verdicts[0] = Err(e);
-                    halt(lanes, 1, 0, None, &mut selector);
-                }
-            }
-            continue;
-        }
         let first = i - i % bands;
         for (b, lane) in lanes[first..first + bands].iter().enumerate() {
             walk.arm(b, lane.frontier.peek());
             selector.arm(first + b, None);
         }
         while let Some(b) = walk.next() {
-            if advance(envs, floor, lanes, first + b, verdicts, &mut selector) {
-                walk.arm(b, lanes[first + b].frontier.peek());
+            let j = first + b;
+            if !walk.is_empty() {
+                if advance(envs, floor, lanes, j, verdicts, &mut selector) {
+                    walk.arm(b, lanes[j].frontier.peek());
+                }
+                continue;
+            }
+            // The query's last open lane — over one band, its only one —
+            // has nothing to yield to: it runs to its end through the solo
+            // loop, which re-arms nothing per pop.
+            match drain(&mut envs[b], floor, &mut lanes[j]) {
+                Ok(None) => {}
+                Ok(Some(stop)) => halt(lanes, bands, b, Some(stop), &mut selector),
+                Err(e) => {
+                    verdicts[b] = Err(e);
+                    halt(lanes, bands, b, None, &mut selector);
+                }
             }
         }
     }

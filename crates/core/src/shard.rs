@@ -816,9 +816,23 @@ pub struct DualReadGroup {
     pub dest_shards: Vec<usize>,
 }
 
+/// The `[lo, hi)` row span that `(row_offset, rows)` bands tile end to
+/// end once sorted, or `None` if two of them overlap or leave a gap.
+fn tiling(mut bands: Vec<(usize, usize)>) -> Option<(usize, usize)> {
+    bands.sort_unstable();
+    let lo = bands.first()?.0;
+    bands
+        .iter()
+        .try_fold(lo, |next, &(offset, rows)| {
+            (offset == next).then_some(next + rows)
+        })
+        .map(|hi| (lo, hi))
+}
+
 /// Validates the dual-read group structure: indices in range and used at
-/// most once, every destination shard claimed by exactly one group, and
-/// each group's source rows covering exactly its destination rows.
+/// most once, every destination shard claimed by exactly one group, each
+/// group's bands on either side tiling one span without gap or overlap,
+/// and that span the same on both sides.
 fn validate_dual_groups<S: CellSource, D: CellSource>(
     archive: &ShardedArchive<'_, S>,
     dest: &[ArchiveShard<'_, D>],
@@ -832,13 +846,7 @@ fn validate_dual_groups<S: CellSource, D: CellSource>(
         if group.source_shards.is_empty() || group.dest_shards.is_empty() {
             return Err(invalid(format!("dual-read group {g} is one-sided")));
         }
-        let range =
-            |offset: usize, rows: usize, lo: &mut usize, hi: &mut usize, sum: &mut usize| {
-                *lo = (*lo).min(offset);
-                *hi = (*hi).max(offset + rows);
-                *sum += rows;
-            };
-        let (mut s_lo, mut s_hi, mut s_sum) = (usize::MAX, 0usize, 0usize);
+        let mut s_bands = Vec::with_capacity(group.source_shards.len());
         for &s in &group.source_shards {
             let shard = shards
                 .get(s)
@@ -846,15 +854,9 @@ fn validate_dual_groups<S: CellSource, D: CellSource>(
             if std::mem::replace(&mut source_used[s], true) {
                 return Err(invalid(format!("source shard {s} appears in two groups")));
             }
-            range(
-                shard.row_offset,
-                shard.rows(),
-                &mut s_lo,
-                &mut s_hi,
-                &mut s_sum,
-            );
+            s_bands.push((shard.row_offset, shard.rows()));
         }
-        let (mut d_lo, mut d_hi, mut d_sum) = (usize::MAX, 0usize, 0usize);
+        let mut d_bands = Vec::with_capacity(group.dest_shards.len());
         for &d in &group.dest_shards {
             let shard = dest
                 .get(d)
@@ -862,17 +864,16 @@ fn validate_dual_groups<S: CellSource, D: CellSource>(
             if std::mem::replace(&mut dest_used[d], true) {
                 return Err(invalid(format!("dest shard {d} appears in two groups")));
             }
-            range(
-                shard.row_offset,
-                shard.rows(),
-                &mut d_lo,
-                &mut d_hi,
-                &mut d_sum,
-            );
+            d_bands.push((shard.row_offset, shard.rows()));
         }
-        if s_sum != s_hi - s_lo || d_sum != d_hi - d_lo {
-            return Err(invalid(format!("dual-read group {g} has a row gap")));
-        }
+        // Each side must tile its span with neither gap nor overlap: a
+        // destination wave's worker floor holds every cell it scored, so a
+        // row scored twice in one wave would raise that floor unsoundly.
+        let (Some((s_lo, s_hi)), Some((d_lo, d_hi))) = (tiling(s_bands), tiling(d_bands)) else {
+            return Err(invalid(format!(
+                "dual-read group {g} has a row gap or overlap"
+            )));
+        };
         if (s_lo, s_hi) != (d_lo, d_hi) {
             return Err(invalid(format!(
                 "dual-read group {g} covers source rows {s_lo}..{s_hi} but dest rows {d_lo}..{d_hi}"
@@ -2264,6 +2265,58 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    fn dual_read_rejects_malformed_groups() {
+        let (rows, cols) = (32usize, 32usize);
+        let (model, _, worlds) = sharded_world(2, rows, cols, 4, 2);
+        // Rows 4..8 copied twice and 12..16 not at all: the row count
+        // still equals the span, so only a tiling check sees the overlap.
+        let copies: Vec<ShardWorld> = [(0, 8), (4, 8), (16, 16)]
+            .into_iter()
+            .map(|(offset, n)| band_world(2, (rows, cols), 4, offset, n))
+            .collect();
+        let copy_sources: Vec<TileSource<'_>> = copies
+            .iter()
+            .map(|w| TileSource::new(&w.stores).unwrap())
+            .collect();
+        let dest: Vec<ArchiveShard<'_, TileSource<'_>>> = copies
+            .iter()
+            .zip(&copy_sources)
+            .map(|(w, src)| ArchiveShard::new(&w.pyramids, src, w.row_offset))
+            .collect();
+        let group = |source_shards: Vec<usize>, dest_shards: Vec<usize>| DualReadGroup {
+            source_shards,
+            dest_shards,
+        };
+        let malformed = [
+            vec![group(vec![0, 1], vec![0, 1, 2])],
+            vec![group(vec![0, 1], vec![])],
+            vec![group(vec![0], vec![0]), group(vec![1], vec![2])],
+            vec![group(vec![0], vec![0, 0])],
+            vec![group(vec![0, 1], vec![0, 1, 3])],
+        ];
+        with_archive(&worlds, |archive| {
+            let pool = WorkerPool::new(1);
+            for groups in &malformed {
+                assert!(
+                    matches!(
+                        scatter_gather_top_k_dual(
+                            &model,
+                            archive,
+                            (&dest, groups),
+                            3,
+                            &ExecutionBudget::unlimited(),
+                            &ScatterPolicy::best_effort(),
+                            &pool,
+                        ),
+                        Err(ShardError::Core(CoreError::Query(_)))
+                    ),
+                    "{groups:?}"
+                );
+            }
+        });
     }
 
     #[test]
