@@ -196,29 +196,6 @@ impl<T> Grid2<T> {
         })
     }
 
-    /// Appends the rows of `band` below the last row, in place: the buffer
-    /// grows geometrically, so a run of appends costs amortised O(band)
-    /// each rather than a fresh copy of the whole grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchiveError::Misaligned`] when the band's width differs
-    /// from the grid's; the grid is unchanged.
-    pub fn push_rows(&mut self, band: &Grid2<T>) -> Result<(), ArchiveError>
-    where
-        T: Clone,
-    {
-        if band.cols != self.cols {
-            return Err(ArchiveError::Misaligned(format!(
-                "band width {} != grid width {}",
-                band.cols, self.cols
-            )));
-        }
-        self.data.extend_from_slice(&band.data);
-        self.rows += band.rows;
-        Ok(())
-    }
-
     fn oob(&self, row: usize, col: usize) -> ArchiveError {
         ArchiveError::OutOfBounds {
             row,
@@ -386,30 +363,6 @@ mod tests {
         assert_eq!(w.as_slice(), &[10, 11, 14, 15]);
         assert!(g.window(CellCoord::new(4, 0), 1, 1).is_none());
         assert!(g.window(CellCoord::new(0, 0), 0, 1).is_none());
-    }
-
-    #[test]
-    fn push_rows_equals_the_reallocating_form() {
-        let extent = GeoExtent::new(0.0, 0.0, 10.0, 5.0);
-        let mut grown = Grid2::from_fn(2, 3, |r, c| r * 3 + c).with_extent(extent);
-        let mut data = grown.as_slice().to_vec();
-        for (rows, seed) in [(1, 100), (4, 200), (2, 300)] {
-            let band = Grid2::from_fn(rows, 3, |r, c| seed + r * 3 + c);
-            grown.push_rows(&band).unwrap();
-            data.extend_from_slice(band.as_slice());
-            let rebuilt = Grid2::from_vec(data.len() / 3, 3, data.clone())
-                .unwrap()
-                .with_extent(extent);
-            assert_eq!(grown, rebuilt);
-        }
-        assert_eq!(grown.rows(), 9);
-        assert_eq!(*grown.at(8, 2), 300 + 5);
-        let before = grown.clone();
-        assert!(matches!(
-            grown.push_rows(&Grid2::filled(1, 4, 0)),
-            Err(ArchiveError::Misaligned(_))
-        ));
-        assert_eq!(grown, before, "a refused band leaves the grid intact");
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! assert_eq!(grid.cols(), 64);
 //! ```
 
-pub mod append;
 pub mod archive;
 pub mod catalog;
 pub mod dem;
@@ -52,7 +51,6 @@ pub mod tile;
 pub mod weather;
 pub mod welllog;
 
-pub use append::{AppendCommit, AppendableArchive, RecoveryReport};
 pub use archive::Archive;
 pub use catalog::{Catalog, DatasetId, DatasetMeta, Modality};
 pub use dem::Dem;

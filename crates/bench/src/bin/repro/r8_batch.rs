@@ -217,8 +217,8 @@ pub fn run(args: &Args) {
                 .iter()
                 .all(|s| s.outcome == ShardOutcome::Complete));
         }
-        // Satellite view: the merged degradation summary with the page
-        // cache folded in (batch-phase deltas are added below).
+        // Satellite view: the merged degradation summary (the page-cache
+        // counters are the batch-phase `AccessStats` deltas below).
         let summary = sharded_degradation_summary(&batch.queries[0]);
         println!(
             "merged summary (q0): completeness {:.3}, pages read {}, skipped {}",

@@ -282,6 +282,12 @@ pub fn roc_curve(
 
 /// Compact description of how far a resilient answer drifted from exact —
 /// the chaos harness's per-run scorecard.
+///
+/// Storage-layer counters (quarantined pages, cache hits / misses /
+/// dedup waits, append-side reads, epoch invalidations) are not copied
+/// here: they live on the source's
+/// [`AccessStats`](mbir_archive::stats::AccessStats), where the harnesses
+/// read them.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DegradationSummary {
     /// Fraction of base cells provably accounted for (1.0 = exact).
@@ -312,40 +318,11 @@ pub struct DegradationSummary {
     /// Always 0 from [`degradation_summary`]; folded in via
     /// [`with_lifecycle`](Self::with_lifecycle).
     pub hedged_reads: u64,
-    /// Pages actually read through the source during the run. Always 0
-    /// from [`degradation_summary`] — the run report does not carry I/O
-    /// totals — and folded in via [`with_io`](Self::with_io).
+    /// Pages the winning shard attempts read, from
+    /// [`sharded_degradation_summary`]. Always 0 from
+    /// [`degradation_summary`]: an unsharded run report carries no I/O
+    /// totals (the source's `AccessStats` does).
     pub pages_read: u64,
-    /// Pages sitting in quarantine at the end of the run. Always 0 from
-    /// [`degradation_summary`]; folded in via [`with_io`](Self::with_io).
-    pub quarantined_pages: u64,
-    /// Page lookups served from a shared cache
-    /// ([`CachedTileSource`](crate::source::CachedTileSource)) without
-    /// touching the backing stores. Always 0 from [`degradation_summary`];
-    /// folded in via [`with_cache`](Self::with_cache).
-    pub cache_hits: u64,
-    /// Page lookups that missed the cache and materialized the page from
-    /// the stores. Always 0 from [`degradation_summary`]; folded in via
-    /// [`with_cache`](Self::with_cache).
-    pub cache_misses: u64,
-    /// Lookups that found the page already being materialized by another
-    /// reader and waited for the shared result instead of issuing a
-    /// duplicate store read (an overlay of `cache_hits`, not a third
-    /// outcome). Always 0 from [`degradation_summary`]; folded in via
-    /// [`with_cache`](Self::with_cache).
-    pub cache_dedup_waits: u64,
-    /// Page materializations past the reader's original append high-water
-    /// mark — reads that touched pages committed by an append (see
-    /// [`AccessStats::appended_pages_seen`](mbir_archive::stats::AccessStats::appended_pages_seen)).
-    /// Always 0 from [`degradation_summary`]; folded in via
-    /// [`with_append`](Self::with_append).
-    pub appended_pages_seen: u64,
-    /// Cached pages dropped because a snapshot-epoch advance made them
-    /// stale (see
-    /// [`CachedTileSource::advance_epoch`](crate::source::CachedTileSource::advance_epoch)).
-    /// Always 0 from [`degradation_summary`]; folded in via
-    /// [`with_append`](Self::with_append).
-    pub epoch_invalidated_cache_entries: u64,
 }
 
 impl DegradationSummary {
@@ -359,41 +336,27 @@ impl DegradationSummary {
         self.hedged_reads = hedged;
         self
     }
+}
 
-    /// Folds storage-layer I/O counters into the scorecard (builder
-    /// style): pages read and pages left quarantined. With
-    /// [`skipped_pages`](Self::skipped_pages) these close the page ledger
-    /// that [`merge_shard_summaries`] conserves.
-    pub fn with_io(mut self, pages_read: u64, quarantined_pages: u64) -> Self {
-        self.pages_read = pages_read;
-        self.quarantined_pages = quarantined_pages;
-        self
-    }
-
-    /// Folds page-cache counters into the scorecard (builder style):
-    /// hits, misses, and in-flight dedup waits from the
-    /// [`AccessStats`](mbir_archive::stats::AccessStats) behind a
-    /// [`CachedTileSource`](crate::source::CachedTileSource). With
-    /// [`pages_read`](Self::pages_read) these make batching wins
-    /// observable — amortized reads show up as hits and dedup waits, not
-    /// as a mysteriously low page count.
-    pub fn with_cache(mut self, hits: u64, misses: u64, dedup_waits: u64) -> Self {
-        self.cache_hits = hits;
-        self.cache_misses = misses;
-        self.cache_dedup_waits = dedup_waits;
-        self
-    }
-
-    /// Folds append-side counters into the scorecard (builder style):
-    /// pages seen past the original append high-water mark and cache
-    /// entries invalidated by snapshot-epoch advances. Together they make
-    /// live-append churn observable next to the fault-degradation fields —
-    /// a run that re-read its whole cache after every commit shows it
-    /// here, not as a mysteriously low hit rate.
-    pub fn with_append(mut self, appended_seen: u64, invalidated: u64) -> Self {
-        self.appended_pages_seen = appended_seen;
-        self.epoch_invalidated_cache_entries = invalidated;
-        self
+/// The scorecard fields every run report carries, plus the pages read.
+fn summary_of(
+    completeness: f64,
+    skipped_pages: usize,
+    results: &[crate::resilient::ResilientHit],
+    budget_stopped: bool,
+    pages_read: u64,
+) -> DegradationSummary {
+    DegradationSummary {
+        completeness,
+        skipped_pages,
+        inexact_hits: results.iter().filter(|h| !h.exact).count(),
+        widest_bound: results
+            .iter()
+            .map(|h| h.bounds.hi - h.bounds.lo)
+            .fold(0.0, f64::max),
+        budget_stopped,
+        pages_read,
+        ..DegradationSummary::default()
     }
 }
 
@@ -402,83 +365,42 @@ impl DegradationSummary {
 /// start at zero — one run report cannot see them — and are folded in by
 /// the harness via [`DegradationSummary::with_lifecycle`].
 pub fn degradation_summary(report: &crate::resilient::ResilientTopK) -> DegradationSummary {
-    DegradationSummary {
-        completeness: report.completeness,
-        skipped_pages: report.skipped_pages.len(),
-        inexact_hits: report.results.iter().filter(|h| !h.exact).count(),
-        widest_bound: report
-            .results
-            .iter()
-            .map(|h| h.bounds.hi - h.bounds.lo)
-            .fold(0.0, f64::max),
-        budget_stopped: report.budget_stop.is_some(),
-        shed_queries: 0,
-        cancelled_queries: 0,
-        hedged_reads: 0,
-        pages_read: 0,
-        quarantined_pages: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_dedup_waits: 0,
-        appended_pages_seen: 0,
-        epoch_invalidated_cache_entries: 0,
-    }
+    summary_of(
+        report.completeness,
+        report.skipped_pages.len(),
+        &report.results,
+        report.budget_stop.is_some(),
+        0,
+    )
 }
 
 /// Summarizes a [`ShardedTopK`](crate::shard::ShardedTopK) the same way
 /// [`degradation_summary`] summarizes an unsharded run, with the winning
 /// attempts' page reads already folded in. Per-shard completeness flows
-/// through the merged report's cell-weighted completeness; quarantine and
-/// lifecycle counters are folded in by the harness.
+/// through the merged report's cell-weighted completeness; lifecycle
+/// counters are folded in by the harness.
 pub fn sharded_degradation_summary(report: &crate::shard::ShardedTopK) -> DegradationSummary {
-    DegradationSummary {
-        completeness: report.completeness,
-        skipped_pages: report.skipped_pages.len(),
-        inexact_hits: report.results.iter().filter(|h| !h.exact).count(),
-        widest_bound: report
-            .results
-            .iter()
-            .map(|h| h.bounds.hi - h.bounds.lo)
-            .fold(0.0, f64::max),
-        budget_stopped: report.budget_stop.is_some(),
-        shed_queries: 0,
-        cancelled_queries: 0,
-        hedged_reads: 0,
-        pages_read: report.shards.iter().map(|s| s.pages_read).sum(),
-        quarantined_pages: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_dedup_waits: 0,
-        appended_pages_seen: 0,
-        epoch_invalidated_cache_entries: 0,
-    }
+    summary_of(
+        report.completeness,
+        report.skipped_pages.len(),
+        &report.results,
+        report.budget_stop.is_some(),
+        report.shards.iter().map(|s| s.pages_read).sum(),
+    )
 }
 
 /// Merges per-shard degradation scorecards into one, each paired with its
 /// shard's base-cell count for weighting. The merge *conserves* every
-/// count: pages read, skipped, and quarantined (plus the lifecycle
-/// counters) are exact sums over the parts, completeness is the
-/// cell-weighted mean, the widest bound is the max, and `budget_stopped`
-/// is true when any shard stopped early. An empty slice merges to the
-/// pristine summary (completeness 1.0, all counters zero).
+/// count: pages read and skipped (plus the lifecycle counters) are exact
+/// sums over the parts, completeness is the cell-weighted mean, the
+/// widest bound is the max, and `budget_stopped` is true when any shard
+/// stopped early. An empty slice merges to the pristine summary
+/// (completeness 1.0, all counters zero).
 pub fn merge_shard_summaries(parts: &[(DegradationSummary, u64)]) -> DegradationSummary {
     let total_cells: u64 = parts.iter().map(|(_, cells)| cells).sum();
     let mut merged = DegradationSummary {
         completeness: 1.0,
-        skipped_pages: 0,
-        inexact_hits: 0,
-        widest_bound: 0.0,
-        budget_stopped: false,
-        shed_queries: 0,
-        cancelled_queries: 0,
-        hedged_reads: 0,
-        pages_read: 0,
-        quarantined_pages: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_dedup_waits: 0,
-        appended_pages_seen: 0,
-        epoch_invalidated_cache_entries: 0,
+        ..DegradationSummary::default()
     };
     if total_cells == 0 {
         return merged;
@@ -494,12 +416,6 @@ pub fn merge_shard_summaries(parts: &[(DegradationSummary, u64)]) -> Degradation
         merged.cancelled_queries += part.cancelled_queries;
         merged.hedged_reads += part.hedged_reads;
         merged.pages_read += part.pages_read;
-        merged.quarantined_pages += part.quarantined_pages;
-        merged.cache_hits += part.cache_hits;
-        merged.cache_misses += part.cache_misses;
-        merged.cache_dedup_waits += part.cache_dedup_waits;
-        merged.appended_pages_seen += part.appended_pages_seen;
-        merged.epoch_invalidated_cache_entries += part.epoch_invalidated_cache_entries;
     }
     merged.completeness = weighted / total_cells as f64;
     merged
@@ -717,7 +633,7 @@ mod tests {
             (s.shed_queries, s.cancelled_queries, s.hedged_reads),
             (0, 0, 0)
         );
-        assert_eq!((s.pages_read, s.quarantined_pages), (0, 0));
+        assert_eq!(s.pages_read, 0);
 
         // Lifecycle counters fold in without disturbing the run fields.
         let folded = s.with_lifecycle(3, 2, 7);
@@ -726,43 +642,6 @@ mod tests {
         assert_eq!(folded.hedged_reads, 7);
         assert_eq!(folded.completeness, s.completeness);
         assert_eq!(folded.skipped_pages, s.skipped_pages);
-
-        // So do the storage-layer I/O counters.
-        let folded = folded.with_io(41, 3);
-        assert_eq!(folded.pages_read, 41);
-        assert_eq!(folded.quarantined_pages, 3);
-        assert_eq!(folded.shed_queries, 3);
-        assert_eq!(folded.completeness, s.completeness);
-
-        // And the page-cache counters.
-        assert_eq!(
-            (
-                folded.cache_hits,
-                folded.cache_misses,
-                folded.cache_dedup_waits
-            ),
-            (0, 0, 0)
-        );
-        let folded = folded.with_cache(60, 4, 9);
-        assert_eq!(folded.cache_hits, 60);
-        assert_eq!(folded.cache_misses, 4);
-        assert_eq!(folded.cache_dedup_waits, 9);
-        assert_eq!(folded.pages_read, 41);
-        assert_eq!(folded.completeness, s.completeness);
-
-        // And the append-side counters.
-        assert_eq!(
-            (
-                folded.appended_pages_seen,
-                folded.epoch_invalidated_cache_entries
-            ),
-            (0, 0)
-        );
-        let folded = folded.with_append(5, 2);
-        assert_eq!(folded.appended_pages_seen, 5);
-        assert_eq!(folded.epoch_invalidated_cache_entries, 2);
-        assert_eq!(folded.cache_hits, 60);
-        assert_eq!(folded.completeness, s.completeness);
 
         let exact = ResilientTopK {
             results: vec![hit(5.0, 5.0, 5.0, true)],
@@ -779,34 +658,26 @@ mod tests {
 
     #[test]
     fn merged_shard_summaries_conserve_counts_and_weight_completeness() {
-        let part =
-            |completeness: f64, skipped: usize, read: u64, quarantined: u64| DegradationSummary {
-                completeness,
-                skipped_pages: skipped,
-                inexact_hits: skipped,
-                widest_bound: completeness * 2.0,
-                budget_stopped: skipped > 0,
-                shed_queries: 1,
-                cancelled_queries: 2,
-                hedged_reads: 3,
-                pages_read: read,
-                quarantined_pages: quarantined,
-                cache_hits: read * 2,
-                cache_misses: read,
-                cache_dedup_waits: quarantined,
-                appended_pages_seen: read / 2,
-                epoch_invalidated_cache_entries: quarantined * 2,
-            };
+        let part = |completeness: f64, skipped: usize, read: u64| DegradationSummary {
+            completeness,
+            skipped_pages: skipped,
+            inexact_hits: skipped,
+            widest_bound: completeness * 2.0,
+            budget_stopped: skipped > 0,
+            shed_queries: 1,
+            cancelled_queries: 2,
+            hedged_reads: 3,
+            pages_read: read,
+        };
         let parts = [
-            (part(1.0, 0, 10, 0), 100u64),
-            (part(0.5, 4, 6, 2), 100),
-            (part(0.0, 8, 0, 8), 200),
+            (part(1.0, 0, 10), 100u64),
+            (part(0.5, 4, 6), 100),
+            (part(0.0, 8, 0), 200),
         ];
         let merged = merge_shard_summaries(&parts);
         // Counts are conserved exactly across the merge.
         assert_eq!(merged.skipped_pages, 12);
         assert_eq!(merged.pages_read, 16);
-        assert_eq!(merged.quarantined_pages, 10);
         assert_eq!(merged.inexact_hits, 12);
         assert_eq!(
             (
@@ -815,21 +686,6 @@ mod tests {
                 merged.hedged_reads
             ),
             (3, 6, 9)
-        );
-        assert_eq!(
-            (
-                merged.cache_hits,
-                merged.cache_misses,
-                merged.cache_dedup_waits
-            ),
-            (32, 16, 10)
-        );
-        assert_eq!(
-            (
-                merged.appended_pages_seen,
-                merged.epoch_invalidated_cache_entries
-            ),
-            (8, 20)
         );
         // Completeness is the cell-weighted mean: (100 + 50 + 0) / 400.
         assert!((merged.completeness - 0.375).abs() < 1e-12);

@@ -334,10 +334,9 @@ impl<'a> ReplicatedSource<'a> {
     }
 
     /// Cached pages dropped by epoch advances so far, summed across
-    /// replicas. Feeds
-    /// [`DegradationSummary::with_append`](crate::metrics::DegradationSummary::with_append)
-    /// so append churn shows up on the chaos scorecard next to the
-    /// fault-degradation fields.
+    /// replicas'
+    /// [`AccessStats::cache_invalidations`](mbir_archive::stats::AccessStats::cache_invalidations),
+    /// so append churn shows up next to the fault-degradation counters.
     pub fn epoch_invalidated_cache_entries(&self) -> u64 {
         self.replicas
             .iter()
@@ -346,9 +345,8 @@ impl<'a> ReplicatedSource<'a> {
     }
 
     /// Page materializations past the original append high-water mark so
-    /// far, summed across replicas — the other half of the
-    /// [`with_append`](crate::metrics::DegradationSummary::with_append)
-    /// fold.
+    /// far, summed across replicas'
+    /// [`AccessStats::appended_pages_seen`](mbir_archive::stats::AccessStats::appended_pages_seen).
     pub fn appended_pages_seen(&self) -> u64 {
         self.replicas
             .iter()

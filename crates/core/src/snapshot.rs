@@ -1,10 +1,10 @@
 //! Snapshot-isolated live archives: crash-consistent appends published as
 //! immutable epochs.
 //!
-//! [`LiveArchive`] is the query-side face of the append subsystem
-//! ([`mbir_archive::append`]): a multi-attribute grid archive that grows by
-//! journaled, tile-row-aligned appends and publishes every committed state
-//! as an immutable, `Arc`-shared [`EpochSnapshot`]. Queries — sequential,
+//! [`LiveArchive`] is the append path: a multi-attribute grid archive
+//! that grows by journaled ([`mbir_archive::journal`]), tile-row-aligned
+//! appends and publishes every committed state as an immutable,
+//! `Arc`-shared [`EpochSnapshot`]. Queries — sequential,
 //! parallel, batched, or sharded — run against a snapshot and therefore
 //! against exactly one committed prefix, no matter how many appends land
 //! while they execute.
@@ -440,7 +440,9 @@ impl LiveArchive {
 mod tests {
     use super::*;
     use crate::resilient::ExecutionBudget;
+    use mbir_archive::journal::{FRAME_HEADER_LEN, JOURNAL_MAGIC};
     use mbir_models::linear::LinearModel;
+    use proptest::prelude::*;
 
     fn base(attr: u64) -> Grid2<f64> {
         Grid2::from_fn(4, 6, |r, c| (attr * 100) as f64 + (r * 6 + c) as f64)
@@ -498,6 +500,7 @@ mod tests {
             "width mismatch"
         );
         assert_eq!(live.epoch().epoch, 0, "failed appends commit nothing");
+        assert!(live.journal_bytes().is_empty(), "and write nothing");
         assert_eq!(live.snapshot().rows(), 4);
     }
 
@@ -619,6 +622,85 @@ mod tests {
                 live.journal_bytes().len(),
                 "cut {cut}: byte ledger must balance"
             );
+        }
+    }
+
+    #[test]
+    fn recovery_stops_at_non_contiguous_records() {
+        // Splice frame 1 of a journal over an 8-row base after frame 0 of
+        // one over the 4-row base: both frames verify and the sequence
+        // stays dense, but the second band claims row 10 where row 6 is
+        // next.
+        let mut a = LiveArchive::new(vec![base(0)], 2).unwrap();
+        a.append(&[band(0, 0)]).unwrap();
+        let mut b = LiveArchive::new(vec![Grid2::filled(8, 6, 0.0)], 2).unwrap();
+        b.append(&[band(0, 7)]).unwrap();
+        b.append(&[band(0, 8)]).unwrap();
+        let frame0 = a.journal_bytes();
+        let b_bytes = b.journal_bytes();
+        let spliced = [frame0, &b_bytes[b_bytes.len() / 2..]].concat();
+        let (rec, report) = LiveArchive::recover(vec![base(0)], 2, &spliced).unwrap();
+        assert_eq!(report.applied, 1, "only the contiguous prefix replays");
+        assert_eq!(report.truncation, TruncationReason::BadGeometry);
+        assert_eq!(report.committed_bytes, frame0.len());
+        assert_eq!(report.dropped_bytes, spliced.len() - frame0.len());
+        assert_eq!(rec.rows(), 6);
+    }
+
+    /// Journal header values that stress the length and row arithmetic.
+    const EXTREMES: [u64; 5] = [0, 1, 2, u32::MAX as u64, u64::MAX];
+
+    /// Replays `bytes` onto a one-attribute 4x4 archive (tile 2): recovery
+    /// answers instead of panicking, and every byte is either committed or
+    /// dropped.
+    fn check_replay(bytes: &[u8]) {
+        let (_, report) = LiveArchive::recover(vec![Grid2::filled(4, 4, 0.0)], 2, bytes).unwrap();
+        assert_eq!(report.committed_bytes + report.dropped_bytes, bytes.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The three inputs of the journal decoder's own fuzz — garbage, a
+        /// damaged real journal, and a header of extreme geometry padded
+        /// to a complete frame — replayed through the archive.
+        #[test]
+        fn recover_replays_any_bytes_without_panicking(
+            raw in proptest::collection::vec(0u16..256, 0..512),
+            heights in proptest::collection::vec(1usize..3, 1..4),
+            flips in proptest::collection::vec(0usize..1 << 20, 0..6),
+            cut in 0usize..1 << 16,
+            picks in proptest::collection::vec(0usize..5, 3),
+        ) {
+            let raw: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+            check_replay(&raw);
+
+            let mut live = LiveArchive::new(vec![Grid2::filled(4, 4, 0.0)], 2).unwrap();
+            for (i, &h) in heights.iter().enumerate() {
+                live.append(&[Grid2::from_fn(2 * h, 4, |r, c| i as f64 + (r * 4 + c) as f64 * 0.5)])
+                    .unwrap();
+            }
+            let mut damaged = live.journal_bytes().to_vec();
+            for &at in &flips {
+                let len = damaged.len();
+                damaged[at % len] ^= (at >> 12) as u8 | 1;
+            }
+            if cut < 1 << 15 {
+                damaged.truncate(cut % (damaged.len() + 1));
+            }
+            check_replay(&damaged);
+
+            let [row_offset, rows, cols] = [0, 1, 2].map(|i| EXTREMES[picks[i]]);
+            let mut extreme = JOURNAL_MAGIC.to_vec();
+            for v in [0, row_offset, rows, cols] {
+                extreme.extend_from_slice(&v.to_le_bytes());
+            }
+            extreme.extend_from_slice(&raw);
+            let n = rows.saturating_mul(cols);
+            if n <= 64 {
+                extreme.resize(extreme.len().max(FRAME_HEADER_LEN + 8 * n as usize + 8), 0);
+            }
+            check_replay(&extreme);
         }
     }
 

@@ -16,11 +16,11 @@
 //! precision. The run record shows whether the revision loop converges
 //! toward the planted model — the property the workflow exists to deliver.
 
-use crate::engine::{pyramid_top_k, EffortReport};
+use crate::engine::EffortReport;
 use crate::error::CoreError;
 use crate::metrics::precision_recall_at_k;
 use crate::resilient::{resilient_top_k, ExecutionBudget};
-use crate::source::TileSource;
+use crate::source::{CellSource, PyramidSource, TileSource};
 use mbir_archive::extent::CellCoord;
 use mbir_archive::grid::Grid2;
 use mbir_archive::tile::TileStore;
@@ -106,6 +106,11 @@ impl WorkflowRun {
 /// * `occurrences` — the incident reports `O(x,y)` (the inspection oracle).
 /// * `hypothesis` — the starting model (step 1 of Fig. 5).
 ///
+/// This is the Fig. 5 loop over the resident pyramids' base level with an
+/// unlimited budget: nothing can fail a read, so every iteration is
+/// complete and its retrieval is bit-identical to
+/// [`pyramid_top_k`](crate::engine::pyramid_top_k).
+///
 /// # Errors
 ///
 /// Returns [`CoreError::Query`] for misaligned inputs or a degenerate
@@ -118,123 +123,29 @@ pub fn run_workflow(
     hypothesis: LinearModel,
     config: WorkflowConfig,
 ) -> Result<WorkflowRun, CoreError> {
-    if config.k == 0 || config.iterations == 0 {
-        return Err(CoreError::Query(
-            "workflow needs k >= 1 and iterations >= 1".into(),
-        ));
-    }
-    if attributes.is_empty() {
-        return Err(CoreError::Query("no attribute pyramids".into()));
-    }
-    let (rows, cols) = attributes[0].base_shape();
-    if occurrences.rows() != rows || occurrences.cols() != cols {
-        return Err(CoreError::Query("occurrence grid misaligned".into()));
-    }
-    if hypothesis.arity() != attributes.len() {
-        return Err(CoreError::Query(format!(
-            "hypothesis arity {} but {} attribute pyramids",
-            hypothesis.arity(),
-            attributes.len()
-        )));
-    }
-
-    let attribute_vector = |cell: CellCoord| -> Vec<f64> {
-        attributes
-            .iter()
-            .map(|p| {
-                p.cell(0, cell.row, cell.col)
-                    .map(|s| s.mean)
-                    .expect("cell tracked in-bounds")
-            })
-            .collect()
-    };
-
-    // The risk grid under the current model (recomputed per iteration —
-    // exactly the "apply to more data" edge; the engine keeps it cheap).
-    let mut model = hypothesis;
-    let mut labelled: HashSet<CellCoord> = HashSet::new();
-    let mut xs: Vec<Vec<f64>> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    let mut records = Vec::with_capacity(config.iterations);
-    // Deterministic exploration sequence.
-    let mut probe_state = config.seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-    let mut next_probe = move || {
-        probe_state = probe_state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        probe_state
-    };
-
-    for iteration in 0..config.iterations {
-        // Step 3: retrieve top-K under the current model.
-        let retrieved = pyramid_top_k(&model, attributes, config.k)?;
-        // Accuracy of this retrieval against the oracle.
-        let risk = risk_grid(&model, attributes, rows, cols);
-        let pr = precision_recall_at_k(&risk, occurrences, config.k)?;
-        records.push(IterationRecord {
-            iteration,
-            coefficients: model.coefficients().to_vec(),
-            precision: pr.precision,
-            recall: pr.recall,
-            labelled: labelled.len(),
-            completeness: 1.0,
-            skipped_pages: 0,
-            effort: retrieved.effort,
-        });
-
-        // Step 4: inspect retrieved cells (relevance feedback) plus
-        // exploration probes, then refit.
-        for sc in &retrieved.results {
-            if labelled.insert(sc.cell) {
-                xs.push(attribute_vector(sc.cell));
-                ys.push(f64::from(*occurrences.at(sc.cell.row, sc.cell.col)));
-            }
-        }
-        for _ in 0..config.exploration {
-            let cell = CellCoord::new(
-                (next_probe() as usize) % rows,
-                (next_probe() as usize) % cols,
-            );
-            if labelled.insert(cell) {
-                xs.push(attribute_vector(cell));
-                ys.push(f64::from(*occurrences.at(cell.row, cell.col)));
-            }
-        }
-        if xs.len() > model.arity() + 1 {
-            match fit_ols(&xs, &ys) {
-                Ok(fit) => model = fit.model,
-                // Collinear feedback (correlated bands, clustered cells):
-                // fall back to a lightly regularized ridge refit; if even
-                // that degenerates, keep the current model and keep
-                // collecting.
-                Err(mbir_models::error::ModelError::Singular) => {
-                    if let Ok(fit) = fit_ridge(&xs, &ys, 1e-6) {
-                        model = fit.model;
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-    Ok(WorkflowRun {
-        iterations: records,
-        final_model: model,
-    })
+    let source = PyramidSource::new(attributes);
+    fig5_loop(
+        attributes,
+        &source,
+        occurrences,
+        hypothesis,
+        config,
+        &ExecutionBudget::unlimited(),
+    )
 }
 
 /// Runs the Fig. 5 workflow against a *paged* archive, degrading
 /// gracefully instead of aborting when pages are lost or a budget runs
 /// out.
 ///
-/// The strict [`run_workflow`] reads base data straight from the resident
-/// pyramids and fails the whole run on the first archive error. This
-/// variant retrieves through [`resilient_top_k`] over per-attribute
-/// [`TileStore`]s: each iteration records its retrieval
-/// [`completeness`](IterationRecord::completeness) and how many pages it
-/// had to skip, only *exactly* evaluated hits are inspected (degraded
-/// estimates are never fed to calibration as ground truth), and cells
-/// whose attribute reads fail during inspection are skipped rather than
-/// fatal. The loop keeps revising on whatever feedback it could gather.
+/// This is the same loop as [`run_workflow`], read through a
+/// [`TileSource`] over per-attribute [`TileStore`]s: each iteration
+/// records its retrieval [`completeness`](IterationRecord::completeness)
+/// and how many pages it had to skip, only *exactly* evaluated hits are
+/// inspected (degraded estimates are never fed to calibration as ground
+/// truth), and cells whose attribute reads fail during inspection are
+/// skipped rather than fatal. The loop keeps revising on whatever
+/// feedback it could gather.
 ///
 /// `budget` applies per retrieval (per iteration), not to the whole run.
 ///
@@ -251,14 +162,6 @@ pub fn run_workflow_resilient(
     config: WorkflowConfig,
     budget: &ExecutionBudget,
 ) -> Result<WorkflowRun, CoreError> {
-    if config.k == 0 || config.iterations == 0 {
-        return Err(CoreError::Query(
-            "workflow needs k >= 1 and iterations >= 1".into(),
-        ));
-    }
-    if attributes.is_empty() {
-        return Err(CoreError::Query("no attribute pyramids".into()));
-    }
     if stores.len() != attributes.len() {
         return Err(CoreError::Query(format!(
             "{} tile stores but {} attribute pyramids",
@@ -267,12 +170,35 @@ pub fn run_workflow_resilient(
         )));
     }
     let source = TileSource::new(stores)?;
-    let (rows, cols) = attributes[0].base_shape();
-    if stores[0].rows() != rows || stores[0].cols() != cols {
+    if (stores[0].rows(), stores[0].cols()) != attributes[0].base_shape() {
         return Err(CoreError::Query(
             "tile stores misaligned with pyramids".into(),
         ));
     }
+    fig5_loop(attributes, &source, occurrences, hypothesis, config, budget)
+}
+
+/// The Fig. 5 loop, written once: retrieve with [`resilient_top_k`]
+/// through `source`, inspect the exactly evaluated hits and the
+/// exploration probes through `source` (a cell whose read fails is
+/// skipped), refit, repeat.
+fn fig5_loop<S: CellSource>(
+    attributes: &[AggregatePyramid],
+    source: &S,
+    occurrences: &Grid2<u32>,
+    hypothesis: LinearModel,
+    config: WorkflowConfig,
+    budget: &ExecutionBudget,
+) -> Result<WorkflowRun, CoreError> {
+    if config.k == 0 || config.iterations == 0 {
+        return Err(CoreError::Query(
+            "workflow needs k >= 1 and iterations >= 1".into(),
+        ));
+    }
+    if attributes.is_empty() {
+        return Err(CoreError::Query("no attribute pyramids".into()));
+    }
+    let (rows, cols) = attributes[0].base_shape();
     if occurrences.rows() != rows || occurrences.cols() != cols {
         return Err(CoreError::Query("occurrence grid misaligned".into()));
     }
@@ -284,12 +210,11 @@ pub fn run_workflow_resilient(
         )));
     }
 
-    // Inspection reads go through the paged archive too; a cell whose
-    // attribute vector cannot be read is skipped, not fatal.
+    // Inspection reads go through the source too; a cell whose attribute
+    // vector cannot be read is skipped, not fatal.
     let attribute_vector = |cell: CellCoord| -> Option<Vec<f64>> {
-        stores
-            .iter()
-            .map(|s| s.read(cell.row, cell.col).ok())
+        (0..attributes.len())
+            .map(|attr| source.base_cell(attr, cell.row, cell.col).ok())
             .collect()
     };
 
@@ -298,6 +223,7 @@ pub fn run_workflow_resilient(
     let mut xs: Vec<Vec<f64>> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
     let mut records = Vec::with_capacity(config.iterations);
+    // Deterministic exploration sequence.
     let mut probe_state = config.seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
     let mut next_probe = move || {
         probe_state = probe_state
@@ -307,9 +233,11 @@ pub fn run_workflow_resilient(
     };
 
     for iteration in 0..config.iterations {
-        // Step 3, under faults: best-effort top-K with explicit
+        // Step 3: retrieve top-K under the current model, with explicit
         // degradation instead of an aborted run.
-        let retrieved = resilient_top_k(&model, attributes, config.k, &source, budget)?;
+        let retrieved = resilient_top_k(&model, attributes, config.k, source, budget)?;
+        // Accuracy of this retrieval against the oracle (the risk grid is
+        // recomputed per iteration — the "apply to more data" edge).
         let risk = risk_grid(&model, attributes, rows, cols);
         let pr = precision_recall_at_k(&risk, occurrences, config.k)?;
         records.push(IterationRecord {
@@ -323,23 +251,17 @@ pub fn run_workflow_resilient(
             effort: retrieved.effort,
         });
 
-        // Step 4: inspect only exactly evaluated hits — degraded
-        // estimates are not ground truth and must not calibrate the model.
-        for sc in retrieved.exact_cells() {
-            if labelled.contains(&sc.cell) {
-                continue;
-            }
-            if let Some(x) = attribute_vector(sc.cell) {
-                labelled.insert(sc.cell);
-                xs.push(x);
-                ys.push(f64::from(*occurrences.at(sc.cell.row, sc.cell.col)));
-            }
-        }
-        for _ in 0..config.exploration {
-            let cell = CellCoord::new(
+        // Step 4: inspect exactly evaluated hits (degraded estimates are
+        // not ground truth and must not calibrate the model) plus
+        // exploration probes, then refit.
+        let probes = (0..config.exploration).map(|_| {
+            CellCoord::new(
                 (next_probe() as usize) % rows,
                 (next_probe() as usize) % cols,
-            );
+            )
+        });
+        let inspected = retrieved.exact_cells().into_iter().map(|sc| sc.cell);
+        for cell in inspected.chain(probes) {
             if labelled.contains(&cell) {
                 continue;
             }
@@ -352,6 +274,10 @@ pub fn run_workflow_resilient(
         if xs.len() > model.arity() + 1 {
             match fit_ols(&xs, &ys) {
                 Ok(fit) => model = fit.model,
+                // Collinear feedback (correlated bands, clustered cells):
+                // fall back to a lightly regularized ridge refit; if even
+                // that degenerates, keep the current model and keep
+                // collecting.
                 Err(mbir_models::error::ModelError::Singular) => {
                     if let Ok(fit) = fit_ridge(&xs, &ys, 1e-6) {
                         model = fit.model;
@@ -386,6 +312,7 @@ fn risk_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::pyramid_top_k;
     use mbir_archive::fault::FaultProfile;
     use mbir_archive::synth::{GaussianField, OccurrenceSampler};
 

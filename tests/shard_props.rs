@@ -356,7 +356,7 @@ proptest! {
     }
 
     /// Merging per-shard degradation summaries conserves every count:
-    /// pages read + skipped + quarantined is invariant under the merge,
+    /// pages read + skipped is invariant under the merge,
     /// lifecycle tallies sum, and completeness is the cell-weighted mean.
     #[test]
     fn prop_merged_shard_summaries_conserve_counts(
@@ -381,12 +381,6 @@ proptest! {
                         cancelled_queries: draw(s * 13 + 7, 20),
                         hedged_reads: draw(s * 13 + 8, 20),
                         pages_read: draw(s * 13 + 9, 200),
-                        quarantined_pages: draw(s * 13 + 10, 20),
-                        cache_hits: draw(s * 13 + 12, 100),
-                        cache_misses: draw(s * 13 + 13, 100),
-                        cache_dedup_waits: draw(s * 13 + 14, 20),
-                        appended_pages_seen: draw(s * 13 + 15, 30),
-                        epoch_invalidated_cache_entries: draw(s * 13 + 16, 30),
                     },
                     1 + draw(s * 13 + 11, 499),
                 )
@@ -395,7 +389,7 @@ proptest! {
         let merged = merge_shard_summaries(&parts);
 
         // The page ledger is conserved exactly — in total and per column.
-        let ledger = |s: &DegradationSummary| s.pages_read + s.skipped_pages as u64 + s.quarantined_pages;
+        let ledger = |s: &DegradationSummary| s.pages_read + s.skipped_pages as u64;
         prop_assert_eq!(
             ledger(&merged),
             parts.iter().map(|(s, _)| ledger(s)).sum::<u64>()
@@ -405,10 +399,6 @@ proptest! {
             merged.skipped_pages,
             parts.iter().map(|(s, _)| s.skipped_pages).sum::<usize>()
         );
-        prop_assert_eq!(
-            merged.quarantined_pages,
-            parts.iter().map(|(s, _)| s.quarantined_pages).sum::<u64>()
-        );
         prop_assert_eq!(merged.inexact_hits, parts.iter().map(|(s, _)| s.inexact_hits).sum::<usize>());
         prop_assert_eq!(merged.shed_queries, parts.iter().map(|(s, _)| s.shed_queries).sum::<u64>());
         prop_assert_eq!(
@@ -416,20 +406,6 @@ proptest! {
             parts.iter().map(|(s, _)| s.cancelled_queries).sum::<u64>()
         );
         prop_assert_eq!(merged.hedged_reads, parts.iter().map(|(s, _)| s.hedged_reads).sum::<u64>());
-        prop_assert_eq!(merged.cache_hits, parts.iter().map(|(s, _)| s.cache_hits).sum::<u64>());
-        prop_assert_eq!(merged.cache_misses, parts.iter().map(|(s, _)| s.cache_misses).sum::<u64>());
-        prop_assert_eq!(
-            merged.cache_dedup_waits,
-            parts.iter().map(|(s, _)| s.cache_dedup_waits).sum::<u64>()
-        );
-        prop_assert_eq!(
-            merged.appended_pages_seen,
-            parts.iter().map(|(s, _)| s.appended_pages_seen).sum::<u64>()
-        );
-        prop_assert_eq!(
-            merged.epoch_invalidated_cache_entries,
-            parts.iter().map(|(s, _)| s.epoch_invalidated_cache_entries).sum::<u64>()
-        );
         prop_assert_eq!(merged.budget_stopped, parts.iter().any(|(s, _)| s.budget_stopped));
         let widest = parts.iter().map(|(s, _)| s.widest_bound).fold(0.0f64, f64::max);
         prop_assert_eq!(merged.widest_bound, widest);
@@ -475,12 +451,6 @@ proptest! {
                 cancelled_queries: draw(7, 20),
                 hedged_reads: draw(8, 20),
                 pages_read: draw(9, 200),
-                quarantined_pages: draw(10, 20),
-                cache_hits: draw(12, 100),
-                cache_misses: draw(13, 100),
-                cache_dedup_waits: draw(14, 20),
-                appended_pages_seen: draw(15, 30),
-                epoch_invalidated_cache_entries: draw(16, 30),
             },
             1 + draw(11, 499),
         );
@@ -504,12 +474,6 @@ proptest! {
                         cancelled_queries: 0,
                         hedged_reads: 0,
                         pages_read: 0,
-                        quarantined_pages: draw(i as u64 * 17 + 16, 5),
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        cache_dedup_waits: 0,
-                        appended_pages_seen: 0,
-                        epoch_invalidated_cache_entries: 0,
                     },
                     1 + draw(i as u64 * 17 + 18, 499),
                 )
