@@ -1,19 +1,25 @@
 //! Criterion benches for the parallel execution layer: the partitioned
-//! pyramid engine and the partitioned staged scan, each against its
-//! sequential engine across thread counts (the batched engine has its own
-//! `batch` bench). EXPERIMENTS.md R2 quotes these groups; every parallel
-//! answer is asserted bit-identical to the sequential one in
+//! pyramid descent (`par_resilient_top_k` over the pyramids' own level 0
+//! with an unlimited budget) and the partitioned staged scan, each against
+//! its sequential engine across thread counts (the batched engine has its
+//! own `batch` bench). EXPERIMENTS.md R2 quotes these groups; every
+//! parallel answer is asserted bit-identical to the sequential one in
 //! `tests/parallel_props.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mbir_bench::parallel_world;
 use mbir_core::engine::{pyramid_top_k, staged_top_k};
-use mbir_core::parallel::{par_pyramid_top_k, par_staged_top_k, WorkerPool};
+use mbir_core::parallel::{par_resilient_top_k, par_staged_top_k, WorkerPool};
+use mbir_core::resilient::ExecutionBudget;
+use mbir_core::source::PyramidSource;
 use mbir_models::linear::ProgressiveLinearModel;
 
+/// The group keeps its `par_pyramid_top_k` id, so R2 stays comparable.
 fn bench_par_pyramid(c: &mut Criterion) {
     let (pyramids, model, _, _) = parallel_world(29, 128, 4, 16);
     let k = 10;
+    let source = PyramidSource::new(&pyramids);
+    let unlimited = ExecutionBudget::unlimited();
     let mut group = c.benchmark_group("par_pyramid_top_k");
     group.bench_function("sequential", |b| {
         b.iter(|| pyramid_top_k(&model, &pyramids, k).expect("valid inputs"))
@@ -21,7 +27,9 @@ fn bench_par_pyramid(c: &mut Criterion) {
     for threads in [1usize, 2, 4] {
         let pool = WorkerPool::new(threads);
         group.bench_with_input(BenchmarkId::new("threads", threads), &pool, |b, pool| {
-            b.iter(|| par_pyramid_top_k(&model, &pyramids, k, pool).expect("valid"))
+            b.iter(|| {
+                par_resilient_top_k(&model, &pyramids, k, &source, &unlimited, pool).expect("valid")
+            })
         });
     }
     group.finish();

@@ -9,7 +9,7 @@ use mbir_bench::{
     classification_world, hps_world, onion_workload, sproc_workload, texture_world,
     wide_model_world,
 };
-use mbir_core::engine::{combined_top_k, naive_grid_top_k, pyramid_top_k, staged_top_k};
+use mbir_core::engine::{combined_top_k, naive_grid_top_k, pyramid_top_k, staged_top_k, GridTopK};
 use mbir_core::metrics::{precision_recall_at_k, threshold_sweep};
 use mbir_core::workflow::{run_workflow, WorkflowConfig};
 use mbir_index::onion::OnionIndex;
@@ -256,9 +256,10 @@ pub fn e6_combined_speedup() {
         let data_only = pyramid_top_k(&model, &pyramids, k).expect("valid inputs");
         let both = combined_top_k(&progressive, &pyramids, k).expect("valid inputs");
         // All exact.
-        for (a, b) in both.results.iter().zip(&naive.results) {
-            assert!((a.score - b.score).abs() < 1e-9);
-        }
+        let staged = model_only.results.iter().map(|i| i.score);
+        assert_exact("E6 model-only", staged, &naive);
+        assert_exact("E6 data-only", grid_scores(&data_only), &naive);
+        assert_exact("E6 combined", grid_scores(&both), &naive);
         println!(
             "| {rows}x{rows} | {arity} | {} | {} ({:.1}x) | {} ({:.1}x) | {} | {:.1}x |",
             naive.effort.naive_multiply_adds,
@@ -271,6 +272,22 @@ pub fn e6_combined_speedup() {
         );
     }
     println!("\npaper: total complexity O(nN) -> O(nN/(p_m p_d)).");
+}
+
+fn grid_scores(r: &GridTopK) -> impl Iterator<Item = f64> + '_ {
+    r.results.iter().map(|c| c.score)
+}
+
+/// Asserts an engine's top-K scores equal the naive scan's, to the
+/// rounding of a different summation order.
+fn assert_exact(engine: &str, got: impl Iterator<Item = f64>, naive: &GridTopK) {
+    let got: Vec<f64> = got.collect();
+    let same = got.len() == naive.results.len()
+        && got
+            .iter()
+            .zip(grid_scores(naive))
+            .all(|(a, b)| (a - b).abs() < 1e-9);
+    assert!(same, "{engine} is not the naive top-K: {got:?}");
 }
 
 /// E7 — R*-tree is sub-optimal for model queries (§3.2).
@@ -486,6 +503,8 @@ pub fn a2_coherence_ablation() {
         let pyramids: Vec<AggregatePyramid> = grids.iter().map(AggregatePyramid::build).collect();
         let model = LinearModel::new(vec![1.0, 0.6, 0.3], 0.0).expect("valid");
         let fast = pyramid_top_k(&model, &pyramids, 10).expect("valid inputs");
+        let naive = naive_grid_top_k(&model, &pyramids, 10).expect("valid inputs");
+        assert_exact("A2 data-only", grid_scores(&fast), &naive);
         println!(
             "| {roughness:.1} | {autocorr:.3} | {:.1}x |",
             fast.effort.speedup()

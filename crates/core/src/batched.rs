@@ -777,7 +777,6 @@ impl Fetch<LinearModel> for Memo {
         &mut self,
         source: &S,
         at: (usize, usize),
-        park: bool,
         arity: usize,
     ) -> Result<Cell<'_>, CoreError> {
         self.tally.cell_requests += 1;
@@ -794,7 +793,7 @@ impl Fetch<LinearModel> for Memo {
                 None => {}
             }
         }
-        let slot = match read_cell(source, at, park, &mut self.x, arity)? {
+        let slot = match read_cell(source, at, &mut self.x, arity)? {
             None => {
                 self.tally.cells_fetched += 1;
                 CellSlot::Loaded(self.cell_arena.len())

@@ -1,19 +1,19 @@
 //! The one execution core of the grid engines (DESIGN.md, *One execution
 //! core*).
 //!
-//! Every grid engine in this crate — strict, resilient, parallel, batched,
-//! sharded — is the paper's §4.2 best-first descent: pop the region with
-//! the best upper bound, prove it irrelevant against a floor or refine it,
-//! evaluate exactly at base resolution. This module owns that loop once:
+//! Every grid engine in this crate — solo, parallel, batched, sharded — is
+//! the paper's §4.2 best-first descent: pop the region with the best upper
+//! bound, prove it irrelevant against a floor or refine it, evaluate
+//! exactly at base resolution. This module owns that loop once:
 //!
 //! * [`step`] — one pop: prune against the floor, cooperative checkpoint,
 //!   level-0 read-or-park, otherwise [`expand`] (one block bound of the
 //!   children, push).
 //!   Monomorphised over the axes on which the engines differ: where the
-//!   floor comes from ([`Floor`]), what stops a run and
-//!   what a lost page does ([`Pressure`]), how a model bounds and scores
-//!   ([`Scorer`]), and whether physical reads are shared across queries
-//!   ([`Fetch`]).
+//!   floor comes from ([`Floor`]), what stops a run ([`Pressure`]), how a
+//!   model bounds and scores ([`Scorer`]), and whether physical reads are
+//!   shared across queries ([`Fetch`]). A lost page always parks its cell:
+//!   the strict engines run over a source that cannot lose one.
 //! * two schedulers over the step — [`drain`], the plain
 //!   `while let Some(r) = frontier.pop()` loop of one lane, and
 //!   [`interleave`], which advances one [`Lane`] per (query, band) over
@@ -90,34 +90,13 @@ impl<'a> Clock<'a> {
     }
 }
 
-/// What can end a descent early and what a lost page does to it.
+/// What can end a descent early.
 pub(crate) trait Pressure {
-    /// Whether a base read lost to a page fault parks the cell (`true`)
-    /// or aborts the query with the source's error (`false`).
-    const PARK: bool;
-
     /// Adds to the multiply-adds the budget sees (once per pop).
     fn charge(&mut self, multiply_adds: u64);
 
     /// The per-pop cooperative checkpoint.
     fn stop<S: CellSource>(&mut self, source: &S) -> Option<BudgetStop>;
-}
-
-/// The zero-fault, infinite-budget configuration: nothing stops the run,
-/// and a failed read aborts it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Strict;
-
-impl Pressure for Strict {
-    const PARK: bool = false;
-
-    #[inline]
-    fn charge(&mut self, _multiply_adds: u64) {}
-
-    #[inline]
-    fn stop<S: CellSource>(&mut self, _source: &S) -> Option<BudgetStop> {
-        None
-    }
 }
 
 /// Resilient execution on one thread: the budget sees this run's own
@@ -135,8 +114,6 @@ impl<'a> Budgeted<'a> {
 }
 
 impl Pressure for Budgeted<'_> {
-    const PARK: bool = true;
-
     #[inline]
     fn charge(&mut self, multiply_adds: u64) {
         self.spent += multiply_adds;
@@ -204,11 +181,13 @@ impl<'a> Pooled<'a> {
 }
 
 impl Pressure for Pooled<'_> {
-    const PARK: bool = true;
-
+    /// Only a multiply-add cap reads the shared count: without one, no
+    /// worker pays the atomic add.
     #[inline]
     fn charge(&mut self, multiply_adds: u64) {
-        self.meter.spent.fetch_add(multiply_adds, Ordering::Relaxed);
+        if self.clock.opts.budget.max_multiply_adds.is_some() {
+            self.meter.spent.fetch_add(multiply_adds, Ordering::Relaxed);
+        }
     }
 
     #[inline]
@@ -468,16 +447,14 @@ pub(crate) enum Cell<'a> {
     Lost(usize),
 }
 
-/// Reads one base cell's attribute vector into `x`. With `park`, a read
-/// lost to a page fault — [`ArchiveError::PageIo`], `PageQuarantined`, or
-/// `PageCorrupt` (detected silent corruption) — returns the failing page
-/// instead of the error; every other error, and every error without
-/// `park`, propagates.
+/// Reads one base cell's attribute vector into `x`. A read lost to a page
+/// fault — [`ArchiveError::PageIo`], `PageQuarantined`, or `PageCorrupt`
+/// (detected silent corruption) — returns the failing page instead of the
+/// error, so the descent parks the cell; every other error propagates.
 #[inline]
 pub(crate) fn read_cell<S: CellSource>(
     source: &S,
     (row, col): (usize, usize),
-    park: bool,
     x: &mut Vec<f64>,
     arity: usize,
 ) -> Result<Option<usize>, CoreError> {
@@ -487,7 +464,7 @@ pub(crate) fn read_cell<S: CellSource>(
             ArchiveError::PageIo { page }
             | ArchiveError::PageQuarantined { page }
             | ArchiveError::PageCorrupt { page },
-        )) if park => Ok(Some(source.page_of(row, col).unwrap_or(page))),
+        )) => Ok(Some(source.page_of(row, col).unwrap_or(page))),
         Err(e) => Err(e),
     }
 }
@@ -518,12 +495,11 @@ pub(crate) trait Fetch<M> {
     ) -> Result<(usize, u64), CoreError>;
 
     /// The attribute vector of base cell `at`, or the page it was lost on
-    /// (see [`read_cell`] for `park`).
+    /// (see [`read_cell`]).
     fn cell<S: CellSource>(
         &mut self,
         source: &S,
         at: (usize, usize),
-        park: bool,
         arity: usize,
     ) -> Result<Cell<'_>, CoreError>;
 
@@ -563,10 +539,9 @@ impl<M, T: Fetch<M>> Fetch<M> for &mut T {
         &mut self,
         source: &S,
         at: (usize, usize),
-        park: bool,
         arity: usize,
     ) -> Result<Cell<'_>, CoreError> {
-        (**self).cell(source, at, park, arity)
+        (**self).cell(source, at, arity)
     }
 
     #[inline]
@@ -609,10 +584,9 @@ impl<M: Scorer> Fetch<M> for Direct<'_> {
         &mut self,
         source: &S,
         at: (usize, usize),
-        park: bool,
         arity: usize,
     ) -> Result<Cell<'_>, CoreError> {
-        Ok(match read_cell(source, at, park, self.x, arity)? {
+        Ok(match read_cell(source, at, self.x, arity)? {
             None => Cell::Loaded(self.x),
             Some(page) => Cell::Lost(page),
         })
@@ -812,7 +786,7 @@ where
         return Ok(Step::Advanced);
     }
     let arity = lane.model.arity();
-    match env.fetch.cell(env.source, (row, col), P::PARK, arity)? {
+    match env.fetch.cell(env.source, (row, col), arity)? {
         Cell::Loaded(x) => {
             let spent = arity as u64;
             lane.out.effort.multiply_adds += spent;
@@ -1267,13 +1241,13 @@ mod tests {
     use super::*;
     use crate::batched::{batched_top_k, BatchedTopK};
     use crate::engine::{pyramid_top_k, GridTopK};
-    use crate::parallel::{par_batched_top_k, par_pyramid_top_k, par_resilient_top_k, WorkerPool};
+    use crate::parallel::{par_batched_top_k, par_resilient_top_k, WorkerPool};
     use crate::resilient::{resilient_top_k, ExecutionBudget};
     use crate::shard::{
         batched_scatter_gather_top_k, scatter_gather_top_k, scatter_gather_top_k_dual,
         ArchiveShard, ScatterPolicy, ShardedArchive, ShardedTopK,
     };
-    use crate::source::TileSource;
+    use crate::source::{PyramidSource, TileSource};
     use mbir_archive::grid::Grid2;
     use mbir_archive::tile::TileStore;
 
@@ -1335,9 +1309,10 @@ mod tests {
 
     /// "Solo is a batch of one, unsharded is one shard, healthy is zero
     /// faults, an option is a value" as an executable: every surviving
-    /// resilient entry point (`par_*` at 1 / 2 / 4 threads, batches of one,
-    /// one shard, dual-read with no groups), with and without a live token,
-    /// returns bit-identical hits over one healthy world, and —
+    /// resilient entry point (`par_*` at 1 / 2 / 4 threads, also over a
+    /// `PyramidSource`, batches of one, one shard, dual-read with no
+    /// groups), with and without a live token, and the strict
+    /// `pyramid_top_k` return bit-identical hits over one healthy world, and —
     /// wherever the run is single-threaded — the identical `EffortReport`;
     /// a token cancelled before the call gives every one of them the same
     /// degraded answer.
@@ -1357,6 +1332,7 @@ mod tests {
             .map(|g| TileStore::new(g.clone(), 8).unwrap())
             .collect();
         let src = TileSource::new(&stores).unwrap();
+        let pyramid_source = PyramidSource::new(&pyramids);
         let model = LinearModel::new(vec![1.0, 0.7, -0.4], 0.25).unwrap();
         let models = std::slice::from_ref(&model);
         let budget = ExecutionBudget::unlimited();
@@ -1365,7 +1341,7 @@ mod tests {
         let no_migration: (&[ArchiveShard<'_, TileSource<'_>>], &[_]) = (&[], &[]);
         let p = &pyramids[..];
 
-        // The seven resilient entry points under one point of the option
+        // The eight resilient entry points under one point of the option
         // space.
         let entry_points = |token: Option<&CancelToken>, pool: &WorkerPool| {
             let mut opts = ExecOptions::from(&budget);
@@ -1384,6 +1360,12 @@ mod tests {
                 (
                     "par_resilient",
                     par_resilient_top_k(&model, p, k, &src, opts, pool)
+                        .unwrap()
+                        .into(),
+                ),
+                (
+                    "par_resilient over the pyramids (the parallel pyramid_top_k)",
+                    par_resilient_top_k(&model, p, k, &pyramid_source, opts, pool)
                         .unwrap()
                         .into(),
                 ),
@@ -1438,12 +1420,6 @@ mod tests {
         let mut degraded: Option<Run> = None;
         for threads in [1usize, 2, 4] {
             let pool = WorkerPool::new(threads);
-            let got = strict(par_pyramid_top_k(&model, p, k, &pool).unwrap());
-            assert_eq!(got.0, want.0, "par_pyramid at {threads} threads");
-            if threads == 1 {
-                assert_eq!(got.1, want.1, "par_pyramid at {threads} threads");
-            }
-
             for token in [None, Some(&live)] {
                 for (name, run) in entry_points(token, &pool) {
                     let at = format!("{name} at {threads} threads, token {}", token.is_some());

@@ -17,18 +17,17 @@
 //! Every engine returns exactly the scores a naive full scan returns
 //! (property-tested); only the work differs.
 
-use crate::descent::{
-    children_upper, drain, region_upper, seed_root, Direct, Env, Lane, Local, Scorer, Strict,
-};
+use crate::descent::{children_upper, region_upper, Scorer};
 use crate::error::CoreError;
+use crate::parallel::{par_staged_top_k, WorkerPool};
 use crate::query::{Objective, TopKQuery};
+use crate::resilient::{solo_top_k, ExecutionBudget};
 use crate::source::{CellSource, PyramidSource};
 use mbir_archive::extent::CellCoord;
 use mbir_index::scan::TopKHeap;
 use mbir_index::stats::ScoredItem;
 use mbir_models::linear::{LinearModel, ProgressiveLinearModel};
 use mbir_progressive::pyramid::AggregatePyramid;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Work accounting in model multiply-adds.
@@ -135,7 +134,8 @@ pub struct TupleTopK {
 /// Terms are added one stage at a time in contribution order; after each
 /// stage, candidates whose upper bound is below the K-th best lower bound
 /// are dropped. Each stage costs one multiply-add per surviving candidate,
-/// so the total is `Σ_s alive(s)` against the naive `n·N`.
+/// so the total is `Σ_s alive(s)` against the naive `n·N`. This is
+/// [`par_staged_top_k`] over a pool of one: one chunk, every tuple.
 ///
 /// # Errors
 ///
@@ -146,65 +146,7 @@ pub fn staged_top_k(
     tuples: &[Vec<f64>],
     k: usize,
 ) -> Result<TupleTopK, CoreError> {
-    validate_tuples(model, tuples, k)?;
-    let n_terms = model.stages();
-    let order = model.term_order();
-    let coeffs = model.model().coefficients();
-    let ranges = model.ranges();
-
-    // Incremental partial sums: one multiply-add per stage per candidate.
-    let mut alive: Vec<usize> = (0..tuples.len()).collect();
-    let mut partial = vec![model.model().intercept(); tuples.len()];
-    // Reused across stages so each pruning pass allocates nothing.
-    let mut lows: Vec<f64> = Vec::new();
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: (n_terms * tuples.len()) as u64,
-    };
-    for stage in 1..=n_terms {
-        let term = order[stage - 1];
-        let (rlo, rhi) = ranges[term];
-        for &idx in &alive {
-            partial[idx] += coeffs[term] * tuples[idx][term].clamp(rlo, rhi);
-            effort.multiply_adds += 1;
-        }
-        if stage == n_terms {
-            break;
-        }
-        // Interval for candidate idx: partial + suffix_mid ± residual —
-        // reconstructed via the model's stage bound helpers through one
-        // representative evaluation (cheap: residual and suffix midpoint
-        // are stage constants).
-        let probe = model.evaluate_stage(&tuples[alive[0]], stage);
-        let center_offset = probe.lo + probe.hi;
-        let probe_partial = partial[alive[0]];
-        let suffix_mid = center_offset / 2.0 - probe_partial;
-        let half_width = (probe.hi - probe.lo) / 2.0;
-
-        // K-th largest lower bound among the alive.
-        lows.clear();
-        lows.extend(
-            alive
-                .iter()
-                .map(|&idx| partial[idx] + suffix_mid - half_width),
-        );
-        if lows.len() > k {
-            lows.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
-            let floor = lows[k - 1];
-            alive.retain(|&idx| partial[idx] + suffix_mid + half_width >= floor);
-        }
-    }
-    let mut heap = TopKHeap::new(k);
-    for &idx in &alive {
-        heap.offer(ScoredItem {
-            index: idx,
-            score: partial[idx],
-        });
-    }
-    Ok(TupleTopK {
-        results: heap.into_sorted(),
-        effort,
-    })
+    par_staged_top_k(model, tuples, k, &WorkerPool::new(1))
 }
 
 /// The tuple engines' shared input check: `k >= 1`, at least one tuple,
@@ -259,10 +201,10 @@ pub(crate) fn pack_coords((level, row, col): (usize, usize, usize)) -> u64 {
 /// 2 GB a row of one attribute: a guard, not a working limit).
 ///
 /// Reached through [`validate_grid_inputs`] by every grid entry point
-/// before its first region exists: `pyramid_top_k` (and `grid_query`
-/// through it), `combined_top_k`, `naive_grid_top_k`, `resilient_top_k`,
-/// `batched_top_k`, the three `par_*` grid engines, and the
-/// `scatter_gather_*` engines once per shard.
+/// before its first region exists: `resilient_top_k` (and through it
+/// `pyramid_top_k`, `grid_query` and `combined_top_k`),
+/// `naive_grid_top_k`, `batched_top_k`, the two `par_*` grid engines, and
+/// the `scatter_gather_*` engines once per shard.
 fn check_grid_fits_key(rows: usize, cols: usize, levels: usize) -> Result<(), CoreError> {
     if rows.max(cols) > 1 << COORD_BITS || levels > 1 << LEVEL_BITS {
         return Err(CoreError::Query(format!(
@@ -332,6 +274,10 @@ impl Region {
 /// Progressive-data engine (the `p_d` engine): best-first quad-descent over
 /// per-attribute aggregate pyramids with full-model box bounds.
 ///
+/// This is [`resilient_top_k`](crate::resilient::resilient_top_k) over the
+/// pyramids' own level 0 ([`PyramidSource`]) with an unlimited budget, so
+/// every cell is certified exact.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::Query`] for `k == 0`, empty/misaligned pyramids, or
@@ -341,46 +287,24 @@ pub fn pyramid_top_k(
     pyramids: &[AggregatePyramid],
     k: usize,
 ) -> Result<GridTopK, CoreError> {
-    validate_grid_inputs(model, pyramids, k)?;
-    strict_descent(model, pyramids, k)
+    zero_pressure(model, model, pyramids, k)
 }
 
-/// The strict configuration of the execution core ([`crate::descent`]):
-/// base cells read from the pyramids' level 0, local floor, no stop, and
-/// a failed read aborts with the source's error.
-fn strict_descent<M: Scorer>(
-    model: &M,
+/// The strict configuration of the execution core: the solo descent with
+/// `scorer` over a source that cannot lose a page and a budget that never
+/// stops, so the answer is the exact top-K.
+fn zero_pressure<M: Scorer>(
+    scorer: &M,
+    model: &LinearModel,
     pyramids: &[AggregatePyramid],
     k: usize,
 ) -> Result<GridTopK, CoreError> {
-    let (rows, cols) = pyramids[0].base_shape();
     let source = PyramidSource::new(pyramids);
-    let mut x = Vec::new();
-    let mut frontier = BinaryHeap::new();
-    let mut env = Env {
-        pyramids,
-        source: &source,
-        cols,
-        row_offset: 0,
-        fetch: Direct { x: &mut x },
-        pressure: Strict,
-    };
-    let naive = (model.arity() * rows * cols) as u64;
-    let mut lane = Lane::new(0, model, &mut frontier, k, naive);
-    seed_root(&mut env, &mut lane)?;
-    drain(&mut env, &mut Local, &mut lane)?;
-    let out = lane.finish();
-    let results = out
-        .items
-        .into_iter()
-        .map(|item| ScoredCell {
-            cell: CellCoord::new(item.index / cols, item.index % cols),
-            score: item.score,
-        })
-        .collect();
+    let budget = ExecutionBudget::unlimited();
+    let r = solo_top_k(scorer, model, pyramids, k, &source, (&budget).into())?;
     Ok(GridTopK {
-        results,
-        effort: out.effort,
+        results: r.exact_cells(),
+        effort: r.effort,
     })
 }
 
@@ -417,8 +341,9 @@ pub fn combined_top_k(
     pyramids: &[AggregatePyramid],
     k: usize,
 ) -> Result<GridTopK, CoreError> {
-    let (_, levels) = validate_grid_inputs(model.model(), pyramids, k)?;
-    strict_descent(&Truncated { model, levels }, pyramids, k)
+    // `solo_top_k` checks that every pyramid has the first one's levels.
+    let levels = pyramids.first().map_or(0, AggregatePyramid::levels);
+    zero_pressure(&Truncated { model, levels }, model.model(), pyramids, k)
 }
 
 /// The combined engine's [`Scorer`]: regions are bounded with the model

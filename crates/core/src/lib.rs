@@ -10,9 +10,10 @@
 //!   (`p_m`), pyramid quad-descent (`p_d`), and the combined engine whose
 //!   cost is `O(nN / (p_m p_d))` (§4.2). Every engine is *exact*: pruning
 //!   uses sound interval bounds, and equivalence with a full scan is
-//!   property-tested.
-//!   The pop → bound → expand loop of this and every other grid engine
-//!   below — resilient, parallel, batched, sharded — is written once, in
+//!   property-tested. The two grid engines are the resilient engine at
+//!   zero pressure: a source that cannot lose a page, no budget.
+//!   The pop → bound → expand loop of every grid engine — solo, parallel,
+//!   batched, sharded — is written once, in
 //!   the private `descent` module: one step monomorphised over floor,
 //!   stop policy, model bound and fetch layer, a solo and a batch
 //!   scheduler over it, one `degrade`, one scatter (DESIGN.md §18). A
@@ -30,7 +31,7 @@
 //!   gracefully (partial results with sound bounds and an explicit
 //!   completeness fraction) instead of aborting on lost pages.
 //! * [`parallel`] — the hardware-parallel layer: a scoped worker pool,
-//!   partitioned counterparts of the strict and resilient engines sharing
+//!   partitioned counterparts of the resilient and staged engines sharing
 //!   their pruning bound through a lock-free [`SharedBound`], and the
 //!   [`batched`] engine partitioned over the pool. Bit-identical to the
 //!   sequential engines at every thread count.
@@ -120,8 +121,7 @@ pub use metrics::{
     RocPoint,
 };
 pub use parallel::{
-    par_batched_top_k, par_pyramid_top_k, par_resilient_top_k, par_staged_top_k, SharedBound,
-    WorkerPool,
+    par_batched_top_k, par_resilient_top_k, par_staged_top_k, SharedBound, WorkerPool,
 };
 pub use plan::{execute_planned, plan_grid_query, EngineChoice, PlannerConfig, QueryPlan};
 pub use query::{Objective, TopKQuery};

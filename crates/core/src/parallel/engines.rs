@@ -1,8 +1,8 @@
-//! Parallel counterparts of the strict and resilient grid engines, plus
-//! the partitioned staged-model scan.
+//! The parallel grid engine, [`par_resilient_top_k`], and the partitioned
+//! staged-model scan, [`par_staged_top_k`].
 //!
-//! All three engines follow the same shape (the two grid engines through
-//! one private `par_descend`, as batches of one):
+//! Both follow the same shape (the grid engine through the private
+//! `par_descend`, as a batch of one):
 //!
 //! 1. **Partition.** A short sequential warm-up descent expands the
 //!    pyramid frontier until it holds enough independent subtrees (the
@@ -25,16 +25,13 @@
 //! engines at every thread count. DESIGN.md §9 spells the argument out.
 
 use crate::batched::{with_lanes, with_pooled_scratch, Job, Tally};
-use crate::descent::{interleave, seed_root, warm_up, Outcome, Pressure, Scored, Strict};
-use crate::engine::{
-    validate_grid_inputs, validate_tuples, EffortReport, GridTopK, Region, ScoredCell, TupleTopK,
-};
+use crate::descent::{interleave, seed_root, warm_up, Outcome, Pooled, Scored};
+use crate::engine::{validate_tuples, EffortReport, Region, TupleTopK};
 use crate::error::CoreError;
 use crate::parallel::batched::par_batched_top_k_inner;
 use crate::parallel::pool::{SharedBound, WorkerPool};
 use crate::resilient::{ExecOptions, ResilientTopK};
-use crate::source::{CellSource, PyramidSource};
-use mbir_archive::extent::CellCoord;
+use crate::source::CellSource;
 use mbir_index::scan::TopKHeap;
 use mbir_index::stats::{sort_desc, ScoredItem};
 use mbir_models::linear::{LinearModel, ProgressiveLinearModel};
@@ -52,15 +49,11 @@ pub(crate) const FRONTIER_FANOUT: usize = 4;
 /// order. The same `pressure` serves the warm-up and every worker; a stop
 /// tripped during warm-up surrenders the held regions without running
 /// any worker.
-pub(crate) fn par_descend<S, P>(
+pub(crate) fn par_descend<S: CellSource + Sync>(
     job: &Job<'_, S>,
-    pressure: P,
+    pressure: Pooled<'_>,
     pool: &WorkerPool,
-) -> Result<(Vec<Outcome>, Tally), CoreError>
-where
-    S: CellSource + Sync,
-    P: Pressure + Copy + Send,
-{
+) -> Result<(Vec<Outcome>, Tally), CoreError> {
     let m = job.models.len();
     let target = pool.threads() * FRONTIER_FANOUT * m;
     let (held, mut runs) = with_pooled_scratch(|scratch| {
@@ -134,41 +127,9 @@ where
     Ok((outs, tally))
 }
 
-/// Parallel [`pyramid_top_k`](crate::engine::pyramid_top_k): the same
-/// exact quad-descent, partitioned over the pool's workers with shared
-/// bound propagation. Results are bit-identical to the sequential engine
-/// at every thread count (same cells, same scores, same tie-breaking);
-/// only the effort split differs.
-///
-/// # Errors
-///
-/// Same as [`pyramid_top_k`](crate::engine::pyramid_top_k).
-pub fn par_pyramid_top_k(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    pool: &WorkerPool,
-) -> Result<GridTopK, CoreError> {
-    validate_grid_inputs(model, pyramids, k)?;
-    let source = PyramidSource::new(pyramids);
-    let job = Job::whole(std::slice::from_ref(model), pyramids, &source, k);
-    let (mut outs, _) = par_descend(&job, Strict, pool)?;
-    let out = outs.pop().expect("one lane per model");
-    let results = out
-        .items
-        .into_iter()
-        .map(|item| ScoredCell {
-            cell: CellCoord::new(item.index / job.cols, item.index % job.cols),
-            score: item.score,
-        })
-        .collect();
-    Ok(GridTopK {
-        results,
-        effort: out.effort,
-    })
-}
-
-/// One worker's staged-model scan over a contiguous tuple range.
+/// One worker's staged-model scan over a contiguous tuple range: the one
+/// `p_m` loop (`staged_top_k` is one worker over every tuple, against a
+/// fresh bound).
 fn staged_worker(
     model: &ProgressiveLinearModel,
     tuples: &[Vec<f64>],
@@ -199,8 +160,8 @@ fn staged_worker(
         if stage == n_terms || alive.is_empty() {
             break;
         }
-        // Stage constants recovered through one representative evaluation,
-        // exactly as in the sequential engine (they are tuple-independent).
+        // Stage constants recovered through one representative evaluation
+        // (they are tuple-independent).
         let probe = model.evaluate_stage(&tuples[alive[0]], stage);
         let suffix_mid = (probe.lo + probe.hi) / 2.0 - partial[alive[0] - start];
         let half_width = (probe.hi - probe.lo) / 2.0;
@@ -318,7 +279,7 @@ mod tests {
     use super::*;
     use crate::engine::{naive_grid_top_k, pyramid_top_k, staged_top_k};
     use crate::resilient::{resilient_top_k, BudgetStop, ExecutionBudget};
-    use crate::source::TileSource;
+    use crate::source::{PyramidSource, TileSource};
     use mbir_archive::fault::FaultProfile;
     use mbir_archive::grid::Grid2;
     use mbir_archive::stats::AccessStats;
@@ -369,6 +330,25 @@ mod tests {
         ProgressiveLinearModel::new(model.clone(), &ranges).unwrap()
     }
 
+    /// [`par_resilient_top_k`] over the pyramids' own level 0 with an
+    /// unlimited budget: the parallel `pyramid_top_k`.
+    fn par_pyramid(
+        model: &LinearModel,
+        pyramids: &[AggregatePyramid],
+        k: usize,
+        pool: &WorkerPool,
+    ) -> Result<ResilientTopK, CoreError> {
+        let source = PyramidSource::new(pyramids);
+        par_resilient_top_k(
+            model,
+            pyramids,
+            k,
+            &source,
+            &ExecutionBudget::unlimited(),
+            pool,
+        )
+    }
+
     #[test]
     fn par_pyramid_is_bit_identical_at_every_thread_count() {
         let (model, pyramids) = build_inputs(11, 48, 40, 3);
@@ -376,9 +356,11 @@ mod tests {
             let sequential = pyramid_top_k(&model, &pyramids, k).unwrap();
             for threads in [1usize, 2, 4, 8] {
                 let pool = WorkerPool::new(threads);
-                let parallel = par_pyramid_top_k(&model, &pyramids, k, &pool).unwrap();
+                let parallel = par_pyramid(&model, &pyramids, k, &pool).unwrap();
+                assert!(!parallel.is_degraded(), "k={k} threads={threads}");
                 assert_eq!(
-                    parallel.results, sequential.results,
+                    parallel.exact_cells(),
+                    sequential.results,
                     "k={k} threads={threads}"
                 );
             }
@@ -390,8 +372,8 @@ mod tests {
         let (model, pyramids) = build_inputs(2, 32, 32, 4);
         let naive = naive_grid_top_k(&model, &pyramids, 9).unwrap();
         let pool = WorkerPool::new(4);
-        let parallel = par_pyramid_top_k(&model, &pyramids, 9, &pool).unwrap();
-        assert_eq!(parallel.results, naive.results);
+        let parallel = par_pyramid(&model, &pyramids, 9, &pool).unwrap();
+        assert_eq!(parallel.exact_cells(), naive.results);
         assert!(parallel.effort.naive_multiply_adds == naive.effort.naive_multiply_adds);
     }
 
@@ -399,18 +381,8 @@ mod tests {
     fn par_pyramid_validates_like_sequential() {
         let (model, pyramids) = build_inputs(5, 8, 8, 2);
         let pool = WorkerPool::new(2);
-        assert!(par_pyramid_top_k(&model, &pyramids, 0, &pool).is_err());
-        assert!(par_pyramid_top_k(&model, &pyramids[..1], 1, &pool).is_err());
-    }
-
-    #[test]
-    fn par_pyramid_small_grid_returns_all_cells() {
-        let (model, pyramids) = build_inputs(7, 3, 3, 2);
-        let pool = WorkerPool::new(8);
-        let r = par_pyramid_top_k(&model, &pyramids, 100, &pool).unwrap();
-        let s = pyramid_top_k(&model, &pyramids, 100).unwrap();
-        assert_eq!(r.results, s.results);
-        assert_eq!(r.results.len(), 9);
+        assert!(par_pyramid(&model, &pyramids, 0, &pool).is_err());
+        assert!(par_pyramid(&model, &pyramids[..1], 1, &pool).is_err());
     }
 
     #[test]
@@ -499,25 +471,24 @@ mod tests {
 
     #[test]
     fn par_resilient_healthy_matches_sequential_resilient() {
-        let (model, pyramids, stores) = smooth_world(3, 48, 48, 8);
-        let src = TileSource::new(&stores).unwrap();
-        let sequential =
-            resilient_top_k(&model, &pyramids, 7, &src, &ExecutionBudget::unlimited()).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let parallel = par_resilient_top_k(
-                &model,
-                &pyramids,
-                7,
-                &src,
-                &ExecutionBudget::unlimited(),
-                &pool,
-            )
-            .unwrap();
-            assert_eq!(parallel.results, sequential.results, "threads={threads}");
-            assert_eq!(parallel.completeness, 1.0);
-            assert_eq!(parallel.budget_stop, None);
-            assert!(parallel.skipped_pages.is_empty());
+        // The second world asks for more cells than it has: every cell
+        // comes back.
+        for (rows, cols, k) in [(48, 48, 7), (3, 3, 100)] {
+            let (model, pyramids, stores) = smooth_world(3, rows, cols, 8);
+            let src = TileSource::new(&stores).unwrap();
+            let unlimited = ExecutionBudget::unlimited();
+            let sequential = resilient_top_k(&model, &pyramids, k, &src, &unlimited).unwrap();
+            assert_eq!(sequential.results.len(), k.min(rows * cols));
+            for threads in [1usize, 2, 4, 8] {
+                let pool = WorkerPool::new(threads);
+                let parallel =
+                    par_resilient_top_k(&model, &pyramids, k, &src, &unlimited, &pool).unwrap();
+                let at = format!("{rows}x{cols} k={k} threads={threads}");
+                assert_eq!(parallel.results, sequential.results, "{at}");
+                assert_eq!(parallel.completeness, 1.0);
+                assert_eq!(parallel.budget_stop, None);
+                assert!(parallel.skipped_pages.is_empty());
+            }
         }
     }
 

@@ -7,10 +7,13 @@
 //! * [`WorkerPool`] / [`SharedBound`] ([`pool`]) — a minimal scoped pool
 //!   over `std::thread` and the lock-free monotone bound the workers
 //!   share.
-//! * [`par_pyramid_top_k`] / [`par_staged_top_k`] /
-//!   [`par_resilient_top_k`] ([`engines`]) — partitioned counterparts of
-//!   the strict and resilient engines, bit-identical to them at every
-//!   thread count (budget stops excepted; see the engine docs).
+//! * [`par_resilient_top_k`] / [`par_staged_top_k`] ([`engines`]) —
+//!   partitioned counterparts of the resilient and staged engines,
+//!   bit-identical to them at every thread count (budget stops excepted;
+//!   see the engine docs). Over a
+//!   [`PyramidSource`](crate::source::PyramidSource) with an unlimited
+//!   budget, [`par_resilient_top_k`] is the parallel
+//!   [`pyramid_top_k`](crate::engine::pyramid_top_k).
 //! * [`par_batched_top_k`] ([`batched`]) — the shared-frontier batched
 //!   engine of [`crate::batched`] partitioned over the pool, with one
 //!   [`SharedBound`] per query.
@@ -23,5 +26,5 @@ pub mod engines;
 pub mod pool;
 
 pub use batched::par_batched_top_k;
-pub use engines::{par_pyramid_top_k, par_resilient_top_k, par_staged_top_k};
+pub use engines::{par_resilient_top_k, par_staged_top_k};
 pub use pool::{SharedBound, WorkerPool, THREADS_ENV};

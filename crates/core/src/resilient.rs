@@ -1,11 +1,12 @@
 //! Budgeted, fault-tolerant progressive retrieval with graceful
 //! degradation.
 //!
-//! The strict engines ([`crate::engine`]) abort on the first failed page
-//! read and run until the bound proof closes. Real archive queries get
-//! neither luxury: pages go missing and interactive callers impose work
-//! ceilings. [`resilient_top_k`] is the same descent — the one execution
-//! core of DESIGN.md §18 — run under both pressures:
+//! The strict engines ([`crate::engine`]) read the pyramids' own level 0,
+//! which cannot lose a page, and run until the bound proof closes. Real
+//! archive queries get neither luxury: pages go missing and interactive
+//! callers impose work ceilings. [`resilient_top_k`] is the one descent —
+//! the execution core of DESIGN.md §18, which the strict engines run at
+//! zero pressure — under both pressures:
 //!
 //! * **Lost pages degrade, they don't abort.** A base read failing with
 //!   [`PageIo`](mbir_archive::error::ArchiveError::PageIo),
@@ -43,7 +44,7 @@
 //! was lost. With a healthy source and an unlimited budget the output is
 //! bit-identical to [`pyramid_top_k`](crate::engine::pyramid_top_k).
 
-use crate::descent::{drain, finish, seed_root, Budgeted, Clock, Direct, Env, Lane, Local};
+use crate::descent::{drain, finish, seed_root, Budgeted, Clock, Direct, Env, Lane, Local, Scorer};
 use crate::engine::{validate_grid_inputs, EffortReport, ScoredCell};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
@@ -360,10 +361,10 @@ impl<'a> From<&'a ExecutionBudget> for ExecOptions<'a> {
 /// (a bare `&ExecutionBudget` converts). Never panics on lost pages, never
 /// silently drops what it could not certify.
 ///
-/// This is the sequential resilient configuration of the execution core
-/// (the private `descent` module, DESIGN.md §18): local floor, one
-/// checkpoint per pop against this run's own multiply-adds and the
-/// source's clocks, lost pages parked.
+/// This is the sequential configuration of the execution core (the
+/// private `descent` module, DESIGN.md §18): local floor, one checkpoint
+/// per pop against this run's own multiply-adds and the source's clocks,
+/// lost pages parked.
 ///
 /// # Errors
 ///
@@ -378,7 +379,23 @@ pub fn resilient_top_k<'a, S: CellSource>(
     source: &S,
     opts: impl Into<ExecOptions<'a>>,
 ) -> Result<ResilientTopK, CoreError> {
-    let opts = opts.into();
+    solo_top_k(model, model, pyramids, k, source, opts.into())
+}
+
+/// The one solo descent: [`resilient_top_k`]'s body with `scorer`
+/// bounding regions and scoring cells. `model` is the full model the
+/// inputs are validated against and degraded candidates are bounded
+/// with; the strict engines of [`crate::engine`] are this function over a
+/// [`PyramidSource`](crate::source::PyramidSource) with an unlimited
+/// budget.
+pub(crate) fn solo_top_k<M: Scorer, S: CellSource>(
+    scorer: &M,
+    model: &LinearModel,
+    pyramids: &[AggregatePyramid],
+    k: usize,
+    source: &S,
+    opts: ExecOptions<'_>,
+) -> Result<ResilientTopK, CoreError> {
     let ((rows, cols), _) = validate_grid_inputs(model, pyramids, k)?;
     let deadline = WallDeadline::starting_now(opts.budget);
     let mut x = Vec::new();
@@ -392,7 +409,7 @@ pub fn resilient_top_k<'a, S: CellSource>(
         pressure: Budgeted::new(Clock::starting(opts, &deadline, source)),
     };
     let naive = (model.arity() * rows * cols) as u64;
-    let mut lane = Lane::new(0, model, &mut frontier, k, naive);
+    let mut lane = Lane::new(0, scorer, &mut frontier, k, naive);
     seed_root(&mut env, &mut lane)?;
     drain(&mut env, &mut Local, &mut lane)?;
     finish(lane.finish(), model, pyramids, k)
@@ -402,7 +419,7 @@ pub fn resilient_top_k<'a, S: CellSource>(
 mod tests {
     use super::*;
     use crate::engine::pyramid_top_k;
-    use crate::source::{PyramidSource, TileSource};
+    use crate::source::TileSource;
     use mbir_archive::error::ArchiveError;
     use mbir_archive::fault::{FaultProfile, ResilienceConfig, RetryPolicy};
     use mbir_archive::grid::Grid2;
@@ -463,17 +480,6 @@ mod tests {
             assert_eq!(a.score, b.score, "bit-identical scores");
             assert!(a.exact);
             assert_eq!(a.bounds, ScoreBounds::exact(b.score));
-        }
-    }
-
-    #[test]
-    fn pyramid_source_is_also_bit_identical() {
-        let (model, pyramids, _, _) = world(2, 32, 32, 8);
-        let strict = pyramid_top_k(&model, &pyramids, 5).unwrap();
-        let src = PyramidSource::new(&pyramids);
-        let r = resilient_top_k(&model, &pyramids, 5, &src, &ExecutionBudget::unlimited()).unwrap();
-        for (a, b) in r.results.iter().zip(&strict.results) {
-            assert_eq!((a.cell, a.score), (b.cell, b.score));
         }
     }
 

@@ -71,9 +71,10 @@
 //! layer ([`kernels::sweep_argmax_block`]) and, with the i8 side structure
 //! ([`crate::quant`]) attached, skips blocks no direction can improve on;
 //! winners are unchanged, so layers are bit-identical to the nested-`Vec`
-//! [`OnionIndex::build_legacy`], the reference in bit-identity tests. The
-//! quantised *query* walk is gone: with a few dozen scattered members per
-//! layer and a core left after two or three runs it had nothing to prune.
+//! [`OnionIndex::build_legacy_with`], the reference in bit-identity tests.
+//! The quantised *query* walk is gone: with a few dozen scattered members
+//! per layer and a core left after two or three runs it had nothing to
+//! prune.
 
 use crate::kernels;
 use crate::quant::{pad_up, QuantPruneReport, QuantizedStore};
@@ -605,24 +606,14 @@ impl OnionIndex {
         OnionIndex::build_with_hints_threads(points, hints, max_layers, extra_dirs, seed, 1)
     }
 
-    /// Builds the index with default limits using `threads` OS threads for
-    /// the per-layer direction sweep (d >= 3; lower dimensions build their
-    /// exact hulls sequentially — they are already cheap). The layer
+    /// Fully parameterized build: hints, peel limits, sweep seed, and the
+    /// number of threads for the d >= 3 direction sweep (lower dimensions
+    /// build their exact hulls sequentially — they are already cheap).
+    /// `threads <= 1` runs entirely on the calling thread. The layer
     /// structure is **bit-identical** to the sequential build: each
     /// direction's argmax is computed independently and deterministically,
     /// and the per-layer union is sorted and deduplicated, so how the
     /// directions are dealt to threads cannot change the result.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OnionIndex::build`].
-    pub fn build_parallel(points: Vec<Vec<f64>>, threads: usize) -> Result<Self, ModelError> {
-        OnionIndex::build_with_hints_threads(points, &[], 64, 32, 7, threads)
-    }
-
-    /// Fully parameterized build: hints, peel limits, sweep seed, and the
-    /// number of threads for the d >= 3 direction sweep. `threads <= 1`
-    /// runs entirely on the calling thread.
     ///
     /// # Errors
     ///
@@ -640,23 +631,12 @@ impl OnionIndex {
         )
     }
 
-    /// Builds with default limits, sweeping **through an i8 quantized side
-    /// structure** (see [`crate::quant`]): the d >= 3 peel sweep skips
-    /// blocks whose coarse bound cannot beat any direction's running
-    /// argmax. Layers and query answers are bit-identical to
-    /// [`OnionIndex::build`] — the coarse pass only ever prunes work that
-    /// provably cannot matter — and the side structure is dropped when the
-    /// build returns.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OnionIndex::build`].
-    pub fn build_quantized(points: Vec<Vec<f64>>) -> Result<Self, ModelError> {
-        OnionIndex::build_quantized_with(points, 64, 32, 7, 1)
-    }
-
-    /// [`OnionIndex::build_quantized`] with explicit peel limits, sweep
-    /// seed, and thread count.
+    /// Builds sweeping **through an i8 quantized side structure** (see
+    /// [`crate::quant`]): the d >= 3 peel sweep skips blocks whose coarse
+    /// bound cannot beat any direction's running argmax. Layers and query
+    /// answers are bit-identical to [`OnionIndex::build_with`] at the same
+    /// limits — the coarse pass only ever prunes work that provably cannot
+    /// matter — and the side structure is dropped when the build returns.
     ///
     /// # Errors
     ///
@@ -683,7 +663,7 @@ impl OnionIndex {
     /// Returns the index unchanged. Kept for callers written against the
     /// quantised query walk, which read a side structure stored in the
     /// index; the walk is gone (see the module docs) and the build sweep
-    /// of [`OnionIndex::build_quantized`] makes and drops its own.
+    /// of [`OnionIndex::build_quantized_with`] makes and drops its own.
     pub fn with_quantized(self) -> Self {
         self
     }
@@ -691,18 +671,10 @@ impl OnionIndex {
     /// Builds via the pre-`PointStore` reference path: nested
     /// `Vec<Vec<f64>>` rows for every enclosure, hint support and sweep,
     /// one sweep pass per direction. Layers, bounds, and query answers are
-    /// bit-identical to [`OnionIndex::build`]; only the construction cost
-    /// differs. Kept as the honest "before" baseline for the kernels
-    /// benchmark and as the reference in bit-identity property tests.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OnionIndex::build`].
-    pub fn build_legacy(points: Vec<Vec<f64>>) -> Result<Self, ModelError> {
-        OnionIndex::build_legacy_with(points, 64, 32, 7)
-    }
-
-    /// [`OnionIndex::build_legacy`] with explicit peel limits and seed.
+    /// bit-identical to [`OnionIndex::build_with`] at the same limits; only
+    /// the construction cost differs. Kept as the honest "before" baseline
+    /// for the kernels benchmark and as the reference in bit-identity
+    /// property tests.
     ///
     /// # Errors
     ///
@@ -1894,7 +1866,8 @@ mod tests {
 
     #[test]
     fn append_points_validates() {
-        let mut onion = OnionIndex::build_quantized(gaussian_points(5, 300, 3)).unwrap();
+        let mut onion =
+            OnionIndex::build_quantized_with(gaussian_points(5, 300, 3), 64, 32, 7, 1).unwrap();
         let layers = onion.layers.clone();
         assert!(matches!(onion.append_points(&[]), Err(ModelError::Empty)));
         assert!(onion.append_points(&[vec![1.0]]).is_err());
@@ -1912,7 +1885,9 @@ mod tests {
             let points = gaussian_points(31 + d as u64, 600, d);
             let baseline = OnionIndex::build(points.clone()).unwrap();
             for threads in [1usize, 2, 4, 8] {
-                let par = OnionIndex::build_parallel(points.clone(), threads).unwrap();
+                let par =
+                    OnionIndex::build_with_hints_threads(points.clone(), &[], 64, 32, 7, threads)
+                        .unwrap();
                 assert_eq!(par.layers, baseline.layers, "d={d} threads={threads}");
                 assert_eq!(par.remaining_box, baseline.remaining_box);
                 assert_eq!(par.exact_hull_layers, baseline.exact_hull_layers);
@@ -1943,7 +1918,7 @@ mod tests {
         for d in [2usize, 3, 5] {
             let points = gaussian_points(101 + d as u64, 700, d);
             let kernel = OnionIndex::build(points.clone()).unwrap();
-            let legacy = OnionIndex::build_legacy(points).unwrap();
+            let legacy = OnionIndex::build_legacy_with(points, 64, 32, 7).unwrap();
             assert_eq!(kernel.layers, legacy.layers, "d={d}");
             assert_eq!(kernel.remaining_box, legacy.remaining_box, "d={d}");
             assert_eq!(kernel.exact_hull_layers, legacy.exact_hull_layers);

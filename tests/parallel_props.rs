@@ -9,11 +9,9 @@
 //! confirmed or covered.
 
 use mbir::core::engine::{pyramid_top_k, staged_top_k};
-use mbir::core::parallel::{
-    par_pyramid_top_k, par_resilient_top_k, par_staged_top_k, WorkerPool, THREADS_ENV,
-};
+use mbir::core::parallel::{par_resilient_top_k, par_staged_top_k, WorkerPool, THREADS_ENV};
 use mbir::core::resilient::{resilient_top_k, BudgetStop, ExecutionBudget};
-use mbir::core::source::TileSource;
+use mbir::core::source::{PyramidSource, TileSource};
 use mbir::index::onion::OnionIndex;
 use mbir::index::scan::{scan_top_k, scan_top_k_flat};
 use mbir::index::store::PointStore;
@@ -97,10 +95,16 @@ proptest! {
     ) {
         let (model, pyramids, _) = world(seed, side, arity, 8);
         let sequential = pyramid_top_k(&model, &pyramids, k).unwrap();
+        // The parallel `pyramid_top_k`: the resilient engine over the
+        // pyramids' own level 0 with an unlimited budget.
+        let source = PyramidSource::new(&pyramids);
+        let unlimited = ExecutionBudget::unlimited();
         for threads in THREAD_COUNTS {
             let pool = WorkerPool::new(threads);
-            let parallel = par_pyramid_top_k(&model, &pyramids, k, &pool).unwrap();
-            prop_assert_eq!(&parallel.results, &sequential.results, "threads={}", threads);
+            let parallel =
+                par_resilient_top_k(&model, &pyramids, k, &source, &unlimited, &pool).unwrap();
+            prop_assert!(!parallel.is_degraded(), "threads={}", threads);
+            prop_assert_eq!(&parallel.exact_cells(), &sequential.results, "threads={}", threads);
         }
     }
 
