@@ -1,20 +1,21 @@
 //! Batched multi-query execution: one shared pyramid descent serving Q
-//! queries at once.
+//! queries at once — and, as a batch of one, every solo query.
 //!
 //! [`batched_top_k`] accepts a batch of linear models over one pyramid
 //! index and runs a *single* best-first traversal: the batch scheduler of
 //! the execution core (the private `descent` module, DESIGN.md §18) with this
 //! module's `Selector` — whichever query holds the globally best upper
 //! bound advances (a keyed branchless argmax up to 64 queries, a heap
-//! above) — and this module's `Memo` as the fetch layer. While the
-//! governed memo tables are live the global order is also the
-//! cache-friendly order — queries interested in the same region pop it
+//! above) — and this module's `Memo` under every bound and base-cell
+//! read. While the governed memo tables are live the global order is also
+//! the cache-friendly order — queries interested in the same region pop it
 //! back to back; once the governor proves the batch has no cross-query
 //! reuse left, each query runs to completion in the solo loop
-//! (DESIGN.md §15). Each query's logical descent — the sequence of regions it expands, the
-//! cells it evaluates, the floor it prunes with — is *exactly* the
-//! sequential [`resilient_top_k`](crate::resilient::resilient_top_k)
-//! descent for that query alone; what the batch shares is the physical
+//! (DESIGN.md §15). A batch of one starts retired: that is
+//! [`resilient_top_k`](crate::resilient::resilient_top_k) and the strict
+//! engines. Each query's logical descent — the sequence of regions it
+//! expands, the cells it evaluates, the floor it prunes with — is
+//! *exactly* its descent alone; what the batch shares is the physical
 //! work underneath:
 //!
 //! * **Base cells are fetched once.** A level-0 cell reached by several
@@ -25,11 +26,12 @@
 //! * **Children blocks are fetched once.** When a region expands, the
 //!   range boxes of its children — one row of `(min, max)` pairs per
 //!   attribute — are read from the pyramids once and stored under the
-//!   region's key; every query that expands the same region folds its
-//!   own model over the stored block, with the same terms in the same
-//!   order as the solo block bound. No query's bound is kept: a query
-//!   bounds a region once, when the region's parent expands, so what
-//!   repeats across queries is the expansion, not the bound.
+//!   region's key; every query that expands the same parent bounds its
+//!   children over the stored block with the one block bound
+//!   (`Scorer::bound_children`), which reads the same rows the pyramids
+//!   give it, so every bound keeps its bits. No query's bound is kept: a
+//!   query bounds a region once, when the region's parent expands, so
+//!   what repeats across queries is the expansion, not the bound.
 //!
 //! The shared-frontier invariant (DESIGN.md §15): the shared descent may
 //! only *add* physical cell visits relative to any single query, never
@@ -52,8 +54,8 @@
 //! logical read — batched and solo verdicts coincide.
 
 use crate::descent::{
-    check_arity, finish, interleave, read_cell, seed_root, upper_term, Budgeted, Cell, Clock, Env,
-    Fetch, Floor, Lane, Local, Outcome, Pressure, Scorer,
+    finish, fresh, interleave, read_cell, seed_root, Budgeted, Cell, ChildRows, Clock, Env, Floor,
+    Lane, Local, Outcome, Pressure, Scorer,
 };
 use crate::engine::{pack_coords, validate_grid_inputs, Region};
 use crate::error::CoreError;
@@ -267,8 +269,14 @@ pub(crate) enum Selector {
     Heap(BinaryHeap<BatchEntry>),
 }
 
+impl Default for Selector {
+    fn default() -> Self {
+        Selector::for_width(0)
+    }
+}
+
 impl Selector {
-    pub(crate) fn for_width(m: usize) -> Self {
+    fn for_width(m: usize) -> Self {
         if m <= SELECTOR_SCAN_MAX {
             Selector::Scan {
                 tops: vec![Region::new(0.0, (0, 0, 0)); m],
@@ -278,6 +286,27 @@ impl Selector {
             }
         } else {
             Selector::Heap(BinaryHeap::with_capacity(m))
+        }
+    }
+
+    /// Sized for `m` queries with none armed, keeping its buffers (a top
+    /// is read only once its query is armed).
+    pub(crate) fn reset(&mut self, m: usize) {
+        match self {
+            Selector::Scan {
+                tops,
+                keys,
+                mask,
+                serial,
+            } if m <= SELECTOR_SCAN_MAX => {
+                tops.resize(m, Region::new(0.0, (0, 0, 0)));
+                keys.clear();
+                keys.resize(m, 0);
+                *mask = 0;
+                *serial = false;
+            }
+            Selector::Heap(h) if m > SELECTOR_SCAN_MAX => h.clear(),
+            _ => *self = Selector::for_width(m),
         }
     }
 
@@ -418,15 +447,16 @@ impl std::ops::AddAssign for Tally {
     }
 }
 
-/// Reusable buffers for the batched engine: the per-lane frontiers and one
-/// memo layer per band, with its tables and flat arenas. A warmed scratch
-/// allocates nothing in the steady state;
-/// [`regrowths`](BatchScratch::regrowths) counts growth events so tests
-/// can assert it.
+/// Reusable buffers for the batched engine: the per-lane frontiers, one
+/// memo layer per band, with its tables and flat arenas, and the
+/// scheduler's two selectors. A warmed scratch allocates nothing in the
+/// steady state; [`regrowths`](BatchScratch::regrowths) counts growth
+/// events so tests can assert it.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     frontiers: Vec<BinaryHeap<Region>>,
     memos: Vec<Memo>,
+    selectors: [Selector; 2],
     /// Bands of the last descent: its memos are `memos[..bands]`.
     bands: usize,
     regrowths: u64,
@@ -522,10 +552,9 @@ const REGION_TAG: u64 = 1 << 63;
 /// replays in 93M `shard_batch` box lookups). What repeats across lanes
 /// is the expansion: the key is the parent's, and the value is its
 /// children's block, `arity` rows of `(min, max)` read with one
-/// [`AggregatePyramid::child_ranges`] per pyramid. A lane's fold over the
-/// block adds the same terms in the same order as the direct block bound
-/// ([`children_upper`](crate::descent::children_upper)), so every bound
-/// keeps its bits.
+/// [`AggregatePyramid::child_ranges`] per pyramid. A lane replaying the
+/// block runs the one block bound ([`Scorer::bound_children`]) over the
+/// stored rows instead of the pyramids', so every bound keeps its bits.
 ///
 /// A [`MemoGovernor`] retires the table when the batch shows no
 /// cross-query sharing. It sees one probe per bound request: a block
@@ -574,51 +603,33 @@ impl BoundMemo {
         self.gov.phase() == MemoPhase::Off
     }
 
-    /// The solo bound of a region bounded on its own (a lane's root),
-    /// probed under its tagged key so the governor counts the request like
-    /// any other.
-    fn bound(
-        &mut self,
-        model: &LinearModel,
-        pyramids: &[AggregatePyramid],
-        at: (usize, usize, usize),
-    ) -> Result<(f64, u64), CoreError> {
-        if !self.is_off() {
-            let seen = self.map.insert(pack_coords(at) | REGION_TAG, UNSTORED);
-            self.gov.record(seen.is_some());
-        }
-        self.evals += 1;
-        model.bound(pyramids, at)
-    }
-
     /// `model`'s bounds over every child of `parent` while the memo is
-    /// live, and the child count: one probe, then a fold over the
-    /// parent's block — replayed, or read and stored while the memo is on
-    /// — or the direct block bound while it samples.
+    /// live: one probe, then the block bound over the parent's stored
+    /// block — replayed, or read and stored while the memo is on — or over
+    /// the pyramids while it samples.
     #[inline(never)]
-    fn live_children(
+    fn live_children<M: Scorer>(
         &mut self,
-        model: &LinearModel,
+        model: &M,
         pyramids: &[AggregatePyramid],
         parent: (usize, usize, usize),
         ub: &mut [f64; 4],
-    ) -> Result<usize, CoreError> {
-        check_arity(model, pyramids)?;
+    ) -> (usize, u64) {
         let key = pack_coords(parent);
         let found = self.map.get(&key).copied();
         let replayed = found.filter(|&ord| ord != UNSTORED);
-        let n = match replayed {
-            Some(ord) => self.fold(model, ord, ub),
+        let (level, arity) = (parent.0, pyramids.len());
+        let (n, madds) = match replayed {
+            Some(ord) => model.bound_children(level, self.block(ord, arity), ub),
             None if self.gov.phase() == MemoPhase::On => {
-                let ord = self.store(pyramids, parent)?;
+                let ord = self.store(pyramids, parent);
                 self.map.insert(key, ord);
-                self.fold(model, ord, ub)
+                model.bound_children(level, self.block(ord, arity), ub)
             }
             None => {
-                // Sampling: a presence-only probe, the bound computed
-                // directly.
+                // Sampling: a presence-only probe, the rows read directly.
                 self.map.insert(key, UNSTORED);
-                model.bound_children(pyramids, parent, ub)?.0
+                model.bound_children(level, fresh(pyramids, parent), ub)
             }
         };
         // Child by child, because a window boundary can fall inside the
@@ -630,50 +641,38 @@ impl BoundMemo {
             }
             self.evals += u64::from(phase != MemoPhase::On || replayed.is_none());
         }
-        Ok(n)
+        (n, madds)
     }
 
     /// Reads the children block of `parent` into a new ordinal.
-    fn store(
-        &mut self,
-        pyramids: &[AggregatePyramid],
-        (level, row, col): (usize, usize, usize),
-    ) -> Result<usize, CoreError> {
-        let ord = self.counts.len();
-        let mut n = None;
-        for p in pyramids {
+    fn store(&mut self, pyramids: &[AggregatePyramid], parent: (usize, usize, usize)) -> usize {
+        let (rows, mut n) = (fresh(pyramids, parent), 0);
+        for attr in 0..pyramids.len() {
             let mut ranges = [(0.0, 0.0); 4];
-            let got = p.child_ranges(level, row, col, &mut ranges);
-            if *n.get_or_insert(got) != got {
-                return Err(CoreError::Query("pyramids must share a shape".into()));
-            }
+            n = rows(attr, &mut ranges);
             self.boxes.push(ranges);
         }
-        self.counts.push(n.unwrap_or(0) as u8);
-        Ok(ord)
+        self.counts.push(n as u8);
+        self.counts.len() - 1
     }
 
-    /// `model`'s bounds over block `ord` — the intercept, then every
-    /// attribute's [`upper_term`] in attribute order, all four slots (a
-    /// slot past the child count is never read) — and the child count.
-    #[inline]
-    fn fold(&self, model: &LinearModel, ord: usize, ub: &mut [f64; 4]) -> usize {
-        let arity = model.arity();
-        *ub = [model.intercept(); 4];
-        let block = &self.boxes[ord * arity..(ord + 1) * arity];
-        for (&a, ranges) in model.coefficients().iter().zip(block) {
-            for (u, &range) in ub.iter_mut().zip(ranges) {
-                *u += upper_term(a, range);
-            }
+    /// Block `ord` of `arity` rows, replayed: every term gets the row
+    /// [`fresh`] read for it, so a replayed bound keeps its bits.
+    fn block(&self, ord: usize, arity: usize) -> impl ChildRows + '_ {
+        let rows = &self.boxes[ord * arity..(ord + 1) * arity];
+        let n = usize::from(self.counts[ord]);
+        move |attr: usize, out: &mut [(f64, f64); 4]| {
+            *out = rows[attr];
+            n
         }
-        usize::from(self.counts[ord])
     }
 }
 
-/// The batch's [`Fetch`] layer: base cells and children blocks are
-/// fetched once and replayed for every later lane, each behind a
-/// [`MemoGovernor`] that retires the table when the batch proves it does
-/// not share. A batch of one has nothing to share and starts retired.
+/// Every bound and base-cell read of a descent: base cells and children
+/// blocks are fetched once and replayed for every later lane, each behind
+/// a [`MemoGovernor`] that retires the table when the batch proves it does
+/// not share. A batch of one — every solo query — has nothing to share
+/// and starts retired: each request is then performed directly.
 #[derive(Debug)]
 pub(crate) struct Memo {
     x: Vec<f64>,
@@ -728,52 +727,61 @@ impl Memo {
             ..self.tally
         }
     }
-}
 
-impl Fetch<LinearModel> for Memo {
+    /// Upper bound of `model` over region `at`, bounded on its own (a
+    /// lane's root), with the multiply-adds to charge the lane. Probed
+    /// under its tagged key, so the governor counts the request like any
+    /// other.
     #[inline]
-    fn bound(
+    pub(crate) fn bound<M: Scorer>(
         &mut self,
-        model: &LinearModel,
-        _q: usize,
+        model: &M,
         pyramids: &[AggregatePyramid],
         at: (usize, usize, usize),
     ) -> Result<(f64, u64), CoreError> {
         self.tally.bound_requests += 1;
-        self.bounds.bound(model, pyramids, at)
+        let memo = &mut self.bounds;
+        if !memo.is_off() {
+            let seen = memo.map.insert(pack_coords(at) | REGION_TAG, UNSTORED);
+            memo.gov.record(seen.is_some());
+        }
+        memo.evals += 1;
+        model.bound(pyramids, at)
     }
 
-    /// One block bound while the bound memo is retired; one probe of the
-    /// block memo while it is live. Tallied as one request per child.
-    /// Forced inline, with the live path kept out of line, so a retired
-    /// batch's drain loop calls the block bound the way the solo loop
-    /// does: plain `#[inline]` left a call per expansion there, which the
+    /// `model`'s bounds over every child of region `parent`, as
+    /// [`Scorer::bound_children`] returns them: one block bound over the
+    /// pyramids while the bound memo is retired; one probe of the block
+    /// memo while it is live. Tallied as one request per child.
+    /// Forced inline, with the live path kept out of line, so the drain
+    /// loop of a retired batch — every solo query — has the block bound
+    /// inline: plain `#[inline]` left a call per expansion there, which the
     /// `batch` bench's zero-overlap case shows (DESIGN.md §15).
     #[inline(always)]
-    fn bound_children(
+    pub(crate) fn bound_children<M: Scorer>(
         &mut self,
-        model: &LinearModel,
-        _q: usize,
+        model: &M,
         pyramids: &[AggregatePyramid],
         parent: (usize, usize, usize),
         ub: &mut [f64; 4],
-    ) -> Result<(usize, u64), CoreError> {
-        let n = if self.bounds.is_off() {
-            let (n, _) = model.bound_children(pyramids, parent, ub)?;
-            self.bounds.evals += n as u64;
-            n
+    ) -> (usize, u64) {
+        let (n, madds) = if self.bounds.is_off() {
+            let got = model.bound_children(parent.0, fresh(pyramids, parent), ub);
+            self.bounds.evals += got.0 as u64;
+            got
         } else {
-            self.bounds.live_children(model, pyramids, parent, ub)?
+            self.bounds.live_children(model, pyramids, parent, ub)
         };
         self.tally.bound_requests += n as u64;
-        Ok((n, model.arity() as u64))
+        (n, madds)
     }
 
-    /// A cell is fetched iff it survives at least one lane's floor; the
-    /// materialized vector (or the lost-page verdict) is replayed for
-    /// every later lane while the cell memo is live.
+    /// The attribute vector of base cell `at`, or the page it was lost on
+    /// (see [`read_cell`]). A cell is fetched iff it survives at least one
+    /// lane's floor; the materialized vector (or the lost-page verdict) is
+    /// replayed for every later lane while the cell memo is live.
     #[inline]
-    fn cell<S: CellSource>(
+    pub(crate) fn cell<S: CellSource>(
         &mut self,
         source: &S,
         at: (usize, usize),
@@ -812,8 +820,10 @@ impl Fetch<LinearModel> for Memo {
         })
     }
 
+    /// Whether cross-lane sharing has stopped paying: `interleave` then
+    /// runs each lane to completion with `drain`.
     #[inline]
-    fn retired(&self) -> bool {
+    pub(crate) fn retired(&self) -> bool {
         self.bounds.is_off()
     }
 }
@@ -821,18 +831,18 @@ impl Fetch<LinearModel> for Memo {
 /// One batch of Q ≥ 1 queries over one or more bands: each band's
 /// resident pyramids, the page source behind them, and its global row
 /// offset.
-pub(crate) struct Job<'a, S> {
-    pub(crate) models: &'a [LinearModel],
+pub(crate) struct Job<'a, S, M = LinearModel> {
+    pub(crate) models: &'a [M],
     pub(crate) bands: Vec<ArchiveShard<'a, S>>,
     pub(crate) k: usize,
     /// Global column count: a hit's index is `global row * cols + col`.
     pub(crate) cols: usize,
 }
 
-impl<'a, S: CellSource> Job<'a, S> {
+impl<'a, S: CellSource, M> Job<'a, S, M> {
     /// A job over the whole (unsharded) grid: one band at row 0.
     pub(crate) fn whole(
-        models: &'a [LinearModel],
+        models: &'a [M],
         pyramids: &'a [AggregatePyramid],
         source: &'a S,
         k: usize,
@@ -847,8 +857,9 @@ impl<'a, S: CellSource> Job<'a, S> {
 }
 
 /// Batched queries must agree on the model arity.
-pub(crate) fn same_arity(models: &[LinearModel]) -> Result<(), CoreError> {
-    if models.iter().any(|m| m.arity() != models[0].arity()) {
+pub(crate) fn same_arity<M: Scorer>(models: &[M]) -> Result<(), CoreError> {
+    let arity = |m: &M| m.model().arity();
+    if models.iter().any(|m| arity(m) != arity(&models[0])) {
         return Err(CoreError::Query(
             "batched queries must share the model arity".into(),
         ));
@@ -858,12 +869,12 @@ pub(crate) fn same_arity(models: &[LinearModel]) -> Result<(), CoreError> {
 
 /// The input validation of the unsharded batched entry points: the solo
 /// engines' (applied to the first model) plus arity agreement.
-pub(crate) fn validate_batch(
-    models: &[LinearModel],
+pub(crate) fn validate_batch<M: Scorer>(
+    models: &[M],
     pyramids: &[AggregatePyramid],
     k: usize,
 ) -> Result<(), CoreError> {
-    validate_grid_inputs(&models[0], pyramids, k)?;
+    validate_grid_inputs(models[0].model(), pyramids, k)?;
     same_arity(models)
 }
 
@@ -873,22 +884,27 @@ pub(crate) type BandRun = (Vec<Outcome>, Tally);
 
 /// Sets up one [`Env`] per band of `job` — `pressure` builds each band's —
 /// and one lane per (query, band), query-major as [`interleave`] takes
-/// them, over `scratch` (frontiers empty, memos reset); hands them to
-/// `run`, and collects what each band's lanes produced.
-pub(crate) fn with_lanes<'a, S, P, R>(
-    job: &Job<'a, S>,
+/// them, over `scratch` (frontiers empty, memos reset); hands them and
+/// the scratch's selectors to `run`, and collects what each band's lanes
+/// produced.
+pub(crate) fn with_lanes<'a, S, M, P, R>(
+    job: &Job<'a, S, M>,
     pressure: impl Fn(&ArchiveShard<'a, S>) -> P,
     scratch: &mut BatchScratch,
-    run: impl FnOnce(&mut [Env<'_, S, &mut Memo, P>], &mut [Lane<'_, LinearModel>]) -> R,
+    run: impl FnOnce(&mut [Env<'_, S, P>], &mut [Lane<'_, M>], &mut [Selector; 2]) -> R,
 ) -> (R, Vec<BandRun>)
 where
     S: CellSource,
+    M: Scorer,
     P: Pressure,
 {
     let (m, bands) = (job.models.len(), job.bands.len());
     let caps = scratch.caps();
     let BatchScratch {
-        frontiers, memos, ..
+        frontiers,
+        memos,
+        selectors,
+        ..
     } = scratch;
     if frontiers.len() < m * bands {
         frontiers.resize_with(m * bands, BinaryHeap::new);
@@ -896,17 +912,17 @@ where
     if memos.len() < bands {
         memos.resize_with(bands, Memo::default);
     }
-    let mut lanes: Vec<Lane<'_, LinearModel>> = frontiers
+    let mut lanes: Vec<Lane<'_, M>> = frontiers
         .iter_mut()
         .take(m * bands)
         .enumerate()
         .map(|(i, frontier)| {
             let (q, band) = (i / bands, &job.bands[i % bands]);
-            let naive = job.models[q].arity() as u64 * band.cells();
+            let naive = job.models[q].model().arity() as u64 * band.cells();
             Lane::new(q, &job.models[q], frontier, job.k, naive)
         })
         .collect();
-    let mut envs: Vec<Env<'_, S, &mut Memo, P>> = (job.bands.iter())
+    let mut envs: Vec<Env<'_, S, P>> = (job.bands.iter())
         .zip(memos.iter_mut())
         .map(|(band, memo)| {
             memo.reset(m);
@@ -915,15 +931,15 @@ where
                 source: band.source(),
                 cols: job.cols,
                 row_offset: band.row_offset(),
-                fetch: memo,
+                memo,
                 pressure: pressure(band),
             }
         })
         .collect();
-    let ran = run(&mut envs, &mut lanes);
+    let ran = run(&mut envs, &mut lanes, selectors);
     let mut runs: Vec<BandRun> = envs
         .iter()
-        .map(|env| (Vec::with_capacity(m), env.fetch.tally()))
+        .map(|env| (Vec::with_capacity(m), env.memo.tally()))
         .collect();
     for (i, lane) in lanes.into_iter().enumerate() {
         runs[i % bands].0.push(lane.finish());
@@ -937,18 +953,19 @@ where
 /// its own root bound, exactly like the solo engine, even though the range
 /// box is fetched once — and the batch scheduler runs them to the end
 /// against `floor`. One verdict per band: an error fails that band alone.
-pub(crate) fn descend<'a, S, P, B>(
-    job: &Job<'a, S>,
+pub(crate) fn descend<'a, S, M, P, B>(
+    job: &Job<'a, S, M>,
     pressure: impl Fn(&ArchiveShard<'a, S>) -> P,
     floor: &mut B,
     scratch: &mut BatchScratch,
 ) -> Vec<Result<BandRun, CoreError>>
 where
     S: CellSource,
+    M: Scorer,
     P: Pressure,
     B: Floor,
 {
-    let (verdicts, runs) = with_lanes(job, pressure, scratch, |envs, lanes| {
+    let (verdicts, runs) = with_lanes(job, pressure, scratch, |envs, lanes, selectors| {
         let bands = envs.len();
         let mut verdicts: Vec<Result<(), CoreError>> = vec![Ok(()); bands];
         for (i, lane) in lanes.iter_mut().enumerate() {
@@ -957,7 +974,7 @@ where
                 verdicts[b] = seed_root(&mut envs[b], lane);
             }
         }
-        interleave(envs, floor, lanes, &mut verdicts);
+        interleave(envs, floor, lanes, &mut verdicts, selectors);
         verdicts
     });
     verdicts
@@ -969,8 +986,8 @@ where
 
 /// Resolves every lane's outcome against its own floor (the unsharded
 /// gather, query by query).
-pub(crate) fn gather<S: CellSource>(
-    job: &Job<'_, S>,
+pub(crate) fn gather<S: CellSource, M: Scorer>(
+    job: &Job<'_, S, M>,
     outs: Vec<Outcome>,
     tally: Tally,
     pages_read: u64,
@@ -978,7 +995,7 @@ pub(crate) fn gather<S: CellSource>(
     let queries = outs
         .into_iter()
         .zip(job.models)
-        .map(|(out, model)| finish(out, model, job.bands[0].pyramids(), job.k))
+        .map(|(out, model)| finish(out, model.model(), job.bands[0].pyramids(), job.k))
         .collect::<Result<_, _>>()?;
     Ok(BatchedTopK::gathered(queries, tally, pages_read))
 }
@@ -1026,12 +1043,13 @@ pub(crate) fn with_pooled_scratch<T>(f: impl FnOnce(&mut BatchScratch) -> T) -> 
     })
 }
 
-/// The sequential batched configuration of the execution core: local
-/// per-query floors, one checkpoint per logical pop — the same cadence as
-/// Q solo runs — against the *batch-wide* budget (summed multiply-adds
-/// and the shared source clocks), lost pages parked.
-fn batched_top_k_inner<S: CellSource>(
-    models: &[LinearModel],
+/// The sequential configuration of the execution core, for a batch of Q ≥ 1
+/// queries — a solo query is a batch of one: local per-query floors, one
+/// checkpoint per logical pop — the same cadence as Q solo runs — against
+/// the *batch-wide* budget (summed multiply-adds and the shared source
+/// clocks), lost pages parked.
+pub(crate) fn batched_top_k_inner<S: CellSource, M: Scorer>(
+    models: &[M],
     pyramids: &[AggregatePyramid],
     k: usize,
     source: &S,
@@ -1062,7 +1080,7 @@ pub(crate) fn memos_retired(scratch: &BatchScratch) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::pyramid_top_k;
+    use crate::engine::{pyramid_top_k, Truncated};
     use crate::lifecycle::CancelToken;
     use crate::resilient::{resilient_top_k, BudgetStop, ExecutionBudget};
     use crate::source::{CachedTileSource, TileSource};
@@ -1070,6 +1088,7 @@ mod tests {
     use mbir_archive::grid::Grid2;
     use mbir_archive::stats::AccessStats;
     use mbir_archive::tile::TileStore;
+    use mbir_models::linear::ProgressiveLinearModel;
 
     fn smooth_grid(i: usize, rows: usize, cols: usize) -> Grid2<f64> {
         Grid2::from_fn(rows, cols, |r, c| {
@@ -1132,6 +1151,10 @@ mod tests {
                 // skipped pages, and stop reason all match the solo run.
                 assert_eq!(batch.queries[q], solo, "k={k} q={q}");
             }
+            // A solo run is a batch of one, which has nothing to share:
+            // every cell it asks for is fetched.
+            let one = batched_top_k(&models[..1], &pyramids, k, &src, &budget).unwrap();
+            assert_eq!(one.cell_requests, one.cells_fetched);
         }
     }
 
@@ -1182,18 +1205,6 @@ mod tests {
             near_batch.bound_evals
         );
         assert!(near_batch.cell_requests > near_batch.cells_fetched);
-    }
-
-    #[test]
-    fn singleton_batch_equals_solo_run_exactly() {
-        let (models, pyramids, stores, _) = world(2, 32, 32, 8);
-        let budget = ExecutionBudget::unlimited();
-        let src = fresh_sources(&stores);
-        let batch = batched_top_k(&models[..1], &pyramids, 5, &src, &budget).unwrap();
-        let solo_src = fresh_sources(&stores);
-        let solo = resilient_top_k(&models[0], &pyramids, 5, &solo_src, &budget).unwrap();
-        assert_eq!(batch.queries[0], solo);
-        assert_eq!(batch.cell_requests, batch.cells_fetched);
     }
 
     #[test]
@@ -1383,12 +1394,13 @@ mod tests {
     }
 
     /// The bound law with the memo as its customer: for each lane in
-    /// `lanes` and every parent, `memo`'s block bound is the direct one
-    /// ([`Scorer::bound_children`]) — the count, the multiply-adds and
-    /// every child's bits. Returns the range fetches the pass added.
-    fn check_memo_bound_law(
+    /// `lanes` and every parent, `memo`'s block bound is the one over the
+    /// pyramids ([`Scorer::bound_children`] over [`fresh`] rows) — the
+    /// count, the multiply-adds and every child's bits. Returns the range
+    /// fetches the pass added.
+    fn check_memo_bound_law<M: Scorer>(
         memo: &mut Memo,
-        models: &[LinearModel],
+        models: &[M],
         lanes: std::ops::Range<usize>,
         pyramids: &[AggregatePyramid],
         parents: &[(usize, usize, usize)],
@@ -1397,12 +1409,9 @@ mod tests {
         let (mut got, mut want) = ([f64::NAN; 4], [f64::NAN; 4]);
         for q in lanes {
             for &parent in parents {
-                let (n, madds) = models[q]
-                    .bound_children(pyramids, parent, &mut want)
-                    .unwrap();
-                let g = memo
-                    .bound_children(&models[q], q, pyramids, parent, &mut got)
-                    .unwrap();
+                let (n, madds) =
+                    models[q].bound_children(parent.0, fresh(pyramids, parent), &mut want);
+                let g = memo.bound_children(&models[q], pyramids, parent, &mut got);
                 assert_eq!(g, (n, madds), "lane {q} at {parent:?}");
                 for (g, w) in got[..n].iter().zip(&want[..n]) {
                     assert_eq!(g.to_bits(), w.to_bits(), "lane {q} at {parent:?}");
@@ -1412,11 +1421,54 @@ mod tests {
         memo.tally().bound_evals - evals
     }
 
+    /// Sampling, on (miss, miss over a sampled mark, hit) and retired: in
+    /// each phase, every lane of `models` gets the block bound's bits over
+    /// the pyramids for every parent, and only a replayed block skips the
+    /// fetch. `children` is the child count summed over `parents`.
+    fn check_memo_phases<M: Scorer>(
+        models: &[M],
+        pyramids: &[AggregatePyramid],
+        parents: &[(usize, usize, usize)],
+        children: u64,
+    ) {
+        let width = models.len();
+        let all = 0..width;
+        let mut memo = Memo::default();
+
+        // Sampling, then on: the first lane stores every block over its
+        // sampled mark, every lane after it replays the block.
+        memo.reset(width);
+        pin(&mut memo, MemoPhase::Sampling);
+        let fetched = check_memo_bound_law(&mut memo, models, all.clone(), pyramids, parents);
+        assert_eq!(fetched, width as u64 * children);
+        pin(&mut memo, MemoPhase::On);
+        let fetched = check_memo_bound_law(&mut memo, models, 0..1, pyramids, parents);
+        assert_eq!(fetched, children);
+        let fetched = check_memo_bound_law(&mut memo, models, all.clone(), pyramids, parents);
+        assert_eq!(fetched, 0);
+
+        // On from a cold table, for every lane: it misses every block, then
+        // every lane replays the blocks it stored.
+        for q in all.clone() {
+            memo.reset(width);
+            pin(&mut memo, MemoPhase::On);
+            let fetched = check_memo_bound_law(&mut memo, models, q..q + 1, pyramids, parents);
+            assert_eq!(fetched, children);
+            let fetched = check_memo_bound_law(&mut memo, models, all.clone(), pyramids, parents);
+            assert_eq!(fetched, 0);
+        }
+
+        // Retired: the block bound over the pyramids, fetched every time.
+        memo.reset(width);
+        memo.bounds.gov.retire();
+        let fetched = check_memo_bound_law(&mut memo, models, all, pyramids, parents);
+        assert_eq!(fetched, width as u64 * children);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-        /// Sampling, on (miss, miss over a sampled mark, hit) and retired:
-        /// in each phase, every lane gets the direct block bound's bits
-        /// for every parent, and only a replayed block skips the fetch.
+        /// [`check_memo_phases`] for the full models and for their
+        /// truncated (combined-engine) scorers.
         #[test]
         fn prop_memo_block_bound_is_the_direct_block_bound(
             seed in 0u64..10_000,
@@ -1462,37 +1514,16 @@ mod tests {
                 .iter()
                 .map(|&(l, r, c)| pyramids[0].child_ranges(l, r, c, &mut [(0.0, 0.0); 4]) as u64)
                 .sum();
-            let all = 0..width;
-            let mut memo = Memo::default();
-
-            // Sampling, then on: the first lane stores every block over
-            // its sampled mark, every lane after it replays the block.
-            memo.reset(width);
-            pin(&mut memo, MemoPhase::Sampling);
-            let fetched = check_memo_bound_law(&mut memo, &models, all.clone(), &pyramids, &parents);
-            proptest::prop_assert_eq!(fetched, width as u64 * children);
-            pin(&mut memo, MemoPhase::On);
-            let fetched = check_memo_bound_law(&mut memo, &models, 0..1, &pyramids, &parents);
-            proptest::prop_assert_eq!(fetched, children);
-            let fetched = check_memo_bound_law(&mut memo, &models, all.clone(), &pyramids, &parents);
-            proptest::prop_assert_eq!(fetched, 0);
-
-            // On from a cold table, for every lane: it misses every block,
-            // then every lane replays the blocks it stored.
-            for q in all.clone() {
-                memo.reset(width);
-                pin(&mut memo, MemoPhase::On);
-                let fetched = check_memo_bound_law(&mut memo, &models, q..q + 1, &pyramids, &parents);
-                proptest::prop_assert_eq!(fetched, children);
-                let fetched = check_memo_bound_law(&mut memo, &models, all.clone(), &pyramids, &parents);
-                proptest::prop_assert_eq!(fetched, 0);
-            }
-
-            // Retired: the direct block bound, fetched every time.
-            memo.reset(width);
-            memo.bounds.gov.retire();
-            let fetched = check_memo_bound_law(&mut memo, &models, all, &pyramids, &parents);
-            proptest::prop_assert_eq!(fetched, width as u64 * children);
+            check_memo_phases(&models, &pyramids, &parents, children);
+            let levels = pyramids[0].levels();
+            let progressive: Vec<ProgressiveLinearModel> = (models.iter())
+                .map(|m| crate::engine::tests::progressive_of(m, &pyramids))
+                .collect();
+            let truncated: Vec<Truncated<'_>> = progressive
+                .iter()
+                .map(|model| Truncated { model, levels })
+                .collect();
+            check_memo_phases(&truncated, &pyramids, &parents, children);
         }
     }
 }

@@ -4,30 +4,32 @@
 //! Every grid engine in this crate — solo, parallel, batched, sharded — is
 //! the paper's §4.2 best-first descent: pop the region with the best upper
 //! bound, prove it irrelevant against a floor or refine it, evaluate
-//! exactly at base resolution. This module owns that loop once:
+//! exactly at base resolution. Solo is a batch of one, so every query runs
+//! through the one batch driver (`batched::descend` or the parallel one).
+//! This module owns that loop once:
 //!
 //! * [`step`] — one pop: prune against the floor, cooperative checkpoint,
 //!   level-0 read-or-park, otherwise [`expand`] (one block bound of the
-//!   children, push).
+//!   children, push), every read through the band's [`Memo`].
 //!   Monomorphised over the axes on which the engines differ: where the
-//!   floor comes from ([`Floor`]), what stops a run ([`Pressure`]), how a
-//!   model bounds and scores ([`Scorer`]), and whether physical reads are
-//!   shared across queries ([`Fetch`]). A lost page always parks its cell:
-//!   the strict engines run over a source that cannot lose one.
+//!   floor comes from ([`Floor`]), what stops a run ([`Pressure`]), and
+//!   how a model bounds and scores ([`Scorer`]). A lost page always parks
+//!   its cell: the strict engines run over a source that cannot lose one.
 //! * two schedulers over the step — [`drain`], the plain
 //!   `while let Some(r) = frontier.pop()` loop of one lane, and
 //!   [`interleave`], which advances one [`Lane`] per (query, band) over
 //!   one or more bands ([`Env`]s) in global bound order through a
 //!   [`Selector`] while their memo tables share work, and turns
 //!   query-major once they stop doing so: each query then walks its own
-//!   lanes across the bands in bound order ([`drain`] over one band).
-//!   The [`Floor`] spans every band: [`Scored`] is one pool worker's
-//!   floor per query over every cell it scored.
+//!   lanes across the bands in bound order ([`drain`] over one band). A
+//!   batch of one starts retired, so a solo query goes straight to
+//!   [`drain`]. The [`Floor`] spans every band: [`Scored`] is one pool
+//!   worker's floor per query over every cell it scored.
 //! * [`Merge`] — the gather half: exact hits, the deterministic K-th
 //!   floor, lost cells and unrefined regions resolved against it or
 //!   carried as degraded candidates, and the final rank order.
 
-use crate::batched::Selector;
+use crate::batched::{Memo, Selector};
 use crate::engine::{read_base_vector_into, EffortReport, Region};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
@@ -40,7 +42,6 @@ use mbir_archive::error::ArchiveError;
 use mbir_archive::extent::CellCoord;
 use mbir_index::scan::TopKHeap;
 use mbir_index::stats::{sort_desc, ScoredItem};
-use mbir_models::error::ModelError;
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
 use std::collections::BinaryHeap;
@@ -283,12 +284,16 @@ impl Floor for Scored<'_> {
 ///
 /// Both bounds are upper bounds only, and [`bound_children`] must give
 /// each child exactly the bits [`bound`] gives it: the same terms added
-/// in the same order.
+/// in the same order. A cell is scored with the full [`model`], which is
+/// also what the inputs are validated against and what bounds a degraded
+/// candidate.
 ///
 /// [`bound`]: Scorer::bound
 /// [`bound_children`]: Scorer::bound_children
+/// [`model`]: Scorer::model
 pub(crate) trait Scorer {
-    fn arity(&self) -> usize;
+    /// The full linear model.
+    fn model(&self) -> &LinearModel;
 
     /// Sound upper bound over region `(level, row, col)`, and the
     /// multiply-adds it cost.
@@ -298,19 +303,30 @@ pub(crate) trait Scorer {
         at: (usize, usize, usize),
     ) -> Result<(f64, u64), CoreError>;
 
-    /// [`bound`](Scorer::bound) of every child of region `parent` (of
-    /// level 1 or more) in one call, written to `ub` in
-    /// [`AggregatePyramid::child_ranges`] order: the child count, and the
-    /// multiply-adds *each* child cost.
-    fn bound_children(
-        &self,
-        pyramids: &[AggregatePyramid],
-        parent: (usize, usize, usize),
-        ub: &mut [f64; 4],
-    ) -> Result<(usize, u64), CoreError>;
+    /// [`bound`](Scorer::bound) of every child of a region of `level`
+    /// (1 or more) in one call, over the children's `(min, max)` `rows`,
+    /// written to `ub` in [`AggregatePyramid::child_ranges`] order: the
+    /// child count, and the multiply-adds *each* child cost.
+    fn bound_children(&self, level: usize, rows: impl ChildRows, ub: &mut [f64; 4])
+        -> (usize, u64);
+}
 
-    /// Exact score at a base cell's attribute vector (`arity` multiply-adds).
-    fn score(&self, x: &[f64]) -> f64;
+/// Where a block bound reads the `(min, max)` of a region's children:
+/// `rows(attr, out)` writes attribute `attr`'s row in
+/// [`AggregatePyramid::child_ranges`] order and returns the child count.
+/// The rows are read from the pyramids on a fresh expansion ([`fresh`]),
+/// or replayed from a block the batch memo stored.
+pub(crate) trait ChildRows: Fn(usize, &mut [(f64, f64); 4]) -> usize {}
+
+impl<F: Fn(usize, &mut [(f64, f64); 4]) -> usize> ChildRows for F {}
+
+/// The rows of region `parent`'s children, read from the pyramids.
+#[inline]
+pub(crate) fn fresh(
+    pyramids: &[AggregatePyramid],
+    (level, row, col): (usize, usize, usize),
+) -> impl ChildRows + '_ {
+    move |attr: usize, out: &mut [(f64, f64); 4]| pyramids[attr].child_ranges(level, row, col, out)
 }
 
 /// The children of region `parent` (level >= 1) in `(rr, cc)` order — the
@@ -354,49 +370,29 @@ pub(crate) fn region_upper(
     Ok(hi)
 }
 
-/// [`region_upper`] of every child of region `parent` at once, written to
-/// `ub` in `(rr, cc)` order: one [`AggregatePyramid::child_ranges`] per
-/// term, the same additions in the same order per child. Returns the
-/// child count.
+/// [`region_upper`] of every child at once, over the children's `rows`,
+/// written to `ub` in `(rr, cc)` order: one row per term, the same
+/// additions in the same order per child. Returns the child count, which
+/// every row shares: the grid entry points validate that the pyramids
+/// share a shape.
 #[inline]
 pub(crate) fn children_upper(
-    pyramids: &[AggregatePyramid],
-    (parent, row, col): (usize, usize, usize),
+    rows: impl ChildRows,
     intercept: f64,
     terms: impl Iterator<Item = (usize, f64)>,
     ub: &mut [f64; 4],
-) -> Result<usize, CoreError> {
+) -> usize {
     *ub = [intercept; 4];
-    let mut ranges = [(0.0, 0.0); 4];
-    let mut n = None;
+    let (mut ranges, mut n) = ([(0.0, 0.0); 4], 0);
     for (attr, a) in terms {
-        let got = pyramids[attr].child_ranges(parent, row, col, &mut ranges);
-        if *n.get_or_insert(got) != got {
-            return Err(CoreError::Query("pyramids must share a shape".into()));
-        }
+        n = rows(attr, &mut ranges);
         // All four slots, so the loop has a fixed length: a slot past
-        // `got` adds stale ranges to a bound nobody reads.
+        // `n` adds stale ranges to a bound nobody reads.
         for (u, &range) in ub.iter_mut().zip(&ranges) {
             *u += upper_term(a, range);
         }
     }
-    Ok(n.unwrap_or(0))
-}
-
-/// `pyramids` must hold one pyramid per model term (`bound_over_box`'s
-/// check).
-#[inline]
-pub(crate) fn check_arity(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-) -> Result<(), CoreError> {
-    if pyramids.len() != model.arity() {
-        return Err(CoreError::Model(ModelError::ArityMismatch {
-            expected: model.arity(),
-            actual: pyramids.len(),
-        }));
-    }
-    Ok(())
+    n
 }
 
 /// The full-model interval bound: `arity` multiply-adds per region,
@@ -404,8 +400,8 @@ pub(crate) fn check_arity(
 /// [`LinearModel::bound_over_box`] sums its `hi`.
 impl Scorer for LinearModel {
     #[inline]
-    fn arity(&self) -> usize {
-        LinearModel::arity(self)
+    fn model(&self) -> &LinearModel {
+        self
     }
 
     #[inline]
@@ -414,28 +410,21 @@ impl Scorer for LinearModel {
         pyramids: &[AggregatePyramid],
         at: (usize, usize, usize),
     ) -> Result<(f64, u64), CoreError> {
-        check_arity(self, pyramids)?;
         let terms = self.coefficients().iter().copied().enumerate();
         let hi = region_upper(pyramids, at, self.intercept(), terms)?;
-        Ok((hi, LinearModel::arity(self) as u64))
+        Ok((hi, self.arity() as u64))
     }
 
     #[inline]
     fn bound_children(
         &self,
-        pyramids: &[AggregatePyramid],
-        parent: (usize, usize, usize),
+        _level: usize,
+        rows: impl ChildRows,
         ub: &mut [f64; 4],
-    ) -> Result<(usize, u64), CoreError> {
-        check_arity(self, pyramids)?;
+    ) -> (usize, u64) {
         let terms = self.coefficients().iter().copied().enumerate();
-        let n = children_upper(pyramids, parent, self.intercept(), terms, ub)?;
-        Ok((n, LinearModel::arity(self) as u64))
-    }
-
-    #[inline]
-    fn score(&self, x: &[f64]) -> f64 {
-        self.evaluate(x)
+        let n = children_upper(rows, self.intercept(), terms, ub);
+        (n, self.arity() as u64)
     }
 }
 
@@ -466,135 +455,6 @@ pub(crate) fn read_cell<S: CellSource>(
             | ArchiveError::PageCorrupt { page },
         )) => Ok(Some(source.page_of(row, col).unwrap_or(page))),
         Err(e) => Err(e),
-    }
-}
-
-/// The physical work under a descent: region bounds and base-cell reads.
-/// [`Direct`] performs each request; the batch memo
-/// ([`crate::batched::Memo`]) deduplicates them across lanes.
-pub(crate) trait Fetch<M> {
-    /// Upper bound of lane `q`'s `model` over region `at`, with the
-    /// multiply-adds to charge the lane.
-    fn bound(
-        &mut self,
-        model: &M,
-        q: usize,
-        pyramids: &[AggregatePyramid],
-        at: (usize, usize, usize),
-    ) -> Result<(f64, u64), CoreError>;
-
-    /// Upper bounds of lane `q`'s `model` over every child of region
-    /// `parent`, as [`Scorer::bound_children`] returns them.
-    fn bound_children(
-        &mut self,
-        model: &M,
-        q: usize,
-        pyramids: &[AggregatePyramid],
-        parent: (usize, usize, usize),
-        ub: &mut [f64; 4],
-    ) -> Result<(usize, u64), CoreError>;
-
-    /// The attribute vector of base cell `at`, or the page it was lost on
-    /// (see [`read_cell`]).
-    fn cell<S: CellSource>(
-        &mut self,
-        source: &S,
-        at: (usize, usize),
-        arity: usize,
-    ) -> Result<Cell<'_>, CoreError>;
-
-    /// Whether cross-lane sharing has stopped paying: [`interleave`] then
-    /// runs each lane to completion with [`drain`].
-    fn retired(&self) -> bool;
-}
-
-impl<M, T: Fetch<M>> Fetch<M> for &mut T {
-    #[inline]
-    fn bound(
-        &mut self,
-        model: &M,
-        q: usize,
-        pyramids: &[AggregatePyramid],
-        at: (usize, usize, usize),
-    ) -> Result<(f64, u64), CoreError> {
-        (**self).bound(model, q, pyramids, at)
-    }
-
-    /// Forced inline: the batch's memo is reached through here (see
-    /// `batched::Memo`'s `bound_children`).
-    #[inline(always)]
-    fn bound_children(
-        &mut self,
-        model: &M,
-        q: usize,
-        pyramids: &[AggregatePyramid],
-        parent: (usize, usize, usize),
-        ub: &mut [f64; 4],
-    ) -> Result<(usize, u64), CoreError> {
-        (**self).bound_children(model, q, pyramids, parent, ub)
-    }
-
-    #[inline]
-    fn cell<S: CellSource>(
-        &mut self,
-        source: &S,
-        at: (usize, usize),
-        arity: usize,
-    ) -> Result<Cell<'_>, CoreError> {
-        (**self).cell(source, at, arity)
-    }
-
-    #[inline]
-    fn retired(&self) -> bool {
-        (**self).retired()
-    }
-}
-
-/// One query's own reads through the caller's attribute buffer.
-pub(crate) struct Direct<'a> {
-    pub(crate) x: &'a mut Vec<f64>,
-}
-
-impl<M: Scorer> Fetch<M> for Direct<'_> {
-    #[inline]
-    fn bound(
-        &mut self,
-        model: &M,
-        _q: usize,
-        pyramids: &[AggregatePyramid],
-        at: (usize, usize, usize),
-    ) -> Result<(f64, u64), CoreError> {
-        model.bound(pyramids, at)
-    }
-
-    #[inline]
-    fn bound_children(
-        &mut self,
-        model: &M,
-        _q: usize,
-        pyramids: &[AggregatePyramid],
-        parent: (usize, usize, usize),
-        ub: &mut [f64; 4],
-    ) -> Result<(usize, u64), CoreError> {
-        model.bound_children(pyramids, parent, ub)
-    }
-
-    #[inline]
-    fn cell<S: CellSource>(
-        &mut self,
-        source: &S,
-        at: (usize, usize),
-        arity: usize,
-    ) -> Result<Cell<'_>, CoreError> {
-        Ok(match read_cell(source, at, self.x, arity)? {
-            None => Cell::Loaded(self.x),
-            Some(page) => Cell::Lost(page),
-        })
-    }
-
-    #[inline]
-    fn retired(&self) -> bool {
-        true
     }
 }
 
@@ -683,17 +543,18 @@ impl<'a, M> Lane<'a, M> {
 }
 
 /// What every lane over one band shares: the band's resident pyramids,
-/// its page source, the hit-index geometry, and the fetch and pressure
-/// policies of the module docs. A descent over several bands has one
-/// `Env` per band; the [`Floor`] spans them all and is passed apart.
-pub(crate) struct Env<'a, S, F, P> {
+/// its page source, the hit-index geometry, the band's [`Memo`] — every
+/// bound and base-cell read goes through it — and the pressure policy of
+/// the module docs. A descent over several bands has one `Env` per band;
+/// the [`Floor`] spans them all and is passed apart.
+pub(crate) struct Env<'a, S, P> {
     pub(crate) pyramids: &'a [AggregatePyramid],
     pub(crate) source: &'a S,
     /// Global column count and the global row of the pyramids' first
     /// row: a hit's index is `(row + row_offset) * cols + col`.
     pub(crate) cols: usize,
     pub(crate) row_offset: usize,
-    pub(crate) fetch: F,
+    pub(crate) memo: &'a mut Memo,
     pub(crate) pressure: P,
 }
 
@@ -709,18 +570,12 @@ enum Step {
 }
 
 /// Pushes the lane's root region, charging its bound like any other.
-pub(crate) fn seed_root<S, M, F, P>(
-    env: &mut Env<'_, S, F, P>,
+pub(crate) fn seed_root<S, M: Scorer, P: Pressure>(
+    env: &mut Env<'_, S, P>,
     lane: &mut Lane<'_, M>,
-) -> Result<(), CoreError>
-where
-    F: Fetch<M>,
-    P: Pressure,
-{
+) -> Result<(), CoreError> {
     let top = env.pyramids[0].levels() - 1;
-    let (ub, spent) = env
-        .fetch
-        .bound(lane.model, lane.q, env.pyramids, (top, 0, 0))?;
+    let (ub, spent) = env.memo.bound(lane.model, env.pyramids, (top, 0, 0))?;
     lane.out.effort.multiply_adds += spent;
     env.pressure.charge(spent);
     lane.frontier.push(Region::new(ub, (top, 0, 0)));
@@ -731,26 +586,21 @@ where
 /// of them, then the pushes in `(rr, cc)` order, charged `n ×` the
 /// per-child multiply-adds.
 #[inline(always)]
-fn expand<S, M, F, P>(
-    env: &mut Env<'_, S, F, P>,
+fn expand<S, M: Scorer, P: Pressure>(
+    env: &mut Env<'_, S, P>,
     lane: &mut Lane<'_, M>,
     region: Region,
-) -> Result<(), CoreError>
-where
-    F: Fetch<M>,
-    P: Pressure,
-{
+) {
     let mut ub = [0.0; 4];
-    let (n, madds) =
-        env.fetch
-            .bound_children(lane.model, lane.q, env.pyramids, region.at(), &mut ub)?;
+    let (n, madds) = env
+        .memo
+        .bound_children(lane.model, env.pyramids, region.at(), &mut ub);
     for (at, &ub) in children_of(env.pyramids, region.at()).zip(&ub[..n]) {
         lane.frontier.push(Region::new(ub, at));
     }
     let spent = n as u64 * madds;
     lane.out.effort.multiply_adds += spent;
     env.pressure.charge(spent);
-    Ok(())
 }
 
 /// One pop of one lane — the loop body of every grid engine. Forced
@@ -758,8 +608,8 @@ where
 /// the hand-written engines were: on `grid_hot` a plain `#[inline]` hint
 /// costs 2 % of throughput, this form measures equal to the old loop.
 #[inline(always)]
-fn step<S, M, F, P, B>(
-    env: &mut Env<'_, S, F, P>,
+fn step<S, M, P, B>(
+    env: &mut Env<'_, S, P>,
     floor: &mut B,
     lane: &mut Lane<'_, M>,
     region: Region,
@@ -767,7 +617,6 @@ fn step<S, M, F, P, B>(
 where
     S: CellSource,
     M: Scorer,
-    F: Fetch<M>,
     P: Pressure,
     B: Floor,
 {
@@ -782,18 +631,19 @@ where
     }
     let (level, row, col) = region.at();
     if level > 0 {
-        expand(env, lane, region)?;
+        expand(env, lane, region);
         return Ok(Step::Advanced);
     }
-    let arity = lane.model.arity();
-    match env.fetch.cell(env.source, (row, col), arity)? {
+    let model = lane.model.model();
+    let arity = model.arity();
+    match env.memo.cell(env.source, (row, col), arity)? {
         Cell::Loaded(x) => {
             let spent = arity as u64;
             lane.out.effort.multiply_adds += spent;
             env.pressure.charge(spent);
             let item = ScoredItem {
                 index: (row + env.row_offset) * env.cols + col,
-                score: lane.model.score(x),
+                score: model.evaluate(x),
             };
             lane.heap.offer(item);
             floor.publish(lane.q, item);
@@ -803,18 +653,19 @@ where
     Ok(Step::Advanced)
 }
 
-/// The solo scheduler: runs one lane until its bound proof closes, its
+/// The one-lane scheduler: runs one lane until its bound proof closes, its
 /// frontier drains, or a stop (returned) makes it surrender what is left.
-#[inline]
-pub(crate) fn drain<S, M, F, P, B>(
-    env: &mut Env<'_, S, F, P>,
+/// Kept out of line: inlined into [`interleave`], whose body already holds
+/// two [`step`]s, it left the frontier's push and pop as calls.
+#[inline(never)]
+pub(crate) fn drain<S, M, P, B>(
+    env: &mut Env<'_, S, P>,
     floor: &mut B,
     lane: &mut Lane<'_, M>,
 ) -> Result<Option<BudgetStop>, CoreError>
 where
     S: CellSource,
     M: Scorer,
-    F: Fetch<M>,
     P: Pressure,
     B: Floor,
 {
@@ -856,8 +707,8 @@ fn halt<M>(
 /// lane is still open (the caller re-arms it). A stop or an error halts
 /// the lane's whole band.
 #[inline(always)]
-fn advance<S, M, F, P, B>(
-    envs: &mut [Env<'_, S, F, P>],
+fn advance<S, M, P, B>(
+    envs: &mut [Env<'_, S, P>],
     floor: &mut B,
     lanes: &mut [Lane<'_, M>],
     i: usize,
@@ -867,7 +718,6 @@ fn advance<S, M, F, P, B>(
 where
     S: CellSource,
     M: Scorer,
-    F: Fetch<M>,
     P: Pressure,
     B: Floor,
 {
@@ -903,43 +753,44 @@ where
 /// query `i / bands`'s descent of band `i % bands`, with `envs[b]` band
 /// `b`'s. Whichever lane holds the best upper bound over every band
 /// advances, so lanes interested in the same region pop it back to back
-/// while their band's fetch layer shares the reads, and each query
+/// while their band's memo shares the reads, and each query
 /// descends its bands as one forest, best first, against the one floor
 /// it has across them. Once a band reports its sharing retired, the
 /// schedule turns query-major: each selected query walks its own lanes
 /// across the bands in bound order until they close, which keeps that
 /// query's pages hot. Restricted to any one query the pop sequence is
-/// that query's best-first sequence over the forest.
+/// that query's best-first sequence over the forest. The two selectors
+/// (reused buffers) schedule the lanes and a query's walk.
 ///
 /// A stop is band-wide: every lane of the band still holding frontier
 /// surrenders it, closed and drained lanes keep their finished answers,
 /// and the other bands carry on. An error lands in the band's `verdicts`
 /// slot and drops the band's lanes; a band whose verdict is an error on
 /// entry is not descended at all.
-pub(crate) fn interleave<S, M, F, P, B>(
-    envs: &mut [Env<'_, S, F, P>],
+pub(crate) fn interleave<S, M, P, B>(
+    envs: &mut [Env<'_, S, P>],
     floor: &mut B,
     lanes: &mut [Lane<'_, M>],
     verdicts: &mut [Result<(), CoreError>],
+    [selector, walk]: &mut [Selector; 2],
 ) where
     S: CellSource,
     M: Scorer,
-    F: Fetch<M>,
     P: Pressure,
     B: Floor,
 {
     let bands = envs.len();
-    let mut selector = Selector::for_width(lanes.len());
+    selector.reset(lanes.len());
     for (i, lane) in lanes.iter_mut().enumerate() {
         if verdicts[i % bands].is_err() {
             lane.frontier.clear();
         }
         selector.arm(i, lane.frontier.peek());
     }
-    let mut walk = Selector::for_width(bands);
+    walk.reset(bands);
     while let Some(i) = selector.next() {
-        if !envs.iter().any(|env| env.fetch.retired()) {
-            if advance(envs, floor, lanes, i, verdicts, &mut selector) {
+        if !envs.iter().any(|env| env.memo.retired()) {
+            if advance(envs, floor, lanes, i, verdicts, selector) {
                 selector.arm(i, lanes[i].frontier.peek());
             }
             continue;
@@ -953,7 +804,7 @@ pub(crate) fn interleave<S, M, F, P, B>(
         while let Some(b) = walk.next() {
             let j = first + b;
             if !walk.is_empty() {
-                if advance(envs, floor, lanes, j, verdicts, &mut selector) {
+                if advance(envs, floor, lanes, j, verdicts, selector) {
                     walk.arm(b, lanes[j].frontier.peek());
                 }
                 continue;
@@ -963,10 +814,10 @@ pub(crate) fn interleave<S, M, F, P, B>(
             // loop, which re-arms nothing per pop.
             match drain(&mut envs[b], floor, &mut lanes[j]) {
                 Ok(None) => {}
-                Ok(Some(stop)) => halt(lanes, bands, b, Some(stop), &mut selector),
+                Ok(Some(stop)) => halt(lanes, bands, b, Some(stop), selector),
                 Err(e) => {
                     verdicts[b] = Err(e);
-                    halt(lanes, bands, b, None, &mut selector);
+                    halt(lanes, bands, b, None, selector);
                 }
             }
         }
@@ -987,17 +838,18 @@ pub(crate) struct Held {
 /// instead of evaluated, until the lanes hold `target` regions between
 /// them or bottom out. One checkpoint per pop; a trip is returned with
 /// the regions held so far.
-pub(crate) fn warm_up<S, M, F, P>(
-    env: &mut Env<'_, S, F, P>,
+pub(crate) fn warm_up<S, M, P>(
+    env: &mut Env<'_, S, P>,
     lanes: &mut [Lane<'_, M>],
     target: usize,
+    selector: &mut Selector,
 ) -> Result<Held, CoreError>
 where
     S: CellSource,
-    F: Fetch<M>,
+    M: Scorer,
     P: Pressure,
 {
-    let mut selector = Selector::for_width(lanes.len());
+    selector.reset(lanes.len());
     for (q, lane) in lanes.iter().enumerate() {
         selector.arm(q, lane.frontier.peek());
     }
@@ -1017,7 +869,7 @@ where
             held.push((q, region));
         } else {
             let before = lane.frontier.len();
-            expand(env, lane, region)?;
+            expand(env, lane, region);
             open += lane.frontier.len() - before;
         }
         selector.arm(q, lane.frontier.peek());

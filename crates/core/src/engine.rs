@@ -17,11 +17,12 @@
 //! Every engine returns exactly the scores a naive full scan returns
 //! (property-tested); only the work differs.
 
-use crate::descent::{children_upper, region_upper, Scorer};
+use crate::batched::{batched_top_k_inner, with_pooled_scratch};
+use crate::descent::{children_upper, region_upper, ChildRows, Scorer};
 use crate::error::CoreError;
 use crate::parallel::{par_staged_top_k, WorkerPool};
 use crate::query::{Objective, TopKQuery};
-use crate::resilient::{solo_top_k, ExecutionBudget};
+use crate::resilient::{resilient_top_k, ExecutionBudget};
 use crate::source::{CellSource, PyramidSource};
 use mbir_archive::extent::CellCoord;
 use mbir_index::scan::TopKHeap;
@@ -201,10 +202,10 @@ pub(crate) fn pack_coords((level, row, col): (usize, usize, usize)) -> u64 {
 /// 2 GB a row of one attribute: a guard, not a working limit).
 ///
 /// Reached through [`validate_grid_inputs`] by every grid entry point
-/// before its first region exists: `resilient_top_k` (and through it
-/// `pyramid_top_k`, `grid_query` and `combined_top_k`),
-/// `naive_grid_top_k`, `batched_top_k`, the two `par_*` grid engines, and
-/// the `scatter_gather_*` engines once per shard.
+/// before its first region exists: `batched_top_k` (and through it
+/// `resilient_top_k`, `pyramid_top_k`, `grid_query` and `combined_top_k`),
+/// `naive_grid_top_k`, the two `par_*` grid engines, and the
+/// `scatter_gather_*` engines once per shard.
 fn check_grid_fits_key(rows: usize, cols: usize, levels: usize) -> Result<(), CoreError> {
     if rows.max(cols) > 1 << COORD_BITS || levels > 1 << LEVEL_BITS {
         return Err(CoreError::Query(format!(
@@ -274,34 +275,21 @@ impl Region {
 /// Progressive-data engine (the `p_d` engine): best-first quad-descent over
 /// per-attribute aggregate pyramids with full-model box bounds.
 ///
-/// This is [`resilient_top_k`](crate::resilient::resilient_top_k) over the
-/// pyramids' own level 0 ([`PyramidSource`]) with an unlimited budget, so
-/// every cell is certified exact.
+/// This is [`resilient_top_k`] over the pyramids' own level 0
+/// ([`PyramidSource`]) with an unlimited budget, so every cell is
+/// certified exact.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Query`] for `k == 0`, empty/misaligned pyramids, or
-/// a pyramid/model arity mismatch.
+/// Returns [`CoreError::Query`] for `k == 0`, empty/misaligned pyramids, a
+/// pyramid/model arity mismatch, or a NaN base cell.
 pub fn pyramid_top_k(
     model: &LinearModel,
     pyramids: &[AggregatePyramid],
     k: usize,
 ) -> Result<GridTopK, CoreError> {
-    zero_pressure(model, model, pyramids, k)
-}
-
-/// The strict configuration of the execution core: the solo descent with
-/// `scorer` over a source that cannot lose a page and a budget that never
-/// stops, so the answer is the exact top-K.
-fn zero_pressure<M: Scorer>(
-    scorer: &M,
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-) -> Result<GridTopK, CoreError> {
     let source = PyramidSource::new(pyramids);
-    let budget = ExecutionBudget::unlimited();
-    let r = solo_top_k(scorer, model, pyramids, k, &source, (&budget).into())?;
+    let r = resilient_top_k(model, pyramids, k, &source, &ExecutionBudget::unlimited())?;
     Ok(GridTopK {
         results: r.exact_cells(),
         effort: r.effort,
@@ -341,17 +329,27 @@ pub fn combined_top_k(
     pyramids: &[AggregatePyramid],
     k: usize,
 ) -> Result<GridTopK, CoreError> {
-    // `solo_top_k` checks that every pyramid has the first one's levels.
+    // Validation checks that every pyramid has the first one's levels.
     let levels = pyramids.first().map_or(0, AggregatePyramid::levels);
-    zero_pressure(&Truncated { model, levels }, model.model(), pyramids, k)
+    let scorers = [Truncated { model, levels }];
+    let source = PyramidSource::new(pyramids);
+    let budget = ExecutionBudget::unlimited();
+    let mut batch = with_pooled_scratch(|scratch| {
+        batched_top_k_inner(&scorers, pyramids, k, &source, (&budget).into(), scratch)
+    })?;
+    let r = batch.queries.pop().expect("one answer per model");
+    Ok(GridTopK {
+        results: r.exact_cells(),
+        effort: r.effort,
+    })
 }
 
 /// The combined engine's [`Scorer`]: regions are bounded with the model
 /// truncated to the level's stage (one multiply-add per evaluated term),
 /// cells are scored with the full model.
-struct Truncated<'a> {
-    model: &'a ProgressiveLinearModel,
-    levels: usize,
+pub(crate) struct Truncated<'a> {
+    pub(crate) model: &'a ProgressiveLinearModel,
+    pub(crate) levels: usize,
 }
 
 impl Truncated<'_> {
@@ -379,8 +377,9 @@ impl Truncated<'_> {
 }
 
 impl Scorer for Truncated<'_> {
-    fn arity(&self) -> usize {
-        self.model.stages()
+    #[inline]
+    fn model(&self) -> &LinearModel {
+        self.model.model()
     }
 
     /// Truncated-model interval upper bound: the first `stage` ranked
@@ -403,22 +402,17 @@ impl Scorer for Truncated<'_> {
     #[inline]
     fn bound_children(
         &self,
-        pyramids: &[AggregatePyramid],
-        parent: (usize, usize, usize),
+        level: usize,
+        rows: impl ChildRows,
         ub: &mut [f64; 4],
-    ) -> Result<(usize, u64), CoreError> {
-        let stage = self.stage_for_level(parent.0 - 1);
-        let n = children_upper(pyramids, parent, self.intercept(), self.terms(stage), ub)?;
+    ) -> (usize, u64) {
+        let stage = self.stage_for_level(level - 1);
+        let n = children_upper(rows, self.intercept(), self.terms(stage), ub);
         let suffix = suffix_upper(self.model, stage);
         for u in &mut ub[..n] {
             *u += suffix;
         }
-        Ok((n, stage as u64))
-    }
-
-    #[inline]
-    fn score(&self, x: &[f64]) -> f64 {
-        self.model.evaluate_exact(x)
+        (n, stage as u64)
     }
 }
 
@@ -493,6 +487,15 @@ pub fn grid_query(
     }
 }
 
+/// The grid engines' shared input check: `k >= 1`, one pyramid per model
+/// term, one shape and level count across them, a grid the frontier key
+/// holds, and no NaN base cell. A NaN cell would rank first in the exact
+/// answer, but the pyramid's `min` / `max` skip it, so the descent would
+/// miss it or not depending on where it sits: the input is rejected, as
+/// [`validate_tuples`] rejects a NaN tuple. The check reads each
+/// pyramid's root mean, which any NaN below makes NaN — and so does a
+/// grid holding both infinities (or finite values so large that the
+/// mean's sums overflow both ways), which is rejected too.
 pub(crate) fn validate_grid_inputs(
     model: &LinearModel,
     pyramids: &[AggregatePyramid],
@@ -519,6 +522,11 @@ pub(crate) fn validate_grid_inputs(
         }
     }
     check_grid_fits_key(shape.0, shape.1, levels)?;
+    if let Some(attr) = pyramids.iter().position(|p| p.root().mean.is_nan()) {
+        return Err(CoreError::Query(format!(
+            "attribute {attr} holds a NaN base cell (or both infinities)"
+        )));
+    }
     Ok((shape, levels))
 }
 
@@ -544,6 +552,11 @@ fn suffix_upper(model: &ProgressiveLinearModel, stage: usize) -> f64 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::batched::batched_top_k;
+    use crate::descent::fresh;
+    use crate::shard::{
+        scatter_gather_top_k, ArchiveShard, ScatterPolicy, ShardError, ShardedArchive,
+    };
     use mbir_archive::grid::Grid2;
     use proptest::prelude::*;
     use std::cmp::Ordering;
@@ -716,7 +729,7 @@ pub(crate) mod tests {
         (model, pyramids)
     }
 
-    fn progressive_of(
+    pub(crate) fn progressive_of(
         model: &LinearModel,
         pyramids: &[AggregatePyramid],
     ) -> ProgressiveLinearModel {
@@ -842,6 +855,39 @@ pub(crate) mod tests {
         let (prog, tuples) = nan_tuple_input();
         let got = staged_top_k(&prog, &tuples, 1);
         assert!(matches!(got, Err(CoreError::Query(_))), "{got:?}");
+
+        // A NaN base cell, wherever it sits, fails every grid engine and
+        // the oracle alike.
+        for at in [(5, 7), (31, 30)] {
+            let mut ramp = Grid2::from_fn(32, 32, |r, c| (r * 32 + c) as f64);
+            ramp.set(at.0, at.1, f64::NAN).unwrap();
+            let pyramids = [AggregatePyramid::build(&ramp)];
+            let model = LinearModel::new(vec![1.0], 0.0).unwrap();
+            let (src, budget) = (PyramidSource::new(&pyramids), ExecutionBudget::unlimited());
+            let shard = ArchiveShard::new(&pyramids, &src, 0);
+            let archive = ShardedArchive::new(vec![shard]).unwrap();
+            let policy = ScatterPolicy::require_all();
+            let pool = WorkerPool::new(1);
+            let errs = [
+                pyramid_top_k(&model, &pyramids, 3).map(drop),
+                combined_top_k(&progressive_of(&model, &pyramids), &pyramids, 3).map(drop),
+                naive_grid_top_k(&model, &pyramids, 3).map(drop),
+                resilient_top_k(&model, &pyramids, 3, &src, &budget).map(drop),
+                batched_top_k(std::slice::from_ref(&model), &pyramids, 3, &src, &budget).map(drop),
+                scatter_gather_top_k(&model, &archive, 3, &budget, &policy, &pool)
+                    .map(drop)
+                    .map_err(|e| match e {
+                        ShardError::Core(e) => e,
+                        other => panic!("{other:?}"),
+                    }),
+            ];
+            for (i, err) in errs.into_iter().enumerate() {
+                assert!(
+                    matches!(err, Err(CoreError::Query(_))),
+                    "engine {i} at {at:?}: {err:?}"
+                );
+            }
+        }
     }
 
     /// Twenty 3-d tuples, the fourth holding a NaN in its most
@@ -905,9 +951,8 @@ pub(crate) mod tests {
             let (rows, cols) = pyramids[0].level_shape(level);
             for (row, col) in (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))) {
                 pyramids[0].children_into(level, row, col, &mut kids);
-                let (n, madds) = scorer
-                    .bound_children(pyramids, (level, row, col), &mut ub)
-                    .unwrap();
+                let parent = (level, row, col);
+                let (n, madds) = scorer.bound_children(level, fresh(pyramids, parent), &mut ub);
                 assert_eq!(n, kids.len(), "children of ({level}, {row}, {col})");
                 for (kid, &got) in kids.iter().zip(&ub) {
                     let at = (level - 1, kid.row, kid.col);
@@ -918,7 +963,7 @@ pub(crate) mod tests {
                         x.clear();
                         let base = pyramids.iter().map(|p| p.cell(0, cell.row, cell.col));
                         x.extend(base.map(|s| s.unwrap().mean));
-                        let score = scorer.score(&x);
+                        let score = scorer.model().evaluate(&x);
                         assert!(got >= score, "{at:?} bounds {got} < {score} at {cell:?}");
                     }
                 }

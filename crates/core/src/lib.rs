@@ -13,10 +13,11 @@
 //!   property-tested. The two grid engines are the resilient engine at
 //!   zero pressure: a source that cannot lose a page, no budget.
 //!   The pop → bound → expand loop of every grid engine — solo, parallel,
-//!   batched, sharded — is written once, in
-//!   the private `descent` module: one step monomorphised over floor,
-//!   stop policy, model bound and fetch layer, a solo and a batch
-//!   scheduler over it, one `degrade`, one scatter (DESIGN.md §18). A
+//!   batched, sharded — is written once, in the private `descent` module
+//!   and driven by one batch driver (solo is a batch of one): one step
+//!   monomorphised over floor, stop policy and model bound, every read
+//!   through the batch memo, a one-lane and a many-lane scheduler over
+//!   it, one `degrade`, one scatter (DESIGN.md §18). A
 //!   public `*top_k*` name exists only where callers differ by *type*
 //!   (what they hold, what report they get back); what varies by *value*
 //!   — budget, cancellation token — is one

@@ -61,12 +61,12 @@ pub(crate) fn par_descend<S: CellSource + Sync>(
             job,
             |_| pressure,
             scratch,
-            |envs, lanes| {
+            |envs, lanes, selectors| {
                 let env = &mut envs[0];
                 for lane in lanes.iter_mut() {
                     seed_root(env, lane)?;
                 }
-                warm_up(env, lanes, target)
+                warm_up(env, lanes, target, &mut selectors[0])
             },
         )
     });
@@ -97,12 +97,12 @@ pub(crate) fn par_descend<S: CellSource + Sync>(
                             job,
                             |_| pressure,
                             scratch,
-                            |envs, lanes| {
+                            |envs, lanes, selectors| {
                                 for (q, region) in seed {
                                     lanes[q].frontier.push(region);
                                 }
                                 let mut verdicts = [Ok(())];
-                                interleave(envs, &mut floor, lanes, &mut verdicts);
+                                interleave(envs, &mut floor, lanes, &mut verdicts, selectors);
                                 let [verdict] = verdicts;
                                 verdict
                             },

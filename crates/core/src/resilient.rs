@@ -44,15 +44,14 @@
 //! was lost. With a healthy source and an unlimited budget the output is
 //! bit-identical to [`pyramid_top_k`](crate::engine::pyramid_top_k).
 
-use crate::descent::{drain, finish, seed_root, Budgeted, Clock, Direct, Env, Lane, Local, Scorer};
-use crate::engine::{validate_grid_inputs, EffortReport, ScoredCell};
+use crate::batched::batched_top_k;
+use crate::engine::{EffortReport, ScoredCell};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
 use crate::source::CellSource;
 use mbir_archive::extent::CellCoord;
 use mbir_models::linear::LinearModel;
 use mbir_progressive::pyramid::AggregatePyramid;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -361,10 +360,12 @@ impl<'a> From<&'a ExecutionBudget> for ExecOptions<'a> {
 /// (a bare `&ExecutionBudget` converts). Never panics on lost pages, never
 /// silently drops what it could not certify.
 ///
-/// This is the sequential configuration of the execution core (the
-/// private `descent` module, DESIGN.md §18): local floor, one checkpoint
-/// per pop against this run's own multiply-adds and the source's clocks,
-/// lost pages parked.
+/// Solo is a batch of one: this is
+/// [`batched_top_k`] over `[model]`, the
+/// sequential configuration of the execution core (the private `descent`
+/// module, DESIGN.md §18): local floor, one checkpoint per pop against
+/// this run's own multiply-adds and the source's clocks, lost pages
+/// parked.
 ///
 /// # Errors
 ///
@@ -379,40 +380,9 @@ pub fn resilient_top_k<'a, S: CellSource>(
     source: &S,
     opts: impl Into<ExecOptions<'a>>,
 ) -> Result<ResilientTopK, CoreError> {
-    solo_top_k(model, model, pyramids, k, source, opts.into())
-}
-
-/// The one solo descent: [`resilient_top_k`]'s body with `scorer`
-/// bounding regions and scoring cells. `model` is the full model the
-/// inputs are validated against and degraded candidates are bounded
-/// with; the strict engines of [`crate::engine`] are this function over a
-/// [`PyramidSource`](crate::source::PyramidSource) with an unlimited
-/// budget.
-pub(crate) fn solo_top_k<M: Scorer, S: CellSource>(
-    scorer: &M,
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    k: usize,
-    source: &S,
-    opts: ExecOptions<'_>,
-) -> Result<ResilientTopK, CoreError> {
-    let ((rows, cols), _) = validate_grid_inputs(model, pyramids, k)?;
-    let deadline = WallDeadline::starting_now(opts.budget);
-    let mut x = Vec::new();
-    let mut frontier = BinaryHeap::new();
-    let mut env = Env {
-        pyramids,
-        source,
-        cols,
-        row_offset: 0,
-        fetch: Direct { x: &mut x },
-        pressure: Budgeted::new(Clock::starting(opts, &deadline, source)),
-    };
-    let naive = (model.arity() * rows * cols) as u64;
-    let mut lane = Lane::new(0, scorer, &mut frontier, k, naive);
-    seed_root(&mut env, &mut lane)?;
-    drain(&mut env, &mut Local, &mut lane)?;
-    finish(lane.finish(), model, pyramids, k)
+    let models = std::slice::from_ref(model);
+    let mut batch = batched_top_k(models, pyramids, k, source, opts)?;
+    Ok(batch.queries.pop().expect("one answer per model"))
 }
 
 #[cfg(test)]
