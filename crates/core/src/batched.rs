@@ -1151,10 +1151,6 @@ mod tests {
                 // skipped pages, and stop reason all match the solo run.
                 assert_eq!(batch.queries[q], solo, "k={k} q={q}");
             }
-            // A solo run is a batch of one, which has nothing to share:
-            // every cell it asks for is fetched.
-            let one = batched_top_k(&models[..1], &pyramids, k, &src, &budget).unwrap();
-            assert_eq!(one.cell_requests, one.cells_fetched);
         }
     }
 
@@ -1205,6 +1201,18 @@ mod tests {
             near_batch.bound_evals
         );
         assert!(near_batch.cell_requests > near_batch.cells_fetched);
+    }
+
+    #[test]
+    fn singleton_batch_equals_solo_run_exactly() {
+        let (models, pyramids, stores, _) = world(2, 32, 32, 8);
+        let budget = ExecutionBudget::unlimited();
+        let src = fresh_sources(&stores);
+        let batch = batched_top_k(&models[..1], &pyramids, 5, &src, &budget).unwrap();
+        let solo_src = fresh_sources(&stores);
+        let solo = resilient_top_k(&models[0], &pyramids, 5, &solo_src, &budget).unwrap();
+        assert_eq!(batch.queries[0], solo);
+        assert_eq!(batch.cell_requests, batch.cells_fetched);
     }
 
     #[test]
