@@ -59,7 +59,8 @@ impl Dem {
     }
 
     /// Cell size in meters.
-    pub fn cell_size_m(&self) -> f64 {
+    #[cfg(test)]
+    fn cell_size_m(&self) -> f64 {
         self.cell_size_m
     }
 

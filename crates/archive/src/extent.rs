@@ -19,18 +19,6 @@ impl CellCoord {
     pub fn new(row: usize, col: usize) -> Self {
         CellCoord { row, col }
     }
-
-    /// Chebyshev (8-neighbourhood) distance to another cell.
-    pub fn chebyshev(&self, other: &CellCoord) -> usize {
-        let dr = self.row.abs_diff(other.row);
-        let dc = self.col.abs_diff(other.col);
-        dr.max(dc)
-    }
-
-    /// Manhattan (4-neighbourhood) distance to another cell.
-    pub fn manhattan(&self, other: &CellCoord) -> usize {
-        self.row.abs_diff(other.row) + self.col.abs_diff(other.col)
-    }
 }
 
 impl fmt::Display for CellCoord {
@@ -208,14 +196,5 @@ mod tests {
         let (x, y) = e.cell_center(CellCoord::new(9, 9), 10, 10);
         assert!((x - 9.5).abs() < 1e-12);
         assert!((y - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cell_distances() {
-        let a = CellCoord::new(2, 3);
-        let b = CellCoord::new(5, 1);
-        assert_eq!(a.chebyshev(&b), 3);
-        assert_eq!(a.manhattan(&b), 5);
-        assert_eq!(a.chebyshev(&a), 0);
     }
 }

@@ -27,7 +27,7 @@
 //!
 //! A page carries at most **one** [`FaultKind`] (the builder is
 //! last-wins: `.corrupt(p).transient(p, 2)` leaves `p` transient, the
-//! corruption is *replaced*, not stacked — see [`FaultProfile::kind_of`])
+//! corruption is *replaced*, not stacked)
 //! plus an orthogonal latency. When several mechanisms apply to the same
 //! access, precedence is fixed and tested:
 //!
@@ -129,13 +129,19 @@ struct PageFaultSpec {
 ///
 /// ```
 /// use mbir_archive::fault::FaultProfile;
+/// use mbir_archive::grid::Grid2;
+/// use mbir_archive::tile::TileStore;
 ///
 /// let profile = FaultProfile::new(42)
 ///     .permanent(3)
 ///     .transient(5, 2)
 ///     .probabilistic(7, 0.25)
 ///     .latency(9, 10);
-/// assert_eq!(profile.faulty_pages(), vec![3, 5, 7]);
+/// // 8x8 cells in 2x2 tiles: page 3 holds (0, 6), page 9 holds (4, 2).
+/// let grid = Grid2::from_fn(8, 8, |r, c| (r * 8 + c) as f64);
+/// let store = TileStore::new(grid, 2).unwrap().with_faults(profile);
+/// assert!(store.read(0, 6).is_err());
+/// assert_eq!(store.read(4, 2).unwrap(), 34.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultProfile {
@@ -202,22 +208,24 @@ impl FaultProfile {
 
     /// The fault kind currently assigned to `page`, if any. Because the
     /// builder is last-wins, this is always the *most recent* kind set —
-    /// the documented way to check what a chain of builder calls left
-    /// behind.
-    pub fn kind_of(&self, page: usize) -> Option<FaultKind> {
+    /// the tests' way to check what a chain of builder calls left behind.
+    #[cfg(test)]
+    fn kind_of(&self, page: usize) -> Option<FaultKind> {
         self.specs.get(&page).and_then(|s| s.kind)
     }
 
     /// Injected latency ticks charged on every access of `page` (0 for
     /// unmentioned pages). Latency is orthogonal to the kind and
     /// survives kind replacement.
-    pub fn latency_of(&self, page: usize) -> u64 {
+    #[cfg(test)]
+    fn latency_of(&self, page: usize) -> u64 {
         self.specs.get(&page).map_or(0, |s| s.latency_ticks)
     }
 
     /// Pages with a fault kind assigned (latency-only pages excluded),
     /// sorted ascending.
-    pub fn faulty_pages(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn faulty_pages(&self) -> Vec<usize> {
         let mut pages: Vec<usize> = self
             .specs
             .iter()
@@ -229,7 +237,8 @@ impl FaultProfile {
     }
 
     /// True when no page has a fault kind or injected latency.
-    pub fn is_healthy(&self) -> bool {
+    #[cfg(test)]
+    fn is_healthy(&self) -> bool {
         self.specs
             .values()
             .all(|s| s.kind.is_none() && s.latency_ticks == 0)
@@ -312,12 +321,6 @@ impl RetryPolicy {
             .checked_shl(retry - 1)
             .unwrap_or(u64::MAX);
         shifted.min(self.max_backoff_ticks)
-    }
-
-    /// Worst-case ticks a single read can spend in backoff under this
-    /// policy (sum over all retries).
-    pub fn worst_case_backoff_ticks(&self) -> u64 {
-        (1..=self.max_retries).fold(0u64, |acc, r| acc.saturating_add(self.backoff_ticks(r)))
     }
 }
 
@@ -563,7 +566,6 @@ mod tests {
         assert_eq!(p.backoff_ticks(3), 8);
         assert_eq!(p.backoff_ticks(4), 16);
         assert_eq!(p.backoff_ticks(5), 16);
-        assert_eq!(p.worst_case_backoff_ticks(), 2 + 4 + 8 + 16 + 16);
         assert_eq!(RetryPolicy::none().backoff_ticks(3), 0);
     }
 

@@ -25,7 +25,7 @@ pub enum AttrValue {
 
 impl AttrValue {
     /// The value as f64, when numeric (bools map to 0/1).
-    pub fn as_f64(&self) -> Option<f64> {
+    fn as_f64(&self) -> Option<f64> {
         match self {
             AttrValue::Float(v) => Some(*v),
             AttrValue::Int(v) => Some(*v as f64),

@@ -90,16 +90,6 @@ impl<T> Grid2<T> {
         &self.data
     }
 
-    /// Mutable borrow of the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the grid, returning the row-major buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Value at `(row, col)`.
     ///
     /// # Errors
@@ -404,26 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn into_vec_roundtrip() {
-        let g = Grid2::from_fn(2, 3, |r, c| r * 3 + c);
-        let v = g.clone().into_vec();
-        assert_eq!(v, vec![0, 1, 2, 3, 4, 5]);
-        let g2 = Grid2::from_vec(2, 3, v).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
     fn min_max_skips_nan_and_handles_all_nan() {
         let g = Grid2::from_vec(1, 3, vec![f64::NAN, 2.0, -1.0]).unwrap();
         assert_eq!(g.min_max(), Some((-1.0, 2.0)));
         let all_nan = Grid2::filled(2, 2, f64::NAN);
         assert_eq!(all_nan.min_max(), None);
-    }
-
-    #[test]
-    fn as_mut_slice_edits_in_place() {
-        let mut g = Grid2::filled(2, 2, 0.0);
-        g.as_mut_slice()[3] = 9.0;
-        assert_eq!(*g.at(1, 1), 9.0);
     }
 }

@@ -133,7 +133,7 @@ fn commit_checksum(header: &[u8], record: &AppendRecord) -> u64 {
 }
 
 /// Serializes one record into its on-journal frame.
-pub fn encode_frame(record: &AppendRecord) -> Vec<u8> {
+fn encode_frame(record: &AppendRecord) -> Vec<u8> {
     let n = record.band.rows() * record.band.cols();
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + n * 8 + 8);
     frame.extend_from_slice(&JOURNAL_MAGIC);
@@ -198,7 +198,8 @@ impl AppendJournal {
     }
 
     /// Number of fully committed frames.
-    pub fn committed_frames(&self) -> u64 {
+    #[cfg(test)]
+    fn committed_frames(&self) -> u64 {
         self.next_seq
     }
 

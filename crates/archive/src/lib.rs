@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 //! # mbir-archive
 //!
 //! The multi-modal archive substrate for model-based information retrieval
@@ -28,7 +29,6 @@
 //! assert_eq!(grid.cols(), 64);
 //! ```
 
-pub mod archive;
 pub mod catalog;
 pub mod dem;
 pub mod error;
@@ -51,7 +51,6 @@ pub mod tile;
 pub mod weather;
 pub mod welllog;
 
-pub use archive::Archive;
 pub use catalog::{Catalog, DatasetId, DatasetMeta, Modality};
 pub use dem::Dem;
 pub use error::ArchiveError;

@@ -103,12 +103,6 @@ impl ColumnGenerator {
         }
     }
 
-    /// Sets the mean layer thickness in feet.
-    pub fn with_mean_thickness(mut self, mean_thickness_ft: f64) -> Self {
-        self.mean_thickness_ft = mean_thickness_ft.max(1.0);
-        self
-    }
-
     /// Plants a riverbed signature (shale / sandstone / siltstone, each
     /// under 10 ft) at a random depth in the column.
     pub fn with_riverbed(mut self) -> Self {

@@ -47,11 +47,6 @@ impl Polygon {
         }
     }
 
-    /// The vertices.
-    pub fn vertices(&self) -> &[(f64, f64)] {
-        &self.vertices
-    }
-
     /// Point-in-polygon by the even–odd (ray casting) rule. Boundary points
     /// may fall on either side, which is acceptable for rasterization.
     pub fn contains(&self, x: f64, y: f64) -> bool {
@@ -80,18 +75,6 @@ impl Polygon {
             n = n.max(y);
         }
         GeoExtent::new(w, s, e, n)
-    }
-
-    /// Signed area (positive for counter-clockwise winding).
-    pub fn signed_area(&self) -> f64 {
-        let n = self.vertices.len();
-        let mut acc = 0.0;
-        for i in 0..n {
-            let (x1, y1) = self.vertices[i];
-            let (x2, y2) = self.vertices[(i + 1) % n];
-            acc += x1 * y2 - x2 * y1;
-        }
-        acc / 2.0
     }
 }
 
@@ -176,11 +159,6 @@ impl RegionLayer {
         })
         .with_extent(*extent)
     }
-
-    /// The region containing `(x, y)`, if any (topmost wins).
-    pub fn region_at(&self, x: f64, y: f64) -> Option<&Region> {
-        self.regions.iter().rev().find(|r| r.polygon.contains(x, y))
-    }
 }
 
 #[cfg(test)]
@@ -195,8 +173,6 @@ mod tests {
     fn polygon_validation() {
         assert!(Polygon::new(vec![(0.0, 0.0), (1.0, 1.0)]).is_err());
         assert!(Polygon::new(vec![(0.0, 0.0), (1.0, 1.0), (f64::NAN, 0.0)]).is_err());
-        assert!(triangle().signed_area() > 0.0);
-        assert_eq!(triangle().signed_area(), 8.0);
     }
 
     #[test]
@@ -258,14 +234,5 @@ mod tests {
         assert_eq!(*weights.at(7, 0), 100.0);
         // Bottom-right is county only.
         assert_eq!(*weights.at(7, 7), 10.0);
-        assert_eq!(
-            layer.region_at(1.0, 1.0).map(|r| r.name.as_str()),
-            Some("city")
-        );
-        assert_eq!(
-            layer.region_at(9.0, 1.0).map(|r| r.name.as_str()),
-            Some("county")
-        );
-        assert!(layer.region_at(9.0, 9.0).is_none());
     }
 }

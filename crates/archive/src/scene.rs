@@ -31,19 +31,17 @@ impl fmt::Display for BandId {
 
 /// A co-registered multi-band raster scene.
 ///
-/// All bands share one shape and extent; [`Scene::add_band`] enforces the
-/// alignment. Pixel values are stored as `f64` radiance; quantized 8-bit
-/// views can be derived with [`Scene::quantized`].
+/// All bands share one shape and extent. Pixel values are stored as `f64`
+/// radiance; quantized 8-bit views can be derived with
+/// [`Scene::quantized`].
 ///
 /// # Examples
 ///
 /// ```
-/// use mbir_archive::scene::{BandId, Scene};
-/// use mbir_archive::grid::Grid2;
+/// use mbir_archive::scene::{BandId, SyntheticScene};
 ///
-/// let mut scene = Scene::new(8, 8);
-/// scene.add_band(BandId::TM4, Grid2::filled(8, 8, 0.5)).unwrap();
-/// assert_eq!(scene.band_ids(), vec![BandId::TM4]);
+/// let scene = SyntheticScene::new(7, 8, 8).generate();
+/// assert_eq!(scene.band_ids(), vec![BandId::TM4, BandId::TM5, BandId::TM7]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scene {
@@ -95,18 +93,13 @@ impl Scene {
         self.bands.keys().copied().collect()
     }
 
-    /// Number of bands.
-    pub fn band_count(&self) -> usize {
-        self.bands.len()
-    }
-
     /// Adds (or replaces) a band.
     ///
     /// # Errors
     ///
     /// Returns [`ArchiveError::Misaligned`] when the grid shape differs from
     /// the scene shape.
-    pub fn add_band(&mut self, id: BandId, grid: Grid2<f64>) -> Result<(), ArchiveError> {
+    fn add_band(&mut self, id: BandId, grid: Grid2<f64>) -> Result<(), ArchiveError> {
         if grid.rows() != self.rows || grid.cols() != self.cols {
             return Err(ArchiveError::Misaligned(format!(
                 "{id} is {}x{}, scene is {}x{}",
@@ -205,15 +198,10 @@ impl SyntheticScene {
         self
     }
 
-    /// Sets the bands to synthesize.
-    pub fn with_bands(mut self, ids: &[BandId]) -> Self {
-        self.band_ids = ids.to_vec();
-        self
-    }
-
     /// Sets the pairwise correlation between consecutive bands (clamped to
     /// `[0, 0.99]`).
-    pub fn with_correlation(mut self, correlation: f64) -> Self {
+    #[cfg(test)]
+    fn with_correlation(mut self, correlation: f64) -> Self {
         self.correlation = correlation.clamp(0.0, 0.99);
         self
     }

@@ -58,7 +58,8 @@ impl<T> TimeSeries<T> {
     }
 
     /// Sampling step in days.
-    pub fn step_days(&self) -> u32 {
+    #[cfg(test)]
+    fn step_days(&self) -> u32 {
         self.step_days
     }
 

@@ -34,7 +34,6 @@ pub struct AccessStats {
 struct Counters {
     tuples: AtomicU64,
     pages: AtomicU64,
-    model_evals: AtomicU64,
     retries: AtomicU64,
     failures: AtomicU64,
     quarantines: AtomicU64,
@@ -62,11 +61,6 @@ impl AccessStats {
     /// Records `n` pages read from backing storage.
     pub fn record_pages(&self, n: u64) {
         self.inner.pages.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` full model evaluations.
-    pub fn record_model_evals(&self, n: u64) {
-        self.inner.model_evals.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records `n` retried page accesses.
@@ -149,11 +143,6 @@ impl AccessStats {
         self.inner.pages.load(Ordering::Relaxed)
     }
 
-    /// Model evaluations so far.
-    pub fn model_evals(&self) -> u64 {
-        self.inner.model_evals.load(Ordering::Relaxed)
-    }
-
     /// Page-access retries so far.
     pub fn retries(&self) -> u64 {
         self.inner.retries.load(Ordering::Relaxed)
@@ -227,7 +216,6 @@ impl AccessStats {
     pub fn reset(&self) {
         self.inner.tuples.store(0, Ordering::Relaxed);
         self.inner.pages.store(0, Ordering::Relaxed);
-        self.inner.model_evals.store(0, Ordering::Relaxed);
         self.inner.retries.store(0, Ordering::Relaxed);
         self.inner.failures.store(0, Ordering::Relaxed);
         self.inner.quarantines.store(0, Ordering::Relaxed);
@@ -239,16 +227,6 @@ impl AccessStats {
         self.inner.hedges.store(0, Ordering::Relaxed);
         self.inner.cache_invalidations.store(0, Ordering::Relaxed);
         self.inner.appended_pages_seen.store(0, Ordering::Relaxed);
-    }
-
-    /// Speedup of `self` relative to `baseline` in tuples touched
-    /// (`baseline / self`); `None` when `self` touched nothing.
-    pub fn tuple_speedup_vs(&self, baseline: &AccessStats) -> Option<f64> {
-        let own = self.tuples_touched();
-        if own == 0 {
-            return None;
-        }
-        Some(baseline.tuples_touched() as f64 / own as f64)
     }
 
     /// Simulated wall time under an I/O cost model — the page-access-based
@@ -278,14 +256,6 @@ impl IoModel {
             tuple_ms: 0.001,
         }
     }
-
-    /// A modern NVMe-like profile.
-    pub fn nvme() -> Self {
-        IoModel {
-            page_ms: 0.05,
-            tuple_ms: 0.0002,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -298,14 +268,11 @@ mod tests {
         s.record_tuples(5);
         s.record_tuples(7);
         s.record_pages(1);
-        s.record_model_evals(3);
         assert_eq!(s.tuples_touched(), 12);
         assert_eq!(s.pages_read(), 1);
-        assert_eq!(s.model_evals(), 3);
         s.reset();
         assert_eq!(s.tuples_touched(), 0);
         assert_eq!(s.pages_read(), 0);
-        assert_eq!(s.model_evals(), 0);
     }
 
     #[test]
@@ -317,17 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn speedup_ratio() {
-        let scan = AccessStats::new();
-        scan.record_tuples(10_000);
-        let indexed = AccessStats::new();
-        indexed.record_tuples(10);
-        assert_eq!(indexed.tuple_speedup_vs(&scan), Some(1000.0));
-        let empty = AccessStats::new();
-        assert_eq!(empty.tuple_speedup_vs(&scan), None);
-    }
-
-    #[test]
     fn simulated_time_is_page_dominated_on_disk() {
         let s = AccessStats::new();
         s.record_pages(100);
@@ -335,8 +291,6 @@ mod tests {
         let disk = s.simulated_ms(&IoModel::disk_1999());
         // 100 pages x 10ms = 1000ms; tuples contribute ~26ms.
         assert!((disk - 1025.6).abs() < 1.0, "disk {disk}");
-        let nvme = s.simulated_ms(&IoModel::nvme());
-        assert!(nvme < disk / 50.0, "nvme {nvme} vs disk {disk}");
     }
 
     #[test]

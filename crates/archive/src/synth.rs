@@ -6,7 +6,7 @@
 use crate::grid::Grid2;
 use crate::randx;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 /// Generator of spatially-correlated Gaussian random fields.
 ///
@@ -48,12 +48,6 @@ impl GaussianField {
     /// Sets the roughness in `[0, 1]`; values are clamped.
     pub fn with_roughness(mut self, roughness: f64) -> Self {
         self.roughness = roughness.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the displacement amplitude.
-    pub fn with_amplitude(mut self, amplitude: f64) -> Self {
-        self.amplitude = amplitude.abs();
         self
     }
 
@@ -181,22 +175,19 @@ pub fn mix_fields(sources: &[Grid2<f64>], weights: &[Vec<f64>]) -> Vec<Grid2<f64
 /// The paper's accuracy metrics (§4.1) compare model-predicted risk against
 /// observed occurrences. Real incident reports are proprietary, so
 /// occurrences are *planted*: each cell draws `Poisson(base_rate * risk)`
-/// events where `risk` is the (normalized) surface value, optionally
-/// corrupted with noise so the model cannot be trivially perfect.
+/// events where `risk` is the (normalized) surface value.
 #[derive(Debug, Clone)]
 pub struct OccurrenceSampler {
     seed: u64,
     base_rate: f64,
-    noise_std: f64,
 }
 
 impl OccurrenceSampler {
-    /// Creates a sampler with the given seed, base rate 1.0 and no noise.
+    /// Creates a sampler with the given seed and base rate 1.0.
     pub fn new(seed: u64) -> Self {
         OccurrenceSampler {
             seed,
             base_rate: 1.0,
-            noise_std: 0.0,
         }
     }
 
@@ -206,24 +197,12 @@ impl OccurrenceSampler {
         self
     }
 
-    /// Sets the standard deviation of Gaussian noise added to the risk before
-    /// sampling (clamped at zero rate).
-    pub fn with_noise(mut self, noise_std: f64) -> Self {
-        self.noise_std = noise_std.abs();
-        self
-    }
-
     /// Draws an occurrence-count grid aligned with `risk` (values assumed in
     /// `[0, 1]`; out-of-range values are clamped).
     pub fn sample(&self, risk: &Grid2<f64>) -> Grid2<u32> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         risk.map(|&r| {
-            let noisy = if self.noise_std > 0.0 {
-                randx::normal(&mut rng, r, self.noise_std)
-            } else {
-                r
-            };
-            let rate = self.base_rate * noisy.clamp(0.0, 1.0);
+            let rate = self.base_rate * r.clamp(0.0, 1.0);
             randx::poisson(&mut rng, rate) as u32
         })
     }
@@ -236,14 +215,6 @@ pub fn gaussian_tuples(seed: u64, n: usize, d: usize) -> Vec<Vec<f64>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| (0..d).map(|_| randx::standard_normal(&mut rng)).collect())
-        .collect()
-}
-
-/// Draws `n` tuples uniform in the unit hypercube.
-pub fn uniform_tuples(seed: u64, n: usize, d: usize) -> Vec<Vec<f64>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| (0..d).map(|_| rng.random::<f64>()).collect())
         .collect()
 }
 
@@ -343,14 +314,5 @@ mod tests {
         assert_eq!(t.len(), 100);
         assert!(t.iter().all(|x| x.len() == 3));
         assert_eq!(t, gaussian_tuples(11, 100, 3));
-    }
-
-    #[test]
-    fn uniform_tuples_in_unit_cube() {
-        let t = uniform_tuples(12, 500, 4);
-        assert!(t
-            .iter()
-            .flat_map(|x| x.iter())
-            .all(|&v| (0.0..1.0).contains(&v)));
     }
 }

@@ -8,7 +8,6 @@
 
 use crate::error::ArchiveError;
 use crate::grid::Grid2;
-use crate::series::TimeSeries;
 
 /// A time-ordered stack of co-registered grids.
 ///
@@ -106,15 +105,6 @@ impl TemporalStack {
             })
     }
 
-    /// The most recent frame at or before `day`, if any.
-    pub fn frame_at(&self, day: i64) -> Option<(i64, &Grid2<f64>)> {
-        self.frames
-            .iter()
-            .rev()
-            .find(|(d, _)| *d <= day)
-            .map(|(d, g)| (*d, g))
-    }
-
     /// The per-cell time series `(day, value)`.
     ///
     /// # Errors
@@ -134,29 +124,6 @@ impl TemporalStack {
             .iter()
             .map(|(d, g)| (*d, *g.at(row, col)))
             .collect())
-    }
-
-    /// The per-cell values as a regular [`TimeSeries`] when frames are
-    /// evenly spaced; `None` for irregular stacks or fewer than 2 frames.
-    pub fn cell_regular_series(&self, row: usize, col: usize) -> Option<TimeSeries<f64>> {
-        if self.frames.len() < 2 {
-            return None;
-        }
-        let step = (self.frames[1].0 - self.frames[0].0) as u32;
-        let regular = self
-            .frames
-            .windows(2)
-            .all(|w| (w[1].0 - w[0].0) as u32 == step);
-        if !regular || step == 0 {
-            return None;
-        }
-        let values: Vec<f64> = self
-            .cell_series(row, col)
-            .ok()?
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect();
-        TimeSeries::new(self.frames[0].0, step, values).ok()
     }
 
     /// Iterator over `(day, grid)` frames in time order.
@@ -192,34 +159,15 @@ mod tests {
         let s = stack_3();
         assert_eq!(s.frame(1).unwrap().0, 16);
         assert!(s.frame(3).is_err());
-        assert_eq!(s.frame_at(20).unwrap().0, 16);
-        assert_eq!(s.frame_at(32).unwrap().0, 32);
-        assert!(s.frame_at(-1).is_none());
     }
 
     #[test]
-    fn cell_series_and_regular_view() {
+    fn cell_series() {
         let s = stack_3();
         assert_eq!(
             s.cell_series(0, 0).unwrap(),
             vec![(0, 0.0), (16, 1.0), (32, 2.0)]
         );
         assert!(s.cell_series(2, 0).is_err());
-        let ts = s.cell_regular_series(0, 0).unwrap();
-        assert_eq!(ts.step_days(), 16);
-        assert_eq!(ts.values(), &[0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn irregular_stack_has_no_regular_view() {
-        let mut s = TemporalStack::new(1, 1);
-        s.push(0, Grid2::filled(1, 1, 0.0)).unwrap();
-        s.push(10, Grid2::filled(1, 1, 1.0)).unwrap();
-        s.push(15, Grid2::filled(1, 1, 2.0)).unwrap();
-        assert!(s.cell_regular_series(0, 0).is_none());
-        // Single frame is also not a regular series.
-        let mut one = TemporalStack::new(1, 1);
-        one.push(0, Grid2::filled(1, 1, 0.0)).unwrap();
-        assert!(one.cell_regular_series(0, 0).is_none());
     }
 }

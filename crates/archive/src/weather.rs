@@ -74,14 +74,16 @@ impl WeatherGenerator {
     }
 
     /// Sets the Markov rain persistence probabilities (clamped to `[0, 1]`).
-    pub fn with_rain_chain(mut self, p_wet_after_dry: f64, p_wet_after_wet: f64) -> Self {
+    #[cfg(test)]
+    fn with_rain_chain(mut self, p_wet_after_dry: f64, p_wet_after_wet: f64) -> Self {
         self.p_wet_after_dry = p_wet_after_dry.clamp(0.0, 1.0);
         self.p_wet_after_wet = p_wet_after_wet.clamp(0.0, 1.0);
         self
     }
 
     /// Sets the mean rainfall on wet days in millimetres.
-    pub fn with_mean_rain(mut self, mean_rain_mm: f64) -> Self {
+    #[cfg(test)]
+    fn with_mean_rain(mut self, mean_rain_mm: f64) -> Self {
         self.mean_rain_mm = mean_rain_mm.max(0.1);
         self
     }

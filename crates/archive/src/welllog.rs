@@ -144,7 +144,8 @@ impl WellLog {
     }
 
     /// Sample spacing in feet.
-    pub fn interval_ft(&self) -> f64 {
+    #[cfg(test)]
+    fn interval_ft(&self) -> f64 {
         self.interval_ft
     }
 

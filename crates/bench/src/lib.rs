@@ -294,7 +294,7 @@ pub fn sharded_world(
 
 /// The HPS attribute grids (TM4/TM5/TM7 reflectances plus elevation) the
 /// sharded worlds are built from — deterministic in `seed`.
-pub fn hps_attribute_grids(seed: u64, rows: usize, cols: usize) -> Vec<Grid2<f64>> {
+fn hps_attribute_grids(seed: u64, rows: usize, cols: usize) -> Vec<Grid2<f64>> {
     let scene = SyntheticScene::new(seed, rows, cols).generate();
     let dem = Dem::synthetic(seed + 1, rows, cols, 0.0, 2500.0);
     vec![

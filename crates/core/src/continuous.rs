@@ -66,7 +66,8 @@ impl ContinuousDetector {
     }
 
     /// Days consumed so far.
-    pub fn days_seen(&self) -> usize {
+    #[cfg(test)]
+    fn days_seen(&self) -> usize {
         self.days_seen
     }
 
@@ -111,7 +112,6 @@ pub struct ContinuousQueryDriver {
     temp_attr: usize,
     col: usize,
     cursor: usize,
-    polls: u64,
 }
 
 impl ContinuousQueryDriver {
@@ -124,18 +124,12 @@ impl ContinuousQueryDriver {
             temp_attr,
             col,
             cursor: 0,
-            polls: 0,
         }
     }
 
     /// Rows (days) consumed so far.
     pub fn cursor(&self) -> usize {
         self.cursor
-    }
-
-    /// Polls performed so far.
-    pub fn polls(&self) -> u64 {
-        self.polls
     }
 
     /// Consumes the rows `snapshot` committed past the driver's cursor,
@@ -174,7 +168,6 @@ impl ContinuousQueryDriver {
                 stores[0].cols()
             )));
         }
-        self.polls += 1;
         let mut days = Vec::with_capacity(rows - self.cursor);
         for row in self.cursor..rows {
             days.push(WeatherDay {

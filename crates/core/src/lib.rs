@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 //! # mbir-core
 //!
 //! The model-based information retrieval framework of the ICDCS 2000 paper

@@ -459,7 +459,8 @@ impl AdmissionController {
     }
 
     /// Sessions currently holding slots (Admitted or Running).
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         self.inner.lock().expect("admission lock").in_flight
     }
 

@@ -247,11 +247,6 @@ impl<'a> ReplicatedSource<'a> {
         })
     }
 
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// The active configuration.
     pub fn config(&self) -> ReplicaConfig {
         self.config
@@ -337,7 +332,8 @@ impl<'a> ReplicatedSource<'a> {
     /// replicas'
     /// [`AccessStats::cache_invalidations`](mbir_archive::stats::AccessStats::cache_invalidations),
     /// so append churn shows up next to the fault-degradation counters.
-    pub fn epoch_invalidated_cache_entries(&self) -> u64 {
+    #[cfg(test)]
+    fn epoch_invalidated_cache_entries(&self) -> u64 {
         self.replicas
             .iter()
             .map(|r| r[0].stats().cache_invalidations())

@@ -18,8 +18,8 @@
 //! ```
 //!
 //! * **Epoch fencing.** The source and destination [`ShardPlan`]s are
-//!   wrapped in [`EpochedShardPlan`]s; [`active_plan`] only ever returns
-//!   the source plan before `CutOver` and the destination plan after, so
+//!   wrapped in [`EpochedShardPlan`]s; [`active_epoch`] only ever returns
+//!   the source epoch before `CutOver` and the destination epoch after, so
 //!   a router can never observe a half-applied topology. Queries pin
 //!   their epoch via [`ScatterPolicy::at_epoch`](crate::shard::ScatterPolicy::at_epoch)
 //!   and are rejected with a typed
@@ -53,7 +53,7 @@
 //! is bit-identical to having planned the destination topology from the
 //! start (repro r9's first gate).
 //!
-//! [`active_plan`]: ReshardCoordinator::active_plan
+//! [`active_epoch`]: ReshardCoordinator::active_epoch
 //! [`run_copy`]: ReshardCoordinator::run_copy
 //! [`dual_read_groups`]: ReshardCoordinator::dual_read_groups
 //! [`retire`]: ReshardCoordinator::retire
@@ -162,8 +162,7 @@ impl ReshardPolicy {
 
 /// One migrated destination band: its copied attribute stores and the
 /// pyramids built over the copy. Owned by the coordinator from the end
-/// of a successful copy until [`ReshardCoordinator::take_migrated`] (or
-/// an abort drops it).
+/// of a successful copy until an abort drops it.
 #[derive(Debug)]
 pub struct MigratedBand {
     dest_band: usize,
@@ -348,7 +347,7 @@ impl ReshardCoordinator {
     /// The epoch-stamped plan serving live traffic right now. Only ever
     /// the full source plan or the full destination plan — no partial
     /// routing is representable, in any state.
-    pub fn active_plan(&self) -> &EpochedShardPlan {
+    fn active_plan(&self) -> &EpochedShardPlan {
         match self.state {
             MigrationState::CutOver | MigrationState::Retired => &self.to,
             _ => &self.from,
@@ -654,8 +653,7 @@ impl ReshardCoordinator {
     }
 
     /// The migrated band copies, in migrating-band (row) order. Empty
-    /// before any copy completes and after an abort or
-    /// [`take_migrated`](Self::take_migrated).
+    /// before any copy completes and after an abort.
     pub fn migrated_bands(&self) -> Vec<&MigratedBand> {
         self.copied.iter().flatten().collect()
     }
@@ -692,7 +690,7 @@ impl ReshardCoordinator {
 
     /// [`MigrationState::DualRead`] → [`MigrationState::CutOver`]: the
     /// destination epoch becomes the active one, atomically — callers of
-    /// [`active_plan`](Self::active_plan) see the whole new topology or
+    /// [`active_epoch`](Self::active_epoch) see the whole new topology or
     /// the whole old one, never a mix.
     ///
     /// # Errors
@@ -735,21 +733,9 @@ impl ReshardCoordinator {
         Ok(cleared)
     }
 
-    /// Hands the migrated copies to the caller once the migration is
-    /// [`MigrationState::Retired`] — the new topology's owners take the
-    /// data, the coordinator is done.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Query`] outside `Retired`.
-    pub fn take_migrated(&mut self) -> Result<Vec<MigratedBand>, CoreError> {
-        self.expect_state(MigrationState::Retired, "take the migrated bands")?;
-        Ok(self.copied.iter_mut().filter_map(Option::take).collect())
-    }
-
     /// Rolls the migration back to the source epoch: every partial copy
-    /// is dropped and [`active_plan`](Self::active_plan) keeps returning
-    /// the source plan — exactly as if the migration never started.
+    /// is dropped and [`active_epoch`](Self::active_epoch) keeps returning
+    /// the source epoch — exactly as if the migration never started.
     /// Allowed from `Planned`, `Copying`, and `DualRead`; `CutOver` is
     /// the point of no return.
     ///
@@ -830,7 +816,6 @@ mod tests {
         assert!(coord.cut_over().is_err());
         assert!(coord.retire(&[]).is_err());
         assert!(coord.dual_read_groups().is_err());
-        assert!(coord.take_migrated().is_err());
 
         coord.begin_copy().unwrap();
         assert!(coord.begin_copy().is_err());
@@ -1018,8 +1003,5 @@ mod tests {
         assert_eq!(cleared, 3);
         assert!(scrub.cleared.get());
         assert_eq!(coord.state(), MigrationState::Retired);
-        let taken = coord.take_migrated().unwrap();
-        assert_eq!(taken.len(), 2);
-        assert!(coord.migrated_bands().is_empty());
     }
 }

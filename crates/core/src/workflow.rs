@@ -20,10 +20,9 @@ use crate::engine::EffortReport;
 use crate::error::CoreError;
 use crate::metrics::precision_recall_at_k;
 use crate::resilient::{resilient_top_k, ExecutionBudget};
-use crate::source::{CellSource, PyramidSource, TileSource};
+use crate::source::{CellSource, PyramidSource};
 use mbir_archive::extent::CellCoord;
 use mbir_archive::grid::Grid2;
-use mbir_archive::tile::TileStore;
 use mbir_models::linear::{fit_ols, fit_ridge, LinearModel};
 use mbir_progressive::pyramid::AggregatePyramid;
 use std::collections::HashSet;
@@ -67,12 +66,6 @@ pub struct IterationRecord {
     pub recall: f64,
     /// Labelled cells accumulated so far.
     pub labelled: usize,
-    /// Completeness of this iteration's retrieval: 1.0 for the strict
-    /// (fault-free) workflow; less when pages were lost or a budget cut
-    /// the descent short (see [`crate::resilient::ResilientTopK`]).
-    pub completeness: f64,
-    /// Distinct pages whose reads failed during this iteration.
-    pub skipped_pages: usize,
     /// Retrieval work this iteration spent.
     pub effort: EffortReport,
 }
@@ -87,15 +80,9 @@ pub struct WorkflowRun {
 }
 
 impl WorkflowRun {
-    /// Total retrieval effort across all iterations.
-    pub fn total_effort(&self) -> EffortReport {
-        self.iterations.iter().map(|i| i.effort).sum()
-    }
-}
-
-impl WorkflowRun {
     /// Precision trajectory across iterations.
-    pub fn precision_trajectory(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn precision_trajectory(&self) -> Vec<f64> {
         self.iterations.iter().map(|i| i.precision).collect()
     }
 }
@@ -106,10 +93,11 @@ impl WorkflowRun {
 /// * `occurrences` — the incident reports `O(x,y)` (the inspection oracle).
 /// * `hypothesis` — the starting model (step 1 of Fig. 5).
 ///
-/// This is the Fig. 5 loop over the resident pyramids' base level with an
-/// unlimited budget: nothing can fail a read, so every iteration is
-/// complete and its retrieval is bit-identical to
-/// [`pyramid_top_k`](crate::engine::pyramid_top_k).
+/// Each iteration retrieves with [`resilient_top_k`] over the resident
+/// pyramids' base level with an unlimited budget — nothing can fail a
+/// read, so the retrieval is bit-identical to
+/// [`pyramid_top_k`](crate::engine::pyramid_top_k) — inspects the hits and
+/// the exploration probes, refits, and repeats.
 ///
 /// # Errors
 ///
@@ -122,73 +110,6 @@ pub fn run_workflow(
     occurrences: &Grid2<u32>,
     hypothesis: LinearModel,
     config: WorkflowConfig,
-) -> Result<WorkflowRun, CoreError> {
-    let source = PyramidSource::new(attributes);
-    fig5_loop(
-        attributes,
-        &source,
-        occurrences,
-        hypothesis,
-        config,
-        &ExecutionBudget::unlimited(),
-    )
-}
-
-/// Runs the Fig. 5 workflow against a *paged* archive, degrading
-/// gracefully instead of aborting when pages are lost or a budget runs
-/// out.
-///
-/// This is the same loop as [`run_workflow`], read through a
-/// [`TileSource`] over per-attribute [`TileStore`]s: each iteration
-/// records its retrieval [`completeness`](IterationRecord::completeness)
-/// and how many pages it had to skip, only *exactly* evaluated hits are
-/// inspected (degraded estimates are never fed to calibration as ground
-/// truth), and cells whose attribute reads fail during inspection are
-/// skipped rather than fatal. The loop keeps revising on whatever
-/// feedback it could gather.
-///
-/// `budget` applies per retrieval (per iteration), not to the whole run.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Query`] for the same input validation as
-/// [`run_workflow`] (plus store/pyramid shape mismatches), and propagates
-/// only non-fault errors; lost pages are absorbed as degradation.
-pub fn run_workflow_resilient(
-    attributes: &[AggregatePyramid],
-    stores: &[TileStore],
-    occurrences: &Grid2<u32>,
-    hypothesis: LinearModel,
-    config: WorkflowConfig,
-    budget: &ExecutionBudget,
-) -> Result<WorkflowRun, CoreError> {
-    if stores.len() != attributes.len() {
-        return Err(CoreError::Query(format!(
-            "{} tile stores but {} attribute pyramids",
-            stores.len(),
-            attributes.len()
-        )));
-    }
-    let source = TileSource::new(stores)?;
-    if (stores[0].rows(), stores[0].cols()) != attributes[0].base_shape() {
-        return Err(CoreError::Query(
-            "tile stores misaligned with pyramids".into(),
-        ));
-    }
-    fig5_loop(attributes, &source, occurrences, hypothesis, config, budget)
-}
-
-/// The Fig. 5 loop, written once: retrieve with [`resilient_top_k`]
-/// through `source`, inspect the exactly evaluated hits and the
-/// exploration probes through `source` (a cell whose read fails is
-/// skipped), refit, repeat.
-fn fig5_loop<S: CellSource>(
-    attributes: &[AggregatePyramid],
-    source: &S,
-    occurrences: &Grid2<u32>,
-    hypothesis: LinearModel,
-    config: WorkflowConfig,
-    budget: &ExecutionBudget,
 ) -> Result<WorkflowRun, CoreError> {
     if config.k == 0 || config.iterations == 0 {
         return Err(CoreError::Query(
@@ -210,8 +131,9 @@ fn fig5_loop<S: CellSource>(
         )));
     }
 
-    // Inspection reads go through the source too; a cell whose attribute
-    // vector cannot be read is skipped, not fatal.
+    // Inspection reads the same base cells the retrieval scores.
+    let source = PyramidSource::new(attributes);
+    let budget = ExecutionBudget::unlimited();
     let attribute_vector = |cell: CellCoord| -> Option<Vec<f64>> {
         (0..attributes.len())
             .map(|attr| source.base_cell(attr, cell.row, cell.col).ok())
@@ -233,9 +155,8 @@ fn fig5_loop<S: CellSource>(
     };
 
     for iteration in 0..config.iterations {
-        // Step 3: retrieve top-K under the current model, with explicit
-        // degradation instead of an aborted run.
-        let retrieved = resilient_top_k(&model, attributes, config.k, source, budget)?;
+        // Step 3: retrieve top-K under the current model.
+        let retrieved = resilient_top_k(&model, attributes, config.k, &source, &budget)?;
         // Accuracy of this retrieval against the oracle (the risk grid is
         // recomputed per iteration — the "apply to more data" edge).
         let risk = risk_grid(&model, attributes, rows, cols);
@@ -246,14 +167,11 @@ fn fig5_loop<S: CellSource>(
             precision: pr.precision,
             recall: pr.recall,
             labelled: labelled.len(),
-            completeness: retrieved.completeness,
-            skipped_pages: retrieved.skipped_pages.len(),
             effort: retrieved.effort,
         });
 
-        // Step 4: inspect exactly evaluated hits (degraded estimates are
-        // not ground truth and must not calibrate the model) plus
-        // exploration probes, then refit.
+        // Step 4: inspect the retrieved hits plus exploration probes, then
+        // refit.
         let probes = (0..config.exploration).map(|_| {
             CellCoord::new(
                 (next_probe() as usize) % rows,
@@ -312,8 +230,6 @@ fn risk_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::pyramid_top_k;
-    use mbir_archive::fault::FaultProfile;
     use mbir_archive::synth::{GaussianField, OccurrenceSampler};
 
     /// A planted world: truth = 3-attribute linear model over smooth
@@ -341,136 +257,6 @@ mod tests {
             .sample(&risk.map(|&v| if v > 0.75 { v } else { 0.0 }));
         let pyramids = bands.iter().map(AggregatePyramid::build).collect();
         (pyramids, occurrences, truth)
-    }
-
-    /// Tile stores over the same bands [`planted_world`] builds its
-    /// pyramids from (the field generator is deterministic per seed).
-    fn planted_stores(seed: u64, rows: usize, cols: usize, tile: usize) -> Vec<TileStore> {
-        (0..3)
-            .map(|i| {
-                let band = GaussianField::new(seed + i as u64)
-                    .with_roughness(0.4)
-                    .generate(rows, cols)
-                    .normalized(0.0, 100.0);
-                TileStore::new(band, tile).unwrap()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn resilient_workflow_matches_strict_when_healthy() {
-        let (pyramids, occ, truth) = planted_world(5, 32, 32);
-        let stores = planted_stores(5, 32, 32, 8);
-        let config = WorkflowConfig {
-            k: 15,
-            iterations: 4,
-            seed: 3,
-            exploration: 20,
-        };
-        let strict = run_workflow(&pyramids, &occ, truth.clone(), config).unwrap();
-        let resilient = run_workflow_resilient(
-            &pyramids,
-            &stores,
-            &occ,
-            truth,
-            config,
-            &ExecutionBudget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(resilient.iterations.len(), strict.iterations.len());
-        for (r, s) in resilient.iterations.iter().zip(&strict.iterations) {
-            assert_eq!(r.precision, s.precision);
-            assert_eq!(r.recall, s.recall);
-            assert_eq!(r.labelled, s.labelled);
-            assert_eq!(r.completeness, 1.0);
-            assert_eq!(r.skipped_pages, 0);
-            assert_eq!(r.effort, s.effort);
-        }
-        assert_eq!(
-            resilient.final_model.coefficients(),
-            strict.final_model.coefficients()
-        );
-        // total_effort sums the per-iteration reports field by field.
-        let total = strict.total_effort();
-        assert_eq!(
-            total.multiply_adds,
-            strict
-                .iterations
-                .iter()
-                .map(|i| i.effort.multiply_adds)
-                .sum::<u64>()
-        );
-        assert!(total.multiply_adds > 0);
-        assert_eq!(total, resilient.total_effort());
-    }
-
-    #[test]
-    fn resilient_workflow_records_degradation_instead_of_aborting() {
-        let (pyramids, occ, truth) = planted_world(7, 32, 32);
-        // Fail a page the strict retrieval certainly touches: the one
-        // under the top-1 cell of the starting hypothesis.
-        let winner = pyramid_top_k(&truth, &pyramids, 1).unwrap().results[0].cell;
-        let stores: Vec<TileStore> = planted_stores(7, 32, 32, 8)
-            .into_iter()
-            .map(|s| {
-                let page = s.page_of(winner.row, winner.col);
-                s.with_faults(FaultProfile::new(1).permanent(page))
-            })
-            .collect();
-        let config = WorkflowConfig {
-            k: 15,
-            iterations: 4,
-            seed: 3,
-            exploration: 20,
-        };
-        let run = run_workflow_resilient(
-            &pyramids,
-            &stores,
-            &occ,
-            truth,
-            config,
-            &ExecutionBudget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(
-            run.iterations.len(),
-            4,
-            "lost pages must not abort the loop"
-        );
-        let first = &run.iterations[0];
-        assert!(
-            first.completeness < 1.0,
-            "completeness {}",
-            first.completeness
-        );
-        assert!(first.skipped_pages >= 1);
-        // The loop still gathers feedback from the healthy remainder.
-        assert!(run.iterations.last().unwrap().labelled > 0);
-    }
-
-    #[test]
-    fn resilient_workflow_validates_store_alignment() {
-        let (pyramids, occ, truth) = planted_world(1, 16, 16);
-        let too_few = planted_stores(1, 16, 16, 8)[..2].to_vec();
-        assert!(run_workflow_resilient(
-            &pyramids,
-            &too_few,
-            &occ,
-            truth.clone(),
-            WorkflowConfig::default(),
-            &ExecutionBudget::unlimited(),
-        )
-        .is_err());
-        let wrong_shape = planted_stores(1, 8, 8, 4);
-        assert!(run_workflow_resilient(
-            &pyramids,
-            &wrong_shape,
-            &occ,
-            truth,
-            WorkflowConfig::default(),
-            &ExecutionBudget::unlimited(),
-        )
-        .is_err());
     }
 
     #[test]

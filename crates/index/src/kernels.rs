@@ -265,20 +265,6 @@ pub fn sweep_argmax_block_at(
     }
 }
 
-/// `y[j] += alpha * x[j]` — the axpy-style accumulator used for bound
-/// and centroid updates over flat rows.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yj, xj) in y.iter_mut().zip(x) {
-        *yj += alpha * xj;
-    }
-}
-
 /// Elementwise enclosure update: `lo[j] = lo[j].min(row[j])`,
 /// `hi[j] = hi[j].max(row[j])`. Matches the legacy per-coordinate
 /// `min`/`max` fold bit for bit.
@@ -395,12 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_min_max_update_work() {
-        let x = [1.0, -2.0, 0.5];
-        let mut y = [10.0, 10.0, 10.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 6.0, 11.0]);
-
+    fn min_max_update_works() {
         let mut lo = [0.0, 0.0];
         let mut hi = [0.0, 0.0];
         min_max_update(&mut lo, &mut hi, &[-1.0, 3.0]);

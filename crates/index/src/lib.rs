@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 //! # mbir-index
 //!
 //! Model-specific indexing support (paper §3.2):
@@ -41,7 +42,7 @@ pub mod sproc;
 pub mod stats;
 pub mod store;
 
-pub use onion::{OnionAppendReport, OnionIndex};
+pub use onion::OnionIndex;
 pub use quant::{QuantPruneReport, QuantQuery, QuantizedStore};
 pub use rstar::RStarTree;
 pub use scan::{scan_top_k, scan_top_k_flat, scan_top_k_quant};

@@ -66,7 +66,7 @@
 //! into it, peeled layers ascending, the core bucket (last entry of
 //! `layers` whenever the cap was hit) in radial order with its run radii
 //! beside it (`RadialCore`). One `Peeler::peel` and one `finish_core`
-//! serve the build, the legacy build and [`OnionIndex::append_points`].
+//! serve the build and the legacy build.
 //! The d >= 3 peel sweep makes **one** streaming pass over the store per
 //! layer ([`kernels::sweep_argmax_block`]) and, with the i8 side structure
 //! ([`crate::quant`]) attached, skips blocks no direction can improve on;
@@ -89,7 +89,7 @@ use rand_like::DirectionBundle;
 mod rand_like {
     /// A reproducible bundle of unit directions in `d` dimensions.
     #[derive(Debug, Clone)]
-    pub struct DirectionBundle {
+    pub(super) struct DirectionBundle {
         directions: Vec<Vec<f64>>,
     }
 
@@ -113,7 +113,7 @@ mod rand_like {
 
     impl DirectionBundle {
         /// `2d` axis directions plus `extra` random unit vectors.
-        pub fn new(d: usize, extra: usize, seed: u64) -> Self {
+        pub(super) fn new(d: usize, extra: usize, seed: u64) -> Self {
             let mut directions = Vec::with_capacity(2 * d + extra);
             for i in 0..d {
                 let mut plus = vec![0.0; d];
@@ -138,12 +138,12 @@ mod rand_like {
         }
 
         /// The directions.
-        pub fn directions(&self) -> &[Vec<f64>] {
+        pub(super) fn directions(&self) -> &[Vec<f64>] {
             &self.directions
         }
 
         /// Appends extra (already normalized) directions.
-        pub fn with_extra(mut self, extra: &[Vec<f64>]) -> Self {
+        pub(super) fn with_extra(mut self, extra: &[Vec<f64>]) -> Self {
             self.directions.extend(extra.iter().cloned());
             self
         }
@@ -238,24 +238,6 @@ impl BoundingBox {
             center,
             radius: radius.sqrt(),
         })
-    }
-
-    /// Grows the enclosure to cover one more point.
-    fn extend(&mut self, point: &[f64]) {
-        kernels::min_max_update(&mut self.lo, &mut self.hi, point);
-        self.radius = self.radius.max(dist2(point, &self.center).sqrt());
-    }
-
-    /// Whether the enclosure's bounds already cover `point` — inside the
-    /// box **and** inside the sphere, so both halves of
-    /// [`upper_bound`](Self::upper_bound) stay sound if the point joins
-    /// the enclosed set.
-    fn contains(&self, point: &[f64]) -> bool {
-        let in_box = point
-            .iter()
-            .zip(self.lo.iter().zip(&self.hi))
-            .all(|(v, (lo, hi))| *v >= *lo && *v <= *hi);
-        in_box && dist2(point, &self.center).sqrt() <= self.radius
     }
 
     /// `Σ|a_j|·max|x_j|` over the box: the magnitude [`ball_bound`] pads
@@ -449,19 +431,6 @@ impl Peeler<'_> {
     }
 }
 
-/// What an incremental [`OnionIndex::append_points`] did: how much of the
-/// layer structure survived and how much was re-peeled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OnionAppendReport {
-    /// Tuples appended.
-    pub appended: usize,
-    /// Leading layers kept untouched (the batch was inside their
-    /// enclosures).
-    pub kept_layers: usize,
-    /// Layers re-peeled over the dirtied suffix plus the batch.
-    pub repeeled_layers: usize,
-}
-
 /// One query's state inside [`OnionIndex::walk`].
 struct WalkQuery<'a> {
     direction: &'a [f64],
@@ -547,12 +516,6 @@ pub struct OnionIndex {
     /// layers are hull subsets). Within this prefix the best score of a
     /// layer bounds every deeper layer.
     exact_hull_layers: usize,
-    /// The limits and sweep seed the index was built with;
-    /// [`OnionIndex::append_points`] and [`OnionIndex::rebuild`] peel with
-    /// the same ones.
-    max_layers: usize,
-    extra_dirs: usize,
-    seed: u64,
 }
 
 impl OnionIndex {
@@ -763,173 +726,7 @@ impl OnionIndex {
             hints: unit_hints,
             hint_support,
             exact_hull_layers,
-            max_layers,
-            extra_dirs,
-            seed,
         })
-    }
-
-    /// Inserts a tuple without rebuilding: the point joins the *outermost*
-    /// layer, which preserves query exactness (an outer-layer point is
-    /// always examined before any stopping decision) at the cost of one
-    /// extra examined tuple per insert. An index that is all core bucket
-    /// (`max_layers = 0`) gets a peeled layer in front of the core for its
-    /// inserts, since the core's radial order and run radii must stay as
-    /// built. Registered hint supports are updated. Call
-    /// [`OnionIndex::rebuild`] once inserts accumulate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ArityMismatch`] for a wrong-width tuple.
-    pub fn insert(&mut self, point: Vec<f64>) -> Result<usize, ModelError> {
-        if point.len() != self.dims {
-            return Err(ModelError::ArityMismatch {
-                expected: self.dims,
-                actual: point.len(),
-            });
-        }
-        if self.core.is_some() && self.layers.len() == 1 {
-            // Layer 0 is the core bucket: open an empty peeled layer in
-            // front of it, bounded like the core until the point below
-            // grows it.
-            self.layers.insert(0, Vec::new());
-            self.remaining_box.insert(0, self.remaining_box[0].clone());
-            self.hint_support.insert(0, self.hint_support[0].clone());
-        }
-        // remaining_box[l] bounds layers l.., and the new point joins
-        // layer 0, so only level 0 grows.
-        self.remaining_box[0].extend(&point);
-        for (support, hint) in self.hint_support[0].iter_mut().zip(&self.hints) {
-            let s: f64 = hint.iter().zip(&point).map(|(a, v)| a * v).sum();
-            *support = support.max(s);
-        }
-        let idx = self.points.push_row(&point)?;
-        self.layers[0].push(idx);
-        Ok(idx)
-    }
-
-    /// Appends a batch of tuples, rebuilding **only the dirtied hull
-    /// suffix** — the incremental maintenance path for appendable
-    /// archives, between per-point [`OnionIndex::insert`] (O(1) but
-    /// degrades the outer layer) and a full [`OnionIndex::rebuild`].
-    ///
-    /// Each new point's *depth* is the number of leading remaining-set
-    /// enclosures that already contain it (box **and** sphere); the dirty
-    /// frontier is the minimum depth over the batch, clamped so at least
-    /// the innermost layer re-peels. Layers, enclosures, and hint
-    /// supports before the frontier are kept untouched — sound because
-    /// every new point is inside those enclosures and lands in a deeper
-    /// layer (kept hint supports are maxed with the new points' scores).
-    /// Everything at or past the frontier, plus the batch, is re-peeled
-    /// with the build machinery and the index's own build parameters
-    /// (layer cap, sweep bundle), so the layer count never exceeds what
-    /// the index was built with.
-    ///
-    /// Query answers after an append match a scratch-built index's scan
-    /// answers (property-tested); only the stopping layer can differ.
-    /// Because enclosure containment does not imply *hull* containment,
-    /// the kept prefix can no longer be certified as exact hulls of the
-    /// augmented set, so the exact-hull stop is conservatively disabled
-    /// (`exact_hull_layers = 0`) until the next [`OnionIndex::rebuild`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Empty`] for an empty batch and
-    /// [`ModelError::ArityMismatch`] for wrong-width tuples; the index is
-    /// unchanged on error.
-    pub fn append_points(&mut self, batch: &[Vec<f64>]) -> Result<OnionAppendReport, ModelError> {
-        if batch.is_empty() {
-            return Err(ModelError::Empty);
-        }
-        for p in batch {
-            if p.len() != self.dims {
-                return Err(ModelError::ArityMismatch {
-                    expected: self.dims,
-                    actual: p.len(),
-                });
-            }
-        }
-        // Dirty frontier: deepest kept prefix whose enclosures cover every
-        // new point. Clamped so the innermost layer always re-peels (a
-        // batch deeper than every enclosure joins the core re-peel), and to
-        // the layer cap, which only the insert layer of an all-core index
-        // can exceed: that layer re-peels with the rest.
-        let mut dirty = (self.layers.len() - 1).min(self.max_layers);
-        for p in batch {
-            let mut depth = 0usize;
-            while depth < dirty && self.remaining_box[depth].contains(p) {
-                depth += 1;
-            }
-            dirty = dirty.min(depth);
-        }
-        // Kept hint supports must also cover the batch: the new points
-        // live in layers >= dirty, i.e. inside every kept remainder.
-        for (h, hint) in self.hints.iter().enumerate() {
-            let batch_max = batch
-                .iter()
-                .map(|p| hint.iter().zip(p).map(|(a, v)| a * v).sum::<f64>())
-                .fold(f64::NEG_INFINITY, f64::max);
-            for support in self.hint_support.iter_mut().take(dirty) {
-                support[h] = support[h].max(batch_max);
-            }
-        }
-        // Grow the store and collect the re-peel subset: dirtied layers
-        // plus the batch.
-        let mut alive = vec![false; self.points.len() + batch.len()];
-        for &idx in self.layers[dirty..].iter().flatten() {
-            alive[idx] = true;
-        }
-        for p in batch {
-            alive[self.points.push_row(p)?] = true;
-        }
-        self.layers.truncate(dirty);
-        self.remaining_box.truncate(dirty);
-        self.hint_support.truncate(dirty);
-
-        self.core = Peeler {
-            store: &self.points,
-            legacy_rows: None,
-            hints: &self.hints,
-            bundle: DirectionBundle::new(self.dims, self.extra_dirs, self.seed)
-                .with_extra(&self.hints),
-            threads: 1,
-            quant: None,
-        }
-        .peel(
-            alive,
-            self.max_layers,
-            &mut self.layers,
-            &mut self.remaining_box,
-            &mut self.hint_support,
-        );
-        // Enclosure containment is not hull containment: the kept prefix
-        // can no longer be certified exact, so the exact-hull stop is
-        // disabled until the next full rebuild.
-        self.exact_hull_layers = 0;
-        Ok(OnionAppendReport {
-            appended: batch.len(),
-            kept_layers: dirty,
-            repeeled_layers: self.layers.len() - dirty,
-        })
-    }
-
-    /// Rebuilds the layer structure from scratch with the same hints and
-    /// the index's own build parameters — amortizes accumulated
-    /// [`OnionIndex::insert`]s.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors (cannot occur for points already
-    /// validated by `insert`).
-    pub fn rebuild(&mut self) -> Result<(), ModelError> {
-        *self = OnionIndex::build_with_hints(
-            self.points.to_rows(),
-            &self.hints,
-            self.max_layers,
-            self.extra_dirs,
-            self.seed,
-        )?;
-        Ok(())
     }
 
     /// Number of tuples indexed.
@@ -974,29 +771,6 @@ impl OnionIndex {
         self.solo(direction, k, |dir: &[f64], row: &[f64]| {
             dir.iter().zip(row).map(|(a, v)| a * v).sum()
         })
-    }
-
-    /// Batched layer walk: **one** outward-in traversal serves every
-    /// direction in the batch. Each layer's rows are read from the store
-    /// once; every still-active query scores them and offers to its own
-    /// heap, and leaves the walk at exactly the layer end or core run its
-    /// solo run would have left at (its heap sees the same offers in the
-    /// same order, so every stopping decision is the same bits).
-    ///
-    /// `results[q]` (answers *and* stats) is bit-identical to the solo
-    /// [`OnionIndex::top_k_max`] run with `directions[q]`, which is this
-    /// walk with a batch of one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ArityMismatch`] for any wrong-length
-    /// direction and [`ModelError::InvalidValue`] for `k == 0`.
-    pub fn top_k_max_multi(
-        &self,
-        directions: &[Vec<f64>],
-        k: usize,
-    ) -> Result<Vec<TopKResult>, ModelError> {
-        self.walk(directions, k, kernels::dot)
     }
 
     /// [`OnionIndex::top_k_max`] under the name the quantised query walk
@@ -1515,77 +1289,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_walk_matches_solo_runs_bit_for_bit() {
-        for d in [2usize, 3] {
-            let points = gaussian_points(21 + d as u64, 1500, d);
-            let hints = vec![{
-                let mut h = vec![0.0; d];
-                h[0] = 1.0;
-                h
-            }];
-            let onion = OnionIndex::build_with_hints(points, &hints, 64, 32, 7).unwrap();
-            // A mix of hint-parallel, perturbed, and opposed directions so
-            // queries stop at different layers.
-            let dirs: Vec<Vec<f64>> = (0..6)
-                .map(|q| {
-                    (0..d)
-                        .map(|j| {
-                            if j == 0 {
-                                1.0 - q as f64 * 0.4
-                            } else {
-                                (q * 7 + j) as f64 * 0.1 - 0.3
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            for k in [1usize, 5] {
-                let batched = onion.top_k_max_multi(&dirs, k).unwrap();
-                for (q, dir) in dirs.iter().enumerate() {
-                    let solo = onion.top_k_max(dir, k).unwrap();
-                    assert_eq!(batched[q], solo, "d={d} k={k} q={q}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_queries_leave_the_core_at_their_own_runs() {
-        // Two peeled layers over a stretched cloud: every query reaches the
-        // core, and how deep it goes depends on its direction.
-        let points: Vec<Vec<f64>> = gaussian_points(57, 6_000, 3)
-            .into_iter()
-            .map(|p| vec![p[0] * 5.0, p[1], p[2] * 0.2])
-            .collect();
-        let onion = OnionIndex::build_with(points, 2, 8, 7).unwrap();
-        let peeled: usize = onion.layer_sizes()[..2].iter().sum();
-        let dirs = test_directions(5, 8, 3);
-        let batched = onion.top_k_max_multi(&dirs, 10).unwrap();
-        let mut core_rows = Vec::new();
-        for (q, dir) in dirs.iter().enumerate() {
-            assert_eq!(batched[q], onion.top_k_max(dir, 10).unwrap(), "q={q}");
-            core_rows.push(batched[q].stats.tuples_examined as usize - peeled);
-        }
-        assert!(
-            core_rows
-                .iter()
-                .all(|&rows| rows > 0 && rows < 6_000 - peeled),
-            "every query stops inside the core: {core_rows:?}"
-        );
-        core_rows.sort_unstable();
-        core_rows.dedup();
-        assert!(core_rows.len() >= 2, "all stop at one run: {core_rows:?}");
-    }
-
-    #[test]
-    fn batched_walk_validates_and_handles_empty_batch() {
-        let onion = OnionIndex::build(vec![vec![1.0, 2.0], vec![3.0, 0.5]]).unwrap();
-        assert!(onion.top_k_max_multi(&[vec![1.0]], 1).is_err());
-        assert!(onion.top_k_max_multi(&[vec![1.0, 1.0]], 0).is_err());
-        assert!(onion.top_k_max_multi(&[], 1).unwrap().is_empty());
-    }
-
-    #[test]
     fn min_query_is_negated_max() {
         let points = gaussian_points(13, 300, 2);
         let onion = OnionIndex::build(points.clone()).unwrap();
@@ -1754,130 +1457,6 @@ mod tests {
     }
 
     #[test]
-    fn hull_theorem_survives_inserts() {
-        let mut state = 5u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut points: Vec<Vec<f64>> = (0..2_000).map(|_| vec![next(), next()]).collect();
-        let mut onion = OnionIndex::build(points.clone()).unwrap();
-        // Insert points including new global optima.
-        for _ in 0..50 {
-            let p = vec![next() * 2.0, next() * 2.0];
-            onion.insert(p.clone()).unwrap();
-            points.push(p);
-        }
-        let dir = vec![0.7, 0.3];
-        for k in [1usize, 4] {
-            let fast = onion.top_k_max(&dir, k).unwrap();
-            let slow = scan_top_k(&points, k, |p| 0.7 * p[0] + 0.3 * p[1]);
-            assert!(fast.score_equivalent(&slow, 1e-9), "k={k}");
-        }
-    }
-
-    #[test]
-    fn inserts_stay_exact_and_rebuild_restores_speed() {
-        let points = gaussian_points(21, 1000, 3);
-        let dir = vec![0.5, -0.3, 0.8];
-        let mut onion =
-            OnionIndex::build_with_hints(points.clone(), std::slice::from_ref(&dir), 64, 32, 7)
-                .unwrap();
-        // Insert 200 new points, some of them new optima.
-        let mut all = points;
-        let extra = gaussian_points(99, 200, 3);
-        for p in extra {
-            let scaled: Vec<f64> = p.iter().map(|v| v * 1.5).collect();
-            onion.insert(scaled.clone()).unwrap();
-            all.push(scaled);
-        }
-        assert_eq!(onion.len(), 1200);
-        let k = 5;
-        let slow = scan_top_k(&all, k, |p| dir.iter().zip(p).map(|(a, v)| a * v).sum());
-        let fast = onion.top_k_max(&dir, k).unwrap();
-        assert!(
-            fast.score_equivalent(&slow, 1e-9),
-            "inserts must stay exact"
-        );
-        let before_rebuild = fast.stats.tuples_examined;
-        onion.rebuild().unwrap();
-        let rebuilt = onion.top_k_max(&dir, k).unwrap();
-        assert!(rebuilt.score_equivalent(&slow, 1e-9));
-        assert!(
-            rebuilt.stats.tuples_examined <= before_rebuild,
-            "rebuild should not examine more: {} vs {}",
-            rebuilt.stats.tuples_examined,
-            before_rebuild
-        );
-        // Wrong arity rejected.
-        assert!(onion.insert(vec![1.0]).is_err());
-    }
-
-    #[test]
-    fn append_points_stays_exact_and_keeps_shallow_layers() {
-        for d in [2usize, 3] {
-            let points = gaussian_points(41 + d as u64, 1200, d);
-            let hint: Vec<f64> = (0..d).map(|i| if i == 0 { 1.0 } else { -0.2 }).collect();
-            let mut onion = OnionIndex::build_with_hints(
-                points.clone(),
-                std::slice::from_ref(&hint),
-                64,
-                32,
-                7,
-            )
-            .unwrap();
-            let layers_before = onion.layer_count();
-            // A deep batch: interior points well inside the cloud.
-            let deep: Vec<Vec<f64>> = gaussian_points(77, 40, d)
-                .into_iter()
-                .map(|p| p.iter().map(|v| v * 0.05).collect())
-                .collect();
-            let report = onion.append_points(&deep).unwrap();
-            assert_eq!(report.appended, 40);
-            assert!(
-                report.kept_layers > 0,
-                "d={d}: interior batch must keep shallow layers (of {layers_before})"
-            );
-            let mut all = points;
-            all.extend(deep.iter().cloned());
-            // An outlier batch: new optima that dirty the outermost hull.
-            let outliers: Vec<Vec<f64>> = gaussian_points(88, 8, d)
-                .into_iter()
-                .map(|p| p.iter().map(|v| v * 3.0 + 1.0).collect())
-                .collect();
-            let report = onion.append_points(&outliers).unwrap();
-            assert_eq!(report.kept_layers, 0, "d={d}: outliers re-peel everything");
-            all.extend(outliers.iter().cloned());
-            assert_eq!(onion.len(), all.len());
-            // Exactness against a scan of the full augmented set, for the
-            // hint direction and a generic one.
-            for k in [1usize, 7] {
-                for dir in [hint.clone(), (0..d).map(|i| 0.3 * i as f64 - 0.8).collect()] {
-                    let fast = onion.top_k_max(&dir, k).unwrap();
-                    let slow = scan_top_k(&all, k, |p| dir.iter().zip(p).map(|(a, v)| a * v).sum());
-                    assert!(
-                        fast.score_equivalent(&slow, 1e-9),
-                        "d={d} k={k} dir={dir:?} diverged after append"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn append_points_validates() {
-        let mut onion =
-            OnionIndex::build_quantized_with(gaussian_points(5, 300, 3), 64, 32, 7, 1).unwrap();
-        let layers = onion.layers.clone();
-        assert!(matches!(onion.append_points(&[]), Err(ModelError::Empty)));
-        assert!(onion.append_points(&[vec![1.0]]).is_err());
-        assert_eq!(onion.len(), 300, "failed appends leave the index intact");
-        assert_eq!(onion.layers, layers);
-        onion.append_points(&[vec![0.1, 0.2, 0.3]]).unwrap();
-        assert_eq!(onion.len(), 301);
-    }
-
-    #[test]
     fn parallel_build_is_bit_identical() {
         // d >= 3 exercises the threaded direction sweep; the private layer
         // structure (not just query answers) must match exactly.
@@ -1984,82 +1563,6 @@ mod tests {
     }
 
     #[test]
-    fn append_and_rebuild_keep_the_build_parameters() {
-        // An index built with its own layer cap, bundle size and seed must
-        // re-peel with them, not with the defaults.
-        let mut all = gaussian_points(61, 3_000, 3);
-        let mut onion = OnionIndex::build_with(all.clone(), 24, 16, 5).unwrap();
-        assert_eq!(onion.layer_count(), 25, "cap hit: 24 layers + core");
-        // Outliers dirty the outermost layer, so everything re-peels.
-        let batch: Vec<Vec<f64>> = gaussian_points(62, 30, 3)
-            .into_iter()
-            .map(|p| p.iter().map(|v| v * 3.0).collect())
-            .collect();
-        let report = onion.append_points(&batch).unwrap();
-        assert_eq!(report.kept_layers, 0);
-        all.extend(batch);
-        assert!(
-            onion.layer_count() <= 25,
-            "append re-peeled into {} layers",
-            onion.layer_count()
-        );
-        // A full re-peel from depth 0 is the scratch build.
-        let scratch = OnionIndex::build_with(all.clone(), 24, 16, 5).unwrap();
-        assert_eq!(onion.layers, scratch.layers);
-        // A deep batch keeps a prefix; the cap still holds.
-        let deep: Vec<Vec<f64>> = gaussian_points(63, 30, 3)
-            .into_iter()
-            .map(|p| p.iter().map(|v| v * 0.05).collect())
-            .collect();
-        assert!(onion.append_points(&deep).unwrap().kept_layers > 0);
-        all.extend(deep);
-        assert!(onion.layer_count() <= 25);
-        onion.rebuild().unwrap();
-        let scratch = OnionIndex::build_with(all, 24, 16, 5).unwrap();
-        assert_eq!(onion.layers, scratch.layers);
-        assert_eq!(onion.remaining_box, scratch.remaining_box);
-        assert_eq!(onion.core, scratch.core);
-    }
-
-    #[test]
-    fn insert_into_an_all_core_index_leaves_the_radial_order_alone() {
-        // With `max_layers = 0` layer 0 *is* the core bucket: a new optimum
-        // pushed onto it would sit behind the run radii and be skipped.
-        let mut points = gaussian_points(41, 200, 3);
-        let mut onion = OnionIndex::build_with(points.clone(), 0, 8, 7).unwrap();
-        let (core_members, core) = (onion.layers[0].clone(), onion.core.clone());
-        // Enough inserts to take the core past a run boundary had they
-        // joined it.
-        for i in 0..70 {
-            let p = vec![50.0 + i as f64, 50.0, 50.0 - i as f64];
-            assert_eq!(onion.insert(p.clone()).unwrap(), points.len());
-            points.push(p);
-        }
-        assert_eq!(onion.layer_count(), 2, "one insert layer before the core");
-        assert_eq!(onion.layers[1], core_members);
-        assert_eq!(onion.core, core);
-        let store = PointStore::from_rows(&points).unwrap();
-        for dir in [
-            vec![1.0, 1.0, 1.0],
-            vec![-1.0, 0.2, 0.4],
-            vec![0.0, 0.0, -1.0],
-        ] {
-            for k in [1usize, 3, 80] {
-                assert_eq!(
-                    bits(&onion.top_k_max(&dir, k).unwrap()),
-                    bits(&scan_top_k_flat(&store, &dir, k)),
-                    "dir={dir:?} k={k}"
-                );
-            }
-        }
-        // An append re-peels the insert layer with the rest: the cap holds.
-        onion.append_points(&[vec![0.0, 0.0, 0.0]]).unwrap();
-        assert_eq!(onion.layer_count(), 1);
-        onion.rebuild().unwrap();
-        assert_eq!(onion.layer_count(), 1);
-    }
-
-    #[test]
     fn hint_validation() {
         let points = vec![vec![0.0, 0.0], vec![1.0, 1.0]];
         assert!(OnionIndex::build_with_hints(points.clone(), &[vec![1.0]], 4, 4, 1).is_err());
@@ -2081,24 +1584,9 @@ mod tests {
             // Duplicate-heavy data: only a strict stop keeps the index
             // tie-breaks of the scan. Small caps put most rows in the core.
             let points = snapped_points(seed, n, d);
-            let mut store = PointStore::from_rows(&points).unwrap();
-            let mut onion = OnionIndex::build_with(points.clone(), cap, 8, 7).unwrap();
+            let store = PointStore::from_rows(&points).unwrap();
+            let onion = OnionIndex::build_with(points, cap, 8, 7).unwrap();
             for dir in test_directions(dir_seed, 2, d) {
-                let fast = onion.top_k_max(&dir, k).unwrap();
-                prop_assert_eq!(bits(&fast), bits(&scan_top_k_flat(&store, &dir, k)));
-            }
-            // Inserts after the build — new optima, duplicates of stored
-            // rows and interior points — at every cap, 0 (all core) included.
-            for (i, p) in snapped_points(seed + 1_000, 1 + n / 8, d).into_iter().enumerate() {
-                let p: Vec<f64> = match i % 3 {
-                    0 => p.iter().map(|v| v * 4.0).collect(),
-                    1 => points[i % n].clone(),
-                    _ => p,
-                };
-                store.push_row(&p).unwrap();
-                onion.insert(p).unwrap();
-            }
-            for dir in test_directions(dir_seed + 1, 2, d) {
                 let fast = onion.top_k_max(&dir, k).unwrap();
                 prop_assert_eq!(bits(&fast), bits(&scan_top_k_flat(&store, &dir, k)));
             }
@@ -2172,27 +1660,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_batched_walk_bit_identical_to_solo(
-            seed in 0u64..500,
-            n in 10usize..1500,
-            d in 1usize..5,
-            m in 1usize..6,
-            k in 1usize..10,
-            cap in prop::sample::select(vec![0usize, 1, 2, 3, 5, 64]),
-            dir_seed in 0u64..100,
-        ) {
-            // Small caps leave a core of up to two dozen runs, which the
-            // queries of a batch leave at different runs.
-            let points = gaussian_points(seed.wrapping_add(3_000), n, d);
-            let onion = OnionIndex::build_with(points, cap, 8, 7).unwrap();
-            let dirs = test_directions(dir_seed, m, d);
-            let batched = onion.top_k_max_multi(&dirs, k).unwrap();
-            for (q, dir) in dirs.iter().enumerate() {
-                prop_assert_eq!(&batched[q], &onion.top_k_max(dir, k).unwrap());
-            }
-        }
-
-        #[test]
         fn prop_kernel_build_bit_identical_to_legacy(
             seed in 0u64..500,
             n in 10usize..200,
@@ -2211,37 +1678,6 @@ mod tests {
             let a = kernel.top_k_max(&dir, k).unwrap();
             let b = legacy.top_k_max_legacy(&dir, k).unwrap();
             prop_assert_eq!(a, b);
-        }
-
-        #[test]
-        fn prop_append_points_equals_scan(
-            seed in 0u64..500,
-            n in 10usize..200,
-            extra in 1usize..40,
-            d in 1usize..5,
-            k in 1usize..10,
-            scale in 0usize..3,
-            cap in prop::sample::select(vec![0usize, 1, 2, 3, 5, 64]),
-            dir_seed in 0u64..100,
-        ) {
-            // Batches at three scales: deep interior, in-distribution, and
-            // outliers — the dirty frontier lands at different depths. The
-            // data is duplicate-heavy, as in `prop_onion_equals_scan`.
-            let mut all = snapped_points(seed.wrapping_add(11_000), n, d);
-            let factor = [0.05, 1.0, 4.0][scale];
-            let batch: Vec<Vec<f64>> = snapped_points(seed.wrapping_add(13_000), extra, d)
-                .into_iter()
-                .map(|p| p.iter().map(|v| v * factor).collect())
-                .collect();
-            let mut onion = OnionIndex::build_with(all.clone(), cap, 8, 7).unwrap();
-            onion.append_points(&batch).unwrap();
-            prop_assert!(onion.layer_count() <= cap + 1);
-            all.extend(batch);
-            let store = PointStore::from_rows(&all).unwrap();
-            for dir in test_directions(dir_seed, 2, d) {
-                let fast = onion.top_k_max(&dir, k).unwrap();
-                prop_assert_eq!(bits(&fast), bits(&scan_top_k_flat(&store, &dir, k)));
-            }
         }
     }
 }

@@ -51,9 +51,8 @@
 //! ## Layout
 //!
 //! Codes are stored transposed (SoA): `codes[j·m + i]` is dimension `j`
-//! of row `i`, so the per-row coarse pass streams stride-1 across rows —
-//! one i8 byte per element instead of eight f64 bytes — with a 4-lane
-//! unrolled accumulation, and monomorphized variants for d ∈ {2, 3, 8}
+//! of row `i` — one i8 byte per element instead of eight f64 bytes. The
+//! sub-block corner pass has monomorphized variants for d ∈ {2, 3, 8},
 //! dispatched once per query.
 
 use crate::store::PointStore;
@@ -181,7 +180,7 @@ impl QuantizedStore {
     }
 
     /// The block index covering `row`.
-    pub fn block_of(&self, row: usize) -> usize {
+    fn block_of(&self, row: usize) -> usize {
         row / QUANT_BLOCK_ROWS
     }
 
@@ -383,8 +382,7 @@ impl QuantBlock {
 
 /// Monomorphized dispatch for the quantized dot, chosen **once per
 /// query** (not per block, not per row). The d ∈ {2, 3, 8} variants let
-/// the compiler fully unroll the dimension loop around the 4-lane row
-/// accumulation.
+/// the compiler fully unroll the dimension loop of the corner pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QuantKernel {
     D2,
@@ -423,32 +421,6 @@ impl QuantQuery {
     #[inline]
     pub fn block_upper_bound(&self, b: usize) -> f64 {
         self.block_ub[b]
-    }
-
-    /// Sound per-row upper bounds for block `b`, written into `out`
-    /// (cleared first; `out.len() == rows of b`). Streams the SoA i8
-    /// codes with the query's monomorphized kernel: the only bytes
-    /// touched are one i8 per element.
-    pub fn row_upper_bounds(&self, store: &QuantizedStore, b: usize, out: &mut Vec<f64>) {
-        let blk = &store.blocks[b];
-        let m = blk.rows;
-        out.clear();
-        let s = self.slack[b];
-        if !s.is_finite() {
-            out.resize(m, f64::INFINITY);
-            return;
-        }
-        out.resize(m, self.base[b] + s);
-        let coeff = &self.coeff[b * self.dims..(b + 1) * self.dims];
-        match self.kernel {
-            QuantKernel::D2 => accumulate_codes::<2>(&blk.codes, m, coeff, out),
-            QuantKernel::D3 => accumulate_codes::<3>(&blk.codes, m, coeff, out),
-            QuantKernel::D8 => accumulate_codes::<8>(&blk.codes, m, coeff, out),
-            QuantKernel::Dyn => accumulate_codes_dyn(&blk.codes, m, self.dims, coeff, out),
-        }
-        for u in out.iter_mut() {
-            *u = pad_up(*u);
-        }
     }
 
     /// Sound per-sub-block upper bounds for block `b`, written into
@@ -506,29 +478,6 @@ impl QuantQuery {
     }
 }
 
-/// The 4-lane unrolled SoA accumulation (mirrors the PR-4 checksum
-/// fold): per dimension, one stride-1 pass over the block's rows with
-/// four independent accumulator updates per step. Row sums are f64
-/// upper-bound material, not exact scores, so the accumulation order is
-/// free — the slack already covers any-order summation error.
-#[inline(always)]
-fn accumulate_codes<const D: usize>(codes: &[i8], m: usize, coeff: &[f64], out: &mut [f64]) {
-    for j in 0..D {
-        let c = coeff[j];
-        let col = &codes[j * m..(j + 1) * m];
-        lane4(c, col, out);
-    }
-}
-
-#[inline(always)]
-fn accumulate_codes_dyn(codes: &[i8], m: usize, dims: usize, coeff: &[f64], out: &mut [f64]) {
-    for j in 0..dims {
-        let c = coeff[j];
-        let col = &codes[j * m..(j + 1) * m];
-        lane4(c, col, out);
-    }
-}
-
 /// Sign-picked corner accumulation over sub-block min/max codes: each
 /// sub-block's bound gains `max(c_j·qmin_j, c_j·qmax_j)` per dimension —
 /// the extremal corner of the sub-block's quantized box.
@@ -566,24 +515,6 @@ fn corner_accumulate_dyn(
         for s in 0..subs {
             out[s] += (c * f64::from(qn[s])).max(c * f64::from(qx[s]));
         }
-    }
-}
-
-#[inline(always)]
-fn lane4(c: f64, col: &[i8], out: &mut [f64]) {
-    let m = col.len();
-    let lanes = m / 4 * 4;
-    let mut i = 0;
-    while i < lanes {
-        out[i] += c * f64::from(col[i]);
-        out[i + 1] += c * f64::from(col[i + 1]);
-        out[i + 2] += c * f64::from(col[i + 2]);
-        out[i + 3] += c * f64::from(col[i + 3]);
-        i += 4;
-    }
-    while i < m {
-        out[i] += c * f64::from(col[i]);
-        i += 1;
     }
 }
 
@@ -638,14 +569,11 @@ mod tests {
         let store = PointStore::from_rows(rows).unwrap();
         let quant = QuantizedStore::build(&store);
         let qq = quant.prepare(dir);
-        let mut ubs = Vec::new();
         let mut sub_ubs = Vec::new();
         for b in 0..quant.blocks() {
             let (start, m) = quant.block_range(b);
             let block_ub = qq.block_upper_bound(b);
-            qq.row_upper_bounds(&quant, b, &mut ubs);
             qq.sub_upper_bounds(&quant, b, &mut sub_ubs);
-            assert_eq!(ubs.len(), m);
             assert_eq!(sub_ubs.len(), quant.subs(b));
             for i in 0..m {
                 let exact = kernels::dot(dir, store.row(start + i));
@@ -653,17 +581,11 @@ mod tests {
                 let sub_ub = sub_ubs[i / QUANT_SUB_ROWS];
                 if exact.is_nan() {
                     assert!(
-                        ubs[i] == f64::INFINITY && block_ub == f64::INFINITY,
+                        single == f64::INFINITY && block_ub == f64::INFINITY,
                         "NaN exact score must be shielded by an infinite bound"
                     );
                     assert!(sub_ub == f64::INFINITY);
                 } else {
-                    assert!(
-                        ubs[i] >= exact,
-                        "row ub {} < exact {} (block {b} row {i})",
-                        ubs[i],
-                        exact
-                    );
                     assert!(
                         single >= exact,
                         "single-row ub {single} < exact {exact} (row {})",

@@ -255,7 +255,7 @@ impl RStarTree {
     }
 
     /// Inserts one point, returning its index.
-    pub fn insert_point(&mut self, p: Vec<f64>) -> usize {
+    fn insert_point(&mut self, p: Vec<f64>) -> usize {
         assert_eq!(p.len(), self.dims, "point dimension mismatch");
         let rect = Rect::point(&p);
         let idx = self.points.push_row(&p).expect("dimension checked above");
@@ -404,110 +404,6 @@ impl RStarTree {
             results: heap.into_sorted(),
             stats,
         })
-    }
-
-    /// The `k` nearest neighbours of `query` by Euclidean distance,
-    /// best-first with MBR min-distance bounds. Returns `(index, distance)`
-    /// ascending.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ArityMismatch`] for a wrong-length query and
-    /// [`ModelError::InvalidValue`] for `k == 0`.
-    pub fn nearest(&self, query: &[f64], k: usize) -> Result<Vec<(usize, f64)>, ModelError> {
-        if query.len() != self.dims {
-            return Err(ModelError::ArityMismatch {
-                expected: self.dims,
-                actual: query.len(),
-            });
-        }
-        if k == 0 {
-            return Err(ModelError::InvalidValue("k must be >= 1".into()));
-        }
-        #[derive(Debug)]
-        struct Near<'a> {
-            min_dist2: f64,
-            node: &'a Node,
-        }
-        impl PartialEq for Near<'_> {
-            fn eq(&self, other: &Self) -> bool {
-                self.min_dist2 == other.min_dist2
-            }
-        }
-        impl Eq for Near<'_> {}
-        impl PartialOrd for Near<'_> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Near<'_> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Reverse: BinaryHeap pops max, we want min distance first.
-                other.min_dist2.total_cmp(&self.min_dist2)
-            }
-        }
-        let min_dist2 = |rect: &Rect| -> f64 {
-            rect.lo
-                .iter()
-                .zip(&rect.hi)
-                .zip(query)
-                .map(|((lo, hi), q)| {
-                    let d = if q < lo {
-                        lo - q
-                    } else if q > hi {
-                        q - hi
-                    } else {
-                        0.0
-                    };
-                    d * d
-                })
-                .sum()
-        };
-        let mut frontier = BinaryHeap::new();
-        frontier.push(Near {
-            min_dist2: min_dist2(&self.root.mbr()),
-            node: &self.root,
-        });
-        // Max-heap of current best k (largest distance on top).
-        let mut best: Vec<(usize, f64)> = Vec::new();
-        while let Some(Near {
-            min_dist2: bound,
-            node,
-        }) = frontier.pop()
-        {
-            if best.len() >= k && bound >= best[k - 1].1 {
-                break;
-            }
-            match node {
-                Node::Leaf { items, .. } => {
-                    for &i in items {
-                        let d2: f64 = self
-                            .points
-                            .row(i)
-                            .iter()
-                            .zip(query)
-                            .map(|(p, q)| (p - q) * (p - q))
-                            .sum();
-                        let pos = best
-                            .binary_search_by(|probe| probe.1.total_cmp(&d2).then(probe.0.cmp(&i)))
-                            .unwrap_or_else(|p| p);
-                        if pos < k {
-                            best.insert(pos, (i, d2));
-                            best.truncate(k);
-                        }
-                    }
-                }
-                Node::Internal { rects, children } => {
-                    for (r, c) in rects.iter().zip(children) {
-                        frontier.push(Near {
-                            min_dist2: min_dist2(r),
-                            node: c,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(best.into_iter().map(|(i, d2)| (i, d2.sqrt())).collect())
     }
 
     /// Tree depth (1 for a single leaf).
@@ -829,71 +725,8 @@ mod tests {
         assert_eq!(top.results.len(), 3);
     }
 
-    #[test]
-    fn nearest_matches_brute_force() {
-        let points = pseudo_points(7, 1200, 3);
-        let tree = RStarTree::bulk(points.clone()).unwrap();
-        let query = vec![50.0, 50.0, 50.0];
-        let got = tree.nearest(&query, 5).unwrap();
-        let mut brute: Vec<(usize, f64)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let d2: f64 = p.iter().zip(&query).map(|(a, b)| (a - b) * (a - b)).sum();
-                (i, d2.sqrt())
-            })
-            .collect();
-        brute.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        brute.truncate(5);
-        for ((gi, gd), (bi, bd)) in got.iter().zip(&brute) {
-            assert_eq!(gi, bi);
-            assert!((gd - bd).abs() < 1e-9);
-        }
-        // Validation paths.
-        assert!(tree.nearest(&[0.0], 1).is_err());
-        assert!(tree.nearest(&query, 0).is_err());
-    }
-
-    #[test]
-    fn nearest_with_k_exceeding_size() {
-        let tree = RStarTree::bulk(vec![vec![0.0, 0.0], vec![3.0, 4.0]]).unwrap();
-        let got = tree.nearest(&[0.0, 0.0], 10).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, 0);
-        assert!((got[1].1 - 5.0).abs() < 1e-12);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(30))]
-        #[test]
-        fn prop_nearest_matches_brute(
-            seed in 0u64..200,
-            n in 1usize..250,
-            k in 1usize..6,
-            qx in 0.0f64..100.0,
-            qy in 0.0f64..100.0,
-        ) {
-            let points = pseudo_points(seed, n, 2);
-            let tree = RStarTree::bulk(points.clone()).unwrap();
-            let query = vec![qx, qy];
-            let got = tree.nearest(&query, k).unwrap();
-            let mut brute: Vec<(usize, f64)> = points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let d2: f64 = p.iter().zip(&query).map(|(a, b)| (a - b) * (a - b)).sum();
-                    (i, d2.sqrt())
-                })
-                .collect();
-            brute.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            brute.truncate(k);
-            prop_assert_eq!(got.len(), brute.len());
-            for ((gi, gd), (bi, bd)) in got.iter().zip(&brute) {
-                prop_assert_eq!(gi, bi);
-                prop_assert!((gd - bd).abs() < 1e-9);
-            }
-        }
-
         #[test]
         fn prop_range_matches_brute_force(
             seed in 0u64..500,

@@ -17,7 +17,7 @@
 //!   sort the component lists and walk a frontier heap, the
 //!   `O(M L log L + ...)` improvement of reference \[16\].
 
-use crate::stats::{QueryStats, ScoredItem};
+use crate::stats::QueryStats;
 use mbir_models::error::ModelError;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -336,21 +336,6 @@ impl SprocIndex {
         }
         Ok(CompositeResult { assemblies, stats })
     }
-
-    /// Per-component top scores as [`ScoredItem`]s (diagnostic view).
-    pub fn component_ranking(&self, comp: usize, k: usize) -> Vec<ScoredItem> {
-        let mut items: Vec<ScoredItem> = self.scores[comp]
-            .iter()
-            .enumerate()
-            .map(|(index, score)| ScoredItem {
-                index,
-                score: *score,
-            })
-            .collect();
-        crate::stats::sort_desc(&mut items);
-        items.truncate(k);
-        items
-    }
 }
 
 /// Inserts into a descending top-K list (ties by lexicographic choice for
@@ -460,14 +445,6 @@ mod tests {
         let fast = index.top_k_independent(10).unwrap();
         assert_eq!(fast.assemblies.len(), 2);
         assert_eq!(fast.assemblies[0].choice, vec![1]);
-    }
-
-    #[test]
-    fn component_ranking_is_descending() {
-        let index = SprocIndex::new(vec![vec![0.2, 0.9, 0.5]]).unwrap();
-        let r = index.component_ranking(0, 2);
-        assert_eq!(r[0].index, 1);
-        assert_eq!(r[1].index, 2);
     }
 
     proptest! {

@@ -74,26 +74,6 @@ impl PointStore {
         Ok(PointStore { data, dims })
     }
 
-    /// Wraps an already-flat buffer of `len * dims` coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Empty`] for `dims == 0` and
-    /// [`ModelError::ArityMismatch`] when the buffer length is not a
-    /// multiple of `dims`.
-    pub fn from_flat(data: Vec<f64>, dims: usize) -> Result<Self, ModelError> {
-        if dims == 0 {
-            return Err(ModelError::Empty);
-        }
-        if !data.len().is_multiple_of(dims) {
-            return Err(ModelError::ArityMismatch {
-                expected: dims,
-                actual: data.len() % dims,
-            });
-        }
-        Ok(PointStore { data, dims })
-    }
-
     /// Number of points stored.
     pub fn len(&self) -> usize {
         self.data.len() / self.dims
@@ -148,9 +128,9 @@ impl PointStore {
         &self.data
     }
 
-    /// Copies the store back into the nested representation (interop with
-    /// `Vec<Vec<f64>>` entry points such as rebuilds).
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
+    /// Copies the store back into the nested representation.
+    #[cfg(test)]
+    fn to_rows(&self) -> Vec<Vec<f64>> {
         self.rows().map(|r| r.to_vec()).collect()
     }
 }
@@ -187,15 +167,6 @@ mod tests {
                 actual: 2
             })
         ));
-    }
-
-    #[test]
-    fn from_flat_validates() {
-        assert!(PointStore::from_flat(vec![1.0, 2.0], 0).is_err());
-        assert!(PointStore::from_flat(vec![1.0, 2.0, 3.0], 2).is_err());
-        let s = PointStore::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2).unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.row(1), &[3.0, 4.0]);
     }
 
     #[test]

@@ -9,13 +9,10 @@
 //! All the paper's knowledge-model examples are propositional (house,
 //! bushes, wet season, ...), so variables here are binary. Inference is
 //! exact: [`BayesNet::query`] runs variable elimination, cross-checked in
-//! tests against brute-force enumeration. CPTs can be learned from data
-//! ([`learn`]) or built from noisy-OR/AND gates ([`noisy_or_cpt`],
-//! [`noisy_and_cpt`]).
+//! tests against brute-force enumeration. CPTs are written out or built
+//! from noisy-AND gates ([`noisy_and_cpt`]).
 
 pub mod hps_net;
-pub mod learn;
-pub mod sample;
 
 use crate::error::ModelError;
 use std::collections::{HashMap, HashSet};
@@ -109,25 +106,8 @@ impl BayesNet {
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         self.names.len()
-    }
-
-    /// Node lookup by name.
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// Name of a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Unknown`] for an invalid id.
-    pub fn node_name(&self, node: NodeId) -> Result<&str, ModelError> {
-        self.names
-            .get(node)
-            .map(String::as_str)
-            .ok_or_else(|| ModelError::Unknown(format!("node {node}")))
     }
 
     /// Parents of a node.
@@ -135,13 +115,8 @@ impl BayesNet {
         &self.parents[node]
     }
 
-    /// Raw CPT entry `P(node = true | parent config)` (crate-internal; the
-    /// sampling module reads it directly).
-    pub(crate) fn cpt_entry(&self, node: NodeId, config: usize) -> f64 {
-        self.cpts[node][config]
-    }
-
     /// P(node = true | its parents' values in `assignment`).
+    #[cfg(test)]
     fn conditional(&self, node: NodeId, assignment: &[bool]) -> f64 {
         let mut config = 0usize;
         for (j, p) in self.parents[node].iter().enumerate() {
@@ -158,7 +133,8 @@ impl BayesNet {
     ///
     /// Returns [`ModelError::ArityMismatch`] unless exactly one value per
     /// node is given.
-    pub fn joint(&self, assignment: &[bool]) -> Result<f64, ModelError> {
+    #[cfg(test)]
+    fn joint(&self, assignment: &[bool]) -> Result<f64, ModelError> {
         if assignment.len() != self.node_count() {
             return Err(ModelError::ArityMismatch {
                 expected: self.node_count(),
@@ -368,34 +344,6 @@ impl Factor {
     }
 }
 
-/// A noisy-OR CPT: the child fires if any active parent's independent cause
-/// fires; `leak` is the probability with no active parent.
-///
-/// # Panics
-///
-/// Panics unless every probability is in `[0, 1]`.
-pub fn noisy_or_cpt(parent_strengths: &[f64], leak: f64) -> Vec<f64> {
-    assert!(
-        parent_strengths
-            .iter()
-            .chain(std::iter::once(&leak))
-            .all(|p| (0.0..=1.0).contains(p)),
-        "probabilities must be in [0,1]"
-    );
-    let n = parent_strengths.len();
-    (0..(1 << n))
-        .map(|config| {
-            let mut p_not = 1.0 - leak;
-            for (j, s) in parent_strengths.iter().enumerate() {
-                if config & (1 << j) != 0 {
-                    p_not *= 1.0 - s;
-                }
-            }
-            1.0 - p_not
-        })
-        .collect()
-}
-
 /// A noisy-AND CPT: the child fires only when all parents are active (each
 /// active parent enables with its strength; any inactive parent caps the
 /// probability at `inhibit`).
@@ -473,9 +421,7 @@ mod tests {
             net.add_node("a", &[], vec![1.5]),
             Err(ModelError::InvalidValue(_))
         ));
-        let a = net.add_node("a", &[], vec![0.5]).unwrap();
-        assert_eq!(net.node_by_name("a"), Some(a));
-        assert_eq!(net.node_name(a).unwrap(), "a");
+        assert!(net.add_node("a", &[], vec![0.5]).is_ok());
     }
 
     #[test]
@@ -560,16 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn noisy_or_properties() {
-        let cpt = noisy_or_cpt(&[0.7, 0.5], 0.05);
-        assert_eq!(cpt.len(), 4);
-        assert!((cpt[0] - 0.05).abs() < 1e-12, "leak only");
-        assert!(cpt[1] > cpt[0] && cpt[2] > cpt[0]);
-        assert!(cpt[3] > cpt[1].max(cpt[2]), "both parents strongest");
-        assert!((cpt[3] - (1.0 - 0.95 * 0.3 * 0.5)).abs() < 1e-12);
-    }
-
-    #[test]
     fn noisy_and_properties() {
         let cpt = noisy_and_cpt(&[0.9, 0.8], 0.02);
         assert_eq!(cpt.len(), 4);
@@ -577,11 +513,5 @@ mod tests {
         assert_eq!(cpt[1], 0.02);
         assert_eq!(cpt[2], 0.02);
         assert!((cpt[3] - 0.72).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "probabilities")]
-    fn noisy_or_rejects_bad_probability() {
-        let _ = noisy_or_cpt(&[1.2], 0.0);
     }
 }

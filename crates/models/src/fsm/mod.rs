@@ -5,13 +5,9 @@
 //! of environmental phenomena — the canonical instance is the fire-ants
 //! machine of Fig. 1 ([`fire_ants`]). Retrieval with an FSM model means
 //! finding the data series (or locations) whose event streams drive the
-//! machine into an accepting state; [`distance`] ranks near-misses when the
-//! extracted machine differs slightly from the target (§3: "it is also
-//! possible to define a distance between these two finite state machines").
+//! machine into an accepting state.
 
-pub mod distance;
 pub mod fire_ants;
-pub mod learn;
 
 use crate::error::ModelError;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -65,23 +61,6 @@ impl<S: Copy + Eq + Hash> Fsm<S> {
     pub fn add_state(&mut self, name: impl Into<String>) -> StateId {
         self.names.push(name.into());
         self.names.len() - 1
-    }
-
-    /// Number of states.
-    pub fn state_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Name of a state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Unknown`] for an invalid id.
-    pub fn state_name(&self, state: StateId) -> Result<&str, ModelError> {
-        self.names
-            .get(state)
-            .map(String::as_str)
-            .ok_or_else(|| ModelError::Unknown(format!("state {state}")))
     }
 
     /// Sets the start state.
@@ -256,7 +235,6 @@ impl<S: Copy + Eq + Hash> Fsm<S> {
         let start = self
             .start
             .ok_or_else(|| ModelError::Unknown("start state not set".into()))?;
-        let groups = partition.iter().copied().max().map(|m| m + 1).unwrap_or(0);
         let mut transitions: HashMap<(usize, S), BTreeSet<usize>> = HashMap::new();
         for ((from, sym), to) in &self.transitions {
             transitions
@@ -266,7 +244,6 @@ impl<S: Copy + Eq + Hash> Fsm<S> {
         }
         let accepting: HashSet<usize> = self.accepting.iter().map(|s| partition[*s]).collect();
         Ok(CoarseFsm {
-            groups,
             transitions,
             start: partition[start],
             accepting,
@@ -290,40 +267,12 @@ impl<S: Copy + Eq + Hash> Default for Fsm<S> {
 /// The nondeterministic coarsening of an [`Fsm`] (see [`Fsm::coarsen`]).
 #[derive(Debug, Clone)]
 pub struct CoarseFsm<S> {
-    groups: usize,
     transitions: HashMap<(usize, S), BTreeSet<usize>>,
     start: usize,
     accepting: HashSet<usize>,
 }
 
 impl<S: Copy + Eq + Hash> CoarseFsm<S> {
-    /// Number of groups (coarse states).
-    pub fn group_count(&self) -> usize {
-        self.groups
-    }
-
-    /// Whether the coarse machine *may* accept `input` (subset-construction
-    /// run). `false` is a sound rejection of the underlying DFA.
-    pub fn may_accept(&self, input: &[S]) -> bool {
-        let mut current: BTreeSet<usize> = BTreeSet::from([self.start]);
-        if input.is_empty() {
-            return current.iter().any(|g| self.accepting.contains(g));
-        }
-        for sym in input {
-            let mut next = BTreeSet::new();
-            for g in &current {
-                if let Some(tos) = self.transitions.get(&(*g, *sym)) {
-                    next.extend(tos.iter().copied());
-                }
-            }
-            if next.is_empty() {
-                return false;
-            }
-            current = next;
-        }
-        current.iter().any(|g| self.accepting.contains(g))
-    }
-
     /// Whether any prefix of `input` drives the coarse machine into an
     /// accepting group — the screening predicate for event detection.
     pub fn may_reach_accepting(&self, input: &[S]) -> bool {
@@ -407,23 +356,6 @@ mod tests {
         assert!(fsm.set_start(7).is_err());
         assert!(fsm.set_accepting(7, true).is_err());
         assert!(fsm.add_transition(s, 'a', 9).is_err());
-        assert!(fsm.state_name(3).is_err());
-        assert_eq!(fsm.state_name(s).unwrap(), "s");
-    }
-
-    #[test]
-    fn coarsening_over_approximates() {
-        let fsm = odd_a();
-        // Merge both states into one group: the NFA may accept anything the
-        // DFA accepts (and more).
-        let coarse = fsm.coarsen(&[0, 0]).unwrap();
-        assert_eq!(coarse.group_count(), 1);
-        assert!(coarse.may_accept(&['a']));
-        assert!(coarse.may_accept(&['a', 'a']), "over-approximation");
-        // Identity partition is exact.
-        let exact = fsm.coarsen(&[0, 1]).unwrap();
-        assert!(exact.may_accept(&['a']));
-        assert!(!exact.may_accept(&['a', 'a']));
     }
 
     #[test]
@@ -439,9 +371,6 @@ mod tests {
             // Every partition of 2 states into <=2 groups.
             for partition in [[0usize, 0], [0, 1]] {
                 let coarse = fsm.coarsen(&partition).unwrap();
-                if fsm.accepts(&input).unwrap() {
-                    prop_assert!(coarse.may_accept(&input), "partition {partition:?} missed");
-                }
                 let events = fsm.acceptance_events(&input).unwrap();
                 if !events.is_empty() {
                     prop_assert!(coarse.may_reach_accepting(&input));

@@ -1,8 +1,6 @@
-//! Fuzzy memberships and rule sets — the "fuzzy and/or probabilistic rules
-//! specified within the model" (paper §3) that knowledge models compile to,
-//! and the score algebra SPROC-style composite queries operate over.
+//! Fuzzy memberships — the "fuzzy and/or probabilistic rules specified
+//! within the model" (paper §3) that knowledge models compile to.
 
-use crate::error::ModelError;
 use std::fmt;
 
 /// A fuzzy membership function mapping a raw value to a degree in `[0, 1]`.
@@ -81,194 +79,6 @@ impl fmt::Display for Membership {
     }
 }
 
-/// T-norm used to combine antecedent degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TNorm {
-    /// Gödel t-norm (minimum) — the classical fuzzy AND.
-    #[default]
-    Min,
-    /// Product t-norm — probabilistic AND.
-    Product,
-}
-
-impl TNorm {
-    /// Combines two degrees.
-    pub fn combine(&self, a: f64, b: f64) -> f64 {
-        match self {
-            TNorm::Min => a.min(b),
-            TNorm::Product => a * b,
-        }
-    }
-
-    /// Combines many degrees (identity 1).
-    pub fn combine_all<I: IntoIterator<Item = f64>>(&self, degrees: I) -> f64 {
-        degrees.into_iter().fold(1.0, |acc, d| self.combine(acc, d))
-    }
-}
-
-/// One fuzzy rule: a weighted conjunction of per-attribute memberships.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FuzzyRule {
-    name: String,
-    antecedents: Vec<(usize, Membership)>,
-    weight: f64,
-}
-
-impl FuzzyRule {
-    /// Creates a rule over `(attribute index, membership)` antecedents.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Empty`] with no antecedents, or
-    /// [`ModelError::InvalidValue`] for a non-positive weight.
-    pub fn new(
-        name: impl Into<String>,
-        antecedents: Vec<(usize, Membership)>,
-        weight: f64,
-    ) -> Result<Self, ModelError> {
-        if antecedents.is_empty() {
-            return Err(ModelError::Empty);
-        }
-        if weight <= 0.0 || weight.is_nan() || !weight.is_finite() {
-            return Err(ModelError::InvalidValue(format!(
-                "rule weight must be positive, got {weight}"
-            )));
-        }
-        Ok(FuzzyRule {
-            name: name.into(),
-            antecedents,
-            weight,
-        })
-    }
-
-    /// The rule name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The rule weight.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
-
-    /// Degree of this rule on an attribute vector (missing attributes score
-    /// zero, which poisons the conjunction — intended).
-    pub fn degree(&self, attributes: &[f64], tnorm: TNorm) -> f64 {
-        tnorm.combine_all(
-            self.antecedents
-                .iter()
-                .map(|(idx, m)| attributes.get(*idx).map(|v| m.degree(*v)).unwrap_or(0.0)),
-        )
-    }
-}
-
-/// A weighted rule set scoring attribute vectors in `[0, 1]`.
-///
-/// # Examples
-///
-/// ```
-/// use mbir_models::fuzzy::{FuzzyRule, Membership, RuleSet, TNorm};
-///
-/// let rule = FuzzyRule::new("hot", vec![(0, Membership::AtLeast(25.0))], 1.0)?;
-/// let rules = RuleSet::new(vec![rule], TNorm::Min)?;
-/// assert_eq!(rules.score(&[30.0]), 1.0);
-/// assert_eq!(rules.score(&[20.0]), 0.0);
-/// # Ok::<(), mbir_models::ModelError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuleSet {
-    rules: Vec<FuzzyRule>,
-    tnorm: TNorm,
-}
-
-impl RuleSet {
-    /// Creates a rule set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Empty`] when `rules` is empty.
-    pub fn new(rules: Vec<FuzzyRule>, tnorm: TNorm) -> Result<Self, ModelError> {
-        if rules.is_empty() {
-            return Err(ModelError::Empty);
-        }
-        Ok(RuleSet { rules, tnorm })
-    }
-
-    /// The rules.
-    pub fn rules(&self) -> &[FuzzyRule] {
-        &self.rules
-    }
-
-    /// The weighted-average rule degree in `[0, 1]`.
-    pub fn score(&self, attributes: &[f64]) -> f64 {
-        let total_weight: f64 = self.rules.iter().map(FuzzyRule::weight).sum();
-        self.rules
-            .iter()
-            .map(|r| r.weight() * r.degree(attributes, self.tnorm))
-            .sum::<f64>()
-            / total_weight
-    }
-
-    /// Per-rule degrees, for explanation output.
-    pub fn explain(&self, attributes: &[f64]) -> Vec<(&str, f64)> {
-        self.rules
-            .iter()
-            .map(|r| (r.name(), r.degree(attributes, self.tnorm)))
-            .collect()
-    }
-
-    /// Calibrates the rule weights from labelled examples
-    /// `(attributes, target score)` by least squares over the per-rule
-    /// degrees, clamping weights to be positive — the knowledge-model
-    /// analogue of §2.1's "weights can be trained by using historical
-    /// data". Returns a new rule set; memberships are untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InsufficientData`] with fewer samples than
-    /// rules and [`ModelError::Singular`] when the rule degrees are
-    /// collinear across all samples.
-    pub fn calibrate_weights(&self, samples: &[(Vec<f64>, f64)]) -> Result<RuleSet, ModelError> {
-        let r = self.rules.len();
-        if samples.len() < r {
-            return Err(ModelError::InsufficientData {
-                samples: samples.len(),
-                parameters: r,
-            });
-        }
-        // Least squares on the degree matrix (no intercept: a rule set
-        // scoring zero degrees should score zero).
-        let degrees: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|(x, _)| {
-                self.rules
-                    .iter()
-                    .map(|rule| rule.degree(x, self.tnorm))
-                    .collect()
-            })
-            .collect();
-        let targets: Vec<f64> = samples.iter().map(|(_, y)| *y).collect();
-        let d = crate::linalg::Matrix::from_rows(&degrees)?;
-        let dt = d.transpose();
-        let dtd = dt.mul(&d)?;
-        let dty = dt.mul_vec(&targets)?;
-        let weights = dtd.solve(&dty)?;
-        let rules: Vec<FuzzyRule> = self
-            .rules
-            .iter()
-            .zip(&weights)
-            .map(|(rule, w)| {
-                FuzzyRule::new(
-                    rule.name().to_owned(),
-                    rule.antecedents.clone(),
-                    w.max(1e-6), // weights stay positive; dead rules fade out
-                )
-            })
-            .collect::<Result<_, _>>()?;
-        RuleSet::new(rules, self.tnorm)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,89 +133,6 @@ mod tests {
         assert_eq!(Membership::AtLeast(45.0).degree(44.9), 0.0);
         assert_eq!(Membership::AtMost(10.0).degree(10.0), 1.0);
         assert_eq!(Membership::AtMost(10.0).degree(10.1), 0.0);
-    }
-
-    #[test]
-    fn tnorms() {
-        assert_eq!(TNorm::Min.combine(0.3, 0.7), 0.3);
-        assert_eq!(TNorm::Product.combine(0.5, 0.5), 0.25);
-        assert_eq!(TNorm::Min.combine_all([0.9, 0.4, 0.6]), 0.4);
-        assert_eq!(TNorm::Product.combine_all(std::iter::empty()), 1.0);
-    }
-
-    #[test]
-    fn rule_validation() {
-        assert!(matches!(
-            FuzzyRule::new("r", vec![], 1.0),
-            Err(ModelError::Empty)
-        ));
-        assert!(matches!(
-            FuzzyRule::new("r", vec![(0, Membership::AtLeast(0.0))], 0.0),
-            Err(ModelError::InvalidValue(_))
-        ));
-        assert!(RuleSet::new(vec![], TNorm::Min).is_err());
-    }
-
-    #[test]
-    fn missing_attribute_poisons_conjunction() {
-        let rule = FuzzyRule::new("r", vec![(5, Membership::AtLeast(0.0))], 1.0).unwrap();
-        assert_eq!(rule.degree(&[1.0], TNorm::Min), 0.0);
-    }
-
-    #[test]
-    fn ruleset_weighted_average() {
-        let always = FuzzyRule::new("always", vec![(0, Membership::AtLeast(-1e9))], 3.0).unwrap();
-        let never = FuzzyRule::new("never", vec![(0, Membership::AtLeast(1e9))], 1.0).unwrap();
-        let rs = RuleSet::new(vec![always, never], TNorm::Min).unwrap();
-        assert!((rs.score(&[0.0]) - 0.75).abs() < 1e-12);
-        let explained = rs.explain(&[0.0]);
-        assert_eq!(explained[0], ("always", 1.0));
-        assert_eq!(explained[1], ("never", 0.0));
-    }
-
-    #[test]
-    fn calibration_recovers_planted_weights() {
-        // Two rules over one attribute with non-overlapping supports.
-        let low = FuzzyRule::new("low", vec![(0, Membership::AtMost(5.0))], 1.0).unwrap();
-        let high = FuzzyRule::new("high", vec![(0, Membership::AtLeast(10.0))], 1.0).unwrap();
-        let rs = RuleSet::new(vec![low, high], TNorm::Min).unwrap();
-        // Planted: low fires worth 0.2, high worth 0.8 (per unit weight).
-        let samples: Vec<(Vec<f64>, f64)> = (0..30)
-            .map(|i| {
-                let x = (i % 3) as f64 * 7.0; // 0, 7, 14
-                let y = if x <= 5.0 {
-                    0.2
-                } else if x >= 10.0 {
-                    0.8
-                } else {
-                    0.0
-                };
-                (vec![x], y)
-            })
-            .collect();
-        let calibrated = rs.calibrate_weights(&samples).unwrap();
-        let w_low = calibrated.rules()[0].weight();
-        let w_high = calibrated.rules()[1].weight();
-        assert!((w_low - 0.2).abs() < 1e-9, "{w_low}");
-        assert!((w_high - 0.8).abs() < 1e-9, "{w_high}");
-    }
-
-    #[test]
-    fn calibration_validates() {
-        let rule = FuzzyRule::new("r", vec![(0, Membership::AtLeast(0.0))], 1.0).unwrap();
-        let rs = RuleSet::new(vec![rule], TNorm::Min).unwrap();
-        assert!(matches!(
-            rs.calibrate_weights(&[]),
-            Err(ModelError::InsufficientData { .. })
-        ));
-        // All degrees zero -> singular.
-        let never = FuzzyRule::new("n", vec![(0, Membership::AtLeast(1e12))], 1.0).unwrap();
-        let rs = RuleSet::new(vec![never], TNorm::Min).unwrap();
-        let samples = vec![(vec![0.0], 0.5), (vec![1.0], 0.7)];
-        assert_eq!(
-            rs.calibrate_weights(&samples).unwrap_err(),
-            ModelError::Singular
-        );
     }
 
     proptest! {

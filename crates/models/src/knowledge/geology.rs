@@ -10,7 +10,6 @@
 //! lithology comes from image-interpreted FMI logs and gamma from the
 //! 1-D tool trace.
 
-use crate::error::ModelError;
 use crate::fuzzy::Membership;
 use crate::knowledge::{SequenceElement, SequencePattern};
 use mbir_archive::lithology::Lithology;
@@ -72,29 +71,6 @@ impl RiverbedModel {
             },
             min_quality: 0.25,
         }
-    }
-
-    /// A custom variant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidValue`] when `min_quality` is outside
-    /// `[0, 1]`.
-    pub fn with_parameters(
-        pattern: SequencePattern<Lithology>,
-        gamma: Membership,
-        min_quality: f64,
-    ) -> Result<Self, ModelError> {
-        if !(0.0..=1.0).contains(&min_quality) {
-            return Err(ModelError::InvalidValue(format!(
-                "min_quality must be in [0,1], got {min_quality}"
-            )));
-        }
-        Ok(RiverbedModel {
-            pattern,
-            gamma,
-            min_quality,
-        })
     }
 
     /// The structural pattern.
@@ -341,11 +317,5 @@ mod tests {
         // Small K leaves most traces unread.
         let (_, traces_read) = model.screened_top_k(&wells, 1);
         assert!(traces_read < wells.len(), "read {traces_read} of 40");
-    }
-
-    #[test]
-    fn with_parameters_validates() {
-        let p = SequencePattern::new(vec![SequenceElement::labelled(Lithology::Shale)]).unwrap();
-        assert!(RiverbedModel::with_parameters(p, Membership::AtLeast(45.0), 1.5).is_err());
     }
 }

@@ -42,7 +42,8 @@ impl<L> SequenceElement<L> {
     }
 
     /// Adds a lower thickness bound (builder style).
-    pub fn with_min_thickness(mut self, min: f64) -> Self {
+    #[cfg(test)]
+    fn with_min_thickness(mut self, min: f64) -> Self {
         self.min_thickness = Some(min);
         self
     }
@@ -71,7 +72,7 @@ impl<L> SequenceElement<L> {
 ///     SequenceElement::labelled("sand"),
 /// ])?;
 /// let runs = [("mud", 3.0), ("shale", 5.0), ("sand", 8.0)];
-/// assert_eq!(pattern.find_matches(&runs), vec![1]);
+/// assert_eq!(pattern.best_match(&runs), Some((1, 1.0)));
 /// # Ok::<(), mbir_models::ModelError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -105,21 +106,6 @@ impl<L: PartialEq + fmt::Debug> SequencePattern<L> {
     /// The elements.
     pub fn elements(&self) -> &[SequenceElement<L>] {
         &self.elements
-    }
-
-    /// Start indexes of every crisp match against `(label, thickness)` runs.
-    pub fn find_matches(&self, runs: &[(L, f64)]) -> Vec<usize> {
-        if runs.len() < self.elements.len() {
-            return Vec::new();
-        }
-        (0..=runs.len() - self.elements.len())
-            .filter(|&start| {
-                self.elements.iter().enumerate().all(|(j, e)| {
-                    let (label, thickness) = &runs[start + j];
-                    e.matches(label, *thickness)
-                })
-            })
-            .collect()
     }
 
     /// Fuzzy match quality at `start`: the fraction of element constraints
@@ -180,22 +166,6 @@ mod tests {
             SequenceElement::labelled("silt"),
         ])
         .unwrap()
-    }
-
-    #[test]
-    fn crisp_match_requires_adjacency_and_thickness() {
-        let p = shale_sand_silt();
-        let good = [
-            ("lime", 30.0),
-            ("shale", 5.0),
-            ("sand", 7.0),
-            ("silt", 20.0),
-        ];
-        assert_eq!(p.find_matches(&good), vec![1]);
-        let thick = [("shale", 15.0), ("sand", 7.0), ("silt", 20.0)];
-        assert!(p.find_matches(&thick).is_empty());
-        let gap = [("shale", 5.0), ("lime", 2.0), ("sand", 7.0), ("silt", 20.0)];
-        assert!(p.find_matches(&gap).is_empty());
     }
 
     #[test]

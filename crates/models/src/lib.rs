@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 //! # mbir-models
 //!
 //! The three model families of the ICDCS 2000 paper (§2), each with a
@@ -9,11 +10,10 @@
 //!   risk model, the FICO credit-score model, and coefficient-ranked
 //!   progressive stages with sound residual bounds.
 //! * [`fsm`] — finite-state models: deterministic predicate machines, the
-//!   fire-ants model of Fig. 1, event-stream runners, FSM similarity
-//!   distance, and over-approximating coarsened machines for progressive
-//!   screening.
+//!   fire-ants model of Fig. 1, event-stream runners, and
+//!   over-approximating coarsened machines for progressive screening.
 //! * [`bayes`] + [`fuzzy`] + [`knowledge`] — Bayesian networks (exact
-//!   inference, CPT learning), fuzzy memberships/rules, and multi-modal
+//!   inference), fuzzy memberships, and multi-modal
 //!   knowledge models (the high-risk-house network of Fig. 3 and the
 //!   geology riverbed model of Fig. 4).
 //!

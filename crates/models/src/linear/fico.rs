@@ -6,7 +6,6 @@
 //! > credit information; scores range 300–900, with P(foreclosure) < 2% above
 //! > 680 and 8% below 620.
 
-use crate::error::ModelError;
 use crate::linear::LinearModel;
 use mbir_archive::randx;
 use rand::rngs::StdRng;
@@ -74,17 +73,6 @@ impl FicoModel {
             penalties: LinearModel::new(vec![22.0, -4.0, 120.0, -2.5, 15.0, 70.0], 0.0)
                 .expect("standard weights are valid"),
         }
-    }
-
-    /// A model with custom penalty weights `a_1..a_6`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidValue`] for non-finite weights.
-    pub fn with_penalties(weights: [f64; 6]) -> Result<Self, ModelError> {
-        Ok(FicoModel {
-            penalties: LinearModel::new(weights.to_vec(), 0.0)?,
-        })
     }
 
     /// The penalty sub-model (the `Σ a_i X_i` part).

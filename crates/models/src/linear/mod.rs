@@ -74,8 +74,7 @@ impl LinearModel {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != arity()`; use [`LinearModel::try_evaluate`] for
-    /// a fallible variant.
+    /// Panics if `x.len() != arity()`.
     pub fn evaluate(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.arity(), "attribute count mismatch");
         self.intercept
@@ -85,21 +84,6 @@ impl LinearModel {
                 .zip(x)
                 .map(|(a, v)| a * v)
                 .sum::<f64>()
-    }
-
-    /// Fallible evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ArityMismatch`] for a wrong-length input.
-    pub fn try_evaluate(&self, x: &[f64]) -> Result<f64, ModelError> {
-        if x.len() != self.arity() {
-            return Err(ModelError::ArityMismatch {
-                expected: self.arity(),
-                actual: x.len(),
-            });
-        }
-        Ok(self.evaluate(x))
     }
 
     /// Interval image of the model over an attribute box: given per-attribute
@@ -129,11 +113,6 @@ impl LinearModel {
             }
         }
         Ok((lo, hi))
-    }
-
-    /// Cost of one evaluation in multiply-adds (`n` in the paper's `O(nN)`).
-    pub fn eval_cost(&self) -> usize {
-        self.arity()
     }
 }
 
@@ -179,13 +158,6 @@ mod tests {
         let x = [100.0, 50.0, 30.0, 1200.0];
         let expected = 0.443 * 100.0 + 0.222 * 50.0 + 0.153 * 30.0 + 0.183 * 1200.0;
         assert!((m.evaluate(&x) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn try_evaluate_checks_arity() {
-        let m = LinearModel::new(vec![1.0, 2.0], 0.0).unwrap();
-        assert!(m.try_evaluate(&[1.0]).is_err());
-        assert_eq!(m.try_evaluate(&[1.0, 1.0]).unwrap(), 3.0);
     }
 
     #[test]

@@ -178,7 +178,8 @@ impl ProgressiveLinearModel {
     /// # Panics
     ///
     /// Panics if `x.len() != arity`.
-    pub fn evaluate_exact(&self, x: &[f64]) -> f64 {
+    #[cfg(test)]
+    fn evaluate_exact(&self, x: &[f64]) -> f64 {
         self.model.evaluate(x)
     }
 

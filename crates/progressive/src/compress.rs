@@ -117,7 +117,8 @@ impl CompressedGrid {
     }
 
     /// Number of detail coefficients retained.
-    pub fn kept_coefficients(&self) -> usize {
+    #[cfg(test)]
+    fn kept_coefficients(&self) -> usize {
         self.kept
     }
 

@@ -82,7 +82,7 @@ impl TileFeatures {
     }
 
     /// The feature vector as a fixed-order array.
-    pub fn to_array(self) -> [f64; 5] {
+    fn to_array(self) -> [f64; 5] {
         [
             self.mean,
             self.variance,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 //! # mbir-progressive
 //!
 //! Progressive data representations for model-based retrieval (paper §3.1).
@@ -11,8 +12,7 @@
 //!   for model values over whole regions, enabling quad-descent refinement.
 //! * **Multi-abstraction** — alternate formulations at lower data volume:
 //!   raw pixels → derived [`features`] (texture statistics) → [`semantics`]
-//!   (classified land cover, contours) → metadata. [`abstraction`] defines
-//!   the ladder and its data-volume accounting.
+//!   (classified land cover) → metadata.
 //!
 //! ```
 //! use mbir_archive::grid::Grid2;
@@ -24,18 +24,14 @@
 //! assert!(top.min <= top.mean && top.mean <= top.max);
 //! ```
 
-pub mod abstraction;
 pub mod compress;
 pub mod features;
 pub mod pyramid;
 pub mod semantics;
-pub mod seriesagg;
 pub mod wavelet;
 
-pub use abstraction::AbstractionLevel;
 pub use compress::CompressedGrid;
 pub use features::TileFeatures;
 pub use pyramid::{AggregatePyramid, CellStats};
 pub use semantics::{GaussianClassifier, LandCover};
-pub use seriesagg::{IntervalStats, SeriesPyramid};
-pub use wavelet::{haar_decompose_1d, haar_reconstruct_1d, HaarPyramid2d};
+pub use wavelet::{haar_decompose_1d, haar_reconstruct_1d};

@@ -32,7 +32,7 @@ pub struct CellStats {
 
 impl CellStats {
     /// Aggregates a single value.
-    pub fn of_value(v: f64) -> Self {
+    fn of_value(v: f64) -> Self {
         CellStats {
             min: v,
             max: v,
@@ -518,7 +518,7 @@ impl AggregatePyramid {
     /// (cleared first) — the allocation-free form of
     /// [`AggregatePyramid::base_cells`]. `out` is left empty for a level the
     /// pyramid does not have.
-    pub fn base_cells_into(&self, level: usize, row: usize, col: usize, out: &mut Vec<CellCoord>) {
+    fn base_cells_into(&self, level: usize, row: usize, col: usize, out: &mut Vec<CellCoord>) {
         out.clear();
         if level >= self.levels() {
             return;

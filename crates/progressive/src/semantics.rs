@@ -1,13 +1,12 @@
-//! Semantic abstraction level: classified land cover and contours.
+//! Semantic abstraction level: classified land cover.
 //!
 //! Classification of satellite images "can be viewed as a special case of
 //! applying Bayesian network" (paper §3.1), and running it progressively on
 //! progressively-represented data produced the 30x speedup the paper quotes
 //! from \[13\]. This module provides the classifier, its progressive
-//! (coarse-to-fine, confidence-gated) execution, and contour extraction.
+//! (coarse-to-fine, confidence-gated) execution.
 
 use crate::pyramid::AggregatePyramid;
-use mbir_archive::extent::CellCoord;
 use mbir_archive::grid::Grid2;
 use std::fmt;
 
@@ -87,7 +86,8 @@ impl GaussianClassifier {
     }
 
     /// Number of fitted classes.
-    pub fn class_count(&self) -> usize {
+    #[cfg(test)]
+    fn class_count(&self) -> usize {
         self.classes.len()
     }
 
@@ -190,7 +190,7 @@ impl GaussianClassifier {
 
     /// Progressive classification over per-band pyramids (paper §3.1 / \[13\]):
     /// descend from the coarsest level; if one class provably wins over the
-    /// *entire* block's value box (see [`GaussianClassifier::block_label`]),
+    /// *entire* block's value box (see `GaussianClassifier::block_label`),
     /// label the whole block; otherwise recurse into its children. Returns
     /// the label grid and the number of classifier/block evaluations
     /// performed. The result is **identical** to full-resolution
@@ -252,7 +252,7 @@ impl GaussianClassifier {
     /// difference is separable per dimension, so its exact minimum over a
     /// box is the sum of per-dimension quadratic minima. Class `L` labels
     /// the block iff `min over box (ll_L - ll_M) > 0` for every rival `M`.
-    pub fn block_label(&self, ranges: &[(f64, f64)]) -> Option<LandCover> {
+    fn block_label(&self, ranges: &[(f64, f64)]) -> Option<LandCover> {
         if self.classes.is_empty() || ranges.len() != self.dims {
             return None;
         }
@@ -294,80 +294,6 @@ fn quad_diff_min(m_a: f64, v_a: f64, m_b: f64, v_b: f64, lo: f64, hi: f64) -> f6
         }
     }
     min
-}
-
-/// A contour region: connected cells at or above a threshold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ContourRegion {
-    /// Member cells.
-    pub cells: Vec<CellCoord>,
-    /// Minimum value inside the region.
-    pub min: f64,
-    /// Maximum value inside the region.
-    pub max: f64,
-}
-
-impl ContourRegion {
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the region has no cells (never true when produced by
-    /// [`contour_regions`]).
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-}
-
-/// Extracts 4-connected regions of cells with `value >= threshold`,
-/// largest first — the "contours computed from a data array, allowing for
-/// very rapid identification of areas with low or high parameter values"
-/// of §3.1.
-pub fn contour_regions(grid: &Grid2<f64>, threshold: f64) -> Vec<ContourRegion> {
-    let rows = grid.rows();
-    let cols = grid.cols();
-    let mut seen = vec![false; rows * cols];
-    let mut regions = Vec::new();
-    for start_r in 0..rows {
-        for start_c in 0..cols {
-            if seen[start_r * cols + start_c] || *grid.at(start_r, start_c) < threshold {
-                continue;
-            }
-            let mut cells = Vec::new();
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            let mut queue = vec![CellCoord::new(start_r, start_c)];
-            seen[start_r * cols + start_c] = true;
-            while let Some(cell) = queue.pop() {
-                let v = *grid.at(cell.row, cell.col);
-                min = min.min(v);
-                max = max.max(v);
-                cells.push(cell);
-                let mut push = |r: usize, c: usize| {
-                    if !seen[r * cols + c] && *grid.at(r, c) >= threshold {
-                        seen[r * cols + c] = true;
-                        queue.push(CellCoord::new(r, c));
-                    }
-                };
-                if cell.row > 0 {
-                    push(cell.row - 1, cell.col);
-                }
-                if cell.row + 1 < rows {
-                    push(cell.row + 1, cell.col);
-                }
-                if cell.col > 0 {
-                    push(cell.row, cell.col - 1);
-                }
-                if cell.col + 1 < cols {
-                    push(cell.row, cell.col + 1);
-                }
-            }
-            regions.push(ContourRegion { cells, min, max });
-        }
-    }
-    regions.sort_by_key(|r| std::cmp::Reverse(r.cells.len()));
-    regions
 }
 
 #[cfg(test)]
@@ -489,32 +415,5 @@ mod tests {
             prog_work < full_work,
             "coherent gradient should still save work: {prog_work} vs {full_work}"
         );
-    }
-
-    #[test]
-    fn contours_find_plateau() {
-        let g = Grid2::from_fn(10, 10, |r, c| {
-            if (2..5).contains(&r) && (2..5).contains(&c) {
-                9.0
-            } else if r == 9 && c == 9 {
-                8.0
-            } else {
-                0.0
-            }
-        });
-        let regions = contour_regions(&g, 5.0);
-        assert_eq!(regions.len(), 2);
-        assert_eq!(regions[0].len(), 9);
-        assert_eq!(regions[1].len(), 1);
-        assert_eq!(regions[0].min, 9.0);
-        assert!(contour_regions(&g, 100.0).is_empty());
-    }
-
-    #[test]
-    fn contours_use_4_connectivity() {
-        // Two diagonal cells must be separate regions.
-        let g = Grid2::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
-        let regions = contour_regions(&g, 0.5);
-        assert_eq!(regions.len(), 2);
     }
 }

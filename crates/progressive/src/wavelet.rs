@@ -7,8 +7,6 @@
 //! level L is simply the mean of each 2^L block), which is what progressive
 //! model evaluation needs.
 
-use mbir_archive::grid::Grid2;
-
 /// One level of a 1-D Haar analysis: `(approximations, details)`.
 ///
 /// For an odd-length input the trailing sample is carried into the
@@ -63,123 +61,9 @@ pub fn haar_reconstruct_1d(approx: &[f64], detail: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Multi-level 1-D Haar decomposition: returns the deepest approximation and
-/// the detail bands from deepest to shallowest.
-pub fn haar_multi_1d(input: &[f64], levels: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let mut approx = input.to_vec();
-    let mut details = Vec::with_capacity(levels);
-    for _ in 0..levels {
-        if approx.len() < 2 {
-            break;
-        }
-        let (a, d) = haar_decompose_1d(&approx);
-        details.push(d);
-        approx = a;
-    }
-    details.reverse();
-    (approx, details)
-}
-
-/// Inverse of [`haar_multi_1d`].
-pub fn haar_multi_reconstruct_1d(approx: &[f64], details: &[Vec<f64>]) -> Vec<f64> {
-    let mut current = approx.to_vec();
-    for d in details {
-        current = haar_reconstruct_1d(&current, d);
-    }
-    current
-}
-
-/// A separable 2-D Haar approximation pyramid over a grid.
-///
-/// Level 0 is the full-resolution grid; level `k` halves each dimension
-/// (ceil for odd sizes) and stores block averages, i.e. the LL band of a
-/// k-level separable Haar analysis. Detail bands are not retained: for
-/// progressive *model execution* only approximations are consumed, and the
-/// exact data is still available at level 0.
-///
-/// # Examples
-///
-/// ```
-/// use mbir_archive::grid::Grid2;
-/// use mbir_progressive::wavelet::HaarPyramid2d;
-///
-/// let g = Grid2::from_fn(8, 8, |r, c| (r * 8 + c) as f64);
-/// let pyr = HaarPyramid2d::build(&g, 3);
-/// assert_eq!(pyr.levels(), 4);
-/// assert_eq!(pyr.level(3).rows(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HaarPyramid2d {
-    levels: Vec<Grid2<f64>>,
-}
-
-impl HaarPyramid2d {
-    /// Builds a pyramid with up to `max_levels` reductions over `base`
-    /// (stops early once a level is 1x1).
-    pub fn build(base: &Grid2<f64>, max_levels: usize) -> Self {
-        let mut levels = vec![base.clone()];
-        for _ in 0..max_levels {
-            let prev = levels.last().expect("non-empty by construction");
-            if prev.rows() == 1 && prev.cols() == 1 {
-                break;
-            }
-            levels.push(reduce_2x2(prev));
-        }
-        HaarPyramid2d { levels }
-    }
-
-    /// Number of levels (level 0 = full resolution).
-    pub fn levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The grid at `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level >= levels()`.
-    pub fn level(&self, level: usize) -> &Grid2<f64> {
-        assert!(
-            level < self.levels.len(),
-            "level {level} out of range {}",
-            self.levels.len()
-        );
-        &self.levels[level]
-    }
-
-    /// Fraction of base-resolution data volume needed to materialize
-    /// `level` (1.0 at level 0, ~1/4 per level above).
-    pub fn volume_fraction(&self, level: usize) -> f64 {
-        let base = self.levels[0].len() as f64;
-        self.level(level).len() as f64 / base
-    }
-}
-
-/// 2x2 block-average reduction (ragged edges average the partial block).
-fn reduce_2x2(grid: &Grid2<f64>) -> Grid2<f64> {
-    let rows = grid.rows().div_ceil(2);
-    let cols = grid.cols().div_ceil(2);
-    Grid2::from_fn(rows, cols, |r, c| {
-        let r0 = r * 2;
-        let c0 = c * 2;
-        let r1 = (r0 + 2).min(grid.rows());
-        let c1 = (c0 + 2).min(grid.cols());
-        let mut sum = 0.0;
-        let mut count = 0.0;
-        for rr in r0..r1 {
-            for cc in c0..c1 {
-                sum += grid.at(rr, cc);
-                count += 1.0;
-            }
-        }
-        sum / count
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn single_level_roundtrip_even() {
@@ -201,71 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn multi_level_roundtrip() {
-        let x: Vec<f64> = (0..13).map(|i| (i as f64).sin() * 5.0).collect();
-        let (a, ds) = haar_multi_1d(&x, 3);
-        let y = haar_multi_reconstruct_1d(&a, &ds);
-        for (xi, yi) in x.iter().zip(&y) {
-            assert!((xi - yi).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn deepest_approx_is_block_mean() {
-        let x = vec![1.0, 3.0, 5.0, 7.0];
-        let (a, _) = haar_multi_1d(&x, 2);
-        assert_eq!(a, vec![4.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "inconsistent band lengths")]
     fn reconstruct_rejects_bad_bands() {
         let _ = haar_reconstruct_1d(&[1.0], &[0.5, 0.5]);
-    }
-
-    #[test]
-    fn pyramid_levels_shrink_and_preserve_mean() {
-        let g = Grid2::from_fn(16, 16, |r, c| (r * c) as f64);
-        let pyr = HaarPyramid2d::build(&g, 10);
-        assert_eq!(pyr.levels(), 5);
-        assert_eq!(pyr.level(4).rows(), 1);
-        // Power-of-two grid: every level preserves the global mean exactly.
-        for level in 0..pyr.levels() {
-            assert!(
-                (pyr.level(level).mean() - g.mean()).abs() < 1e-9,
-                "level {level}"
-            );
-        }
-        assert!((pyr.volume_fraction(1) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pyramid_handles_ragged_grids() {
-        let g = Grid2::from_fn(5, 7, |r, c| (r + c) as f64);
-        let pyr = HaarPyramid2d::build(&g, 8);
-        let top = pyr.level(pyr.levels() - 1);
-        assert_eq!((top.rows(), top.cols()), (1, 1));
-    }
-
-    proptest! {
-        #[test]
-        fn prop_roundtrip_any_signal(x in proptest::collection::vec(-1e6f64..1e6, 1..64)) {
-            let (a, ds) = haar_multi_1d(&x, 6);
-            let y = haar_multi_reconstruct_1d(&a, &ds);
-            prop_assert_eq!(x.len(), y.len());
-            for (xi, yi) in x.iter().zip(&y) {
-                prop_assert!((xi - yi).abs() <= 1e-6 * (1.0 + xi.abs()));
-            }
-        }
-
-        #[test]
-        fn prop_approx_within_min_max(x in proptest::collection::vec(-1e3f64..1e3, 2..64)) {
-            let (a, _) = haar_multi_1d(&x, 6);
-            let lo = x.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            for v in &a {
-                prop_assert!(*v >= lo - 1e-9 && *v <= hi + 1e-9);
-            }
-        }
     }
 }

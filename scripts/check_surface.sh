@@ -1,26 +1,39 @@
 #!/usr/bin/env bash
-# Keeps the public surface from growing back (DESIGN.md §18): lists every
-# `pub fn *top_k*` in the non-test part of crates/core/src and
-# crates/index/src and fails if either crate has more than its limit, or
-# if one of mbir-core's has no caller in tests/, examples/, crates/bench
-# or crates/e2e/src. An option that varies by value belongs in
-# `ExecOptions`, not in a new function name. (The caller rule is
-# core-only: mbir-index's `top_k_max_multi` has only in-crate test
-# callers, ROADMAP item (d).) It also fails when the non-test part of
-# crates/core/src has more than CORE_PUB_FN_LIMIT `pub fn` of any name:
-# lower the limit when a change removes some.
+# Keeps the public surface from growing back (DESIGN.md §18).
+#
+# - Lists every `pub fn *top_k*` in the non-test part of crates/core/src
+#   and crates/index/src and fails if either crate has more than its
+#   limit, or if one of them has no caller outside its own crate (in
+#   tests/, examples/, crates/bench or crates/e2e/src; an mbir-index name
+#   may also be called from crates/core). An option that varies by value
+#   belongs in `ExecOptions`, not in a new function name.
+# - Fails when the non-test part of crates/core/src has more than
+#   CORE_PUB_FN_LIMIT `pub fn` of any name.
+# - Fails when more than UNREACHED_PUB_FN_LIMIT non-test `pub fn` are
+#   unreached: a `pub fn` in crates/ (outside crates/e2e), src/, tests/ or
+#   examples/ whose name appears in no other `.rs` file under crates/
+#   (crates/e2e included), src/, tests/ or examples/. A shared name counts
+#   as reached, so this is a lower bound on unreached code.
+#
+# Lower a limit when a change removes some; never raise one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CORE_LIMIT=13
-INDEX_LIMIT=12
-CORE_PUB_FN_LIMIT=185
+INDEX_LIMIT=11
+CORE_PUB_FN_LIMIT=175
+UNREACHED_PUB_FN_LIMIT=0
 
-# Every `pub fn` name above each file's first #[cfg(test)] that matches
-# the regex $2.
+# `pub fn` names above the first #[cfg(test)] of file $1 that match the
+# regex $2.
+file_pub_fns() {
+  sed '/^#\[cfg(test)\]/,$d' "$1" | grep -oE "pub fn $2" | sed 's/^pub fn //' || true
+}
+
+# Every such name in the `.rs` files under directory $1.
 pub_fn_names() {
   find "$1" -name '*.rs' | sort | while read -r file; do
-    sed '/^#\[cfg(test)\]/,$d' "$file" | grep -oE "pub fn $2" | sed 's/^pub fn //' || true
+    file_pub_fns "$file" "$2"
   done
 }
 
@@ -29,10 +42,23 @@ count=$(printf '%s\n' "$names" | grep -c . || true)
 index_names=$(pub_fn_names crates/index/src '\w*top_k\w*')
 index_count=$(printf '%s\n' "$index_names" | grep -c . || true)
 pub_fn_count=$(pub_fn_names crates/core/src '\w+' | grep -c . || true)
+
+unreached=0
+while read -r file; do
+  for name in $(file_pub_fns "$file" '\w+' | sort -u); do
+    others=$(grep -rlw --include='*.rs' -e "$name" crates src tests examples | grep -cvxF "$file" || true)
+    if [ "$others" -eq 0 ]; then
+      echo "unreached: $file: pub fn $name"
+      unreached=$((unreached + 1))
+    fi
+  done
+done < <(find crates src tests examples -name '*.rs' -not -path 'crates/e2e/*' | sort)
+
 printf '%s\n' "$names"
 echo "mbir-core public *top_k* functions: $count (limit $CORE_LIMIT)"
 echo "mbir-index public *top_k* functions: $index_count (limit $INDEX_LIMIT)"
 echo "mbir-core pub fn: $pub_fn_count (limit $CORE_PUB_FN_LIMIT)"
+echo "unreached pub fn: $unreached (limit $UNREACHED_PUB_FN_LIMIT)"
 
 status=0
 if [ "$count" -gt "$CORE_LIMIT" ]; then
@@ -47,9 +73,19 @@ if [ "$pub_fn_count" -gt "$CORE_PUB_FN_LIMIT" ]; then
   echo "error: more than $CORE_PUB_FN_LIMIT pub fn in mbir-core" >&2
   status=1
 fi
+if [ "$unreached" -gt "$UNREACHED_PUB_FN_LIMIT" ]; then
+  echo "error: more than $UNREACHED_PUB_FN_LIMIT unreached pub fn" >&2
+  status=1
+fi
 for name in $names; do
   if ! grep -rqw --include='*.rs' "$name" tests examples crates/bench crates/e2e/src; then
     echo "error: pub fn $name has no caller outside crates/core" >&2
+    status=1
+  fi
+done
+for name in $index_names; do
+  if ! grep -rqw --include='*.rs' "$name" tests examples crates/bench crates/e2e/src crates/core; then
+    echo "error: pub fn $name has no caller outside crates/index" >&2
     status=1
   fi
 done
