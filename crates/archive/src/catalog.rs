@@ -131,7 +131,7 @@ impl DatasetMeta {
 ///
 /// let mut catalog = Catalog::new();
 /// catalog.register(DatasetMeta::new("tm-scene-1", "Landsat scene", Modality::Imagery));
-/// assert_eq!(catalog.len(), 1);
+/// assert_eq!(catalog.by_modality(Modality::Imagery).len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
@@ -170,12 +170,29 @@ impl Catalog {
             .ok_or_else(|| ArchiveError::UnknownDataset(id.to_string()))
     }
 
+    /// All datasets of one modality, in id order.
+    pub fn by_modality(&self, modality: Modality) -> Vec<&DatasetMeta> {
+        self.entries
+            .values()
+            .filter(|m| m.modality == modality)
+            .collect()
+    }
+
     /// Datasets whose extent intersects `extent` — the metadata-level screen
     /// used before touching data.
     pub fn covering(&self, extent: &GeoExtent) -> Vec<&DatasetMeta> {
         self.entries
             .values()
             .filter(|m| m.extent.intersects(extent))
+            .collect()
+    }
+
+    /// Datasets overlapping a day range.
+    pub fn in_days(&self, first: i64, last: i64) -> Vec<&DatasetMeta> {
+        let (lo, hi) = (first.min(last), first.max(last));
+        self.entries
+            .values()
+            .filter(|m| m.day_range.0 <= hi && lo <= m.day_range.1)
             .collect()
     }
 
@@ -230,11 +247,26 @@ mod tests {
     }
 
     #[test]
+    fn modality_filter() {
+        let c = sample_catalog();
+        assert_eq!(c.by_modality(Modality::Imagery).len(), 1);
+        assert_eq!(c.by_modality(Modality::WellLog).len(), 0);
+    }
+
+    #[test]
     fn extent_screen() {
         let c = sample_catalog();
         let roi = GeoExtent::new(0.0, 0.0, 0.4, 0.4);
         let hits = c.covering(&roi);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id.as_str(), "tm1");
+    }
+
+    #[test]
+    fn day_screen() {
+        let c = sample_catalog();
+        assert_eq!(c.in_days(50, 60).len(), 2);
+        assert_eq!(c.in_days(150, 180).len(), 1); // only dem1's wide range
+        assert_eq!(c.in_days(300, 300).len(), 2); // dem1 + wx1
     }
 }

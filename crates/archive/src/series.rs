@@ -59,7 +59,7 @@ impl<T> TimeSeries<T> {
 
     /// Sampling step in days.
     #[cfg(test)]
-    fn step_days(&self) -> u32 {
+    pub(crate) fn step_days(&self) -> u32 {
         self.step_days
     }
 

@@ -8,6 +8,7 @@
 
 use crate::error::ArchiveError;
 use crate::grid::Grid2;
+use crate::series::TimeSeries;
 
 /// A time-ordered stack of co-registered grids.
 ///
@@ -126,6 +127,29 @@ impl TemporalStack {
             .collect())
     }
 
+    /// The per-cell values as a regular [`TimeSeries`] when frames are
+    /// evenly spaced; `None` for irregular stacks or fewer than 2 frames.
+    pub fn cell_regular_series(&self, row: usize, col: usize) -> Option<TimeSeries<f64>> {
+        if self.frames.len() < 2 {
+            return None;
+        }
+        let step = (self.frames[1].0 - self.frames[0].0) as u32;
+        let regular = self
+            .frames
+            .windows(2)
+            .all(|w| (w[1].0 - w[0].0) as u32 == step);
+        if !regular || step == 0 {
+            return None;
+        }
+        let values: Vec<f64> = self
+            .cell_series(row, col)
+            .ok()?
+            .into_iter()
+            .map(|(_, v)| v)
+            .collect();
+        TimeSeries::new(self.frames[0].0, step, values).ok()
+    }
+
     /// Iterator over `(day, grid)` frames in time order.
     pub fn iter(&self) -> impl Iterator<Item = (i64, &Grid2<f64>)> + '_ {
         self.frames.iter().map(|(d, g)| (*d, g))
@@ -162,12 +186,28 @@ mod tests {
     }
 
     #[test]
-    fn cell_series() {
+    fn cell_series_and_regular_view() {
         let s = stack_3();
         assert_eq!(
             s.cell_series(0, 0).unwrap(),
             vec![(0, 0.0), (16, 1.0), (32, 2.0)]
         );
         assert!(s.cell_series(2, 0).is_err());
+        let ts = s.cell_regular_series(0, 0).unwrap();
+        assert_eq!(ts.step_days(), 16);
+        assert_eq!(ts.values(), &[0.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn irregular_stack_has_no_regular_view() {
+        let mut s = TemporalStack::new(1, 1);
+        s.push(0, Grid2::filled(1, 1, 0.0)).unwrap();
+        s.push(10, Grid2::filled(1, 1, 1.0)).unwrap();
+        s.push(15, Grid2::filled(1, 1, 2.0)).unwrap();
+        assert!(s.cell_regular_series(0, 0).is_none());
+        // Single frame is also not a regular series.
+        let mut one = TemporalStack::new(1, 1);
+        one.push(0, Grid2::filled(1, 1, 0.0)).unwrap();
+        assert!(one.cell_regular_series(0, 0).is_none());
     }
 }

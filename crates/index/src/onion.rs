@@ -1289,6 +1289,80 @@ mod tests {
     }
 
     #[test]
+    fn batched_walk_matches_solo_runs_bit_for_bit() {
+        for d in [2usize, 3] {
+            let points = gaussian_points(21 + d as u64, 1500, d);
+            let hints = vec![{
+                let mut h = vec![0.0; d];
+                h[0] = 1.0;
+                h
+            }];
+            let onion = OnionIndex::build_with_hints(points, &hints, 64, 32, 7).unwrap();
+            // A mix of hint-parallel, perturbed, and opposed directions so
+            // queries stop at different layers.
+            let dirs: Vec<Vec<f64>> = (0..6)
+                .map(|q| {
+                    (0..d)
+                        .map(|j| {
+                            if j == 0 {
+                                1.0 - q as f64 * 0.4
+                            } else {
+                                (q * 7 + j) as f64 * 0.1 - 0.3
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            for k in [1usize, 5] {
+                let batched = onion.walk(&dirs, k, kernels::dot).unwrap();
+                for (q, dir) in dirs.iter().enumerate() {
+                    let solo = onion.top_k_max(dir, k).unwrap();
+                    assert_eq!(batched[q], solo, "d={d} k={k} q={q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_queries_leave_the_core_at_their_own_runs() {
+        // Two peeled layers over a stretched cloud: every query reaches the
+        // core, and how deep it goes depends on its direction.
+        let points: Vec<Vec<f64>> = gaussian_points(57, 6_000, 3)
+            .into_iter()
+            .map(|p| vec![p[0] * 5.0, p[1], p[2] * 0.2])
+            .collect();
+        let onion = OnionIndex::build_with(points, 2, 8, 7).unwrap();
+        let peeled: usize = onion.layer_sizes()[..2].iter().sum();
+        let dirs = test_directions(5, 8, 3);
+        let batched = onion.walk(&dirs, 10, kernels::dot).unwrap();
+        let mut core_rows = Vec::new();
+        for (q, dir) in dirs.iter().enumerate() {
+            assert_eq!(batched[q], onion.top_k_max(dir, 10).unwrap(), "q={q}");
+            core_rows.push(batched[q].stats.tuples_examined as usize - peeled);
+        }
+        assert!(
+            core_rows
+                .iter()
+                .all(|&rows| rows > 0 && rows < 6_000 - peeled),
+            "every query stops inside the core: {core_rows:?}"
+        );
+        core_rows.sort_unstable();
+        core_rows.dedup();
+        assert!(core_rows.len() >= 2, "all stop at one run: {core_rows:?}");
+    }
+
+    #[test]
+    fn batched_walk_validates_and_handles_empty_batch() {
+        let onion = OnionIndex::build(vec![vec![1.0, 2.0], vec![3.0, 0.5]]).unwrap();
+        assert!(onion.walk(&[vec![1.0]], 1, kernels::dot).is_err());
+        assert!(onion.walk(&[vec![1.0, 1.0]], 0, kernels::dot).is_err());
+        assert!(onion
+            .walk(&[] as &[Vec<f64>], 1, kernels::dot)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
     fn min_query_is_negated_max() {
         let points = gaussian_points(13, 300, 2);
         let onion = OnionIndex::build(points.clone()).unwrap();
@@ -1656,6 +1730,27 @@ mod tests {
                     let fast = onion.top_k_max(dir, k).unwrap();
                     prop_assert_eq!(bits(&fast), bits(&scan_top_k_flat(&store, dir, k)));
                 }
+            }
+        }
+
+        #[test]
+        fn prop_batched_walk_bit_identical_to_solo(
+            seed in 0u64..500,
+            n in 10usize..1500,
+            d in 1usize..5,
+            m in 1usize..6,
+            k in 1usize..10,
+            cap in prop::sample::select(vec![0usize, 1, 2, 3, 5, 64]),
+            dir_seed in 0u64..100,
+        ) {
+            // Small caps leave a core of up to two dozen runs, which the
+            // queries of a batch leave at different runs.
+            let points = gaussian_points(seed.wrapping_add(3_000), n, d);
+            let onion = OnionIndex::build_with(points, cap, 8, 7).unwrap();
+            let dirs = test_directions(dir_seed, m, d);
+            let batched = onion.walk(&dirs, k, kernels::dot).unwrap();
+            for (q, dir) in dirs.iter().enumerate() {
+                prop_assert_eq!(&batched[q], &onion.top_k_max(dir, k).unwrap());
             }
         }
 

@@ -5,8 +5,11 @@
 //! of environmental phenomena — the canonical instance is the fire-ants
 //! machine of Fig. 1 ([`fire_ants`]). Retrieval with an FSM model means
 //! finding the data series (or locations) whose event streams drive the
-//! machine into an accepting state.
+//! machine into an accepting state; [`distance`] ranks near-misses when the
+//! extracted machine differs slightly from the target (§3: "it is also
+//! possible to define a distance between these two finite state machines").
 
+pub mod distance;
 pub mod fire_ants;
 
 use crate::error::ModelError;
@@ -61,6 +64,11 @@ impl<S: Copy + Eq + Hash> Fsm<S> {
     pub fn add_state(&mut self, name: impl Into<String>) -> StateId {
         self.names.push(name.into());
         self.names.len() - 1
+    }
+
+    /// Number of states.
+    pub fn state_count(&self) -> usize {
+        self.names.len()
     }
 
     /// Sets the start state.
@@ -356,6 +364,24 @@ mod tests {
         assert!(fsm.set_start(7).is_err());
         assert!(fsm.set_accepting(7, true).is_err());
         assert!(fsm.add_transition(s, 'a', 9).is_err());
+    }
+
+    #[test]
+    fn coarsening_over_approximates() {
+        let fsm = odd_a();
+        // Merge both states into one group: the coarse machine may reach
+        // acceptance on input no prefix of which the DFA accepts.
+        let coarse = fsm.coarsen(&[0, 0]).unwrap();
+        assert!(fsm.acceptance_events(&['b', 'b']).unwrap().is_empty());
+        assert!(
+            coarse.may_reach_accepting(&['b', 'b']),
+            "over-approximation"
+        );
+        assert!(coarse.may_reach_accepting(&['b', 'a']));
+        // Identity partition is exact.
+        let exact = fsm.coarsen(&[0, 1]).unwrap();
+        assert!(exact.may_reach_accepting(&['b', 'a']));
+        assert!(!exact.may_reach_accepting(&['b', 'b']));
     }
 
     #[test]

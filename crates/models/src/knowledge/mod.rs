@@ -169,6 +169,23 @@ mod tests {
     }
 
     #[test]
+    fn crisp_match_requires_adjacency_and_thickness() {
+        // A crisp match is quality 1.0: every element holds on adjacent runs.
+        let p = shale_sand_silt();
+        let good = [
+            ("lime", 30.0),
+            ("shale", 5.0),
+            ("sand", 7.0),
+            ("silt", 20.0),
+        ];
+        assert_eq!(p.best_match(&good), Some((1, 1.0)));
+        let thick = [("shale", 15.0), ("sand", 7.0), ("silt", 20.0)];
+        assert!(p.best_match(&thick).unwrap().1 < 1.0);
+        let gap = [("shale", 5.0), ("lime", 2.0), ("sand", 7.0), ("silt", 20.0)];
+        assert!(p.best_match(&gap).unwrap().1 < 1.0);
+    }
+
+    #[test]
     fn fuzzy_quality_degrades_gracefully() {
         let p = shale_sand_silt();
         let perfect = [("shale", 5.0), ("sand", 7.0), ("silt", 20.0)];

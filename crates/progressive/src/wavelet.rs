@@ -64,6 +64,31 @@ pub fn haar_reconstruct_1d(approx: &[f64], detail: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `levels` analysis steps, as the compressor chains them: the deepest
+    /// approximation and the detail bands, deepest first.
+    fn analyse(input: &[f64], levels: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let mut approx = input.to_vec();
+        let mut details = Vec::new();
+        for _ in 0..levels {
+            if approx.len() < 2 {
+                break;
+            }
+            let (a, d) = haar_decompose_1d(&approx);
+            details.push(d);
+            approx = a;
+        }
+        details.reverse();
+        (approx, details)
+    }
+
+    /// Inverse of [`analyse`].
+    fn synthesise(approx: &[f64], details: &[Vec<f64>]) -> Vec<f64> {
+        details.iter().fold(approx.to_vec(), |current, d| {
+            haar_reconstruct_1d(&current, d)
+        })
+    }
 
     #[test]
     fn single_level_roundtrip_even() {
@@ -85,8 +110,47 @@ mod tests {
     }
 
     #[test]
+    fn multi_level_roundtrip() {
+        let x: Vec<f64> = (0..13).map(|i| (i as f64).sin() * 5.0).collect();
+        let (a, ds) = analyse(&x, 3);
+        let y = synthesise(&a, &ds);
+        for (xi, yi) in x.iter().zip(&y) {
+            assert!((xi - yi).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn deepest_approx_is_block_mean() {
+        let x = vec![1.0, 3.0, 5.0, 7.0];
+        let (a, _) = analyse(&x, 2);
+        assert_eq!(a, vec![4.0]);
+    }
+
+    #[test]
     #[should_panic(expected = "inconsistent band lengths")]
     fn reconstruct_rejects_bad_bands() {
         let _ = haar_reconstruct_1d(&[1.0], &[0.5, 0.5]);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_roundtrip_any_signal(x in proptest::collection::vec(-1e6f64..1e6, 1..64)) {
+            let (a, ds) = analyse(&x, 6);
+            let y = synthesise(&a, &ds);
+            prop_assert_eq!(x.len(), y.len());
+            for (xi, yi) in x.iter().zip(&y) {
+                prop_assert!((xi - yi).abs() <= 1e-6 * (1.0 + xi.abs()));
+            }
+        }
+
+        #[test]
+        fn prop_approx_within_min_max(x in proptest::collection::vec(-1e3f64..1e3, 2..64)) {
+            let (a, _) = analyse(&x, 6);
+            let lo = x.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            for v in &a {
+                prop_assert!(*v >= lo - 1e-9 && *v <= hi + 1e-9);
+            }
+        }
     }
 }
