@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
 //! # mbir-archive
 //!
 //! The multi-modal archive substrate for model-based information retrieval

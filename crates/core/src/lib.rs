@@ -1,5 +1,7 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 //! # mbir-core
 //!
 //! The model-based information retrieval framework of the ICDCS 2000 paper
@@ -32,11 +34,12 @@
 //!   paged archive, and the budgeted, fault-tolerant engine that degrades
 //!   gracefully (partial results with sound bounds and an explicit
 //!   completeness fraction) instead of aborting on lost pages.
-//! * [`parallel`] — the hardware-parallel layer: a scoped worker pool,
-//!   partitioned counterparts of the resilient and staged engines sharing
-//!   their pruning bound through a lock-free [`SharedBound`], and the
-//!   [`batched`] engine partitioned over the pool. Bit-identical to the
-//!   sequential engines at every thread count.
+//! * [`parallel`] — the hardware-parallel layer: a worker pool whose
+//!   threads persist, partitioned counterparts of the resilient and
+//!   staged engines sharing their pruning bound through a lock-free
+//!   [`SharedBound`], and the [`batched`] engine partitioned over the
+//!   pool. Bit-identical to the sequential engines at every thread
+//!   count.
 //! * [`lifecycle`] — the overload layer: cooperative [`CancelToken`]s
 //!   polled by the resilient engines at page granularity, and an
 //!   [`AdmissionController`] with per-priority queues and best-effort

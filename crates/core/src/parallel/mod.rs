@@ -4,8 +4,9 @@
 //! Everything the sequential engines prove, these engines prove with the
 //! work spread over threads:
 //!
-//! * [`WorkerPool`] / [`SharedBound`] ([`pool`]) — a minimal scoped pool
-//!   over `std::thread` and the lock-free monotone bound the workers
+//! * [`WorkerPool`] / [`SharedBound`] ([`pool`]) — a pool over
+//!   persistent `std::thread` workers, in which the calling thread helps
+//!   run its own tasks, and the lock-free monotone bound the workers
 //!   share.
 //! * [`par_resilient_top_k`] / [`par_staged_top_k`] ([`engines`]) —
 //!   partitioned counterparts of the resilient and staged engines,

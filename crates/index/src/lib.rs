@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
 //! # mbir-index
 //!
 //! Model-specific indexing support (paper §3.2):

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
 //! # mbir-models
 //!
 //! The three model families of the ICDCS 2000 paper (§2), each with a

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
 //! # mbir-progressive
 //!
 //! Progressive data representations for model-based retrieval (paper §3.1).
