@@ -89,13 +89,11 @@ pub fn run(args: &Args) {
     let onion_store = PointStore::from_rows(&points).expect("well-formed workload");
     let legacy_index =
         OnionIndex::build_legacy_with(points.clone(), 24, 16, 7).expect("valid workload");
-    let kernel_index = OnionIndex::build_with(points.clone(), 24, 16, 7).expect("valid workload");
-    let quant_index =
-        OnionIndex::build_quantized_with(points, 24, 16, 7, 1).expect("valid workload");
+    let kernel_index = OnionIndex::build_with(points, 24, 16, 7).expect("valid workload");
     let flat_scan = scan_top_k_flat(&onion_store, &dir, k);
     let legacy_query = legacy_index.top_k_max_legacy(&dir, k).expect("valid query");
     let kernel_query = kernel_index.top_k_max(&dir, k).expect("valid query");
-    let (quant_query, onion_report) = quant_index
+    let (quant_query, onion_report) = kernel_index
         .top_k_max_quant_report(&dir, k)
         .expect("valid query");
     assert_eq!(
@@ -117,7 +115,7 @@ pub fn run(args: &Args) {
         let _ = kernel_index.top_k_max(&dir, k).expect("valid query");
     });
     let onion_quant_ns = time_ns(&mut || {
-        let _ = quant_index.top_k_max_quant(&dir, k).expect("valid query");
+        let _ = kernel_index.top_k_max_quant(&dir, k).expect("valid query");
     });
     let onion_speedup = scan_flat_ns as f64 / onion_kernel_ns as f64;
     println!(

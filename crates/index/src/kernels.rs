@@ -147,59 +147,24 @@ pub fn max_score_alive(block: &[f64], dims: usize, alive: &[bool], dir: &[f64]) 
     best
 }
 
-/// One row-major pass updating the running argmax of every direction in
-/// `dirs` over the alive rows. `best[k]` holds `Some((row, score))` for
-/// the **first strict maximum** of direction `k` seen so far — the same
-/// winner a per-direction sweep in row order produces, so fanning
-/// directions across threads and unioning cannot change the result.
+/// The transposed bundle loop: calls `visit(i, scores)` for every row `i`
+/// of `block`, in row order, with `scores[k]` = direction `k`'s score of
+/// that row.
 ///
-/// Rows are visited once (contiguously) instead of once per direction:
-/// for a peel bundle of `D` directions this turns `D` passes over a
-/// pointer-chased `Vec<Vec<f64>>` into a single streaming pass. The
-/// bundle is transposed once up front (`t[j * m + k]` = component `j` of
-/// direction `k`), so the per-row scoring loop runs stride-1 **across
+/// The bundle is transposed once up front (`t[j * m + k]` = component `j`
+/// of direction `k`), so the per-row scoring loop runs stride-1 **across
 /// directions**: each direction's sum is an independent left-to-right
-/// chain (contract preserved per direction), and independent chains side
-/// by side are exactly what the autovectorizer can pack into SIMD lanes.
-///
-/// # Panics
-///
-/// Panics on mask/shape mismatches.
-pub fn sweep_argmax_block(
+/// chain (contract preserved per direction, every score bit-identical to
+/// [`dot`]), and independent chains side by side are exactly what the
+/// autovectorizer can pack into SIMD lanes.
+fn for_each_bundle_score(
     block: &[f64],
     dims: usize,
-    alive: &[bool],
     dirs: &[Vec<f64>],
-    best: &mut [Option<(usize, f64)>],
+    mut visit: impl FnMut(usize, &[f64]),
 ) {
-    sweep_argmax_block_at(block, dims, alive, 0, dirs, best);
-}
-
-/// [`sweep_argmax_block`] over a sub-slice of a larger store: row `i` of
-/// `block` is reported as global row `base + i`. Processing a store as
-/// consecutive `(block, base)` chunks in order yields bit-identical
-/// winners to one whole-store pass — the running `best` carries across
-/// chunks and the first-strict-maximum rule is position-independent.
-/// This is what lets a quantized coarse pass skip whole chunks whose
-/// bound cannot beat the already-set winners.
-///
-/// # Panics
-///
-/// Panics on mask/shape mismatches.
-pub fn sweep_argmax_block_at(
-    block: &[f64],
-    dims: usize,
-    alive: &[bool],
-    base: usize,
-    dirs: &[Vec<f64>],
-    best: &mut [Option<(usize, f64)>],
-) {
-    assert_eq!(block.len(), alive.len() * dims, "alive mask mismatch");
-    assert_eq!(dirs.len(), best.len(), "one running best per direction");
+    assert_eq!(block.len() % dims, 0, "ragged block");
     let m = dirs.len();
-    if m == 0 {
-        return;
-    }
     let mut transposed = vec![0.0f64; m * dims];
     for (k, dir) in dirs.iter().enumerate() {
         assert_eq!(dir.len(), dims, "direction length mismatch");
@@ -207,23 +172,8 @@ pub fn sweep_argmax_block_at(
             transposed[j * m + k] = v;
         }
     }
-    // Running winners in flat arrays; `usize::MAX` marks "none yet", which
-    // (like the legacy `None`) accepts the first alive row unconditionally
-    // — even a NaN or -inf score — before strict `>` takes over.
-    let mut best_score = vec![0.0f64; m];
-    let mut best_row = vec![usize::MAX; m];
-    for (k, slot) in best.iter().enumerate() {
-        if let Some((row, score)) = slot {
-            best_row[k] = *row;
-            best_score[k] = *score;
-        }
-    }
     let mut scores = vec![0.0f64; m];
-    for (i, (row, &live)) in block.chunks_exact(dims).zip(alive).enumerate() {
-        if !live {
-            continue;
-        }
-        // All m scores for this row in stride-1 passes over the transpose:
+    for (i, row) in block.chunks_exact(dims).enumerate() {
         // scores[k] = -0.0 + t[0][k]*row[0] + t[1][k]*row[1] + ... — the
         // canonical summation order of every direction at once. The first
         // component's pass writes `t*x` directly (`-0.0 + t*x` is `t*x`
@@ -240,29 +190,120 @@ pub fn sweep_argmax_block_at(
                 }
             }
         }
-        // A running best exists for every direction after the first alive
-        // row, so the steady-state check is a branch-free any-improved
-        // reduction; the (rare) update pass only runs when it fires.
-        let mut any_unset = false;
-        let mut any_better = false;
-        for k in 0..m {
-            any_unset |= best_row[k] == usize::MAX;
-            any_better |= scores[k] > best_score[k];
+        visit(i, &scores);
+    }
+}
+
+/// The order of a direction sweep, best first: the larger score under `>`
+/// (so `-0.0` ties `+0.0`), then the smaller row. Candidates never score
+/// NaN, so the order is total.
+fn sweep_order(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    b.0.partial_cmp(&a.0)
+        .expect("a candidate never scores NaN")
+        .then(a.1.cmp(&b.1))
+}
+
+/// Scores `rows` of `block` against `dir` into `ranked` and moves the best
+/// `keep` of them, in any order, to its front, where it cuts `ranked`
+/// short. [`dot`] gives every row the bits of the transposed loop.
+fn rank_rows(
+    block: &[f64],
+    dims: usize,
+    dir: &[f64],
+    rows: &[u32],
+    keep: usize,
+    ranked: &mut Vec<(f64, u32)>,
+) {
+    ranked.clear();
+    ranked.extend(rows.iter().map(|&row| {
+        let at = row as usize * dims;
+        (dot(dir, &block[at..at + dims]), row)
+    }));
+    if keep < ranked.len() {
+        ranked.select_nth_unstable_by(keep - 1, sweep_order);
+        ranked.truncate(keep);
+    }
+}
+
+/// For every direction of `dirs`, its best `capacity` rows of `block` in
+/// sweep order (larger score under `>`, then the smaller row), best
+/// first; a direction has fewer only when fewer of its scores are numbers.
+/// A row whose score is NaN is never a candidate. One streaming pass
+/// scores every row against every direction ([`for_each_bundle_score`]).
+///
+/// Each direction keeps up to `2 · capacity` row numbers in its slice of
+/// one flat buffer and, when the slice is full, cuts it back to its best
+/// `capacity` rows (scores are recomputed for that, so only 4 bytes a row
+/// are kept); after the first cut a row must beat the worst kept one
+/// **strictly** to enter (rows arrive in ascending order, so a tie ranks
+/// behind every kept row). The branch-free any-beats check is all most
+/// rows cost once every direction has been cut.
+///
+/// # Panics
+///
+/// Panics on a ragged block, a wrong-length direction, a zero `capacity`
+/// or more rows than `u32` numbers.
+pub(crate) fn sweep_candidates(
+    block: &[f64],
+    dims: usize,
+    dirs: &[Vec<f64>],
+    capacity: usize,
+) -> Vec<Vec<u32>> {
+    assert!(capacity > 0, "a candidate list holds at least one row");
+    assert!(
+        u32::try_from(block.len() / dims).is_ok(),
+        "candidates are u32 row numbers"
+    );
+    let m = dirs.len();
+    let stride = 2 * capacity;
+    let mut kept = vec![0u32; m * stride];
+    let mut len = vec![0usize; m];
+    // `floor[k]`: the score of the worst row direction `k` kept at its
+    // last cut; until its first cut every number enters.
+    let mut floor = vec![f64::NEG_INFINITY; m];
+    let mut cut = vec![false; m];
+    let mut uncut = m;
+    let mut ranked: Vec<(f64, u32)> = Vec::with_capacity(stride);
+    for_each_bundle_score(block, dims, dirs, |row, scores| {
+        let mut any = uncut > 0;
+        if !any {
+            for (s, f) in scores.iter().zip(&floor) {
+                any |= s > f;
+            }
         }
-        if any_unset || any_better {
-            for k in 0..m {
-                if best_row[k] == usize::MAX || scores[k] > best_score[k] {
-                    best_row[k] = base + i;
-                    best_score[k] = scores[k];
+        if !any {
+            return;
+        }
+        for (k, &s) in scores.iter().enumerate() {
+            if !(s > floor[k] || (!cut[k] && !s.is_nan())) {
+                continue;
+            }
+            let slice = &mut kept[k * stride..(k + 1) * stride];
+            slice[len[k]] = row as u32;
+            len[k] += 1;
+            if len[k] == stride {
+                rank_rows(block, dims, &dirs[k], slice, capacity, &mut ranked);
+                for (slot, &(_, kept_row)) in slice.iter_mut().zip(&ranked) {
+                    *slot = kept_row;
+                }
+                floor[k] = ranked[capacity - 1].0;
+                len[k] = capacity;
+                if !cut[k] {
+                    cut[k] = true;
+                    uncut -= 1;
                 }
             }
         }
-    }
-    for (k, slot) in best.iter_mut().enumerate() {
-        if best_row[k] != usize::MAX {
-            *slot = Some((best_row[k], best_score[k]));
-        }
-    }
+    });
+    dirs.iter()
+        .enumerate()
+        .map(|(k, dir)| {
+            let slice = &kept[k * stride..k * stride + len[k]];
+            rank_rows(block, dims, dir, slice, capacity, &mut ranked);
+            ranked.sort_unstable_by(sweep_order);
+            ranked.iter().map(|&(_, row)| row).collect()
+        })
+        .collect()
 }
 
 /// Elementwise enclosure update: `lo[j] = lo[j].min(row[j])`,
@@ -312,12 +353,11 @@ mod tests {
             score_block_into(&b, 3, &a, &mut scores);
             assert_eq!(scores[0].to_bits(), legacy_dot(&a, &b).to_bits());
         }
-        let mut best = vec![None];
-        sweep_argmax_block(&b, 3, &[true], &[vec![-0.0; 3]], &mut best);
-        assert_eq!(
-            best[0].map(|(_, s): (usize, f64)| s.to_bits()),
-            Some((-0.0f64).to_bits())
-        );
+        let mut swept = Vec::new();
+        for_each_bundle_score(&b, 3, &[vec![-0.0; 3], vec![0.0; 3]], |_, scores| {
+            swept.extend(scores.iter().map(|s| s.to_bits()));
+        });
+        assert_eq!(swept, [(-0.0f64).to_bits(), 0.0f64.to_bits()]);
     }
 
     #[test]
@@ -341,30 +381,49 @@ mod tests {
 
     #[test]
     fn sweep_matches_per_direction_argmax() {
+        // What the Onion peel reads off the candidate lists: over any set of
+        // alive rows, a direction's first alive candidate is the first
+        // strict maximum of a per-direction sweep in row order, as long as
+        // that many rows are dead ahead of it. Scores tie often here.
         let d = 3;
         let n = 40;
-        let block: Vec<f64> = (0..n * d).map(|j| ((j * 37 % 101) as f64) - 50.0).collect();
-        let alive: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+        let block: Vec<f64> = (0..n * d).map(|j| ((j * 37 % 11) as f64) - 5.0).collect();
         let dirs: Vec<Vec<f64>> = vec![
             vec![1.0, 0.0, 0.0],
             vec![-0.5, 2.0, 0.25],
             vec![0.0, 0.0, -1.0],
         ];
-        let mut best = vec![None; dirs.len()];
-        sweep_argmax_block(&block, d, &alive, &dirs, &mut best);
+        let lists = sweep_candidates(&block, d, &dirs, n);
         for (k, dir) in dirs.iter().enumerate() {
-            let mut expect: Option<(usize, f64)> = None;
-            for (i, row) in block.chunks_exact(d).enumerate() {
-                if !alive[i] {
-                    continue;
+            assert_eq!(lists[k].len(), n);
+            for step in 1..4 {
+                let alive: Vec<bool> = (0..n).map(|i| i % 4 >= step).collect();
+                let mut expect: Option<(usize, f64)> = None;
+                for (i, row) in block.chunks_exact(d).enumerate() {
+                    if !alive[i] {
+                        continue;
+                    }
+                    let s = legacy_dot(dir, row);
+                    if expect.map(|(_, bs)| s > bs).unwrap_or(true) {
+                        expect = Some((i, s));
+                    }
                 }
-                let s = legacy_dot(dir, row);
-                if expect.map(|(_, bs)| s > bs).unwrap_or(true) {
-                    expect = Some((i, s));
-                }
+                let first = lists[k].iter().map(|&i| i as usize).find(|&i| alive[i]);
+                assert_eq!(first, expect.map(|(i, _)| i), "direction {k} step {step}");
             }
-            assert_eq!(best[k], expect, "direction {k}");
+            // A shorter list is the longer one's prefix, whenever it trims.
+            for capacity in [1usize, 3, 7, 19] {
+                let short = sweep_candidates(&block, d, &dirs, capacity);
+                assert_eq!(short[k], lists[k][..capacity], "capacity {capacity}");
+            }
         }
+        // NaN scores never enter a list.
+        let mut block = block;
+        block[4] = f64::NAN;
+        let lists = sweep_candidates(&block, d, &dirs, n);
+        assert!(lists
+            .iter()
+            .all(|list| list.len() == n - 1 && !list.contains(&1)));
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!
 //! ## Query soundness
 //!
-//! One private walk (`OnionIndex::walk`) serves every query entry point; a
-//! solo query is a batch of one. It visits layers outward-in, offers every
-//! member to the query's top-K heap, and lets a query leave only when a
+//! One private walk (`OnionIndex::walk`) serves every query entry point.
+//! It visits layers outward-in, offers every member to the query's top-K
+//! heap, and lets the query leave only when a
 //! bound on *everything it has not examined* is **strictly** below the
 //! K-th best score it holds: the heap orders by
 //! [`rank_cmp`](crate::stats::rank_cmp) (score, then ascending index), so a
@@ -67,17 +67,19 @@
 //! `layers` whenever the cap was hit) in radial order with its run radii
 //! beside it (`RadialCore`). One `Peeler::peel` and one `finish_core`
 //! serve the build and the legacy build.
-//! The d >= 3 peel sweep makes **one** streaming pass over the store per
-//! layer ([`kernels::sweep_argmax_block`]) and, with the i8 side structure
-//! ([`crate::quant`]) attached, skips blocks no direction can improve on;
-//! winners are unchanged, so layers are bit-identical to the nested-`Vec`
-//! [`OnionIndex::build_legacy_with`], the reference in bit-identity tests.
+//! The d >= 3 peel makes **one** streaming pass over the store for the
+//! whole build, not one per layer: it keeps each direction's best rows in
+//! the sweep's own order (`Candidates`), and every layer reads its
+//! per-direction winners off those lists. The winners are the ones a full
+//! sweep per layer finds, so layers are bit-identical to the nested-`Vec`
+//! [`OnionIndex::build_legacy_with`], which still sweeps every layer and is
+//! the reference in bit-identity tests.
 //! The quantised *query* walk is gone: with a few dozen scattered members
 //! per layer and a core left after two or three runs it had nothing to
 //! prune.
 
 use crate::kernels;
-use crate::quant::{pad_up, QuantPruneReport, QuantizedStore};
+use crate::quant::{pad_up, QuantPruneReport};
 use crate::scan::{self, TopKHeap};
 use crate::stats::{QueryStats, TopKResult};
 use crate::store::PointStore;
@@ -205,28 +207,27 @@ struct BoundingBox {
 }
 
 impl BoundingBox {
-    /// Encloses `members`, reading coordinates through `row` — the one
-    /// implementation serves both the flat store and the legacy nested
-    /// points (identical per-coordinate fold order either way).
-    fn of<'a, F, M>(row: F, members: M, d: usize) -> Option<Self>
+    /// Encloses the `members` rows — the one implementation serves both
+    /// the flat store and the legacy nested points (identical
+    /// per-coordinate fold order either way).
+    fn of<'a, M>(members: M, d: usize) -> Option<Self>
     where
-        F: Fn(usize) -> &'a [f64],
-        M: Iterator<Item = usize> + Clone,
+        M: Iterator<Item = &'a [f64]> + Clone,
     {
         let mut lo = vec![f64::INFINITY; d];
         let mut hi = vec![f64::NEG_INFINITY; d];
         let mut any = false;
-        for idx in members.clone() {
+        for row in members.clone() {
             any = true;
-            kernels::min_max_update(&mut lo, &mut hi, row(idx));
+            kernels::min_max_update(&mut lo, &mut hi, row);
         }
         if !any {
             return None;
         }
         let center: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| (l + h) / 2.0).collect();
         let mut radius: f64 = 0.0;
-        for idx in members {
-            let d2 = dist2(row(idx), &center);
+        for row in members {
+            let d2 = dist2(row, &center);
             // A NaN distance must poison the radius, not vanish in `max`.
             if d2 > radius || d2.is_nan() {
                 radius = d2;
@@ -345,24 +346,29 @@ fn finish_core(
 }
 
 /// Everything a peel reads. `legacy_rows` selects the pre-`PointStore`
-/// reference path (nested rows, one sweep pass per direction) for the
-/// enclosures, hint supports and d >= 3 sweeps; results are bit-identical.
+/// reference path (nested rows, one sweep pass per direction and layer) for
+/// the enclosures, hint supports and d >= 3 sweeps; results are
+/// bit-identical.
 struct Peeler<'a> {
     store: &'a PointStore,
     legacy_rows: Option<&'a [Vec<f64>]>,
     hints: &'a [Vec<f64>],
     bundle: DirectionBundle,
     threads: usize,
-    quant: Option<&'a QuantizedStore>,
 }
 
 impl Peeler<'_> {
     fn enclose(&self, alive: &[bool]) -> BoundingBox {
-        let members = (0..alive.len()).filter(|&i| alive[i]);
         let dims = self.store.dims();
+        fn live<'a>((row, &live): (&'a [f64], &bool)) -> Option<&'a [f64]> {
+            live.then_some(row)
+        }
         match self.legacy_rows {
-            Some(rows) => BoundingBox::of(|i| rows[i].as_slice(), members, dims),
-            None => BoundingBox::of(|i| self.store.row(i), members, dims),
+            Some(rows) => BoundingBox::of(
+                rows.iter().map(Vec::as_slice).zip(alive).filter_map(live),
+                dims,
+            ),
+            None => BoundingBox::of(self.store.rows().zip(alive).filter_map(live), dims),
         }
         .expect("enclose is only called with rows alive")
     }
@@ -402,16 +408,19 @@ impl Peeler<'_> {
             });
             order
         });
+        // d >= 3: made by the first layer, read by every layer.
+        let mut candidates: Option<Candidates> = None;
+        let dirs = self.bundle.directions();
         while remaining > 0 && layers.len() < max_layers {
             boxes.push(self.enclose(&alive));
             hint_support.push(self.supports(&alive));
             let layer = match (&sorted_2d, self.legacy_rows) {
                 _ if dims == 1 => extremes_1d(store, &alive),
                 (Some(order), _) => hull_2d(store, &alive, order),
-                (None, Some(rows)) => sweep_layer_threads(rows, &alive, &self.bundle, self.threads),
-                (None, None) => {
-                    sweep_layer_flat_threads(store, &alive, &self.bundle, self.threads, self.quant)
-                }
+                (None, Some(rows)) => sweep_layer(rows, &alive, dirs),
+                (None, None) => candidates
+                    .get_or_insert_with(|| Candidates::new(store, dirs, max_layers, self.threads))
+                    .layer(store, dirs, &alive),
             };
             debug_assert!(!layer.is_empty(), "peel must remove at least one point");
             for &idx in &layer {
@@ -431,6 +440,80 @@ impl Peeler<'_> {
     }
 }
 
+/// The d >= 3 peel's per-direction candidate lists, made by one pass over
+/// the store before the first layer.
+///
+/// A full sweep of direction `k` over the alive rows keeps its first alive
+/// row when that row scores NaN (nothing is `>` NaN); otherwise its winner
+/// is the first alive row of `k`'s ranking of the rows that score a number
+/// (the order of [`kernels::sweep_candidates`]). So a layer takes, per
+/// direction, the first alive row if it scores NaN, else the first alive
+/// row of the direction's list — found by a cursor that only moves
+/// forward, since a row once dead stays dead.
+struct Candidates {
+    /// `lists[k]`: the best rows of direction `k`, best first.
+    lists: Vec<Vec<u32>>,
+    /// `cursor[k]`: every row ahead of it in `lists[k]` is dead.
+    cursor: Vec<usize>,
+    /// Every row before it is dead.
+    first_alive: usize,
+}
+
+impl Candidates {
+    /// One pass over `store` for all of `dirs`, dealt to up to `threads`
+    /// workers as [`deal`] deals them.
+    ///
+    /// Capacity. At layer `l` every row ahead of direction `k`'s winner in
+    /// its ranking is dead: it was taken by one of the `l` earlier layers,
+    /// and a layer takes at most one row per direction, `m` in all. With
+    /// `l <= max_layers − 1` the winner sits at most `(max_layers − 1) · m`
+    /// rows deep, so `C = (max_layers − 1) · m + 1` rows (or all of them)
+    /// always hold it and no list can run dry.
+    fn new(store: &PointStore, dirs: &[Vec<f64>], max_layers: usize, threads: usize) -> Self {
+        let capacity = max_layers
+            .saturating_sub(1)
+            .saturating_mul(dirs.len())
+            .saturating_add(1)
+            .min(store.len());
+        let lists = deal(dirs, threads, |part| {
+            kernels::sweep_candidates(store.flat(), store.dims(), part, capacity)
+        });
+        Candidates {
+            cursor: vec![0; lists.len()],
+            lists,
+            first_alive: 0,
+        }
+    }
+
+    /// The next layer over the `alive` rows (at least one): the union of
+    /// the directions' winners, sorted and deduplicated.
+    fn layer(&mut self, store: &PointStore, dirs: &[Vec<f64>], alive: &[bool]) -> Vec<usize> {
+        self.first_alive += alive[self.first_alive..]
+            .iter()
+            .position(|&live| live)
+            .expect("a layer is only peeled with rows alive");
+        let first = self.first_alive;
+        let mut layer: Vec<usize> = dirs
+            .iter()
+            .zip(&self.lists)
+            .zip(&mut self.cursor)
+            .map(|((dir, list), cursor)| {
+                if kernels::dot(dir, store.row(first)).is_nan() {
+                    return first;
+                }
+                *cursor += list[*cursor..]
+                    .iter()
+                    .position(|&row| alive[row as usize])
+                    .expect("the capacity argument keeps every winner in its list");
+                list[*cursor] as usize
+            })
+            .collect();
+        layer.sort_unstable();
+        layer.dedup();
+        layer
+    }
+}
+
 /// One query's state inside [`OnionIndex::walk`].
 struct WalkQuery<'a> {
     direction: &'a [f64],
@@ -447,10 +530,21 @@ struct WalkQuery<'a> {
     stats: QueryStats,
     /// Best score offered in the layer being visited.
     layer_max: f64,
-    active: bool,
 }
 
 impl WalkQuery<'_> {
+    /// Counts a layer visit.
+    fn enter_layer(&mut self) {
+        self.stats.nodes_visited += 1;
+        self.layer_max = f64::NEG_INFINITY;
+    }
+
+    /// Whether the heap is full and `stop` (given the query and its heap
+    /// floor) says the walk is done.
+    fn leaves(&self, stop: impl Fn(&Self, f64) -> bool) -> bool {
+        self.heap.floor().is_some_and(|floor| stop(self, floor))
+    }
+
     /// Bound on this query's score over every core tuple of box-normalised
     /// radius at most `radius`.
     fn core_bound(&self, radius: f64) -> f64 {
@@ -461,25 +555,6 @@ impl WalkQuery<'_> {
             self.direction.len(),
         )
     }
-}
-
-/// Counts a layer visit for every active query.
-fn enter_layer(queries: &mut [WalkQuery<'_>]) {
-    for q in queries.iter_mut().filter(|q| q.active) {
-        q.stats.nodes_visited += 1;
-        q.layer_max = f64::NEG_INFINITY;
-    }
-}
-
-/// Deactivates every active query with a full heap that `stop` (given the
-/// query and its heap floor) says is done; returns whether any is left.
-fn retire(queries: &mut [WalkQuery<'_>], stop: impl Fn(&WalkQuery<'_>, f64) -> bool) -> bool {
-    let mut any_active = false;
-    for q in queries.iter_mut().filter(|q| q.active) {
-        q.active = !q.heap.floor().is_some_and(|floor| stop(q, floor));
-        any_active |= q.active;
-    }
-    any_active
 }
 
 /// The Onion index over a fixed set of d-dimensional tuples.
@@ -570,13 +645,14 @@ impl OnionIndex {
     }
 
     /// Fully parameterized build: hints, peel limits, sweep seed, and the
-    /// number of threads for the d >= 3 direction sweep (lower dimensions
+    /// number of threads for the d >= 3 candidate pass (lower dimensions
     /// build their exact hulls sequentially — they are already cheap).
     /// `threads <= 1` runs entirely on the calling thread. The layer
     /// structure is **bit-identical** to the sequential build: each
-    /// direction's argmax is computed independently and deterministically,
-    /// and the per-layer union is sorted and deduplicated, so how the
-    /// directions are dealt to threads cannot change the result.
+    /// direction's candidate list is computed independently and
+    /// deterministically, and the per-layer union is sorted and
+    /// deduplicated, so how the directions are dealt to threads cannot
+    /// change the result.
     ///
     /// # Errors
     ///
@@ -589,53 +665,22 @@ impl OnionIndex {
         seed: u64,
         threads: usize,
     ) -> Result<Self, ModelError> {
-        OnionIndex::build_impl(
-            points, hints, max_layers, extra_dirs, seed, threads, false, false,
-        )
-    }
-
-    /// Builds sweeping **through an i8 quantized side structure** (see
-    /// [`crate::quant`]): the d >= 3 peel sweep skips blocks whose coarse
-    /// bound cannot beat any direction's running argmax. Layers and query
-    /// answers are bit-identical to [`OnionIndex::build_with`] at the same
-    /// limits — the coarse pass only ever prunes work that provably cannot
-    /// matter — and the side structure is dropped when the build returns.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OnionIndex::build_with`].
-    pub fn build_quantized_with(
-        points: Vec<Vec<f64>>,
-        max_layers: usize,
-        extra_dirs: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Self, ModelError> {
-        OnionIndex::build_impl(
-            points,
-            &[],
-            max_layers,
-            extra_dirs,
-            seed,
-            threads,
-            false,
-            true,
-        )
+        OnionIndex::build_impl(points, hints, max_layers, extra_dirs, seed, threads, false)
     }
 
     /// Returns the index unchanged. Kept for callers written against the
     /// quantised query walk, which read a side structure stored in the
-    /// index; the walk is gone (see the module docs) and the build sweep
-    /// of [`OnionIndex::build_quantized_with`] makes and drops its own.
+    /// index; the walk is gone (see the module docs), and so is every other
+    /// use of such a structure in the Onion index.
     pub fn with_quantized(self) -> Self {
         self
     }
 
     /// Builds via the pre-`PointStore` reference path: nested
     /// `Vec<Vec<f64>>` rows for every enclosure, hint support and sweep,
-    /// one sweep pass per direction. Layers, bounds, and query answers are
-    /// bit-identical to [`OnionIndex::build_with`] at the same limits; only
-    /// the construction cost differs. Kept as the honest "before" baseline
+    /// one sweep pass per direction and layer. Layers, bounds, and query
+    /// answers are bit-identical to [`OnionIndex::build_with`] at the same
+    /// limits; only the construction cost differs. Kept as the honest "before" baseline
     /// for the kernels benchmark and as the reference in bit-identity
     /// property tests.
     ///
@@ -648,10 +693,9 @@ impl OnionIndex {
         extra_dirs: usize,
         seed: u64,
     ) -> Result<Self, ModelError> {
-        OnionIndex::build_impl(points, &[], max_layers, extra_dirs, seed, 1, true, false)
+        OnionIndex::build_impl(points, &[], max_layers, extra_dirs, seed, 1, true)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn build_impl(
         points: Vec<Vec<f64>>,
         hints: &[Vec<f64>],
@@ -660,7 +704,6 @@ impl OnionIndex {
         seed: u64,
         threads: usize,
         legacy: bool,
-        quantize: bool,
     ) -> Result<Self, ModelError> {
         // Validates shape: `Empty` for no or zero-width rows,
         // `ArityMismatch` for ragged ones.
@@ -689,8 +732,6 @@ impl OnionIndex {
             unit_hints.push(h.iter().map(|v| v / norm).collect());
         }
 
-        // Serves the sweep only; nothing reads it after the peel.
-        let quant_store = (quantize && !legacy).then(|| QuantizedStore::build(&store));
         let (mut layers, mut remaining_box, mut hint_support) =
             (Vec::new(), Vec::new(), Vec::new());
         let core = Peeler {
@@ -699,7 +740,6 @@ impl OnionIndex {
             hints: &unit_hints,
             bundle: DirectionBundle::new(dims, extra_dirs, seed).with_extra(&unit_hints),
             threads,
-            quant: quant_store.as_ref(),
         }
         .peel(
             vec![true; store.len()],
@@ -756,7 +796,7 @@ impl OnionIndex {
     /// Returns [`ModelError::ArityMismatch`] for a wrong-length direction
     /// and [`ModelError::InvalidValue`] for `k == 0`.
     pub fn top_k_max(&self, direction: &[f64], k: usize) -> Result<TopKResult, ModelError> {
-        self.solo(direction, k, kernels::dot)
+        self.walk(direction, k, kernels::dot)
     }
 
     /// [`OnionIndex::top_k_max`] scoring through the legacy per-point
@@ -768,7 +808,7 @@ impl OnionIndex {
     ///
     /// Same as [`OnionIndex::top_k_max`].
     pub fn top_k_max_legacy(&self, direction: &[f64], k: usize) -> Result<TopKResult, ModelError> {
-        self.solo(direction, k, |dir: &[f64], row: &[f64]| {
+        self.walk(direction, k, |dir: &[f64], row: &[f64]| {
             dir.iter().zip(row).map(|(a, v)| a * v).sum()
         })
     }
@@ -818,17 +858,6 @@ impl OnionIndex {
         Ok(result)
     }
 
-    /// A batch of one through [`OnionIndex::walk`].
-    fn solo<F: Fn(&[f64], &[f64]) -> f64>(
-        &self,
-        direction: &[f64],
-        k: usize,
-        score: F,
-    ) -> Result<TopKResult, ModelError> {
-        let mut results = self.walk(&[direction], k, score)?;
-        Ok(results.pop().expect("one result per direction"))
-    }
-
     /// Per-query set-up of the walk: hint match and the direction's half
     /// of the core run bound.
     fn prepare<'a>(&self, direction: &'a [f64], k: usize) -> WalkQuery<'a> {
@@ -861,70 +890,62 @@ impl OnionIndex {
             heap: TopKHeap::new(k),
             stats: QueryStats::new(),
             layer_max: f64::NEG_INFINITY,
-            active: true,
         }
     }
 
-    /// Scores `rows` for every active query and offers them to its heap, a
-    /// run-sized chunk at a time: the chunk's rows are fetched by one tight
-    /// scoring loop (the scattered loads overlap) and stay in L1 for the
-    /// next query of the batch. Each heap sees its offers in row order.
+    /// Scores `rows` and offers them to the query's heap, a run-sized
+    /// chunk at a time: the chunk's rows are fetched by one tight scoring
+    /// loop (the scattered loads overlap), then admitted behind the heap's
+    /// cached floor. The heap sees its offers in row order.
     fn offer_rows<F: Fn(&[f64], &[f64]) -> f64>(
         &self,
         rows: &[usize],
-        queries: &mut [WalkQuery<'_>],
+        q: &mut WalkQuery<'_>,
         score: &F,
     ) {
         let mut scores = [0.0f64; CORE_RUN_ROWS];
         for chunk in rows.chunks(CORE_RUN_ROWS) {
             let scores = &mut scores[..chunk.len()];
-            for q in queries.iter_mut().filter(|q| q.active) {
-                for (s, &idx) in scores.iter_mut().zip(chunk) {
-                    *s = score(q.direction, self.points.row(idx));
-                    q.layer_max = q.layer_max.max(*s);
-                }
-                // The flat scan's cached-floor admission.
-                scan::offer_run(&mut q.heap, scores, chunk.iter().copied());
-                q.stats.tuples_examined += chunk.len() as u64;
+            for (s, &idx) in scores.iter_mut().zip(chunk) {
+                *s = score(q.direction, self.points.row(idx));
+                q.layer_max = q.layer_max.max(*s);
             }
+            // The flat scan's cached-floor admission.
+            scan::offer_run(&mut q.heap, scores, chunk.iter().copied());
+            q.stats.tuples_examined += chunk.len() as u64;
         }
     }
 
     /// The one layer walk (see "Query soundness" in the module docs):
     /// peeled layers with the stop tests at each layer end, then the core
     /// bucket run by run with the radial test before each run.
-    fn walk<D: AsRef<[f64]>, F: Fn(&[f64], &[f64]) -> f64>(
+    fn walk<F: Fn(&[f64], &[f64]) -> f64>(
         &self,
-        directions: &[D],
+        direction: &[f64],
         k: usize,
         score: F,
-    ) -> Result<Vec<TopKResult>, ModelError> {
-        for direction in directions {
-            if direction.as_ref().len() != self.dims {
-                return Err(ModelError::ArityMismatch {
-                    expected: self.dims,
-                    actual: direction.as_ref().len(),
-                });
-            }
+    ) -> Result<TopKResult, ModelError> {
+        if direction.len() != self.dims {
+            return Err(ModelError::ArityMismatch {
+                expected: self.dims,
+                actual: direction.len(),
+            });
         }
         if k == 0 {
             return Err(ModelError::InvalidValue("k must be >= 1".into()));
         }
-        let mut queries: Vec<WalkQuery<'_>> = directions
-            .iter()
-            .map(|d| self.prepare(d.as_ref(), k))
-            .collect();
+        let mut q = self.prepare(direction, k);
         let peeled = &self.layers[..self.layers.len() - usize::from(self.core.is_some())];
-        let mut any_active = !queries.is_empty();
+        let mut left = false;
         for (l, layer) in peeled.iter().enumerate() {
-            enter_layer(&mut queries);
-            self.offer_rows(layer, &mut queries, &score);
+            q.enter_layer();
+            self.offer_rows(layer, &mut q, &score);
             // Without a core bucket the last peeled layer has nothing
             // beneath it.
             let Some(next_box) = self.remaining_box.get(l + 1) else {
                 break;
             };
-            any_active = retire(&mut queries, |q, floor| {
+            left = q.leaves(|q, floor| {
                 // Exact-hull prefix: this layer's best score bounds every
                 // deeper layer.
                 if l < self.exact_hull_layers && q.layer_max < floor {
@@ -939,32 +960,27 @@ impl OnionIndex {
                 }
                 stops(bound, floor)
             });
-            if !any_active {
+            if left {
                 break;
             }
         }
-        if let (true, Some(core), Some(members)) = (any_active, &self.core, self.layers.last()) {
-            enter_layer(&mut queries);
+        if let (false, Some(core), Some(members)) = (left, &self.core, self.layers.last()) {
+            q.enter_layer();
             for (run, &radius) in members.chunks(CORE_RUN_ROWS).zip(&core.run_radius) {
-                if !retire(&mut queries, |q, floor| stops(q.core_bound(radius), floor)) {
+                if q.leaves(|q, floor| stops(q.core_bound(radius), floor)) {
                     break;
                 }
-                self.offer_rows(run, &mut queries, &score);
+                self.offer_rows(run, &mut q, &score);
             }
         }
-        Ok(queries
-            .into_iter()
-            .map(|q| {
-                // One comparison per examined tuple: the floor precheck
-                // stands in for the rejected offers.
-                let mut stats = q.stats;
-                stats.comparisons = stats.tuples_examined;
-                TopKResult {
-                    results: q.heap.into_sorted(),
-                    stats,
-                }
-            })
-            .collect())
+        // One comparison per examined tuple: the floor precheck stands in
+        // for the rejected offers.
+        let mut stats = q.stats;
+        stats.comparisons = stats.tuples_examined;
+        Ok(TopKResult {
+            results: q.heap.into_sorted(),
+            stats,
+        })
     }
 }
 
@@ -1061,104 +1077,46 @@ fn sweep_argmax(points: &[Vec<f64>], alive: &[bool], dir: &[f64]) -> Option<usiz
 }
 
 /// Deals `dirs` to up to `threads` scoped workers in contiguous chunks
-/// (`threads <= 1` runs on the calling thread), concatenates the winners
-/// `sweep` finds for each chunk, then sorts and deduplicates. Each
-/// direction's argmax is independent, so the layer is identical for every
-/// thread count.
-fn sweep_union<F>(dirs: &[Vec<f64>], threads: usize, sweep: F) -> Vec<usize>
+/// (`threads <= 1` runs on the calling thread) and concatenates what `work`
+/// returns for each chunk, in chunk order. When `work` returns one item per
+/// direction, item `k` belongs to direction `k` at every thread count.
+fn deal<T, F>(dirs: &[Vec<f64>], threads: usize, work: F) -> Vec<T>
 where
-    F: Fn(&[Vec<f64>]) -> Vec<usize> + Sync,
+    T: Send,
+    F: Fn(&[Vec<f64>]) -> Vec<T> + Sync,
 {
     let workers = threads.max(1).min(dirs.len()).max(1);
-    let mut layer: Vec<usize> = if workers <= 1 {
-        sweep(dirs)
-    } else {
-        let chunk = dirs.len().div_ceil(workers);
-        let sweep = &sweep;
-        std::thread::scope(|scope| {
-            // Collecting the handles is what makes this parallel: a lazy
-            // chain would join each worker before spawning the next.
-            #[allow(clippy::needless_collect)]
-            let handles: Vec<_> = dirs
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || sweep(part)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-    };
-    layer.sort_unstable();
-    layer.dedup();
-    layer
-}
-
-/// Legacy direction-sweep extreme set for d >= 3 over nested points: one
-/// pass over `Vec<Vec<f64>>` per direction. Identical to
-/// [`sweep_layer_flat_threads`].
-fn sweep_layer_threads(
-    points: &[Vec<f64>],
-    alive: &[bool],
-    bundle: &DirectionBundle,
-    threads: usize,
-) -> Vec<usize> {
-    sweep_union(bundle.directions(), threads, |part| {
-        part.iter()
-            .filter_map(|dir| sweep_argmax(points, alive, dir))
+    if workers <= 1 {
+        return work(dirs);
+    }
+    let chunk = dirs.len().div_ceil(workers);
+    let work = &work;
+    std::thread::scope(|scope| {
+        // Collecting the handles is what makes this parallel: a lazy
+        // chain would join each worker before spawning the next.
+        #[allow(clippy::needless_collect)]
+        let handles: Vec<_> = dirs
+            .chunks(chunk)
+            .map(|part| scope.spawn(move || work(part)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     })
 }
 
-/// Direction-sweep extreme set for d >= 3 over the flat store: **one**
-/// streaming row-major pass updates every direction's running argmax
-/// ([`kernels::sweep_argmax_block`]); with threads, each worker makes one
-/// pass for its direction chunk. Per-direction winners match the legacy
-/// per-direction sweep exactly (same row order, same strict-max rule), so
-/// the sorted + deduplicated union is bit-identical at any thread count.
-///
-/// With a quantized side structure the pass runs block by block, and a
-/// block is skipped when **every** direction in the chunk already has a
-/// winner whose score the block's coarse bound cannot strictly exceed
-/// (`ub <= best`; a strict improvement is required to replace a winner,
-/// and the bound dominates every row's exact score, so the skipped block
-/// cannot change any argmax — a NaN running best makes the comparison
-/// false and disables the skip). Winners stay bit-identical.
-fn sweep_layer_flat_threads(
-    store: &PointStore,
-    alive: &[bool],
-    bundle: &DirectionBundle,
-    threads: usize,
-    quant: Option<&QuantizedStore>,
-) -> Vec<usize> {
-    let dims = store.dims();
-    sweep_union(bundle.directions(), threads, |part| {
-        let mut best = vec![None; part.len()];
-        match quant {
-            None => kernels::sweep_argmax_block(store.flat(), dims, alive, part, &mut best),
-            Some(q) => {
-                let preps: Vec<_> = part.iter().map(|dir| q.prepare(dir)).collect();
-                for b in 0..q.blocks() {
-                    let (start, m) = q.block_range(b);
-                    let skippable = preps.iter().zip(best.iter()).all(|(prep, slot)| {
-                        matches!(slot, Some((_, bs)) if prep.block_upper_bound(b) <= *bs)
-                    });
-                    if skippable {
-                        continue;
-                    }
-                    kernels::sweep_argmax_block_at(
-                        &store.flat()[start * dims..(start + m) * dims],
-                        dims,
-                        &alive[start..start + m],
-                        start,
-                        part,
-                        &mut best,
-                    );
-                }
-            }
-        }
-        best.into_iter().flatten().map(|(i, _)| i).collect()
-    })
+/// Legacy direction-sweep extreme set for d >= 3 over nested points: one
+/// pass over `Vec<Vec<f64>>` per direction, then the union, sorted and
+/// deduplicated. What the flat build's `Candidates` reproduce.
+fn sweep_layer(points: &[Vec<f64>], alive: &[bool], dirs: &[Vec<f64>]) -> Vec<usize> {
+    let mut layer: Vec<usize> = dirs
+        .iter()
+        .filter_map(|dir| sweep_argmax(points, alive, dir))
+        .collect();
+    layer.sort_unstable();
+    layer.dedup();
+    layer
 }
 
 #[cfg(test)]
@@ -1230,6 +1188,65 @@ mod tests {
             .collect()
     }
 
+    /// Points where the sweep's tie rules pick the winners: half-unit grid
+    /// values (tied scores, duplicate rows) or, with `zeros`, coordinates
+    /// from {−1, −½, −0, +0} alone, so that ±0 is often the best score of
+    /// an axis direction; then NaN / ±∞ / ±0 coordinates and copied rows
+    /// planted at random, and with `nan_first` a non-number in row 0.
+    fn edge_points(seed: u64, n: usize, d: usize, zeros: bool, nan_first: bool) -> Vec<Vec<f64>> {
+        const SPECIAL: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        let mut points = snapped_points(seed, n, d);
+        let mut state = seed ^ 0x0dd5_eed5;
+        let mut next = move |below: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % below
+        };
+        if zeros {
+            for v in points.iter_mut().flatten() {
+                *v = [-1.0, -0.5, -0.0, 0.0][next(4)];
+            }
+        }
+        for _ in 0..=n / 8 {
+            let (row, col) = (next(n), next(d));
+            points[row][col] = SPECIAL[next(SPECIAL.len())];
+        }
+        for _ in 0..=n / 8 {
+            let (to, from) = (next(n), next(n));
+            points[to] = points[from].clone();
+        }
+        if nan_first {
+            points[0][next(d)] = SPECIAL[next(3)];
+        }
+        points
+    }
+
+    /// Everything a build peels, by bits (NaN != NaN under `PartialEq`):
+    /// layers, enclosures, core run radii and hint supports.
+    #[allow(clippy::type_complexity)]
+    fn peel_bits(
+        onion: &OnionIndex,
+    ) -> (
+        Vec<Vec<usize>>,
+        Vec<Vec<u64>>,
+        Option<(Vec<u64>, Vec<u64>)>,
+        Vec<Vec<u64>>,
+    ) {
+        let of = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let boxes = onion
+            .remaining_box
+            .iter()
+            .map(|b| [of(&b.lo), of(&b.hi), of(&b.center), of(&[b.radius])].concat())
+            .collect();
+        let core = onion
+            .core
+            .as_ref()
+            .map(|c| (of(&c.half), of(&c.run_radius)));
+        let hints = onion.hint_support.iter().map(|h| of(h)).collect();
+        (onion.layers.clone(), boxes, core, hints)
+    }
+
     #[test]
     fn build_validates() {
         assert!(matches!(OnionIndex::build(vec![]), Err(ModelError::Empty)));
@@ -1286,80 +1303,6 @@ mod tests {
             let speedup = fast.stats.speedup_vs(&slow.stats).unwrap();
             assert!(speedup > 2.0, "expected a real speedup, got {speedup}");
         }
-    }
-
-    #[test]
-    fn batched_walk_matches_solo_runs_bit_for_bit() {
-        for d in [2usize, 3] {
-            let points = gaussian_points(21 + d as u64, 1500, d);
-            let hints = vec![{
-                let mut h = vec![0.0; d];
-                h[0] = 1.0;
-                h
-            }];
-            let onion = OnionIndex::build_with_hints(points, &hints, 64, 32, 7).unwrap();
-            // A mix of hint-parallel, perturbed, and opposed directions so
-            // queries stop at different layers.
-            let dirs: Vec<Vec<f64>> = (0..6)
-                .map(|q| {
-                    (0..d)
-                        .map(|j| {
-                            if j == 0 {
-                                1.0 - q as f64 * 0.4
-                            } else {
-                                (q * 7 + j) as f64 * 0.1 - 0.3
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            for k in [1usize, 5] {
-                let batched = onion.walk(&dirs, k, kernels::dot).unwrap();
-                for (q, dir) in dirs.iter().enumerate() {
-                    let solo = onion.top_k_max(dir, k).unwrap();
-                    assert_eq!(batched[q], solo, "d={d} k={k} q={q}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_queries_leave_the_core_at_their_own_runs() {
-        // Two peeled layers over a stretched cloud: every query reaches the
-        // core, and how deep it goes depends on its direction.
-        let points: Vec<Vec<f64>> = gaussian_points(57, 6_000, 3)
-            .into_iter()
-            .map(|p| vec![p[0] * 5.0, p[1], p[2] * 0.2])
-            .collect();
-        let onion = OnionIndex::build_with(points, 2, 8, 7).unwrap();
-        let peeled: usize = onion.layer_sizes()[..2].iter().sum();
-        let dirs = test_directions(5, 8, 3);
-        let batched = onion.walk(&dirs, 10, kernels::dot).unwrap();
-        let mut core_rows = Vec::new();
-        for (q, dir) in dirs.iter().enumerate() {
-            assert_eq!(batched[q], onion.top_k_max(dir, 10).unwrap(), "q={q}");
-            core_rows.push(batched[q].stats.tuples_examined as usize - peeled);
-        }
-        assert!(
-            core_rows
-                .iter()
-                .all(|&rows| rows > 0 && rows < 6_000 - peeled),
-            "every query stops inside the core: {core_rows:?}"
-        );
-        core_rows.sort_unstable();
-        core_rows.dedup();
-        assert!(core_rows.len() >= 2, "all stop at one run: {core_rows:?}");
-    }
-
-    #[test]
-    fn batched_walk_validates_and_handles_empty_batch() {
-        let onion = OnionIndex::build(vec![vec![1.0, 2.0], vec![3.0, 0.5]]).unwrap();
-        assert!(onion.walk(&[vec![1.0]], 1, kernels::dot).is_err());
-        assert!(onion.walk(&[vec![1.0, 1.0]], 0, kernels::dot).is_err());
-        assert!(onion
-            .walk(&[] as &[Vec<f64>], 1, kernels::dot)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]
@@ -1563,6 +1506,25 @@ mod tests {
     }
 
     #[test]
+    fn identical_rows_peel_one_row_a_layer() {
+        // Every score ties, so every direction's winner is the first alive
+        // row: each layer takes one row, and at layer l every candidate
+        // list has l dead rows ahead of its winner. With n = 64 the
+        // capacity is capped at n and the last layer reads the last slot.
+        for n in [1usize, 63, 64, 65, 200] {
+            let points = vec![vec![0.5, -1.5, 2.0]; n];
+            let kernel = OnionIndex::build_with(points.clone(), 64, 32, 7).unwrap();
+            let legacy = OnionIndex::build_legacy_with(points, 64, 32, 7).unwrap();
+            assert_eq!(peel_bits(&kernel), peel_bits(&legacy), "n={n}");
+            let peeled = n.min(64);
+            for (l, layer) in kernel.layers[..peeled].iter().enumerate() {
+                assert_eq!(layer, &vec![l], "n={n}");
+            }
+            assert_eq!(kernel.layers.len(), peeled + usize::from(n > 64));
+        }
+    }
+
+    #[test]
     fn legacy_build_and_query_are_bit_identical() {
         // The whole point of the kernel rewrite: same bits, fewer cycles.
         // Layer structure, bounds, and query results (values *and* work
@@ -1585,40 +1547,13 @@ mod tests {
     }
 
     #[test]
-    fn quantized_build_is_bit_identical_and_queries_match() {
-        for d in [1usize, 2, 3, 5] {
-            let points = gaussian_points(211 + d as u64, 1500, d);
-            let plain = OnionIndex::build_with(points.clone(), 24, 16, 7).unwrap();
-            let quant = OnionIndex::build_quantized_with(points, 24, 16, 7, 1).unwrap();
-            assert_eq!(quant.layers, plain.layers, "d={d}");
-            assert_eq!(quant.remaining_box, plain.remaining_box, "d={d}");
-            for k in [1usize, 10, 40] {
-                let dir: Vec<f64> = (0..d).map(|j| 0.9 - 0.27 * j as f64).collect();
-                let exact = plain.top_k_max(&dir, k).unwrap();
-                let coarse = quant.top_k_max_quant(&dir, k).unwrap();
-                assert_eq!(coarse.results, exact.results, "d={d} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_threaded_build_matches_sequential() {
-        let points = gaussian_points(77, 900, 3);
-        let seq = OnionIndex::build_quantized_with(points.clone(), 16, 16, 3, 1).unwrap();
-        for threads in [2usize, 4, 8] {
-            let par = OnionIndex::build_quantized_with(points.clone(), 16, 16, 3, threads).unwrap();
-            assert_eq!(par.layers, seq.layers, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn unhinted_gaussian_query_leaves_the_core_early() {
         // Few layers + big core bucket and no hint: the radial order is
         // all that stops the walk, at 8 layers as at 64.
         let points = gaussian_points(303, 40_000, 3);
         let store = PointStore::from_rows(&points).unwrap();
         for cap in [8usize, 64] {
-            let onion = OnionIndex::build_quantized_with(points.clone(), cap, 16, 7, 1).unwrap();
+            let onion = OnionIndex::build_with(points.clone(), cap, 16, 7).unwrap();
             for dir in [vec![0.443, 0.222, 0.153], vec![-0.8, 0.1, 0.6]] {
                 let exact = onion.top_k_max(&dir, 10).unwrap();
                 assert_eq!(exact.results, scan_top_k_flat(&store, &dir, 10).results);
@@ -1734,27 +1669,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_batched_walk_bit_identical_to_solo(
-            seed in 0u64..500,
-            n in 10usize..1500,
-            d in 1usize..5,
-            m in 1usize..6,
-            k in 1usize..10,
-            cap in prop::sample::select(vec![0usize, 1, 2, 3, 5, 64]),
-            dir_seed in 0u64..100,
-        ) {
-            // Small caps leave a core of up to two dozen runs, which the
-            // queries of a batch leave at different runs.
-            let points = gaussian_points(seed.wrapping_add(3_000), n, d);
-            let onion = OnionIndex::build_with(points, cap, 8, 7).unwrap();
-            let dirs = test_directions(dir_seed, m, d);
-            let batched = onion.walk(&dirs, k, kernels::dot).unwrap();
-            for (q, dir) in dirs.iter().enumerate() {
-                prop_assert_eq!(&batched[q], &onion.top_k_max(dir, k).unwrap());
-            }
-        }
-
-        #[test]
         fn prop_kernel_build_bit_identical_to_legacy(
             seed in 0u64..500,
             n in 10usize..200,
@@ -1773,6 +1687,37 @@ mod tests {
             let a = kernel.top_k_max(&dir, k).unwrap();
             let b = legacy.top_k_max_legacy(&dir, k).unwrap();
             prop_assert_eq!(a, b);
+        }
+
+        #[test]
+        fn prop_peel_keeps_the_sweep_tie_rules(
+            seed in 0u64..10_000,
+            n in 1usize..250,
+            d in 3usize..5,
+            kind in 0usize..4,
+            cap in prop::sample::select(vec![0usize, 1, 2, 3, 7, 64]),
+            extra in prop::sample::select(vec![0usize, 1, 5, 32]),
+        ) {
+            // The one-pass candidate peel against the legacy sweep of every
+            // layer, where NaN, ±∞, ±0 and tied scores decide the winners.
+            let points = edge_points(seed, n, d, kind & 1 == 1, kind & 2 == 2);
+            let kernel = OnionIndex::build_with(points.clone(), cap, extra, 7).unwrap();
+            let legacy = OnionIndex::build_legacy_with(points.clone(), cap, extra, 7).unwrap();
+            prop_assert_eq!(peel_bits(&kernel), peel_bits(&legacy));
+            // Hinted: the legacy path with the same hints is the oracle of
+            // the threaded candidate peel, hint supports included.
+            let hints = vec![
+                (0..d).map(|j| ((seed as usize + j) % 5) as f64 - 2.0).collect::<Vec<f64>>(),
+                (0..d).map(|j| if j == 0 { -1.0 } else { 0.5 }).collect(),
+            ];
+            let oracle =
+                OnionIndex::build_impl(points.clone(), &hints, cap, extra, 7, 1, true).unwrap();
+            for threads in [1usize, 2, 4] {
+                let hinted = OnionIndex::build_with_hints_threads(
+                    points.clone(), &hints, cap, extra, 7, threads,
+                ).unwrap();
+                prop_assert_eq!(peel_bits(&hinted), peel_bits(&oracle), "threads={}", threads);
+            }
         }
     }
 }

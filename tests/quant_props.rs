@@ -130,8 +130,7 @@ fn quant_onion_walk_matches_legacy() {
     let points: Vec<Vec<f64>> = (0..6_000)
         .map(|_| (0..3).map(|_| next()).collect())
         .collect();
-    let quant_index =
-        OnionIndex::build_quantized_with(points.clone(), 16, 8, 7, 1).expect("valid workload");
+    let quant_index = OnionIndex::build_with(points.clone(), 16, 8, 7).expect("valid workload");
     let legacy_index = OnionIndex::build_legacy_with(points, 16, 8, 7).expect("valid workload");
     assert_eq!(quant_index.layer_sizes(), legacy_index.layer_sizes());
     for dir in [
