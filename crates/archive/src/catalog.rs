@@ -5,7 +5,6 @@
 //! modality, extent, or time range cannot satisfy the model. The catalog is
 //! that ladder rung.
 
-use crate::error::ArchiveError;
 use crate::extent::GeoExtent;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -13,18 +12,6 @@ use std::fmt;
 /// Identifier of a dataset in a catalog.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DatasetId(String);
-
-impl DatasetId {
-    /// Creates an id from any string-like value.
-    pub fn new(id: impl Into<String>) -> Self {
-        DatasetId(id.into())
-    }
-
-    /// The id text.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
 
 impl fmt::Display for DatasetId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -131,7 +118,7 @@ impl DatasetMeta {
 ///
 /// let mut catalog = Catalog::new();
 /// catalog.register(DatasetMeta::new("tm-scene-1", "Landsat scene", Modality::Imagery));
-/// assert_eq!(catalog.by_modality(Modality::Imagery).len(), 1);
+/// assert_eq!(catalog.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
@@ -159,25 +146,6 @@ impl Catalog {
         self.entries.is_empty()
     }
 
-    /// Metadata lookup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchiveError::UnknownDataset`] for an unregistered id.
-    pub fn get(&self, id: &DatasetId) -> Result<&DatasetMeta, ArchiveError> {
-        self.entries
-            .get(id)
-            .ok_or_else(|| ArchiveError::UnknownDataset(id.to_string()))
-    }
-
-    /// All datasets of one modality, in id order.
-    pub fn by_modality(&self, modality: Modality) -> Vec<&DatasetMeta> {
-        self.entries
-            .values()
-            .filter(|m| m.modality == modality)
-            .collect()
-    }
-
     /// Datasets whose extent intersects `extent` — the metadata-level screen
     /// used before touching data.
     pub fn covering(&self, extent: &GeoExtent) -> Vec<&DatasetMeta> {
@@ -185,20 +153,6 @@ impl Catalog {
             .values()
             .filter(|m| m.extent.intersects(extent))
             .collect()
-    }
-
-    /// Datasets overlapping a day range.
-    pub fn in_days(&self, first: i64, last: i64) -> Vec<&DatasetMeta> {
-        let (lo, hi) = (first.min(last), first.max(last));
-        self.entries
-            .values()
-            .filter(|m| m.day_range.0 <= hi && lo <= m.day_range.1)
-            .collect()
-    }
-
-    /// Iterator over all metadata in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &DatasetMeta> + '_ {
-        self.entries.values()
     }
 }
 
@@ -231,11 +185,10 @@ mod tests {
     fn register_and_lookup() {
         let c = sample_catalog();
         assert_eq!(c.len(), 3);
-        assert_eq!(c.get(&DatasetId::new("tm1")).unwrap().name, "scene a");
-        assert!(matches!(
-            c.get(&DatasetId::new("nope")),
-            Err(ArchiveError::UnknownDataset(_))
-        ));
+        let everywhere = c.covering(&GeoExtent::new(-10.0, -10.0, 10.0, 10.0));
+        let ids: Vec<_> = everywhere.iter().map(|m| m.id.to_string()).collect();
+        assert_eq!(ids, ["dem1", "tm1", "wx1"]);
+        assert_eq!(everywhere[1].name, "scene a");
     }
 
     #[test]
@@ -247,26 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn modality_filter() {
-        let c = sample_catalog();
-        assert_eq!(c.by_modality(Modality::Imagery).len(), 1);
-        assert_eq!(c.by_modality(Modality::WellLog).len(), 0);
-    }
-
-    #[test]
     fn extent_screen() {
         let c = sample_catalog();
         let roi = GeoExtent::new(0.0, 0.0, 0.4, 0.4);
         let hits = c.covering(&roi);
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id.as_str(), "tm1");
-    }
-
-    #[test]
-    fn day_screen() {
-        let c = sample_catalog();
-        assert_eq!(c.in_days(50, 60).len(), 2);
-        assert_eq!(c.in_days(150, 180).len(), 1); // only dem1's wide range
-        assert_eq!(c.in_days(300, 300).len(), 2); // dem1 + wx1
+        assert_eq!(hits[0].id, DatasetId::from("tm1"));
     }
 }

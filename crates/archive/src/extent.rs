@@ -91,40 +91,12 @@ impl GeoExtent {
         self.north - self.south
     }
 
-    /// Whether the point `(x, y)` lies inside (or on the edge of) the extent.
-    pub fn contains(&self, x: f64, y: f64) -> bool {
-        x >= self.west && x <= self.east && y >= self.south && y <= self.north
-    }
-
     /// Whether two extents overlap (sharing an edge counts).
     pub fn intersects(&self, other: &GeoExtent) -> bool {
         self.west <= other.east
             && other.west <= self.east
             && self.south <= other.north
             && other.south <= self.north
-    }
-
-    /// The intersection of two extents, if non-empty.
-    pub fn intersection(&self, other: &GeoExtent) -> Option<GeoExtent> {
-        if !self.intersects(other) {
-            return None;
-        }
-        Some(GeoExtent::new(
-            self.west.max(other.west),
-            self.south.max(other.south),
-            self.east.min(other.east),
-            self.north.min(other.north),
-        ))
-    }
-
-    /// The smallest extent covering both inputs.
-    pub fn union(&self, other: &GeoExtent) -> GeoExtent {
-        GeoExtent::new(
-            self.west.min(other.west),
-            self.south.min(other.south),
-            self.east.max(other.east),
-            self.north.max(other.north),
-        )
     }
 
     /// Maps a raster cell in a `rows x cols` grid over this extent to the
@@ -175,15 +147,10 @@ mod tests {
         let a = GeoExtent::new(0.0, 0.0, 2.0, 2.0);
         let b = GeoExtent::new(1.0, 1.0, 3.0, 3.0);
         let c = GeoExtent::new(5.0, 5.0, 6.0, 6.0);
-        assert!(a.contains(1.0, 1.0));
-        assert!(a.contains(0.0, 2.0));
-        assert!(!a.contains(2.1, 1.0));
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i, GeoExtent::new(1.0, 1.0, 2.0, 2.0));
-        assert!(a.intersection(&c).is_none());
-        assert_eq!(a.union(&c), GeoExtent::new(0.0, 0.0, 6.0, 6.0));
+        let edge = GeoExtent::new(2.0, 0.0, 3.0, 1.0);
+        assert!(a.intersects(&b) && b.intersects(&a));
+        assert!(!a.intersects(&c) && !c.intersects(&a));
+        assert!(a.intersects(&edge), "sharing an edge counts");
     }
 
     #[test]

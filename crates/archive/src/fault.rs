@@ -6,9 +6,8 @@
 //! slow. This module models those regimes deterministically so the
 //! progressive engines can be exercised, and benchmarked, under loss:
 //!
-//! * [`FaultProfile`] — a seeded, per-page map of [`FaultKind`]s plus
-//!   injected latency ticks. Probabilistic faults draw from the same
-//!   xoshiro generator the synthetic datasets use, so a given profile
+//! * [`FaultProfile`] — a per-page map of [`FaultKind`]s plus injected
+//!   latency ticks. Every kind is deterministic, so a given profile
 //!   replays identically across runs.
 //! * [`RetryPolicy`] — a deterministic tick-based retry schedule with
 //!   exponential backoff. Time is virtual: every attempt and every
@@ -38,16 +37,13 @@
 //! | Corruption × breaker | silent at the attempt level — the breaker only advances when a verifying reader feeds detections back through `note_checksum_failure`, which shares the same consecutive-failure run as I/O failures. |
 //! | Transient × Latency | failing *and* healed accesses both pay the latency; healing is counted in accesses, not ticks. |
 //! | Transient × breaker | heal progress (`failed_accesses`) survives both quarantine and [`clear_quarantine`](crate::tile::TileStore::clear_quarantine); a healed page stays healed after the breaker reopens. |
-//! | Permanent/Probabilistic × Latency | identical to Transient × Latency: the latency rides on both outcomes. |
+//! | Permanent × Latency | identical to Transient × Latency: the latency rides on both outcomes. |
 //!
 //! Read-side kinds model a faulty *device*; [`WriteFault`] models a dying
 //! *writer* — the process crashes mid-append and takes all volatile state
 //! with it, leaving a possibly-torn byte prefix for
 //! [`crate::journal::recover`] to truncate.
 
-use crate::randx;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// How a faulty page misbehaves.
@@ -60,12 +56,6 @@ pub enum FaultKind {
     Transient {
         /// Number of failing accesses before the page starts succeeding.
         fails_before_heal: u32,
-    },
-    /// Each access independently fails with probability `p`, drawn from
-    /// the profile's seeded generator. Models a flaky interconnect.
-    Probabilistic {
-        /// Per-access failure probability in `[0, 1]`.
-        p: f64,
     },
     /// Every access *succeeds* at the I/O level but delivers a payload
     /// with flipped bits (see
@@ -119,11 +109,9 @@ struct PageFaultSpec {
     latency_ticks: u64,
 }
 
-/// A seeded, per-page fault assignment for a [`TileStore`](crate::tile::TileStore).
+/// A per-page fault assignment for a [`TileStore`](crate::tile::TileStore).
 ///
-/// Built fluently; pages not mentioned are healthy. The seed drives only
-/// probabilistic faults, so profiles without them are fully deterministic
-/// regardless of seed.
+/// Built fluently; pages not mentioned are healthy.
 ///
 /// # Examples
 ///
@@ -132,10 +120,9 @@ struct PageFaultSpec {
 /// use mbir_archive::grid::Grid2;
 /// use mbir_archive::tile::TileStore;
 ///
-/// let profile = FaultProfile::new(42)
+/// let profile = FaultProfile::new()
 ///     .permanent(3)
 ///     .transient(5, 2)
-///     .probabilistic(7, 0.25)
 ///     .latency(9, 10);
 /// // 8x8 cells in 2x2 tiles: page 3 holds (0, 6), page 9 holds (4, 2).
 /// let grid = Grid2::from_fn(8, 8, |r, c| (r * 8 + c) as f64);
@@ -145,21 +132,12 @@ struct PageFaultSpec {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultProfile {
-    seed: u64,
     specs: HashMap<usize, PageFaultSpec>,
 }
 
 impl FaultProfile {
-    /// An empty profile whose probabilistic draws use `seed`.
-    pub fn new(seed: u64) -> Self {
-        FaultProfile {
-            seed,
-            specs: HashMap::new(),
-        }
-    }
-
-    /// A profile with no faults at all (alias of `new(0)`).
-    pub fn healthy() -> Self {
+    /// A profile with no faults at all.
+    pub fn new() -> Self {
         FaultProfile::default()
     }
 
@@ -173,20 +151,6 @@ impl FaultProfile {
     /// healthy afterwards.
     pub fn transient(mut self, page: usize, fails_before_heal: u32) -> Self {
         self.spec_mut(page).kind = Some(FaultKind::Transient { fails_before_heal });
-        self
-    }
-
-    /// Marks `page` as failing each access with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn probabilistic(mut self, page: usize, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "probability must be in [0, 1], got {p}"
-        );
-        self.spec_mut(page).kind = Some(FaultKind::Probabilistic { p });
         self
     }
 
@@ -395,24 +359,21 @@ pub(crate) enum AttemptOutcome {
 }
 
 /// Mutable runtime evaluating a [`FaultProfile`]: advances transient
-/// counters, draws probabilistic faults, and runs the circuit breaker.
+/// counters and runs the circuit breaker.
 ///
 /// Owned by the store behind a lock; exposed only within the crate.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     profile: FaultProfile,
     config: ResilienceConfig,
-    rng: StdRng,
     states: HashMap<usize, PageState>,
 }
 
 impl FaultRuntime {
     pub(crate) fn new(profile: FaultProfile, config: ResilienceConfig) -> Self {
-        let rng = StdRng::seed_from_u64(profile.seed);
         FaultRuntime {
             profile,
             config,
-            rng,
             states: HashMap::new(),
         }
     }
@@ -475,7 +436,6 @@ impl FaultRuntime {
             Some(FaultKind::Transient { fails_before_heal }) => {
                 state.failed_accesses < fails_before_heal
             }
-            Some(FaultKind::Probabilistic { p }) => randx::bernoulli(&mut self.rng, p),
         };
         let state = self.states.entry(page).or_default();
         if fails {
@@ -538,23 +498,17 @@ mod tests {
 
     #[test]
     fn profile_builder_collects_faults() {
-        let p = FaultProfile::new(1)
+        let p = FaultProfile::new()
             .permanent(2)
             .transient(9, 3)
-            .probabilistic(4, 0.5)
+            .corrupt(4)
             .latency(2, 7)
             .latency(11, 5);
         assert_eq!(p.faulty_pages(), vec![2, 4, 9]);
         assert!(!p.is_healthy());
-        assert!(FaultProfile::healthy().is_healthy());
+        assert!(FaultProfile::new().is_healthy());
         // Latency-only pages are not "faulty" but make the profile unhealthy.
-        assert!(!FaultProfile::new(0).latency(1, 1).is_healthy());
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn probabilistic_rejects_bad_p() {
-        let _ = FaultProfile::new(0).probabilistic(0, 1.5);
+        assert!(!FaultProfile::new().latency(1, 1).is_healthy());
     }
 
     #[test]
@@ -580,7 +534,7 @@ mod tests {
 
     #[test]
     fn transient_fault_heals_after_n_accesses() {
-        let profile = FaultProfile::new(0).transient(3, 2);
+        let profile = FaultProfile::new().transient(3, 2);
         let mut rt = FaultRuntime::new(profile, ResilienceConfig::none());
         assert!(matches!(rt.attempt(3), AttemptOutcome::Failed { .. }));
         assert!(matches!(rt.attempt(3), AttemptOutcome::Failed { .. }));
@@ -592,7 +546,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_and_resets_on_success() {
-        let profile = FaultProfile::new(0).transient(1, 2).permanent(2);
+        let profile = FaultProfile::new().transient(1, 2).permanent(2);
         let cfg = ResilienceConfig::new(RetryPolicy::none(), Some(3));
         let mut rt = FaultRuntime::new(profile, cfg);
         // Transient heals before the breaker trips; success resets the run.
@@ -611,23 +565,8 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_faults_are_seed_deterministic() {
-        let run = |seed| {
-            let profile = FaultProfile::new(seed).probabilistic(0, 0.4);
-            let mut rt = FaultRuntime::new(profile, ResilienceConfig::none());
-            (0..64)
-                .map(|_| matches!(rt.attempt(0), AttemptOutcome::Failed { .. }))
-                .collect::<Vec<bool>>()
-        };
-        assert_eq!(run(9), run(9), "same seed, same trace");
-        assert_ne!(run(9), run(10), "different seed, different trace");
-        let fails = run(9).iter().filter(|&&f| f).count();
-        assert!((10..=40).contains(&fails), "p=0.4 of 64: {fails}");
-    }
-
-    #[test]
     fn corruption_is_silent_at_the_attempt_level() {
-        let profile = FaultProfile::new(0).corrupt(4).latency(4, 6);
+        let profile = FaultProfile::new().corrupt(4).latency(4, 6);
         let cfg = ResilienceConfig::new(RetryPolicy::none(), Some(1));
         let mut rt = FaultRuntime::new(profile, cfg);
         // Corrupted attempts never advance the breaker, no matter how many.
@@ -642,7 +581,7 @@ mod tests {
 
     #[test]
     fn checksum_failures_trip_the_breaker() {
-        let profile = FaultProfile::new(0).corrupt(4);
+        let profile = FaultProfile::new().corrupt(4);
         let cfg = ResilienceConfig::new(RetryPolicy::none(), Some(3));
         let mut rt = FaultRuntime::new(profile, cfg);
         assert!(!rt.note_checksum_failure(4));
@@ -657,7 +596,7 @@ mod tests {
 
     #[test]
     fn clear_quarantine_reopens_pages_but_keeps_heal_progress() {
-        let profile = FaultProfile::new(0).permanent(1).transient(2, 2);
+        let profile = FaultProfile::new().permanent(1).transient(2, 2);
         let cfg = ResilienceConfig::new(RetryPolicy::none(), Some(2));
         let mut rt = FaultRuntime::new(profile, cfg);
         // Trip both breakers (the transient page fails twice before healing).
@@ -676,7 +615,7 @@ mod tests {
 
     #[test]
     fn latency_applies_to_successes_too() {
-        let profile = FaultProfile::new(0).latency(5, 9);
+        let profile = FaultProfile::new().latency(5, 9);
         let mut rt = FaultRuntime::new(profile, ResilienceConfig::none());
         assert_eq!(rt.attempt(5), AttemptOutcome::Ok { latency_ticks: 9 });
         assert_eq!(rt.attempt(6), AttemptOutcome::Ok { latency_ticks: 0 });
@@ -686,10 +625,7 @@ mod tests {
 
     #[test]
     fn builder_kind_is_last_wins_and_latency_survives() {
-        let p = FaultProfile::new(0)
-            .corrupt(3)
-            .latency(3, 5)
-            .transient(3, 2);
+        let p = FaultProfile::new().corrupt(3).latency(3, 5).transient(3, 2);
         // The corruption was *replaced* by the transient kind, not stacked…
         assert_eq!(
             p.kind_of(3),
@@ -705,7 +641,7 @@ mod tests {
 
     #[test]
     fn transient_with_latency_charges_failures_and_heals_alike() {
-        let profile = FaultProfile::new(0).transient(2, 2).latency(2, 7);
+        let profile = FaultProfile::new().transient(2, 2).latency(2, 7);
         let mut rt = FaultRuntime::new(profile, ResilienceConfig::none());
         // Failing accesses pay the latency…
         assert_eq!(rt.attempt(2), AttemptOutcome::Failed { latency_ticks: 7 });
@@ -717,7 +653,7 @@ mod tests {
 
     #[test]
     fn quarantine_beats_corruption_and_costs_no_ticks() {
-        let profile = FaultProfile::new(0).corrupt(4).latency(4, 9);
+        let profile = FaultProfile::new().corrupt(4).latency(4, 9);
         let cfg = ResilienceConfig::new(RetryPolicy::none(), Some(2));
         let mut rt = FaultRuntime::new(profile, cfg);
         // Two detected corruptions trip the breaker…
@@ -739,7 +675,7 @@ mod tests {
         // A corrupt page re-corrupts forever: unlike Transient, repeated
         // accesses do not burn toward a heal, and the runtime tracks no
         // failed accesses for it at the attempt level.
-        let profile = FaultProfile::new(0).corrupt(1);
+        let profile = FaultProfile::new().corrupt(1);
         let mut rt =
             FaultRuntime::new(profile, ResilienceConfig::new(RetryPolicy::none(), Some(8)));
         for _ in 0..16 {

@@ -5,7 +5,6 @@
 //! attribute map keeps the layer self-describing without pulling in a full
 //! feature-store dependency.
 
-use crate::extent::GeoExtent;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -96,112 +95,43 @@ impl PointFeature {
         self
     }
 
-    /// Looks up an attribute.
-    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
-        self.attrs.get(key)
-    }
-
     /// Numeric view of an attribute.
     pub fn attr_f64(&self, key: &str) -> Option<f64> {
         self.attrs.get(key).and_then(AttrValue::as_f64)
     }
-
-    /// Iterator over attributes in key order.
-    pub fn attrs(&self) -> impl Iterator<Item = (&str, &AttrValue)> + '_ {
-        self.attrs.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Euclidean distance to another feature.
-    pub fn distance(&self, other: &PointFeature) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        (dx * dx + dy * dy).sqrt()
-    }
 }
 
-/// A named collection of point features.
+/// A collection of point features.
 ///
 /// # Examples
 ///
 /// ```
 /// use mbir_archive::gis::{PointFeature, PointLayer};
 ///
-/// let mut layer = PointLayer::new("houses");
+/// let mut layer = PointLayer::default();
 /// layer.push(PointFeature::new(0.2, 0.3).with_attr("population", 4i64));
-/// assert_eq!(layer.len(), 1);
+/// assert_eq!(layer.iter().count(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PointLayer {
-    name: String,
     features: Vec<PointFeature>,
 }
 
 impl PointLayer {
-    /// Creates an empty layer.
-    pub fn new(name: impl Into<String>) -> Self {
-        PointLayer {
-            name: name.into(),
-            features: Vec::new(),
-        }
-    }
-
-    /// The layer name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Adds a feature.
     pub fn push(&mut self, feature: PointFeature) {
         self.features.push(feature);
-    }
-
-    /// Number of features.
-    pub fn len(&self) -> usize {
-        self.features.len()
-    }
-
-    /// Whether the layer has no features.
-    pub fn is_empty(&self) -> bool {
-        self.features.is_empty()
     }
 
     /// Iterator over features.
     pub fn iter(&self) -> std::slice::Iter<'_, PointFeature> {
         self.features.iter()
     }
-
-    /// Features inside a geographic extent.
-    pub fn within(&self, extent: &GeoExtent) -> Vec<&PointFeature> {
-        self.features
-            .iter()
-            .filter(|p| extent.contains(p.x, p.y))
-            .collect()
-    }
-
-    /// Features within `radius` of `(x, y)`.
-    pub fn near(&self, x: f64, y: f64, radius: f64) -> Vec<&PointFeature> {
-        let probe = PointFeature::new(x, y);
-        self.features
-            .iter()
-            .filter(|p| p.distance(&probe) <= radius)
-            .collect()
-    }
-
-    /// The bounding extent of all features (`None` when empty).
-    pub fn extent(&self) -> Option<GeoExtent> {
-        let first = self.features.first()?;
-        let mut e = GeoExtent::new(first.x, first.y, first.x, first.y);
-        for p in &self.features[1..] {
-            e = e.union(&GeoExtent::new(p.x, p.y, p.x, p.y));
-        }
-        Some(e)
-    }
 }
 
 impl FromIterator<PointFeature> for PointLayer {
     fn from_iter<I: IntoIterator<Item = PointFeature>>(iter: I) -> Self {
         PointLayer {
-            name: String::new(),
             features: iter.into_iter().collect(),
         }
     }
@@ -226,42 +156,6 @@ mod tests {
         assert_eq!(p.attr_f64("pop"), Some(120.0));
         assert_eq!(p.attr_f64("bushy"), Some(1.0));
         assert_eq!(p.attr_f64("name"), None);
-        assert_eq!(p.attr("missing"), None);
-        assert_eq!(p.attrs().count(), 3);
-    }
-
-    #[test]
-    fn spatial_queries() {
-        let mut layer = PointLayer::new("test");
-        layer.push(PointFeature::new(0.0, 0.0));
-        layer.push(PointFeature::new(5.0, 5.0));
-        layer.push(PointFeature::new(10.0, 0.0));
-        let inside = layer.within(&GeoExtent::new(-1.0, -1.0, 6.0, 6.0));
-        assert_eq!(inside.len(), 2);
-        let near = layer.near(0.0, 0.0, 7.2);
-        assert_eq!(near.len(), 2);
-        let near = layer.near(0.0, 0.0, 0.5);
-        assert_eq!(near.len(), 1);
-    }
-
-    #[test]
-    fn extent_covers_all() {
-        let layer: PointLayer = vec![
-            PointFeature::new(2.0, 3.0),
-            PointFeature::new(-1.0, 7.0),
-            PointFeature::new(4.0, 0.0),
-        ]
-        .into_iter()
-        .collect();
-        let e = layer.extent().unwrap();
-        assert_eq!(e, GeoExtent::new(-1.0, 0.0, 4.0, 7.0));
-        assert!(PointLayer::new("empty").extent().is_none());
-    }
-
-    #[test]
-    fn distance_is_euclidean() {
-        let a = PointFeature::new(0.0, 0.0);
-        let b = PointFeature::new(3.0, 4.0);
-        assert!((a.distance(&b) - 5.0).abs() < 1e-12);
+        assert_eq!(p.attr_f64("missing"), None);
     }
 }

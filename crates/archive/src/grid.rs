@@ -18,7 +18,7 @@ use std::fmt;
 ///
 /// let mut g = Grid2::filled(4, 4, 0.0f64);
 /// g.set(1, 2, 7.5).unwrap();
-/// assert_eq!(*g.get(1, 2).unwrap(), 7.5);
+/// assert_eq!(*g.at(1, 2), 7.5);
 /// assert_eq!(g.len(), 16);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -74,11 +74,6 @@ impl<T> Grid2<T> {
         self.data.is_empty()
     }
 
-    /// The geographic extent this grid covers.
-    pub fn extent(&self) -> &GeoExtent {
-        &self.extent
-    }
-
     /// Sets the geographic extent (builder style).
     pub fn with_extent(mut self, extent: GeoExtent) -> Self {
         self.extent = extent;
@@ -88,18 +83,6 @@ impl<T> Grid2<T> {
     /// Borrow of the underlying row-major buffer.
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Value at `(row, col)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchiveError::OutOfBounds`] when outside the grid.
-    pub fn get(&self, row: usize, col: usize) -> Result<&T, ArchiveError> {
-        if row >= self.rows || col >= self.cols {
-            return Err(self.oob(row, col));
-        }
-        Ok(&self.data[row * self.cols + col])
     }
 
     /// Value at `(row, col)` without bounds checking against the error type;
@@ -316,10 +299,11 @@ mod tests {
     fn get_set_roundtrip() {
         let mut g = Grid2::filled(3, 4, 0i32);
         g.set(2, 3, 42).unwrap();
-        assert_eq!(*g.get(2, 3).unwrap(), 42);
-        assert!(g.get(3, 0).is_err());
-        assert!(g.get(0, 4).is_err());
+        assert_eq!(*g.at(2, 3), 42);
+        assert!(g.set(3, 0, 1).is_err());
+        assert!(g.set(0, 4, 1).is_err());
         assert!(g.set(9, 9, 1).is_err());
+        assert_eq!(g.as_slice().iter().sum::<i32>(), 42);
     }
 
     #[test]
@@ -374,8 +358,8 @@ mod tests {
         let m = g.map(|v| (v * 2.0) as i64);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
-        assert_eq!(m.extent(), &e);
-        assert_eq!(m.as_slice(), &[3, 3, 3, 3, 3, 3]);
+        assert_eq!(m, Grid2::filled(2, 3, 3i64).with_extent(e));
+        assert_ne!(m, Grid2::filled(2, 3, 3i64));
     }
 
     #[test]

@@ -44,17 +44,6 @@ impl Lithology {
             Lithology::Coal => (130.0, 15.0),
         }
     }
-
-    /// Small integer code (stable across versions, used by feature planes).
-    pub fn code(&self) -> u8 {
-        match self {
-            Lithology::Shale => 0,
-            Lithology::Sandstone => 1,
-            Lithology::Siltstone => 2,
-            Lithology::Limestone => 3,
-            Lithology::Coal => 4,
-        }
-    }
 }
 
 impl fmt::Display for Lithology {
@@ -212,13 +201,5 @@ mod tests {
         let (sand, _) = Lithology::Sandstone.gamma_profile();
         let (silt, _) = Lithology::Siltstone.gamma_profile();
         assert!(shale > silt && silt > sand);
-    }
-
-    #[test]
-    fn codes_are_unique() {
-        let mut codes: Vec<u8> = Lithology::ALL.iter().map(|l| l.code()).collect();
-        codes.sort_unstable();
-        codes.dedup();
-        assert_eq!(codes.len(), Lithology::ALL.len());
     }
 }

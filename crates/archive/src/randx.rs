@@ -63,20 +63,6 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
     count
 }
 
-/// Draws a Bernoulli(`p`) sample: `true` with probability `p`.
-///
-/// Used by probabilistic fault profiles so injected failures share the
-/// same generator family as the synthetic data.
-///
-/// # Panics
-///
-/// Panics if `p` is not in `[0, 1]`.
-pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
-    assert!((0.0..=1.0).contains(&p), "p must be in [0, 1], got {p}");
-    let u: f64 = rng.random();
-    u < p
-}
-
 /// Draws an exponential sample with the given rate (mean `1/rate`).
 ///
 /// # Panics
@@ -144,24 +130,6 @@ mod tests {
         let total: f64 = (0..n).map(|_| exponential(&mut rng, 0.5)).sum();
         let mean = total / n as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn bernoulli_frequency_tracks_p() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let n = 20_000;
-        let hits = (0..n).filter(|_| bernoulli(&mut rng, 0.3)).count();
-        let freq = hits as f64 / n as f64;
-        assert!((freq - 0.3).abs() < 0.02, "freq {freq}");
-        assert!(!bernoulli(&mut rng, 0.0));
-        assert!(bernoulli(&mut rng, 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "p must be in")]
-    fn bernoulli_rejects_bad_p() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let _ = bernoulli(&mut rng, 1.5);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! management zones) carrying attributes, rasterized into per-cell weight
 //! grids aligned with the model's risk surface.
 
-use crate::error::ArchiveError;
 use crate::extent::GeoExtent;
 use crate::grid::Grid2;
 use std::fmt;
@@ -18,23 +17,6 @@ pub struct Polygon {
 }
 
 impl Polygon {
-    /// Creates a polygon from at least three vertices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchiveError::EmptyDimension`] with fewer than 3 vertices
-    /// or non-finite coordinates.
-    pub fn new(vertices: Vec<(f64, f64)>) -> Result<Self, ArchiveError> {
-        if vertices.len() < 3
-            || vertices
-                .iter()
-                .any(|(x, y)| !x.is_finite() || !y.is_finite())
-        {
-            return Err(ArchiveError::EmptyDimension);
-        }
-        Ok(Polygon { vertices })
-    }
-
     /// An axis-aligned rectangle polygon.
     pub fn rectangle(extent: &GeoExtent) -> Self {
         Polygon {
@@ -124,21 +106,6 @@ impl RegionLayer {
         self.regions.push(region);
     }
 
-    /// Number of regions.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Whether the layer has no regions.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
-
-    /// The regions.
-    pub fn regions(&self) -> &[Region] {
-        &self.regions
-    }
-
     /// Rasterizes into a `rows x cols` weight grid over `extent`:
     /// each cell takes the weight of the *last* containing region
     /// (later-added regions overlay earlier ones), or the background.
@@ -166,13 +133,9 @@ mod tests {
     use super::*;
 
     fn triangle() -> Polygon {
-        Polygon::new(vec![(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]).unwrap()
-    }
-
-    #[test]
-    fn polygon_validation() {
-        assert!(Polygon::new(vec![(0.0, 0.0), (1.0, 1.0)]).is_err());
-        assert!(Polygon::new(vec![(0.0, 0.0), (1.0, 1.0), (f64::NAN, 0.0)]).is_err());
+        Polygon {
+            vertices: vec![(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)],
+        }
     }
 
     #[test]
@@ -187,17 +150,18 @@ mod tests {
     #[test]
     fn point_in_concave_polygon() {
         // A "U" shape: the notch must be outside.
-        let u = Polygon::new(vec![
-            (0.0, 0.0),
-            (6.0, 0.0),
-            (6.0, 6.0),
-            (4.0, 6.0),
-            (4.0, 2.0),
-            (2.0, 2.0),
-            (2.0, 6.0),
-            (0.0, 6.0),
-        ])
-        .unwrap();
+        let u = Polygon {
+            vertices: vec![
+                (0.0, 0.0),
+                (6.0, 0.0),
+                (6.0, 6.0),
+                (4.0, 6.0),
+                (4.0, 2.0),
+                (2.0, 2.0),
+                (2.0, 6.0),
+                (0.0, 6.0),
+            ],
+        };
         assert!(u.contains(1.0, 3.0), "left arm");
         assert!(u.contains(5.0, 3.0), "right arm");
         assert!(u.contains(3.0, 1.0), "base");

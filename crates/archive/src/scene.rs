@@ -1,7 +1,6 @@
 //! Multi-band raster scenes (the Landsat Thematic Mapper stand-in).
 
 use crate::error::ArchiveError;
-use crate::extent::GeoExtent;
 use crate::grid::Grid2;
 use crate::synth::{mix_fields, GaussianField};
 use std::collections::BTreeMap;
@@ -31,9 +30,7 @@ impl fmt::Display for BandId {
 
 /// A co-registered multi-band raster scene.
 ///
-/// All bands share one shape and extent. Pixel values are stored as `f64`
-/// radiance; quantized 8-bit views can be derived with
-/// [`Scene::quantized`].
+/// All bands share one shape. Pixel values are stored as `f64` radiance.
 ///
 /// # Examples
 ///
@@ -47,12 +44,11 @@ impl fmt::Display for BandId {
 pub struct Scene {
     rows: usize,
     cols: usize,
-    extent: GeoExtent,
     bands: BTreeMap<BandId, Grid2<f64>>,
 }
 
 impl Scene {
-    /// Creates an empty scene of the given shape over the unit extent.
+    /// Creates an empty scene of the given shape.
     ///
     /// # Panics
     ///
@@ -62,15 +58,8 @@ impl Scene {
         Scene {
             rows,
             cols,
-            extent: GeoExtent::unit(),
             bands: BTreeMap::new(),
         }
-    }
-
-    /// Sets the geographic extent (builder style).
-    pub fn with_extent(mut self, extent: GeoExtent) -> Self {
-        self.extent = extent;
-        self
     }
 
     /// Number of rows.
@@ -81,11 +70,6 @@ impl Scene {
     /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// The geographic extent.
-    pub fn extent(&self) -> &GeoExtent {
-        &self.extent
     }
 
     /// Band ids present, in ascending order.
@@ -109,7 +93,7 @@ impl Scene {
                 self.cols
             )));
         }
-        self.bands.insert(id, grid.with_extent(self.extent));
+        self.bands.insert(id, grid);
         Ok(())
     }
 
@@ -122,43 +106,6 @@ impl Scene {
         self.bands
             .get(&id)
             .ok_or_else(|| ArchiveError::UnknownDataset(id.to_string()))
-    }
-
-    /// Pixel value of one band.
-    ///
-    /// # Errors
-    ///
-    /// Propagates band lookup and bounds errors.
-    pub fn value(&self, id: BandId, row: usize, col: usize) -> Result<f64, ArchiveError> {
-        Ok(*self.band(id)?.get(row, col)?)
-    }
-
-    /// The per-pixel vector of all band values (ascending band order).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-bounds coordinates.
-    pub fn pixel(&self, row: usize, col: usize) -> Result<Vec<f64>, ArchiveError> {
-        if row >= self.rows || col >= self.cols {
-            return Err(ArchiveError::OutOfBounds {
-                row,
-                col,
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        Ok(self.bands.values().map(|g| *g.at(row, col)).collect())
-    }
-
-    /// An 8-bit quantized copy of a band, scaled over its own min/max — the
-    /// fidelity actually offered by archived TM products.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchiveError::UnknownDataset`] for an absent band.
-    pub fn quantized(&self, id: BandId) -> Result<Grid2<u8>, ArchiveError> {
-        let band = self.band(id)?;
-        Ok(band.normalized(0.0, 255.0).map(|&v| v.round() as u8))
     }
 }
 
@@ -252,41 +199,12 @@ mod tests {
     }
 
     #[test]
-    fn pixel_vector_uses_ascending_band_order() {
-        let mut scene = Scene::new(2, 2);
-        scene
-            .add_band(BandId::TM7, Grid2::filled(2, 2, 7.0))
-            .unwrap();
-        scene
-            .add_band(BandId::TM4, Grid2::filled(2, 2, 4.0))
-            .unwrap();
-        scene
-            .add_band(BandId::TM5, Grid2::filled(2, 2, 5.0))
-            .unwrap();
-        assert_eq!(scene.pixel(0, 0).unwrap(), vec![4.0, 5.0, 7.0]);
-        assert!(scene.pixel(2, 0).is_err());
-    }
-
-    #[test]
     fn unknown_band_is_an_error() {
         let scene = Scene::new(2, 2);
         assert!(matches!(
             scene.band(BandId::TM4),
             Err(ArchiveError::UnknownDataset(_))
         ));
-    }
-
-    #[test]
-    fn quantized_spans_full_byte_range() {
-        let mut scene = Scene::new(1, 3);
-        scene
-            .add_band(
-                BandId::TM4,
-                Grid2::from_vec(1, 3, vec![0.0, 0.5, 1.0]).unwrap(),
-            )
-            .unwrap();
-        let q = scene.quantized(BandId::TM4).unwrap();
-        assert_eq!(q.as_slice(), &[0u8, 128, 255]);
     }
 
     #[test]

@@ -367,11 +367,6 @@ impl EpochedShardPlan {
         }
     }
 
-    /// Wraps a plan at an explicit epoch.
-    pub fn at_epoch(plan: ShardPlan, epoch: TopologyEpoch) -> Self {
-        EpochedShardPlan { plan, epoch }
-    }
-
     /// Stamps `plan` as this plan's successor topology (epoch + 1).
     ///
     /// # Errors

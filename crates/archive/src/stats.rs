@@ -201,17 +201,6 @@ impl AccessStats {
         self.inner.appended_pages_seen.load(Ordering::Relaxed)
     }
 
-    /// Fraction of cached lookups served from the cache, or `None` when no
-    /// cached lookups happened at all.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let hits = self.cache_hits();
-        let total = hits + self.cache_misses();
-        if total == 0 {
-            return None;
-        }
-        Some(hits as f64 / total as f64)
-    }
-
     /// Resets all counters to zero.
     pub fn reset(&self) {
         self.inner.tuples.store(0, Ordering::Relaxed);
@@ -306,18 +295,16 @@ mod tests {
     #[test]
     fn cache_counters_and_hit_rate() {
         let s = AccessStats::new();
-        assert_eq!(s.cache_hit_rate(), None);
         s.record_cache_misses(1);
         s.record_cache_hits(3);
         s.record_cache_dedup_waits(2);
         assert_eq!(s.cache_hits(), 3);
         assert_eq!(s.cache_misses(), 1);
         assert_eq!(s.cache_dedup_waits(), 2);
-        assert_eq!(s.cache_hit_rate(), Some(0.75));
         s.reset();
         assert_eq!(s.cache_hits(), 0);
+        assert_eq!(s.cache_misses(), 0);
         assert_eq!(s.cache_dedup_waits(), 0);
-        assert_eq!(s.cache_hit_rate(), None);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Large archives are read in pages; the paper's speedups hinge on touching
 //! fewer of them. `TileStore` partitions a [`Grid2`] into square tiles,
 //! counts every tile materialization through a shared [`AccessStats`], and
-//! can be configured with a [`FaultProfile`] (permanent, transient, or
-//! probabilistic page faults plus injected latency) and a
+//! can be configured with a [`FaultProfile`] (permanent, transient or
+//! corrupt pages plus injected latency) and a
 //! [`ResilienceConfig`] (tick-based retry with exponential backoff, and a
 //! per-page circuit breaker) to exercise degraded-archive behavior.
 //!
@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex};
 /// let grid = Grid2::from_fn(4, 4, |r, c| (r * 4 + c) as f64);
 /// let store = TileStore::new(grid, 2)
 ///     .unwrap()
-///     .with_faults(FaultProfile::new(0).transient(0, 2))
+///     .with_faults(FaultProfile::new().transient(0, 2))
 ///     .with_resilience(ResilienceConfig::new(RetryPolicy::retries(3), None));
 /// // Two failing attempts, then the page heals within the retry budget.
 /// assert_eq!(store.read(0, 0).unwrap(), 0.0);
@@ -73,7 +73,7 @@ pub struct TileStore {
 
 impl Clone for TileStore {
     /// Clones the store, snapshotting the current fault state (transient
-    /// counters, breaker state, probabilistic RNG position). The stats
+    /// counters, breaker state). The stats
     /// handle is shared, as for any [`AccessStats`] clone.
     fn clone(&self) -> Self {
         let runtime = self.fault.lock().expect("fault state lock").clone();
@@ -110,7 +110,7 @@ impl TileStore {
             tiles_per_row,
             stats: AccessStats::new(),
             fault: Mutex::new(FaultRuntime::new(
-                FaultProfile::healthy(),
+                FaultProfile::new(),
                 ResilienceConfig::none(),
             )),
         })
@@ -606,7 +606,7 @@ mod tests {
     #[test]
     fn transient_fault_heals_within_retry_budget() {
         let s = store_4x4()
-            .with_faults(FaultProfile::new(0).transient(1, 2))
+            .with_faults(FaultProfile::new().transient(1, 2))
             .with_resilience(ResilienceConfig::new(RetryPolicy::retries(2), None));
         assert_eq!(s.read(0, 2).unwrap(), 2.0);
         assert_eq!(s.stats().failures(), 2);
@@ -622,7 +622,7 @@ mod tests {
     #[test]
     fn transient_fault_outlasting_retries_is_an_error() {
         let s = store_4x4()
-            .with_faults(FaultProfile::new(0).transient(1, 5))
+            .with_faults(FaultProfile::new().transient(1, 5))
             .with_resilience(ResilienceConfig::new(RetryPolicy::retries(2), None));
         assert_eq!(s.read(0, 2), Err(ArchiveError::PageIo { page: 1 }));
         assert_eq!(s.stats().failures(), 3, "initial attempt plus 2 retries");
@@ -634,7 +634,7 @@ mod tests {
     #[test]
     fn quarantine_kicks_in_and_fails_fast() {
         let s = store_4x4()
-            .with_faults(FaultProfile::new(0).permanent(0))
+            .with_faults(FaultProfile::new().permanent(0))
             .with_resilience(ResilienceConfig::new(RetryPolicy::none(), Some(3)));
         assert_eq!(s.read(0, 0), Err(ArchiveError::PageIo { page: 0 }));
         assert_eq!(s.read(0, 0), Err(ArchiveError::PageIo { page: 0 }));
@@ -657,7 +657,7 @@ mod tests {
     #[test]
     fn retries_count_toward_quarantine() {
         let s = store_4x4()
-            .with_faults(FaultProfile::new(0).permanent(3))
+            .with_faults(FaultProfile::new().permanent(3))
             .with_resilience(ResilienceConfig::new(RetryPolicy::retries(5), Some(4)));
         // One read's retries alone trip the breaker (4 consecutive failed
         // attempts < 1 + 5 allowed attempts).
@@ -669,7 +669,7 @@ mod tests {
 
     #[test]
     fn injected_latency_accrues_ticks_on_success() {
-        let s = store_4x4().with_faults(FaultProfile::new(0).latency(0, 9));
+        let s = store_4x4().with_faults(FaultProfile::new().latency(0, 9));
         assert_eq!(s.read(0, 0).unwrap(), 0.0);
         assert_eq!(s.stats().ticks_elapsed(), 10, "1 base + 9 injected");
         assert_eq!(s.read(2, 2).unwrap(), 10.0);
@@ -677,19 +677,9 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_store_is_deterministic_per_seed() {
-        let trace = |seed: u64| {
-            let s = store_4x4().with_faults(FaultProfile::new(seed).probabilistic(0, 0.5));
-            (0..32).map(|_| s.read(0, 0).is_ok()).collect::<Vec<bool>>()
-        };
-        assert_eq!(trace(5), trace(5));
-        assert_ne!(trace(5), trace(6));
-    }
-
-    #[test]
     fn clone_snapshots_fault_state() {
         let s = store_4x4()
-            .with_faults(FaultProfile::new(0).transient(1, 2))
+            .with_faults(FaultProfile::new().transient(1, 2))
             .with_resilience(ResilienceConfig::new(RetryPolicy::none(), None));
         assert!(s.read(0, 2).is_err());
         let t = s.clone();
@@ -703,7 +693,7 @@ mod tests {
     #[test]
     fn trusting_reads_deliver_corrupted_bits_silently() {
         use crate::integrity::corrupt_value;
-        let s = store_4x4().with_faults(FaultProfile::new(0).corrupt(0));
+        let s = store_4x4().with_faults(FaultProfile::new().corrupt(0));
         // Both cell and page reads succeed with flipped values, no errors,
         // no failure accounting — the legacy reader cannot tell.
         assert_eq!(s.read(0, 0).unwrap(), corrupt_value(0.0));
@@ -717,7 +707,7 @@ mod tests {
 
     #[test]
     fn envelope_seal_matches_payload_health() {
-        let s = store_4x4().with_faults(FaultProfile::new(0).corrupt(3));
+        let s = store_4x4().with_faults(FaultProfile::new().corrupt(3));
         assert!(s.read_page_envelope(0).unwrap().verify());
         let env = s.read_page_envelope(3).unwrap();
         assert!(!env.verify(), "corrupted page must fail verification");
@@ -726,7 +716,7 @@ mod tests {
     #[test]
     fn verified_read_detects_corruption_and_feeds_breaker() {
         let s = store_4x4()
-            .with_faults(FaultProfile::new(0).corrupt(3))
+            .with_faults(FaultProfile::new().corrupt(3))
             .with_resilience(ResilienceConfig::new(RetryPolicy::retries(1), Some(3)));
         // Attempt + 1 retry both corrupt: detected, not yet quarantined.
         assert_eq!(
@@ -755,7 +745,7 @@ mod tests {
     #[test]
     fn clear_quarantine_refetches_and_reverifies() {
         let s = store_4x4()
-            .with_faults(FaultProfile::new(0).permanent(0))
+            .with_faults(FaultProfile::new().permanent(0))
             .with_resilience(ResilienceConfig::new(RetryPolicy::none(), Some(1)));
         assert!(s.read_page_verified(0).is_err());
         assert_eq!(s.quarantined_pages().collect::<Vec<_>>(), vec![0]);

@@ -166,11 +166,9 @@ mod tests {
         let series = WeatherGenerator::new(5)
             .with_temperature(20.0, 10.0, 1.0)
             .generate(0, 365);
-        let winter: f64 = (0..30).map(|i| series.get(i).unwrap().temp_c).sum::<f64>() / 30.0;
-        let summer: f64 = (170..200)
-            .map(|i| series.get(i).unwrap().temp_c)
-            .sum::<f64>()
-            / 30.0;
+        let days = series.values();
+        let winter: f64 = days[..30].iter().map(|d| d.temp_c).sum::<f64>() / 30.0;
+        let summer: f64 = days[170..200].iter().map(|d| d.temp_c).sum::<f64>() / 30.0;
         assert!(summer > winter + 10.0, "summer {summer} winter {winter}");
     }
 

@@ -1,6 +1,5 @@
 //! Well logs: depth-indexed 1-D traces with lithology labels.
 
-use crate::error::ArchiveError;
 use crate::lithology::{ColumnGenerator, Layer, Lithology};
 use crate::randx;
 use rand::rngs::StdRng;
@@ -29,40 +28,15 @@ pub struct LogSample {
 ///
 /// let log = WellLog::synthetic(42, 300.0);
 /// assert!(log.len() > 0);
-/// assert!(log.sample(0).unwrap().depth_ft >= 0.0);
+/// assert!(log.samples()[0].depth_ft >= 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WellLog {
-    name: String,
     interval_ft: f64,
     samples: Vec<LogSample>,
-    layers: Vec<Layer>,
 }
 
 impl WellLog {
-    /// Creates a log from samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchiveError::EmptyDimension`] when `samples` is empty or
-    /// `interval_ft` is not positive.
-    pub fn new(
-        name: impl Into<String>,
-        interval_ft: f64,
-        samples: Vec<LogSample>,
-        layers: Vec<Layer>,
-    ) -> Result<Self, ArchiveError> {
-        if samples.is_empty() || interval_ft <= 0.0 || interval_ft.is_nan() {
-            return Err(ArchiveError::EmptyDimension);
-        }
-        Ok(WellLog {
-            name: name.into(),
-            interval_ft,
-            samples,
-            layers,
-        })
-    }
-
     /// Synthesizes a log for a `depth_ft`-deep well at 0.5 ft sampling.
     ///
     /// # Panics
@@ -70,7 +44,6 @@ impl WellLog {
     /// Panics if `depth_ft <= 0`.
     pub fn synthetic(seed: u64, depth_ft: f64) -> Self {
         WellLog::from_column(
-            format!("well-{seed}"),
             &ColumnGenerator::new(seed).generate(depth_ft),
             depth_ft,
             seed,
@@ -85,7 +58,6 @@ impl WellLog {
     /// Panics if `depth_ft <= 0`.
     pub fn synthetic_with_riverbed(seed: u64, depth_ft: f64) -> Self {
         WellLog::from_column(
-            format!("well-{seed}-riverbed"),
             &ColumnGenerator::new(seed)
                 .with_riverbed()
                 .generate(depth_ft),
@@ -100,12 +72,7 @@ impl WellLog {
     /// # Panics
     ///
     /// Panics if `depth_ft <= 0` or the column is empty.
-    pub fn from_column(
-        name: impl Into<String>,
-        layers: &[Layer],
-        depth_ft: f64,
-        seed: u64,
-    ) -> Self {
+    pub fn from_column(layers: &[Layer], depth_ft: f64, seed: u64) -> Self {
         assert!(depth_ft > 0.0, "depth must be positive");
         assert!(!layers.is_empty(), "column must have at least one layer");
         let interval_ft = 0.5;
@@ -131,16 +98,9 @@ impl WellLog {
             });
         }
         WellLog {
-            name: name.into(),
             interval_ft,
             samples,
-            layers: layers.to_vec(),
         }
-    }
-
-    /// The well name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Sample spacing in feet.
@@ -159,29 +119,9 @@ impl WellLog {
         self.samples.is_empty()
     }
 
-    /// Sample by index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchiveError::OutOfBounds`] past the end.
-    pub fn sample(&self, i: usize) -> Result<&LogSample, ArchiveError> {
-        self.samples.get(i).ok_or(ArchiveError::OutOfBounds {
-            row: i,
-            col: 0,
-            rows: self.samples.len(),
-            cols: 1,
-        })
-    }
-
     /// Borrow of all samples (shallow to deep).
     pub fn samples(&self) -> &[LogSample] {
         &self.samples
-    }
-
-    /// The underlying stratigraphic column (shallow to deep). Empty for logs
-    /// built directly from samples.
-    pub fn layers(&self) -> &[Layer] {
-        &self.layers
     }
 
     /// Mean gamma over a depth range `[top_ft, bottom_ft)`.
@@ -236,16 +176,8 @@ mod tests {
         let log = WellLog::synthetic(1, 100.0);
         assert_eq!(log.len(), 200);
         assert_eq!(log.interval_ft(), 0.5);
-        assert_eq!(log.sample(0).unwrap().depth_ft, 0.0);
-        assert!(log.sample(200).is_err());
-    }
-
-    #[test]
-    fn new_rejects_empty() {
-        assert!(matches!(
-            WellLog::new("w", 0.5, vec![], vec![]),
-            Err(ArchiveError::EmptyDimension)
-        ));
+        assert_eq!(log.samples()[0].depth_ft, 0.0);
+        assert_eq!(log.samples()[199].depth_ft, 99.5);
     }
 
     #[test]
@@ -260,7 +192,7 @@ mod tests {
                 thickness_ft: 50.0,
             },
         ];
-        let log = WellLog::from_column("w", &layers, 100.0, 9);
+        let log = WellLog::from_column(&layers, 100.0, 9);
         let shale_gamma = log.mean_gamma(0.0, 50.0).unwrap();
         let sand_gamma = log.mean_gamma(50.0, 100.0).unwrap();
         assert!(
@@ -286,7 +218,7 @@ mod tests {
                 thickness_ft: 8.0,
             },
         ];
-        let log = WellLog::from_column("w", &layers, 24.0, 2);
+        let log = WellLog::from_column(&layers, 24.0, 2);
         let runs = log.lithology_runs();
         assert_eq!(runs.len(), 3);
         assert_eq!(runs[0].0, Lithology::Shale);
@@ -310,25 +242,19 @@ mod tests {
                 lithology: Lithology::Sandstone,
             },
         ];
-        let log = WellLog::new("manual", 0.5, samples, vec![]).unwrap();
-        assert_eq!(log.name(), "manual");
+        let log = WellLog {
+            interval_ft: 0.5,
+            samples,
+        };
         assert_eq!(log.len(), 2);
-        assert!(log.layers().is_empty());
         let runs = log.lithology_runs();
-        assert_eq!(runs.len(), 2);
-        // Invalid intervals rejected.
-        assert!(WellLog::new("bad", 0.0, vec![], vec![]).is_err());
-        assert!(WellLog::new(
-            "bad",
-            -1.0,
-            vec![LogSample {
-                depth_ft: 0.0,
-                gamma_api: 1.0,
-                lithology: Lithology::Shale
-            }],
-            vec![]
-        )
-        .is_err());
+        assert_eq!(
+            runs,
+            [
+                (Lithology::Shale, 0.0, 0.5),
+                (Lithology::Sandstone, 0.5, 0.5)
+            ]
+        );
     }
 
     #[test]

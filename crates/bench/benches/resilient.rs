@@ -56,7 +56,7 @@ fn bench_resilient(c: &mut Criterion) {
     let page_count = stores[0].page_count();
     let profile = (0..page_count)
         .step_by(7)
-        .fold(FaultProfile::new(9), |p, page| p.permanent(page));
+        .fold(FaultProfile::new(), |p, page| p.permanent(page));
     let faulty: Vec<TileStore> = stores
         .iter()
         .map(|s| {

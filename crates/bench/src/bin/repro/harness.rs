@@ -193,13 +193,13 @@ pub fn page_mix(seed: u64, x: usize, salt: u64) -> u64 {
 }
 
 /// Every one of `pages` pages fails permanently.
-pub fn dead(seed: u64, pages: usize) -> FaultProfile {
-    (0..pages).fold(FaultProfile::new(seed), |p, pg| p.permanent(pg))
+pub fn dead(pages: usize) -> FaultProfile {
+    (0..pages).fold(FaultProfile::new(), |p, pg| p.permanent(pg))
 }
 
 /// Every one of `pages` pages answers `ticks` late.
-pub fn slow(seed: u64, pages: usize, ticks: u64) -> FaultProfile {
-    (0..pages).fold(FaultProfile::new(seed), |p, pg| p.latency(pg, ticks))
+pub fn slow(pages: usize, ticks: u64) -> FaultProfile {
+    (0..pages).fold(FaultProfile::new(), |p, pg| p.latency(pg, ticks))
 }
 
 /// Fresh copies of `stores`, each under `faults` when given.

@@ -25,7 +25,7 @@ pub fn run() {
     };
     // Measure the healthy run first so the fault scenarios are calibrated
     // to pages the query actually needs, not arbitrary page numbers.
-    let healthy = with_profile(FaultProfile::new(1), ResilienceConfig::none());
+    let healthy = with_profile(FaultProfile::new(), ResilienceConfig::none());
     let healthy_src = TileSource::new(&healthy).expect("aligned");
     resilient_top_k(
         model.model(),
@@ -52,7 +52,7 @@ pub fn run() {
         (
             "transient flakes (heal after 1), 2 retries".to_owned(),
             with_profile(
-                (0..page_count).fold(FaultProfile::new(2), |p, pg| p.transient(pg, 1)),
+                (0..page_count).fold(FaultProfile::new(), |p, pg| p.transient(pg, 1)),
                 retry2,
             ),
             ExecutionBudget::unlimited(),
@@ -62,7 +62,7 @@ pub fn run() {
             with_profile(
                 hot_pages
                     .iter()
-                    .fold(FaultProfile::new(3), |p, pg| p.permanent(*pg)),
+                    .fold(FaultProfile::new(), |p, pg| p.permanent(*pg)),
                 retry2,
             ),
             ExecutionBudget::unlimited(),
@@ -72,12 +72,12 @@ pub fn run() {
                 "healthy, page budget {} of {pages_needed}",
                 pages_needed / 2
             ),
-            with_profile(FaultProfile::new(4), ResilienceConfig::none()),
+            with_profile(FaultProfile::new(), ResilienceConfig::none()),
             ExecutionBudget::unlimited().with_max_page_reads(pages_needed / 2),
         ),
         (
             "slow pages (20 ticks), half-time deadline".to_owned(),
-            with_profile(slow(5, page_count, 20), ResilienceConfig::none()),
+            with_profile(slow(page_count, 20), ResilienceConfig::none()),
             // Healthy cost is 1 tick/access; with latency it is 21.
             ExecutionBudget::unlimited().with_deadline_ticks(pages_needed * 21 / 2),
         ),

@@ -141,15 +141,15 @@ pub fn run(args: &Args) {
 
     // The composed cocktail, keyed off the seed so `--seed` reshuffles
     // which pages are hit.
-    let kill_all = dead(seed, page_count);
-    let corrupt_some = (0..page_count).fold(FaultProfile::new(seed + 1), |p, pg| {
+    let kill_all = dead(page_count);
+    let corrupt_some = (0..page_count).fold(FaultProfile::new(), |p, pg| {
         match page_mix(seed, pg, 1) % 4 {
             0 => p.corrupt(pg),
             1 => p.latency(pg, 3),
             _ => p,
         }
     });
-    let flaky_all = (0..page_count).fold(FaultProfile::new(seed + 2), |p, pg| {
+    let flaky_all = (0..page_count).fold(FaultProfile::new(), |p, pg| {
         let p = p.transient(pg, 1);
         if page_mix(seed, pg, 2).is_multiple_of(4) {
             p.latency(pg, 2)
@@ -179,11 +179,11 @@ pub fn run(args: &Args) {
     // dead on *every* replica; the engine must degrade with sound bounds.
     let winner = strict.results[0].cell;
     let winner_page = groups[0].0[0].page_of(winner.row, winner.col);
-    let p0 = (0..page_count).fold(FaultProfile::new(seed + 3), |p, pg| p.transient(pg, 1));
+    let p0 = (0..page_count).fold(FaultProfile::new(), |p, pg| p.transient(pg, 1));
     let unmasked_groups = fresh(&[
         Some(&p0.corrupt(winner_page)),
-        Some(&FaultProfile::new(seed + 4).permanent(winner_page)),
-        Some(&FaultProfile::new(seed + 5).corrupt(winner_page)),
+        Some(&FaultProfile::new().permanent(winner_page)),
+        Some(&FaultProfile::new().corrupt(winner_page)),
     ]);
     let unmasked_src = source_of(&unmasked_groups, page_count, true);
     let unmasked = resilient_top_k(model.model(), &pyramids, k, &unmasked_src, &budget)

@@ -47,7 +47,7 @@ pub fn run(args: &Args) {
     // Replica 0 drags every page (latency 3 -> 4 ticks per load), replica
     // 1 is fast (1 tick). With a 2-tick hedge delay every cold primary
     // load hedges and the backup's 3-tick finish beats the primary's 4.
-    let drag = slow(seed, page_count, 3);
+    let drag = slow(page_count, 3);
     let dragged_groups = || -> Vec<Vec<TileStore>> {
         groups
             .iter()

@@ -129,7 +129,7 @@ pub fn run(args: &Args) {
     killed.sort_unstable();
     let page_count = worlds[0].groups[0].0[0].page_count();
     let kill_profile =
-        |s: usize| -> Option<FaultProfile> { killed.contains(&s).then(|| dead(seed, page_count)) };
+        |s: usize| -> Option<FaultProfile> { killed.contains(&s).then(|| dead(page_count)) };
     let mut chaos_table: Vec<ShardReport> = Vec::new();
     let mut chaos_completeness = 1.0f64;
     let mut quorum_tally = (0usize, 0usize);
@@ -255,7 +255,7 @@ pub fn run(args: &Args) {
     let mut straggler_hedged = false;
     let mut straggler_won = false;
     let slow_profile = |s: usize| -> Option<FaultProfile> {
-        (s == winner_shard).then(|| slow(seed, page_count, 10_000))
+        (s == winner_shard).then(|| slow(page_count, 10_000))
     };
     with_sharded_archive(&worlds, &slow_profile, &mut |archive| {
         // Single-threaded for a reproducible pages-read figure; the soft

@@ -90,10 +90,7 @@ pub fn run(args: &Args) {
     // --- Copying-state chaos: transient + latency faults heal through
     // coordinator retries; a corrupt page is caught by the checksum,
     // quarantines the band, and a clean-replica recopy completes it.
-    let copy_faults = FaultProfile::new(seed)
-        .transient(0, 2)
-        .latency(1, 5)
-        .corrupt(2);
+    let copy_faults = FaultProfile::new().transient(0, 2).latency(1, 5).corrupt(2);
     let chaos_copy: Vec<Vec<TileStore>> = source_stores
         .iter()
         .enumerate()
@@ -187,7 +184,7 @@ pub fn run(args: &Args) {
     // DualRead chaos: kill the migrating source shard. Its rows are
     // covered wholesale by the destination copies — zero wrong answers,
     // and the winner (who lives in the killed band) stays in bounds.
-    let kill_all = dead(seed, page_count);
+    let kill_all = dead(page_count);
     let killed_stores: Vec<Vec<TileStore>> = source_stores
         .iter()
         .enumerate()
@@ -242,7 +239,7 @@ pub fn run(args: &Args) {
     // serving epoch stamped.
     let killed_dest_stores: Vec<Vec<TileStore>> = migrated
         .iter()
-        .map(|b| faulted(b.stores(), Some(&dead(seed, b.stores()[0].page_count()))))
+        .map(|b| faulted(b.stores(), Some(&dead(b.stores()[0].page_count()))))
         .collect();
     let killed_dest_sources = tile_sources(killed_dest_stores.iter().map(Vec::as_slice));
     let killed_dest_handles = shards(migrated_layout(), &killed_dest_sources);
@@ -376,7 +373,7 @@ pub fn run(args: &Args) {
             .iter()
             .enumerate()
             .map(|(b, &(_, stores))| {
-                let dead_band = (b == kill).then(|| dead(seed, stores[0].page_count()));
+                let dead_band = (b == kill).then(|| dead(stores[0].page_count()));
                 faulted(stores, dead_band.as_ref())
             })
             .collect();
@@ -442,13 +439,13 @@ pub fn run(args: &Args) {
     let scrub_stores: Vec<Vec<TileStore>> = retiring
         .iter()
         .map(|&s| {
-            let stores: Vec<TileStore> = faulted(
-                source_stores[s],
-                Some(&FaultProfile::new(seed).permanent(0)),
-            )
-            .into_iter()
-            .map(|st| st.with_resilience(ResilienceConfig::new(RetryPolicy::none(), Some(1))))
-            .collect();
+            let stores: Vec<TileStore> =
+                faulted(source_stores[s], Some(&FaultProfile::new().permanent(0)))
+                    .into_iter()
+                    .map(|st| {
+                        st.with_resilience(ResilienceConfig::new(RetryPolicy::none(), Some(1)))
+                    })
+                    .collect();
             // Trip the quarantine: one failing read per store.
             for st in &stores {
                 let _ = st.read_page(0);
@@ -489,7 +486,7 @@ pub fn run(args: &Args) {
         ReshardPolicy::default().with_wall_deadline_ticks(10),
     )
     .expect("same shape and tile");
-    let drag = slow(seed, page_count, 500);
+    let drag = slow(page_count, 500);
     let slow_copy: Vec<Vec<TileStore>> = source_stores
         .iter()
         .enumerate()

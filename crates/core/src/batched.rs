@@ -1222,7 +1222,7 @@ mod tests {
         let page = stores[0].page_of(winner.row, winner.col);
         let stores: Vec<TileStore> = stores
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(page)))
+            .map(|s| s.with_faults(FaultProfile::new().permanent(page)))
             .collect();
         let budget = ExecutionBudget::unlimited();
         let src = fresh_sources(&stores);
@@ -1244,7 +1244,7 @@ mod tests {
         let page = stores[0].page_of(winner.row, winner.col);
         let stores: Vec<TileStore> = stores
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).corrupt(page)))
+            .map(|s| s.with_faults(FaultProfile::new().corrupt(page)))
             .collect();
         let budget = ExecutionBudget::unlimited();
         let src = CachedTileSource::new(&stores, 16).unwrap();

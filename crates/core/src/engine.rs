@@ -21,7 +21,6 @@ use crate::batched::{batched_top_k_inner, with_pooled_scratch};
 use crate::descent::{children_upper, region_upper, ChildRows, Scorer};
 use crate::error::CoreError;
 use crate::parallel::{par_staged_top_k, WorkerPool};
-use crate::query::{Objective, TopKQuery};
 use crate::resilient::{resilient_top_k, ExecutionBudget};
 use crate::source::{CellSource, PyramidSource};
 use mbir_archive::extent::CellCoord;
@@ -203,7 +202,7 @@ pub(crate) fn pack_coords((level, row, col): (usize, usize, usize)) -> u64 {
 ///
 /// Reached through [`validate_grid_inputs`] by every grid entry point
 /// before its first region exists: `batched_top_k` (and through it
-/// `resilient_top_k`, `pyramid_top_k`, `grid_query` and `combined_top_k`),
+/// `resilient_top_k`, `pyramid_top_k` and `combined_top_k`),
 /// `naive_grid_top_k`, the two `par_*` grid engines, and the
 /// `scatter_gather_*` engines once per shard.
 fn check_grid_fits_key(rows: usize, cols: usize, levels: usize) -> Result<(), CoreError> {
@@ -456,35 +455,6 @@ pub fn naive_grid_top_k(
         })
         .collect();
     Ok(GridTopK { results, effort })
-}
-
-/// Query-directed grid retrieval: dispatches on the [`TopKQuery`]'s
-/// objective by negating the model for minimization (scores reported are
-/// the *original* model values, ascending for a minimizing query).
-///
-/// # Errors
-///
-/// Same as [`pyramid_top_k`].
-pub fn grid_query(
-    model: &LinearModel,
-    pyramids: &[AggregatePyramid],
-    query: TopKQuery,
-) -> Result<GridTopK, CoreError> {
-    match query.objective() {
-        Objective::Maximize => pyramid_top_k(model, pyramids, query.k()),
-        Objective::Minimize => {
-            let negated = LinearModel::new(
-                model.coefficients().iter().map(|a| -a).collect(),
-                -model.intercept(),
-            )
-            .map_err(CoreError::Model)?;
-            let mut result = pyramid_top_k(&negated, pyramids, query.k())?;
-            for sc in &mut result.results {
-                sc.score = -sc.score;
-            }
-            Ok(result)
-        }
-    }
 }
 
 /// The grid engines' shared input check: `k >= 1`, one pyramid per model
@@ -899,37 +869,6 @@ pub(crate) mod tests {
         let mut tuples: Vec<Vec<f64>> = (0..20).map(|i| vec![(i % 10) as f64, 1.0, 2.0]).collect();
         tuples[3][0] = f64::NAN;
         (prog, tuples)
-    }
-
-    #[test]
-    fn grid_query_minimize_mirrors_maximize() {
-        use crate::query::{Objective, TopKQuery};
-        let (model, pyramids) = build_inputs(13, 16, 16, 3);
-        let min_query = TopKQuery::new(5, Objective::Minimize).unwrap();
-        let minimized = grid_query(&model, &pyramids, min_query).unwrap();
-        // Reference: naive scan, ascending.
-        let naive = naive_grid_top_k(
-            &LinearModel::new(
-                model.coefficients().iter().map(|a| -a).collect(),
-                -model.intercept(),
-            )
-            .unwrap(),
-            &pyramids,
-            5,
-        )
-        .unwrap();
-        for (got, want) in minimized.results.iter().zip(&naive.results) {
-            assert!((got.score + want.score).abs() < 1e-9);
-        }
-        // Scores ascend for a minimizing query.
-        for pair in minimized.results.windows(2) {
-            assert!(pair[0].score <= pair[1].score + 1e-12);
-        }
-        // Maximize path delegates to pyramid_top_k.
-        let max_query = TopKQuery::max(5).unwrap();
-        let maximized = grid_query(&model, &pyramids, max_query).unwrap();
-        let direct = pyramid_top_k(&model, &pyramids, 5).unwrap();
-        assert_eq!(maximized.results, direct.results);
     }
 
     #[test]

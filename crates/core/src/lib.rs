@@ -102,7 +102,6 @@ pub mod lifecycle;
 pub mod metrics;
 pub mod parallel;
 pub mod plan;
-pub mod query;
 pub mod replica;
 pub mod reshard;
 pub mod resilient;
@@ -114,7 +113,7 @@ pub mod workflow;
 
 pub use batched::{batched_top_k, BatchedTopK};
 pub use continuous::{ContinuousDetector, ContinuousQueryDriver};
-pub use engine::{combined_top_k, grid_query, pyramid_top_k, staged_top_k, EffortReport};
+pub use engine::{combined_top_k, pyramid_top_k, staged_top_k, EffortReport};
 pub use error::CoreError;
 pub use lifecycle::{
     AdmissionController, AdmissionPolicy, CancelToken, ClassCounters, LifecycleState, Overloaded,
@@ -129,7 +128,6 @@ pub use parallel::{
     par_batched_top_k, par_resilient_top_k, par_staged_top_k, SharedBound, WorkerPool,
 };
 pub use plan::{execute_planned, plan_grid_query, EngineChoice, PlannerConfig, QueryPlan};
-pub use query::{Objective, TopKQuery};
 pub use replica::{BreakerState, ReplicaConfig, ReplicaHealth, ReplicatedSource};
 pub use reshard::{
     AbortReason, BandCopyReport, CopyOutcome, MigratedBand, MigrationState, ReshardCoordinator,

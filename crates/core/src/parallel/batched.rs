@@ -174,7 +174,7 @@ mod tests {
         let page = stores[0].page_of(winner.row, winner.col);
         let stores: Vec<TileStore> = stores
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(page)))
+            .map(|s| s.with_faults(FaultProfile::new().permanent(page)))
             .collect();
         let seq_src = TileSource::new(&stores).unwrap();
         let sequential = batched_top_k(&models, &pyramids, 4, &seq_src, &budget).unwrap();

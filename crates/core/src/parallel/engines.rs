@@ -499,7 +499,7 @@ mod tests {
         let page = stores[0].page_of(winner.row, winner.col);
         let stores: Vec<TileStore> = stores
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(page)))
+            .map(|s| s.with_faults(FaultProfile::new().permanent(page)))
             .collect();
         let src = TileSource::new(&stores).unwrap();
         let sequential =
@@ -701,7 +701,7 @@ mod tests {
         let page = stores[0].page_of(winner.row, winner.col);
         let stores: Vec<TileStore> = stores
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).corrupt(page)))
+            .map(|s| s.with_faults(FaultProfile::new().corrupt(page)))
             .collect();
         let src = CachedTileSource::new(&stores, 16).unwrap();
         let sequential =

@@ -247,11 +247,6 @@ impl<'a> ReplicatedSource<'a> {
         })
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> ReplicaConfig {
-        self.config
-    }
-
     /// Current health snapshot of every replica, in failover order.
     pub fn replica_health(&self) -> Vec<ReplicaHealth> {
         self.health
@@ -315,39 +310,6 @@ impl<'a> ReplicatedSource<'a> {
     /// their state — see [`reset_breakers`](Self::reset_breakers).
     pub fn clear_quarantine(&self) {
         clear_quarantine_of(self.replicas.iter().copied().flatten());
-    }
-
-    /// Publishes a snapshot-epoch advance to the replica cache: cached
-    /// pages at or past `first_dirty_page` are dropped and in-flight
-    /// loads are demoted to serve-without-caching, exactly like
-    /// [`CachedTileSource::advance_epoch`](crate::source::CachedTileSource::advance_epoch).
-    /// Returns the number of resident pages dropped; the count is also
-    /// recorded on the preferred replica's stats.
-    pub fn advance_epoch(&self, first_dirty_page: usize) -> usize {
-        self.cache
-            .advance_epoch(first_dirty_page, self.replicas[0][0].stats())
-    }
-
-    /// Cached pages dropped by epoch advances so far, summed across
-    /// replicas'
-    /// [`AccessStats::cache_invalidations`](mbir_archive::stats::AccessStats::cache_invalidations),
-    /// so append churn shows up next to the fault-degradation counters.
-    #[cfg(test)]
-    fn epoch_invalidated_cache_entries(&self) -> u64 {
-        self.replicas
-            .iter()
-            .map(|r| r[0].stats().cache_invalidations())
-            .sum()
-    }
-
-    /// Page materializations past the original append high-water mark so
-    /// far, summed across replicas'
-    /// [`AccessStats::appended_pages_seen`](mbir_archive::stats::AccessStats::appended_pages_seen).
-    pub fn appended_pages_seen(&self) -> u64 {
-        self.replicas
-            .iter()
-            .map(|r| r[0].stats().appended_pages_seen())
-            .sum()
     }
 
     /// The breaker cooldown clock: total virtual I/O ticks accrued across
@@ -594,26 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_advance_invalidates_and_counts_append_side_reads() {
-        let (a, a_stats) = replica(2);
-        let (b, _) = replica(2);
-        let src = ReplicatedSource::new(vec![&a, &b], ReplicaConfig::default()).unwrap();
-        src.base_cell(0, 0, 0).unwrap(); // page 0
-        src.base_cell(0, 4, 4).unwrap(); // page 3
-        assert_eq!(src.advance_epoch(2), 1, "page 3 dropped, page 0 kept");
-        assert_eq!(src.epoch_invalidated_cache_entries(), 1);
-        let hits = a_stats.cache_hits();
-        src.base_cell(1, 0, 0).unwrap();
-        assert_eq!(a_stats.cache_hits(), hits + 1, "page 0 still resident");
-        src.base_cell(1, 4, 4).unwrap();
-        assert_eq!(src.appended_pages_seen(), 1, "page 3 re-read past the mark");
-        // The re-materialized page caches normally again.
-        let hits = a_stats.cache_hits();
-        src.base_cell(0, 4, 4).unwrap();
-        assert_eq!(a_stats.cache_hits(), hits + 1);
-    }
-
-    #[test]
     fn healthy_replicas_serve_from_the_first() {
         let (a, a_stats) = replica(2);
         let (b, b_stats) = replica(2);
@@ -633,7 +575,7 @@ mod tests {
         let (a, _) = replica(2);
         let a: Vec<TileStore> = a
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(0)))
+            .map(|s| s.with_faults(FaultProfile::new().permanent(0)))
             .collect();
         let (b, _) = replica(2);
         let src = ReplicatedSource::new(vec![&a, &b], ReplicaConfig::default()).unwrap();
@@ -650,7 +592,7 @@ mod tests {
         let (a, a_stats) = replica(2);
         let a: Vec<TileStore> = a
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).corrupt(0)))
+            .map(|s| s.with_faults(FaultProfile::new().corrupt(0)))
             .collect();
         let (b, _) = replica(2);
         let src = ReplicatedSource::new(vec![&a, &b], ReplicaConfig::default()).unwrap();
@@ -666,7 +608,7 @@ mod tests {
         let (a, _) = replica(1);
         let a: Vec<TileStore> = a
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).corrupt(0)))
+            .map(|s| s.with_faults(FaultProfile::new().corrupt(0)))
             .collect();
         let (b, _) = replica(1);
         let src = ReplicatedSource::new(
@@ -683,7 +625,7 @@ mod tests {
         let (a, a_stats) = replica(1);
         let a: Vec<TileStore> = a
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(0).permanent(1).permanent(2)))
+            .map(|s| s.with_faults(FaultProfile::new().permanent(0).permanent(1).permanent(2)))
             .collect();
         let (b, _) = replica(1);
         let config = ReplicaConfig::default()
@@ -718,7 +660,7 @@ mod tests {
         let a: Vec<TileStore> = a
             .into_iter()
             .map(|s| {
-                s.with_faults(FaultProfile::new(0).transient(0, 1))
+                s.with_faults(FaultProfile::new().transient(0, 1))
                     .with_resilience(ResilienceConfig::new(RetryPolicy::none(), None))
             })
             .collect();
@@ -747,7 +689,7 @@ mod tests {
         let (a, _) = replica(1);
         let a: Vec<TileStore> = a
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(0).permanent(1)))
+            .map(|s| s.with_faults(FaultProfile::new().permanent(0).permanent(1)))
             .collect();
         let (b, _) = replica(1);
         let config = ReplicaConfig::default()
@@ -772,12 +714,12 @@ mod tests {
         let (a, _) = replica(1);
         let a: Vec<TileStore> = a
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(0)))
+            .map(|s| s.with_faults(FaultProfile::new().permanent(0)))
             .collect();
         let (b, _) = replica(1);
         let b: Vec<TileStore> = b
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).corrupt(0)))
+            .map(|s| s.with_faults(FaultProfile::new().corrupt(0)))
             .collect();
         let src = ReplicatedSource::new(vec![&a, &b], ReplicaConfig::default()).unwrap();
         // Replica 0: I/O fault. Replica 1: corruption. Nothing can serve
@@ -814,14 +756,14 @@ mod tests {
         let a: Vec<TileStore> = a
             .into_iter()
             .map(|s| {
-                s.with_faults(FaultProfile::new(0).permanent(0))
+                s.with_faults(FaultProfile::new().permanent(0))
                     .with_resilience(ResilienceConfig::new(RetryPolicy::none(), None))
             })
             .collect();
         let (b, _) = replica(1);
         let b: Vec<TileStore> = b
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).transient(0, 1)))
+            .map(|s| s.with_faults(FaultProfile::new().transient(0, 1)))
             .collect();
         let src = ReplicatedSource::new(vec![&a, &b], ReplicaConfig::default()).unwrap();
         // Both replicas fail the first time (permanent / transient)...
@@ -856,7 +798,7 @@ mod tests {
         // costs 11 ticks, far past the 2-tick hedge delay.
         let a: Vec<TileStore> = a
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).latency(0, 10)))
+            .map(|s| s.with_faults(FaultProfile::new().latency(0, 10)))
             .collect();
         let (b, b_stats) = replica(1);
         let config = ReplicaConfig::default().with_hedge_after_ticks(2);
@@ -877,12 +819,12 @@ mod tests {
         let (a, _) = replica(1);
         let a: Vec<TileStore> = a
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).latency(0, 3)))
+            .map(|s| s.with_faults(FaultProfile::new().latency(0, 3)))
             .collect();
         let (b, _) = replica(1);
         let b: Vec<TileStore> = b
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).latency(0, 10)))
+            .map(|s| s.with_faults(FaultProfile::new().latency(0, 10)))
             .collect();
         let config = ReplicaConfig::default().with_hedge_after_ticks(2);
         let src = ReplicatedSource::new(vec![&a, &b], config).unwrap();
@@ -913,7 +855,7 @@ mod tests {
         let (a, _) = replica(1);
         let a: Vec<TileStore> = a
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).latency(0, 5)))
+            .map(|s| s.with_faults(FaultProfile::new().latency(0, 5)))
             .collect();
         let (b, b_stats) = replica(1);
         // The hedge target serves silent corruption: verification fails,
@@ -921,7 +863,7 @@ mod tests {
         // is returned (and is the only thing that can be cached).
         let b: Vec<TileStore> = b
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).corrupt(0)))
+            .map(|s| s.with_faults(FaultProfile::new().corrupt(0)))
             .collect();
         let config = ReplicaConfig::default().with_hedge_after_ticks(2);
         let src = ReplicatedSource::new(vec![&a, &b], config).unwrap();
@@ -940,7 +882,7 @@ mod tests {
         let (a, _) = replica(1);
         let a: Vec<TileStore> = a
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(0).permanent(1)))
+            .map(|s| s.with_faults(FaultProfile::new().permanent(0).permanent(1)))
             .collect();
         let (b, _) = replica(1);
         let config = ReplicaConfig::default()

@@ -8,13 +8,13 @@
 //!
 //! ```text
 //! Planned ──begin_copy──▶ Copying ──enter_dual_read──▶ DualRead
-//!    │                      │  ▲                          │
-//!    │   (wall deadline,    │  └── clear_copy_quarantine  │ cut_over
-//!    │    cancellation,     │                             ▼
-//!    └──── caller) ────────▶│◀───── abort ──────────── CutOver
-//!                           ▼                             │ retire
-//!                        Aborted                          ▼
-//!                  (source epoch keeps serving)        Retired
+//!                           │  ▲                          │
+//!         (wall deadline,   │  └── clear_copy_quarantine  │ cut_over
+//!          cancellation)    │                             ▼
+//!                           ▼                          CutOver
+//!                        Aborted                          │ retire
+//!                  (source epoch keeps serving)           ▼
+//!                                                      Retired
 //! ```
 //!
 //! * **Epoch fencing.** The source and destination [`ShardPlan`]s are
@@ -110,8 +110,6 @@ pub enum AbortReason {
     WallDeadline,
     /// A [`CancelToken`] was cancelled during the copy phase.
     Cancelled,
-    /// The caller aborted explicitly (e.g. after band quarantine).
-    Requested,
 }
 
 impl fmt::Display for AbortReason {
@@ -119,7 +117,6 @@ impl fmt::Display for AbortReason {
         f.write_str(match self {
             AbortReason::WallDeadline => "wall-deadline",
             AbortReason::Cancelled => "cancelled",
-            AbortReason::Requested => "requested",
         })
     }
 }
@@ -167,7 +164,6 @@ impl ReshardPolicy {
 pub struct MigratedBand {
     dest_band: usize,
     row_offset: usize,
-    rows: usize,
     pyramids: Vec<AggregatePyramid>,
     stores: Vec<TileStore>,
 }
@@ -181,11 +177,6 @@ impl MigratedBand {
     /// Global row of the band's first row.
     pub fn row_offset(&self) -> usize {
         self.row_offset
-    }
-
-    /// Band height in rows.
-    pub fn rows(&self) -> usize {
-        self.rows
     }
 
     /// Attribute pyramids built over the copied band (bit-identical to
@@ -230,8 +221,7 @@ pub enum CopyOutcome {
     Complete,
     /// These destination bands exhausted their attempts and are
     /// quarantined; the rest are copied. The caller can switch sources
-    /// and [`clear_copy_quarantine`](ReshardCoordinator::clear_copy_quarantine),
-    /// or [`abort`](ReshardCoordinator::abort).
+    /// and [`clear_copy_quarantine`](ReshardCoordinator::clear_copy_quarantine).
     Quarantined(Vec<usize>),
     /// The wall deadline expired; the migration aborted and rolled back.
     DeadlineExceeded,
@@ -352,16 +342,6 @@ impl ReshardCoordinator {
             MigrationState::CutOver | MigrationState::Retired => &self.to,
             _ => &self.from,
         }
-    }
-
-    /// The destination plan (regardless of which epoch is active).
-    pub fn dest_plan(&self) -> &ShardPlan {
-        self.to.plan()
-    }
-
-    /// The plan difference driving this migration.
-    pub fn diff(&self) -> &PlanDiff {
-        &self.diff
     }
 
     /// Destination band indices needing copies, in row order.
@@ -586,7 +566,6 @@ impl ReshardCoordinator {
                     self.copied[p] = Some(MigratedBand {
                         dest_band: self.migrating[p],
                         row_offset: dest_band.row_offset,
-                        rows: dest_band.rows,
                         pyramids,
                         stores,
                     });
@@ -733,27 +712,6 @@ impl ReshardCoordinator {
         Ok(cleared)
     }
 
-    /// Rolls the migration back to the source epoch: every partial copy
-    /// is dropped and [`active_epoch`](Self::active_epoch) keeps returning
-    /// the source epoch — exactly as if the migration never started.
-    /// Allowed from `Planned`, `Copying`, and `DualRead`; `CutOver` is
-    /// the point of no return.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Query`] from `CutOver`, `Retired`, or `Aborted`.
-    pub fn abort(&mut self, reason: AbortReason) -> Result<TopologyEpoch, CoreError> {
-        match self.state {
-            MigrationState::Planned | MigrationState::Copying | MigrationState::DualRead => {
-                self.do_abort(reason);
-                Ok(self.from.epoch())
-            }
-            state => Err(CoreError::Query(format!(
-                "reshard: cannot abort in state {state}"
-            ))),
-        }
-    }
-
     fn do_abort(&mut self, reason: AbortReason) {
         for slot in &mut self.copied {
             *slot = None;
@@ -829,8 +787,6 @@ mod tests {
         assert_eq!(coord.active_epoch(), coord.from_epoch());
         coord.cut_over().unwrap();
         assert_eq!(coord.active_epoch(), coord.to_epoch());
-        // Past the point of no return.
-        assert!(coord.abort(AbortReason::Requested).is_err());
         // Wrong scrub arity.
         assert!(coord.retire(&[]).is_err());
     }
@@ -847,7 +803,7 @@ mod tests {
         );
         let grid = global_grid();
         let scaled = Grid2::from_fn(ROWS, COLS, |r, c| grid.as_slice()[r * COLS + c] * -0.5);
-        let dest_plan = coord.dest_plan().clone();
+        let dest_plan = from_plan.split_band(1).unwrap();
         for band in coord.migrated_bands() {
             for (a, reference) in [&grid, &scaled].into_iter().enumerate() {
                 let expect = dest_plan.extract_band(reference, band.dest_band()).unwrap();
@@ -860,7 +816,10 @@ mod tests {
                 let want: Vec<u64> = expect.as_slice().iter().map(|v| v.to_bits()).collect();
                 assert_eq!(copied, want);
             }
-            assert_eq!(band.rows(), dest_plan.bands()[band.dest_band()].rows);
+            assert_eq!(
+                band.stores()[0].rows(),
+                dest_plan.bands()[band.dest_band()].rows
+            );
             assert_eq!(
                 band.row_offset(),
                 dest_plan.bands()[band.dest_band()].row_offset
@@ -878,10 +837,7 @@ mod tests {
         let mut sources = source_stores(&from_plan);
         // Shard 1 is the one being split; make one of its pages flaky.
         let store = sources[1].remove(0);
-        sources[1].insert(
-            0,
-            store.with_faults(FaultProfile::healthy().transient(0, 2)),
-        );
+        sources[1].insert(0, store.with_faults(FaultProfile::new().transient(0, 2)));
         coord.begin_copy().unwrap();
         assert_eq!(
             coord.run_copy(&borrow(&sources), None).unwrap(),
@@ -902,7 +858,7 @@ mod tests {
         let from_plan = ShardPlan::row_bands(ROWS, COLS, 2, TILE).unwrap();
         let mut sources = source_stores(&from_plan);
         let store = sources[1].remove(1);
-        sources[1].insert(1, store.with_faults(FaultProfile::healthy().corrupt(0)));
+        sources[1].insert(1, store.with_faults(FaultProfile::new().corrupt(0)));
         coord.begin_copy().unwrap();
         let outcome = coord.run_copy(&borrow(&sources), None).unwrap();
         let CopyOutcome::Quarantined(bands) = outcome else {
@@ -931,7 +887,7 @@ mod tests {
         let mut coord = split_coordinator(policy);
         let from_plan = ShardPlan::row_bands(ROWS, COLS, 2, TILE).unwrap();
         let mut sources = source_stores(&from_plan);
-        let mut profile = FaultProfile::healthy();
+        let mut profile = FaultProfile::new();
         for page in 0..sources[1][0].page_count() {
             profile = profile.latency(page, 50);
         }

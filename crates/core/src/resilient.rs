@@ -225,11 +225,6 @@ impl ScoreBounds {
             hi: score,
         }
     }
-
-    /// Interval width (0 for exact hits).
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
-    }
 }
 
 /// One entry of a resilient result: an exactly evaluated cell, or a
@@ -462,7 +457,7 @@ mod tests {
         let page = stores[0].page_of(winner.row, winner.col);
         let stores: Vec<TileStore> = stores
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(page)))
+            .map(|s| s.with_faults(FaultProfile::new().permanent(page)))
             .collect();
         let src = TileSource::new(&stores).unwrap();
         let r = resilient_top_k(&model, &pyramids, 3, &src, &ExecutionBudget::unlimited()).unwrap();
@@ -489,7 +484,7 @@ mod tests {
         let stores: Vec<TileStore> = stores
             .into_iter()
             .map(|s| {
-                s.with_faults(FaultProfile::new(0).transient(0, 2).transient(5, 1))
+                s.with_faults(FaultProfile::new().transient(0, 2).transient(5, 1))
                     .with_resilience(ResilienceConfig::new(RetryPolicy::retries(3), None))
             })
             .collect();
@@ -568,7 +563,7 @@ mod tests {
         let (model, pyramids, stores, _) = world(2, 64, 64, 8);
         // Every page is slow: 100 ticks each.
         let profile =
-            (0..stores[0].page_count()).fold(FaultProfile::new(0), |p, page| p.latency(page, 100));
+            (0..stores[0].page_count()).fold(FaultProfile::new(), |p, page| p.latency(page, 100));
         let stores: Vec<TileStore> = stores
             .into_iter()
             .map(|s| s.with_faults(profile.clone()))
@@ -594,7 +589,7 @@ mod tests {
         let stores: Vec<TileStore> = stores
             .into_iter()
             .map(|s| {
-                s.with_faults(FaultProfile::new(0).permanent(page))
+                s.with_faults(FaultProfile::new().permanent(page))
                     .with_resilience(ResilienceConfig::new(RetryPolicy::retries(2), Some(2)))
             })
             .collect();
@@ -674,7 +669,7 @@ mod tests {
         // silently wrong scores.
         let stores: Vec<TileStore> = stores
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).corrupt(page)))
+            .map(|s| s.with_faults(FaultProfile::new().corrupt(page)))
             .collect();
         let src = CachedTileSource::new(&stores, 8).unwrap();
         let r = resilient_top_k(&model, &pyramids, 3, &src, &ExecutionBudget::unlimited()).unwrap();

@@ -190,19 +190,9 @@ impl<'a, S: CellSource> ShardedArchive<'a, S> {
         self
     }
 
-    /// The topology epoch this archive serves.
-    pub fn epoch(&self) -> TopologyEpoch {
-        self.epoch
-    }
-
     /// The per-shard handles, in band order.
     pub fn shards(&self) -> &[ArchiveShard<'a, S>] {
         &self.shards
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Global grid shape `(rows, cols)` covered by the bands.
@@ -588,15 +578,6 @@ impl ShardedTopK {
         self.completeness < 1.0
             || self.budget_stop.is_some()
             || self.results.iter().any(|h| !h.exact)
-    }
-
-    /// Shards that responded (outcome other than
-    /// [`ShardOutcome::Failed`]).
-    pub fn responded(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|r| r.outcome != ShardOutcome::Failed)
-            .count()
     }
 }
 
@@ -1365,6 +1346,14 @@ mod tests {
     use mbir_archive::stats::AccessStats;
     use mbir_archive::tile::TileStore;
 
+    /// Shards whose outcome is not [`ShardOutcome::Failed`].
+    fn responded(r: &ShardedTopK) -> usize {
+        r.shards
+            .iter()
+            .filter(|s| s.outcome != ShardOutcome::Failed)
+            .count()
+    }
+
     fn smooth_grid(i: usize, rows: usize, cols: usize) -> Grid2<f64> {
         Grid2::from_fn(rows, cols, |r, c| {
             ((r as f64 / 9.0 + i as f64).sin() + (c as f64 / 11.0).cos()) * 50.0 + 100.0
@@ -1528,7 +1517,7 @@ mod tests {
     fn kill_shard(world: &mut ShardWorld) {
         let store = &world.stores[0];
         let profile =
-            (0..store.page_count()).fold(FaultProfile::new(0), |p, page| p.permanent(page));
+            (0..store.page_count()).fold(FaultProfile::new(), |p, page| p.permanent(page));
         world.stores = world
             .stores
             .iter()
@@ -1578,7 +1567,7 @@ mod tests {
             assert!(r.is_degraded());
             assert!(r.completeness < 1.0);
             assert_eq!(r.shards[victim].outcome, ShardOutcome::Failed);
-            assert_eq!(r.responded(), 3);
+            assert_eq!(responded(&r), 3);
             // Soundness: the true winner's score must lie inside some
             // returned hit's bounds — the dead band's aggregate candidate.
             let truth = reference.results[0].score;
@@ -1628,7 +1617,7 @@ mod tests {
                 other => panic!("expected InsufficientShards, got {other:?}"),
             }
             let ok = run(&ScatterPolicy::quorum(3)).unwrap();
-            assert_eq!(ok.responded(), 3);
+            assert_eq!(responded(&ok), 3);
             assert!(ok.is_degraded());
             let ok = run(&ScatterPolicy::best_effort()).unwrap();
             assert_eq!(ok.shards[0].outcome, ShardOutcome::Failed);
@@ -1657,7 +1646,7 @@ mod tests {
         .unwrap();
         let slow = reference.results[0].cell.row / (64 / 4);
         let profile = (0..worlds[slow].stores[0].page_count())
-            .fold(FaultProfile::new(0), |p, page| p.latency(page, 10_000));
+            .fold(FaultProfile::new(), |p, page| p.latency(page, 10_000));
         worlds[slow].stores = worlds[slow]
             .stores
             .iter()
@@ -2018,7 +2007,7 @@ mod tests {
                 assert_eq!(b.completeness, solo.completeness, "q={q}");
                 assert_eq!(b.skipped_pages, solo.skipped_pages, "q={q}");
                 assert_eq!(b.shards[0].outcome, ShardOutcome::Failed);
-                assert_eq!(b.responded(), 3);
+                assert_eq!(responded(b), 3);
             }
             // The quorum verdict is physical, shared by the whole batch.
             match batched_scatter_gather_top_k(
@@ -2060,7 +2049,7 @@ mod tests {
         .unwrap();
         let slow = reference.results[0].cell.row / (64 / 4);
         let profile = (0..worlds[slow].stores[0].page_count())
-            .fold(FaultProfile::new(0), |p, page| p.latency(page, 10_000));
+            .fold(FaultProfile::new(), |p, page| p.latency(page, 10_000));
         worlds[slow].stores = worlds[slow]
             .stores
             .iter()
@@ -2182,7 +2171,7 @@ mod tests {
         let slow = healthy.results[0].cell.row / (rows / 2);
         let mate = 1 - slow;
         let profile = (0..worlds[slow].stores[0].page_count())
-            .fold(FaultProfile::new(0), |p, page| p.latency(page, 10_000));
+            .fold(FaultProfile::new(), |p, page| p.latency(page, 10_000));
         worlds[slow].stores = worlds[slow]
             .stores
             .iter()

@@ -265,25 +265,9 @@ impl LiveArchive {
         self.snapshot().rows()
     }
 
-    /// Columns per attribute.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Tile size (appends are multiples of this many rows).
-    pub fn tile(&self) -> usize {
-        self.tile
-    }
-
     /// Current commit epoch (0 = base, +1 per committed append).
     pub fn epoch(&self) -> SnapshotEpoch {
         self.snapshot().epoch
-    }
-
-    /// Whether the journal writer has crashed (an armed write fault
-    /// fired); a crashed archive accepts no further appends.
-    pub fn has_crashed(&self) -> bool {
-        self.journal.has_crashed()
     }
 
     /// The shared journal bytes — what survives a crash.
@@ -563,7 +547,7 @@ mod tests {
             err,
             CoreError::Archive(mbir_archive::error::ArchiveError::JournalCrashed { .. })
         ));
-        assert!(live.has_crashed());
+        assert!(live.journal.has_crashed());
         // Published state never moved past the last full commit.
         assert!(Arc::ptr_eq(&before, &live.snapshot()));
         assert_eq!(live.epoch().epoch, 2);

@@ -115,11 +115,6 @@ impl<'a> TileSource<'a> {
         }
         Ok(TileSource { stores })
     }
-
-    /// The wrapped stores.
-    pub fn stores(&self) -> &[TileStore] {
-        self.stores
-    }
 }
 
 /// Sources whose per-page quarantine ledger can be scrubbed.
@@ -287,15 +282,6 @@ impl PageCache {
         }
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of epoch advances this cache has observed.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.state.lock().expect("cache lock").epoch
-    }
-
     /// Drops every resident page at or past `first_dirty_page` and demotes
     /// any load currently in flight to serve-without-caching (its block is
     /// being materialized against the pre-advance view). Returns the
@@ -441,8 +427,7 @@ impl PageCache {
 /// and *dedups in-flight reads*: while one thread materializes a page,
 /// others asking for it block on a condvar instead of re-reading it from
 /// the stores. Hits and misses are counted on the first store's
-/// [`AccessStats`] (see
-/// [`cache_hit_rate`](mbir_archive::stats::AccessStats::cache_hit_rate));
+/// [`AccessStats`] (`cache_hits`, `cache_misses`);
 /// budget accounting (`pages_read`, `ticks_elapsed`) keeps reflecting the
 /// backing stores, so cache hits are free I/O — exactly the effect the
 /// cache exists to buy.
@@ -476,21 +461,6 @@ impl<'a> CachedTileSource<'a> {
             stores,
             cache: PageCache::new(capacity),
         })
-    }
-
-    /// The wrapped stores.
-    pub fn stores(&self) -> &[TileStore] {
-        self.stores
-    }
-
-    /// Maximum number of resident pages.
-    pub fn capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
-    /// Number of epoch advances this cache has observed.
-    pub fn epoch(&self) -> u64 {
-        self.cache.epoch()
     }
 
     /// Publishes a snapshot-epoch advance to the cache: every cached page
@@ -625,7 +595,7 @@ mod tests {
     fn lru_eviction_keeps_capacity_and_recency() {
         let (stores, stats) = cached_world();
         let src = CachedTileSource::new(&stores, 1).unwrap();
-        assert_eq!(src.capacity(), 1);
+        assert_eq!(src.cache.capacity, 1);
         src.base_cell(0, 0, 0).unwrap(); // page 0: miss
         src.base_cell(0, 0, 0).unwrap(); // hit
         src.base_cell(0, 4, 4).unwrap(); // page 3: miss, evicts page 0
@@ -633,7 +603,7 @@ mod tests {
         assert_eq!(stats.cache_misses(), 3);
         assert_eq!(stats.cache_hits(), 1);
         // Capacity 0 clamps to 1.
-        assert_eq!(CachedTileSource::new(&stores, 0).unwrap().capacity(), 1);
+        assert_eq!(CachedTileSource::new(&stores, 0).unwrap().cache.capacity, 1);
     }
 
     #[test]
@@ -647,7 +617,7 @@ mod tests {
             .enumerate()
             .map(|(i, s)| {
                 if i == 0 {
-                    s.with_faults(FaultProfile::new(0).transient(0, 1))
+                    s.with_faults(FaultProfile::new().transient(0, 1))
                 } else {
                     s
                 }
@@ -672,7 +642,7 @@ mod tests {
             .enumerate()
             .map(|(i, s)| {
                 if i == 0 {
-                    s.with_faults(FaultProfile::new(0).corrupt(0))
+                    s.with_faults(FaultProfile::new().corrupt(0))
                 } else {
                     s
                 }
@@ -708,7 +678,7 @@ mod tests {
             .enumerate()
             .map(|(i, s)| {
                 if i == 0 {
-                    s.with_faults(FaultProfile::new(0).transient(0, 1))
+                    s.with_faults(FaultProfile::new().transient(0, 1))
                 } else {
                     s
                 }
@@ -736,10 +706,10 @@ mod tests {
         let src = CachedTileSource::new(&stores, 4).unwrap();
         src.base_cell(0, 0, 0).unwrap(); // page 0
         src.base_cell(0, 4, 4).unwrap(); // page 3
-        assert_eq!(src.epoch(), 0);
+        assert_eq!(src.cache.state.lock().unwrap().epoch, 0);
         // Pages >= 2 dirtied: page 3 drops, page 0 stays resident.
         assert_eq!(src.advance_epoch(2), 1);
-        assert_eq!(src.epoch(), 1);
+        assert_eq!(src.cache.state.lock().unwrap().epoch, 1);
         assert_eq!(stats.cache_invalidations(), 1);
         let hits_before = stats.cache_hits();
         src.base_cell(1, 0, 0).unwrap();

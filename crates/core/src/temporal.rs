@@ -102,11 +102,6 @@ impl TemporalRiskTracker {
         }
         Ok(out)
     }
-
-    /// The model being tracked.
-    pub fn model(&self) -> &TemporalHpsModel {
-        &self.model
-    }
 }
 
 #[cfg(test)]

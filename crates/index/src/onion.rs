@@ -769,16 +769,6 @@ impl OnionIndex {
         })
     }
 
-    /// Number of tuples indexed.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the index is empty (never true once built).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Number of layers (including the core bucket, if any).
     pub fn layer_count(&self) -> usize {
         self.layers.len()

@@ -64,16 +64,6 @@ impl Rect {
         self.lo.len()
     }
 
-    /// Lower corner.
-    pub fn lo(&self) -> &[f64] {
-        &self.lo
-    }
-
-    /// Upper corner.
-    pub fn hi(&self) -> &[f64] {
-        &self.hi
-    }
-
     fn area(&self) -> f64 {
         self.lo
             .iter()
@@ -244,16 +234,6 @@ impl RStarTree {
         Ok(tree)
     }
 
-    /// Number of points stored.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the tree is empty (never true once built).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Inserts one point, returning its index.
     fn insert_point(&mut self, p: Vec<f64>) -> usize {
         assert_eq!(p.len(), self.dims, "point dimension mismatch");
@@ -404,17 +384,6 @@ impl RStarTree {
             results: heap.into_sorted(),
             stats,
         })
-    }
-
-    /// Tree depth (1 for a single leaf).
-    pub fn depth(&self) -> usize {
-        let mut d = 1;
-        let mut node = &self.root;
-        while let Node::Internal { children, .. } = node {
-            d += 1;
-            node = &children[0];
-        }
-        d
     }
 }
 
@@ -673,8 +642,11 @@ mod tests {
     #[test]
     fn range_on_grid() {
         let tree = RStarTree::bulk(grid_points(10)).unwrap();
-        assert_eq!(tree.len(), 100);
-        assert!(tree.depth() >= 2, "100 points must split");
+        assert_eq!(tree.points.len(), 100);
+        assert!(
+            matches!(tree.root, Node::Internal { .. }),
+            "100 points must split"
+        );
         let hits = tree.range(&Rect::new(&[2.0, 2.0], &[4.0, 4.0]));
         assert_eq!(hits.results.len(), 9);
         let all = tree.range(&Rect::new(&[-1.0, -1.0], &[100.0, 100.0]));

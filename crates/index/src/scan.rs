@@ -87,16 +87,6 @@ impl TopKHeap {
         }
     }
 
-    /// Number of items currently held.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no items are held.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Comparisons performed so far.
     pub fn comparisons(&self) -> u64 {
         self.comparisons

@@ -60,7 +60,8 @@ pub struct TopKResult {
 
 impl TopKResult {
     /// The result indexes in rank order.
-    pub fn indexes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn indexes(&self) -> Vec<usize> {
         self.results.iter().map(|r| r.index).collect()
     }
 

@@ -110,11 +110,6 @@ impl BayesNet {
         self.names.len()
     }
 
-    /// Parents of a node.
-    pub fn parents(&self, node: NodeId) -> &[NodeId] {
-        &self.parents[node]
-    }
-
     /// P(node = true | its parents' values in `assignment`).
     #[cfg(test)]
     fn conditional(&self, node: NodeId, assignment: &[bool]) -> f64 {

@@ -330,7 +330,11 @@ mod tests {
     #[test]
     fn machine_is_total_over_alphabet() {
         let (fsm, _) = fire_ants_fsm();
-        fsm.validate(&DayClass::ALPHABET).unwrap();
+        for state in 0..fsm.names.len() {
+            for sym in DayClass::ALPHABET {
+                assert!(fsm.step(state, sym).is_some(), "{state} on {sym:?}");
+            }
+        }
     }
 
     #[test]

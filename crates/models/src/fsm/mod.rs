@@ -5,11 +5,8 @@
 //! of environmental phenomena — the canonical instance is the fire-ants
 //! machine of Fig. 1 ([`fire_ants`]). Retrieval with an FSM model means
 //! finding the data series (or locations) whose event streams drive the
-//! machine into an accepting state; [`distance`] ranks near-misses when the
-//! extracted machine differs slightly from the target (§3: "it is also
-//! possible to define a distance between these two finite state machines").
+//! machine into an accepting state.
 
-pub mod distance;
 pub mod fire_ants;
 
 use crate::error::ModelError;
@@ -22,9 +19,9 @@ pub type StateId = usize;
 
 /// A deterministic finite-state machine over symbols of type `S`.
 ///
-/// Transitions are total over the alphabet passed to [`Fsm::validate`];
-/// running with a symbol that has no transition is an error, which keeps
-/// silent model mis-specification from producing wrong retrievals.
+/// Running with a symbol that has no transition from the current state is
+/// an error, which keeps silent model mis-specification from producing
+/// wrong retrievals.
 ///
 /// # Examples
 ///
@@ -38,8 +35,8 @@ pub type StateId = usize;
 /// fsm.set_accepting(s1, true).unwrap();
 /// fsm.add_transition(s0, 'a', s1).unwrap();
 /// fsm.add_transition(s1, 'a', s0).unwrap();
-/// assert!(fsm.accepts(&['a']).unwrap());
-/// assert!(!fsm.accepts(&['a', 'a']).unwrap());
+/// // Accepting states are entered after the first and third 'a'.
+/// assert_eq!(fsm.acceptance_events(&['a', 'a', 'a']).unwrap(), vec![0, 2]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fsm<S> {
@@ -64,11 +61,6 @@ impl<S: Copy + Eq + Hash> Fsm<S> {
     pub fn add_state(&mut self, name: impl Into<String>) -> StateId {
         self.names.push(name.into());
         self.names.len() - 1
-    }
-
-    /// Number of states.
-    pub fn state_count(&self) -> usize {
-        self.names.len()
     }
 
     /// Sets the start state.
@@ -125,36 +117,6 @@ impl<S: Copy + Eq + Hash> Fsm<S> {
         self.transitions.get(&(state, sym)).copied()
     }
 
-    /// Checks the machine is runnable: start state set, and transitions
-    /// total over `alphabet` from every state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Empty`] with no states, or
-    /// [`ModelError::Unknown`] naming the first missing transition.
-    pub fn validate(&self, alphabet: &[S]) -> Result<(), ModelError>
-    where
-        S: fmt::Debug,
-    {
-        if self.names.is_empty() {
-            return Err(ModelError::Empty);
-        }
-        if self.start.is_none() {
-            return Err(ModelError::Unknown("start state not set".into()));
-        }
-        for state in 0..self.names.len() {
-            for sym in alphabet {
-                if !self.transitions.contains_key(&(state, *sym)) {
-                    return Err(ModelError::Unknown(format!(
-                        "missing transition from '{}' on {sym:?}",
-                        self.names[state]
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Runs the machine over `input`, returning the state after each symbol.
     ///
     /// # Errors
@@ -179,22 +141,6 @@ impl<S: Copy + Eq + Hash> Fsm<S> {
             trace.push(state);
         }
         Ok(trace)
-    }
-
-    /// Whether the machine ends in an accepting state on `input`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Fsm::run`] errors.
-    pub fn accepts(&self, input: &[S]) -> Result<bool, ModelError>
-    where
-        S: fmt::Debug,
-    {
-        let trace = self.run(input)?;
-        Ok(trace
-            .last()
-            .map(|s| self.is_accepting(*s))
-            .unwrap_or_else(|| self.start.map(|s| self.is_accepting(s)).unwrap_or(false)))
     }
 
     /// Indexes of input positions at which the machine *enters* an accepting
@@ -327,25 +273,15 @@ mod tests {
     }
 
     #[test]
-    fn validate_catches_gaps() {
-        let mut fsm: Fsm<char> = Fsm::new();
-        assert_eq!(fsm.validate(&['a']), Err(ModelError::Empty));
-        let s = fsm.add_state("s");
-        assert!(fsm.validate(&['a']).is_err(), "no start");
-        fsm.set_start(s).unwrap();
-        assert!(matches!(fsm.validate(&['a']), Err(ModelError::Unknown(_))));
-        fsm.add_transition(s, 'a', s).unwrap();
-        assert!(fsm.validate(&['a']).is_ok());
-    }
-
-    #[test]
     fn run_and_accept() {
         let fsm = odd_a();
-        fsm.validate(&['a', 'b']).unwrap();
-        assert!(fsm.accepts(&['a']).unwrap());
-        assert!(fsm.accepts(&['a', 'b', 'b']).unwrap());
-        assert!(!fsm.accepts(&['a', 'a']).unwrap());
-        assert!(!fsm.accepts(&[]).unwrap());
+        let ends_accepting =
+            |input: &[char]| fsm.is_accepting(*fsm.run(input).unwrap().last().unwrap());
+        assert!(ends_accepting(&['a']));
+        assert!(ends_accepting(&['a', 'b', 'b']));
+        assert!(!ends_accepting(&['a', 'a']));
+        assert!(fsm.run(&[]).unwrap().is_empty());
+        assert!(!fsm.is_accepting(fsm.start().unwrap()));
         assert!(fsm.run(&['z']).is_err());
     }
 

@@ -73,11 +73,6 @@ impl RiverbedModel {
         }
     }
 
-    /// The structural pattern.
-    pub fn pattern(&self) -> &SequencePattern<Lithology> {
-        &self.pattern
-    }
-
     /// Scores every candidate interval in a well, best first. Candidates
     /// below the model's quality floor are dropped.
     pub fn score_well(&self, well: &WellLog) -> Vec<RiverbedMatch> {
@@ -209,7 +204,7 @@ mod tests {
 
     #[test]
     fn perfect_riverbed_scores_high() {
-        let well = WellLog::from_column("w", &riverbed_layers(), 121.0, 3);
+        let well = WellLog::from_column(&riverbed_layers(), 121.0, 3);
         let model = RiverbedModel::paper();
         let matches = model.score_well(&well);
         assert!(!matches.is_empty());
@@ -234,7 +229,7 @@ mod tests {
                 thickness_ft: 60.0,
             },
         ];
-        let well = WellLog::from_column("w", &layers, 120.0, 5);
+        let well = WellLog::from_column(&layers, 120.0, 5);
         assert_eq!(RiverbedModel::paper().well_score(&well), 0.0);
     }
 
@@ -242,8 +237,8 @@ mod tests {
     fn thick_beds_rank_below_thin_beds() {
         let mut thick = riverbed_layers();
         thick[1].thickness_ft = 25.0; // shale way over the 10 ft cap
-        let thin_well = WellLog::from_column("thin", &riverbed_layers(), 121.0, 3);
-        let thick_well = WellLog::from_column("thick", &thick, 140.0, 3);
+        let thin_well = WellLog::from_column(&riverbed_layers(), 121.0, 3);
+        let thick_well = WellLog::from_column(&thick, 140.0, 3);
         let model = RiverbedModel::paper();
         assert!(model.well_score(&thin_well) > model.well_score(&thick_well));
     }

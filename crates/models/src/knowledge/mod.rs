@@ -47,16 +47,6 @@ impl<L> SequenceElement<L> {
         self.min_thickness = Some(min);
         self
     }
-
-    /// Whether a run `(label, thickness)` satisfies this element crisply.
-    pub fn matches(&self, label: &L, thickness: f64) -> bool
-    where
-        L: PartialEq,
-    {
-        &self.label == label
-            && self.max_thickness.map(|m| thickness <= m).unwrap_or(true)
-            && self.min_thickness.map(|m| thickness >= m).unwrap_or(true)
-    }
 }
 
 /// A consecutive-run sequence pattern ("shale on top of sandstone on top of
@@ -101,11 +91,6 @@ impl<L: PartialEq + fmt::Debug> SequencePattern<L> {
     /// Whether the pattern has no elements (never true once constructed).
     pub fn is_empty(&self) -> bool {
         self.elements.is_empty()
-    }
-
-    /// The elements.
-    pub fn elements(&self) -> &[SequenceElement<L>] {
-        &self.elements
     }
 
     /// Fuzzy match quality at `start`: the fraction of element constraints
@@ -221,8 +206,6 @@ mod tests {
     #[test]
     fn min_thickness_constraint() {
         let e = SequenceElement::labelled("sand").with_min_thickness(5.0);
-        assert!(e.matches(&"sand", 6.0));
-        assert!(!e.matches(&"sand", 4.0));
         let p = SequencePattern::new(vec![e]).unwrap();
         let q = p.match_quality(&[("sand", 2.5)], 0);
         assert!((q - 0.5).abs() < 1e-12);

@@ -11,9 +11,8 @@
 //!   risk model, the FICO credit-score model, and coefficient-ranked
 //!   progressive stages with sound residual bounds.
 //! * [`fsm`] — finite-state models: deterministic predicate machines, the
-//!   fire-ants model of Fig. 1, event-stream runners,
-//!   over-approximating coarsened machines for progressive screening, and
-//!   the distance between machines that ranks near-misses.
+//!   fire-ants model of Fig. 1, event-stream runners, and
+//!   over-approximating coarsened machines for progressive screening.
 //! * [`bayes`] + [`fuzzy`] + [`knowledge`] — Bayesian networks (exact
 //!   inference), fuzzy memberships, and multi-modal
 //!   knowledge models (the high-risk-house network of Fig. 3 and the

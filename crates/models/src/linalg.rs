@@ -59,29 +59,6 @@ impl Matrix {
         })
     }
 
-    /// The identity matrix of size `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element at `(r, c)`.
     ///
     /// # Panics
@@ -261,8 +238,9 @@ mod tests {
     #[test]
     fn mul_identity() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(m.mul(&Matrix::identity(2)).unwrap(), m);
-        assert!(m.mul(&Matrix::identity(3)).is_err());
+        let identity = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
+        assert_eq!(m.mul(&identity).unwrap(), m);
+        assert!(m.mul(&Matrix::zeros(3, 3)).is_err());
     }
 
     #[test]

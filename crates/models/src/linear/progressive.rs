@@ -27,17 +27,7 @@ pub struct StageBound {
     pub cost: usize,
 }
 
-impl StageBound {
-    /// Midpoint estimate.
-    pub fn mid(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-
-    /// Interval width.
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
-    }
-}
+impl StageBound {}
 
 /// A linear model decomposed into contribution-ranked progressive stages.
 ///
@@ -182,21 +172,6 @@ impl ProgressiveLinearModel {
     fn evaluate_exact(&self, x: &[f64]) -> f64 {
         self.model.evaluate(x)
     }
-
-    /// The coarse model keeping only the first `terms` ordered terms — the
-    /// literal `R*` of the paper. Coefficients of dropped terms are zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `terms == 0` or `terms > stages()`.
-    pub fn truncated(&self, terms: usize) -> LinearModel {
-        assert!(terms > 0 && terms <= self.stages(), "stage out of range");
-        let mut coeffs = vec![0.0; self.model.arity()];
-        for &i in &self.order[..terms] {
-            coeffs[i] = self.model.coefficients()[i];
-        }
-        LinearModel::new(coeffs, self.model.intercept()).expect("built from a valid model")
-    }
 }
 
 #[cfg(test)]
@@ -247,23 +222,12 @@ mod tests {
                 b.lo <= exact + 1e-9 && exact <= b.hi + 1e-9,
                 "stage {stage}"
             );
-            assert!(b.width() <= prev_width + 1e-9, "widths must shrink");
-            prev_width = b.width();
+            assert!((b.hi - b.lo) <= prev_width + 1e-9, "widths must shrink");
+            prev_width = b.hi - b.lo;
         }
         let last = p.evaluate_stage(&x, p.stages());
-        assert!(last.width() < 1e-9, "final stage is exact");
-        assert!((last.mid() - exact).abs() < 1e-9);
-    }
-
-    #[test]
-    fn truncated_matches_paper_formula() {
-        let p = hps_like();
-        let coarse = p.truncated(2);
-        // Keeps terms 3 (elevation) and 0 (band 4).
-        assert_eq!(coarse.coefficients()[3], 0.183);
-        assert_eq!(coarse.coefficients()[0], 0.443);
-        assert_eq!(coarse.coefficients()[1], 0.0);
-        assert_eq!(coarse.coefficients()[2], 0.0);
+        assert!((last.hi - last.lo) < 1e-9, "final stage is exact");
+        assert!(((last.lo + last.hi) / 2.0 - exact).abs() < 1e-9);
     }
 
     #[test]
@@ -281,7 +245,7 @@ mod tests {
         let p = hps_like();
         let b = p.evaluate_stage(&[500.0, 0.0, 0.0, 0.0], p.stages());
         // 500 clamps to 255.
-        assert!((b.mid() - 0.443 * 255.0).abs() < 1e-9);
+        assert!(((b.lo + b.hi) / 2.0 - 0.443 * 255.0).abs() < 1e-9);
     }
 
     proptest! {

@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // House-level knowledge model (Fig. 3): multi-modal evidence.
     let (net, nodes) = hps_network();
-    let mut houses = PointLayer::new("houses");
+    let mut houses = PointLayer::default();
     houses.push(
         PointFeature::new(0.2, 0.4)
             .with_attr("bushes", true)

@@ -9,11 +9,9 @@
 #   belongs in `ExecOptions`, not in a new function name.
 # - Fails when the non-test part of crates/core/src has more than
 #   CORE_PUB_FN_LIMIT `pub fn` of any name.
-# - Fails when more than UNREACHED_PUB_FN_LIMIT non-test `pub fn` are
-#   unreached: a `pub fn` in crates/ (outside crates/e2e), src/, tests/ or
-#   examples/ whose name appears in no other `.rs` file under crates/
-#   (crates/e2e included), src/, tests/ or examples/. A shared name counts
-#   as reached, so this is a lower bound on unreached code.
+#
+# Whether each library `pub fn` has a caller at all is
+# scripts/check_reachability.py's job (a compiler check, not a grep).
 #
 # Lower a limit when a change removes some; never raise one.
 set -euo pipefail
@@ -21,8 +19,7 @@ cd "$(dirname "$0")/.."
 
 CORE_LIMIT=13
 INDEX_LIMIT=11
-CORE_PUB_FN_LIMIT=175
-UNREACHED_PUB_FN_LIMIT=6
+CORE_PUB_FN_LIMIT=150
 
 # `pub fn` names above the first #[cfg(test)] of file $1 that match the
 # regex $2.
@@ -43,22 +40,10 @@ index_names=$(pub_fn_names crates/index/src '\w*top_k\w*')
 index_count=$(printf '%s\n' "$index_names" | grep -c . || true)
 pub_fn_count=$(pub_fn_names crates/core/src '\w+' | grep -c . || true)
 
-unreached=0
-while read -r file; do
-  for name in $(file_pub_fns "$file" '\w+' | sort -u); do
-    others=$(grep -rlw --include='*.rs' -e "$name" crates src tests examples | grep -cvxF "$file" || true)
-    if [ "$others" -eq 0 ]; then
-      echo "unreached: $file: pub fn $name"
-      unreached=$((unreached + 1))
-    fi
-  done
-done < <(find crates src tests examples -name '*.rs' -not -path 'crates/e2e/*' | sort)
-
 printf '%s\n' "$names"
 echo "mbir-core public *top_k* functions: $count (limit $CORE_LIMIT)"
 echo "mbir-index public *top_k* functions: $index_count (limit $INDEX_LIMIT)"
 echo "mbir-core pub fn: $pub_fn_count (limit $CORE_PUB_FN_LIMIT)"
-echo "unreached pub fn: $unreached (limit $UNREACHED_PUB_FN_LIMIT)"
 
 status=0
 if [ "$count" -gt "$CORE_LIMIT" ]; then
@@ -71,10 +56,6 @@ if [ "$index_count" -gt "$INDEX_LIMIT" ]; then
 fi
 if [ "$pub_fn_count" -gt "$CORE_PUB_FN_LIMIT" ]; then
   echo "error: more than $CORE_PUB_FN_LIMIT pub fn in mbir-core" >&2
-  status=1
-fi
-if [ "$unreached" -gt "$UNREACHED_PUB_FN_LIMIT" ]; then
-  echo "error: more than $UNREACHED_PUB_FN_LIMIT unreached pub fn" >&2
   status=1
 fi
 for name in $names; do

@@ -81,7 +81,7 @@ fn cocktail_stores(grids: &[Grid2<f64>], tile: usize, fate_seed: u64) -> Vec<Til
             if fate_seed == 0 {
                 return store; // Healthy world.
             }
-            let mut profile = FaultProfile::new(fate_seed);
+            let mut profile = FaultProfile::new();
             for page in 0..store.page_count() {
                 match page_hash(fate_seed, page) % 16 {
                     0 => profile = profile.corrupt(page),

@@ -86,7 +86,7 @@ fn page_hash(seed: u64, page: usize) -> u64 {
 /// some with extra latency; the rest healthy. Returns the profile plus
 /// the pages that can actually cost the engine data (corrupt ∪ dead).
 fn chaos_profile(seed: u64, page_count: usize) -> (FaultProfile, Vec<usize>) {
-    let mut profile = FaultProfile::new(seed);
+    let mut profile = FaultProfile::new();
     let mut lossy = Vec::new();
     for page in 0..page_count {
         match page_hash(seed, page) % 16 {

@@ -146,7 +146,7 @@ fn transient_faults_healing_within_retry_budget_are_invisible() {
     let strict = pyramid_top_k(&model, &pyramids, 5).unwrap();
     // Every page flakes twice before healing; three retries cover that.
     let profile =
-        (0..stores[0].page_count()).fold(FaultProfile::new(11), |p, page| p.transient(page, 2));
+        (0..stores[0].page_count()).fold(FaultProfile::new(), |p, page| p.transient(page, 2));
     let stores: Vec<TileStore> = stores
         .into_iter()
         .map(|s| {
@@ -176,7 +176,7 @@ fn quarantine_trips_after_threshold_and_fails_fast() {
     let grid = Grid2::from_fn(16, 16, |r, c| (r * 16 + c) as f64);
     let store = TileStore::new(grid, 4)
         .unwrap()
-        .with_faults(FaultProfile::new(0).permanent(5))
+        .with_faults(FaultProfile::new().permanent(5))
         .with_resilience(ResilienceConfig::new(RetryPolicy::retries(1), Some(2)));
     // First read: initial attempt + 1 retry both fail -> breaker at 2.
     assert_eq!(
@@ -214,7 +214,7 @@ fn corruption_with_latency_charges_every_detected_reread() {
     let grid = Grid2::from_fn(16, 16, |r, c| (r * 16 + c) as f64);
     let store = TileStore::new(grid, 4)
         .unwrap()
-        .with_faults(FaultProfile::new(0).corrupt(5).latency(5, 9));
+        .with_faults(FaultProfile::new().corrupt(5).latency(5, 9));
     // No retries, breaker disabled: every verified read detects the rot
     // afresh and pays the injected latency again — nothing heals.
     for round in 1..=3u64 {
@@ -238,7 +238,7 @@ fn transient_with_latency_pays_on_failing_and_healed_reads_alike() {
     let grid = Grid2::from_fn(16, 16, |r, c| (r * 16 + c) as f64);
     let store = TileStore::new(grid, 4)
         .unwrap()
-        .with_faults(FaultProfile::new(0).transient(5, 2).latency(5, 9))
+        .with_faults(FaultProfile::new().transient(5, 2).latency(5, 9))
         .with_resilience(ResilienceConfig::new(RetryPolicy::retries(2), None));
     // One read: two failing attempts plus the healed third, every one of
     // them paying the injected latency; backoff ticks ride on top.
@@ -260,7 +260,7 @@ fn quarantine_outranks_corruption_and_latency() {
     let grid = Grid2::from_fn(16, 16, |r, c| (r * 16 + c) as f64);
     let store = TileStore::new(grid, 4)
         .unwrap()
-        .with_faults(FaultProfile::new(0).corrupt(5).latency(5, 9))
+        .with_faults(FaultProfile::new().corrupt(5).latency(5, 9))
         .with_resilience(ResilienceConfig::new(RetryPolicy::none(), Some(2)));
     // Checksum detections feed the breaker like I/O failures: two verified
     // reads trip the quarantine.
@@ -290,12 +290,9 @@ fn quarantine_outranks_corruption_and_latency() {
 #[test]
 fn last_wins_fault_kind_governs_the_store_while_latency_survives() {
     let grid = Grid2::from_fn(16, 16, |r, c| (r * 16 + c) as f64);
-    let store = TileStore::new(grid, 4).unwrap().with_faults(
-        FaultProfile::new(0)
-            .corrupt(5)
-            .transient(5, 1)
-            .latency(5, 9),
-    );
+    let store = TileStore::new(grid, 4)
+        .unwrap()
+        .with_faults(FaultProfile::new().corrupt(5).transient(5, 1).latency(5, 9));
     // The transient kind replaced the corruption entirely: the first read
     // is an I/O failure, not a checksum mismatch…
     assert_eq!(
@@ -321,7 +318,7 @@ fn lost_pages_yield_honest_partial_results() {
     let page = stores[0].page_of(winner.row, winner.col);
     let stores: Vec<TileStore> = stores
         .into_iter()
-        .map(|s| s.with_faults(FaultProfile::new(0).permanent(page)))
+        .map(|s| s.with_faults(FaultProfile::new().permanent(page)))
         .collect();
     let src = TileSource::new(&stores).unwrap();
     let r = resilient_top_k(&model, &pyramids, 4, &src, &ExecutionBudget::unlimited()).unwrap();
@@ -349,7 +346,7 @@ fn clearing_quarantine_restores_access_once_the_fault_heals() {
     let grid = Grid2::from_fn(16, 16, |r, c| (r * 16 + c) as f64);
     let store = TileStore::new(grid, 4)
         .unwrap()
-        .with_faults(FaultProfile::new(0).transient(5, 2))
+        .with_faults(FaultProfile::new().transient(5, 2))
         .with_resilience(ResilienceConfig::new(RetryPolicy::none(), Some(2)));
     // Two failing accesses quarantine the page.
     assert!(store.read_page_verified(5).is_err());
@@ -417,7 +414,7 @@ fn replication_masks_single_replica_corruption_and_loss() {
     let (a, a_stats) = replica_stores(32, 32, 8);
     let a: Vec<TileStore> = a
         .into_iter()
-        .map(|s| s.with_faults(FaultProfile::new(3).corrupt(bad_page).permanent(dead_page)))
+        .map(|s| s.with_faults(FaultProfile::new().corrupt(bad_page).permanent(dead_page)))
         .collect();
     let (b, _) = replica_stores(32, 32, 8);
     let src = ReplicatedSource::new(vec![&a, &b], ReplicaConfig::default()).unwrap();
@@ -449,7 +446,7 @@ fn all_replicas_losing_a_page_degrades_with_sound_bounds() {
     let kill = |stores: Vec<TileStore>| -> Vec<TileStore> {
         stores
             .into_iter()
-            .map(|s| s.with_faults(FaultProfile::new(0).permanent(page)))
+            .map(|s| s.with_faults(FaultProfile::new().permanent(page)))
             .collect()
     };
     let (a, _) = replica_stores(32, 32, 8);
@@ -482,7 +479,7 @@ fn breaker_states_report_and_reset_restores_a_tripped_replica() {
     let a: Vec<TileStore> = a
         .into_iter()
         .map(|s| {
-            let dead = (0..s.page_count()).fold(FaultProfile::new(9), |p, page| p.permanent(page));
+            let dead = (0..s.page_count()).fold(FaultProfile::new(), |p, page| p.permanent(page));
             s.with_faults(dead)
         })
         .collect();

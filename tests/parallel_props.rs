@@ -148,7 +148,7 @@ proptest! {
         // Mix of permanent losses and healed transients, plus retries so
         // some transients are invisible and some faults quarantine.
         let profile = pages.iter().enumerate().fold(
-            FaultProfile::new(fault_seed),
+            FaultProfile::new(),
             |p, (i, pg)| {
                 if i % 2 == 0 { p.permanent(*pg) } else { p.transient(*pg, 1) }
             },

@@ -367,7 +367,7 @@ proptest! {
                         if migrating_sources.contains(&s) {
                             let pages = st.page_count();
                             st.clone().with_faults(
-                                (0..pages).fold(FaultProfile::new(seed), |p, pg| p.permanent(pg)),
+                                (0..pages).fold(FaultProfile::new(), |p, pg| p.permanent(pg)),
                             )
                         } else {
                             st.clone()
@@ -400,7 +400,7 @@ proptest! {
                     .map(|st| {
                         let pages = st.page_count();
                         st.clone().with_faults(
-                            (0..pages).fold(FaultProfile::new(seed), |p, pg| p.permanent(pg)),
+                            (0..pages).fold(FaultProfile::new(), |p, pg| p.permanent(pg)),
                         )
                     })
                     .collect()

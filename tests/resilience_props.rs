@@ -106,7 +106,7 @@ proptest! {
         // always one larger, so every fault heals within it.
         let profile = fault_pages(seed, stores[0].page_count())
             .into_iter()
-            .fold(FaultProfile::new(seed), |p, page| p.transient(page, fails));
+            .fold(FaultProfile::new(), |p, page| p.transient(page, fails));
         let stores: Vec<TileStore> = stores
             .into_iter()
             .map(|s| {
@@ -143,7 +143,7 @@ proptest! {
         let faulty = fault_pages(seed, stores[0].page_count());
         let profile = faulty
             .iter()
-            .fold(FaultProfile::new(seed), |p, page| p.permanent(*page));
+            .fold(FaultProfile::new(), |p, page| p.permanent(*page));
         let stores: Vec<TileStore> = stores
             .into_iter()
             .map(|s| s.with_faults(profile.clone()))
@@ -185,7 +185,7 @@ proptest! {
         let truth = strict.results[0].score;
         let profile = fault_pages(seed, stores[0].page_count())
             .into_iter()
-            .fold(FaultProfile::new(seed), |p, page| p.permanent(page));
+            .fold(FaultProfile::new(), |p, page| p.permanent(page));
         let stores: Vec<TileStore> = stores
             .into_iter()
             .map(|s| s.with_faults(profile.clone()))

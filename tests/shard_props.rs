@@ -110,10 +110,10 @@ fn build_shards(
             ShardFate::Healthy => None,
             ShardFate::Dead => {
                 fixture.lossy = true;
-                Some((0..page_count).fold(FaultProfile::new(shard_seed), |p, pg| p.permanent(pg)))
+                Some((0..page_count).fold(FaultProfile::new(), |p, pg| p.permanent(pg)))
             }
             ShardFate::Chaos => {
-                let mut profile = FaultProfile::new(shard_seed);
+                let mut profile = FaultProfile::new();
                 for page in 0..page_count {
                     match page_hash(shard_seed, page) % 16 {
                         0 | 1 => {
