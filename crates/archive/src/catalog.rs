@@ -68,43 +68,22 @@ pub struct DatasetMeta {
     pub modality: Modality,
     /// Geographic coverage.
     pub extent: GeoExtent,
-    /// Ground resolution in map units per cell (0 for non-raster data).
-    pub resolution: f64,
-    /// Covered day range `[first, last]`.
-    pub day_range: (i64, i64),
-    /// Approximate size in tuples/pixels, used for query planning.
-    pub tuple_count: u64,
 }
 
 impl DatasetMeta {
-    /// Creates metadata with unit extent, zero resolution, empty day range.
+    /// Creates metadata with unit extent.
     pub fn new(id: impl Into<DatasetId>, name: impl Into<String>, modality: Modality) -> Self {
         DatasetMeta {
             id: id.into(),
             name: name.into(),
             modality,
             extent: GeoExtent::unit(),
-            resolution: 0.0,
-            day_range: (0, 0),
-            tuple_count: 0,
         }
     }
 
     /// Sets the geographic extent (builder style).
     pub fn with_extent(mut self, extent: GeoExtent) -> Self {
         self.extent = extent;
-        self
-    }
-
-    /// Sets the day range (builder style).
-    pub fn with_days(mut self, first: i64, last: i64) -> Self {
-        self.day_range = (first.min(last), first.max(last));
-        self
-    }
-
-    /// Sets the tuple count (builder style).
-    pub fn with_tuples(mut self, tuple_count: u64) -> Self {
-        self.tuple_count = tuple_count;
         self
     }
 }
@@ -164,19 +143,15 @@ mod tests {
         let mut c = Catalog::new();
         c.register(
             DatasetMeta::new("tm1", "scene a", Modality::Imagery)
-                .with_extent(GeoExtent::new(0.0, 0.0, 1.0, 1.0))
-                .with_days(0, 100)
-                .with_tuples(512 * 512),
+                .with_extent(GeoExtent::new(0.0, 0.0, 1.0, 1.0)),
         );
         c.register(
             DatasetMeta::new("dem1", "terrain", Modality::Elevation)
-                .with_extent(GeoExtent::new(0.5, 0.5, 2.0, 2.0))
-                .with_days(0, 10_000),
+                .with_extent(GeoExtent::new(0.5, 0.5, 2.0, 2.0)),
         );
         c.register(
             DatasetMeta::new("wx1", "station", Modality::SeriesFeed)
-                .with_extent(GeoExtent::new(5.0, 5.0, 5.1, 5.1))
-                .with_days(200, 565),
+                .with_extent(GeoExtent::new(5.0, 5.0, 5.1, 5.1)),
         );
         c
     }

@@ -54,8 +54,8 @@
 //! logical read — batched and solo verdicts coincide.
 
 use crate::descent::{
-    finish, fresh, interleave, read_cell, seed_root, Budgeted, Cell, ChildRows, Clock, Env, Floor,
-    Lane, Local, Outcome, Pressure, Scorer,
+    finish, fresh, interleave, read_cell, seed_root, Cell, ChildRows, Clock, Env, Floor, Lane,
+    Local, Outcome, PoolMeter, Pooled, Scorer,
 };
 use crate::engine::{pack_coords, validate_grid_inputs, Region};
 use crate::error::CoreError;
@@ -854,6 +854,19 @@ impl<'a, S: CellSource, M> Job<'a, S, M> {
             cols: pyramids[0].base_shape().1,
         }
     }
+
+    /// The same batch over `bands`, positions in this job's bands.
+    pub(crate) fn over(&self, bands: impl IntoIterator<Item = usize>) -> Self {
+        Job {
+            models: self.models,
+            bands: (bands.into_iter())
+                .map(|b| &self.bands[b])
+                .map(|band| ArchiveShard::new(band.pyramids(), band.source(), band.row_offset()))
+                .collect(),
+            k: self.k,
+            cols: self.cols,
+        }
+    }
 }
 
 /// Batched queries must agree on the model arity.
@@ -882,21 +895,20 @@ pub(crate) fn validate_batch<M: Scorer>(
 /// in batch order, and the band memo's physical-work accounting.
 pub(crate) type BandRun = (Vec<Outcome>, Tally);
 
-/// Sets up one [`Env`] per band of `job` — `pressure` builds each band's —
-/// and one lane per (query, band), query-major as [`interleave`] takes
-/// them, over `scratch` (frontiers empty, memos reset); hands them and
-/// the scratch's selectors to `run`, and collects what each band's lanes
-/// produced.
-pub(crate) fn with_lanes<'a, S, M, P, R>(
+/// Sets up one [`Env`] per band of `job` — `pressure(b)` is band `b`'s
+/// budget — and one lane per (query, band), query-major as [`interleave`]
+/// takes them, over `scratch` (frontiers empty, memos reset); hands them
+/// and the scratch's selectors to `run`, and collects what each band's
+/// lanes produced.
+pub(crate) fn with_lanes<'a, S, M, R>(
     job: &Job<'a, S, M>,
-    pressure: impl Fn(&ArchiveShard<'a, S>) -> P,
+    pressure: impl Fn(usize) -> Pooled<'a>,
     scratch: &mut BatchScratch,
-    run: impl FnOnce(&mut [Env<'_, S, P>], &mut [Lane<'_, M>], &mut [Selector; 2]) -> R,
+    run: impl FnOnce(&mut [Env<'_, S>], &mut [Lane<'_, M>], &mut [Selector; 2]) -> R,
 ) -> (R, Vec<BandRun>)
 where
     S: CellSource,
     M: Scorer,
-    P: Pressure,
 {
     let (m, bands) = (job.models.len(), job.bands.len());
     let caps = scratch.caps();
@@ -922,9 +934,9 @@ where
             Lane::new(q, &job.models[q], frontier, job.k, naive)
         })
         .collect();
-    let mut envs: Vec<Env<'_, S, P>> = (job.bands.iter())
+    let mut envs: Vec<Env<'_, S>> = (job.bands.iter().enumerate())
         .zip(memos.iter_mut())
-        .map(|(band, memo)| {
+        .map(|((b, band), memo)| {
             memo.reset(m);
             Env {
                 pyramids: band.pyramids(),
@@ -932,7 +944,7 @@ where
                 cols: job.cols,
                 row_offset: band.row_offset(),
                 memo,
-                pressure: pressure(band),
+                pressure: pressure(b),
             }
         })
         .collect();
@@ -949,20 +961,22 @@ where
     (ran, runs)
 }
 
-/// The batched descent: every lane starts at its band's root — charged
-/// its own root bound, exactly like the solo engine, even though the range
-/// box is fetched once — and the batch scheduler runs them to the end
-/// against `floor`. One verdict per band: an error fails that band alone.
-pub(crate) fn descend<'a, S, M, P, B>(
+/// The batched descent: the lanes of band `b` start from `seeds(b)`, the
+/// `(query, region)` pairs dealt to this run in that band, or — when that
+/// is `None` — at the band's root, each lane charged its own root bound
+/// exactly like the solo engine, even though the range box is fetched
+/// once. The batch scheduler runs them to the end against `floor`. One
+/// verdict per band: an error fails that band alone.
+pub(crate) fn descend<'a, 's, S, M, B>(
     job: &Job<'a, S, M>,
-    pressure: impl Fn(&ArchiveShard<'a, S>) -> P,
+    pressure: impl Fn(usize) -> Pooled<'a>,
+    seeds: impl Fn(usize) -> Option<&'s [(usize, Region)]>,
     floor: &mut B,
     scratch: &mut BatchScratch,
 ) -> Vec<Result<BandRun, CoreError>>
 where
     S: CellSource,
     M: Scorer,
-    P: Pressure,
     B: Floor,
 {
     let (verdicts, runs) = with_lanes(job, pressure, scratch, |envs, lanes, selectors| {
@@ -970,8 +984,13 @@ where
         let mut verdicts: Vec<Result<(), CoreError>> = vec![Ok(()); bands];
         for (i, lane) in lanes.iter_mut().enumerate() {
             let b = i % bands;
-            if verdicts[b].is_ok() {
+            if seeds(b).is_none() && verdicts[b].is_ok() {
                 verdicts[b] = seed_root(&mut envs[b], lane);
+            }
+        }
+        for b in 0..bands {
+            for &(q, region) in seeds(b).into_iter().flatten() {
+                lanes[q * bands + b].frontier.push(region);
             }
         }
         interleave(envs, floor, lanes, &mut verdicts, selectors);
@@ -1062,9 +1081,10 @@ pub(crate) fn batched_top_k_inner<S: CellSource, M: Scorer>(
     validate_batch(models, pyramids, k)?;
     let deadline = WallDeadline::starting_now(opts.budget);
     let pages_at_entry = source.pages_read();
-    let pressure = Budgeted::new(Clock::starting(opts, &deadline, source));
+    let meter = PoolMeter::default();
+    let pressure = Pooled::new(Clock::starting(opts, &deadline, source), &meter);
     let job = Job::whole(models, pyramids, source, k);
-    let mut runs = descend(&job, |_| pressure, &mut Local, scratch);
+    let mut runs = descend(&job, |_| pressure, |_| None, &mut Local, scratch);
     let (outs, tally) = runs.pop().expect("one band")?;
     let pages_read = source.pages_read().saturating_sub(pages_at_entry);
     gather(&job, outs, tally, pages_read)

@@ -1,18 +1,20 @@
 //! Parallel batched multi-query execution: the shared-frontier descent of
-//! [`crate::batched`] partitioned over the worker pool.
+//! [`crate::batched`] spread over the worker pool.
 //!
 //! This *is* the parallel resilient engine — `par_resilient_top_k` is the
-//! batch of one — in the three phases of [`super::engines`]:
+//! batch of one — and it is the pool's one dealer over one band, the
+//! whole grid (DESIGN.md §9, *The dealer*):
 //!
-//! 1. **Shared warm-up.** One sequential expansion of the batch's
-//!    frontiers in the global bound order, children blocks fetched once
-//!    and folded per requesting query, until they hold enough
-//!    regions to deal every worker several per query.
+//! 1. **Shared warm-up.** On a pool of two or more threads, one
+//!    sequential expansion of the batch's frontiers in the global bound
+//!    order, children blocks fetched once and folded per requesting
+//!    query, until they hold enough regions to deal every worker several
+//!    per query. A pool of one descends from the root.
 //! 2. **Descend.** Each worker runs the batched best-first loop over its
-//!    dealt regions with one [`SharedBound`](super::SharedBound) per
-//!    query: a K-th floor discovered for query `q` by one worker prunes
-//!    `q`'s regions in every other worker, while leaving the other
-//!    queries' descents untouched. Cell reads and children blocks are
+//!    dealt regions with one [`SharedBound`] per query: a K-th floor
+//!    discovered for query `q` by one worker prunes `q`'s regions in
+//!    every other worker, while leaving the other queries' descents
+//!    untouched. Cell reads and children blocks are
 //!    memoized per worker; cross-worker page reuse comes from routing
 //!    every worker through one shared (optionally caching)
 //!    [`CellSource`].
@@ -27,10 +29,9 @@
 //! exactly as they are for [`par_resilient_top_k`](super::engines).
 
 use crate::batched::{gather, validate_batch, BatchedTopK, Job, Tally};
-use crate::descent::{Clock, PoolMeter, Pooled};
 use crate::error::CoreError;
-use crate::parallel::engines::par_descend;
-use crate::parallel::pool::WorkerPool;
+use crate::parallel::deal::deal;
+use crate::parallel::pool::{SharedBound, WorkerPool};
 use crate::resilient::{ExecOptions, WallDeadline};
 use crate::source::CellSource;
 use mbir_models::linear::LinearModel;
@@ -38,8 +39,8 @@ use mbir_progressive::pyramid::AggregatePyramid;
 
 /// Parallel [`batched_top_k`](crate::batched::batched_top_k): the shared
 /// multi-query descent partitioned over the pool's workers, with one
-/// [`SharedBound`](super::SharedBound) per query so each query's pruning
-/// floor propagates across workers independently, under one batch-wide
+/// [`SharedBound`] per query so each query's pruning floor propagates
+/// across workers independently, under one batch-wide
 /// [`ExecOptions`] — budget and token are shared by every worker.
 ///
 /// With a healthy source (or deterministic page faults) and a non-binding
@@ -61,9 +62,9 @@ pub fn par_batched_top_k<'a, S: CellSource + Sync>(
     par_batched_top_k_inner(models, pyramids, k, source, opts.into(), pool)
 }
 
-/// The resilient parallel run of a batch of Q ≥ 1 queries: one
-/// [`PoolMeter`] carries the batch-wide multiply-adds and the first stop
-/// any worker latches; each query's outcome is gathered against its own
+/// The resilient parallel run of a batch of Q ≥ 1 queries: one budget
+/// meter carries the batch-wide multiply-adds and the first stop any
+/// worker latches; each query's outcome is gathered against its own
 /// floor. A query that drained its frontier everywhere finished normally
 /// even when some *other* query tripped the stop.
 pub(crate) fn par_batched_top_k_inner<S: CellSource + Sync>(
@@ -79,13 +80,13 @@ pub(crate) fn par_batched_top_k_inner<S: CellSource + Sync>(
     }
     validate_batch(models, pyramids, k)?;
     let deadline = WallDeadline::starting_now(opts.budget);
-    let pages_at_entry = source.pages_read();
-    let meter = PoolMeter::default();
-    let pressure = Pooled::new(Clock::starting(opts, &deadline, source), &meter);
     let job = Job::whole(models, pyramids, source, k);
-    let (outs, tally) = par_descend(&job, pressure, pool)?;
-    let pages_read = source.pages_read().saturating_sub(pages_at_entry);
-    gather(&job, outs, tally, pages_read)
+    let bounds: Vec<SharedBound> = models.iter().map(|_| SharedBound::new()).collect();
+    let whole = deal(&job, opts, &deadline, &bounds, pool)
+        .pop()
+        .expect("one band");
+    let (outs, tally) = whole.out?;
+    gather(&job, outs, tally, whole.pages)
 }
 
 #[cfg(test)]

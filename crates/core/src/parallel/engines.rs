@@ -1,32 +1,21 @@
 //! The parallel grid engine, [`par_resilient_top_k`], and the partitioned
 //! staged-model scan, [`par_staged_top_k`].
 //!
-//! Both follow the same shape (the grid engine through the private
-//! `par_descend`, as a batch of one):
-//!
-//! 1. **Partition.** A short sequential warm-up descent expands the
-//!    pyramid frontier until it holds enough independent subtrees (the
-//!    staged engine just splits the tuple range), then deals the work
-//!    across workers in a deterministic order.
-//! 2. **Descend.** Each worker runs the ordinary best-first loop over its
-//!    own subtrees, pruning against `max(worker K-th floor, shared
-//!    bound)`, the worker's floor taken over every cell it scored.
-//!    Floors discovered by one worker are published through a
-//!    [`SharedBound`], so pruning progress propagates across workers
-//!    without locks.
-//! 3. **Merge.** Per-worker [`TopKHeap`]s are concatenated, sorted by the
-//!    global `(score desc, index asc)` order, and truncated to K;
-//!    per-worker [`EffortReport`]s are summed.
-//!
-//! Because every published floor is the K-th best of a *subset* of the
-//! evaluated cells, it can never exceed the true K-th best score — so no
-//! true top-K cell is ever pruned, and (absent exact score ties at the
-//! K-th boundary) the merged result is bit-identical to the sequential
-//! engines at every thread count. DESIGN.md §9 spells the argument out.
+//! The grid engine is a batch of one through
+//! [`par_batched_top_k`](super::par_batched_top_k), which the pool's one
+//! dealer spreads over the workers (DESIGN.md §9, *The dealer*); the
+//! staged engine splits the tuple range into one contiguous chunk per
+//! worker. Either way each worker prunes against `max(its own K-th floor,
+//! shared bound)`, the floors it finds published through a
+//! [`SharedBound`], and the per-worker top-K lists are merged in the
+//! global `(score desc, index asc)` order. Because every published floor
+//! is the K-th best of a *subset* of the evaluated items, it can never
+//! exceed the true K-th best score — so no true top-K item is ever
+//! pruned, and (absent exact score ties at the K-th boundary) the merged
+//! result is bit-identical to the sequential engines at every thread
+//! count. DESIGN.md §9 spells the argument out.
 
-use crate::batched::{with_lanes, with_pooled_scratch, Job, Tally};
-use crate::descent::{interleave, seed_root, warm_up, Outcome, Pooled, Scored};
-use crate::engine::{validate_tuples, EffortReport, Region, TupleTopK};
+use crate::engine::{validate_tuples, EffortReport, TupleTopK};
 use crate::error::CoreError;
 use crate::parallel::batched::par_batched_top_k_inner;
 use crate::parallel::pool::{SharedBound, WorkerPool};
@@ -36,96 +25,6 @@ use mbir_index::scan::TopKHeap;
 use mbir_index::stats::{sort_desc, ScoredItem};
 use mbir_models::linear::{LinearModel, ProgressiveLinearModel};
 use mbir_progressive::pyramid::AggregatePyramid;
-
-/// Warm-up expands the frontier until it holds `threads * FRONTIER_FANOUT`
-/// subtrees, so the deal gives every worker several independent regions.
-pub(crate) const FRONTIER_FANOUT: usize = 4;
-
-/// The parallel configuration of the execution core: a sequential
-/// [`warm_up`] over the batch's lanes, the held regions dealt round-robin
-/// (best first, so every worker starts with a comparable spread of upper
-/// bounds), one [`interleave`] per worker pruning each query against the
-/// worker's [`Scored`] floor, and the per-lane outcomes merged in worker
-/// order. The same `pressure` serves the warm-up and every worker; a stop
-/// tripped during warm-up surrenders the held regions without running
-/// any worker.
-pub(crate) fn par_descend<S: CellSource + Sync>(
-    job: &Job<'_, S>,
-    pressure: Pooled<'_>,
-    pool: &WorkerPool,
-) -> Result<(Vec<Outcome>, Tally), CoreError> {
-    let m = job.models.len();
-    let target = pool.threads() * FRONTIER_FANOUT * m;
-    let (held, mut runs) = with_pooled_scratch(|scratch| {
-        with_lanes(
-            job,
-            |_| pressure,
-            scratch,
-            |envs, lanes, selectors| {
-                let env = &mut envs[0];
-                for lane in lanes.iter_mut() {
-                    seed_root(env, lane)?;
-                }
-                warm_up(env, lanes, target, &mut selectors[0])
-            },
-        )
-    });
-    let held = held?;
-    let (mut outs, mut tally) = runs.pop().expect("one band");
-    if let Some(stop) = held.stop {
-        for (q, region) in held.regions {
-            outs[q].leftover.push(region);
-            outs[q].stop = Some(stop);
-        }
-        return Ok((outs, tally));
-    }
-    let workers = pool.threads().min(held.regions.len()).max(1);
-    let mut seeds: Vec<Vec<(usize, Region)>> = vec![Vec::new(); workers];
-    for (i, entry) in held.regions.into_iter().enumerate() {
-        seeds[i % workers].push(entry);
-    }
-    let bounds: Vec<SharedBound> = (0..m).map(|_| SharedBound::new()).collect();
-    let bounds = &bounds[..];
-    let worker_outs = pool.run(
-        seeds
-            .into_iter()
-            .map(|seed| {
-                move |_w: usize| {
-                    let mut floor = Scored::new(job.k, bounds);
-                    with_pooled_scratch(|scratch| {
-                        let (verdict, mut runs) = with_lanes(
-                            job,
-                            |_| pressure,
-                            scratch,
-                            |envs, lanes, selectors| {
-                                for (q, region) in seed {
-                                    lanes[q].frontier.push(region);
-                                }
-                                let mut verdicts = [Ok(())];
-                                interleave(envs, &mut floor, lanes, &mut verdicts, selectors);
-                                let [verdict] = verdicts;
-                                verdict
-                            },
-                        );
-                        verdict.map(|()| runs.pop().expect("one band"))
-                    })
-                }
-            })
-            .collect(),
-    );
-    // The reported error is the lowest-indexed worker's.
-    for worker in worker_outs {
-        let (lanes, worker_tally) = worker?;
-        tally += worker_tally;
-        for (out, lane) in outs.iter_mut().zip(lanes) {
-            out.absorb(lane);
-        }
-    }
-    for out in &mut outs {
-        out.merge_items(job.k);
-    }
-    Ok((outs, tally))
-}
 
 /// One worker's staged-model scan over a contiguous tuple range: the one
 /// `p_m` loop (`staged_top_k` is one worker over every tuple, against a

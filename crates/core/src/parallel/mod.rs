@@ -23,6 +23,7 @@
 //! batched shared-frontier invariant is §15.
 
 pub mod batched;
+pub(crate) mod deal;
 pub mod engines;
 pub mod pool;
 

@@ -10,16 +10,17 @@
 //! [`WorkerPool`], and gathers a merged answer that stays *provably
 //! sound* no matter which shards degrade, straggle, or die:
 //!
-//! * **Cross-shard bound propagation.** Each pool worker descends all of
-//!   its shards as one descent, stepping whichever (shard, query) lane
-//!   holds the best upper bound over every band, and each query prunes
+//! * **Cross-shard bound propagation.** Each pool worker descends what
+//!   it holds — whole shards when there are at least as many as threads,
+//!   else regions dealt from one — as one descent, stepping whichever
+//!   (shard, query) lane holds the best upper bound, and each query prunes
 //!   against one floor per worker: the K-th best of every cell that
 //!   worker scored for it in any band, raised to the query's
 //!   [`SharedBound`] across workers and offered back to it. A winner
 //!   scored in one band prunes the other bands at once, so at one thread
 //!   a query walks the forest of band pyramids in the unsharded
 //!   best-first order and does about the unsharded work. The cells a
-//!   worker scores in one wave are distinct (its bands are disjoint), so
+//!   worker scores in one wave are distinct (its regions are disjoint), so
 //!   a floor is the K-th best of a *subset* of the archive's cells and
 //!   never exceeds the true global K-th score: no true top-K cell is ever
 //!   pruned and the healthy merged answer is bit-identical to the
@@ -51,8 +52,8 @@
 //!
 //! Every entry point here is one private scatter (DESIGN.md §18): a solo
 //! query is a batch of one, plain scatter-gather is the dual-read with no
-//! migration groups, and each worker's shards are the batched
-//! configuration of the execution core over one band per shard. What the
+//! migration groups, and each of its waves is one wave of the pool's
+//! dealer (DESIGN.md §9) over one band per shard. What the
 //! gather reads stays per shard: each shard's attempt has its own pages,
 //! ticks, stop, and lost and leftover regions, and a stop on one shard's
 //! clocks halts that shard's lanes only. Every wave (primary, hedge,
@@ -60,11 +61,12 @@
 //! destination copy re-scores rows an earlier wave scored; only the
 //! shared bounds cross waves.
 
-use crate::batched::{descend, same_arity, with_pooled_scratch, BandRun, Job, Tally};
-use crate::descent::{stop_code, Band, Budgeted, Clock, Merge, Outcome, Scored};
+use crate::batched::{same_arity, Job, Tally};
+use crate::descent::{stop_code, Band, Merge, Outcome};
 use crate::engine::{validate_grid_inputs, EffortReport, Region};
 use crate::error::CoreError;
 use crate::lifecycle::CancelToken;
+use crate::parallel::deal::{deal, Attempt};
 use crate::parallel::{SharedBound, WorkerPool};
 use crate::resilient::{BudgetStop, ExecOptions, ExecutionBudget, ResilientHit, WallDeadline};
 use crate::source::CellSource;
@@ -581,16 +583,8 @@ impl ShardedTopK {
     }
 }
 
-/// One attempt (primary, hedge, or destination copy) at a shard: the
-/// lanes of every query of the batch over the shard's band — one band of
-/// its worker's descent — with the attempt's I/O window on the shard's
-/// own clock.
-struct Attempt {
-    out: Result<BandRun, CoreError>,
-    pages: u64,
-    ticks: u64,
-}
-
+/// An attempt (primary, hedge, or destination copy) at a shard is the
+/// shard's band's run in one wave of the dealer.
 impl Attempt {
     fn lanes(&self) -> &[Outcome] {
         self.out.as_ref().map_or(&[], |(lanes, _)| lanes)
@@ -652,74 +646,22 @@ struct ScatterCtx<'a> {
     bounds: &'a [SharedBound],
 }
 
-/// One pool worker's attempts at `own` shards (ascending): the batched
-/// configuration of the execution core over all of their bands as one
-/// descent — one [`Env`](crate::descent::Env) per shard, with the shard's
-/// pyramids, source and memo, and a budget measured on the shard's own
-/// clocks — every query pruning against the worker's [`Scored`] floor
-/// over every cell it scored for that query in any of these bands.
-fn worker_attempts<S: CellSource>(
-    ctx: &ScatterCtx<'_>,
-    shards: &[ArchiveShard<'_, S>],
-    own: &[usize],
-) -> Vec<Attempt> {
-    let job = Job {
-        models: ctx.models,
-        bands: own.iter().map(|&i| ArchiveShard { ..shards[i] }).collect(),
-        k: ctx.k,
-        cols: ctx.cols,
-    };
-    let clocks =
-        |band: &ArchiveShard<'_, S>| (band.source.pages_read(), band.source.ticks_elapsed());
-    let at_entry: Vec<(u64, u64)> = job.bands.iter().map(clocks).collect();
-    let mut floor = Scored::new(ctx.k, ctx.bounds);
-    let pressure = |band: &ArchiveShard<'_, S>| {
-        Budgeted::new(Clock::starting(ctx.opts, ctx.deadline, band.source))
-    };
-    let runs = with_pooled_scratch(|scratch| descend(&job, pressure, &mut floor, scratch));
-    (runs.into_iter().zip(&job.bands).zip(at_entry))
-        .map(|((out, band), (pages, ticks))| Attempt {
-            out,
-            pages: band.source.pages_read().saturating_sub(pages),
-            ticks: band.source.ticks_elapsed().saturating_sub(ticks),
-        })
-        .collect()
-}
-
-/// Fans the `which` shard indices (ascending) out over the pool —
-/// round-robin, one descent per worker over all of its shards — and
-/// returns their attempts in `which` order.
-fn scatter_wave<S: CellSource + Sync>(
-    ctx: &ScatterCtx<'_>,
-    shards: &[ArchiveShard<'_, S>],
-    which: &[usize],
-    pool: &WorkerPool,
-) -> Vec<Attempt> {
-    if which.is_empty() {
-        return Vec::new();
+impl ScatterCtx<'_> {
+    /// One wave over the `which` shards: their attempts, in `which` order.
+    fn wave<S: CellSource + Sync>(
+        &self,
+        shards: &[ArchiveShard<'_, S>],
+        which: impl Iterator<Item = usize>,
+        pool: &WorkerPool,
+    ) -> Vec<Attempt> {
+        let job = Job {
+            models: self.models,
+            bands: which.map(|i| ArchiveShard { ..shards[i] }).collect(),
+            k: self.k,
+            cols: self.cols,
+        };
+        deal(&job, self.opts, self.deadline, self.bounds, pool)
     }
-    let workers = pool.threads().min(which.len());
-    let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    for (slot, &shard_index) in which.iter().enumerate() {
-        assignments[slot % workers].push(shard_index);
-    }
-    let mut attempts: Vec<(usize, Attempt)> = pool
-        .run(
-            assignments
-                .into_iter()
-                .map(|own| {
-                    move |_w: usize| {
-                        let attempts = worker_attempts(ctx, shards, &own);
-                        own.into_iter().zip(attempts).collect::<Vec<_>>()
-                    }
-                })
-                .collect(),
-        )
-        .into_iter()
-        .flatten()
-        .collect();
-    attempts.sort_by_key(|(i, _)| *i);
-    attempts.into_iter().map(|(_, a)| a).collect()
 }
 
 /// Rejects a query whose pinned epoch differs from the one the archive
@@ -1055,8 +997,7 @@ fn scatter<S: CellSource + Sync, D: CellSource + Sync>(
         },
         ..ctx
     };
-    let all: Vec<usize> = (0..shards.len()).collect();
-    let mut attempts = scatter_wave(&primary, shards, &all, pool);
+    let mut attempts = primary.wave(shards, 0..shards.len(), pool);
 
     // Hedged re-dispatch of stragglers: one retry without the soft
     // deadline. The losing attempt's output is discarded wholesale so it
@@ -1068,7 +1009,7 @@ fn scatter<S: CellSource + Sync, D: CellSource + Sync>(
         let stragglers: Vec<usize> = (0..shards.len())
             .filter(|&i| attempts[i].straggled())
             .collect();
-        let hedges = scatter_wave(&ctx, shards, &stragglers, pool);
+        let hedges = ctx.wave(shards, stragglers.iter().copied(), pool);
         for (&i, hedge) in stragglers.iter().zip(hedges) {
             hedged[i] = true;
             if hedge.beats(&attempts[i]) {
@@ -1083,8 +1024,7 @@ fn scatter<S: CellSource + Sync, D: CellSource + Sync>(
     // the same shared bounds. The mature cross-shard floors make most
     // healthy destination descents exclude their band near the root, so
     // the dual fan-out costs little extra when nothing is failing.
-    let all_dest: Vec<usize> = (0..dest.len()).collect();
-    let dest_attempts = scatter_wave(&ctx, dest, &all_dest, pool);
+    let dest_attempts = ctx.wave(dest, 0..dest.len(), pool);
 
     // A group's rows are served from the destination side only when a
     // migrating source shard failed *and* every destination copy
@@ -1339,6 +1279,7 @@ pub fn batched_scatter_gather_top_k<'a, S: CellSource + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batched::with_pooled_scratch;
     use crate::resilient::resilient_top_k;
     use crate::source::TileSource;
     use mbir_archive::fault::FaultProfile;
@@ -1447,7 +1388,7 @@ mod tests {
 
     #[test]
     fn healthy_runs_are_bit_identical_to_unsharded_resilient() {
-        for shard_count in [1usize, 4, 16] {
+        for shard_count in [1usize, 2, 4, 16] {
             let (model, global, worlds) = sharded_world(3, 64, 64, 4, shard_count);
             let reference_stores: Vec<TileStore> = (0..3)
                 .map(|i| TileStore::new(smooth_grid(i, 64, 64), 4).unwrap())
@@ -1464,6 +1405,7 @@ mod tests {
             with_archive(&worlds, |archive| {
                 for threads in [1usize, 2, 4, 8] {
                     let pool = WorkerPool::new(threads);
+                    waves();
                     let r = scatter_gather_top_k(
                         &model,
                         archive,
@@ -1482,9 +1424,18 @@ mod tests {
                     assert_eq!(r.budget_stop, None);
                     assert!(r.skipped_pages.is_empty());
                     assert!(r.shards.iter().all(|s| s.outcome == ShardOutcome::Complete));
+                    // One pool task per thread at every shard count: whole
+                    // shards, or with fewer shards than threads each shard's
+                    // regions dealt to its share of the workers.
+                    assert_eq!(waves(), [threads, 0], "primary, destination wave");
                 }
             });
         }
+    }
+
+    /// The pool tasks of every wave this thread dealt since the last call.
+    fn waves() -> Vec<usize> {
+        crate::parallel::deal::WAVE_TASKS.with(|waves| waves.take())
     }
 
     #[test]
@@ -1530,6 +1481,16 @@ mod tests {
                 }
             })
             .collect();
+    }
+
+    /// Every page of the shard costs 10,000 ticks: a soft deadline of
+    /// 5,000 stops it at its first read.
+    fn slow_down(world: &mut ShardWorld) {
+        let profile = (0..world.stores[0].page_count())
+            .fold(FaultProfile::new(), |p, page| p.latency(page, 10_000));
+        for store in &mut world.stores {
+            *store = store.clone().with_faults(profile.clone());
+        }
     }
 
     #[test]
@@ -1645,13 +1606,7 @@ mod tests {
         )
         .unwrap();
         let slow = reference.results[0].cell.row / (64 / 4);
-        let profile = (0..worlds[slow].stores[0].page_count())
-            .fold(FaultProfile::new(), |p, page| p.latency(page, 10_000));
-        worlds[slow].stores = worlds[slow]
-            .stores
-            .iter()
-            .map(|s| s.clone().with_faults(profile.clone()))
-            .collect();
+        slow_down(&mut worlds[slow]);
         with_archive(&worlds, |archive| {
             let pool = WorkerPool::new(4);
             let policy = ScatterPolicy::require_all()
@@ -2048,13 +2003,7 @@ mod tests {
         )
         .unwrap();
         let slow = reference.results[0].cell.row / (64 / 4);
-        let profile = (0..worlds[slow].stores[0].page_count())
-            .fold(FaultProfile::new(), |p, page| p.latency(page, 10_000));
-        worlds[slow].stores = worlds[slow]
-            .stores
-            .iter()
-            .map(|s| s.clone().with_faults(profile.clone()))
-            .collect();
+        slow_down(&mut worlds[slow]);
         let healthy_solos: Vec<ShardedTopK> = models
             .iter()
             .map(|model| {
@@ -2162,37 +2111,42 @@ mod tests {
 
     #[test]
     fn slow_shard_times_out_alone_beside_its_worker_mate() {
-        // One pool thread descends both bands as one: a stop on the slow
-        // band's own clock halts that band only, and its hedge — a fresh
-        // floor over the re-scored rows — recovers the healthy answer.
+        // At one thread one worker descends both bands as one: a stop on
+        // the slow band's own clock halts that band only, and its hedge — a
+        // fresh floor over the re-scored rows — recovers the healthy
+        // answer. At two, the hedge wave of the one straggler deals its
+        // regions to both workers, and nothing else changes.
         let (rows, cols, k) = (64usize, 64usize, 5usize);
         let (model, global, mut worlds) = sharded_world(2, rows, cols, 4, 2);
         let healthy = unsharded(&model, &global, (rows, cols), k);
         let slow = healthy.results[0].cell.row / (rows / 2);
         let mate = 1 - slow;
-        let profile = (0..worlds[slow].stores[0].page_count())
-            .fold(FaultProfile::new(), |p, page| p.latency(page, 10_000));
-        worlds[slow].stores = worlds[slow]
-            .stores
-            .iter()
-            .map(|s| s.clone().with_faults(profile.clone()))
-            .collect();
+        slow_down(&mut worlds[slow]);
         with_archive(&worlds, |archive| {
-            let pool = WorkerPool::new(1);
-            let budget = ExecutionBudget::unlimited();
-            let soft = ScatterPolicy::require_all().with_soft_deadline_ticks(5_000);
-            let r = scatter_gather_top_k(&model, archive, k, &budget, &soft, &pool).unwrap();
-            assert_eq!(r.shards[slow].outcome, ShardOutcome::TimedOut);
-            assert_eq!(r.shards[mate].outcome, ShardOutcome::Complete);
-            assert_eq!(r.shards[mate].budget_stop, None);
+            for threads in [1usize, 2] {
+                let pool = WorkerPool::new(threads);
+                let budget = ExecutionBudget::unlimited();
+                let soft = ScatterPolicy::require_all().with_soft_deadline_ticks(5_000);
+                let r = scatter_gather_top_k(&model, archive, k, &budget, &soft, &pool).unwrap();
+                assert_eq!(r.shards[slow].outcome, ShardOutcome::TimedOut);
+                assert_eq!(r.shards[mate].outcome, ShardOutcome::Complete);
+                assert_eq!(r.shards[mate].budget_stop, None);
 
-            let hedging = soft.with_hedged_stragglers();
-            let r = scatter_gather_top_k(&model, archive, k, &budget, &hedging, &pool).unwrap();
-            assert!(r.shards[slow].hedged && r.shards[slow].hedge_won);
-            assert!(!r.shards[mate].hedged);
-            assert_eq!(r.shards[mate].outcome, ShardOutcome::Complete);
-            assert_eq!(r.results, healthy.results);
-            assert_eq!(r.completeness, 1.0);
+                let hedging = soft.with_hedged_stragglers();
+                waves();
+                let r = scatter_gather_top_k(&model, archive, k, &budget, &hedging, &pool);
+                assert_eq!(
+                    waves(),
+                    [threads, threads, 0],
+                    "primary, hedge, destination"
+                );
+                let r = r.unwrap();
+                assert!(r.shards[slow].hedged && r.shards[slow].hedge_won);
+                assert!(!r.shards[mate].hedged);
+                assert_eq!(r.shards[mate].outcome, ShardOutcome::Complete);
+                assert_eq!(r.results, healthy.results);
+                assert_eq!(r.completeness, 1.0);
+            }
         });
     }
 

@@ -24,19 +24,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let study_area = GeoExtent::new(0.0, 0.0, 60.0, 60.0);
     catalog.register(
         DatasetMeta::new("tm-1998-193", "TM scene, Jul 1998", Modality::Imagery)
-            .with_extent(GeoExtent::new(0.0, 0.0, 90.0, 90.0))
-            .with_days(10_420, 10_420)
-            .with_tuples(8192 * 8192),
+            .with_extent(GeoExtent::new(0.0, 0.0, 90.0, 90.0)),
     );
     catalog.register(
         DatasetMeta::new("dem-srtm", "elevation", Modality::Elevation)
-            .with_extent(GeoExtent::new(0.0, 0.0, 120.0, 120.0))
-            .with_days(0, 40_000),
+            .with_extent(GeoExtent::new(0.0, 0.0, 120.0, 120.0)),
     );
     catalog.register(
         DatasetMeta::new("wx-station-7", "weather feed", Modality::SeriesFeed)
-            .with_extent(GeoExtent::new(200.0, 200.0, 201.0, 201.0))
-            .with_days(9_000, 11_000),
+            .with_extent(GeoExtent::new(200.0, 200.0, 201.0, 201.0)),
     );
     let candidates = catalog.covering(&study_area);
     println!(
