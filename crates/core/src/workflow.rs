@@ -145,13 +145,15 @@ pub fn run_workflow(
     let mut xs: Vec<Vec<f64>> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
     let mut records = Vec::with_capacity(config.iterations);
-    // Deterministic exploration sequence.
+    // Deterministic exploration sequence: a 64-bit LCG's top bits. Its
+    // low bits have short periods (bit `b` repeats every 2^(b+1) draws),
+    // so `% rows` on the whole state revisits a few cells.
     let mut probe_state = config.seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
     let mut next_probe = move || {
         probe_state = probe_state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        probe_state
+        probe_state >> 33
     };
 
     for iteration in 0..config.iterations {

@@ -127,26 +127,6 @@ fn score_rows_fixed<const D: usize>(block: &[f64], dir: &[f64], out: &mut [f64])
     }
 }
 
-/// Exact support `max dir . x` over the rows whose `alive` flag is set
-/// (`NEG_INFINITY` when none are). Uses `f64::max`, matching the legacy
-/// `best.max(score)` fold bit for bit.
-///
-/// # Panics
-///
-/// Panics if `alive.len() * dims != block.len()` or the direction length
-/// is wrong.
-pub fn max_score_alive(block: &[f64], dims: usize, alive: &[bool], dir: &[f64]) -> f64 {
-    assert_eq!(dir.len(), dims, "direction length mismatch");
-    assert_eq!(block.len(), alive.len() * dims, "alive mask mismatch");
-    let mut best = f64::NEG_INFINITY;
-    for (row, &live) in block.chunks_exact(dims).zip(alive) {
-        if live {
-            best = best.max(dot(dir, row));
-        }
-    }
-    best
-}
-
 /// The transposed bundle loop: calls `visit(i, scores)` for every row `i`
 /// of `block`, in row order, with `scores[k]` = direction `k`'s score of
 /// that row.
@@ -424,19 +404,6 @@ mod tests {
         assert!(lists
             .iter()
             .all(|list| list.len() == n - 1 && !list.contains(&1)));
-    }
-
-    #[test]
-    fn max_score_alive_matches_fold() {
-        let d = 2;
-        let block = [1.0, 2.0, -4.0, 9.0, 3.0, 3.0];
-        let alive = [true, false, true];
-        let dir = [1.0, 1.0];
-        assert_eq!(max_score_alive(&block, d, &alive, &dir), 6.0);
-        assert_eq!(
-            max_score_alive(&block, d, &[false, false, false], &dir),
-            f64::NEG_INFINITY
-        );
     }
 
     #[test]

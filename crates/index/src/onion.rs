@@ -73,7 +73,14 @@
 //! per-direction winners off those lists. The winners are the ones a full
 //! sweep per layer finds, so layers are bit-identical to the nested-`Vec`
 //! [`OnionIndex::build_legacy_with`], which still sweeps every layer and is
-//! the reference in bit-identity tests.
+//! the reference in bit-identity tests. A list starts short and is swept
+//! again, longer, in the rare case it runs dry.
+//! The remainders are nested, so the flat build encloses them from the
+//! core outward (`Extremes`): each row is folded into the boxes and hint
+//! supports once, not once per layer above it. A radius scans the peeled
+//! rows beneath its layer and walks the core's radial order only as far as
+//! a bound on the rest can still beat the largest distance found
+//! (`set_radii`). The legacy build folds every remainder from scratch.
 //! The quantised *query* walk is gone: with a few dozen scattered members
 //! per layer and a core left after two or three runs it had nothing to
 //! prune.
@@ -207,9 +214,9 @@ struct BoundingBox {
 }
 
 impl BoundingBox {
-    /// Encloses the `members` rows — the one implementation serves both
-    /// the flat store and the legacy nested points (identical
-    /// per-coordinate fold order either way).
+    /// Encloses the `members` rows by folding them in order: the legacy
+    /// build's enclosure, which the flat build's `Extremes` and
+    /// [`set_radii`] reproduce bit for bit.
     fn of<'a, M>(members: M, d: usize) -> Option<Self>
     where
         M: Iterator<Item = &'a [f64]> + Clone,
@@ -290,13 +297,14 @@ struct RadialCore {
 /// Puts the alive rows (`count` of them, enclosed by `enclosure`) in
 /// descending box-normalised distance from the enclosure's centre and
 /// records one radius per run. Ties go to the smaller index, so the order
-/// is a function of the stored coordinates alone.
+/// is a function of the stored coordinates alone. Returns the order as
+/// `(radius, row)` pairs.
 fn finish_core(
     store: &PointStore,
     alive: &[bool],
     count: usize,
     enclosure: &BoundingBox,
-) -> (Vec<usize>, RadialCore) {
+) -> (Vec<(f64, u32)>, RadialCore) {
     let half: Vec<f64> = enclosure
         .lo
         .iter()
@@ -309,10 +317,8 @@ fn finish_core(
         .iter()
         .map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 })
         .collect();
-    // The sort moves 4-byte row numbers and looks their keys up in a
-    // temporary radius array, indexed by row (dead rows keep 0).
-    let mut radius = vec![0.0f64; store.len()];
-    let mut order: Vec<u32> = Vec::with_capacity(count);
+    // The sort moves each key with its row: no lookups by row number.
+    let mut order: Vec<(f64, u32)> = Vec::with_capacity(count);
     for (idx, row) in store.rows().enumerate() {
         if !alive[idx] {
             continue;
@@ -328,27 +334,28 @@ fn finish_core(
         // A radius that is not a number bounds nothing: such a tuple goes
         // first, under a run radius that disables the stop.
         let r = r2.sqrt();
-        radius[idx] = if r.is_finite() { r } else { f64::INFINITY };
-        order.push(u32::try_from(idx).expect("the core is addressed by u32 row numbers"));
+        order.push((
+            if r.is_finite() { r } else { f64::INFINITY },
+            u32::try_from(idx).expect("the core is addressed by u32 row numbers"),
+        ));
     }
-    order.sort_unstable_by(|&a, &b| {
-        radius[b as usize]
-            .total_cmp(&radius[a as usize])
-            .then(a.cmp(&b))
-    });
-    let run_radius = order
-        .chunks(CORE_RUN_ROWS)
-        .map(|run| radius[run[0] as usize])
-        .collect();
-    drop(radius);
-    let members = order.into_iter().map(|idx| idx as usize).collect();
-    (members, RadialCore { half, run_radius })
+    order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    let run_radius = order.chunks(CORE_RUN_ROWS).map(|run| run[0].0).collect();
+    (order, RadialCore { half, run_radius })
+}
+
+/// The core's row numbers in the order [`finish_core`] returned.
+fn members(order: Vec<(f64, u32)>) -> Vec<usize> {
+    // Collected into the pairs' own buffer, twice the size it needs.
+    let mut members: Vec<usize> = order.into_iter().map(|(_, row)| row as usize).collect();
+    members.shrink_to_fit();
+    members
 }
 
 /// Everything a peel reads. `legacy_rows` selects the pre-`PointStore`
-/// reference path (nested rows, one sweep pass per direction and layer) for
-/// the enclosures, hint supports and d >= 3 sweeps; results are
-/// bit-identical.
+/// reference path (nested rows, one enclosure and hint-support fold over
+/// the remainder and one sweep pass per direction, every layer); results
+/// are bit-identical.
 struct Peeler<'a> {
     store: &'a PointStore,
     legacy_rows: Option<&'a [Vec<f64>]>,
@@ -358,28 +365,20 @@ struct Peeler<'a> {
 }
 
 impl Peeler<'_> {
-    fn enclose(&self, alive: &[bool]) -> BoundingBox {
-        let dims = self.store.dims();
-        fn live<'a>((row, &live): (&'a [f64], &bool)) -> Option<&'a [f64]> {
-            live.then_some(row)
+    /// The legacy enclosure of the alive rows: one fold over all of them.
+    fn enclose(&self, rows: &[Vec<f64>], alive: &[bool]) -> BoundingBox {
+        fn live<'a>((row, &live): (&'a Vec<f64>, &bool)) -> Option<&'a [f64]> {
+            live.then_some(row.as_slice())
         }
-        match self.legacy_rows {
-            Some(rows) => BoundingBox::of(
-                rows.iter().map(Vec::as_slice).zip(alive).filter_map(live),
-                dims,
-            ),
-            None => BoundingBox::of(self.store.rows().zip(alive).filter_map(live), dims),
-        }
-        .expect("enclose is only called with rows alive")
+        BoundingBox::of(rows.iter().zip(alive).filter_map(live), self.store.dims())
+            .expect("enclose is only called with rows alive")
     }
 
-    fn supports(&self, alive: &[bool]) -> Vec<f64> {
+    /// The legacy hint supports of the alive rows: one fold per hint.
+    fn supports(&self, rows: &[Vec<f64>], alive: &[bool]) -> Vec<f64> {
         self.hints
             .iter()
-            .map(|h| match self.legacy_rows {
-                Some(rows) => support_of_rows(alive, rows, h),
-                None => kernels::max_score_alive(self.store.flat(), self.store.dims(), alive, h),
-            })
+            .map(|h| support_of_rows(alive, rows, h))
             .collect()
     }
 
@@ -412,8 +411,10 @@ impl Peeler<'_> {
         let mut candidates: Option<Candidates> = None;
         let dirs = self.bundle.directions();
         while remaining > 0 && layers.len() < max_layers {
-            boxes.push(self.enclose(&alive));
-            hint_support.push(self.supports(&alive));
+            if let Some(rows) = self.legacy_rows {
+                boxes.push(self.enclose(rows, &alive));
+                hint_support.push(self.supports(rows, &alive));
+            }
             let layer = match (&sorted_2d, self.legacy_rows) {
                 _ if dims == 1 => extremes_1d(store, &alive),
                 (Some(order), _) => hull_2d(store, &alive, order),
@@ -429,16 +430,267 @@ impl Peeler<'_> {
             remaining -= layer.len();
             layers.push(layer);
         }
+        let Some(rows) = self.legacy_rows else {
+            return self.enclose_core_outward(&alive, remaining, layers, boxes, hint_support);
+        };
         (remaining > 0).then(|| {
-            let enclosure = self.enclose(&alive);
-            hint_support.push(self.supports(&alive));
-            let (members, core) = finish_core(store, &alive, remaining, &enclosure);
+            let enclosure = self.enclose(rows, &alive);
+            hint_support.push(self.supports(rows, &alive));
+            let (order, core) = finish_core(store, &alive, remaining, &enclosure);
             boxes.push(enclosure);
-            layers.push(members);
+            layers.push(members(order));
             core
         })
     }
+
+    /// The flat build's enclosures, hint supports and core bucket, from the
+    /// core outward: remainder `l` is remainder `l + 1` and layer `l`, so
+    /// one [`Extremes`] takes the core's rows and then one layer at a time,
+    /// and each row is folded once. The core is ordered before the radii
+    /// are taken: its order is what lets [`set_radii`] skip most of it.
+    fn enclose_core_outward(
+        &self,
+        alive: &[bool],
+        remaining: usize,
+        layers: &mut Vec<Vec<usize>>,
+        boxes: &mut Vec<BoundingBox>,
+        hint_support: &mut Vec<Vec<f64>>,
+    ) -> Option<RadialCore> {
+        let store = self.store;
+        let mut extremes = Extremes::new(store.dims(), self.hints.len());
+        let mut outward = Vec::with_capacity(layers.len() + 1);
+        if remaining > 0 {
+            for (row, x) in store.rows().enumerate() {
+                if alive[row] {
+                    extremes.add(row, x, self.hints);
+                }
+            }
+            outward.push(extremes.settle());
+        }
+        for layer in layers.iter().rev() {
+            for &row in layer {
+                extremes.add(row, store.row(row), self.hints);
+            }
+            outward.push(extremes.settle());
+        }
+        #[cfg(test)]
+        tally(|work| work.rows += remaining + layers.iter().map(Vec::len).sum::<usize>());
+        (*boxes, *hint_support) = outward.into_iter().rev().unzip();
+        let core = (remaining > 0).then(|| {
+            let enclosure = boxes.last().expect("the core has an enclosure");
+            finish_core(store, alive, remaining, enclosure)
+        });
+        set_radii(
+            store,
+            boxes,
+            layers,
+            core.as_ref().map(|(order, radial)| (&order[..], radial)),
+        );
+        core.map(|(order, radial)| {
+            layers.push(members(order));
+            radial
+        })
+    }
 }
+
+/// A column's zeros over a set of rows: the first and the last in row
+/// order, and one of each sign that occurs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Zeros {
+    first: Option<(usize, f64)>,
+    last: Option<(usize, f64)>,
+    neg: Option<f64>,
+    pos: Option<f64>,
+}
+
+impl Zeros {
+    /// Counts `zero`, row `row`'s `±0.0`; rows may come in any order.
+    fn add(&mut self, row: usize, zero: f64) {
+        if self.first.is_none_or(|(r, _)| row < r) {
+            self.first = Some((row, zero));
+        }
+        if self.last.is_none_or(|(r, _)| row > r) {
+            self.last = Some((row, zero));
+        }
+        if zero.is_sign_negative() {
+            self.neg = Some(zero);
+        } else {
+            self.pos = Some(zero);
+        }
+    }
+
+    /// The zero that a fold of `op` over the set in row order ends on when
+    /// its extreme is a zero: from the first zero on, every zero ties what
+    /// it holds. Whether `op` keeps the held operand on a `+0`/`−0` tie,
+    /// takes the new one or prefers a sign — and `f64::min` / `f64::max`
+    /// do one of those four — folding the first zero, one of each sign and
+    /// the last zero ends on the same one.
+    fn fold(&self, op: fn(f64, f64) -> f64) -> f64 {
+        let (_, first) = self.first.expect("a zero extreme was reached by a zero");
+        [self.neg, self.pos, self.last.map(|(_, zero)| zero)]
+            .into_iter()
+            .flatten()
+            .fold(first, op)
+    }
+}
+
+/// The folds behind one enclosure and one row of hint supports — per-axis
+/// `min` and `max`, per-hint `max` score — over a set of rows that grows.
+/// Rows may come in any order: the values of those folds do not depend on
+/// it, and the one thing that does, which zero a fold ends on when its
+/// extreme is `±0`, is kept per column (the axes, then the hints).
+struct Extremes {
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    support: Vec<f64>,
+    zeros: Vec<Zeros>,
+}
+
+impl Extremes {
+    fn new(dims: usize, hints: usize) -> Self {
+        Extremes {
+            lo: vec![f64::INFINITY; dims],
+            hi: vec![f64::NEG_INFINITY; dims],
+            support: vec![f64::NEG_INFINITY; hints],
+            zeros: vec![Zeros::default(); dims + hints],
+        }
+    }
+
+    /// Folds in row `row`, `x`, scored against every hint.
+    fn add(&mut self, row: usize, x: &[f64], hints: &[Vec<f64>]) {
+        kernels::min_max_update(&mut self.lo, &mut self.hi, x);
+        let scores = hints.iter().map(|hint| kernels::dot(hint, x));
+        for (h, s) in scores.enumerate() {
+            self.support[h] = self.support[h].max(s);
+            if s == 0.0 {
+                self.zeros[x.len() + h].add(row, s);
+            }
+        }
+        for (zeros, &v) in self.zeros.iter_mut().zip(x) {
+            if v == 0.0 {
+                zeros.add(row, v);
+            }
+        }
+    }
+
+    /// The enclosure (its radius left for [`set_radii`]) and the hint
+    /// supports of the rows so far, bit for bit the row-order folds of
+    /// [`BoundingBox::of`] and [`support_of_rows`].
+    fn settle(&self) -> (BoundingBox, Vec<f64>) {
+        let exact = |folded: &[f64], zeros: &[Zeros], op: fn(f64, f64) -> f64| -> Vec<f64> {
+            folded
+                .iter()
+                .zip(zeros)
+                .map(|(&v, zeros)| if v == 0.0 { zeros.fold(op) } else { v })
+                .collect()
+        };
+        let (axes, hints) = self.zeros.split_at(self.lo.len());
+        let lo = exact(&self.lo, axes, f64::min);
+        let hi = exact(&self.hi, axes, f64::max);
+        let center = lo.iter().zip(&hi).map(|(l, h)| (l + h) / 2.0).collect();
+        let enclosure = BoundingBox {
+            lo,
+            hi,
+            center,
+            radius: 0.0,
+        };
+        (enclosure, exact(&self.support, hints, f64::max))
+    }
+}
+
+/// The radius fold of [`BoundingBox::of`] — the largest `dist2`, unless
+/// one is NaN, when the last NaN in row order wins — from rows in any
+/// order.
+#[derive(Debug, Default)]
+struct Farthest {
+    /// The largest `dist2` that is a number (0 before any).
+    max: f64,
+    /// The NaN `dist2` of the largest row, if any.
+    nan: Option<(usize, f64)>,
+}
+
+impl Farthest {
+    fn add(&mut self, row: usize, d2: f64) {
+        if d2.is_nan() {
+            if self.nan.is_none_or(|(r, _)| row > r) {
+                self.nan = Some((row, d2));
+            }
+        } else if d2 > self.max {
+            self.max = d2;
+        }
+    }
+
+    fn radius(&self) -> f64 {
+        self.nan.map_or(self.max, |(_, d2)| d2).sqrt()
+    }
+}
+
+/// Bound on the computed `dist2(x, c)` of every core row `x` at
+/// box-normalised radius at most `u` ([`finish_core`]), for a centre `c`
+/// at computed distance `gap` from the core's centre `c_core`:
+/// `|x − c| <= |x − c_core| + |c_core − c|`, and `|x − c_core| <= widest ·
+/// |S⁻¹(x − c_core)|` with `widest` the largest half-range `S_j` (an axis
+/// with `S_j = 0` is constant over the core). Padded like [`ball_bound`]:
+/// `slack` covers the rounding of `u`, `gap` and `dist2`, the `1e-150`
+/// terms the squares that underflow while forming `u` and `gap`, and
+/// `pad_up` the rest. A non-finite row, centre or half-range gives a NaN
+/// or infinite bound, which nothing is below.
+fn core_reach2(u: f64, widest: f64, gap: f64, dims: usize) -> f64 {
+    let slack = 1.0 + (4 * dims + 16) as f64 * f64::EPSILON;
+    let reach = (widest * (u + 1e-150) + gap + 1e-150) * slack;
+    pad_up(reach * reach)
+}
+
+/// Sets every enclosure's radius to what [`BoundingBox::of`] gives over its
+/// remainder ([`Farthest`]). Enclosure `l` covers the peeled `layers[l..]`
+/// and the core: those layers (at most `max_layers · m` rows) are scanned,
+/// and the core is walked in its radial `order` only until
+/// [`core_reach2`] puts every row left below the largest `dist2` found.
+/// Once the bound is finite no row left can be NaN: its radius and both
+/// centres are finite, so its coordinates are too.
+fn set_radii(
+    store: &PointStore,
+    boxes: &mut [BoundingBox],
+    layers: &[Vec<usize>],
+    core: Option<(&[(f64, u32)], &RadialCore)>,
+) {
+    let walk = core.map(|(order, radial)| {
+        let centre = boxes
+            .last()
+            .expect("the core has an enclosure")
+            .center
+            .clone();
+        let widest = radial.half.iter().copied().fold(0.0, f64::max);
+        (order, centre, widest)
+    });
+    for (l, enclosure) in boxes.iter_mut().enumerate() {
+        let mut far = Farthest::default();
+        for &row in layers[l..].iter().flatten() {
+            far.add(row, dist2(store.row(row), &enclosure.center));
+            #[cfg(test)]
+            tally(|work| work.rows += 1);
+        }
+        if let Some((order, centre, widest)) = &walk {
+            let gap = dist2(centre, &enclosure.center).sqrt();
+            for &(u, row) in order.iter() {
+                if core_reach2(u, *widest, gap, store.dims()) < far.max {
+                    #[cfg(test)]
+                    tally(|work| work.walks_cut += 1);
+                    break;
+                }
+                let row = row as usize;
+                far.add(row, dist2(store.row(row), &enclosure.center));
+                #[cfg(test)]
+                tally(|work| work.rows += 1);
+            }
+        }
+        enclosure.radius = far.radius();
+    }
+}
+
+/// Rows each candidate list starts with, per layer of the cap (see
+/// [`Candidates::new`]).
+const LIST_ROWS_PER_LAYER: usize = 4;
 
 /// The d >= 3 peel's per-direction candidate lists, made by one pass over
 /// the store before the first layer.
@@ -463,20 +715,21 @@ impl Candidates {
     /// One pass over `store` for all of `dirs`, dealt to up to `threads`
     /// workers as [`deal`] deals them.
     ///
-    /// Capacity. At layer `l` every row ahead of direction `k`'s winner in
-    /// its ranking is dead: it was taken by one of the `l` earlier layers,
-    /// and a layer takes at most one row per direction, `m` in all. With
-    /// `l <= max_layers − 1` the winner sits at most `(max_layers − 1) · m`
-    /// rows deep, so `C = (max_layers − 1) · m + 1` rows (or all of them)
-    /// always hold it and no list can run dry.
+    /// Size. At layer `l` every row ahead of direction `k`'s winner in its
+    /// ranking is dead: it was taken by one of the `l` earlier layers, and
+    /// a layer takes at most one row per direction, `m` in all. So the
+    /// winner can sit `(max_layers − 1) · m` rows deep, but the rows ahead
+    /// of it are in practice the winners of a few neighbouring directions:
+    /// a list starts at `LIST_ROWS_PER_LAYER · max_layers` rows (at least
+    /// the `m` one layer can take, at most all of them), and
+    /// [`Candidates::layer`] re-sweeps one that runs dry.
     fn new(store: &PointStore, dirs: &[Vec<f64>], max_layers: usize, threads: usize) -> Self {
-        let capacity = max_layers
-            .saturating_sub(1)
-            .saturating_mul(dirs.len())
-            .saturating_add(1)
+        let rows = LIST_ROWS_PER_LAYER
+            .saturating_mul(max_layers)
+            .max(dirs.len())
             .min(store.len());
         let lists = deal(dirs, threads, |part| {
-            kernels::sweep_candidates(store.flat(), store.dims(), part, capacity)
+            kernels::sweep_candidates(store.flat(), store.dims(), part, rows)
         });
         Candidates {
             cursor: vec![0; lists.len()],
@@ -494,24 +747,77 @@ impl Candidates {
             .expect("a layer is only peeled with rows alive");
         let first = self.first_alive;
         let mut layer: Vec<usize> = dirs
-            .iter()
-            .zip(&self.lists)
+            .chunks(1)
+            .zip(&mut self.lists)
             .zip(&mut self.cursor)
             .map(|((dir, list), cursor)| {
-                if kernels::dot(dir, store.row(first)).is_nan() {
+                if kernels::dot(&dir[0], store.row(first)).is_nan() {
                     return first;
                 }
-                *cursor += list[*cursor..]
-                    .iter()
-                    .position(|&row| alive[row as usize])
-                    .expect("the capacity argument keeps every winner in its list");
-                list[*cursor] as usize
+                loop {
+                    if let Some(ahead) = list[*cursor..].iter().position(|&row| alive[row as usize])
+                    {
+                        *cursor += ahead;
+                        return list[*cursor] as usize;
+                    }
+                    *cursor = list.len();
+                    refill(store, dir, list);
+                }
             })
             .collect();
         layer.sort_unstable();
         layer.dedup();
         layer
     }
+}
+
+/// Re-sweeps the one direction `dir` of a list that ran dry at twice its size
+/// (or all rows). The sweep's ranking is a total order, so the old list is
+/// the new one's prefix and a cursor into it stays where it was. A list
+/// runs dry only while rows that score a number are missing from it: the
+/// first alive row scores one (else it had won) and is not in it.
+fn refill(store: &PointStore, dir: &[Vec<f64>], list: &mut Vec<u32>) {
+    let rows = (2 * list.len()).min(store.len());
+    let grown = kernels::sweep_candidates(store.flat(), store.dims(), dir, rows)
+        .pop()
+        .expect("one list per direction");
+    assert!(
+        grown.len() > list.len(),
+        "a list that holds every number holds every winner"
+    );
+    debug_assert_eq!(grown[..list.len()], list[..]);
+    *list = grown;
+    #[cfg(test)]
+    tally(|work| work.refills += 1);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// What this thread's flat peels did, summed ([`PeelWork`]).
+    static PEEL_WORK: std::cell::Cell<PeelWork> = const {
+        std::cell::Cell::new(PeelWork { rows: 0, walks_cut: 0, refills: 0 })
+    };
+}
+
+/// The flat peel's work, counted for the tests.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+struct PeelWork {
+    /// Rows the enclosure, hint-support and radius stage read.
+    rows: usize,
+    /// Radius walks that stopped before the end of the core.
+    walks_cut: usize,
+    /// Candidate lists re-swept at twice their size.
+    refills: usize,
+}
+
+#[cfg(test)]
+fn tally(count: impl FnOnce(&mut PeelWork)) {
+    PEEL_WORK.with(|work| {
+        let mut sum = work.get();
+        count(&mut sum);
+        work.set(sum);
+    });
 }
 
 /// One query's state inside [`OnionIndex::walk`].
@@ -975,8 +1281,7 @@ impl OnionIndex {
 }
 
 /// Exact support `max dir . x` over the alive rows of the nested legacy
-/// representation — the "before" counterpart of
-/// [`kernels::max_score_alive`].
+/// representation: one `f64::max` fold in row order.
 fn support_of_rows(alive: &[bool], points: &[Vec<f64>], dir: &[f64]) -> f64 {
     let mut best = f64::NEG_INFINITY;
     for (i, p) in points.iter().enumerate() {
@@ -1512,6 +1817,92 @@ mod tests {
             }
             assert_eq!(kernel.layers.len(), peeled + usize::from(n > 64));
         }
+    }
+
+    /// This thread's [`PeelWork`] since the last call.
+    fn take_work() -> PeelWork {
+        PEEL_WORK.with(|work| {
+            work.replace(PeelWork {
+                rows: 0,
+                walks_cut: 0,
+                refills: 0,
+            })
+        })
+    }
+
+    #[test]
+    fn peel_matches_legacy_where_walks_stop_and_lists_refill() {
+        // At n < 250 no radius walk stops inside the core and no candidate
+        // list runs dry; at 20,000 rows both happen. Gaussian rows with far
+        // outliers; axis 2 is non-negative with zeros of both signs, so
+        // every remainder's `lo[2]` is a zero, and so is the best score of
+        // the hint (0, 0, −1). The second set adds NaN and ±∞ coordinates,
+        // one per row: a NaN row sits in the core and makes every radius
+        // NaN, and the enclosures that hold a ±∞ row have no finite centre.
+        let n = 20_000;
+        let mut finite = gaussian_points(404, n, 3);
+        for point in &mut finite {
+            point[2] = point[2].abs();
+        }
+        for k in 0..30 {
+            finite[(k * 661 + 5) % n].iter_mut().for_each(|v| *v *= 1e3);
+        }
+        for k in 0..200 {
+            finite[(k * 97 + 3) % n][2] = [-0.0, 0.0][k % 2];
+        }
+        let mut edge = finite.clone();
+        const SPECIAL: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        for k in 0..60 {
+            edge[(k * 331 + 17) % n][k % 2] = SPECIAL[k % SPECIAL.len()];
+        }
+        // The finite set at 64 layers, where some candidate list runs dry;
+        // the other at 16, whose lists' 64 rows hold every winner.
+        for (points, cap, nan) in [(&finite, 64usize, false), (&edge, 16, true)] {
+            take_work();
+            let kernel = OnionIndex::build_with(points.clone(), cap, 32, 7).unwrap();
+            let work = take_work();
+            let legacy = OnionIndex::build_legacy_with(points.clone(), cap, 32, 7).unwrap();
+            assert_eq!(peel_bits(&kernel), peel_bits(&legacy), "cap={cap}");
+            assert_eq!(kernel.layer_count(), cap + 1);
+            assert!(kernel
+                .remaining_box
+                .iter()
+                .all(|b| b.lo[2] == 0.0 && b.radius.is_nan() == nan));
+            // Every walk from a finite centre stops inside the core.
+            let centred = kernel
+                .remaining_box
+                .iter()
+                .filter(|b| b.center.iter().all(|c| c.is_finite()))
+                .count();
+            assert!(centred > cap / 2, "cap={cap}: {centred} finite centres");
+            assert_eq!(work.walks_cut, centred, "cap={cap}");
+            assert_eq!(work.refills > 0, cap == 64, "cap={cap}: {work:?}");
+        }
+        // Hinted and threaded, against the legacy path with the same hints.
+        let hints = [vec![0.0, 0.0, -1.0], vec![0.3, -0.2, 0.9]];
+        let oracle = OnionIndex::build_impl(edge.clone(), &hints, 16, 32, 7, 1, true).unwrap();
+        assert!(oracle.hint_support.iter().all(|h| h[0] == 0.0));
+        let hinted = OnionIndex::build_with_hints_threads(edge, &hints, 16, 32, 7, 2).unwrap();
+        assert_eq!(peel_bits(&hinted), peel_bits(&oracle));
+    }
+
+    #[test]
+    fn flat_enclosures_read_each_row_about_once() {
+        // The gate against one pass over all rows per layer coming back:
+        // 64 layers over 50,000 rows would read 3.2 million. The suffix
+        // folds read each row once, the radii each peeled row once per
+        // enclosure above it and a core walk's rows beside.
+        let n = 50_000;
+        let points = gaussian_points(505, n, 3);
+        take_work();
+        let onion =
+            OnionIndex::build_with_hints(points, &[vec![1.0, -2.0, 0.5]], 64, 32, 7).unwrap();
+        let work = take_work();
+        assert_eq!(onion.layer_count(), 65);
+        // 127,684 rows here: 50,000 folded, ~62,000 peeled-row distances
+        // (about 30 rows a layer, each read once per enclosure above it)
+        // and ~15,000 walked.
+        assert!(work.rows <= 3 * n, "read {} rows for n = {n}", work.rows);
     }
 
     #[test]
