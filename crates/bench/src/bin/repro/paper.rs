@@ -2,7 +2,7 @@
 //! figures' models, A1–A2 the ablations. None of them writes an artifact.
 
 use mbir_archive::grid::Grid2;
-use mbir_archive::synth::OccurrenceSampler;
+use mbir_archive::synth::{gaussian_tuples, OccurrenceSampler};
 use mbir_archive::weather::WeatherGenerator;
 use mbir_archive::welllog::WellLog;
 use mbir_bench::{
@@ -16,6 +16,7 @@ use mbir_index::onion::OnionIndex;
 use mbir_index::rstar::RStarTree;
 use mbir_index::scan::{scan_top_k, scan_top_k_flat};
 use mbir_index::sproc::SprocIndex;
+use mbir_index::stats::TopKResult;
 use mbir_index::store::PointStore;
 use mbir_models::bayes::hps_net::{hps_network, risk_given_observations};
 use mbir_models::fsm::fire_ants::screened_fly_detection;
@@ -438,7 +439,8 @@ pub fn f5_workflow() {
 }
 
 /// A1 — ablation: which Onion design choices carry the speedup?
-/// (hint support vs generic bounds; number of peeled layers).
+/// (hint support vs generic bounds; number of peeled layers; the layer
+/// cap of the default build).
 pub fn a1_onion_ablation() {
     println!("\n## A1 — Ablation: Onion bound type and layer budget\n");
     let n = 200_000usize;
@@ -447,6 +449,18 @@ pub fn a1_onion_ablation() {
     let scan = scan_top_k(&points, k, |p| dir.iter().zip(p).map(|(a, v)| a * v).sum());
     println!("| variant | layers built | tuples examined | speedup |");
     println!("|---|---|---|---|");
+    let row = |label: &str, index: &OnionIndex| {
+        let r = index.top_k_max(&dir, k).expect("valid query");
+        assert!(r.score_equivalent(&scan, 1e-9), "{label} must stay exact");
+        println!(
+            "| {label} | {} | {} | {:.0}x |",
+            index.layer_count(),
+            r.stats.tuples_examined,
+            r.stats.speedup_vs(&scan.stats).unwrap_or(0.0)
+        );
+        r.stats.tuples_examined
+    };
+    let mut deep_generic = 0;
     for (label, hints, max_layers) in [
         ("generic bounds, 64 layers", false, 64usize),
         ("generic bounds, 8 layers", false, 8),
@@ -457,16 +471,185 @@ pub fn a1_onion_ablation() {
         let hint_vec = if hints { vec![dir.clone()] } else { vec![] };
         let index = OnionIndex::build_with_hints(points.clone(), &hint_vec, max_layers, 32, 7)
             .expect("valid workload");
-        let r = index.top_k_max(&dir, k).expect("valid query");
-        assert!(r.score_equivalent(&scan, 1e-9), "{label} must stay exact");
-        println!(
-            "| {label} | {} | {} | {:.0}x |",
-            index.layer_count(),
-            r.stats.tuples_examined,
-            r.stats.speedup_vs(&scan.stats).unwrap_or(0.0)
+        let tuples = row(label, &index);
+        if !hints && max_layers == 64 {
+            deep_generic = tuples;
+        }
+    }
+    let default = OnionIndex::build(points).expect("valid workload");
+    let default_tuples = row("default build (`OnionIndex::build`)", &default);
+    println!("\nEvery variant is exact; the ablation only moves the work.");
+    assert!(
+        default_tuples <= deep_generic,
+        "the default build examines {default_tuples} tuples, the 64-layer unhinted build \
+         {deep_generic}"
+    );
+    a1_cap_sweep();
+    a1_hinted_ceiling();
+}
+
+/// The layer caps A1's sweep compares.
+const SWEEP_CAPS: [usize; 6] = [0, 2, 4, 8, 16, 64];
+
+/// The result sizes A1's sweep asks for.
+const SWEEP_KS: [usize; 3] = [1, 10, 100];
+
+/// The sweep's cell (n, d) where `repro a1` checks the default build.
+const SMALL_CELL: (usize, usize) = (20_000, 3);
+
+/// `count` query directions drawn like `tuple_topk`'s: each coefficient
+/// uniform in `[-1, 1)` from one fixed family, then moved by up to ±0.02.
+/// The generator is `rand`'s, not the e2e crate's, so the law is the
+/// same and the values are not.
+fn jittered_directions(count: usize, d: usize) -> Vec<Vec<f64>> {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    let mut family = StdRng::seed_from_u64(0x6d62_6972);
+    let mut jitter = StdRng::seed_from_u64(7);
+    (0..count)
+        .map(|_| {
+            (0..d)
+                .map(|_| {
+                    let c = 2.0 * family.random::<f64>() - 1.0;
+                    c + 0.02 * (2.0 * jitter.random::<f64>() - 1.0)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Mean tuples examined by `index` over `dirs` at `k`, each answer
+/// checked against the flat scan's.
+fn mean_tuples(index: &OnionIndex, dirs: &[Vec<f64>], k: usize, truth: &[TopKResult]) -> f64 {
+    let mut total = 0u64;
+    for (dir, expect) in dirs.iter().zip(truth) {
+        let r = index.top_k_max(dir, k).expect("valid query");
+        assert_eq!(r.results, expect.results, "every cap answers like the scan");
+        total += r.stats.tuples_examined;
+    }
+    total as f64 / dirs.len() as f64
+}
+
+/// A1's cap sweep: tuples examined per unhinted call for every cap in
+/// [`SWEEP_CAPS`], over `gaussian_tuples(13, n, d)` and 64 jittered
+/// directions. The rule that chose the default cap: the cap with the
+/// smallest worst-case ratio of its tuples to the best cap's, over every
+/// (n, d, K) cell. Panics unless the default build walks like the rule's
+/// cap on the n = 20,000, d = 3 cell.
+fn a1_cap_sweep() {
+    println!("\n### Layer cap of an unhinted build (tuples examined per call)\n");
+    let caps = SWEEP_CAPS.map(|cap| format!("cap {cap}")).join(" | ");
+    println!("| n | d | K | {caps} |");
+    println!("|---|---|---|{}", "---|".repeat(SWEEP_CAPS.len()));
+    let mut worst = [1.0f64; SWEEP_CAPS.len()];
+    let mut builds = Vec::new();
+    // The default build's tuples and the caps' on the small d = 3 cell,
+    // one entry per K, to check the default against the rule's cap.
+    let mut small_cell = Vec::new();
+    for (n, d) in [
+        (200_000usize, 2usize),
+        (200_000, 3),
+        (20_000, 3),
+        (200_000, 4),
+        (200_000, 8),
+    ] {
+        let points = gaussian_tuples(13, n, d);
+        let store = PointStore::from_rows(&points).expect("rectangular points");
+        let dirs = jittered_directions(64, d);
+        let mut build_s = Vec::new();
+        let mut timed = |build: &dyn Fn() -> OnionIndex| {
+            let t = Instant::now();
+            let index = build();
+            build_s.push(t.elapsed().as_secs_f64());
+            index
+        };
+        let indexes: Vec<OnionIndex> = SWEEP_CAPS
+            .iter()
+            .map(|&cap| {
+                timed(&|| OnionIndex::build_with(points.clone(), cap, 32, 7).expect("valid"))
+            })
+            .collect();
+        builds.push((n, d, build_s));
+        let default =
+            ((n, d) == SMALL_CELL).then(|| OnionIndex::build(points.clone()).expect("valid"));
+        for k in SWEEP_KS {
+            let truth: Vec<TopKResult> = dirs
+                .iter()
+                .map(|dir| scan_top_k_flat(&store, dir, k))
+                .collect();
+            let cells: Vec<f64> = indexes
+                .iter()
+                .map(|index| mean_tuples(index, &dirs, k, &truth))
+                .collect();
+            let best = cells.iter().copied().fold(f64::INFINITY, f64::min);
+            for (w, cell) in worst.iter_mut().zip(&cells) {
+                *w = w.max(cell / best);
+            }
+            let row = cells.iter().map(|c| format!("{c:.0}")).collect::<Vec<_>>();
+            println!("| {n} | {d} | {k} | {} |", row.join(" | "));
+            if let Some(default) = &default {
+                small_cell.push((k, mean_tuples(default, &dirs, k, &truth), cells));
+            }
+        }
+    }
+    let ratios = worst.map(|w| format!("{w:.2}")).join(" | ");
+    println!("| worst ratio to the cell's best cap | | | {ratios} |");
+    let (rule, _) = SWEEP_CAPS
+        .iter()
+        .enumerate()
+        .zip(&worst)
+        .min_by(|a, b| a.1.total_cmp(b.1))
+        .expect("caps to compare");
+    let (n, d) = SMALL_CELL;
+    for (k, tuples, cells) in &small_cell {
+        assert_eq!(
+            *tuples, cells[rule.0],
+            "n = {n}, d = {d}, K = {k}: the default build walks unlike the rule's cap {}",
+            rule.1
         );
     }
-    println!("\nEvery variant is exact; the ablation only moves the work.");
+    println!(
+        "\nThe smallest worst-case ratio is cap {}'s, and the default build walks like it \
+         (checked at n = {n}, d = {d}). Build seconds:\n",
+        rule.1
+    );
+    println!("| n | d | {caps} |");
+    println!("|---|---|{}", "---|".repeat(SWEEP_CAPS.len()));
+    for (n, d, build_s) in builds {
+        let cells = build_s
+            .iter()
+            .map(|s| format!("{s:.3}"))
+            .collect::<Vec<_>>();
+        println!("| {n} | {d} | {} |", cells.join(" | "));
+    }
+}
+
+/// What stored supports could still buy the unhinted default build:
+/// on `tuple_topk`'s data, each of 16 directions asked of a 64-layer
+/// build hinted with that very direction, against the default build.
+fn a1_hinted_ceiling() {
+    let points = gaussian_tuples(13, 200_000, 3);
+    let dirs = jittered_directions(16, 3);
+    let default = OnionIndex::build(points.clone()).expect("valid workload");
+    let (mut own_hint, mut unhinted) = (0u64, 0u64);
+    for dir in &dirs {
+        let hinted =
+            OnionIndex::build_with_hints(points.clone(), std::slice::from_ref(dir), 64, 32, 7)
+                .expect("valid workload");
+        let a = hinted.top_k_max(dir, 10).expect("valid query");
+        let b = default.top_k_max(dir, 10).expect("valid query");
+        assert_eq!(a.results, b.results, "hinted and unhinted walks agree");
+        own_hint += a.stats.tuples_examined;
+        unhinted += b.stats.tuples_examined;
+    }
+    println!(
+        "\nCeiling of stored supports (n = 200,000, d = 3, K = 10, {} directions): a walk \
+         hinted with its own direction at 64 layers examines {:.0} tuples per call, the \
+         default build {:.0}.",
+        dirs.len(),
+        own_hint as f64 / dirs.len() as f64,
+        unhinted as f64 / dirs.len() as f64
+    );
 }
 
 /// A2 — ablation: progressive-data speedup vs spatial coherence.

@@ -19,7 +19,9 @@
 //! There is one such loop per dimension; it writes into a caller's slice,
 //! so the flat scan scores 64-row runs into a stack array that stays in
 //! L1 beside its rows (DESIGN §10) and [`score_block_into`] fills a `Vec`
-//! through the same loop.
+//! through the same loop. The loop also tests each score against the
+//! caller's top-K floor as it goes and returns whether any reached it,
+//! so a run that cannot enter the heap is never read a second time.
 //! Results are bit-identical to the legacy per-point paths; the
 //! property tests in this crate and in `tests/parallel_props.rs` lock
 //! that down.
@@ -83,40 +85,69 @@ pub fn score_block_into(block: &[f64], dims: usize, dir: &[f64], out: &mut Vec<f
     assert_eq!(dir.len(), dims, "direction length mismatch");
     assert_eq!(block.len() % dims, 0, "ragged block");
     out.resize(block.len() / dims, 0.0);
-    score_rows(block, dims, dir, out);
+    score_rows(block, dims, dir, out, f64::NAN);
 }
 
 /// The one per-dimension scoring loop: `out[i]` becomes row `i`'s score,
-/// so a caller can score a run into a stack array.
+/// so a caller can score a run into a stack array. Returns whether any
+/// score of the run reaches `floor`, tested in the same loop: a row
+/// reaches it when `!(s < floor)`, which is true for a NaN score and for
+/// a score that ties the floor (±0 included), so both go on to
+/// [`TopKHeap::offer`](crate::scan::TopKHeap::offer), the one place that
+/// decides ties. A NaN `floor` (no floor yet) is reached by every score.
 ///
 /// # Panics
 ///
 /// Panics unless `dir.len() == dims` and `block.len() == out.len() * dims`.
-pub(crate) fn score_rows(block: &[f64], dims: usize, dir: &[f64], out: &mut [f64]) {
+pub(crate) fn score_rows(
+    block: &[f64],
+    dims: usize,
+    dir: &[f64],
+    out: &mut [f64],
+    floor: f64,
+) -> bool {
     assert_eq!(dir.len(), dims, "direction length mismatch");
     assert_eq!(block.len(), out.len() * dims, "one score per row");
     match dims {
-        1 => score_rows_fixed::<1>(block, dir, out),
-        2 => score_rows_fixed::<2>(block, dir, out),
-        3 => score_rows_fixed::<3>(block, dir, out),
-        4 => score_rows_fixed::<4>(block, dir, out),
-        6 => score_rows_fixed::<6>(block, dir, out),
-        8 => score_rows_fixed::<8>(block, dir, out),
-        16 => score_rows_fixed::<16>(block, dir, out),
+        1 => score_rows_fixed::<1>(block, dir, out, floor),
+        2 => score_rows_fixed::<2>(block, dir, out, floor),
+        3 => score_rows_fixed::<3>(block, dir, out, floor),
+        4 => score_rows_fixed::<4>(block, dir, out, floor),
+        6 => score_rows_fixed::<6>(block, dir, out, floor),
+        8 => score_rows_fixed::<8>(block, dir, out, floor),
+        16 => score_rows_fixed::<16>(block, dir, out, floor),
         _ => {
+            let mut reach = false;
             for (i, row) in block.chunks_exact(dims).enumerate() {
-                out[i] = dot_dyn(dir, row);
+                let s = dot_dyn(dir, row);
+                out[i] = s;
+                reach |= reaches(s, floor);
             }
+            reach
         }
     }
 }
 
+/// The floor test of [`score_rows`] and of the Onion's scoring loop:
+/// `!(s < floor)`, not `s >= floor`, so a NaN score (or floor) reaches.
 #[inline(always)]
-fn score_rows_fixed<const D: usize>(block: &[f64], dir: &[f64], out: &mut [f64]) {
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+pub(crate) fn reaches(s: f64, floor: f64) -> bool {
+    !(s < floor)
+}
+
+#[inline(always)]
+fn score_rows_fixed<const D: usize>(
+    block: &[f64],
+    dir: &[f64],
+    out: &mut [f64],
+    floor: f64,
+) -> bool {
     let dir: &[f64; D] = dir.try_into().expect("dispatched on dims");
     // Rows come from `ChunksExact::next`, not zipped with `out`: the zip's
     // random-access path loads a row element by element, ~25 % slower at
     // d = 3. The caller's length assert removes the `out[i]` check.
+    let mut reach = false;
     for (i, row) in block.chunks_exact(D).enumerate() {
         let row: &[f64; D] = row.try_into().expect("chunks_exact");
         let mut acc = -0.0;
@@ -124,7 +155,9 @@ fn score_rows_fixed<const D: usize>(block: &[f64], dir: &[f64], out: &mut [f64])
             acc += dir[j] * row[j];
         }
         out[i] = acc;
+        reach |= reaches(acc, floor);
     }
+    reach
 }
 
 /// The transposed bundle loop: calls `visit(i, scores)` for every row `i`
@@ -414,6 +447,64 @@ mod tests {
         min_max_update(&mut lo, &mut hi, &[2.0, -5.0]);
         assert_eq!(lo, [-1.0, -5.0]);
         assert_eq!(hi, [2.0, 3.0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn prop_score_rows_verdict_is_the_floor_test(seed in 0u64..1_000_000) {
+            // Every dims arm (5 is the dynamic one) and every run length;
+            // rows carry NaN, ±inf and all-zero rows, so scores are NaN,
+            // ±inf and ±0 as well as numbers, and floors are ±0, ±inf, NaN
+            // (no floor) and the run's best number (a tie).
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
+                state >> 11
+            };
+            for d in [1usize, 2, 3, 4, 5, 6, 8, 16] {
+                let dir: Vec<f64> = (0..d)
+                    .map(|_| match next() % 6 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        r => (r as f64 - 3.5) * (next() % 1000) as f64 / 250.0,
+                    })
+                    .collect();
+                let mut block = Vec::with_capacity(64 * d);
+                for _ in 0..64 {
+                    let kind = next() % 8;
+                    let special = (next() as usize) % d;
+                    for j in 0..d {
+                        block.push(match kind {
+                            0 => [0.0, -0.0][(next() % 2) as usize],
+                            1 if j == special => f64::NAN,
+                            2 if j == special => [f64::INFINITY, f64::NEG_INFINITY][(next() % 2) as usize],
+                            _ => (next() % 2001) as f64 / 100.0 - 10.0,
+                        });
+                    }
+                }
+                let mut out = [0.0f64; 64];
+                for len in 1..=64 {
+                    let rows = &block[..len * d];
+                    let expect: Vec<u64> =
+                        rows.chunks_exact(d).map(|row| dot(&dir, row).to_bits()).collect();
+                    let best = expect
+                        .iter()
+                        .map(|&b| f64::from_bits(b))
+                        .filter(|s| s.is_finite())
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    for floor in [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, best] {
+                        let out = &mut out[..len];
+                        let verdict = score_rows(rows, d, &dir, out, floor);
+                        let got: Vec<u64> = out.iter().map(|s| s.to_bits()).collect();
+                        prop_assert_eq!(&got, &expect, "d={} len={}", d, len);
+                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                        let any = out.iter().any(|&s| !(s < floor));
+                        prop_assert_eq!(verdict, any, "d={} len={} floor={}", d, len, floor);
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -8,7 +8,10 @@
 //! * [`onion`] — the Onion technique \[11\]: convex-hull layer peeling for
 //!   linear optimization (top-K max/min of a linear model). The paper quotes
 //!   13,000x (top-1) and 1,400x (top-10) speedups over sequential scan on
-//!   3-attribute Gaussian data.
+//!   3-attribute Gaussian data. Peeled layers pay where a layer-end bound
+//!   can stop the walk, which takes a hint (the model's direction); the
+//!   default build knows none and peels two layers, the rest a radially
+//!   ordered core.
 //! * [`rstar`] — an R*-tree: the spatial-index baseline the paper calls
 //!   "sub-optimal for model-based queries"; provides range queries and a
 //!   best-first top-K over linear scores via MBR bounds.
@@ -20,7 +23,8 @@
 //! * [`store`] — flat row-major point storage ([`store::PointStore`]):
 //!   one contiguous allocation instead of a `Vec` per tuple.
 //! * [`kernels`] — batched scoring kernels over flat rows, bit-identical
-//!   to the per-point paths by the summation-order contract.
+//!   to the per-point paths by the summation-order contract; the scoring
+//!   loop also tests each score against the caller's top-K floor.
 //! * [`quant`] — i8 quantized coarse-pass pruning over point blocks:
 //!   sound upper bounds reject rows below the top-K floor before any f64
 //!   is touched; prune-only, so answers stay bit-identical.

@@ -19,6 +19,10 @@
 //! which would be unsound on its own — so correctness is restored at query
 //! time (below). Peeling stops after `max_layers`; the remainder forms a
 //! core bucket, stored in **radial order** (see "Data layout").
+//! [`OnionIndex::build`], which knows no query direction, peels only
+//! `DEFAULT_LAYERS`: without a hint no layer-end bound fires on a
+//! Gaussian cloud, so every peeled layer is walked before the core's run
+//! bound stops the query, and deeper peels only add tuples.
 //!
 //! ## Query soundness
 //!
@@ -688,6 +692,14 @@ fn set_radii(
     }
 }
 
+/// The layer cap of [`OnionIndex::build`]. The rule that chose it: over
+/// `gaussian_tuples(13, n, d)` with 64 jittered directions, n = 200,000
+/// at d ∈ {2, 3, 4, 8} and n = 20,000 at d = 3, K ∈ {1, 10, 100}, take
+/// the cap of {0, 2, 4, 8, 16, 64} whose tuples examined per call are the
+/// smallest worst-case multiple of each cell's best cap. Cap 2 is at most
+/// 1.34x the best; 4 is 1.63x, 64 is 8.65x (`repro a1` prints the sweep).
+const DEFAULT_LAYERS: usize = 2;
+
 /// Rows each candidate list starts with, per layer of the cap (see
 /// [`Candidates::new`]).
 const LIST_ROWS_PER_LAYER: usize = 4;
@@ -900,15 +912,20 @@ pub struct OnionIndex {
 }
 
 impl OnionIndex {
-    /// Builds the index with default peeling limits (64 layers, 32 extra
-    /// sweep directions).
+    /// Builds the index for queries in no particular direction: at most
+    /// `DEFAULT_LAYERS` (2) peeled layers, 32 extra sweep directions. With
+    /// no hint a layer-end bound seldom stops the walk, so the query
+    /// crosses every peeled layer and the radial core stops it; a shallow
+    /// peel reads fewest tuples (EXPERIMENTS A1). Use
+    /// [`OnionIndex::build_with_hints`] when the model directions are
+    /// known.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Empty`] for no points and
     /// [`ModelError::ArityMismatch`] for ragged dimensions.
     pub fn build(points: Vec<Vec<f64>>) -> Result<Self, ModelError> {
-        OnionIndex::build_with_hints(points, &[], 64, 32, 7)
+        OnionIndex::build_with_hints(points, &[], DEFAULT_LAYERS, 32, 7)
     }
 
     /// Builds with explicit limits: at most `max_layers` peels, `extra_dirs`
@@ -1191,8 +1208,10 @@ impl OnionIndex {
 
     /// Scores `rows` and offers them to the query's heap, a run-sized
     /// chunk at a time: the chunk's rows are fetched by one tight scoring
-    /// loop (the scattered loads overlap), then admitted behind the heap's
-    /// cached floor. The heap sees its offers in row order.
+    /// loop (the scattered loads overlap), which also folds the layer's
+    /// best score and asks whether any score reaches the heap's floor;
+    /// only a chunk that does is admitted behind the cached floor. The
+    /// heap sees its offers in row order.
     fn offer_rows<F: Fn(&[f64], &[f64]) -> f64>(
         &self,
         rows: &[usize],
@@ -1202,12 +1221,18 @@ impl OnionIndex {
         let mut scores = [0.0f64; CORE_RUN_ROWS];
         for chunk in rows.chunks(CORE_RUN_ROWS) {
             let scores = &mut scores[..chunk.len()];
+            let floor = scan::run_floor(&q.heap);
+            let mut reach = false;
             for (s, &idx) in scores.iter_mut().zip(chunk) {
                 *s = score(q.direction, self.points.row(idx));
                 q.layer_max = q.layer_max.max(*s);
+                reach |= kernels::reaches(*s, floor);
             }
-            // The flat scan's cached-floor admission.
-            scan::offer_run(&mut q.heap, scores, chunk.iter().copied());
+            // The flat scan's cached-floor admission, for a chunk with a
+            // score that reaches the floor.
+            if reach {
+                scan::offer_run(&mut q.heap, scores, chunk.iter().copied());
+            }
             q.stats.tuples_examined += chunk.len() as u64;
         }
     }
@@ -1676,7 +1701,7 @@ mod tests {
             })
             .collect();
         let weights = vec![22.0, -4.0, 120.0, -2.5, 15.0, 70.0];
-        let plain = OnionIndex::build(points.clone()).unwrap();
+        let plain = OnionIndex::build_with(points.clone(), 64, 32, 7).unwrap();
         let hinted =
             OnionIndex::build_with_hints(points.clone(), std::slice::from_ref(&weights), 64, 32, 7)
                 .unwrap();
@@ -1716,7 +1741,7 @@ mod tests {
         };
         let points: Vec<Vec<f64>> = (0..20_000).map(|_| vec![next(), next()]).collect();
         let store = PointStore::from_rows(&points).unwrap();
-        let onion = OnionIndex::build(points).unwrap();
+        let onion = OnionIndex::build_with(points, 64, 32, 7).unwrap();
         let dir = vec![1.0, 1.0];
         for k in [1usize, 5, 10] {
             let fast = onion.top_k_max(&dir, k).unwrap();
@@ -1753,7 +1778,7 @@ mod tests {
         points[7] = vec![9.0, 0.5];
         points[300] = vec![9.0, 0.5];
         let store = PointStore::from_rows(&points).unwrap();
-        let onion = OnionIndex::build(points).unwrap();
+        let onion = OnionIndex::build_with(points, 64, 32, 7).unwrap();
         assert!(onion.exact_hull_layers > 2);
         let (dir, k) = (vec![1.0, 0.0], 1usize);
         let truth = scan_top_k_flat(&store, &dir, k);
@@ -1774,7 +1799,7 @@ mod tests {
         // structure (not just query answers) must match exactly.
         for d in [3usize, 4] {
             let points = gaussian_points(31 + d as u64, 600, d);
-            let baseline = OnionIndex::build(points.clone()).unwrap();
+            let baseline = OnionIndex::build_with(points.clone(), 64, 32, 7).unwrap();
             for threads in [1usize, 2, 4, 8] {
                 let par =
                     OnionIndex::build_with_hints_threads(points.clone(), &[], 64, 32, 7, threads)
@@ -1910,21 +1935,69 @@ mod tests {
         // The whole point of the kernel rewrite: same bits, fewer cycles.
         // Layer structure, bounds, and query results (values *and* work
         // accounting) must match the nested-representation reference
-        // exactly, for the 2-D hull path and the d >= 3 sweep path alike.
+        // exactly, for the 2-D hull path and the d >= 3 sweep path alike,
+        // at 64 layers and for the default build at its cap.
         for d in [2usize, 3, 5] {
             let points = gaussian_points(101 + d as u64, 700, d);
-            let kernel = OnionIndex::build(points.clone()).unwrap();
-            let legacy = OnionIndex::build_legacy_with(points, 64, 32, 7).unwrap();
-            assert_eq!(kernel.layers, legacy.layers, "d={d}");
-            assert_eq!(kernel.remaining_box, legacy.remaining_box, "d={d}");
-            assert_eq!(kernel.exact_hull_layers, legacy.exact_hull_layers);
-            for k in [1usize, 5, 20] {
-                let dir: Vec<f64> = (0..d).map(|i| 0.9 - 0.33 * i as f64).collect();
-                let a = kernel.top_k_max(&dir, k).unwrap();
-                let b = legacy.top_k_max_legacy(&dir, k).unwrap();
-                assert_eq!(a, b, "d={d} k={k}");
+            let pairs = [
+                (
+                    64,
+                    OnionIndex::build_with(points.clone(), 64, 32, 7).unwrap(),
+                ),
+                (DEFAULT_LAYERS, OnionIndex::build(points.clone()).unwrap()),
+            ];
+            for (cap, kernel) in &pairs {
+                let legacy = OnionIndex::build_legacy_with(points.clone(), *cap, 32, 7).unwrap();
+                assert_eq!(kernel.layers, legacy.layers, "d={d} cap={cap}");
+                assert_eq!(
+                    kernel.remaining_box, legacy.remaining_box,
+                    "d={d} cap={cap}"
+                );
+                assert_eq!(kernel.exact_hull_layers, legacy.exact_hull_layers);
+                for k in [1usize, 5, 20] {
+                    let dir: Vec<f64> = (0..d).map(|i| 0.9 - 0.33 * i as f64).collect();
+                    let a = kernel.top_k_max(&dir, k).unwrap();
+                    let b = legacy.top_k_max_legacy(&dir, k).unwrap();
+                    assert_eq!(a, b, "d={d} cap={cap} k={k}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn default_build_peels_only_as_deep_as_it_pays() {
+        // The work gate of the default cap: with no hint the walk crosses
+        // every peeled layer before the core's run bound stops it, so the
+        // default build's K = 10 walks read fewer tuples than a 64-layer
+        // build's on the same directions (about 340 against 1,870 a call).
+        let points = gaussian_points(13, 20_000, 3);
+        let store = PointStore::from_rows(&points).unwrap();
+        let shallow = OnionIndex::build(points.clone()).unwrap();
+        let deep = OnionIndex::build_with(points, 64, 32, 7).unwrap();
+        assert!(shallow.layer_count() <= DEFAULT_LAYERS + 1);
+        let mut state = 0x6d62_6972u64;
+        let (mut shallow_tuples, mut deep_tuples) = (0, 0);
+        for _ in 0..16 {
+            let dir: Vec<f64> = (0..3)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    2.0 * ((state >> 11) as f64 / (1u64 << 53) as f64) - 1.0
+                })
+                .collect();
+            let truth = scan_top_k_flat(&store, &dir, 10);
+            let a = shallow.top_k_max(&dir, 10).unwrap();
+            let b = deep.top_k_max(&dir, 10).unwrap();
+            assert_eq!(bits(&a), bits(&truth), "dir={dir:?}");
+            assert_eq!(bits(&b), bits(&truth), "dir={dir:?}");
+            shallow_tuples += a.stats.tuples_examined;
+            deep_tuples += b.stats.tuples_examined;
+        }
+        assert!(
+            shallow_tuples < deep_tuples,
+            "default build read {shallow_tuples} tuples, 64 layers {deep_tuples}"
+        );
     }
 
     #[test]

@@ -126,35 +126,29 @@ pub fn scan_top_k<T, F: FnMut(&T) -> f64>(data: &[T], k: usize, mut score: F) ->
 }
 
 /// Rows per run of [`scan_top_k_flat`]: a run's 512 bytes of scores and
-/// its rows stay in L1 between the scoring pass and the reach test (the
-/// DESIGN §10 sweep: 64 and 128 tie, 256 and up lose).
+/// its rows stay in L1 between the scoring loop and the admission of a
+/// run that reaches the floor (the DESIGN §10 sweep: 64 and 128 tie, 256
+/// and up lose).
 const RUN_ROWS: usize = 64;
 
 /// Offers one scored run to `heap`, `scores[i]` as the item with the
 /// `i`-th of `indexes`, under the cached-floor discipline every exact
 /// scorer shares. A score strictly below the floor can never be kept
-/// (`rank_cmp` ranks it worse than the worst item held), so one
-/// branch-free pass first asks whether any score of the run reaches the
-/// floor, and only then does the per-row loop run — a predictable float
-/// compare per row instead of a heap probe. `!(s < floor)` is true for
-/// NaN and for a (±0.0-)tied score, which fall through to
+/// (`rank_cmp` ranks it worse than the worst item held), so each row costs
+/// a predictable float compare and only a row that reaches the floor
+/// probes the heap. NaN and a (±0.0-)tied score fall through to
 /// [`TopKHeap::offer`], the one place that decides ties, so the kept set
-/// is what offering every row would keep. The test *is* each row's one
-/// comparison: callers charge one comparison per scored row.
+/// is what offering every row would keep. Whether a run reaches the floor
+/// at all is asked in the loop that scored it (the `bool` of
+/// `kernels::score_rows`), so a run that cannot is not read again: callers
+/// call this only for runs that reach, and charge one comparison per
+/// scored row.
 pub(crate) fn offer_run(
     heap: &mut TopKHeap,
     scores: &[f64],
     indexes: impl IntoIterator<Item = usize>,
 ) {
     let mut floor = heap.floor();
-    if let Some(f) = floor {
-        // `!(s < f)`, not `s >= f`: a NaN score must reach `offer`.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let reaches = scores.iter().fold(false, |reach, &s| reach | !(s < f));
-        if !reaches {
-            return;
-        }
-    }
     for (&score, index) in scores.iter().zip(indexes) {
         if floor.is_some_and(|f| score < f) {
             continue;
@@ -165,13 +159,20 @@ pub(crate) fn offer_run(
     }
 }
 
+/// The floor a scoring loop tests a run against: the heap's, or NaN —
+/// which every score reaches — while it holds fewer than K items.
+pub(crate) fn run_floor(heap: &TopKHeap) -> f64 {
+    heap.floor().unwrap_or(f64::NAN)
+}
+
 /// Scans a flat [`PointStore`], returning the top-K maximizers of
 /// `direction . x` — bit-identical to
 /// `scan_top_k(rows, k, |p| direction.iter().zip(p).map(|(a, v)| a * v).sum())`
 /// on the same data, but scoring contiguous 64-row runs into a stack
 /// array instead of chasing a pointer per tuple, and touching the heap
-/// only for runs with a score that reaches its floor. Nothing is
-/// allocated but the heap.
+/// only for runs with a score that reaches its floor. The scoring loop
+/// itself tests each score against the floor, so a run that cannot enter
+/// the heap is read once. Nothing is allocated but the heap.
 ///
 /// # Panics
 ///
@@ -187,8 +188,9 @@ pub fn scan_top_k_flat(store: &PointStore, direction: &[f64], k: usize) -> TopKR
     let mut scores = [0.0f64; RUN_ROWS];
     for (r, run) in store.flat().chunks(RUN_ROWS * dims).enumerate() {
         let scores = &mut scores[..run.len() / dims];
-        kernels::score_rows(run, dims, direction, scores);
-        offer_run(&mut heap, scores, r * RUN_ROWS..);
+        if kernels::score_rows(run, dims, direction, scores, run_floor(&heap)) {
+            offer_run(&mut heap, scores, r * RUN_ROWS..);
+        }
     }
     TopKResult {
         results: heap.into_sorted(),
@@ -270,14 +272,16 @@ pub fn scan_top_k_quant(
             }
             // Exact scoring of the surviving sub-block.
             let scores = &mut scores[..sub_m];
-            kernels::score_rows(
+            report.rows_exact += sub_m as u64;
+            if kernels::score_rows(
                 &flat[sub_start * dims..(sub_start + sub_m) * dims],
                 dims,
                 direction,
                 scores,
-            );
-            report.rows_exact += sub_m as u64;
-            offer_run(&mut heap, scores, sub_start..);
+                run_floor(&heap),
+            ) {
+                offer_run(&mut heap, scores, sub_start..);
+            }
         }
     }
     (

@@ -34,7 +34,7 @@ check() {
 
 check grid_hot 13329.0625
 check append_mix 5885.9140625
-check tuple_topk 155134.1484375
+check tuple_topk 150915.375
 
 check_batch() {
   local want=$1 repro dir got
